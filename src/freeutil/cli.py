@@ -37,7 +37,7 @@ from .model import (
 )
 from .problemio import ProblemFile, load
 from .sequential import regime_label, solve_regime, value_recursion
-from .variational import bounded_control, exponential_tilt
+from .variational import bounded_control, control_temperature, exponential_tilt
 from . import verify as verify_mod
 
 LN2 = math.log(2.0)
@@ -125,14 +125,6 @@ def _parse_temp_arg(text: str | None, what: str) -> Temperature | None:
         raise DomainError(f"cannot parse {what} value {text!r}")
 
 
-def _check_alpha_domain(alpha: Temperature) -> Temperature:
-    if alpha.is_neg_inf or (alpha.is_finite and alpha.value < 0.0):
-        raise DomainError(
-            f"control temperature must be non-negative or 'inf', got {alpha.spell()}"
-        )
-    return alpha
-
-
 def _resolve_control_alpha(pf: ProblemFile, args) -> Temperature:
     flag_alpha = _parse_temp_arg(args.alpha, "alpha")
     flag_lam = _parse_temp_arg(getattr(args, "lam", None), "lambda")
@@ -141,11 +133,11 @@ def _resolve_control_alpha(pf: ProblemFile, args) -> Temperature:
     if flag_alpha is not None and flag_lam is not None:
         raise DomainError("give either alpha or lambda for a control problem, not both")
     if flag_alpha is not None:
-        return _check_alpha_domain(flag_alpha)
+        return control_temperature(flag_alpha)
     if flag_lam is not None:
-        return _check_alpha_domain(flag_lam.reciprocal())
+        return control_temperature(flag_lam.reciprocal())
     if pf.alpha is not None:
-        return _check_alpha_domain(pf.alpha)
+        return control_temperature(pf.alpha)
     return Temperature.finite(1.0)
 
 
@@ -333,10 +325,12 @@ def _cmd_sweep(args) -> int:
                     f"control problems sweep alpha, not {args.param!r}"
                 )
             for point in grid:
-                if point.is_neg_inf or (point.is_finite and point.value < 0.0):
+                try:
+                    control_temperature(point)
+                except DomainError:
                     raise DomainError(
                         f"alpha grid value {point.spell()} is not a valid temperature"
-                    )
+                    ) from None
         else:
             if args.param not in ("lambda", "mu"):
                 raise DomainError(

@@ -12,7 +12,7 @@ display-only bits conversion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -107,6 +107,21 @@ def _check_distribution(outcomes: Sequence[str], probs: Sequence[float]) -> None
     total = math.fsum(probs)
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise NotNormalized(f"probabilities sum to {total!r}, expected 1")
+
+
+def _aligned(
+    outcomes: Sequence[str], values: Sequence[float], target: Sequence[str]
+) -> np.ndarray:
+    """values, labelled by outcomes, reordered to the target label order; the
+    two label sets must agree."""
+    if tuple(target) == tuple(outcomes):
+        return np.asarray(values, dtype=float)
+    if set(target) != set(outcomes):
+        raise LabelMismatch(
+            f"label sets differ: {sorted(set(outcomes))} vs {sorted(set(target))}"
+        )
+    index = {o: i for i, o in enumerate(outcomes)}
+    return np.asarray([values[index[o]] for o in target], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -215,15 +230,7 @@ class UtilityTable:
 
     def aligned_to(self, outcomes: Sequence[str]) -> np.ndarray:
         """Values reordered to the given label order; label sets must agree."""
-        if tuple(outcomes) == self.outcomes:
-            return self.array
-        if set(outcomes) != set(self.outcomes):
-            raise LabelMismatch(
-                f"utility labels {sorted(self.outcomes)} do not match "
-                f"{sorted(set(outcomes))}"
-            )
-        index = {o: i for i, o in enumerate(self.outcomes)}
-        return np.asarray([self.values[index[o]] for o in outcomes], dtype=float)
+        return _aligned(self.outcomes, self.values, outcomes)
 
     def shifted(self, constant: float) -> "UtilityTable":
         return UtilityTable(self.outcomes, [v + constant for v in self.values])
@@ -232,26 +239,13 @@ class UtilityTable:
         return len(self.outcomes)
 
 
-def _aligned_pair(
-    p: FiniteDistribution, other_outcomes: Sequence[str], other_values: Sequence[float]
-) -> np.ndarray:
-    if tuple(other_outcomes) == p.outcomes:
-        return np.asarray(other_values, dtype=float)
-    if set(other_outcomes) != set(p.outcomes):
-        raise LabelMismatch(
-            f"label sets differ: {sorted(set(p.outcomes))} vs {sorted(set(other_outcomes))}"
-        )
-    index = {o: i for i, o in enumerate(other_outcomes)}
-    return np.asarray([other_values[index[o]] for o in p.outcomes], dtype=float)
-
-
 def kl_divergence(p: FiniteDistribution, q: FiniteDistribution) -> float:
     """Relative entropy sum(p log p/q) in nats, with 0 log(0/q) = 0.
 
     q may put mass outside support(p), but q(x) = 0 with p(x) > 0 is a
     support violation.
     """
-    q_probs = _aligned_pair(p, q.outcomes, q.probs)
+    q_probs = _aligned(q.outcomes, q.probs, p.outcomes)
     terms = []
     for label, pi, qi in zip(p.outcomes, p.probs, q_probs):
         if pi == 0.0:
@@ -272,7 +266,7 @@ def entropy(p: FiniteDistribution) -> float:
 
 def expectation(p: FiniteDistribution, u: UtilityTable) -> float:
     """Expected utility sum(p * u) under matching labels."""
-    vals = _aligned_pair(p, u.outcomes, u.values)
+    vals = u.aligned_to(p.outcomes)
     return float(math.fsum(pi * vi for pi, vi in zip(p.probs, vals)))
 
 
@@ -542,7 +536,8 @@ class DecisionTree:
 
     Each internal node's child priors form a FiniteDistribution over the
     child names and each edge carries a utility gain. Node paths (root name,
-    then child names joined by '/') identify nodes in results.
+    then child names joined by '/') identify nodes in results, so no node
+    name may contain '/'.
     """
 
     root: TreeNode
@@ -556,6 +551,11 @@ class DecisionTree:
                     f"node {node.name!r} is reachable twice; the structure is not a tree"
                 )
             seen.add(id(node))
+            if "/" in node.name:
+                raise DomainError(
+                    f"node name {node.name!r} contains '/', which separates "
+                    "the names in a node path"
+                )
             if node.is_leaf:
                 if node.child_prior is not None or node.child_utility is not None:
                     raise LabelMismatch(

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import logsumexp
 
 from .model import (
+    ARGMAX_TIE_TOL,
     DecisionTree,
     DomainError,
     FiniteDistribution,
@@ -35,6 +35,7 @@ from .model import (
     expectation,
     kl_divergence,
 )
+from .sequential import TreeValue
 
 MAX_GRID_OUTCOMES = 4
 MAX_PATHS = 100_000
@@ -237,19 +238,53 @@ def exhaustive_two_stage(
 def enumerate_minimax(problem: TwoStageProblem) -> tuple[str, float]:
     """Exhaustive max over actions of the min outcome utility on the
     channel's support (plus direct action utility); ground truth for the
-    worst-case solver. First-listed action wins ties."""
-    best_action = None
-    best_value = None
-    for a in problem.actions:
+    worst-case solver. Actions without prior mass are skipped, since no
+    policy anchored to that prior can choose them. The first-listed action
+    within ARGMAX_TIE_TOL of the best value wins ties."""
+    worst = {}
+    for a, w in zip(problem.actions, problem.prior_action.probs):
+        if w == 0.0:
+            continue
         row = problem.channel[a]
         util = problem.outcome_utility[a]
         candidates = [
             util.value(o) for o, p in zip(row.outcomes, row.probs) if p > 0.0
         ]
-        v = problem.action_utility.value(a) + min(candidates)
-        if best_value is None or v > best_value:
-            best_action, best_value = a, v
-    return best_action, best_value
+        worst[a] = problem.action_utility.value(a) + min(candidates)
+    best = max(worst.values())
+    return next(a for a, v in worst.items() if v >= best - ARGMAX_TIE_TOL), best
+
+
+def bellman_backup(tree: DecisionTree) -> TreeValue:
+    """Hard-max dynamic program: V = max over supported children of U + V.
+
+    The limit of value_recursion as every temperature goes to +inf; policies
+    are uniform over children within 1e-12 of the maximum.
+    """
+    values: dict[str, float] = {}
+    policies: dict[str, FiniteDistribution] = {}
+
+    def backup(node: TreeNode, path: str) -> float:
+        if node.is_leaf:
+            values[path] = 0.0
+            return 0.0
+        totals = {}
+        for child, u in zip(node.children, node.child_utility.values):
+            v = backup(child, f"{path}/{child.name}")
+            if node.child_prior.prob(child.name) > 0.0:
+                totals[child.name] = u + v
+        best = max(totals.values())
+        winners = [n for n, t in totals.items() if abs(t - best) <= ARGMAX_TIE_TOL]
+        share = 1.0 / len(winners)
+        names = tuple(c.name for c in node.children)
+        policies[path] = FiniteDistribution(
+            names, [share if n in winners else 0.0 for n in names]
+        )
+        values[path] = best
+        return best
+
+    backup(tree.root, tree.root.name)
+    return TreeValue(values, policies, tree.root.name)
 
 
 def path_enumeration(tree: DecisionTree, lam: float) -> float:
@@ -287,4 +322,19 @@ def path_enumeration(tree: DecisionTree, lam: float) -> float:
 
     walk(tree.root, [], [])
     scores = np.asarray(log_ps) + lam * np.asarray(utils)
-    return float(logsumexp(scores)) / lam
+    return _logsumexp(scores) / lam
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """log Σ exp(a) for a nonempty 1-D array.
+
+    The maximal entries are taken out of the sum and added back exactly:
+    log Σ exp(a) = a_max + log(m) + log1p(Σ' exp(a − a_max) / m), where m
+    counts the maximal entries and Σ' runs over the others. This is the form
+    scipy.special.logsumexp uses, and it agrees with it bit for bit.
+    """
+    a_max = a.max()
+    top = a == a_max
+    m = float(np.count_nonzero(top))
+    s = float(np.exp(np.where(top, -np.inf, a - a_max)).sum()) / m
+    return float(np.log1p(s) + np.log(m) + a_max)

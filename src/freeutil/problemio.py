@@ -6,7 +6,8 @@ temperatures block. Parsing is strict — unknown fields anywhere are
 rejected, numbers must be numbers (booleans are not), and every structural
 invariant is enforced at load time so downstream code never sees a
 half-valid problem. Temperature limits are spelled as the strings "inf",
-"-inf", and "zero" rather than non-portable float infinities.
+"-inf", and "zero" rather than non-portable float infinities; the JSON
+extensions Infinity, -Infinity and NaN are rejected.
 
 dump() writes the canonical form (normalized probabilities, full-precision
 floats), so load → dump → load is an identity.
@@ -164,11 +165,18 @@ def _parse_node(obj: dict, where: str) -> TreeNode:
     )
 
 
+def _reject_constant(name: str):
+    raise DomainError(
+        f"JSON constant {name} is not a number; spell temperature limits as "
+        "'inf', '-inf' or 'zero'"
+    )
+
+
 def loads(text: str) -> ProblemFile:
     """Parse a problem document from its JSON text, rejecting anything the
     schema does not name."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise DomainError(f"not valid JSON: {e}") from None
     _require_keys(

@@ -19,13 +19,11 @@ import math
 from dataclasses import dataclass
 
 from .model import (
-    ARGMAX_TIE_TOL,
     DecisionTree,
     DomainError,
     FiniteDistribution,
     LAMBDA_TAG,
     MU_TAG,
-    Temperature,
     TemperatureSpec,
     TreeNode,
     TwoStageProblem,
@@ -195,41 +193,29 @@ def solve_regime(problem: TwoStageProblem, temps: TemperatureSpec) -> TwoStageSo
 
 
 def minimax_solve(problem: TwoStageProblem) -> tuple[str, float]:
-    """Worst-case-optimal action: maximize direct utility plus the minimum
-    outcome utility over the channel's support. Ties go to the first-listed
-    action."""
-    best_action = None
-    best_value = -math.inf
-    for a in problem.actions:
-        row = problem.channel[a]
-        util = problem.outcome_utility[a]
-        worst = min(
-            util.value(o) for o, p in zip(row.outcomes, row.probs) if p > 0.0
-        )
-        v = problem.action_utility.value(a) + worst
-        if best_action is None or v > best_value:
-            best_action, best_value = a, v
-    return best_action, best_value
+    """Worst-case-optimal action and its value, read off the staged solver at
+    (lam, mu) = (+inf, -inf): the first-listed action the policy supports.
+
+    Each action scores its direct utility plus the minimum outcome utility
+    over its channel's support; actions without prior mass cannot be chosen.
+    """
+    sol = solve_regime(problem, TemperatureSpec("inf", "-inf"))
+    return sol.action_policy.support()[0], sol.value
 
 
 def risk_sensitive_argmax(problem: TwoStageProblem, mu: float) -> tuple[str, float]:
-    """Best action under the certainty-equivalent criterion at finite mu.
+    """Best action under the certainty-equivalent criterion at finite mu,
+    read off the staged solver at lam = +inf: the first-listed action the
+    policy supports, and its value.
 
     Negative mu penalizes outcome variance and converges to minimax_solve as
-    mu -> -inf; positive mu is the risk-seeking evaluation. Ties go to the
-    first-listed action.
+    mu -> -inf; positive mu is the risk-seeking evaluation.
     """
     mu = float(mu)
     if not math.isfinite(mu) or mu == 0.0:
         raise DomainError(f"mu must be a finite nonzero real, got {mu!r}")
-    best_action = None
-    best_value = -math.inf
-    for a in problem.actions:
-        ce = certainty_equivalent(problem.channel[a], problem.outcome_utility[a], mu)
-        v = problem.action_utility.value(a) + ce
-        if best_action is None or v > best_value:
-            best_action, best_value = a, v
-    return best_action, best_value
+    sol = outer_policy(problem, "inf", mu)
+    return sol.action_policy.support()[0], sol.value
 
 
 @dataclass(frozen=True)
@@ -284,38 +270,6 @@ def value_recursion(tree: DecisionTree, temps: TemperatureSpec) -> TreeValue:
         values[path] = result.value
         policies[path] = result.policy
         return result.value
-
-    backup(tree.root, tree.root.name)
-    return TreeValue(values, policies, tree.root.name)
-
-
-def bellman_backup(tree: DecisionTree) -> TreeValue:
-    """Hard-max dynamic program: V = max over supported children of U + V.
-
-    The limit of value_recursion as every temperature goes to +inf; policies
-    are uniform over children within 1e-12 of the maximum.
-    """
-    values: dict[str, float] = {}
-    policies: dict[str, FiniteDistribution] = {}
-
-    def backup(node: TreeNode, path: str) -> float:
-        if node.is_leaf:
-            values[path] = 0.0
-            return 0.0
-        totals = {}
-        for child, u in zip(node.children, node.child_utility.values):
-            v = backup(child, f"{path}/{child.name}")
-            if node.child_prior.prob(child.name) > 0.0:
-                totals[child.name] = u + v
-        best = max(totals.values())
-        winners = [n for n, t in totals.items() if abs(t - best) <= ARGMAX_TIE_TOL]
-        share = 1.0 / len(winners)
-        names = tuple(c.name for c in node.children)
-        policies[path] = FiniteDistribution(
-            names, [share if n in winners else 0.0 for n in names]
-        )
-        values[path] = best
-        return best
 
     backup(tree.root, tree.root.name)
     return TreeValue(values, policies, tree.root.name)

@@ -181,6 +181,17 @@ def free_utility(p: FiniteDistribution, u: UtilityTable, alpha: float) -> float:
     return expectation(p, u) + alpha * entropy(p)
 
 
+def control_temperature(alpha) -> Temperature:
+    """alpha as a control temperature: a positive real or the zero / +inf
+    limit. Negative values and the -inf limit raise DomainError."""
+    t = Temperature.coerce(alpha)
+    if t.is_neg_inf or (t.is_finite and t.value < 0.0):
+        raise DomainError(
+            f"control temperature must be non-negative or 'inf', got {t.spell()}"
+        )
+    return t
+
+
 def bounded_control(prior: FiniteDistribution, u_star: UtilityTable, alpha) -> FiniteDistribution:
     """Maximizer of Σ P·u_star − α·KL(P‖prior) over distributions P.
 
@@ -190,12 +201,7 @@ def bounded_control(prior: FiniteDistribution, u_star: UtilityTable, alpha) -> F
     alpha = +inf limit: the prior is returned unchanged (deviation is
     infinitely expensive).
     """
-    t = Temperature.coerce(alpha)
-    if t.is_neg_inf or (t.is_finite and t.value < 0.0):
-        raise DomainError(
-            f"control temperature must be positive or a declared limit, got {t.spell()}"
-        )
-    return exponential_tilt(prior, u_star, t.reciprocal()).policy
+    return exponential_tilt(prior, u_star, control_temperature(alpha).reciprocal()).policy
 
 
 @dataclass(frozen=True)
@@ -230,12 +236,3 @@ def free_utility_difference(
     expected = expectation(posterior, u_star)
     cost = alpha * kl
     return FreeUtilityReport(expected, cost, expected - cost, kl)
-
-
-def estimation_solution(p_f: FiniteDistribution) -> FiniteDistribution:
-    """Closed-form minimizer of KL(p_f‖·): the estimate equals p_f itself.
-
-    Included so the estimation branch of the variational pair has an explicit
-    home; the objective value at the solution is KL(p_f‖p_f) = 0.
-    """
-    return p_f

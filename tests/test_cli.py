@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from freeutil import cli
 from freeutil.model import FreeUtilError
 from freeutil.problemio import dumps, load, loads
 
@@ -17,7 +21,8 @@ VALID_GOLDENS = sorted(p.name for p in GOLDEN.glob("*.json") if not p.name.start
 INVALID_GOLDENS = sorted(p.name for p in GOLDEN.glob("invalid_*.json"))
 
 
-def run_cli(*args, seed=None):
+def run_process(*args, seed=None):
+    """Run ``python -m freeutil`` in a fresh interpreter."""
     env = dict(os.environ)
     env.pop("FREEUTIL_SEED", None)
     if seed is not None:
@@ -28,6 +33,22 @@ def run_cli(*args, seed=None):
         text=True,
         env=env,
     )
+
+
+def run_cli(*args, seed=None):
+    """Run the CLI in this process through cli.main, with stdout, stderr and
+    FREEUTIL_SEED swapped in for the call; returns what run_process would."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        os.environ.pop("FREEUTIL_SEED", None)
+        if seed is not None:
+            os.environ["FREEUTIL_SEED"] = seed
+        try:
+            code = cli.main([str(a) for a in args])
+        except SystemExit as e:  # argparse usage errors
+            code = e.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def solve_doc(*args):
@@ -61,8 +82,41 @@ def test_malformed_files_exit_2(name):
     assert ":" in result.stderr.strip()
 
 
+@pytest.mark.parametrize("constant", ["Infinity", "-Infinity", "NaN"])
+def test_json_nonfinite_constants_exit_2(tmp_path, constant):
+    text = (GOLDEN / "control_basic.json").read_text()
+    path = tmp_path / "alpha.json"
+    path.write_text(text.replace('"alpha": 1.0', f'"alpha": {constant}'))
+    result = run_cli("solve", path)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith(f"DomainError: JSON constant {constant} ")
+
+
+def test_slash_in_tree_node_name_exits_2(tmp_path):
+    # a leaf "a/b" and a node "a" -> "b" under one root: both are path "r/a/b"
+    doc = {
+        "schema_version": "1",
+        "kind": "tree",
+        "payload": {
+            "name": "r",
+            "children": [
+                {"prior": 0.5, "utility": 1.0, "node": {"name": "a/b"}},
+                {"prior": 0.5, "utility": 0.0, "node": {
+                    "name": "a",
+                    "children": [{"prior": 1.0, "utility": 2.0, "node": {"name": "b"}}],
+                }},
+            ],
+        },
+    }
+    path = tmp_path / "slash.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("solve", path)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("DomainError: node name 'a/b'")
+
+
 def test_missing_file_exits_2():
-    result = run_cli("solve", "/no/such/problem.json")
+    result = run_process("solve", "/no/such/problem.json")
     assert result.returncode == 2
     assert "No such file" in result.stderr
 
@@ -72,7 +126,10 @@ def test_missing_file_exits_2():
 
 
 def test_solve_control_document():
-    doc = solve_doc(GOLDEN / "control_basic.json")
+    result = run_process("solve", GOLDEN / "control_basic.json")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == run_cli("solve", GOLDEN / "control_basic.json").stdout
+    doc = json.loads(result.stdout)
     assert list(doc) == [
         "command", "kind", "alpha", "policy", "value", "log_partition",
         "expected_utility", "information_cost", "achieved_kl", "total", "units",
@@ -159,7 +216,7 @@ def test_solve_robust_limit_from_file_temperatures():
 
 
 def test_solve_lambda_zero_is_solver_error():
-    result = run_cli("solve", GOLDEN / "two_stage_lambda_zero.json")
+    result = run_process("solve", GOLDEN / "two_stage_lambda_zero.json")
     assert result.returncode == 3
     assert "UnsupportedRegime" in result.stderr
 
@@ -212,7 +269,7 @@ def test_repeated_runs_are_byte_identical():
         ("regimes", GOLDEN / "two_stage_basic.json"),
         ("sweep", GOLDEN / "control_basic.json", "--param", "alpha", "--grid", "0.5,1,2"),
     ):
-        first, second = run_cli(*args), run_cli(*args)
+        first, second = run_process(*args), run_process(*args)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
 
@@ -352,7 +409,7 @@ def test_bits_rescale_sweep_kl_column():
 
 
 def test_verify_suite_passes_and_repeats_bytes():
-    first = run_cli("verify", "--suite", "control-optimality", seed="7")
+    first = run_process("verify", "--suite", "control-optimality", seed="7")
     second = run_cli("verify", "--suite", "control-optimality", seed="7")
     assert first.returncode == 0
     assert first.stdout == second.stdout
@@ -368,7 +425,7 @@ def test_verify_seed_defaults_to_zero():
 
 
 def test_verify_perturbation_trips_every_certificate():
-    result = run_cli("verify", "--suite", "control-optimality", "--perturb", "0.001")
+    result = run_process("verify", "--suite", "control-optimality", "--perturb", "0.001")
     assert result.returncode == 4
     doc = json.loads(result.stdout)
     assert doc["passed"] is False

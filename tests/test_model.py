@@ -412,6 +412,18 @@ def test_tree_rejects_shared_node_object():
         DecisionTree(node("root", [left, right], [0.5, 0.5], [0.0, 0.0]))
 
 
+def test_tree_rejects_slash_in_node_name():
+    # "a/b" under the root and "a" -> "b" would both be the path "r/a/b"
+    tree = node(
+        "r",
+        [leaf("a/b"), node("a", [leaf("b")], [1.0], [2.0])],
+        [0.5, 0.5],
+        [1.0, 0.0],
+    )
+    with pytest.raises(DomainError, match="'/'"):
+        DecisionTree(tree)
+
+
 def test_tree_rejects_unknown_tag():
     with pytest.raises(UnknownTemperatureTag):
         DecisionTree(

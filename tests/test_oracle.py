@@ -1,13 +1,19 @@
+import dataclasses
 import itertools
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from freeutil import sequential, verify
 from freeutil.model import (
     DecisionTree,
     DomainError,
     FiniteDistribution,
+    Temperature,
     TemperatureSpec,
     TooLarge,
     TooManyOutcomes,
@@ -19,6 +25,7 @@ from freeutil.model import (
     kl_divergence,
 )
 from freeutil.oracle import (
+    _logsumexp,
     enumerate_minimax,
     exhaustive_two_stage,
     path_enumeration,
@@ -30,7 +37,10 @@ from freeutil.sequential import (
     outer_policy,
     value_recursion,
 )
+from freeutil.problemio import load
 from freeutil.variational import bounded_control, free_utility_difference
+
+GOLDEN = Path(__file__).parent / "golden"
 
 LOG2 = math.log(2.0)
 
@@ -327,6 +337,21 @@ def test_enumerate_single_action():
     assert enumerate_minimax(problem) == ("only", 3.0)
 
 
+def test_minimax_certificate_checks_the_staged_solver(monkeypatch):
+    problem = load(str(GOLDEN / "two_stage_basic.json")).problem
+    solve = sequential.outer_policy
+
+    def off_by_one(*args):
+        sol = solve(*args)
+        return dataclasses.replace(sol, value=sol.value + 1.0)
+
+    monkeypatch.setattr(sequential, "outer_policy", off_by_one)
+    certs = verify.verify_two_stage(problem, Temperature.pos_inf(), Temperature.neg_inf())
+    (cert,) = [c for c in certs if c.name == "file/two-stage/minimax-agreement"]
+    assert not cert.passed
+    assert cert.gap == pytest.approx(1.0, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # path enumeration
 
@@ -409,3 +434,22 @@ def test_paths_reject_degenerate_lambda():
         path_enumeration(tree, 0.0)
     with pytest.raises(DomainError):
         path_enumeration(tree, float("inf"))
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        n = int(rng.integers(1, 30))
+        a = rng.normal(size=n) * rng.choice([1e-3, 1.0, 30.0, 700.0])
+        if rng.random() < 0.3:
+            a = np.round(a)  # repeated maxima
+        assert _logsumexp(a) == float(special.logsumexp(a))
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, freeutil; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

