@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import math
 import sys
 
@@ -35,7 +34,7 @@ from .model import (
     expectation,
     kl_divergence,
 )
-from .problemio import ProblemFile, load
+from .problemio import ProblemFile, load, render_json
 from .sequential import regime_label, solve_regime, value_recursion
 from .variational import bounded_control, control_temperature, exponential_tilt
 from . import verify as verify_mod
@@ -56,36 +55,6 @@ def _fmt_float(x: float) -> str:
     if x == 0.0:
         x = 0.0  # collapse -0.0
     return format(x, ".12g")
-
-
-def _render(obj, indent: int = 0) -> str:
-    """JSON with deterministic 12-significant-digit floats and stable key order."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [
-            f"{inner}{json.dumps(str(k))}: {_render(v, indent + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        parts = [f"{inner}{_render(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    raise DomainError(f"cannot render {type(obj).__name__} in a document")
 
 
 def _convert_units(obj, units: str):
@@ -243,7 +212,7 @@ def _cmd_solve(args) -> int:
 
     doc["units"] = args.units
     doc = _convert_units(doc, args.units)
-    _emit(_render(doc) + "\n", args.output)
+    _emit(render_json(doc, _fmt_float) + "\n", args.output)
     return EXIT_OK
 
 
@@ -408,7 +377,7 @@ def _cmd_regimes(args) -> int:
         "sections": sections,
     }
     doc = _convert_units(doc, args.units)
-    _emit(_render(doc) + "\n", args.output)
+    _emit(render_json(doc, _fmt_float) + "\n", args.output)
     return EXIT_OK
 
 
@@ -481,7 +450,7 @@ def _cmd_verify(args) -> int:
         "passed": passed,
     }
     doc = _convert_units(doc, args.units)
-    _emit(_render(doc) + "\n", args.output)
+    _emit(render_json(doc, _fmt_float) + "\n", args.output)
     return EXIT_OK if passed else EXIT_VERIFY
 
 

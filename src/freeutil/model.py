@@ -543,9 +543,11 @@ class DecisionTree:
     root: TreeNode
 
     def __post_init__(self):
+        # Pre-order with an explicit stack, so depth is bounded by memory.
         seen: set[int] = set()
-
-        def walk(node: TreeNode) -> None:
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
             if id(node) in seen:
                 raise CyclicTree(
                     f"node {node.name!r} is reachable twice; the structure is not a tree"
@@ -561,7 +563,7 @@ class DecisionTree:
                     raise LabelMismatch(
                         f"leaf {node.name!r} must not carry child priors or utilities"
                     )
-                return
+                continue
             if node.temperature_tag not in _VALID_TAGS:
                 raise UnknownTemperatureTag(
                     f"node {node.name!r} has temperature tag {node.temperature_tag!r}; "
@@ -576,20 +578,15 @@ class DecisionTree:
                 raise LabelMismatch(
                     f"child utilities of {node.name!r} must cover the child names {names}"
                 )
-            for c in node.children:
-                walk(c)
-
-        walk(self.root)
+            stack.extend(reversed(node.children))
 
     def iter_nodes(self) -> Iterable[tuple[str, TreeNode]]:
         """Yield (path, node) depth-first in child order; path starts at the root name."""
-
-        def walk(node: TreeNode, path: str):
+        stack = [(self.root.name, self.root)]
+        while stack:
+            path, node = stack.pop()
             yield path, node
-            for c in node.children:
-                yield from walk(c, f"{path}/{c.name}")
-
-        yield from walk(self.root, self.root.name)
+            stack.extend((f"{path}/{c.name}", c) for c in reversed(node.children))
 
     def n_leaves(self) -> int:
         return sum(1 for _, node in self.iter_nodes() if node.is_leaf)

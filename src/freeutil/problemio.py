@@ -10,12 +10,17 @@ half-valid problem. Temperature limits are spelled as the strings "inf",
 extensions Infinity, -Infinity and NaN are rejected.
 
 dump() writes the canonical form (normalized probabilities, full-precision
-floats), so load → dump → load is an identity.
+floats), so load → dump → load is an identity. render_json() is the one JSON
+writer: it lays out problem files and, with 12-digit floats, the CLI's
+documents.
 """
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .model import (
     ControlProblem,
@@ -172,6 +177,19 @@ def _reject_constant(name: str):
     )
 
 
+def _too_deep(text: str) -> DomainError:
+    """The error for a document nested past what the recursive parsers
+    reach, naming its deepest bracket nesting (strings skipped)."""
+    depth = deepest = 0
+    for bracket in re.findall(r'[\[\]{}]', re.sub(r'"(?:[^"\\]|\\.)*"', "", text)):
+        depth += 1 if bracket in "[{" else -1
+        deepest = max(deepest, depth)
+    return DomainError(
+        f"problem file is nested {deepest} levels deep, past the parser's limit "
+        f"(Python recursion limit {sys.getrecursionlimit()})"
+    )
+
+
 def loads(text: str) -> ProblemFile:
     """Parse a problem document from its JSON text, rejecting anything the
     schema does not name."""
@@ -179,6 +197,8 @@ def loads(text: str) -> ProblemFile:
         raw = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise DomainError(f"not valid JSON: {e}") from None
+    except RecursionError:
+        raise _too_deep(text) from None
     _require_keys(
         raw,
         {"schema_version", "kind", "payload", "temperatures"},
@@ -198,7 +218,11 @@ def loads(text: str) -> ProblemFile:
     elif kind == "two_stage":
         problem = _parse_two_stage(raw["payload"])
     else:
-        problem = DecisionTree(_parse_node(raw["payload"], "tree payload"))
+        try:
+            root = _parse_node(raw["payload"], "tree payload")
+        except RecursionError:
+            raise _too_deep(text) from None
+        problem = DecisionTree(root)
 
     alpha = lam = mu = None
     if "temperatures" in raw:
@@ -226,23 +250,117 @@ def _temp_to_json(t: Temperature):
     return t.value if t.is_finite else t.spell()
 
 
-def _node_to_json(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"name": node.name}
-    return {
-        "name": node.name,
-        "temperature_tag": node.temperature_tag,
-        "children": [
-            {
-                "prior": p,
-                "utility": u,
-                "node": _node_to_json(child),
-            }
-            for child, p, u in zip(
-                node.children, node.child_prior.probs, node.child_utility.values
-            )
-        ],
-    }
+def _node_to_json(root: TreeNode) -> dict:
+    """The tree payload, built pre-order with an explicit stack so that depth
+    is bounded by memory, not by the interpreter's recursion limit."""
+    payload: dict = {}
+    stack = [(root, payload)]
+    while stack:
+        node, out = stack.pop()
+        out["name"] = node.name
+        if node.is_leaf:
+            continue
+        out["temperature_tag"] = node.temperature_tag
+        entries = out["children"] = []
+        for child, p, u in zip(
+            node.children, node.child_prior.probs, node.child_utility.values
+        ):
+            sub: dict = {}
+            entries.append({"prior": p, "utility": u, "node": sub})
+            stack.append((child, sub))
+    return payload
+
+
+def _scalar_text(value, fmt_float) -> str | None:
+    """JSON text of a scalar or an empty container; None for a nonempty
+    container."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return fmt_float(value)
+    if isinstance(value, dict):
+        return None if value else "{}"
+    if isinstance(value, (list, tuple)):
+        return None if value else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def render_json(obj, fmt_float=float.__repr__) -> str:
+    """JSON text of obj in the canonical layout: two-space indent, keys in
+    insertion order, strings ASCII-escaped, floats written by fmt_float.
+
+    With the default fmt_float the text equals ``json.dumps(obj, indent=2)``.
+    Containers are walked with an explicit stack, so nesting depth is bounded
+    by memory. Keys must be strings and containers must not contain
+    themselves.
+    """
+    text = _scalar_text(obj, fmt_float)
+    if text is not None:
+        return text
+    # Exact-type converters for the common scalars; anything else (bool,
+    # None, subclasses, containers) goes through _scalar_text.
+    fast = {str: encode_basestring_ascii, float: fmt_float, int: int.__repr__}
+    enc = encode_basestring_ascii
+    out: list[str] = []
+    emit = out.append
+    # One frame per open container: its member iterator, whether it is a
+    # dict, and the newline plus indent of its members.
+    stack: list = []
+    indents = ["\n"]
+    child = obj
+    while True:
+        if child is not None:
+            keyed = isinstance(child, dict)
+            depth = len(stack) + 1
+            if depth == len(indents):
+                indents.append(indents[-1] + "  ")
+            indent = indents[depth]
+            emit("{" if keyed else "[")
+            members = iter(child.items()) if keyed else iter(child)
+            stack.append((members, keyed, indent))
+            lead = indent
+        else:
+            members, keyed, indent = stack[-1]
+            lead = "," + indent
+        # Format the run of scalar members up to the next nonempty container
+        # as one chunk.
+        run: list[str] = []
+        add = run.append
+        child = None
+        if keyed:
+            for key, value in members:
+                conv = fast.get(type(value))
+                text = conv(value) if conv else _scalar_text(value, fmt_float)
+                if text is None:
+                    child = value
+                    break
+                add(enc(key) + ": " + text)
+        else:
+            for value in members:
+                conv = fast.get(type(value))
+                text = conv(value) if conv else _scalar_text(value, fmt_float)
+                if text is None:
+                    child = value
+                    break
+                add(text)
+        if run:
+            emit(lead + ("," + indent).join(run))
+            lead = "," + indent
+        if child is not None:
+            emit(lead + enc(key) + ": " if keyed else lead)
+            continue
+        stack.pop()
+        emit(indent[:-2] + ("}" if keyed else "]"))
+        if not stack:
+            return "".join(out)
 
 
 def dumps(pf: ProblemFile) -> str:
@@ -280,7 +398,7 @@ def dumps(pf: ProblemFile) -> str:
         temps["mu"] = _temp_to_json(pf.mu)
     if temps:
         doc["temperatures"] = temps
-    return json.dumps(doc, indent=2) + "\n"
+    return render_json(doc) + "\n"
 
 
 def dump(pf: ProblemFile, path: str) -> None:

@@ -115,6 +115,31 @@ def test_slash_in_tree_node_name_exits_2(tmp_path):
     assert result.stderr.startswith("DomainError: node name 'a/b'")
 
 
+def chain_file(tmp_path, depth):
+    """A tree file whose nodes form one chain ``depth`` edges long; written
+    as text because json.dumps recurses once per nested container."""
+    opening = "".join(
+        f'{{"name": "n{i}", "children": [{{"prior": 1.0, "utility": 0.5, "node": '
+        for i in range(depth)
+    )
+    payload = opening + f'{{"name": "n{depth}"}}' + "}]}" * depth
+    path = tmp_path / f"chain{depth}.json"
+    path.write_text(f'{{"schema_version": "1", "kind": "tree", "payload": {payload}}}')
+    return path
+
+
+def test_tree_nested_past_the_parser_exits_2(tmp_path):
+    result = run_cli("solve", chain_file(tmp_path, 600))
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("DomainError: problem file is nested 1802 levels deep")
+
+
+def test_deep_tree_within_the_parser_solves(tmp_path):
+    doc = solve_doc(chain_file(tmp_path, 300))
+    assert len(doc["node_values"]) == 301
+    assert doc["value"] == pytest.approx(150.0)
+
+
 def test_missing_file_exits_2():
     result = run_process("solve", "/no/such/problem.json")
     assert result.returncode == 2

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from freeutil.model import (
     CyclicTree,
@@ -10,6 +12,7 @@ from freeutil.model import (
     DuplicateLabel,
     EmptySupport,
     FiniteDistribution,
+    FreeUtilError,
     LabelMismatch,
     NegativeProbability,
     NotNormalized,
@@ -26,6 +29,7 @@ from freeutil.model import (
     kl_divergence,
     validate,
 )
+from freeutil.problemio import ProblemFile, dumps
 
 
 def dist(labels, probs):
@@ -455,3 +459,130 @@ def test_tree_rejects_prior_child_name_mismatch():
                 UtilityTable(["a", "b"], [0.0, 0.0]),
             )
         )
+
+
+def chain(depth):
+    tip = leaf(f"n{depth}")
+    for i in range(depth - 1, -1, -1):
+        tip = node(f"n{i}", [tip], [1.0], [0.5])
+    return tip
+
+
+def test_tree_walkers_handle_a_chain_deeper_than_the_recursion_limit():
+    depth = 10_000
+    tree = DecisionTree(chain(depth))
+    paths = [p for p, _ in tree.iter_nodes()]
+    assert len(paths) == depth + 1
+    assert paths[:3] == ["n0", "n0/n1", "n0/n1/n2"]
+    assert paths[-1] == "/".join(f"n{i}" for i in range(depth + 1))
+
+
+def test_dumps_handles_a_chain_deeper_than_the_recursion_limit():
+    # 600 tree levels nest 1,802 JSON containers. The layout indents six
+    # spaces per tree level, so the text grows with the square of the depth
+    # (about 10 MB here; a 10,000-deep chain would need about 2.7 GB).
+    depth = 600
+    text = dumps(ProblemFile("1", "tree", DecisionTree(chain(depth))))
+    assert text.count('"name": ') == depth + 1
+    assert "\n" + " " * (4 + 6 * depth) + f'"name": "n{depth}"\n' in text
+
+
+def reference_validate(root):
+    """The recursive validation walk DecisionTree used before it became
+    iterative: the first violation in pre-order, with the same messages."""
+    seen = set()
+
+    def walk(n):
+        if id(n) in seen:
+            raise CyclicTree(
+                f"node {n.name!r} is reachable twice; the structure is not a tree"
+            )
+        seen.add(id(n))
+        if "/" in n.name:
+            raise DomainError(
+                f"node name {n.name!r} contains '/', which separates "
+                "the names in a node path"
+            )
+        if n.is_leaf:
+            if n.child_prior is not None or n.child_utility is not None:
+                raise LabelMismatch(
+                    f"leaf {n.name!r} must not carry child priors or utilities"
+                )
+            return
+        if n.temperature_tag not in ("lambda", "mu"):
+            raise UnknownTemperatureTag(
+                f"node {n.name!r} has temperature tag {n.temperature_tag!r}; "
+                f"expected one of {('lambda', 'mu')}"
+            )
+        names = tuple(c.name for c in n.children)
+        if n.child_prior is None or n.child_prior.outcomes != names:
+            raise LabelMismatch(
+                f"child priors of {n.name!r} must cover the child names {names}"
+            )
+        if n.child_utility is None or n.child_utility.outcomes != names:
+            raise LabelMismatch(
+                f"child utilities of {n.name!r} must cover the child names {names}"
+            )
+        for c in n.children:
+            walk(c)
+
+    walk(root)
+
+
+def reference_paths(root):
+    def walk(n, path):
+        yield path
+        for c in n.children:
+            yield from walk(c, f"{path}/{c.name}")
+
+    return list(walk(root, root.name))
+
+
+FAULTS = ("none",) * 6 + ("slash", "tag", "leaf_prior", "prior", "utility", "shared")
+
+
+@st.composite
+def faulty_trees(draw):
+    """A small tree in which each node may carry one validation fault."""
+    built = []
+    ids = itertools.count()
+
+    def build(level):
+        fault = draw(st.sampled_from(FAULTS))
+        name = f"v{next(ids)}" + ("/x" if fault == "slash" else "")
+        n_children = draw(st.integers(0, 3)) if level < 3 else 0
+        if fault == "shared" and built:
+            shared = draw(st.sampled_from(built))
+            children = [shared] + [build(level + 1) for _ in range(n_children)]
+        else:
+            children = [build(level + 1) for _ in range(n_children)]
+        names = [c.name for c in children]
+        if not children:
+            prior = FiniteDistribution(["z"], [1.0]) if fault == "leaf_prior" else None
+            result = TreeNode(name, (), prior, None)
+        else:
+            names_p = names + ["extra"] if fault == "prior" else names
+            names_u = names[:-1] if fault == "utility" else names
+            result = TreeNode(
+                name,
+                tuple(children),
+                FiniteDistribution(names_p, [1.0 / len(names_p)] * len(names_p)),
+                UtilityTable(names_u, [0.0] * len(names_u)),
+                "beta" if fault == "tag" else draw(st.sampled_from(["lambda", "mu"])),
+            )
+        built.append(result)
+        return result
+
+    return build(0)
+
+
+@given(faulty_trees())
+def test_tree_validation_matches_the_recursive_walk(root):
+    try:
+        reference_validate(root)
+    except FreeUtilError as expected:
+        with pytest.raises(type(expected)) as raised:
+            DecisionTree(root)
+        assert str(raised.value) == str(expected)
+        return
+    assert [p for p, _ in DecisionTree(root).iter_nodes()] == reference_paths(root)
