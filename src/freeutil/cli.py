@@ -245,6 +245,9 @@ def _sweep_rows_two_stage(
             + list(sol.action_policy.probs)
             + [sol.value, sol.achieved_c1, sol.achieved_c2]
         )
+        # Free the solution before the next one is built: its outcome
+        # beliefs hold one float object per channel entry.
+        del sol
     return header, rows
 
 

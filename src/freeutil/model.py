@@ -86,6 +86,11 @@ class TooManyPaths(FreeUtilError):
     pass
 
 
+def _as_list(values):
+    """An ndarray as a list of Python numbers; any other sequence as is."""
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
 def _check_distribution(outcomes: Sequence[str], probs: Sequence[float]) -> None:
     if len(outcomes) != len(probs):
         raise LabelMismatch(
@@ -99,11 +104,12 @@ def _check_distribution(outcomes: Sequence[str], probs: Sequence[float]) -> None
             if label in seen:
                 raise DuplicateLabel(f"duplicate outcome label {label!r}")
             seen.add(label)
-    for label, p in zip(outcomes, probs):
-        if not math.isfinite(p):
-            raise DomainError(f"probability of {label!r} is not finite: {p!r}")
-        if p < 0.0:
-            raise NegativeProbability(f"probability of {label!r} is {p}")
+    if not (all(map(math.isfinite, probs)) and min(probs) >= 0.0):
+        for label, p in zip(outcomes, probs):
+            if not math.isfinite(p):
+                raise DomainError(f"probability of {label!r} is not finite: {p!r}")
+            if p < 0.0:
+                raise NegativeProbability(f"probability of {label!r} is {p}")
     total = math.fsum(probs)
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise NotNormalized(f"probabilities sum to {total!r}, expected 1")
@@ -139,11 +145,14 @@ class FiniteDistribution:
 
     def __init__(self, outcomes: Sequence[str], probs: Sequence[float]):
         outcomes = tuple(outcomes)
-        probs_list = [float(p) for p in probs]
+        probs_list = list(map(float, _as_list(probs)))
         _check_distribution(outcomes, probs_list)
         total = math.fsum(probs_list)
         object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "probs", tuple(p / total for p in probs_list))
+        # Dividing by exactly 1.0 changes no bit, so it is skipped.
+        if total != 1.0:
+            probs_list = [p / total for p in probs_list]
+        object.__setattr__(self, "probs", tuple(probs_list))
 
     @classmethod
     def uniform(cls, outcomes: Sequence[str]) -> "FiniteDistribution":
@@ -203,14 +212,15 @@ class UtilityTable:
 
     def __init__(self, outcomes: Sequence[str], values: Sequence[float]):
         outcomes = tuple(outcomes)
-        vals = tuple(float(v) for v in values)
+        vals = tuple(map(float, _as_list(values)))
         if len(outcomes) != len(vals):
             raise LabelMismatch(f"{len(outcomes)} labels but {len(vals)} values")
         if len(set(outcomes)) != len(outcomes):
             raise DuplicateLabel("duplicate outcome label in utility table")
-        for label, v in zip(outcomes, vals):
-            if not math.isfinite(v):
-                raise DomainError(f"utility of {label!r} is not finite: {v!r}")
+        if not all(map(math.isfinite, vals)):
+            for label, v in zip(outcomes, vals):
+                if not math.isfinite(v):
+                    raise DomainError(f"utility of {label!r} is not finite: {v!r}")
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "values", vals)
 

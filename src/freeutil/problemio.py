@@ -75,6 +75,8 @@ def _as_number(value, where: str) -> float:
 def _as_number_list(value, where: str) -> list[float]:
     if not isinstance(value, list):
         raise DomainError(f"{where} must be an array of numbers")
+    if set(map(type, value)) <= {int, float}:
+        return list(map(float, value))
     return [_as_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
@@ -138,36 +140,57 @@ def _parse_two_stage(payload: dict) -> TwoStageProblem:
     )
 
 
-def _parse_node(obj: dict, where: str) -> TreeNode:
-    _require_keys(obj, {"name", "temperature_tag", "children"}, {"name"}, where)
-    name = obj["name"]
-    if not isinstance(name, str):
-        raise DomainError(f"node name in {where} must be a string")
-    tag = obj.get("temperature_tag", "lambda")
-    if "children" not in obj:
-        return TreeNode(name=name)
-    children_spec = obj["children"]
-    if not isinstance(children_spec, list) or not children_spec:
-        raise DomainError(f"children of {where} must be a nonempty array")
-    children = []
-    priors = []
-    utilities = []
-    for i, entry in enumerate(children_spec):
-        child_where = f"{where}/children[{i}]"
-        _require_keys(
-            entry, {"prior", "utility", "node"}, {"prior", "utility", "node"}, child_where
-        )
-        priors.append(_as_number(entry["prior"], f"{child_where}.prior"))
-        utilities.append(_as_number(entry["utility"], f"{child_where}.utility"))
-        children.append(_parse_node(entry["node"], f"{child_where}.node"))
-    names = [c.name for c in children]
-    return TreeNode(
-        name=name,
-        children=tuple(children),
-        child_prior=FiniteDistribution(names, priors),
-        child_utility=UtilityTable(names, utilities),
-        temperature_tag=tag,
-    )
+def _parse_tree(payload) -> TreeNode:
+    """The tree payload as TreeNodes, with the checks and messages of a
+    recursive descent in the same order: a node's keys, then each child
+    entry's keys and numbers followed by its whole subtree, then the node's
+    child distribution. The open nodes are kept on an explicit stack, so
+    depth is bounded by memory."""
+
+    def open_node(obj, where):
+        """A leaf as a TreeNode; an internal node as the frame
+        [name, tag, where, child entries, children, priors, utilities]."""
+        _require_keys(obj, {"name", "temperature_tag", "children"}, {"name"}, where)
+        name = obj["name"]
+        if not isinstance(name, str):
+            raise DomainError(f"node name in {where} must be a string")
+        tag = obj.get("temperature_tag", "lambda")
+        if "children" not in obj:
+            return TreeNode(name=name)
+        children_spec = obj["children"]
+        if not isinstance(children_spec, list) or not children_spec:
+            raise DomainError(f"children of {where} must be a nonempty array")
+        return [name, tag, where, enumerate(children_spec), [], [], []]
+
+    node = open_node(payload, "tree payload")
+    stack: list = []
+    while True:
+        if not isinstance(node, TreeNode):
+            stack.append(node)
+        elif stack:
+            stack[-1][4].append(node)  # a finished child of the open node
+        else:
+            return node
+        name, tag, where, entries, children, priors, utilities = stack[-1]
+        for i, entry in entries:
+            child_where = f"{where}/children[{i}]"
+            _require_keys(
+                entry, {"prior", "utility", "node"}, {"prior", "utility", "node"}, child_where
+            )
+            priors.append(_as_number(entry["prior"], f"{child_where}.prior"))
+            utilities.append(_as_number(entry["utility"], f"{child_where}.utility"))
+            node = open_node(entry["node"], f"{child_where}.node")
+            break
+        else:
+            stack.pop()
+            names = [c.name for c in children]
+            node = TreeNode(
+                name=name,
+                children=tuple(children),
+                child_prior=FiniteDistribution(names, priors),
+                child_utility=UtilityTable(names, utilities),
+                temperature_tag=tag,
+            )
 
 
 def _reject_constant(name: str):
@@ -178,8 +201,8 @@ def _reject_constant(name: str):
 
 
 def _too_deep(text: str) -> DomainError:
-    """The error for a document nested past what the recursive parsers
-    reach, naming its deepest bracket nesting (strings skipped)."""
+    """The error for a document nested past what the JSON decoder reaches,
+    naming its deepest bracket nesting (strings skipped)."""
     depth = deepest = 0
     for bracket in re.findall(r'[\[\]{}]', re.sub(r'"(?:[^"\\]|\\.)*"', "", text)):
         depth += 1 if bracket in "[{" else -1
@@ -199,6 +222,9 @@ def loads(text: str) -> ProblemFile:
         raise DomainError(f"not valid JSON: {e}") from None
     except RecursionError:
         raise _too_deep(text) from None
+    # Building needs only the decoded value; when the caller keeps no
+    # reference, this frees the text before the problem is built.
+    del text
     _require_keys(
         raw,
         {"schema_version", "kind", "payload", "temperatures"},
@@ -218,11 +244,7 @@ def loads(text: str) -> ProblemFile:
     elif kind == "two_stage":
         problem = _parse_two_stage(raw["payload"])
     else:
-        try:
-            root = _parse_node(raw["payload"], "tree payload")
-        except RecursionError:
-            raise _too_deep(text) from None
-        problem = DecisionTree(root)
+        problem = DecisionTree(_parse_tree(raw["payload"]))
 
     alpha = lam = mu = None
     if "temperatures" in raw:
@@ -241,7 +263,8 @@ def loads(text: str) -> ProblemFile:
 
 
 def load(path: str) -> ProblemFile:
-    """Read and parse a problem file from disk."""
+    """Read and parse a problem file from disk. The text is handed to loads
+    without a second reference, so it is freed once decoded."""
     with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read())
 

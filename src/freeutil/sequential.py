@@ -17,6 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .model import (
     DecisionTree,
@@ -31,7 +34,7 @@ from .model import (
     UtilityTable,
     kl_divergence,
 )
-from .variational import exponential_tilt
+from .variational import _tilt_segments, exponential_tilt
 
 
 def certainty_equivalent(p: FiniteDistribution, u: UtilityTable, mu) -> float:
@@ -131,6 +134,26 @@ def inner_policy(
     return result.policy, result.log_partition
 
 
+# Channel entries per segmented tilt in outer_policy.
+_BLOCK_ENTRIES = 1 << 14
+
+
+def _row_kls(beliefs, channel, starts, kept) -> list[float]:
+    """KL(beliefs row ‖ channel row) in nats for every row of two flat
+    matrices; rows the tilt kept at the prior are 0.0."""
+    if all(kept):
+        return [0.0] * len(kept)
+    terms = np.ones_like(beliefs)
+    np.divide(beliefs, channel, out=terms, where=beliefs > 0.0)
+    np.log(terms, out=terms)
+    terms *= beliefs
+    bounds = starts.tolist() + [len(beliefs)]
+    return [
+        0.0 if same else max(math.fsum(terms[lo:hi].tolist()), 0.0)
+        for lo, hi, same in zip(bounds, bounds[1:], kept)
+    ]
+
+
 def outer_policy(problem: TwoStageProblem, lam, mu) -> TwoStageSolution:
     """Solve the nested problem at inverse temperatures (lam, mu).
 
@@ -140,6 +163,10 @@ def outer_policy(problem: TwoStageProblem, lam, mu) -> TwoStageSolution:
     lam = +inf is the hard arg-max over actions (uniform over exact ties);
     lam = zero is rejected — an infinitely expensive chooser never moves,
     which is not a solvable regime here.
+
+    The inner stage is a segmented tilt over the flat actions × outcomes
+    matrices, one segment per action, in blocks of rows of about
+    _BLOCK_ENTRIES entries so that no temporary grows with the whole matrix.
     """
     temps = TemperatureSpec(lam, mu)
     if temps.lam.is_zero:
@@ -147,30 +174,47 @@ def outer_policy(problem: TwoStageProblem, lam, mu) -> TwoStageSolution:
             "lambda at the zero limit pins the policy to its prior; "
             "use a finite lambda or the inf limit"
         )
+    actions, outcomes = problem.actions, problem.outcomes
+    width = len(outcomes)
     beliefs: dict[str, FiniteDistribution] = {}
-    log_z2: dict[str, float | None] = {}
-    values: dict[str, float] = {}
-    for a in problem.actions:
-        inner = exponential_tilt(
-            problem.channel[a], problem.outcome_utility[a], temps.mu
+    inner_values: list[float] = []
+    inner_log_z: list[float | None] = []
+    row_kls: list[float] = []
+    step = max(1, _BLOCK_ENTRIES // width)
+    for first in range(0, len(actions), step):
+        block = actions[first : first + step]
+        rows = [problem.channel[a] for a in block]
+        size = len(block) * width
+        channel = np.fromiter(chain.from_iterable(r.probs for r in rows), float, size)
+        utility = np.fromiter(
+            chain.from_iterable(problem.outcome_utility[a].values for a in block),
+            float,
+            size,
         )
-        beliefs[a] = inner.policy
-        log_z2[a] = inner.log_partition
-        values[a] = problem.action_utility.value(a) + inner.value
-
-    gains = UtilityTable(problem.actions, [values[a] for a in problem.actions])
+        starts = np.arange(0, size, width)
+        flat, block_values, block_log_z, kept = _tilt_segments(
+            channel, utility, starts, temps.mu
+        )
+        inner_values += block_values
+        inner_log_z += block_log_z
+        row_kls += _row_kls(flat, channel, starts, kept)
+        for a, row, lo, same in zip(block, rows, starts.tolist(), kept):
+            beliefs[a] = row if same else FiniteDistribution(
+                outcomes, flat[lo : lo + width].tolist()
+            )
+    values = {
+        a: u + v
+        for a, u, v in zip(actions, problem.action_utility.values, inner_values)
+    }
+    gains = UtilityTable(actions, list(values.values()))
     outer = exponential_tilt(problem.prior_action, gains, temps.lam)
     c1 = kl_divergence(outer.policy, problem.prior_action)
-    c2 = math.fsum(
-        outer.policy.prob(a) * kl_divergence(beliefs[a], problem.channel[a])
-        for a in problem.actions
-        if outer.policy.prob(a) > 0.0
-    )
+    c2 = math.fsum(p * kl for p, kl in zip(outer.policy.probs, row_kls) if p > 0.0)
     return TwoStageSolution(
         action_policy=outer.policy,
         outcome_beliefs=beliefs,
         log_z1=outer.log_partition,
-        log_z2=log_z2,
+        log_z2=dict(zip(actions, inner_log_z)),
         values=values,
         value=outer.value,
         achieved_c1=c1,
@@ -244,6 +288,11 @@ def value_recursion(tree: DecisionTree, temps: TemperatureSpec) -> TreeValue:
     node policy being the corresponding tilt. Infinite temperatures become
     hard max (t = +inf) or hard min (t = -inf) with uniform tie-breaking;
     lam at the zero limit is rejected as in outer_policy.
+
+    The nodes are laid out breadth-first, so the children of one level are
+    the next level in order and edge e leads to node e + 1. The backup runs
+    level by level, deepest first, with one segmented tilt per temperature
+    tag; depth is bounded by memory, not by the recursion limit.
     """
     if not isinstance(temps, TemperatureSpec):
         raise DomainError(f"expected a TemperatureSpec, got {type(temps).__name__}")
@@ -252,26 +301,104 @@ def value_recursion(tree: DecisionTree, temps: TemperatureSpec) -> TreeValue:
             "lambda at the zero limit pins every policy to its prior; "
             "use a finite lambda or the inf limit"
         )
+    nodes = [tree.root]
+    first_child = []  # per node: the index of its first child
+    levels = [0]  # index of the first node of each level, then the node count
+    while levels[-1] < len(nodes):
+        end = len(nodes)
+        for node in nodes[levels[-1] : end]:
+            first_child.append(len(nodes))
+            nodes.extend(node.children)
+        levels.append(end)
+    internal = [node for node in nodes if node.children]
+    n_edges = len(nodes) - 1
+    prior = np.fromiter(
+        chain.from_iterable(node.child_prior.probs for node in internal), float, n_edges
+    )
+    utility = np.fromiter(
+        chain.from_iterable(node.child_utility.values for node in internal),
+        float,
+        n_edges,
+    )
+    value = np.zeros(len(nodes))
+    gains = np.empty(n_edges)
+    policy = np.empty(n_edges)
+    kept = np.zeros(len(nodes), dtype=bool)
+    # Nodes whose gains are not all finite: zero gains stand in for the
+    # tilt, and the pass below raises the error the node would have raised.
+    broken = np.zeros(len(nodes), dtype=bool)
+
+    # Gains that overflow are caught by each level's finiteness check, and
+    # the nodes they break raise their errors below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in reversed(list(zip(levels[:-2], levels[1:-1]))):
+            parents = [i for i in range(lo, hi) if nodes[i].children]
+            if not parents:
+                continue
+            # The level's edges, e0 .. e1, lead to the nodes of the next level.
+            e0 = first_child[parents[0]] - 1
+            e1 = first_child[parents[-1]] - 1 + len(nodes[parents[-1]].children)
+            level_gains = gains[e0:e1]
+            offsets = np.array([first_child[i] - 1 - e0 for i in parents], dtype=np.intp)
+            is_lam = [nodes[i].temperature_tag == LAMBDA_TAG for i in parents]
+            parents = np.array(parents, dtype=np.intp)
+            tilt_gains = level_gains
+            np.add(utility[e0:e1], value[e0 + 1 : e1 + 1], out=level_gains)
+            if not math.isfinite(np.add.reduce(level_gains)):
+                finite = np.isfinite(level_gains)
+                broken[parents] = ~np.logical_and.reduceat(finite, offsets)
+                tilt_gains = np.where(finite, level_gains, 0.0)
+            n_lam = sum(is_lam)
+            for want_lam, t in ((True, temps.lam), (False, temps.mu)):
+                chosen = n_lam if want_lam else len(is_lam) - n_lam
+                if not chosen:
+                    continue
+                if chosen == len(is_lam):
+                    segments, starts, entries = parents, offsets, slice(e0, e1)
+                    p, g = prior[e0:e1], tilt_gains
+                else:
+                    pick = np.array(is_lam) == want_lam
+                    lengths = np.diff(offsets, append=e1 - e0)
+                    mask = np.repeat(pick, lengths)
+                    lengths = lengths[pick]
+                    segments, starts = parents[pick], np.cumsum(lengths) - lengths
+                    entries = np.flatnonzero(mask) + e0
+                    p, g = prior[entries], tilt_gains[mask]
+                flat, level_values, _, same = _tilt_segments(p, g, starts, t)
+                policy[entries] = flat
+                value[segments] = level_values
+                kept[segments] = same
+
+    # Labelled results in post-order (children before their parent), the
+    # order a recursive backup fills them in: the reverse of a pre-order
+    # that visits children last to first.
+    stack, order = [(0, tree.root.name)], []
+    while stack:
+        i, path = stack.pop()
+        order.append((i, path))
+        stack.extend(
+            (j, f"{path}/{child.name}")
+            for j, child in enumerate(nodes[i].children, first_child[i])
+        )
+    value_list, kept_list, broken_list = value.tolist(), kept.tolist(), broken.tolist()
     values: dict[str, float] = {}
     policies: dict[str, FiniteDistribution] = {}
-
-    def backup(node: TreeNode, path: str) -> float:
-        if node.is_leaf:
+    for i, path in reversed(order):
+        node = nodes[i]
+        if not node.children:
             values[path] = 0.0
-            return 0.0
-        child_values = [backup(c, f"{path}/{c.name}") for c in node.children]
-        names = tuple(c.name for c in node.children)
-        gains = UtilityTable(
-            names,
-            [u + v for u, v in zip(node.child_utility.values, child_values)],
+            continue
+        names = node.child_prior.outcomes
+        lo = first_child[i] - 1
+        hi = lo + len(names)
+        if broken_list[i]:
+            UtilityTable(names, gains[lo:hi])
+        values[path] = value_list[i]
+        policies[path] = (
+            node.child_prior
+            if kept_list[i]
+            else FiniteDistribution(names, policy[lo:hi])
         )
-        t = temps.lam if node.temperature_tag == LAMBDA_TAG else temps.mu
-        result = exponential_tilt(node.child_prior, gains, t)
-        values[path] = result.value
-        policies[path] = result.policy
-        return result.value
-
-    backup(tree.root, tree.root.name)
     return TreeValue(values, policies, tree.root.name)
 
 

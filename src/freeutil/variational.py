@@ -49,6 +49,105 @@ class TiltResult:
     log_partition: float | None
 
 
+# The offsets of a single segment covering a whole array.
+_WHOLE = np.zeros(1, dtype=np.intp)
+
+
+def _tilt_segments(prior, gains, starts, t: Temperature):
+    """Tilt every segment of a flat prior by the same segment of flat gains.
+
+    prior and gains are float arrays of one length; starts holds the
+    increasing offsets of the segments (the first is 0, none is empty). Each
+    segment takes the branch exponential_tilt documents, restricted to the
+    entries its prior supports:
+
+    - constant gains: the prior unchanged, value g_max, log-partition
+      t·g_max (0.0 at the zero limit, None at ±inf);
+    - zero limit: the prior, value math.fsum(prior·gain);
+    - ±inf: uniform over the entries within ARGMAX_TIE_TOL of the extreme;
+    - finite t: log-weights, a max shift, exp, a sum, log_partition =
+      m + log(s).
+
+    A segment is always summed by np.add.reduceat, so it gets the same bits
+    whichever call or neighbours it comes with. Returns (policy, values,
+    log_partitions, kept): the flat policy and, per segment, the value, the
+    log-partition and whether the policy is the prior itself, entry for
+    entry. At the zero limit the returned policy is the prior array.
+    """
+    n = len(prior)
+    bounds = starts.tolist()
+    bounds.append(n)
+    k = len(bounds) - 1
+    lengths = None if k == 1 else np.array([hi - lo for lo, hi in zip(bounds, bounds[1:])])
+
+    def spread(per_segment):
+        """A per-segment quantity repeated over its segment's entries (a
+        scalar for a single segment)."""
+        return per_segment[0] if lengths is None else np.repeat(per_segment, lengths)
+
+    support = prior > 0.0
+    everywhere = np.count_nonzero(support) == n
+    if everywhere:
+        g_max = np.maximum.reduceat(gains, starts)
+        g_min = np.minimum.reduceat(gains, starts)
+    else:
+        masked = np.where(support, gains, -np.inf)
+        g_max = np.maximum.reduceat(masked, starts)
+        masked[~support] = np.inf
+        g_min = np.minimum.reduceat(masked, starts)
+        del masked
+    g_max_list = g_max.tolist()
+    if not everywhere and -math.inf in g_max_list:
+        raise EmptySupport("prior assigns no positive probability anywhere")
+    const = [lo == hi for lo, hi in zip(g_min.tolist(), g_max_list)]
+
+    if t.is_zero:
+        products = prior * gains
+        if not everywhere:
+            products = products[support]
+            counts = np.add.reduceat(support, starts, dtype=np.intp)
+            bounds = [0] + np.cumsum(counts).tolist()
+        values = [
+            g if c else math.fsum(products[lo:hi].tolist())
+            for g, c, lo, hi in zip(g_max_list, const, bounds, bounds[1:])
+        ]
+        return prior, values, [0.0] * k, [True] * k
+
+    if t.is_finite:
+        tv = t.value
+        if everywhere:
+            policy = np.log(prior)
+        else:
+            with np.errstate(divide="ignore"):
+                policy = np.log(prior)
+        policy += gains * tv
+        if not everywhere:
+            policy[~support] = -np.inf
+        m = np.maximum.reduceat(policy, starts)
+        policy -= spread(m)
+        np.exp(policy, out=policy)
+        s = np.add.reduceat(policy, starts)
+        policy /= spread(s)
+        log_z = [mi + math.log(si) for mi, si in zip(m.tolist(), s.tolist())]
+        values = [z / tv for z in log_z]
+        for i in [i for i, c in enumerate(const) if c]:
+            values[i] = g_max_list[i]
+            log_z[i] = tv * g_max_list[i]
+    else:
+        target = g_max if t.is_pos_inf else g_min
+        winners = np.abs(gains - spread(target)) <= ARGMAX_TIE_TOL
+        if not everywhere:
+            winners &= support
+        # 1.0 per winner, divided by the number of winners in its segment.
+        policy = winners.astype(float)
+        policy /= spread(np.add.reduceat(policy, starts))
+        values = target.tolist()
+        log_z = [None] * k
+    if True in const:
+        np.copyto(policy, prior, where=spread(np.array(const)))
+    return policy, values, log_z, const
+
+
 def exponential_tilt(
     prior: FiniteDistribution, gains: UtilityTable, inv_temp
 ) -> TiltResult:
@@ -64,47 +163,9 @@ def exponential_tilt(
     """
     t = Temperature.coerce(inv_temp)
     g = gains.aligned_to(prior.outcomes)
-    support = [i for i, p in enumerate(prior.probs) if p > 0.0]
-    if not support:
-        raise EmptySupport("prior assigns no positive probability anywhere")
-    g_sup = g[support]
-
-    g_min = float(g_sup.min())
-    g_max = float(g_sup.max())
-    if g_min == g_max:
-        log_partition: float | None
-        if t.is_zero:
-            log_partition = 0.0
-        elif t.is_finite:
-            log_partition = t.value * g_max
-        else:
-            log_partition = None
-        return TiltResult(prior, g_max, log_partition)
-
-    if t.is_zero:
-        value = math.fsum(prior.probs[i] * g[i] for i in support)
-        return TiltResult(prior, value, 0.0)
-
-    if t.is_pos_inf or t.is_neg_inf:
-        target = g_max if t.is_pos_inf else g_min
-        winners = {i for i in support if abs(g[i] - target) <= ARGMAX_TIE_TOL}
-        share = 1.0 / len(winners)
-        probs = [share if i in winners else 0.0 for i in range(len(prior))]
-        return TiltResult(
-            FiniteDistribution(prior.outcomes, probs), target, None
-        )
-
-    tv = t.value
-    log_w = np.log(np.asarray([prior.probs[i] for i in support])) + tv * g_sup
-    m = float(log_w.max())
-    e = np.exp(log_w - m)
-    s = float(e.sum())
-    log_partition = m + math.log(s)
-    probs = np.zeros(len(prior))
-    probs[support] = e / s
-    return TiltResult(
-        FiniteDistribution(prior.outcomes, probs), log_partition / tv, log_partition
-    )
+    flat, values, log_z, kept = _tilt_segments(prior.array, g, _WHOLE, t)
+    policy = prior if kept[0] else FiniteDistribution(prior.outcomes, flat)
+    return TiltResult(policy, values[0], log_z[0])
 
 
 def utility_gain_from_prob(p: float, alpha: float) -> float:

@@ -586,3 +586,100 @@ def test_tree_validation_matches_the_recursive_walk(root):
         assert str(raised.value) == str(expected)
         return
     assert [p for p, _ in DecisionTree(root).iter_nodes()] == reference_paths(root)
+
+
+# ---------------------------------------------------------------------------
+# Validation runs on builtins over the whole list and walks entry by entry
+# only after a failure; the entry-by-entry walks are the reference.
+
+
+def reference_distribution(outcomes, probs):
+    """FiniteDistribution's construction as an entry-by-entry walk: the
+    normalized probabilities, or the exception it raises."""
+    outcomes = tuple(outcomes)
+    probs = [float(p) for p in probs]
+    if len(outcomes) != len(probs):
+        raise LabelMismatch(f"{len(outcomes)} labels but {len(probs)} probabilities")
+    if len(outcomes) == 0:
+        raise EmptySupport("a distribution needs at least one outcome")
+    seen: set = set()
+    for label in outcomes:
+        if label in seen:
+            raise DuplicateLabel(f"duplicate outcome label {label!r}")
+        seen.add(label)
+    for label, p in zip(outcomes, probs):
+        if not math.isfinite(p):
+            raise DomainError(f"probability of {label!r} is not finite: {p!r}")
+        if p < 0.0:
+            raise NegativeProbability(f"probability of {label!r} is {p}")
+    total = math.fsum(probs)
+    if abs(total - 1.0) > 1e-9:
+        raise NotNormalized(f"probabilities sum to {total!r}, expected 1")
+    return tuple(p / total for p in probs)
+
+
+def reference_utilities(outcomes, values):
+    """UtilityTable's construction as an entry-by-entry walk."""
+    outcomes = tuple(outcomes)
+    vals = tuple(float(v) for v in values)
+    if len(outcomes) != len(vals):
+        raise LabelMismatch(f"{len(outcomes)} labels but {len(vals)} values")
+    if len(set(outcomes)) != len(outcomes):
+        raise DuplicateLabel("duplicate outcome label in utility table")
+    for label, v in zip(outcomes, vals):
+        if not math.isfinite(v):
+            raise DomainError(f"utility of {label!r} is not finite: {v!r}")
+    return vals
+
+
+def outcome_of(build, *args):
+    """(exception type, message) if build raises, else ("ok", result)."""
+    try:
+        return "ok", build(*args)
+    except FreeUtilError as e:
+        return type(e), str(e)
+
+
+entries = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.25, 0.5, 0.0, -0.0, -0.25, -1e-300, math.inf, -math.inf, math.nan]),
+    st.integers(-1, 2),
+    st.booleans(),
+)
+
+
+@given(
+    st.lists(st.sampled_from("abcd"), min_size=0, max_size=6),
+    st.lists(entries, min_size=0, max_size=6),
+    st.booleans(),
+)
+def test_distribution_checks_match_the_entry_walk(labels, probs, as_array):
+    if as_array:
+        probs = np.array(probs, dtype=float)
+    got = outcome_of(lambda: FiniteDistribution(labels, probs).probs)
+    assert got == outcome_of(reference_distribution, labels, probs)
+    if got[0] == "ok":
+        assert all(type(p) is float for p in got[1])
+        validate(FiniteDistribution(labels, probs))
+
+
+@given(
+    st.lists(st.sampled_from("abcd"), min_size=0, max_size=6),
+    st.lists(entries, min_size=0, max_size=6),
+    st.booleans(),
+)
+def test_utility_checks_match_the_entry_walk(labels, values, as_array):
+    if as_array:
+        values = np.array(values, dtype=float)
+    got = outcome_of(lambda: UtilityTable(labels, values).values)
+    assert got == outcome_of(reference_utilities, labels, values)
+    if got[0] == "ok":
+        assert all(type(v) is float for v in got[1])
+
+
+def test_distribution_skips_the_division_only_when_it_changes_nothing():
+    exact = [0.25, 0.25, 0.5]
+    assert FiniteDistribution("abc", exact).probs == tuple(exact)
+    off = [0.1, 0.2, 0.7 + 1e-12]
+    total = math.fsum(off)
+    assert FiniteDistribution("abc", off).probs == tuple(p / total for p in off)

@@ -2,11 +2,27 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from freeutil.cli import _fmt_float
-from freeutil.model import DomainError
-from freeutil.problemio import dumps, load, render_json
+from freeutil.model import (
+    DecisionTree,
+    DomainError,
+    FiniteDistribution,
+    FreeUtilError,
+    TreeNode,
+    UtilityTable,
+)
+from freeutil.problemio import (
+    _as_number,
+    _as_number_list,
+    _parse_tree,
+    _require_keys,
+    dumps,
+    load,
+    loads,
+    render_json,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 VALID_GOLDENS = sorted(p.name for p in GOLDEN.glob("*.json") if not p.name.startswith("invalid_"))
@@ -86,3 +102,164 @@ def test_writer_rejects_what_json_cannot_hold():
         render_json({"k": object()})
     with pytest.raises(TypeError):
         render_json({1: "non-string key"})
+
+
+# ---------------------------------------------------------------------------
+# Parsing: the list check on builtins and the iterative tree parser, each
+# against the walk it replaced, kept here as the reference.
+
+
+def outcome_of(build, *args):
+    """(exception type, message) if build raises, else ("ok", result)."""
+    try:
+        return "ok", build(*args)
+    except FreeUtilError as e:
+        return type(e), str(e)
+
+
+def reference_number_list(value, where):
+    if not isinstance(value, list):
+        raise DomainError(f"{where} must be an array of numbers")
+    return [_as_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
+
+
+json_scalars = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**6), 10**6),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+)
+
+
+@given(
+    st.one_of(
+        st.lists(json_scalars, max_size=6),
+        st.lists(st.one_of(st.integers(-3, 3), st.floats(), st.booleans()), max_size=4),
+        json_scalars,
+        st.dictionaries(st.text(max_size=1), json_scalars, max_size=2),
+    )
+)
+@example([True])
+@example([0.5, 1, False])
+def test_number_list_matches_the_entry_walk(value):
+    got = outcome_of(_as_number_list, value, "prior")
+    assert got == outcome_of(reference_number_list, value, "prior")
+    if got[0] == "ok":
+        assert all(type(v) is float for v in got[1])
+
+
+def reference_parse_node(obj, where):
+    """The recursive tree parser the iterative one replaced."""
+    _require_keys(obj, {"name", "temperature_tag", "children"}, {"name"}, where)
+    name = obj["name"]
+    if not isinstance(name, str):
+        raise DomainError(f"node name in {where} must be a string")
+    tag = obj.get("temperature_tag", "lambda")
+    if "children" not in obj:
+        return TreeNode(name=name)
+    children_spec = obj["children"]
+    if not isinstance(children_spec, list) or not children_spec:
+        raise DomainError(f"children of {where} must be a nonempty array")
+    children, priors, utilities = [], [], []
+    for i, entry in enumerate(children_spec):
+        child_where = f"{where}/children[{i}]"
+        _require_keys(
+            entry, {"prior", "utility", "node"}, {"prior", "utility", "node"}, child_where
+        )
+        priors.append(_as_number(entry["prior"], f"{child_where}.prior"))
+        utilities.append(_as_number(entry["utility"], f"{child_where}.utility"))
+        children.append(reference_parse_node(entry["node"], f"{child_where}.node"))
+    names = [c.name for c in children]
+    return TreeNode(
+        name=name,
+        children=tuple(children),
+        child_prior=FiniteDistribution(names, priors),
+        child_utility=UtilityTable(names, utilities),
+        temperature_tag=tag,
+    )
+
+
+FAULTS = (
+    "none", "none", "none", "unknown key", "name not a string", "no name",
+    "children not a list", "no children", "entry not an object", "entry without prior",
+    "prior a bool", "utility a string", "both numbers bad", "negative prior", "unnormalized",
+    "duplicate names", "infinite utility",
+)
+
+
+@st.composite
+def tree_payloads(draw, depth=0):
+    """A tree payload with at most a few faults, each node at most one."""
+    fault = draw(st.sampled_from(FAULTS))
+    node = {"name": draw(st.sampled_from("abc"))}
+    if draw(st.booleans()):
+        node["temperature_tag"] = draw(st.sampled_from(["lambda", "mu"]))
+    if fault == "unknown key":
+        node["value"] = 1
+    if fault == "name not a string":
+        node["name"] = 3
+    if fault == "no name":
+        del node["name"]
+    if depth >= 3 or draw(st.integers(0, 2)) == 0:
+        return node
+    n = draw(st.integers(1, 3))
+    names = ["x", "y", "z"] if fault != "duplicate names" else ["x", "x", "x"]
+    entries = []
+    for i in range(n):
+        child = draw(tree_payloads(depth=depth + 1))
+        if isinstance(child, dict) and "name" in child and isinstance(child["name"], str):
+            child["name"] = names[i]
+        entries.append({"prior": 1.0 / n, "utility": draw(st.integers(-2, 2)), "node": child})
+    if fault == "entry not an object":
+        entries[-1] = [1]
+    if fault == "entry without prior":
+        del entries[0]["prior"]
+    if fault == "prior a bool":
+        entries[0]["prior"] = True
+    if fault == "utility a string":
+        entries[-1]["utility"] = "1"
+    if fault == "both numbers bad":
+        entries[0]["prior"], entries[0]["utility"] = None, "1"
+    if fault == "negative prior":
+        entries[0]["prior"] = -0.5
+    if fault == "unnormalized":
+        entries[0]["prior"] = 2.0
+    if fault == "infinite utility":
+        entries[0]["utility"] = float("inf")
+    node["children"] = entries
+    if fault == "children not a list":
+        node["children"] = {"x": 1}
+    if fault == "no children":
+        node["children"] = []
+    return node
+
+
+@given(tree_payloads())
+def test_tree_parser_matches_the_recursive_parser(payload):
+    got = outcome_of(_parse_tree, payload)
+    assert got == outcome_of(reference_parse_node, payload, "tree payload")
+
+
+def test_tree_parser_handles_a_payload_deeper_than_the_recursion_limit():
+    depth = 5_000
+    payload = {"name": "leaf"}
+    for _ in range(depth):
+        payload = {
+            "name": "n",
+            "temperature_tag": "mu",
+            "children": [{"prior": 1.0, "utility": 1.0, "node": payload}],
+        }
+    tree = DecisionTree(_parse_tree(payload))
+    assert sum(1 for _ in tree.iter_nodes()) == depth + 1
+
+
+def test_load_reports_decoder_depth_as_before(tmp_path):
+    """Only the JSON decoder can run out of recursion now; its error still
+    names the nesting depth."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    with pytest.raises(DomainError, match="nested 5000 levels deep"):
+        load(str(path))
+    with pytest.raises(DomainError, match="nested 5000 levels deep"):
+        loads("[" * 5000 + "]" * 5000)

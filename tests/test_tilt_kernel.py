@@ -1,0 +1,369 @@
+"""The segmented tilt kernel against the per-row tilt it replaced, and the
+identities that hold because every solver sums a segment the same way."""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from freeutil.model import (
+    ARGMAX_TIE_TOL,
+    DecisionTree,
+    DomainError,
+    FiniteDistribution,
+    Temperature,
+    TemperatureSpec,
+    TreeNode,
+    TwoStageProblem,
+    UtilityTable,
+)
+from freeutil.sequential import (
+    certainty_equivalent,
+    outer_policy,
+    solve_regime,
+    two_stage_to_tree,
+    value_recursion,
+)
+from freeutil.variational import _tilt_segments, exponential_tilt
+
+
+def reference_tilt(prior, g, t, total=None):
+    """The per-row body exponential_tilt ran before the segmented kernel, on
+    plain arrays. Returns (policy, value, log_partition, kept, m); kept means
+    the policy is the prior itself. total sums the finite branch's weights
+    (default: ndarray.sum, as the per-row body did)."""
+    support = [i for i, p in enumerate(prior) if p > 0.0]
+    g_sup = g[support]
+    g_min = float(g_sup.min())
+    g_max = float(g_sup.max())
+    if g_min == g_max:
+        if t.is_zero:
+            log_partition = 0.0
+        elif t.is_finite:
+            log_partition = t.value * g_max
+        else:
+            log_partition = None
+        return prior, g_max, log_partition, True, None
+    if t.is_zero:
+        return prior, math.fsum(prior[i] * g[i] for i in support), 0.0, True, None
+    if t.is_pos_inf or t.is_neg_inf:
+        target = g_max if t.is_pos_inf else g_min
+        winners = {i for i in support if abs(g[i] - target) <= ARGMAX_TIE_TOL}
+        share = 1.0 / len(winners)
+        probs = np.array([share if i in winners else 0.0 for i in range(len(prior))])
+        return probs, target, None, False, None
+    tv = t.value
+    log_w = np.log(np.asarray([prior[i] for i in support])) + tv * g_sup
+    m = float(log_w.max())
+    e = np.exp(log_w - m)
+    if total is None:
+        s = float(e.sum())
+    else:
+        full = np.zeros(len(prior))
+        full[support] = e
+        s = float(total(full))
+    log_partition = m + math.log(s)
+    probs = np.zeros(len(prior))
+    probs[support] = e / s
+    return probs, log_partition / tv, log_partition, False, m
+
+
+def kernel_sum(weights):
+    """How the kernel sums one segment: np.add.reduceat over the whole
+    segment, zero weights included (its first entry plus numpy's pairwise
+    sum of the rest)."""
+    return np.add.reduceat(weights, [0])[0]
+
+
+def ulps(a, b):
+    """Distance of two float arrays in units in the last place of the
+    larger magnitude."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
+
+
+GAIN_STYLES = ("random", "integers", "constant", "near-ties")
+
+
+@st.composite
+def segments(draw):
+    """One segment: a normalised prior with zero entries and gains that are
+    random, tied integers, constant over the support, or within
+    ARGMAX_TIE_TOL of each other."""
+    n = draw(st.integers(1, 40))
+    weights = np.array(
+        draw(st.lists(st.sampled_from([0.0, 0.0, 0.3, 1.0, 2.5]), min_size=n, max_size=n))
+    )
+    weights += draw(st.floats(0.0, 1.0)) * np.arange(n) / n * (weights > 0)
+    if weights.sum() == 0.0:
+        weights[draw(st.integers(0, n - 1))] = 1.0
+    prior = weights / weights.sum()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    style = draw(st.sampled_from(GAIN_STYLES))
+    if style == "random":
+        gains = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
+    elif style == "integers":
+        gains = rng.integers(-2, 3, n).astype(float)
+    elif style == "constant":
+        gains = np.where(prior > 0.0, 1.75, rng.normal(size=n))
+    else:
+        gains = 3.0 + rng.choice([0.0, 0.5e-12, -0.5e-12, 2e-12, -2e-12], n)
+    return prior, gains
+
+
+temperatures = st.one_of(
+    st.just(Temperature.zero()),
+    st.just(Temperature.pos_inf()),
+    st.just(Temperature.neg_inf()),
+    st.floats(-30.0, 30.0).filter(lambda v: abs(v) > 1e-6).map(Temperature.finite),
+)
+
+
+def check_against_reference(policy, value, log_z, kept, prior, gains, t):
+    ref_policy, ref_value, ref_log_z, ref_kept, m = reference_tilt(prior, gains, t)
+    assert kept == ref_kept
+    if kept or not t.is_finite:
+        # Constant, zero and infinite branches: the same bits.
+        assert np.array_equal(policy, ref_policy)
+        assert value == ref_value
+        assert log_z == ref_log_z
+        return
+    # Finite branch with the kernel's summation: the same bits.
+    same_sum = reference_tilt(prior, gains, t, total=kernel_sum)
+    assert np.array_equal(policy, same_sum[0])
+    assert (value, log_z) == same_sum[1:3]
+    # Against the per-row pairwise sum: two orders of summing n nonnegative
+    # weights differ by about n units in the last place of the sum, which
+    # every entry inherits through the one division. log_partition = m +
+    # log(s) is measured on the scale of its larger term.
+    n = len(prior)
+    assert ulps(policy, ref_policy).max() <= n + 2
+    scale = max(abs(m), abs(ref_log_z), 1.0)
+    assert abs(log_z - ref_log_z) <= (n + 2) * np.spacing(scale)
+    assert abs(value - ref_value) <= (n + 2) * np.spacing(scale) / abs(t.value) + np.spacing(
+        abs(ref_value)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(segments(), min_size=1, max_size=6), temperatures)
+def test_kernel_matches_per_row_tilt(segs, t):
+    prior = np.concatenate([p for p, _ in segs])
+    gains = np.concatenate([g for _, g in segs])
+    starts = np.cumsum([0] + [len(p) for p, _ in segs[:-1]])
+    policy, values, log_z, kept = _tilt_segments(prior, gains, starts, t)
+    assert len(values) == len(log_z) == len(kept) == len(segs)
+    for i, (p, g) in enumerate(segs):
+        lo = starts[i]
+        part = policy[lo : lo + len(p)]
+        check_against_reference(part, values[i], log_z[i], kept[i], p, g, t)
+        # A segment gets the same bits alone as with its neighbours.
+        alone = _tilt_segments(p, g, np.zeros(1, dtype=np.intp), t)
+        assert np.array_equal(alone[0], part)
+        assert (alone[1][0], alone[2][0], alone[3][0]) == (values[i], log_z[i], kept[i])
+
+
+@settings(max_examples=200, deadline=None)
+@given(segments(), temperatures)
+def test_exponential_tilt_is_the_one_segment_kernel(seg, t):
+    prior, gains = seg
+    labels = [f"x{i}" for i in range(len(prior))]
+    dist = FiniteDistribution(labels, prior)
+    result = exponential_tilt(dist, UtilityTable(labels, gains), t)
+    policy, values, log_z, kept = _tilt_segments(
+        dist.array, gains, np.zeros(1, dtype=np.intp), t
+    )
+    if kept[0]:
+        assert result.policy is dist
+    else:
+        assert result.policy == FiniteDistribution(labels, policy)
+    assert (result.value, result.log_partition) == (values[0], log_z[0])
+
+
+def random_problem(rng, n_a=12, n_o=12):
+    """A two-stage problem with zero channel entries and zero-prior actions."""
+    actions = [f"a{i}" for i in range(n_a)]
+    outcomes = [f"o{j}" for j in range(n_o)]
+
+    def weights(n):
+        w = rng.uniform(0.1, 1.0, n) * (rng.uniform(size=n) > 0.25)
+        if w.sum() == 0.0:
+            w[int(rng.integers(0, n))] = 1.0
+        return w / w.sum()
+
+    return TwoStageProblem(
+        actions,
+        outcomes,
+        FiniteDistribution(actions, weights(n_a)),
+        {a: FiniteDistribution(outcomes, weights(n_o)) for a in actions},
+        UtilityTable(actions, rng.integers(-2, 3, n_a) * 0.5),
+        {a: UtilityTable(outcomes, rng.normal(size=n_o)) for a in actions},
+    )
+
+
+@pytest.mark.parametrize("lam", [0.7, 3.0, "inf"])
+@pytest.mark.parametrize("mu", [-2.5, "-inf", "zero", 0.4, "inf"])
+def test_tree_recursion_matches_two_stage_bitwise(lam, mu):
+    rng = np.random.default_rng(12)
+    temps = TemperatureSpec(lam, mu)
+    for _ in range(5):
+        problem = random_problem(rng)
+        sol = solve_regime(problem, temps)
+        tv = value_recursion(two_stage_to_tree(problem), temps)
+        assert tv.root_value == sol.value
+        assert tv.policies["root"].probs == sol.action_policy.probs
+        for a in problem.actions:
+            assert problem.action_utility.value(a) + tv.values[f"root/{a}"] == sol.values[a]
+            assert tv.policies[f"root/{a}"].probs == sol.outcome_beliefs[a].probs
+
+
+def test_outer_policy_blocks_rows_without_changing_bits():
+    """outer_policy tilts its rows in blocks; each row matches its own
+    one-row tilt bit for bit."""
+    rng = np.random.default_rng(5)
+    problem = random_problem(rng, n_a=40, n_o=1000)
+    sol = outer_policy(problem, 2.0, -0.5)
+    for a in problem.actions:
+        one = exponential_tilt(problem.channel[a], problem.outcome_utility[a], -0.5)
+        assert sol.outcome_beliefs[a].probs == one.policy.probs
+        assert sol.values[a] == problem.action_utility.value(a) + one.value
+        assert sol.log_z2[a] == one.log_partition
+
+
+def test_risk_sensitive_row_values_equal_certainty_equivalents():
+    rng = np.random.default_rng(9)
+    problem = random_problem(rng, n_a=30, n_o=50)
+    for mu in (-3.0, 0.25, "zero", "-inf"):
+        sol = outer_policy(problem, "inf", mu)
+        for a in problem.actions:
+            ce = certainty_equivalent(problem.channel[a], problem.outcome_utility[a], mu)
+            assert sol.values[a] == problem.action_utility.value(a) + ce
+
+
+def chain(depth):
+    """A chain of `depth` binary nodes: each has a leaf 'x' (utility 0) and
+    the next node 'n' (utility 1), with equal priors; the last 'n' is a
+    leaf."""
+    node = TreeNode(name="n")
+    halves = FiniteDistribution(["x", "n"], [0.5, 0.5])
+    gains = UtilityTable(["x", "n"], [0.0, 1.0])
+    for _ in range(depth):
+        node = TreeNode(
+            name="n",
+            children=(TreeNode(name="x"), node),
+            child_prior=halves,
+            child_utility=gains,
+            temperature_tag="mu",
+        )
+    return DecisionTree(node)
+
+
+def test_value_recursion_on_a_chain_10000_deep():
+    depth = 10_000
+    tree = chain(depth)
+    # Hard maximum: every step takes the edge of utility 1.
+    hard = value_recursion(tree, TemperatureSpec("inf", "inf"))
+    assert hard.root_value == float(depth)
+    assert len(hard.values) == 2 * depth + 1
+    # Expectation: V = (1 + V') / 2 from V = 0 at the bottom, so
+    # V = 1 - 2**-depth, which is 1.0 in floating point.
+    mean = value_recursion(tree, TemperatureSpec("inf", "zero"))
+    assert mean.root_value == pytest.approx(1.0, abs=1e-12)
+    # Worst case: the leaf of utility 0 at the top.
+    assert value_recursion(tree, TemperatureSpec("inf", "-inf")).root_value == 0.0
+
+
+def test_overflow_is_reported_at_the_first_node_a_recursive_backup_reaches():
+    """Gains u + V that overflow raise the DomainError of the node that comes
+    first in post-order, although the level pass meets deeper nodes first."""
+    big = 1.5e308
+
+    def node(name, children, utilities):
+        names = [c.name for c in children]
+        return TreeNode(
+            name=name,
+            children=tuple(children),
+            child_prior=FiniteDistribution(names, [1.0 / len(names)] * len(names)),
+            child_utility=UtilityTable(names, utilities),
+        )
+
+    def overflowing(name, child):
+        """A node whose child `child` has value about `big`, reached over an
+        edge of utility `big`."""
+        inner = node(child, [TreeNode(name="x"), TreeNode(name="y")], [big, big])
+        return node(name, [inner], [big])
+
+    shallow = overflowing("c", "d")
+    deep = node("e", [overflowing("a", "b")], [0.0])
+    temps = TemperatureSpec(1.0, 1.0)
+    first = DecisionTree(node("r", [shallow, deep], [0.0, 0.0]))
+    with pytest.raises(DomainError, match="utility of 'd' is not finite: inf"):
+        value_recursion(first, temps)
+    shallow = overflowing("c", "d")
+    deep = node("e", [overflowing("a", "b")], [0.0])
+    second = DecisionTree(node("r", [deep, shallow], [0.0, 0.0]))
+    with pytest.raises(DomainError, match="utility of 'b' is not finite: inf"):
+        value_recursion(second, temps)
+
+
+def reference_value_recursion(tree, temps):
+    """The recursive backup value_recursion ran before the level pass, one
+    exponential_tilt per node: (values, policies) in the order it filled
+    them."""
+    values, policies = {}, {}
+
+    def backup(node, path):
+        if node.is_leaf:
+            values[path] = 0.0
+            return 0.0
+        child_values = [backup(c, f"{path}/{c.name}") for c in node.children]
+        names = tuple(c.name for c in node.children)
+        gains = UtilityTable(
+            names, [u + v for u, v in zip(node.child_utility.values, child_values)]
+        )
+        t = temps.lam if node.temperature_tag == "lambda" else temps.mu
+        result = exponential_tilt(node.child_prior, gains, t)
+        values[path] = result.value
+        policies[path] = result.policy
+        return result.value
+
+    backup(tree.root, tree.root.name)
+    return values, policies
+
+
+def random_tree(rng, name="root", depth=0):
+    """A random tree with lambda and mu nodes mixed within levels, zero
+    child priors and tied integer or real utilities."""
+    if depth == 4 or (depth and rng.uniform() < 0.3):
+        return TreeNode(name=name)
+    names = [f"c{i}" for i in range(int(rng.integers(1, 5)))]
+    w = rng.uniform(0.1, 1.0, len(names)) * (rng.uniform(size=len(names)) > 0.2)
+    if w.sum() == 0.0:
+        w[0] = 1.0
+    if rng.uniform() < 0.5:
+        utilities = rng.integers(-2, 3, len(names))
+    else:
+        utilities = rng.normal(size=len(names))
+    return TreeNode(
+        name=name,
+        children=tuple(random_tree(rng, c, depth + 1) for c in names),
+        child_prior=FiniteDistribution(names, w / w.sum()),
+        child_utility=UtilityTable(names, utilities),
+        temperature_tag="lambda" if rng.uniform() < 0.5 else "mu",
+    )
+
+
+@pytest.mark.parametrize("lam", [0.5, 3.0, "inf"])
+@pytest.mark.parametrize("mu", [-2.0, "-inf", "zero", 0.7, "inf"])
+def test_level_pass_matches_the_recursive_backup(lam, mu):
+    rng = np.random.default_rng(77)
+    temps = TemperatureSpec(lam, mu)
+    for _ in range(10):
+        tree = DecisionTree(random_tree(rng))
+        tv = value_recursion(tree, temps)
+        values, policies = reference_value_recursion(tree, temps)
+        assert list(tv.values.items()) == list(values.items())
+        assert list(tv.policies) == list(policies)
+        for path, policy in policies.items():
+            assert tv.policies[path].probs == policy.probs
