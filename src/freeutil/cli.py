@@ -36,7 +36,8 @@ from .model import (
 )
 from .problemio import ProblemFile, load, render_json
 from .sequential import regime_label, solve_regime, value_recursion
-from .variational import bounded_control, control_temperature, exponential_tilt
+# bounded_control stays bound here: the benchmark's traced run wraps it.
+from .variational import bounded_control, control_temperature, exponential_tilt  # noqa: F401
 from . import verify as verify_mod
 
 LN2 = math.log(2.0)
@@ -130,8 +131,9 @@ def _resolve_staged_temps(pf: ProblemFile, args) -> TemperatureSpec:
 
 
 def _solve_control_doc(problem: ControlProblem, alpha: Temperature) -> dict:
-    policy = bounded_control(problem.prior, problem.utility, alpha)
+    # alpha is resolved, so this tilt is the one bounded_control would run.
     tilt = exponential_tilt(problem.prior, problem.utility, alpha.reciprocal())
+    policy = tilt.policy
     expected = expectation(policy, problem.utility)
     kl = kl_divergence(policy, problem.prior)
     cost = alpha.value * kl if alpha.is_finite else 0.0
@@ -170,12 +172,17 @@ def _solve_two_stage_doc(problem: TwoStageProblem, temps: TemperatureSpec) -> di
 
 def _solve_tree_doc(tree: DecisionTree, temps: TemperatureSpec) -> dict:
     tv = value_recursion(tree, temps)
-    node_values = {}
-    node_policies = {}
-    for path, node in tree.iter_nodes():
-        node_values[path] = tv.values[path]
-        if not node.is_leaf:
-            node_policies[path] = _dist_map(tv.policies[path])
+    pre = tree.orders()[0]
+    paths, names, probs = tree.paths(), tree.names, tv.flat_policy.tolist()
+    node_values = dict(zip(map(paths.__getitem__, pre.tolist()), tv.flat_values[pre].tolist()))
+    inner = pre[tree.n_children[pre] > 0]
+    first = tree.first_child[inner]
+    node_policies = {
+        paths[i]: dict(zip(names[lo:hi], probs[lo - 1 : hi - 1]))
+        for i, lo, hi in zip(
+            inner.tolist(), first.tolist(), (first + tree.n_children[inner]).tolist()
+        )
+    }
     return {
         "command": "solve",
         "kind": "tree",
@@ -220,10 +227,9 @@ def _sweep_rows_control(problem: ControlProblem, grid: list[Temperature]):
     header = ["alpha"] + [f"p[{o}]" for o in problem.outcomes] + ["value", "achieved_kl"]
     rows = []
     for alpha in grid:
-        policy = bounded_control(problem.prior, problem.utility, alpha)
         tilt = exponential_tilt(problem.prior, problem.utility, alpha.reciprocal())
-        kl = kl_divergence(policy, problem.prior)
-        rows.append([alpha.spell()] + list(policy.probs) + [tilt.value, kl])
+        kl = kl_divergence(tilt.policy, problem.prior)
+        rows.append([alpha.spell()] + list(tilt.policy.probs) + [tilt.value, kl])
     return header, rows
 
 
@@ -254,15 +260,17 @@ def _sweep_rows_two_stage(
 def _sweep_rows_tree(
     tree: DecisionTree, param: str, grid: list[Temperature], temps: TemperatureSpec
 ):
-    root_children = tuple(c.name for c in tree.root.children)
+    k = int(tree.n_children[0])
+    root_children = tree.names[1 : 1 + k]
+    root_prior = FiniteDistribution._trusted(root_children, tree.prior[:k].tolist())
     header = [param] + [f"p[{c}]" for c in root_children] + ["value", "achieved_kl"]
     rows = []
     for point in grid:
         lam = point if param == "lambda" else temps.lam
         mu = point if param == "mu" else temps.mu
         tv = value_recursion(tree, TemperatureSpec(lam, mu))
-        root_policy = tv.policies[tree.root.name]
-        kl = kl_divergence(root_policy, tree.root.child_prior)
+        root_policy = FiniteDistribution._trusted(root_children, tv.flat_policy[:k].tolist())
+        kl = kl_divergence(root_policy, root_prior)
         rows.append([point.spell()] + list(root_policy.probs) + [tv.root_value, kl])
     return header, rows
 

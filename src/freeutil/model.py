@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -110,7 +111,10 @@ def _check_distribution(outcomes: Sequence[str], probs: Sequence[float]) -> None
                 raise DomainError(f"probability of {label!r} is not finite: {p!r}")
             if p < 0.0:
                 raise NegativeProbability(f"probability of {label!r} is {p}")
-    total = math.fsum(probs)
+    try:
+        total = math.fsum(probs)
+    except OverflowError:  # finite terms whose sum leaves the float range
+        total = math.inf
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise NotNormalized(f"probabilities sum to {total!r}, expected 1")
 
@@ -128,6 +132,33 @@ def _aligned(
         )
     index = {o: i for i, o in enumerate(outcomes)}
     return np.asarray([values[index[o]] for o in target], dtype=float)
+
+
+class LazyMapping(Mapping):
+    """A read-only mapping whose dict a function builds on first read."""
+
+    __slots__ = ("_build", "_dict")
+
+    def __init__(self, build):
+        self._build = build
+        self._dict = None
+
+    def _items(self) -> dict:
+        if self._dict is None:
+            self._dict = self._build()
+        return self._dict
+
+    def __getitem__(self, key):
+        return self._items()[key]
+
+    def __iter__(self):
+        return iter(self._items())
+
+    def __len__(self) -> int:
+        return len(self._items())
+
+    def __repr__(self) -> str:
+        return repr(self._items())
 
 
 @dataclass(frozen=True)
@@ -153,6 +184,15 @@ class FiniteDistribution:
         if total != 1.0:
             probs_list = [p / total for p in probs_list]
         object.__setattr__(self, "probs", tuple(probs_list))
+
+    @classmethod
+    def _trusted(cls, outcomes: Sequence[str], probs: Sequence[float]) -> "FiniteDistribution":
+        """A distribution from labels and probabilities that already passed
+        the checks and the one normalisation, kept bit for bit."""
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "outcomes", tuple(outcomes))
+        object.__setattr__(dist, "probs", tuple(probs))
+        return dist
 
     @classmethod
     def uniform(cls, outcomes: Sequence[str]) -> "FiniteDistribution":
@@ -540,7 +580,46 @@ class TreeNode:
         return not self.children
 
 
-@dataclass(frozen=True)
+def _check_tree(root: TreeNode) -> None:
+    """Raise the first violation of the tree invariants in pre-order. An
+    explicit stack bounds the depth by memory."""
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            raise CyclicTree(
+                f"node {node.name!r} is reachable twice; the structure is not a tree"
+            )
+        seen.add(id(node))
+        if "/" in node.name:
+            raise DomainError(
+                f"node name {node.name!r} contains '/', which separates "
+                "the names in a node path"
+            )
+        if node.is_leaf:
+            if node.child_prior is not None or node.child_utility is not None:
+                raise LabelMismatch(
+                    f"leaf {node.name!r} must not carry child priors or utilities"
+                )
+            continue
+        if node.temperature_tag not in _VALID_TAGS:
+            raise UnknownTemperatureTag(
+                f"node {node.name!r} has temperature tag {node.temperature_tag!r}; "
+                f"expected one of {_VALID_TAGS}"
+            )
+        names = tuple(c.name for c in node.children)
+        if node.child_prior is None or node.child_prior.outcomes != names:
+            raise LabelMismatch(
+                f"child priors of {node.name!r} must cover the child names {names}"
+            )
+        if node.child_utility is None or node.child_utility.outcomes != names:
+            raise LabelMismatch(
+                f"child utilities of {node.name!r} must cover the child names {names}"
+            )
+        stack.extend(reversed(node.children))
+
+
 class DecisionTree:
     """Finite rooted tree alternating chooser-tagged stages.
 
@@ -548,47 +627,148 @@ class DecisionTree:
     child names and each edge carries a utility gain. Node paths (root name,
     then child names joined by '/') identify nodes in results, so no node
     name may contain '/'.
+
+    The tree is stored as level-ordered (breadth-first) arrays, so the
+    children of one level are the next level in order. Node i has the name
+    names[i], the tag tags[i] and n_children[i] children, the nodes from
+    first_child[i] on; the edge into node j > 0 is edge j - 1, with the
+    normalised prior prior[j - 1] and the utility gain utility[j - 1].
+    ``root`` is the same tree as TreeNodes: the one it was built from, or
+    one built on first read.
     """
 
-    root: TreeNode
+    __slots__ = ("names", "tags", "n_children", "first_child", "prior", "utility", "_root")
 
-    def __post_init__(self):
-        # Pre-order with an explicit stack, so depth is bounded by memory.
-        seen: set[int] = set()
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                raise CyclicTree(
-                    f"node {node.name!r} is reachable twice; the structure is not a tree"
-                )
-            seen.add(id(node))
-            if "/" in node.name:
-                raise DomainError(
-                    f"node name {node.name!r} contains '/', which separates "
-                    "the names in a node path"
-                )
-            if node.is_leaf:
-                if node.child_prior is not None or node.child_utility is not None:
-                    raise LabelMismatch(
-                        f"leaf {node.name!r} must not carry child priors or utilities"
-                    )
+    def __init__(self, root: TreeNode):
+        _check_tree(root)
+        nodes = [root]
+        for node in nodes:  # the list grows level by level while it is read
+            nodes.extend(node.children)
+        internal = [node for node in nodes if node.children]
+        n_edges = len(nodes) - 1
+        self._fill(
+            tuple(node.name for node in nodes),
+            tuple(node.temperature_tag for node in nodes),
+            [len(node.children) for node in nodes],
+            np.fromiter(
+                chain.from_iterable(n.child_prior.probs for n in internal), float, n_edges
+            ),
+            np.fromiter(
+                chain.from_iterable(n.child_utility.values for n in internal),
+                float,
+                n_edges,
+            ),
+            root,
+        )
+
+    @classmethod
+    def _from_arrays(cls, names, tags, n_children, prior, utility) -> "DecisionTree":
+        """A tree from breadth-first arrays that already hold every invariant."""
+        tree = cls.__new__(cls)
+        tree._fill(tuple(names), tuple(tags), n_children, prior, utility, None)
+        return tree
+
+    def _fill(self, names, tags, n_children, prior, utility, root) -> None:
+        n_children = np.asarray(n_children, dtype=np.intp)
+        first_child = np.cumsum(n_children) - n_children + 1
+        fields = zip(
+            self.__slots__,
+            (names, tags, n_children, first_child, prior, utility, root),
+        )
+        for name, value in fields:
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable tree")
+
+    def __reduce__(self):
+        arrays = (self.names, self.tags, self.n_children, self.prior, self.utility)
+        return DecisionTree._from_arrays, arrays
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DecisionTree):
+            return NotImplemented
+        return (
+            self.names == other.names
+            and self.tags == other.tags
+            and np.array_equal(self.n_children, other.n_children)
+            and np.array_equal(self.prior, other.prior)
+            and np.array_equal(self.utility, other.utility)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.names, self.tags))
+
+    def __repr__(self) -> str:
+        return f"DecisionTree(root={self.root!r})"
+
+    @property
+    def root(self) -> TreeNode:
+        if self._root is None:
+            object.__setattr__(self, "_root", self._build_root())
+        return self._root
+
+    def _build_root(self) -> TreeNode:
+        """The TreeNodes of the arrays, deepest level first."""
+        names, tags = self.names, self.tags
+        prior, utility = self.prior.tolist(), self.utility.tolist()
+        built: list = [None] * len(names)
+        spans = zip(self.first_child.tolist(), self.n_children.tolist())
+        for i, (lo, k) in reversed(list(enumerate(spans))):
+            if not k:
+                built[i] = TreeNode(names[i], temperature_tag=tags[i])
                 continue
-            if node.temperature_tag not in _VALID_TAGS:
-                raise UnknownTemperatureTag(
-                    f"node {node.name!r} has temperature tag {node.temperature_tag!r}; "
-                    f"expected one of {_VALID_TAGS}"
-                )
-            names = tuple(c.name for c in node.children)
-            if node.child_prior is None or node.child_prior.outcomes != names:
-                raise LabelMismatch(
-                    f"child priors of {node.name!r} must cover the child names {names}"
-                )
-            if node.child_utility is None or node.child_utility.outcomes != names:
-                raise LabelMismatch(
-                    f"child utilities of {node.name!r} must cover the child names {names}"
-                )
-            stack.extend(reversed(node.children))
+            child_names = names[lo : lo + k]
+            built[i] = TreeNode(
+                names[i],
+                tuple(built[lo : lo + k]),
+                FiniteDistribution._trusted(child_names, prior[lo - 1 : lo + k - 1]),
+                UtilityTable(child_names, utility[lo - 1 : lo + k - 1]),
+                tags[i],
+            )
+        return built[0]
+
+    def paths(self) -> list[str]:
+        """The path of every node, in breadth-first order."""
+        parents = np.repeat(np.arange(len(self.names)), self.n_children).tolist()
+        paths = [self.names[0]]
+        for parent, name in zip(parents, self.names[1:]):
+            paths.append(f"{paths[parent]}/{name}")
+        return paths
+
+    def orders(self) -> tuple[np.ndarray, np.ndarray]:
+        """The node indices in pre-order and in post-order, children in
+        order, computed level by level."""
+        n = len(self.names)
+        size = np.ones(n, dtype=np.intp)
+        depth = np.zeros(n, dtype=np.intp)
+        levels = [0]
+        while levels[-1] < n:
+            levels.append(int(self.first_child[levels[-1]]))
+        levels = list(zip(levels[:-2], levels[1:-1], levels[2:]))
+        for d, (lo, hi, end) in enumerate(levels, 1):
+            depth[hi:end] = d
+        # Subtree sizes, deepest level first; then each child's pre-order
+        # position: its parent's, plus one, plus its elder siblings' subtrees.
+        for lo, hi, end in reversed(levels):
+            parents = lo + np.flatnonzero(self.n_children[lo:hi])
+            offsets = self.first_child[parents] - hi
+            size[parents] += np.add.reduceat(size[hi:end], offsets)
+        pre = np.zeros(n, dtype=np.intp)
+        for lo, hi, end in levels:
+            parents = lo + np.flatnonzero(self.n_children[lo:hi])
+            counts = self.n_children[parents]
+            elder = np.cumsum(size[hi:end]) - size[hi:end]
+            elder -= np.repeat(elder[self.first_child[parents] - hi], counts)
+            pre[hi:end] = np.repeat(pre[parents] + 1, counts) + elder
+        # A node follows its subtree in post-order, and its ancestors no longer
+        # precede it.
+        post = pre - depth + size - 1
+        sequences = np.empty((2, n), dtype=np.intp)
+        sequences[0, pre] = sequences[1, post] = np.arange(n)
+        return sequences[0], sequences[1]
 
     def iter_nodes(self) -> Iterable[tuple[str, TreeNode]]:
         """Yield (path, node) depth-first in child order; path starts at the root name."""
@@ -599,4 +779,4 @@ class DecisionTree:
             stack.extend((f"{path}/{c.name}", c) for c in reversed(node.children))
 
     def n_leaves(self) -> int:
-        return sum(1 for _, node in self.iter_nodes() if node.is_leaf)
+        return int(np.count_nonzero(self.n_children == 0))

@@ -29,7 +29,6 @@ from .model import (
     TooLarge,
     TooManyOutcomes,
     TooManyPaths,
-    TreeNode,
     TwoStageProblem,
     UtilityTable,
     expectation,
@@ -138,11 +137,12 @@ def _pair_grid_objective(
     """
     q0, q1 = q.probs
     u0, u1 = u.values
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A tiny divisor may overflow the penalty to ±inf, which is its limit.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t0 = np.where(x > 0.0, x * np.log(x / q0) if q0 > 0.0 else np.inf, 0.0)
         t1 = np.where(x < 1.0, (1 - x) * np.log((1 - x) / q1) if q1 > 0.0 else np.inf, 0.0)
-    kl = t0 + t1
-    return x * u0 + (1 - x) * u1 - kl / inv_temp_divisor
+        kl = t0 + t1
+        return x * u0 + (1 - x) * u1 - kl / inv_temp_divisor
 
 
 def two_stage_objective(
@@ -263,16 +263,22 @@ def bellman_backup(tree: DecisionTree) -> TreeValue:
     """
     values: dict[str, float] = {}
     policies: dict[str, FiniteDistribution] = {}
-
-    def backup(node: TreeNode, path: str) -> float:
+    # Post-order (children first, in order) is the reverse of a pre-order
+    # that visits children last to first; an explicit stack bounds the depth
+    # by memory.
+    stack, order = [(tree.root, tree.root.name)], []
+    while stack:
+        node, path = stack.pop()
+        order.append((node, path))
+        stack.extend((child, f"{path}/{child.name}") for child in node.children)
+    for node, path in reversed(order):
         if node.is_leaf:
             values[path] = 0.0
-            return 0.0
+            continue
         totals = {}
         for child, u in zip(node.children, node.child_utility.values):
-            v = backup(child, f"{path}/{child.name}")
             if node.child_prior.prob(child.name) > 0.0:
-                totals[child.name] = u + v
+                totals[child.name] = u + values[f"{path}/{child.name}"]
         best = max(totals.values())
         winners = [n for n, t in totals.items() if abs(t - best) <= ARGMAX_TIE_TOL]
         share = 1.0 / len(winners)
@@ -281,9 +287,6 @@ def bellman_backup(tree: DecisionTree) -> TreeValue:
             names, [share if n in winners else 0.0 for n in names]
         )
         values[path] = best
-        return best
-
-    backup(tree.root, tree.root.name)
     return TreeValue(values, policies, tree.root.name)
 
 
@@ -307,20 +310,21 @@ def path_enumeration(tree: DecisionTree, lam: float) -> float:
 
     log_ps: list[float] = []
     utils: list[float] = []
-
-    def walk(node: TreeNode, log_p_terms: list[float], u_terms: list[float]) -> None:
+    # Depth first with an explicit stack, children pushed last to first so
+    # that the leaves come in order.
+    stack = [(tree.root, [], [])]
+    while stack:
+        node, log_p_terms, u_terms = stack.pop()
         if node.is_leaf:
             log_ps.append(math.fsum(log_p_terms))
             utils.append(math.fsum(u_terms))
-            return
-        for child in node.children:
+            continue
+        for child in reversed(node.children):
             p = node.child_prior.prob(child.name)
             if p == 0.0:
                 continue
             u = node.child_utility.value(child.name)
-            walk(child, log_p_terms + [math.log(p)], u_terms + [u])
-
-    walk(tree.root, [], [])
+            stack.append((child, log_p_terms + [math.log(p)], u_terms + [u]))
     scores = np.asarray(log_ps) + lam * np.asarray(utils)
     return _logsumexp(scores) / lam
 

@@ -17,12 +17,19 @@ documents.
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 from .model import (
+    LAMBDA_TAG,
+    MU_TAG,
+    NORMALIZATION_TOL,
     ControlProblem,
     DecisionTree,
     DomainError,
@@ -61,7 +68,8 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
     for k in obj:
         if k not in allowed:
             raise DomainError(f"unknown field {k!r} in {where}")
-    for k in required:
+    # Sorted: a set of strings iterates in an order that varies per process.
+    for k in sorted(required):
         if k not in obj:
             raise DomainError(f"missing field {k!r} in {where}")
 
@@ -69,14 +77,20 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
 def _as_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DomainError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{where} is an integer too large for a float") from None
 
 
 def _as_number_list(value, where: str) -> list[float]:
     if not isinstance(value, list):
         raise DomainError(f"{where} must be an array of numbers")
     if set(map(type, value)) <= {int, float}:
-        return list(map(float, value))
+        try:
+            return list(map(float, value))
+        except OverflowError:
+            pass
     return [_as_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
@@ -140,12 +154,83 @@ def _parse_two_stage(payload: dict) -> TwoStageProblem:
     )
 
 
+_NODE_KEYS = frozenset(("name", "temperature_tag", "children"))
+
+
+def _flat_tree(payload) -> DecisionTree | None:
+    """The tree payload as a DecisionTree, read level by level into its
+    arrays and checked array by array; None if any check fails, and then
+    _parse_tree finds the error.
+
+    The checks are those of _parse_tree and DecisionTree together: key sets
+    and number types while reading; then names that are strings without
+    '/', known tags, no duplicate name among siblings, finite numbers,
+    nonnegative priors whose math.fsum per node is within
+    NORMALIZATION_TOL of 1, divided by that sum as FiniteDistribution does.
+    """
+    names: list = []
+    tags: list = []
+    n_children: list[int] = []
+    priors: list = []
+    utilities: list = []
+    level = [payload]
+    try:
+        while level:
+            below = []
+            for obj in level:
+                if type(obj) is not dict or not obj.keys() <= _NODE_KEYS:
+                    return None
+                names.append(obj["name"])
+                if "children" not in obj:
+                    tags.append(LAMBDA_TAG)
+                    n_children.append(0)
+                    continue
+                entries = obj["children"]
+                if type(entries) is not list or not entries:
+                    return None
+                tags.append(obj.get("temperature_tag", LAMBDA_TAG))
+                n_children.append(len(entries))
+                for entry in entries:
+                    if type(entry) is not dict or len(entry) != 3:
+                        return None
+                    priors.append(entry["prior"])
+                    utilities.append(entry["utility"])
+                    below.append(entry["node"])
+            level = below
+        if "/" in "".join(names) or not set(tags) <= {LAMBDA_TAG, MU_TAG}:
+            return None
+        if not set(map(type, priors)) | set(map(type, utilities)) <= {int, float}:
+            return None
+        prior = np.fromiter(map(float, priors), float, len(priors))
+        utility = np.fromiter(map(float, utilities), float, len(utilities))
+        # An infinite prior fails the sum check below.
+        if not (np.isfinite(utility).all() and (prior >= 0.0).all()):
+            return None
+        # The edges of each internal node, which lead to its children.
+        counts = [k for k in n_children if k]
+        bounds = np.cumsum([0] + counts).tolist()
+        segments = list(map(slice, bounds, bounds[1:]))
+        child_names = names[1:]
+        if list(map(len, map(set, map(child_names.__getitem__, segments)))) != counts:
+            return None
+        totals = np.fromiter(map(math.fsum, map(priors.__getitem__, segments)), float, len(counts))
+    except (KeyError, TypeError, OverflowError):
+        return None
+    if not (np.abs(totals - 1.0) <= NORMALIZATION_TOL).all():
+        return None
+    # Dividing by exactly 1.0 changes no bit, so every node is divided.
+    prior /= np.repeat(totals, counts)
+    return DecisionTree._from_arrays(names, tags, n_children, prior, utility)
+
+
 def _parse_tree(payload) -> TreeNode:
     """The tree payload as TreeNodes, with the checks and messages of a
     recursive descent in the same order: a node's keys, then each child
     entry's keys and numbers followed by its whole subtree, then the node's
     child distribution. The open nodes are kept on an explicit stack, so
-    depth is bounded by memory."""
+    depth is bounded by memory. loads reads a payload this way only after
+    _flat_tree has found a fault, to raise the error this order meets first.
+    """
 
     def open_node(obj, where):
         """A leaf as a TreeNode; an internal node as the frame
@@ -213,13 +298,33 @@ def _too_deep(text: str) -> DomainError:
     )
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector: decoding a document and reading a
+    tree out of it make many containers but no reference cycle, so its
+    passes there would free nothing."""
+    import gc  # here, so that importing the package loads no extra module
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def loads(text: str) -> ProblemFile:
     """Parse a problem document from its JSON text, rejecting anything the
     schema does not name."""
     try:
-        raw = json.loads(text, parse_constant=_reject_constant)
+        with _gc_paused():
+            raw = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise DomainError(f"not valid JSON: {e}") from None
+    except ValueError:
+        # int() refuses literals longer than sys.get_int_max_str_digits().
+        raise DomainError("problem file holds an integer too large for a float") from None
     except RecursionError:
         raise _too_deep(text) from None
     # Building needs only the decoded value; when the caller keeps no
@@ -244,7 +349,10 @@ def loads(text: str) -> ProblemFile:
     elif kind == "two_stage":
         problem = _parse_two_stage(raw["payload"])
     else:
-        problem = DecisionTree(_parse_tree(raw["payload"]))
+        with _gc_paused():
+            problem = _flat_tree(raw["payload"])
+        if problem is None:
+            problem = DecisionTree(_parse_tree(raw["payload"]))
 
     alpha = lam = mu = None
     if "temperatures" in raw:
@@ -273,25 +381,20 @@ def _temp_to_json(t: Temperature):
     return t.value if t.is_finite else t.spell()
 
 
-def _node_to_json(root: TreeNode) -> dict:
-    """The tree payload, built pre-order with an explicit stack so that depth
-    is bounded by memory, not by the interpreter's recursion limit."""
-    payload: dict = {}
-    stack = [(root, payload)]
-    while stack:
-        node, out = stack.pop()
-        out["name"] = node.name
-        if node.is_leaf:
-            continue
-        out["temperature_tag"] = node.temperature_tag
-        entries = out["children"] = []
-        for child, p, u in zip(
-            node.children, node.child_prior.probs, node.child_utility.values
-        ):
-            sub: dict = {}
-            entries.append({"prior": p, "utility": u, "node": sub})
-            stack.append((child, sub))
-    return payload
+def _tree_to_json(tree: DecisionTree) -> dict:
+    """The tree payload, each node's object built in breadth-first order and
+    linked into its parent's entries, so depth is bounded by memory."""
+    objs = [{"name": name} for name in tree.names]
+    prior, utility = tree.prior.tolist(), tree.utility.tolist()
+    spans = zip(tree.first_child.tolist(), tree.n_children.tolist())
+    for obj, tag, (lo, k) in zip(objs, tree.tags, spans):
+        if k:
+            obj["temperature_tag"] = tag
+            obj["children"] = [
+                {"prior": prior[j - 1], "utility": utility[j - 1], "node": objs[j]}
+                for j in range(lo, lo + k)
+            ]
+    return objs[0]
 
 
 def _scalar_text(value, fmt_float) -> str | None:
@@ -409,7 +512,7 @@ def dumps(pf: ProblemFile) -> str:
             },
         }
     else:
-        payload = _node_to_json(pf.problem.root)
+        payload = _tree_to_json(pf.problem)
 
     doc = {"schema_version": pf.schema_version, "kind": pf.kind, "payload": payload}
     temps = {}

@@ -16,16 +16,19 @@ hard arg-max.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
+from typing import Mapping
 
 import numpy as np
 
 from .model import (
+    NORMALIZATION_TOL,
     DecisionTree,
     DomainError,
     FiniteDistribution,
     LAMBDA_TAG,
+    LazyMapping,
     MU_TAG,
     TemperatureSpec,
     TreeNode,
@@ -97,11 +100,12 @@ class TwoStageSolution:
     infinite temperatures, where the normalizer diverges; exactly 0.0 at the
     zero limit). achieved_c1 and achieved_c2 are the KL budgets actually
     spent: KL(action_policy‖prior) and the policy-weighted KL of the
-    outcome beliefs against their channels.
+    outcome beliefs against their channels. outer_policy builds the outcome
+    beliefs on first read.
     """
 
     action_policy: FiniteDistribution
-    outcome_beliefs: dict[str, FiniteDistribution]
+    outcome_beliefs: Mapping[str, FiniteDistribution]
     log_z1: float | None
     log_z2: dict[str, float | None]
     values: dict[str, float]
@@ -154,6 +158,17 @@ def _row_kls(beliefs, channel, starts, kept) -> list[float]:
     ]
 
 
+def _beliefs(blocks, outcomes) -> dict[str, FiniteDistribution]:
+    """The outcome beliefs of tilted blocks of rows: a row the tilt kept is
+    the channel row itself."""
+    width = len(outcomes)
+    return {
+        a: row if same else FiniteDistribution(outcomes, flat[lo : lo + width].tolist())
+        for block, rows, flat, starts, kept in blocks
+        for a, row, lo, same in zip(block, rows, starts, kept)
+    }
+
+
 def outer_policy(problem: TwoStageProblem, lam, mu) -> TwoStageSolution:
     """Solve the nested problem at inverse temperatures (lam, mu).
 
@@ -176,7 +191,7 @@ def outer_policy(problem: TwoStageProblem, lam, mu) -> TwoStageSolution:
         )
     actions, outcomes = problem.actions, problem.outcomes
     width = len(outcomes)
-    beliefs: dict[str, FiniteDistribution] = {}
+    blocks = []
     inner_values: list[float] = []
     inner_log_z: list[float | None] = []
     row_kls: list[float] = []
@@ -198,10 +213,12 @@ def outer_policy(problem: TwoStageProblem, lam, mu) -> TwoStageSolution:
         inner_values += block_values
         inner_log_z += block_log_z
         row_kls += _row_kls(flat, channel, starts, kept)
-        for a, row, lo, same in zip(block, rows, starts.tolist(), kept):
-            beliefs[a] = row if same else FiniteDistribution(
-                outcomes, flat[lo : lo + width].tolist()
-            )
+        blocks.append((block, rows, flat, starts.tolist(), kept))
+        # Tilted rows are nonnegative and sum to 1 within rounding unless they
+        # hold a NaN; such a block builds its beliefs now, to raise the error.
+        if not np.isfinite(flat).all():
+            _beliefs(blocks[-1:], outcomes)
+
     values = {
         a: u + v
         for a, u, v in zip(actions, problem.action_utility.values, inner_values)
@@ -212,7 +229,7 @@ def outer_policy(problem: TwoStageProblem, lam, mu) -> TwoStageSolution:
     c2 = math.fsum(p * kl for p, kl in zip(outer.policy.probs, row_kls) if p > 0.0)
     return TwoStageSolution(
         action_policy=outer.policy,
-        outcome_beliefs=beliefs,
+        outcome_beliefs=LazyMapping(lambda: _beliefs(blocks, outcomes)),
         log_z1=outer.log_partition,
         log_z2=dict(zip(actions, inner_log_z)),
         values=values,
@@ -267,16 +284,47 @@ class TreeValue:
     """Per-node values and child policies of a solved decision tree.
 
     Keys are node paths: the root's name, then child names joined by "/".
-    Leaves have value 0 and no policy entry.
+    Leaves have value 0 and no policy entry. value_recursion also keeps its
+    results as arrays in the tree's breadth-first order, flat_values per node
+    and flat_policy per edge, and builds the two mappings from them on first
+    read.
     """
 
-    values: dict[str, float]
-    policies: dict[str, FiniteDistribution]
+    values: Mapping[str, float]
+    policies: Mapping[str, FiniteDistribution]
     root_path: str
+    flat_values: np.ndarray | None = field(default=None, compare=False, repr=False)
+    flat_policy: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def root_value(self) -> float:
+        if self.flat_values is not None:
+            return self.flat_values[0].item()
         return self.values[self.root_path]
+
+
+def _tree_value(tree: DecisionTree, value: np.ndarray, policy: np.ndarray) -> TreeValue:
+    """A TreeValue over the flat results, its mappings in post-order
+    (children before their parent), the order a recursive backup fills."""
+    names = tree.names
+
+    def values() -> dict[str, float]:
+        paths, value_list = tree.paths(), value.tolist()
+        return {paths[i]: value_list[i] for i in tree.orders()[1].tolist()}
+
+    def policies() -> dict[str, FiniteDistribution]:
+        paths, probs = tree.paths(), policy.tolist()
+        first, counts = tree.first_child.tolist(), tree.n_children.tolist()
+        return {
+            paths[i]: FiniteDistribution._trusted(
+                names[first[i] : first[i] + counts[i]],
+                probs[first[i] - 1 : first[i] + counts[i] - 1],
+            )
+            for i in tree.orders()[1].tolist()
+            if counts[i]
+        }
+
+    return TreeValue(LazyMapping(values), LazyMapping(policies), names[0], value, policy)
 
 
 def value_recursion(tree: DecisionTree, temps: TemperatureSpec) -> TreeValue:
@@ -289,7 +337,7 @@ def value_recursion(tree: DecisionTree, temps: TemperatureSpec) -> TreeValue:
     hard max (t = +inf) or hard min (t = -inf) with uniform tie-breaking;
     lam at the zero limit is rejected as in outer_policy.
 
-    The nodes are laid out breadth-first, so the children of one level are
+    The tree's arrays are breadth-first, so the children of one level are
     the next level in order and edge e leads to node e + 1. The backup runs
     level by level, deepest first, with one segmented tilt per temperature
     tag; depth is bounded by memory, not by the recursion limit.
@@ -301,105 +349,80 @@ def value_recursion(tree: DecisionTree, temps: TemperatureSpec) -> TreeValue:
             "lambda at the zero limit pins every policy to its prior; "
             "use a finite lambda or the inf limit"
         )
-    nodes = [tree.root]
-    first_child = []  # per node: the index of its first child
+    n = len(tree.names)
+    first_child, n_children = tree.first_child, tree.n_children
+    prior, utility = tree.prior, tree.utility
     levels = [0]  # index of the first node of each level, then the node count
-    while levels[-1] < len(nodes):
-        end = len(nodes)
-        for node in nodes[levels[-1] : end]:
-            first_child.append(len(nodes))
-            nodes.extend(node.children)
-        levels.append(end)
-    internal = [node for node in nodes if node.children]
-    n_edges = len(nodes) - 1
-    prior = np.fromiter(
-        chain.from_iterable(node.child_prior.probs for node in internal), float, n_edges
-    )
-    utility = np.fromiter(
-        chain.from_iterable(node.child_utility.values for node in internal),
-        float,
-        n_edges,
-    )
-    value = np.zeros(len(nodes))
-    gains = np.empty(n_edges)
-    policy = np.empty(n_edges)
-    kept = np.zeros(len(nodes), dtype=bool)
-    # Nodes whose gains are not all finite: zero gains stand in for the
-    # tilt, and the pass below raises the error the node would have raised.
-    broken = np.zeros(len(nodes), dtype=bool)
+    while levels[-1] < n:
+        levels.append(int(first_child[levels[-1]]))
+    is_mu = np.array([tag == MU_TAG for tag in tree.tags])
+    value = np.zeros(n)
+    gains = np.empty(n - 1)
+    policy = np.empty(n - 1)
+    kept = np.zeros(n, dtype=bool)
+    # Nodes whose gains are not all finite (zero gains stand in for the
+    # tilt) or whose tilted row FiniteDistribution would reject: the check
+    # below raises the error the first of them would have raised.
+    faulty = np.zeros(n, dtype=bool)
 
     # Gains that overflow are caught by each level's finiteness check, and
     # the nodes they break raise their errors below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi in reversed(list(zip(levels[:-2], levels[1:-1]))):
-            parents = [i for i in range(lo, hi) if nodes[i].children]
-            if not parents:
-                continue
-            # The level's edges, e0 .. e1, lead to the nodes of the next level.
-            e0 = first_child[parents[0]] - 1
-            e1 = first_child[parents[-1]] - 1 + len(nodes[parents[-1]].children)
-            level_gains = gains[e0:e1]
-            offsets = np.array([first_child[i] - 1 - e0 for i in parents], dtype=np.intp)
-            is_lam = [nodes[i].temperature_tag == LAMBDA_TAG for i in parents]
-            parents = np.array(parents, dtype=np.intp)
+        for lo, hi, end in reversed(list(zip(levels, levels[1:], levels[2:]))):
+            # The parents among nodes lo .. hi; their edges, hi - 1 .. end - 1,
+            # lead to the nodes of the next level.
+            parents = lo + np.flatnonzero(n_children[lo:hi])
+            offsets = first_child[parents] - hi
+            level_gains = gains[hi - 1 : end - 1]
+            np.add(utility[hi - 1 : end - 1], value[hi:end], out=level_gains)
             tilt_gains = level_gains
-            np.add(utility[e0:e1], value[e0 + 1 : e1 + 1], out=level_gains)
             if not math.isfinite(np.add.reduce(level_gains)):
                 finite = np.isfinite(level_gains)
-                broken[parents] = ~np.logical_and.reduceat(finite, offsets)
+                faulty[parents] = ~np.logical_and.reduceat(finite, offsets)
                 tilt_gains = np.where(finite, level_gains, 0.0)
-            n_lam = sum(is_lam)
-            for want_lam, t in ((True, temps.lam), (False, temps.mu)):
-                chosen = n_lam if want_lam else len(is_lam) - n_lam
+            level_mu = is_mu[parents]
+            n_mu = int(np.count_nonzero(level_mu))
+            for want_mu, t in ((False, temps.lam), (True, temps.mu)):
+                chosen = n_mu if want_mu else len(parents) - n_mu
                 if not chosen:
                     continue
-                if chosen == len(is_lam):
-                    segments, starts, entries = parents, offsets, slice(e0, e1)
-                    p, g = prior[e0:e1], tilt_gains
+                if chosen == len(parents):
+                    segments, starts, entries = parents, offsets, slice(hi - 1, end - 1)
+                    p, g = prior[entries], tilt_gains
                 else:
-                    pick = np.array(is_lam) == want_lam
-                    lengths = np.diff(offsets, append=e1 - e0)
+                    pick = level_mu == want_mu
+                    lengths = n_children[parents]
                     mask = np.repeat(pick, lengths)
                     lengths = lengths[pick]
                     segments, starts = parents[pick], np.cumsum(lengths) - lengths
-                    entries = np.flatnonzero(mask) + e0
+                    entries = np.flatnonzero(mask) + (hi - 1)
                     p, g = prior[entries], tilt_gains[mask]
                 flat, level_values, _, same = _tilt_segments(p, g, starts, t)
                 policy[entries] = flat
                 value[segments] = level_values
                 kept[segments] = same
 
-    # Labelled results in post-order (children before their parent), the
-    # order a recursive backup fills them in: the reverse of a pre-order
-    # that visits children last to first.
-    stack, order = [(0, tree.root.name)], []
-    while stack:
-        i, path = stack.pop()
-        order.append((i, path))
-        stack.extend(
-            (j, f"{path}/{child.name}")
-            for j, child in enumerate(nodes[i].children, first_child[i])
-        )
-    value_list, kept_list, broken_list = value.tolist(), kept.tolist(), broken.tolist()
-    values: dict[str, float] = {}
-    policies: dict[str, FiniteDistribution] = {}
-    for i, path in reversed(order):
-        node = nodes[i]
-        if not node.children:
-            values[path] = 0.0
-            continue
-        names = node.child_prior.outcomes
-        lo = first_child[i] - 1
-        hi = lo + len(names)
-        if broken_list[i]:
-            UtilityTable(names, gains[lo:hi])
-        values[path] = value_list[i]
-        policies[path] = (
-            node.child_prior
-            if kept_list[i]
-            else FiniteDistribution(names, policy[lo:hi])
-        )
-    return TreeValue(values, policies, tree.root.name)
+    # Every tilted row is normalised as FiniteDistribution normalises it: by
+    # its math.fsum, checked against NORMALIZATION_TOL. Its entries are
+    # nonnegative or NaN, and a NaN fails that check as well.
+    internal = np.flatnonzero(n_children)
+    counts = n_children[internal]
+    ends = np.cumsum(counts).tolist()
+    rows = map(policy.tolist().__getitem__, map(slice, [0] + ends, ends))
+    totals = np.fromiter(map(math.fsum, rows), float, len(internal))
+    totals[kept[internal]] = 1.0  # a kept row is the prior, not a tilt
+    faulty[internal] |= ~(np.abs(totals - 1.0) <= NORMALIZATION_TOL)
+    if faulty.any():
+        # The error of the first faulty node in post-order, the one a
+        # recursive backup meets first.
+        post = tree.orders()[1]
+        i = int(post[faulty[post]][0])
+        lo, hi = int(first_child[i]), int(first_child[i] + n_children[i])
+        names = tree.names[lo:hi]
+        UtilityTable(names, gains[lo - 1 : hi - 1])  # raises for gains not all finite
+        FiniteDistribution(names, policy[lo - 1 : hi - 1])  # else for the tilted row
+    policy /= np.repeat(totals, counts)
+    return _tree_value(tree, value, policy)
 
 
 def two_stage_to_tree(problem: TwoStageProblem, root_name: str = "root") -> DecisionTree:

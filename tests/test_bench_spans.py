@@ -35,7 +35,7 @@ def test_wrapped_name_resolves(module_name, attr, span_name):
 @pytest.mark.parametrize(
     "name, solver",
     [
-        ("control_basic", "variational.bounded_control"),
+        ("control_basic", "variational.exponential_tilt"),
         ("two_stage_basic", "sequential.solve_regime"),
         ("tree_binary", "sequential.value_recursion"),
     ],

@@ -92,6 +92,57 @@ def test_json_nonfinite_constants_exit_2(tmp_path, constant):
     assert result.stderr.startswith(f"DomainError: JSON constant {constant} ")
 
 
+@pytest.mark.parametrize("field", ["utility", "alpha"])
+def test_integer_too_large_for_a_float_exits_2(tmp_path, field):
+    doc = json.loads((GOLDEN / "control_basic.json").read_text())
+    huge = 10**400
+    if field == "utility":
+        doc["payload"]["utility"][1] = huge
+        where = "utility[1]"
+    else:
+        doc["temperatures"]["alpha"] = huge
+        where = "alpha"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("solve", path)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == f"DomainError: {where} is an integer too large for a float\n"
+
+
+def test_priors_summing_past_the_float_range_exit_2(tmp_path):
+    doc = json.loads((GOLDEN / "control_basic.json").read_text())
+    doc["payload"]["prior"] = [1e308, 1e308]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("solve", path)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == "NotNormalized: probabilities sum to inf, expected 1\n"
+
+
+def test_integer_past_the_digit_limit_exits_2(tmp_path):
+    text = (GOLDEN / "control_basic.json").read_text()
+    path = tmp_path / "digits.json"
+    path.write_text(text.replace('"alpha": 1.0', '"alpha": 1' + "0" * (sys.get_int_max_str_digits() + 1)))
+    result = run_cli("solve", path)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == "DomainError: problem file holds an integer too large for a float\n"
+
+
+def test_missing_fields_name_the_same_field_in_every_process(tmp_path):
+    path = tmp_path / "missing.json"
+    path.write_text('{"schema_version": "1", "kind": "control", "payload": {"outcomes": ["a"]}}')
+    errors = set()
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        result = subprocess.run(
+            [sys.executable, "-m", "freeutil", "solve", str(path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 2
+        errors.add(result.stderr)
+    assert errors == {"DomainError: missing field 'prior' in control payload\n"}
+
+
 def test_slash_in_tree_node_name_exits_2(tmp_path):
     # a leaf "a/b" and a node "a" -> "b" under one root: both are path "r/a/b"
     doc = {
@@ -165,6 +216,20 @@ def test_solve_control_document():
     assert doc["policy"]["b"] == pytest.approx(2 / 3, abs=1e-12)
     assert doc["value"] == pytest.approx(math.log(1.5), abs=1e-12)
     assert doc["total"] == pytest.approx(doc["value"], abs=1e-12)
+
+
+def test_control_solve_and_sweep_tilt_once(monkeypatch):
+    """Each alpha costs one exponential tilt; bounded_control is not called."""
+    calls = []
+    tilt = cli.exponential_tilt
+    monkeypatch.setattr(cli, "exponential_tilt", lambda *a: calls.append(a) or tilt(*a))
+    monkeypatch.setattr(cli, "bounded_control", None)
+    before = solve_doc(GOLDEN / "control_basic.json")
+    assert len(calls) == 1
+    result = run_cli("sweep", GOLDEN / "control_basic.json", "--param", "alpha", "--grid", "0.5,1,inf,zero")
+    assert result.returncode == 0 and len(calls) == 5
+    monkeypatch.undo()
+    assert solve_doc(GOLDEN / "control_basic.json") == before
 
 
 def test_solve_alpha_flag_overrides_file():
@@ -352,6 +417,14 @@ def test_sweep_tree_lambda():
     lines = result.stdout.strip().split("\n")
     assert lines[0] == "lambda,p[a],p[b],value,achieved_kl"
     assert float(lines[-1].split(",")[3]) == pytest.approx(4.0, abs=1e-12)
+
+
+def test_sweep_single_leaf_tree(tmp_path):
+    path = tmp_path / "leaf.json"
+    path.write_text('{"schema_version": "1", "kind": "tree", "payload": {"name": "only"}}')
+    result = run_cli("sweep", path, "--param", "mu", "--grid", "1,inf")
+    assert result.returncode == 0 and result.stderr == ""
+    assert result.stdout == "mu,value,achieved_kl\n1,0,0\ninf,0,0\n"
 
 
 def test_sweep_parameter_mismatches_exit_2():

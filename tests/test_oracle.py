@@ -3,6 +3,7 @@ import itertools
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,8 @@ from freeutil.model import (
 )
 from freeutil.oracle import (
     _logsumexp,
+    _pair_grid_objective,
+    bellman_backup,
     enumerate_minimax,
     exhaustive_two_stage,
     path_enumeration,
@@ -453,3 +456,92 @@ def test_import_leaves_scipy_out():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# iterative tree oracles
+
+
+def reference_bellman_backup(tree):
+    """The recursive hard-max program bellman_backup ran before it became
+    iterative: (values, policies) in the order it filled them."""
+    values, policies = {}, {}
+
+    def backup(n, path):
+        if n.is_leaf:
+            values[path] = 0.0
+            return 0.0
+        totals = {}
+        for child, u in zip(n.children, n.child_utility.values):
+            v = backup(child, f"{path}/{child.name}")
+            if n.child_prior.prob(child.name) > 0.0:
+                totals[child.name] = u + v
+        best = max(totals.values())
+        winners = [c for c, t in totals.items() if abs(t - best) <= 1e-12]
+        names = tuple(c.name for c in n.children)
+        policies[path] = FiniteDistribution(
+            names, [1.0 / len(winners) if c in winners else 0.0 for c in names]
+        )
+        values[path] = best
+        return best
+
+    backup(tree.root, tree.root.name)
+    return values, policies
+
+
+def reference_path_enumeration(tree, lam):
+    """The recursive path sum path_enumeration ran before it became iterative."""
+    log_ps, utils = [], []
+
+    def walk(n, log_p_terms, u_terms):
+        if n.is_leaf:
+            log_ps.append(math.fsum(log_p_terms))
+            utils.append(math.fsum(u_terms))
+            return
+        for child in n.children:
+            p = n.child_prior.prob(child.name)
+            if p > 0.0:
+                u = n.child_utility.value(child.name)
+                walk(child, log_p_terms + [math.log(p)], u_terms + [u])
+
+    walk(tree.root, [], [])
+    return _logsumexp(np.asarray(log_ps) + lam * np.asarray(utils)) / lam
+
+
+def test_iterative_oracles_match_the_recursive_walks():
+    rng = np.random.default_rng(2024)
+    for i in range(40):
+        tree = verify._random_tree(rng, with_zero_edge=i % 2 == 0)
+        values, policies = reference_bellman_backup(tree)
+        hard = bellman_backup(tree)
+        assert list(hard.values.items()) == list(values.items())
+        assert list(hard.policies.items()) == list(policies.items())
+        for lam in (0.4, 2.5):
+            assert path_enumeration(tree, lam) == reference_path_enumeration(tree, lam)
+
+
+def test_oracles_handle_a_chain_deeper_than_the_recursion_limit():
+    depth = 5_000
+    tip = leaf(f"n{depth}")
+    for i in range(depth - 1, -1, -1):
+        tip = node(f"n{i}", [tip], [1.0], [0.5])
+    tree = DecisionTree(tip)
+    assert path_enumeration(tree, 0.7) == pytest.approx(2500.0, rel=1e-12)
+    hard = bellman_backup(tree)
+    assert hard.root_value == 2500.0
+    assert len(hard.values) == depth + 1 and len(hard.policies) == depth
+    # post-order: the deepest leaf first, the root last
+    assert next(iter(hard.values)) == "/".join(f"n{i}" for i in range(depth + 1))
+    assert list(hard.values)[-1] == "n0"
+
+
+def test_pair_grid_objective_keeps_overflow_to_itself():
+    x = np.linspace(0.0, 1.0, 11)
+    q = dist(["a", "b"], [0.3, 0.7])
+    u = util(["a", "b"], [1.0, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores = _pair_grid_objective(x, q, u, 1e-310)
+        flipped = _pair_grid_objective(x, q, u, -1e-310)
+    assert np.isneginf(scores[0]) and np.isneginf(scores[-1])
+    assert np.isposinf(flipped[0]) and np.isposinf(flipped[-1])
