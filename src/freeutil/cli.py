@@ -18,6 +18,7 @@ import argparse
 import io
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .model import (
     ControlProblem,
@@ -53,9 +54,7 @@ EXIT_VERIFY = 4
 
 
 def _fmt_float(x: float) -> str:
-    if x == 0.0:
-        x = 0.0  # collapse -0.0
-    return format(x, ".12g")
+    return format(x + 0.0, ".12g")  # -0.0 + 0.0 is 0.0; every other float is kept
 
 
 def _convert_units(obj, units: str):
@@ -170,29 +169,38 @@ def _solve_two_stage_doc(problem: TwoStageProblem, temps: TemperatureSpec) -> di
     }
 
 
-def _solve_tree_doc(tree: DecisionTree, temps: TemperatureSpec) -> dict:
+def _solve_tree_doc(tree: DecisionTree, temps: TemperatureSpec, units: str, fmt_float) -> str:
+    """The tree solve document without its final newline: the header through
+    render_json, node_values and node_policies (keyed by path, in pre-order)
+    from the flat results. No key is a relative entropy; units is a label."""
     tv = value_recursion(tree, temps)
-    pre = tree.orders()[0]
-    paths, names, probs = tree.paths(), tree.names, tv.flat_policy.tolist()
-    node_values = dict(zip(map(paths.__getitem__, pre.tolist()), tv.flat_values[pre].tolist()))
-    inner = pre[tree.n_children[pre] > 0]
-    first = tree.first_child[inner]
-    node_policies = {
-        paths[i]: dict(zip(names[lo:hi], probs[lo - 1 : hi - 1]))
-        for i, lo, hi in zip(
-            inner.tolist(), first.tolist(), (first + tree.n_children[inner]).tolist()
-        )
-    }
-    return {
+    first, count = tree.first_child.tolist(), tree.n_children.tolist()
+    paths = list(map(encode_basestring_ascii, tree.paths()))
+    values = list(map(fmt_float, tv.flat_values.tolist()))
+    # The policy entry of the edge into node j > 0, at index j.
+    entries = [""] + list(map("\n      {}: {}".format, map(encode_basestring_ascii, tree.names[1:]),
+                              map(fmt_float, tv.flat_policy.tolist())))
+    node_values, node_policies = [], []
+    for i in tree.orders()[0].tolist():
+        node_values.append(f"\n    {paths[i]}: {values[i]}")
+        if count[i]:
+            row = ",".join(entries[first[i] : first[i] + count[i]])
+            node_policies.append(f"\n    {paths[i]}: {{{row}\n    }}")
+    header = render_json({
         "command": "solve",
         "kind": "tree",
         "lambda": temps.lam.spell(),
         "mu": temps.mu.spell(),
         "regime": regime_label(temps),
         "value": tv.root_value,
-        "node_values": node_values,
-        "node_policies": node_policies,
-    }
+        "node_values": None,
+        "node_policies": None,
+        "units": units,
+    }, fmt_float)
+    head, middle, tail = header.split(": null")  # the two placeholders are the only nulls
+    values_text, policies_text = (
+        "{" + ",".join(x) + "\n  }" if x else "{}" for x in (node_values, node_policies))
+    return f"{head}: {values_text}{middle}: {policies_text}{tail}"
 
 
 def _cmd_solve(args) -> int:
@@ -212,14 +220,14 @@ def _cmd_solve(args) -> int:
         elif pf.kind == "two_stage":
             doc = _solve_two_stage_doc(pf.problem, temps)
         else:
-            doc = _solve_tree_doc(pf.problem, temps)
+            text = _solve_tree_doc(pf.problem, temps, args.units, _fmt_float)
     except FreeUtilError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_SOLVER
 
-    doc["units"] = args.units
-    doc = _convert_units(doc, args.units)
-    _emit(render_json(doc, _fmt_float) + "\n", args.output)
+    if pf.kind != "tree":
+        text = render_json(_convert_units({**doc, "units": args.units}, args.units), _fmt_float)
+    _emit(text + "\n", args.output)
     return EXIT_OK
 
 

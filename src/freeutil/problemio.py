@@ -381,20 +381,41 @@ def _temp_to_json(t: Temperature):
     return t.value if t.is_finite else t.spell()
 
 
-def _tree_to_json(tree: DecisionTree) -> dict:
-    """The tree payload, each node's object built in breadth-first order and
-    linked into its parent's entries, so depth is bounded by memory."""
-    objs = [{"name": name} for name in tree.names]
-    prior, utility = tree.prior.tolist(), tree.utility.tolist()
-    spans = zip(tree.first_child.tolist(), tree.n_children.tolist())
-    for obj, tag, (lo, k) in zip(objs, tree.tags, spans):
-        if k:
-            obj["temperature_tag"] = tag
-            obj["children"] = [
-                {"prior": prior[j - 1], "utility": utility[j - 1], "node": objs[j]}
-                for j in range(lo, lo + k)
-            ]
-    return objs[0]
+def _tree_parts(tree: DecisionTree) -> list[str]:
+    """The tree payload's text in pieces, laid out as render_json lays out
+    the value of a top-level key, in one pre-order pass over the arrays with
+    an explicit stack, so depth is bounded by memory."""
+    names, tags = (list(map(encode_basestring_ascii, x)) for x in (tree.names, tree.tags))
+    # The edge into node j > 0 is written from prior[j] and utility[j].
+    prior, utility = ([""] + list(map(repr, a.tolist())) for a in (tree.prior, tree.utility))
+    first, count = tree.first_child.tolist(), tree.n_children.tolist()
+    levels: list = []  # per depth, the text around a node's fields
+    out, stack = [], [(0, 0, "")]  # stack: (node or None, depth, the text before it)
+    while stack:
+        j, d, text = stack.pop()
+        if j is None:  # a closer
+            out.append(text)
+            continue
+        if d == len(levels):
+            key, inner, outer = ("\n" + "  " * (2 + 3 * d - i) for i in range(3))
+            end = inner + "}" + (outer + "}" if d else "")  # a child closes its entry too
+            levels.append((
+                outer + "{" + inner + '"prior": ' if d else "",
+                "," + inner + '"utility": ' if d else "",
+                ("," + inner + '"node": {' if d else "{") + key + '"name": ',
+                "," + key + '"temperature_tag": ', "," + key + '"children": [',
+                end, key + "]" + end,
+            ))
+        lead, mid, name, tag, kids, end, closer = levels[d]
+        out.append(f"{text}{lead}{prior[j]}{mid}{utility[j]}{name}{names[j]}")
+        if count[j]:
+            out.append(f"{tag}{tags[j]}{kids}")
+            stack.append((None, 0, closer))
+            stack.extend([(c, d + 1, ",") for c in range(first[j] + count[j] - 1, first[j], -1)])
+            stack.append((first[j], d + 1, ""))
+        else:
+            out.append(end)
+    return out
 
 
 def _scalar_text(value, fmt_float) -> str | None:
@@ -492,6 +513,9 @@ def render_json(obj, fmt_float=float.__repr__) -> str:
 def dumps(pf: ProblemFile) -> str:
     """Serialize to canonical JSON text: normalized probabilities,
     full-precision floats, limits as their string spellings."""
+    types = {"control": ControlProblem, "two_stage": TwoStageProblem, "tree": DecisionTree}
+    if not isinstance(pf.problem, types.get(pf.kind, ())):
+        raise DomainError(f"a {pf.kind!r} file cannot hold a {type(pf.problem).__name__}")
     if pf.kind == "control":
         problem = pf.problem
         payload = {
@@ -512,7 +536,7 @@ def dumps(pf: ProblemFile) -> str:
             },
         }
     else:
-        payload = _tree_to_json(pf.problem)
+        payload = None  # a placeholder for the text _tree_parts writes
 
     doc = {"schema_version": pf.schema_version, "kind": pf.kind, "payload": payload}
     temps = {}
@@ -524,10 +548,16 @@ def dumps(pf: ProblemFile) -> str:
         temps["mu"] = _temp_to_json(pf.mu)
     if temps:
         doc["temperatures"] = temps
-    return render_json(doc) + "\n"
+    text = render_json(doc) + "\n"
+    if pf.kind != "tree":
+        return text
+    # No string holds this unescaped quote, so it is the payload's key.
+    head, tail = text.split('"payload": null', 1)
+    return "".join([head, '"payload": ', *_tree_parts(pf.problem), tail])
 
 
 def dump(pf: ProblemFile, path: str) -> None:
-    """Write the canonical serialization to disk."""
+    """Write the canonical serialization to disk; a failing dumps leaves the file as it was."""
+    text = dumps(pf)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(pf))
+        fh.write(text)

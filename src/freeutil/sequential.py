@@ -365,42 +365,43 @@ def value_recursion(tree: DecisionTree, temps: TemperatureSpec) -> TreeValue:
     # below raises the error the first of them would have raised.
     faulty = np.zeros(n, dtype=bool)
 
-    # Gains that overflow are caught by each level's finiteness check, and
-    # the nodes they break raise their errors below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi, end in reversed(list(zip(levels, levels[1:], levels[2:]))):
-            # The parents among nodes lo .. hi; their edges, hi - 1 .. end - 1,
-            # lead to the nodes of the next level.
-            parents = lo + np.flatnonzero(n_children[lo:hi])
-            offsets = first_child[parents] - hi
-            level_gains = gains[hi - 1 : end - 1]
+    for lo, hi, end in reversed(list(zip(levels, levels[1:], levels[2:]))):
+        # The parents among nodes lo .. hi; their edges, hi - 1 .. end - 1,
+        # lead to the nodes of the next level.
+        parents = lo + np.flatnonzero(n_children[lo:hi])
+        offsets = first_child[parents] - hi
+        level_gains = gains[hi - 1 : end - 1]
+        # Gains that overflow are caught by this finiteness check, and the
+        # nodes they break raise their errors below.
+        with np.errstate(over="ignore", invalid="ignore"):
             np.add(utility[hi - 1 : end - 1], value[hi:end], out=level_gains)
-            tilt_gains = level_gains
-            if not math.isfinite(np.add.reduce(level_gains)):
-                finite = np.isfinite(level_gains)
-                faulty[parents] = ~np.logical_and.reduceat(finite, offsets)
-                tilt_gains = np.where(finite, level_gains, 0.0)
-            level_mu = is_mu[parents]
-            n_mu = int(np.count_nonzero(level_mu))
-            for want_mu, t in ((False, temps.lam), (True, temps.mu)):
-                chosen = n_mu if want_mu else len(parents) - n_mu
-                if not chosen:
-                    continue
-                if chosen == len(parents):
-                    segments, starts, entries = parents, offsets, slice(hi - 1, end - 1)
-                    p, g = prior[entries], tilt_gains
-                else:
-                    pick = level_mu == want_mu
-                    lengths = n_children[parents]
-                    mask = np.repeat(pick, lengths)
-                    lengths = lengths[pick]
-                    segments, starts = parents[pick], np.cumsum(lengths) - lengths
-                    entries = np.flatnonzero(mask) + (hi - 1)
-                    p, g = prior[entries], tilt_gains[mask]
-                flat, level_values, _, same = _tilt_segments(p, g, starts, t)
-                policy[entries] = flat
-                value[segments] = level_values
-                kept[segments] = same
+            all_finite = math.isfinite(np.add.reduce(level_gains))
+        tilt_gains = level_gains
+        if not all_finite:
+            finite = np.isfinite(level_gains)
+            faulty[parents] = ~np.logical_and.reduceat(finite, offsets)
+            tilt_gains = np.where(finite, level_gains, 0.0)
+        level_mu = is_mu[parents]
+        n_mu = int(np.count_nonzero(level_mu))
+        for want_mu, t in ((False, temps.lam), (True, temps.mu)):
+            chosen = n_mu if want_mu else len(parents) - n_mu
+            if not chosen:
+                continue
+            if chosen == len(parents):
+                segments, starts, entries = parents, offsets, slice(hi - 1, end - 1)
+                p, g = prior[entries], tilt_gains
+            else:
+                pick = level_mu == want_mu
+                lengths = n_children[parents]
+                mask = np.repeat(pick, lengths)
+                lengths = lengths[pick]
+                segments, starts = parents[pick], np.cumsum(lengths) - lengths
+                entries = np.flatnonzero(mask) + (hi - 1)
+                p, g = prior[entries], tilt_gains[mask]
+            flat, level_values, _, same = _tilt_segments(p, g, starts, t)
+            policy[entries] = flat
+            value[segments] = level_values
+            kept[segments] = same
 
     # Every tilted row is normalised as FiniteDistribution normalises it: by
     # its math.fsum, checked against NORMALIZATION_TOL. Its entries are

@@ -113,36 +113,34 @@ def _tilt_segments(prior, gains, starts, t: Temperature):
         ]
         return prior, values, [0.0] * k, [True] * k
 
-    if t.is_finite:
-        tv = t.value
-        if everywhere:
+    # log 0 is -inf; gains near ±1e308 overflow into NaN rows, which fail downstream.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if t.is_finite:
+            tv = t.value
             policy = np.log(prior)
+            policy += gains * tv
+            if not everywhere:
+                policy[~support] = -np.inf
+            m = np.maximum.reduceat(policy, starts)
+            policy -= spread(m)
+            np.exp(policy, out=policy)
+            s = np.add.reduceat(policy, starts)
+            policy /= spread(s)
+            log_z = [mi + math.log(si) for mi, si in zip(m.tolist(), s.tolist())]
+            values = [z / tv for z in log_z]
+            for i in [i for i, c in enumerate(const) if c]:
+                values[i] = g_max_list[i]
+                log_z[i] = tv * g_max_list[i]
         else:
-            with np.errstate(divide="ignore"):
-                policy = np.log(prior)
-        policy += gains * tv
-        if not everywhere:
-            policy[~support] = -np.inf
-        m = np.maximum.reduceat(policy, starts)
-        policy -= spread(m)
-        np.exp(policy, out=policy)
-        s = np.add.reduceat(policy, starts)
-        policy /= spread(s)
-        log_z = [mi + math.log(si) for mi, si in zip(m.tolist(), s.tolist())]
-        values = [z / tv for z in log_z]
-        for i in [i for i, c in enumerate(const) if c]:
-            values[i] = g_max_list[i]
-            log_z[i] = tv * g_max_list[i]
-    else:
-        target = g_max if t.is_pos_inf else g_min
-        winners = np.abs(gains - spread(target)) <= ARGMAX_TIE_TOL
-        if not everywhere:
-            winners &= support
-        # 1.0 per winner, divided by the number of winners in its segment.
-        policy = winners.astype(float)
-        policy /= spread(np.add.reduceat(policy, starts))
-        values = target.tolist()
-        log_z = [None] * k
+            target = g_max if t.is_pos_inf else g_min
+            winners = np.abs(gains - spread(target)) <= ARGMAX_TIE_TOL
+            if not everywhere:
+                winners &= support
+            # 1.0 per winner, divided by the number of winners in its segment.
+            policy = winners.astype(float)
+            policy /= spread(np.add.reduceat(policy, starts))
+            values = target.tolist()
+            log_z = [None] * k
     if True in const:
         np.copyto(policy, prior, where=spread(np.array(const)))
     return policy, values, log_z, const

@@ -11,8 +11,16 @@ from unittest import mock
 import pytest
 
 from freeutil import cli
-from freeutil.model import FreeUtilError
-from freeutil.problemio import dumps, load, loads
+from freeutil.model import (
+    DecisionTree,
+    FiniteDistribution,
+    FreeUtilError,
+    TemperatureSpec,
+    TreeNode,
+    UtilityTable,
+)
+from freeutil.problemio import ProblemFile, dump, dumps, load, loads, render_json
+from freeutil.sequential import regime_label, value_recursion
 
 GOLDEN = Path(__file__).parent / "golden"
 LN2 = math.log(2.0)
@@ -329,9 +337,78 @@ def test_solve_tree_hard_max_limit():
     assert doc["node_policies"]["root"] == {"a": 0.5, "b": 0.5}  # exact tie
 
 
+TREE_GOLDENS = sorted(p.name for p in GOLDEN.glob("tree_*.json"))
+
+
+def old_tree_document(path, units) -> str:
+    """The tree document as a dict in its old layout, built from the
+    labelled results in depth-first order, then rendered as a whole."""
+    pf = load(str(path))
+    temps = TemperatureSpec(pf.lam or 1.0, pf.mu or 1.0)
+    tv = value_recursion(pf.problem, temps)
+    node_values, node_policies = {}, {}
+    for node_path, node in pf.problem.iter_nodes():
+        node_values[node_path] = tv.values[node_path]
+        if node.children:
+            policy = tv.policies[node_path]
+            node_policies[node_path] = dict(zip(policy.outcomes, policy.probs))
+    doc = {
+        "command": "solve",
+        "kind": "tree",
+        "lambda": temps.lam.spell(),
+        "mu": temps.mu.spell(),
+        "regime": regime_label(temps),
+        "value": tv.root_value,
+        "node_values": node_values,
+        "node_policies": node_policies,
+        "units": units,
+    }
+    return render_json(doc, cli._fmt_float) + "\n"
+
+
+@pytest.mark.parametrize("units", ["nats", "bits"])
+@pytest.mark.parametrize("name", TREE_GOLDENS)
+def test_solve_tree_prints_the_old_document_byte_for_byte(name, units):
+    result = run_cli("solve", GOLDEN / name, "--units", units)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == old_tree_document(GOLDEN / name, units)
+
+
+def test_solve_tree_single_leaf_document():
+    tree, temps = DecisionTree(TreeNode("ré\"x")), TemperatureSpec(1.0, 1.0)
+    doc = json.loads(cli._solve_tree_doc(tree, temps, "bits", float.__repr__))
+    assert doc["node_values"] == {"ré\"x": 0.0} and doc["node_policies"] == {}
+    assert doc["units"] == "bits"
+
+
+def test_solve_tree_bits_rescale_no_node_named_like_a_relative_entropy(tmp_path):
+    names = ["achieved_kl", "information_cost"]
+    root = TreeNode("achieved_c1", (TreeNode(names[0]), TreeNode(names[1])),
+                    FiniteDistribution(names, [0.25, 0.75]), UtilityTable(names, [1.0, 2.0]))
+    path = tmp_path / "tree.json"
+    dump(ProblemFile("1", "tree", DecisionTree(root)), str(path))
+    nats, bits = (solve_doc(path, "--units", units) for units in ("nats", "bits"))
+    assert bits.pop("units") == "bits" and nats.pop("units") == "nats"
+    assert bits == nats
+
+
 def test_solve_tree_lambda_zero_is_solver_error():
     result = run_cli("solve", GOLDEN / "tree_chain.json", "--lambda", "zero")
     assert result.returncode == 3
+
+
+def test_overflowing_tilt_prints_one_error_line_and_no_warning(tmp_path):
+    """Utilities of ±1e308 at alpha 0.1 make the log-weights overflow. The
+    kernel computes under np.errstate, so the NaN policy is reported as the
+    one error line, with no numpy RuntimeWarning before it."""
+    doc = json.loads((GOLDEN / "control_basic.json").read_text())
+    doc["payload"] = {"outcomes": ["a", "b"], "prior": [0.5, 0.5], "utility": [1e308, -1e308]}
+    doc["temperatures"] = {"alpha": 0.1}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    result = run_process("solve", path)
+    assert result.returncode == 3 and result.stdout == ""
+    assert result.stderr == "DomainError: probability of 'a' is not finite: nan\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from freeutil.cli import _fmt_float
 from freeutil.model import (
@@ -10,14 +11,17 @@ from freeutil.model import (
     DomainError,
     FiniteDistribution,
     FreeUtilError,
+    Temperature,
     TreeNode,
     UtilityTable,
 )
 from freeutil.problemio import (
+    ProblemFile,
     _as_number,
     _as_number_list,
     _parse_tree,
     _require_keys,
+    dump,
     dumps,
     load,
     loads,
@@ -102,6 +106,139 @@ def test_writer_rejects_what_json_cannot_hold():
         render_json({"k": object()})
     with pytest.raises(TypeError):
         render_json({1: "non-string key"})
+
+
+# ---------------------------------------------------------------------------
+# Writing: a tree is written straight from its arrays; the reference is the
+# stdlib's layout of the nested objects, built here from the TreeNodes.
+
+# Names need escaping: quotes, backslashes, control characters, non-ASCII.
+# "/" separates the names in a node path, so no name holds it.
+node_names = st.text(
+    alphabet=st.one_of(
+        st.characters(blacklist_characters="/"), st.sampled_from('"\\\n\t\x00\x1f\x7f é€😀')
+    ),
+    max_size=4,
+)
+edge_utilities = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e308, -1e308]), st.floats(-1e3, 1e3)
+)
+edge_weights = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.01, 10.0))
+
+
+@st.composite
+def tree_nodes(draw, name="root", depth=0):
+    """A TreeNode up to 6 levels deep with fan-out 1 to 4; a node is a leaf
+    more often the deeper it is, and the root is a leaf one time in seven."""
+    if depth >= 6 or draw(st.integers(0, 6)) <= depth:
+        return TreeNode(name)
+    k = draw(st.integers(1, 4))
+    names = draw(st.lists(node_names, min_size=k, max_size=k, unique=True))
+    weights = draw(st.lists(edge_weights, min_size=k, max_size=k))
+    if not any(weights):
+        weights[0] = 1.0
+    # Multiples of 2**-20 that sum to exactly 1: the canonical form, which
+    # loads keeps bit for bit.
+    probs = [round(w / sum(weights) * 2**20) / 2**20 for w in weights]
+    top = probs.index(max(probs))
+    probs[top] += 1.0 - math.fsum(probs)
+    return TreeNode(
+        name,
+        tuple(draw(tree_nodes(c, depth + 1)) for c in names),
+        FiniteDistribution(names, probs),
+        UtilityTable(names, draw(st.lists(edge_utilities, min_size=k, max_size=k))),
+        draw(st.sampled_from(["lambda", "mu"])),
+    )
+
+
+def reference_payload(node: TreeNode) -> dict:
+    obj = {"name": node.name}
+    if node.children:
+        obj["temperature_tag"] = node.temperature_tag
+        obj["children"] = [
+            {"prior": p, "utility": u, "node": reference_payload(c)}
+            for c, p, u in zip(node.children, node.child_prior.probs, node.child_utility.values)
+        ]
+    return obj
+
+
+# Temperatures as written in a file: a number or a limit's spelling.
+LAMBDAS = [0.5, 2.0, "inf", "zero"]
+MUS = [-1.5, 0.7, "-inf", "inf", "zero"]
+
+
+def as_temperature(raw):
+    return Temperature.parse(raw) if isinstance(raw, str) else Temperature.finite(raw)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    tree_nodes(),
+    st.one_of(st.none(), st.sampled_from(LAMBDAS)),
+    st.one_of(st.none(), st.sampled_from(MUS)),
+)
+def test_tree_dumps_is_the_stdlib_layout_of_the_nodes(root, lam, mu):
+    doc = {"schema_version": "1", "kind": "tree", "payload": reference_payload(root)}
+    temps = {key: raw for key, raw in (("lambda", lam), ("mu", mu)) if raw is not None}
+    if temps:
+        doc["temperatures"] = temps
+    pf = ProblemFile(
+        "1",
+        "tree",
+        DecisionTree(root),
+        lam=None if lam is None else as_temperature(lam),
+        mu=None if mu is None else as_temperature(mu),
+    )
+    text = dumps(pf)
+    assert text == json.dumps(doc, indent=2) + "\n"
+    assert loads(text) == pf
+
+
+def test_tree_dumps_a_chain_deeper_than_the_recursion_limit_in_the_stdlib_layout():
+    """2,000 levels, about 120 MB of text. The reference lays out each level
+    with json.dumps around a marker for the level below, indented to its
+    depth, and the text is compared piece by piece."""
+    depth = 2_000
+    tip = TreeNode("leaf\n")
+    levels = []
+    for i in reversed(range(depth)):
+        name, utility = f'n"{i}\n', [-0.0, 5e-324, -1e308][i % 3]
+        tag = "mu" if i % 2 else "lambda"
+        tip = TreeNode(name, (tip,), FiniteDistribution([tip.name], [1.0]),
+                       UtilityTable([tip.name], [utility]), tag)
+        levels.append((name, tag, utility))
+    text = dumps(ProblemFile("1", "tree", DecisionTree(tip), lam=Temperature.finite(0.5)))
+
+    marker = json.dumps("\x00")
+    envelope = {"schema_version": "1", "kind": "tree", "payload": "\x00",
+                "temperatures": {"lambda": 0.5}}
+    pieces = [json.dumps(envelope, indent=2).split(marker)]
+    for i, (name, tag, utility) in enumerate(reversed(levels)):
+        obj = {"name": name, "temperature_tag": tag,
+               "children": [{"prior": 1.0, "utility": utility, "node": "\x00"}]}
+        pieces.append(json.dumps(obj, indent=2).replace("\n", "\n" + "  " * (1 + 3 * i)).split(marker))
+    leaf = json.dumps({"name": "leaf\n"}, indent=2).replace("\n", "\n" + "  " * (1 + 3 * depth))
+    at = 0
+    for piece in [head for head, _ in pieces] + [leaf] + [tail for _, tail in reversed(pieces)]:
+        assert text.startswith(piece, at), at
+        at += len(piece)
+    assert text[at:] == "\n"
+
+
+@pytest.mark.parametrize("fault", ["kind", "temperature"])
+def test_a_failing_dump_leaves_the_file_as_it_was(tmp_path, fault):
+    tree_file = load(str(GOLDEN / "tree_binary.json"))
+    if fault == "kind":
+        pf = ProblemFile("1", "tree", load(str(GOLDEN / "control_basic.json")).problem)
+        expected = pytest.raises(DomainError, match="a 'tree' file cannot hold a ControlProblem")
+    else:
+        pf = ProblemFile("1", "tree", tree_file.problem, lam=2.0)
+        expected = pytest.raises(AttributeError)
+    path = tmp_path / "problem.json"
+    path.write_text("old contents")
+    with expected:
+        dump(pf, str(path))
+    assert path.read_text() == "old contents"
 
 
 # ---------------------------------------------------------------------------
