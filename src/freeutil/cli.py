@@ -259,8 +259,8 @@ def _sweep_rows_two_stage(
             + list(sol.action_policy.probs)
             + [sol.value, sol.achieved_c1, sol.achieved_c2]
         )
-        # Free the solution before the next one is built: its outcome
-        # beliefs hold one float object per channel entry.
+        # Free the solution before the next one is built: it keeps the
+        # tilted channel, from which it builds its outcome beliefs.
         del sol
     return header, rows
 

@@ -161,6 +161,41 @@ class LazyMapping(Mapping):
         return repr(self._items())
 
 
+class _FlatStore:
+    """An immutable problem held in arrays. _FIELDS name the arguments of
+    the class's _from_arrays, which hold its whole value: equality compares
+    them (arrays entry by entry), hashing uses those that are not arrays,
+    and pickling rebuilds from them."""
+
+    __slots__ = ()
+    _FIELDS: tuple[str, ...] = ()
+
+    def _freeze(self, *values) -> None:
+        """Set the slots, in order, to values; arrays among them become read-only."""
+        for name, value in zip(self.__slots__, values):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._FIELDS))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable problem")
+
+    def __reduce__(self):
+        return type(self)._from_arrays, self._fields()
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = zip(self._fields(), other._fields())
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+    def __hash__(self) -> int:
+        return hash(tuple(f for f in self._fields() if not isinstance(f, np.ndarray)))
+
+
 @dataclass(frozen=True)
 class FiniteDistribution:
     """Normalized probability vector over an ordered list of opaque labels.
@@ -488,21 +523,23 @@ class ControlProblem:
         return self.prior.outcomes
 
 
-@dataclass(frozen=True)
-class TwoStageProblem:
+class TwoStageProblem(_FlatStore):
     """An action stage followed by an outcome stage.
 
     The system emits an action with default probability prior_action, then
     sees an outcome drawn from the per-action channel row. Utilities attach
     to the action itself and to each (action, outcome) pair.
+
+    The rows are held as read-only actions × outcomes arrays, channel_matrix
+    and utility_matrix. ``channel`` and ``outcome_utility`` map each action
+    to its row as a FiniteDistribution and a UtilityTable: the mappings the
+    problem was built from, or ones built on first read.
     """
 
-    actions: tuple[str, ...]
-    outcomes: tuple[str, ...]
-    prior_action: FiniteDistribution
-    channel: dict[str, FiniteDistribution]
-    action_utility: UtilityTable
-    outcome_utility: dict[str, UtilityTable]
+    _FIELDS = (
+        "actions", "outcomes", "prior_action", "action_utility", "channel_matrix", "utility_matrix"
+    )
+    __slots__ = (*_FIELDS, "channel", "outcome_utility")
 
     def __init__(
         self,
@@ -532,12 +569,36 @@ class TwoStageProblem:
                 raise LabelMismatch(
                     f"outcome_utility row for {a!r} must cover the outcome list"
                 )
-        object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "prior_action", prior_action)
-        object.__setattr__(self, "channel", channel)
-        object.__setattr__(self, "action_utility", action_utility)
-        object.__setattr__(self, "outcome_utility", outcome_utility)
+        self._freeze(
+            actions, outcomes, prior_action, action_utility,
+            np.array([channel[a].probs for a in actions], dtype=float),
+            np.array([outcome_utility[a].values for a in actions], dtype=float),
+            channel, outcome_utility,
+        )
+
+    @classmethod
+    def _from_arrays(
+        cls, actions, outcomes, prior_action, action_utility, channel_matrix, utility_matrix
+    ) -> "TwoStageProblem":
+        """A problem from labels and A×O arrays that already hold every
+        invariant, the channel rows normalised."""
+        actions, outcomes = tuple(actions), tuple(outcomes)
+
+        def rows(build, matrix):
+            return LazyMapping(
+                lambda: {a: build(outcomes, row) for a, row in zip(actions, matrix.tolist())}
+            )
+
+        problem = cls.__new__(cls)
+        problem._freeze(
+            actions, outcomes, prior_action, action_utility, channel_matrix,
+            utility_matrix, rows(FiniteDistribution._trusted, channel_matrix),
+            rows(UtilityTable, utility_matrix),
+        )
+        return problem
+
+    def __repr__(self) -> str:
+        return f"TwoStageProblem({', '.join(f'{n}={getattr(self, n)!r}' for n in self._FIELDS)})"
 
     def channel_row(self, action: str) -> FiniteDistribution:
         try:
@@ -620,7 +681,7 @@ def _check_tree(root: TreeNode) -> None:
         stack.extend(reversed(node.children))
 
 
-class DecisionTree:
+class DecisionTree(_FlatStore):
     """Finite rooted tree alternating chooser-tagged stages.
 
     Each internal node's child priors form a FiniteDistribution over the
@@ -637,6 +698,7 @@ class DecisionTree:
     one built on first read.
     """
 
+    _FIELDS = ("names", "tags", "n_children", "prior", "utility")
     __slots__ = ("names", "tags", "n_children", "first_child", "prior", "utility", "_root")
 
     def __init__(self, root: TreeNode):
@@ -671,35 +733,7 @@ class DecisionTree:
     def _fill(self, names, tags, n_children, prior, utility, root) -> None:
         n_children = np.asarray(n_children, dtype=np.intp)
         first_child = np.cumsum(n_children) - n_children + 1
-        fields = zip(
-            self.__slots__,
-            (names, tags, n_children, first_child, prior, utility, root),
-        )
-        for name, value in fields:
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable tree")
-
-    def __reduce__(self):
-        arrays = (self.names, self.tags, self.n_children, self.prior, self.utility)
-        return DecisionTree._from_arrays, arrays
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DecisionTree):
-            return NotImplemented
-        return (
-            self.names == other.names
-            and self.tags == other.tags
-            and np.array_equal(self.n_children, other.n_children)
-            and np.array_equal(self.prior, other.prior)
-            and np.array_equal(self.utility, other.utility)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.names, self.tags))
+        self._freeze(names, tags, n_children, first_child, prior, utility, root)
 
     def __repr__(self) -> str:
         return f"DecisionTree(root={self.root!r})"

@@ -22,6 +22,7 @@ import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -119,15 +120,38 @@ def _parse_control(payload: dict) -> ControlProblem:
     return ControlProblem(prior, utility)
 
 
+def _row_arrays(actions, outcomes, channel: dict, utility: dict):
+    """The channel and outcome utility rows as two A×O arrays, checked array
+    by array, the channel rows divided by their math.fsum as
+    FiniteDistribution divides; None if the rows are keyed in another order
+    than the actions or any row fails a check of its labelled constructor."""
+    n, width = len(actions), len(outcomes)
+    rows = [*channel.values(), *utility.values()]
+    if not list(channel) == actions == list(utility) or len(set(outcomes)) != width:
+        return None
+    if not all(type(row) is list and len(row) == width for row in rows):
+        return None
+    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        return None
+    try:
+        matrix = np.array(rows, dtype=float)
+        if not (np.isfinite(matrix).all() and (matrix[:n] >= 0.0).all()):
+            return None
+        totals = np.fromiter(map(math.fsum, rows[:n]), float, n)
+    except OverflowError:  # an integer too large for a float, or a sum past the float range
+        return None
+    if not (np.abs(totals - 1.0) <= NORMALIZATION_TOL).all():
+        return None
+    # Dividing by exactly 1.0 changes no bit, so every row is divided.
+    matrix[:n] /= totals[:, None]
+    return matrix[:n], matrix[n:]
+
+
 def _parse_two_stage(payload: dict) -> TwoStageProblem:
-    keys = {
-        "actions",
-        "outcomes",
-        "prior_action",
-        "channel",
-        "action_utility",
-        "outcome_utility",
-    }
+    """The two-stage payload, its rows read straight into arrays; if
+    _row_arrays refuses them, as labelled rows, to raise the error met first
+    or to keep rows keyed in another order than the actions."""
+    keys = {"actions", "outcomes", "prior_action", "channel", "action_utility", "outcome_utility"}
     _require_keys(payload, keys, keys, "two_stage payload")
     actions = _as_label_list(payload["actions"], "actions")
     outcomes = _as_label_list(payload["outcomes"], "outcomes")
@@ -138,13 +162,17 @@ def _parse_two_stage(payload: dict) -> TwoStageProblem:
         raise DomainError("channel must be an object keyed by action")
     if not isinstance(payload["outcome_utility"], dict):
         raise DomainError("outcome_utility must be an object keyed by action")
-    channel = {
-        a: FiniteDistribution(outcomes, _as_number_list(row, f"channel[{a!r}]"))
-        for a, row in payload["channel"].items()
-    }
+    arrays = _row_arrays(actions, outcomes, payload["channel"], payload["outcome_utility"])
+    if arrays is None:
+        channel = {
+            a: FiniteDistribution(outcomes, _as_number_list(row, f"channel[{a!r}]"))
+            for a, row in payload["channel"].items()
+        }
     action_utility = UtilityTable(
         actions, _as_number_list(payload["action_utility"], "action_utility")
     )
+    if arrays is not None:
+        return TwoStageProblem._from_arrays(actions, outcomes, prior, action_utility, *arrays)
     outcome_utility = {
         a: UtilityTable(outcomes, _as_number_list(row, f"outcome_utility[{a!r}]"))
         for a, row in payload["outcome_utility"].items()
@@ -377,10 +405,6 @@ def load(path: str) -> ProblemFile:
         return loads(fh.read())
 
 
-def _temp_to_json(t: Temperature):
-    return t.value if t.is_finite else t.spell()
-
-
 def _tree_parts(tree: DecisionTree) -> list[str]:
     """The tree payload's text in pieces, laid out as render_json lays out
     the value of a top-level key, in one pre-order pass over the arrays with
@@ -516,6 +540,20 @@ def dumps(pf: ProblemFile) -> str:
     types = {"control": ControlProblem, "two_stage": TwoStageProblem, "tree": DecisionTree}
     if not isinstance(pf.problem, types.get(pf.kind, ())):
         raise DomainError(f"a {pf.kind!r} file cannot hold a {type(pf.problem).__name__}")
+    if pf.schema_version != SCHEMA_VERSION:
+        raise DomainError(
+            f"unsupported schema_version {pf.schema_version!r}; expected {SCHEMA_VERSION!r}"
+        )
+    temps = {}
+    for field, key in (("alpha", "alpha"), ("lam", "lambda"), ("mu", "mu")):
+        t = getattr(pf, field)
+        if t is None:
+            continue
+        if not isinstance(t, Temperature):
+            raise DomainError(f"{field} must be a Temperature or None, got {t!r}")
+        if (field == "alpha") != (pf.kind == "control"):
+            raise DomainError(f"a {pf.kind!r} file cannot carry the temperature {field}")
+        temps[key] = t.value if t.is_finite else t.spell()
     if pf.kind == "control":
         problem = pf.problem
         payload = {
@@ -529,23 +567,14 @@ def dumps(pf: ProblemFile) -> str:
             "actions": list(problem.actions),
             "outcomes": list(problem.outcomes),
             "prior_action": list(problem.prior_action.probs),
-            "channel": {a: list(problem.channel[a].probs) for a in problem.actions},
+            "channel": dict(zip(problem.actions, problem.channel_matrix.tolist())),
             "action_utility": list(problem.action_utility.values),
-            "outcome_utility": {
-                a: list(problem.outcome_utility[a].values) for a in problem.actions
-            },
+            "outcome_utility": dict(zip(problem.actions, problem.utility_matrix.tolist())),
         }
     else:
         payload = None  # a placeholder for the text _tree_parts writes
 
     doc = {"schema_version": pf.schema_version, "kind": pf.kind, "payload": payload}
-    temps = {}
-    if pf.alpha is not None:
-        temps["alpha"] = _temp_to_json(pf.alpha)
-    if pf.lam is not None:
-        temps["lambda"] = _temp_to_json(pf.lam)
-    if pf.mu is not None:
-        temps["mu"] = _temp_to_json(pf.mu)
     if temps:
         doc["temperatures"] = temps
     text = render_json(doc) + "\n"

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -151,21 +150,22 @@ def _row_kls(beliefs, channel, starts, kept) -> list[float]:
     np.divide(beliefs, channel, out=terms, where=beliefs > 0.0)
     np.log(terms, out=terms)
     terms *= beliefs
-    bounds = starts.tolist() + [len(beliefs)]
+    terms = terms.tolist()
+    bounds = starts.tolist() + [len(terms)]
     return [
-        0.0 if same else max(math.fsum(terms[lo:hi].tolist()), 0.0)
+        0.0 if same else max(math.fsum(terms[lo:hi]), 0.0)
         for lo, hi, same in zip(bounds, bounds[1:], kept)
     ]
 
 
-def _beliefs(blocks, outcomes) -> dict[str, FiniteDistribution]:
+def _beliefs(problem: TwoStageProblem, blocks) -> dict[str, FiniteDistribution]:
     """The outcome beliefs of tilted blocks of rows: a row the tilt kept is
     the channel row itself."""
-    width = len(outcomes)
+    outcomes, width = problem.outcomes, len(problem.outcomes)
     return {
-        a: row if same else FiniteDistribution(outcomes, flat[lo : lo + width].tolist())
-        for block, rows, flat, starts, kept in blocks
-        for a, row, lo, same in zip(block, rows, starts, kept)
+        a: problem.channel[a] if same else FiniteDistribution(outcomes, flat[lo : lo + width])
+        for block, flat, starts, kept in blocks
+        for a, lo, same in zip(block, starts, kept)
     }
 
 
@@ -179,8 +179,8 @@ def outer_policy(problem: TwoStageProblem, lam, mu) -> TwoStageSolution:
     lam = zero is rejected — an infinitely expensive chooser never moves,
     which is not a solvable regime here.
 
-    The inner stage is a segmented tilt over the flat actions × outcomes
-    matrices, one segment per action, in blocks of rows of about
+    The inner stage is a segmented tilt over the problem's actions × outcomes
+    arrays, one segment per action, in blocks of rows of about
     _BLOCK_ENTRIES entries so that no temporary grows with the whole matrix.
     """
     temps = TemperatureSpec(lam, mu)
@@ -189,35 +189,27 @@ def outer_policy(problem: TwoStageProblem, lam, mu) -> TwoStageSolution:
             "lambda at the zero limit pins the policy to its prior; "
             "use a finite lambda or the inf limit"
         )
-    actions, outcomes = problem.actions, problem.outcomes
-    width = len(outcomes)
+    actions, width = problem.actions, len(problem.outcomes)
     blocks = []
     inner_values: list[float] = []
     inner_log_z: list[float | None] = []
     row_kls: list[float] = []
     step = max(1, _BLOCK_ENTRIES // width)
     for first in range(0, len(actions), step):
-        block = actions[first : first + step]
-        rows = [problem.channel[a] for a in block]
-        size = len(block) * width
-        channel = np.fromiter(chain.from_iterable(r.probs for r in rows), float, size)
-        utility = np.fromiter(
-            chain.from_iterable(problem.outcome_utility[a].values for a in block),
-            float,
-            size,
-        )
-        starts = np.arange(0, size, width)
+        rows = slice(first, first + step)
+        channel = problem.channel_matrix[rows].reshape(-1)  # views of the rows
+        starts = np.arange(0, channel.size, width)
         flat, block_values, block_log_z, kept = _tilt_segments(
-            channel, utility, starts, temps.mu
+            channel, problem.utility_matrix[rows].reshape(-1), starts, temps.mu
         )
         inner_values += block_values
         inner_log_z += block_log_z
         row_kls += _row_kls(flat, channel, starts, kept)
-        blocks.append((block, rows, flat, starts.tolist(), kept))
+        blocks.append((actions[rows], flat, starts.tolist(), kept))
         # Tilted rows are nonnegative and sum to 1 within rounding unless they
         # hold a NaN; such a block builds its beliefs now, to raise the error.
         if not np.isfinite(flat).all():
-            _beliefs(blocks[-1:], outcomes)
+            _beliefs(problem, blocks[-1:])
 
     values = {
         a: u + v
@@ -229,7 +221,7 @@ def outer_policy(problem: TwoStageProblem, lam, mu) -> TwoStageSolution:
     c2 = math.fsum(p * kl for p, kl in zip(outer.policy.probs, row_kls) if p > 0.0)
     return TwoStageSolution(
         action_policy=outer.policy,
-        outcome_beliefs=LazyMapping(lambda: _beliefs(blocks, outcomes)),
+        outcome_beliefs=LazyMapping(lambda: _beliefs(problem, blocks)),
         log_z1=outer.log_partition,
         log_z2=dict(zip(actions, inner_log_z)),
         values=values,

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -225,18 +227,38 @@ def test_tree_dumps_a_chain_deeper_than_the_recursion_limit_in_the_stdlib_layout
     assert text[at:] == "\n"
 
 
-@pytest.mark.parametrize("fault", ["kind", "temperature"])
+DUMP_FAULTS = {
+    "kind": ("tree_binary.json", {"problem": "control"}, "a 'tree' file cannot hold a ControlProblem"),
+    "temperature": ("tree_binary.json", {"lam": 2.0}, "lam must be a Temperature or None, got 2.0"),
+    "plain mu": ("two_stage_basic.json", {"mu": "inf"}, "mu must be a Temperature or None, got 'inf'"),
+    "plain alpha": ("control_basic.json", {"alpha": 0.5}, "alpha must be a Temperature or None"),
+    "alpha in a two-stage file": (
+        "two_stage_basic.json",
+        {"alpha": Temperature.finite(1.0)},
+        "a 'two_stage' file cannot carry the temperature alpha",
+    ),
+    "lam in a control file": (
+        "control_basic.json", {"lam": Temperature.pos_inf()}, "a 'control' file cannot carry"
+    ),
+    "schema version": (
+        "two_stage_basic.json",
+        {"schema_version": "2"},
+        "unsupported schema_version '2'; expected '1'",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", DUMP_FAULTS)
 def test_a_failing_dump_leaves_the_file_as_it_was(tmp_path, fault):
-    tree_file = load(str(GOLDEN / "tree_binary.json"))
-    if fault == "kind":
-        pf = ProblemFile("1", "tree", load(str(GOLDEN / "control_basic.json")).problem)
-        expected = pytest.raises(DomainError, match="a 'tree' file cannot hold a ControlProblem")
-    else:
-        pf = ProblemFile("1", "tree", tree_file.problem, lam=2.0)
-        expected = pytest.raises(AttributeError)
+    """Every field of a ProblemFile is checked before the file is opened;
+    a field that loads would refuse fails dumps with a DomainError."""
+    name, changes, message = DUMP_FAULTS[fault]
+    if changes.get("problem") == "control":
+        changes["problem"] = load(str(GOLDEN / "control_basic.json")).problem
+    pf = dataclasses.replace(load(str(GOLDEN / name)), **changes)
     path = tmp_path / "problem.json"
     path.write_text("old contents")
-    with expected:
+    with pytest.raises(DomainError, match=re.escape(message)):
         dump(pf, str(path))
     assert path.read_text() == "old contents"
 
