@@ -92,7 +92,8 @@ def _as_list(values):
     return values.tolist() if isinstance(values, np.ndarray) else values
 
 
-def _check_distribution(outcomes: Sequence[str], probs: Sequence[float]) -> None:
+def _check_distribution(outcomes: Sequence[str], probs: Sequence[float]) -> float:
+    """Raise the first violated distribution invariant; return math.fsum(probs)."""
     if len(outcomes) != len(probs):
         raise LabelMismatch(
             f"{len(outcomes)} labels but {len(probs)} probabilities"
@@ -117,6 +118,7 @@ def _check_distribution(outcomes: Sequence[str], probs: Sequence[float]) -> None
         total = math.inf
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise NotNormalized(f"probabilities sum to {total!r}, expected 1")
+    return total
 
 
 def _aligned(
@@ -212,8 +214,7 @@ class FiniteDistribution:
     def __init__(self, outcomes: Sequence[str], probs: Sequence[float]):
         outcomes = tuple(outcomes)
         probs_list = list(map(float, _as_list(probs)))
-        _check_distribution(outcomes, probs_list)
-        total = math.fsum(probs_list)
+        total = _check_distribution(outcomes, probs_list)
         object.__setattr__(self, "outcomes", outcomes)
         # Dividing by exactly 1.0 changes no bit, so it is skipped.
         if total != 1.0:

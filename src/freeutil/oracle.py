@@ -11,7 +11,9 @@ probability simplex. Because both objectives are per-coordinate separable,
 the lattice maximum is found by max-plus convolution across coordinates in
 O(n·N²) instead of enumerating the full lattice (which for 4 outcomes at
 N = 1000 would be ~1.7e8 points); the reported evaluation count is the
-lattice cardinality the convolution covers.
+lattice cardinality the convolution covers. Each convolution step scores
+its (N+1)×(N+1) matrix a block of rows at a time, about _BLOCK_ENTRIES
+entries, so the working memory is O(block·N), not O(N²).
 """
 from __future__ import annotations
 
@@ -38,6 +40,9 @@ from .sequential import TreeValue
 
 MAX_GRID_OUTCOMES = 4
 MAX_PATHS = 100_000
+
+# Score-matrix entries per block of a max-plus convolution step.
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -102,15 +107,23 @@ def simplex_grid_search(
 
     # Max-plus convolution: f[s] = best objective using the first k
     # coordinates with total count s; choices[k][s] records coordinate k's
-    # count at that optimum.
+    # count at that optimum. Each step scores [s, c] = f[s-c] + terms[k][c]
+    # into one reused buffer, a block of rows s at a time.
     f = terms[0]
     choices = []
+    step = max(1, _BLOCK_ENTRIES // (N + 1))
+    block = np.empty((min(step, N + 1), N + 1))
+    rows = np.arange(len(block))
     for k in range(1, n):
         padded = np.concatenate([np.full(N, -np.inf), f])
         windows = sliding_window_view(padded, N + 1)[:, ::-1]  # [s, c] = f[s-c]
-        scores = windows + terms[k][None, :]
-        best_c = np.argmax(scores, axis=1)
-        f = scores[np.arange(N + 1), best_c]
+        f = np.empty(N + 1)
+        best_c = np.empty(N + 1, dtype=np.intp)
+        for lo in range(0, N + 1, step):
+            hi = min(lo + step, N + 1)
+            scores = np.add(windows[lo:hi], terms[k], out=block[: hi - lo])
+            np.argmax(scores, axis=1, out=best_c[lo:hi])
+            f[lo:hi] = scores[rows[: hi - lo], best_c[lo:hi]]
         choices.append(best_c)
 
     counts = [0] * n

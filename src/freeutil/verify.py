@@ -10,7 +10,6 @@ one alone or inside "all" gives identical instances.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 from dataclasses import dataclass, replace
@@ -86,6 +85,8 @@ def resolve_seed(text: str) -> int:
             return v
     except ValueError:
         pass
+    import hashlib  # here, so that importing the package maps no OpenSSL
+
     return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
 
 

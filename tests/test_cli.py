@@ -21,6 +21,7 @@ from freeutil.model import (
 )
 from freeutil.problemio import ProblemFile, dump, dumps, load, loads, render_json
 from freeutil.sequential import regime_label, value_recursion
+from freeutil.verify import resolve_seed
 
 GOLDEN = Path(__file__).parent / "golden"
 LN2 = math.log(2.0)
@@ -597,6 +598,56 @@ def test_verify_suite_passes_and_repeats_bytes():
 def test_verify_seed_defaults_to_zero():
     doc = json.loads(run_cli("verify", "--suite", "limit-recovery").stdout)
     assert doc["seed"] == "0"
+
+
+HASHED_SEED_LOG_PARTITION = (
+    '{\n'
+    '  "command": "verify",\n'
+    '  "seed": "abc",\n'
+    '  "suite": "log-partition",\n'
+    '  "units": "nats",\n'
+    '  "perturbation": 0,\n'
+    '  "certificates": [\n'
+    '    {\n'
+    '      "name": "log-partition/alpha-0.1",\n'
+    '      "analytic": 4.97137692079,\n'
+    '      "oracle": 4.97137692079,\n'
+    '      "gap": 8.881784197e-16,\n'
+    '      "tolerance": 1e-09,\n'
+    '      "passed": true,\n'
+    '      "note": "worst of 50 random tables, direct summation reference"\n'
+    '    },\n'
+    '    {\n'
+    '      "name": "log-partition/alpha-1",\n'
+    '      "analytic": 4.75624701424,\n'
+    '      "oracle": 4.75624701424,\n'
+    '      "gap": 8.881784197e-16,\n'
+    '      "tolerance": 1e-09,\n'
+    '      "passed": true,\n'
+    '      "note": "worst of 50 random tables, direct summation reference"\n'
+    '    },\n'
+    '    {\n'
+    '      "name": "log-partition/alpha-10",\n'
+    '      "analytic": 8.89616746362,\n'
+    '      "oracle": 8.89616746362,\n'
+    '      "gap": 3.5527136788e-15,\n'
+    '      "tolerance": 1e-09,\n'
+    '      "passed": true,\n'
+    '      "note": "worst of 50 random tables, direct summation reference"\n'
+    '    }\n'
+    '  ],\n'
+    '  "passed": true\n'
+    '}\n'
+)
+
+
+def test_verify_hashed_seed_keeps_its_stream():
+    """A non-decimal FREEUTIL_SEED is hashed to the same integer, and so the
+    same instances, however the hash is loaded."""
+    assert resolve_seed("abc") == 13436514500253700074
+    result = run_process("verify", "--suite", "log-partition", seed="abc")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == HASHED_SEED_LOG_PARTITION
 
 
 def test_verify_perturbation_trips_every_certificate():

@@ -3,13 +3,16 @@ import itertools
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
-from freeutil import sequential, verify
+from freeutil import oracle, sequential, verify
 from freeutil.model import (
     DecisionTree,
     DomainError,
@@ -138,6 +141,105 @@ def test_grid_deterministic():
     r2 = simplex_grid_search(prior, u, 0.8, 1e-3)
     assert r1.best_value == r2.best_value
     assert r1.best_point.probs == r2.best_point.probs
+
+
+def reference_simplex_grid_search(prior, u_star, alpha, resolution):
+    """The grid search as it was before it scored in blocks: each max-plus
+    step builds the whole (N+1)×(N+1) score matrix at once."""
+    n = len(prior)
+    N = int(round(1.0 / resolution))
+    u = u_star.aligned_to(prior.outcomes)
+    x = np.arange(N + 1) / N
+    terms = []
+    for i in range(n):
+        p_i = prior.probs[i]
+        t = np.full(N + 1, -np.inf)
+        t[0] = 0.0
+        if p_i > 0.0:
+            xs = x[1:]
+            t[1:] = xs * u[i] - alpha * xs * np.log(xs / p_i)
+        terms.append(t)
+    f = terms[0]
+    choices = []
+    for k in range(1, n):
+        padded = np.concatenate([np.full(N, -np.inf), f])
+        windows = sliding_window_view(padded, N + 1)[:, ::-1]
+        scores = windows + terms[k][None, :]
+        best_c = np.argmax(scores, axis=1)
+        f = scores[np.arange(N + 1), best_c]
+        choices.append(best_c)
+    counts = [0] * n
+    s = N
+    for k in range(n - 1, 0, -1):
+        c = int(choices[k - 1][s])
+        counts[k] = c
+        s -= c
+    counts[0] = s
+    best = FiniteDistribution(prior.outcomes, [c / N for c in counts])
+    best_value = expectation(best, u_star) - alpha * kl_divergence(best, prior)
+    return best_value, best.probs, math.comb(N + n - 1, n - 1)
+
+
+# Lattices whose N + 1 score rows fit one block of the convolution with one
+# row to spare, exactly, and with one row too many.
+_ONE_BLOCK = math.isqrt(oracle._BLOCK_ENTRIES) - 1
+BLOCK_EDGES = [_ONE_BLOCK - 1, _ONE_BLOCK, _ONE_BLOCK + 1]
+
+
+def test_block_edges_straddle_one_block():
+    rows_per_block = [oracle._BLOCK_ENTRIES // (N + 1) for N in BLOCK_EDGES]
+    assert [math.ceil((N + 1) / r) for N, r in zip(BLOCK_EDGES, rows_per_block)] == [1, 1, 2]
+    assert rows_per_block[1] == BLOCK_EDGES[1] + 1
+
+
+@st.composite
+def grid_instances(draw):
+    """A prior with zero coordinates among them, utilities with ties and
+    large magnitudes, a temperature and a lattice at or near a block edge."""
+    n = draw(st.integers(1, 4))
+    labels = [f"o{i}" for i in range(n)]
+    # A coordinate below about 1e-308 overflows x/p in the lattice terms, a
+    # fault of its own (CHANGES.md), so positive weights start at 1e-12.
+    weight = st.one_of(st.just(0.0), st.floats(1e-12, 1.0), st.sampled_from([0.25, 1e-6]))
+    w = draw(st.lists(weight, min_size=n, max_size=n))
+    if not any(w):
+        w[draw(st.integers(0, n - 1))] = 1.0
+    total = math.fsum(w)
+    prior = FiniteDistribution(labels, [x / total for x in w])
+    utility = st.one_of(
+        st.sampled_from([0.0, 1.0, -1.0, 1e9, -1e9, 1e15]),
+        st.floats(-50.0, 50.0),
+    )
+    u = UtilityTable(labels, draw(st.lists(utility, min_size=n, max_size=n)))
+    alpha = draw(st.floats(0.05, 20.0))
+    N = draw(st.sampled_from(BLOCK_EDGES + [1000]))
+    return prior, u, alpha, 1.0 / N
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_instances())
+def test_blocked_convolution_equals_the_whole_matrix(instance):
+    prior, u, alpha, resolution = instance
+    res = simplex_grid_search(prior, u, alpha, resolution)
+    value, probs, evaluations = reference_simplex_grid_search(prior, u, alpha, resolution)
+    assert res.best_value == value
+    assert res.best_point.probs == probs
+    assert res.evaluations == evaluations
+
+
+def test_grid_search_memory_stays_within_a_few_blocks():
+    """The whole 1001×1001 score matrix is 8 MB; the blocks need well under 2 MB."""
+    labels = ["a", "b", "c", "d"]
+    prior = dist(labels, [0.1, 0.2, 0.3, 0.4])
+    u = util(labels, [0.3, -1.0, 2.0, 0.5])
+    simplex_grid_search(prior, u, 0.7, 1e-3)  # first call: any lazy import
+    tracemalloc.start()
+    try:
+        simplex_grid_search(prior, u, 0.7, 1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +558,15 @@ def test_import_leaves_scipy_out():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("module", ["freeutil", "freeutil.cli"])
+def test_import_leaves_openssl_out(module):
+    code = f"import sys, {module}; print(sorted({{'hashlib', '_hashlib'}} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freeutil.model import (
     DomainError,
@@ -364,6 +365,40 @@ def test_difference_is_maximized_by_bounded_control():
     for _ in range(500):
         p = dist(["a", "b", "c"], rng.dirichlet(np.ones(3)))
         assert free_utility_difference(prior, p, u, alpha).total <= best + 1e-12
+
+
+@st.composite
+def control_instances(draw):
+    """A prior with zero coordinates, a utility with ties, a temperature and
+    a policy perturbed from the solution within the prior's support."""
+    n = draw(st.integers(1, 6))
+    labels = [f"o{i}" for i in range(n)]
+    w = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=n, max_size=n))
+    if not any(w):
+        w[draw(st.integers(0, n - 1))] = 1.0
+    total = math.fsum(w)
+    prior = dist(labels, [x / total for x in w])
+    utility = st.one_of(st.sampled_from([0.0, 1.0, -2.0]), st.floats(-100.0, 100.0))
+    u = util(labels, draw(st.lists(utility, min_size=n, max_size=n)))
+    alpha = draw(st.floats(0.05, 20.0))
+    q = [draw(st.floats(0.0, 1.0)) if p > 0.0 else 0.0 for p in prior.probs]
+    if not any(q):
+        q = list(prior.probs)
+    t = draw(st.sampled_from([1e-6, 1e-3, 0.1, 0.5, 1.0]))
+    return prior, u, alpha, [x / math.fsum(q) for x in q], t
+
+
+@settings(max_examples=200, deadline=None)
+@given(control_instances())
+def test_bounded_control_maximizes_the_free_utility(instance):
+    """The variational principle: no policy on the prior's support beats the
+    tilted prior's Σ P·U − α·KL(P‖P0)."""
+    prior, u, alpha, q, t = instance
+    star = bounded_control(prior, u, alpha)
+    best = free_utility_difference(prior, star, u, alpha).total
+    moved = dist(prior.outcomes, [(1.0 - t) * s + t * x for s, x in zip(star.probs, q)])
+    tol = 1e-12 * (1.0 + max(map(abs, u.values)))
+    assert free_utility_difference(prior, moved, u, alpha).total <= best + tol
 
 
 def test_estimation_returns_target():
