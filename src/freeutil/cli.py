@@ -79,10 +79,6 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _dist_map(dist: FiniteDistribution) -> dict:
-    return {o: p for o, p in zip(dist.outcomes, dist.probs)}
-
-
 def _parse_temp_arg(text: str | None, what: str) -> Temperature | None:
     if text is None:
         return None
@@ -140,7 +136,7 @@ def _solve_control_doc(problem: ControlProblem, alpha: Temperature) -> dict:
         "command": "solve",
         "kind": "control",
         "alpha": alpha.spell(),
-        "policy": _dist_map(policy),
+        "policy": policy.as_mapping(),
         "value": tilt.value,
         "log_partition": tilt.log_partition,
         "expected_utility": expected,
@@ -158,8 +154,8 @@ def _solve_two_stage_doc(problem: TwoStageProblem, temps: TemperatureSpec) -> di
         "lambda": temps.lam.spell(),
         "mu": temps.mu.spell(),
         "regime": sol.regime,
-        "action_policy": _dist_map(sol.action_policy),
-        "outcome_beliefs": {a: _dist_map(d) for a, d in sol.outcome_beliefs.items()},
+        "action_policy": sol.action_policy.as_mapping(),
+        "outcome_beliefs": {a: d.as_mapping() for a, d in sol.outcome_beliefs.items()},
         "values": dict(sol.values),
         "value": sol.value,
         "log_z1": sol.log_z1,
@@ -380,7 +376,7 @@ def _cmd_regimes(args) -> int:
                     "lambda": temps.lam.spell(),
                     "mu": temps.mu.spell(),
                     "chosen_action": sol.chosen_action(),
-                    "policy": _dist_map(sol.action_policy),
+                    "policy": sol.action_policy.as_mapping(),
                     "value": sol.value,
                 }
             )

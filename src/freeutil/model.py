@@ -331,7 +331,7 @@ def kl_divergence(p: FiniteDistribution, q: FiniteDistribution) -> float:
     q may put mass outside support(p), but q(x) = 0 with p(x) > 0 is a
     support violation.
     """
-    q_probs = _aligned(q.outcomes, q.probs, p.outcomes)
+    q_probs = _aligned(q.outcomes, q.probs, p.outcomes).tolist()
     terms = []
     for label, pi, qi in zip(p.outcomes, p.probs, q_probs):
         if pi == 0.0:
@@ -340,7 +340,9 @@ def kl_divergence(p: FiniteDistribution, q: FiniteDistribution) -> float:
             raise SupportMismatch(
                 f"p({label!r}) = {pi} > 0 but q({label!r}) = 0"
             )
-        terms.append(pi * math.log(pi / qi))
+        ratio = pi / qi
+        # Past the float range (a subnormal qi), the ratio is taken as logs.
+        terms.append(pi * (math.log(ratio) if ratio < math.inf else math.log(pi) - math.log(qi)))
     return max(math.fsum(terms), 0.0) if terms else 0.0
 
 

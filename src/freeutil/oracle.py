@@ -69,6 +69,15 @@ def _check_resolution(resolution: float) -> int:
     return int(round(1.0 / resolution))
 
 
+def _log_ratio(x: np.ndarray, q: float) -> np.ndarray:
+    """log(x/q) for q > 0; where x/q overflows (a subnormal q), log x − log q."""
+    with np.errstate(over="ignore"):
+        out = np.log(x / q)
+    big = out == np.inf
+    out[big] = np.log(x[big]) - math.log(q)
+    return out
+
+
 def simplex_grid_search(
     prior: FiniteDistribution,
     u_star: UtilityTable,
@@ -102,7 +111,7 @@ def simplex_grid_search(
         t[0] = 0.0
         if p_i > 0.0:
             xs = x[1:]
-            t[1:] = xs * u[i] - alpha * xs * np.log(xs / p_i)
+            t[1:] = xs * u[i] - alpha * xs * _log_ratio(xs, p_i)
         terms.append(t)
 
     # Max-plus convolution: f[s] = best objective using the first k
@@ -152,8 +161,8 @@ def _pair_grid_objective(
     u0, u1 = u.values
     # A tiny divisor may overflow the penalty to ±inf, which is its limit.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t0 = np.where(x > 0.0, x * np.log(x / q0) if q0 > 0.0 else np.inf, 0.0)
-        t1 = np.where(x < 1.0, (1 - x) * np.log((1 - x) / q1) if q1 > 0.0 else np.inf, 0.0)
+        t0 = np.where(x > 0.0, x * _log_ratio(x, q0) if q0 > 0.0 else np.inf, 0.0)
+        t1 = np.where(x < 1.0, (1 - x) * _log_ratio(1 - x, q1) if q1 > 0.0 else np.inf, 0.0)
         kl = t0 + t1
         return x * u0 + (1 - x) * u1 - kl / inv_temp_divisor
 

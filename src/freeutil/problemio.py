@@ -9,10 +9,15 @@ half-valid problem. Temperature limits are spelled as the strings "inf",
 "-inf", and "zero" rather than non-portable float infinities; the JSON
 extensions Infinity, -Infinity and NaN are rejected.
 
+A file that is not UTF-8 fails with a DomainError naming the offset of its
+first bad byte.
+
 dump() writes the canonical form (normalized probabilities, full-precision
-floats), so load → dump → load is an identity. render_json() is the one JSON
-writer: it lays out problem files and, with 12-digit floats, the CLI's
-documents.
+floats), so load → dump → load is an identity. Two writers share one layout:
+render_json() recursively writes the documents the package builds (file
+headers, control and two-stage payloads and, with 12-digit floats, the CLI's
+documents), whose nesting the schema fixes; _tree_parts writes a tree
+payload, whose depth comes from the input, with an explicit stack.
 """
 from __future__ import annotations
 
@@ -401,8 +406,13 @@ def loads(text: str) -> ProblemFile:
 def load(path: str) -> ProblemFile:
     """Read and parse a problem file from disk. The text is handed to loads
     without a second reference, so it is freed once decoded."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return loads(fh.read())
+    except UnicodeDecodeError as e:
+        raise DomainError(
+            f"problem file is not UTF-8: byte {e.object[e.start]:#04x} at offset {e.start}"
+        ) from None
 
 
 def _tree_parts(tree: DecisionTree) -> list[str]:
@@ -442,96 +452,41 @@ def _tree_parts(tree: DecisionTree) -> list[str]:
     return out
 
 
-def _scalar_text(value, fmt_float) -> str | None:
-    """JSON text of a scalar or an empty container; None for a nonempty
-    container."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return fmt_float(value)
-    if isinstance(value, dict):
-        return None if value else "{}"
-    if isinstance(value, (list, tuple)):
-        return None if value else "[]"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def render_json(obj, fmt_float=float.__repr__) -> str:
     """JSON text of obj in the canonical layout: two-space indent, keys in
     insertion order, strings ASCII-escaped, floats written by fmt_float.
 
     With the default fmt_float the text equals ``json.dumps(obj, indent=2)``.
-    Containers are walked with an explicit stack, so nesting depth is bounded
-    by memory. Keys must be strings and containers must not contain
-    themselves.
+    A scalar of a subclass is written as its base type; anything else JSON
+    cannot hold, a non-string key included, raises TypeError. Each container
+    is one recursive call, so nesting is bounded by the recursion limit: this
+    writes the documents the package builds, whose depth the schema fixes,
+    not data shaped by the input (_tree_parts writes a tree payload).
     """
-    text = _scalar_text(obj, fmt_float)
-    if text is not None:
-        return text
-    # Exact-type converters for the common scalars; anything else (bool,
-    # None, subclasses, containers) goes through _scalar_text.
-    fast = {str: encode_basestring_ascii, float: fmt_float, int: int.__repr__}
-    enc = encode_basestring_ascii
-    out: list[str] = []
-    emit = out.append
-    # One frame per open container: its member iterator, whether it is a
-    # dict, and the newline plus indent of its members.
-    stack: list = []
-    indents = ["\n"]
-    child = obj
-    while True:
-        if child is not None:
-            keyed = isinstance(child, dict)
-            depth = len(stack) + 1
-            if depth == len(indents):
-                indents.append(indents[-1] + "  ")
-            indent = indents[depth]
-            emit("{" if keyed else "[")
-            members = iter(child.items()) if keyed else iter(child)
-            stack.append((members, keyed, indent))
-            lead = indent
-        else:
-            members, keyed, indent = stack[-1]
-            lead = "," + indent
-        # Format the run of scalar members up to the next nonempty container
-        # as one chunk.
-        run: list[str] = []
-        add = run.append
-        child = None
+    scalars = {str: encode_basestring_ascii, float: fmt_float, int: int.__repr__,
+               bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
+
+    def write(value, indent: str) -> str:
+        for base in type(value).__mro__:
+            if base in scalars:
+                return scalars[base](value)
+        keyed = isinstance(value, dict)
+        if not (keyed or isinstance(value, (list, tuple))):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        if not value:
+            return "{}" if keyed else "[]"
+        inner = indent + "  "
+        opener, closer = "{}" if keyed else "[]"
+        members = value.values() if keyed else value
+        kinds = set(map(type, members))
+        # A run of same-typed scalars is converted in one pass.
+        convert = scalars.get(kinds.pop()) if len(kinds) == 1 else None
+        texts = map(convert, members) if convert else (write(v, inner) for v in members)
         if keyed:
-            for key, value in members:
-                conv = fast.get(type(value))
-                text = conv(value) if conv else _scalar_text(value, fmt_float)
-                if text is None:
-                    child = value
-                    break
-                add(enc(key) + ": " + text)
-        else:
-            for value in members:
-                conv = fast.get(type(value))
-                text = conv(value) if conv else _scalar_text(value, fmt_float)
-                if text is None:
-                    child = value
-                    break
-                add(text)
-        if run:
-            emit(lead + ("," + indent).join(run))
-            lead = "," + indent
-        if child is not None:
-            emit(lead + enc(key) + ": " if keyed else lead)
-            continue
-        stack.pop()
-        emit(indent[:-2] + ("}" if keyed else "]"))
-        if not stack:
-            return "".join(out)
+            texts = map("{}: {}".format, map(encode_basestring_ascii, value), texts)
+        return opener + inner + ("," + inner).join(texts) + indent + closer
+
+    return write(obj, "\n")
 
 
 def dumps(pf: ProblemFile) -> str:

@@ -147,8 +147,12 @@ def _row_kls(beliefs, channel, starts, kept) -> list[float]:
     if all(kept):
         return [0.0] * len(kept)
     terms = np.ones_like(beliefs)
-    np.divide(beliefs, channel, out=terms, where=beliefs > 0.0)
+    with np.errstate(over="ignore"):
+        np.divide(beliefs, channel, out=terms, where=beliefs > 0.0)
+    # Past the float range (a subnormal channel entry), the ratio is taken as logs.
+    big = np.isinf(terms)
     np.log(terms, out=terms)
+    terms[big] = np.log(beliefs[big]) - np.log(channel[big])
     terms *= beliefs
     terms = terms.tolist()
     bounds = starts.tolist() + [len(terms)]

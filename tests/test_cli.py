@@ -206,6 +206,15 @@ def test_missing_file_exits_2():
     assert "No such file" in result.stderr
 
 
+def test_file_that_is_not_utf8_exits_2(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"schema_version": "1", \xff}')
+    result = run_process("solve", path)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "DomainError: problem file is not UTF-8: byte 0xff at offset 24\n"
+
+
 # ---------------------------------------------------------------------------
 # solve: control
 
@@ -694,6 +703,37 @@ def test_verify_file_tree():
     result = run_cli("verify", GOLDEN / "tree_chain.json")
     assert result.returncode == 0
     assert json.loads(result.stdout)["passed"] is True
+
+
+def subnormal_prior_file(tmp_path):
+    """Prior [5e-324, 1], utility [1000, 0], alpha 1: the policy moves almost
+    all mass to the outcome the prior holds at the smallest subnormal."""
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps({
+        "schema_version": "1",
+        "kind": "control",
+        "payload": {"outcomes": ["a", "b"], "prior": [5e-324, 1], "utility": [1000, 0]},
+        "temperatures": {"alpha": 1},
+    }))
+    return path
+
+
+def test_solve_against_a_subnormal_prior_is_finite(tmp_path):
+    result = run_cli("solve", subnormal_prior_file(tmp_path))
+    assert (result.returncode, result.stderr) == (0, "")
+    doc = json.loads(result.stdout, parse_constant=lambda name: pytest.fail(name))
+    # mpmath: KL 744.440071921381, total 255.559928078619
+    assert doc["achieved_kl"] == pytest.approx(744.440071921381, abs=1e-9)
+    assert doc["total"] == doc["value"] == pytest.approx(255.559928078619, abs=1e-9)
+
+
+def test_verify_against_a_subnormal_prior_passes(tmp_path):
+    result = run_cli("verify", subnormal_prior_file(tmp_path))
+    assert (result.returncode, result.stderr) == (0, "")
+    (cert,) = json.loads(result.stdout)["certificates"]
+    assert cert["passed"] is True
+    assert abs(cert["oracle"] - cert["analytic"]) <= 1e-5
+    assert cert["analytic"] == pytest.approx(255.559928078619, abs=1e-9)
 
 
 def test_verify_oversized_problems_exit_2():

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -166,6 +167,26 @@ def test_kl_aligns_permuted_labels():
     q = dist(["b", "a"], [0.5, 0.5])
     expected = 0.25 * math.log(0.5) + 0.75 * math.log(1.5)
     assert kl_divergence(p, q) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("q0", [5e-324, 1e-310, 2.5e-308, 1e-300])
+@pytest.mark.parametrize("p0", [1.0, 0.25, 1e-200])
+def test_kl_against_a_tiny_reference_probability_is_finite(p0, q0):
+    """p/q may overflow for a subnormal q; the value is still log p - log q,
+    checked against mpmath, and is bit for bit the ratio form where p/q does
+    not overflow."""
+    p = dist(["a", "b"], [p0, 1.0 - p0])
+    q = dist(["a", "b"], [q0, 1.0])
+    mpmath.mp.dps = 50
+    exact = sum(
+        mpmath.mpf(pi) * mpmath.log(mpmath.mpf(pi) / mpmath.mpf(qi))
+        for pi, qi in zip(p.probs, q.probs) if pi > 0.0
+    )
+    got = kl_divergence(p, q)
+    assert got == pytest.approx(float(exact), rel=1e-14)
+    if all(pi / qi < math.inf for pi, qi in zip(p.probs, q.probs)):
+        ratio_form = math.fsum(pi * math.log(pi / qi) for pi, qi in zip(p.probs, q.probs) if pi)
+        assert got == max(ratio_form, 0.0)
 
 
 # ---------------------------------------------------------------------------

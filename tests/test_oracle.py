@@ -7,6 +7,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -656,3 +657,25 @@ def test_pair_grid_objective_keeps_overflow_to_itself():
         flipped = _pair_grid_objective(x, q, u, -1e-310)
     assert np.isneginf(scores[0]) and np.isneginf(scores[-1])
     assert np.isposinf(flipped[0]) and np.isposinf(flipped[-1])
+
+
+def mp_objective(x, q, u, alpha):
+    """x·u0 + (1-x)·u1 − alpha·KL([x, 1-x] ‖ q) in mpmath at 50 digits."""
+    mpmath.mp.dps = 50
+    point = [mpmath.mpf(x), 1 - mpmath.mpf(x)]
+    kl = sum(pi * mpmath.log(pi / mpmath.mpf(qi)) for pi, qi in zip(point, q) if pi > 0)
+    return point[0] * u[0] + point[1] * u[1] - alpha * kl
+
+
+def test_oracles_score_a_subnormal_prior_coordinate():
+    """A prior coordinate of 5e-324 overflows x/p; the lattice and the pair
+    grid still score that coordinate, against mpmath, without a warning."""
+    q = dist(["a", "b"], [5e-324, 1.0])
+    u = util(["a", "b"], [1000.0, 0.0])
+    res = simplex_grid_search(q, u, 1.0)
+    assert res.best_point.probs == (1.0, 0.0)
+    assert res.best_value == pytest.approx(float(mp_objective(1.0, q.probs, u.values, 1)), abs=1e-9)
+    x = np.linspace(0.0, 1.0, 11)
+    scores = _pair_grid_objective(x, q, u, 1.0)
+    for xi, score in zip(x.tolist(), scores.tolist()):
+        assert score == pytest.approx(float(mp_objective(xi, q.probs, u.values, 1)), rel=1e-13)

@@ -2,8 +2,10 @@ import dataclasses
 import json
 import math
 import re
+from enum import IntEnum
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -108,6 +110,14 @@ def test_writer_rejects_what_json_cannot_hold():
         render_json({"k": object()})
     with pytest.raises(TypeError):
         render_json({1: "non-string key"})
+
+
+def test_writer_writes_a_scalar_subclass_as_its_base_type():
+    class Label(str):
+        pass
+
+    obj = {Label("k"): [Label("v"), np.float64(0.1), IntEnum("E", "A")(1), np.float64(2.5)]}
+    assert render_json(obj) == json.dumps(obj, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -422,3 +432,15 @@ def test_load_reports_decoder_depth_as_before(tmp_path):
         load(str(path))
     with pytest.raises(DomainError, match="nested 5000 levels deep"):
         loads("[" * 5000 + "]" * 5000)
+
+
+@pytest.mark.parametrize("data, byte, offset", [
+    (b'{"schema_version": "1", \xff}', "0xff", 24),
+    (b"\xef\xbb\xbf{}\x80", "0x80", 5),  # after a byte-order mark
+    (b'{"k": "\xe2\x82', "0xe2", 7),  # a character cut short at the end
+])
+def test_load_names_the_first_byte_that_is_not_utf8(tmp_path, data, byte, offset):
+    path = tmp_path / "bytes.json"
+    path.write_bytes(data)
+    with pytest.raises(DomainError, match=f"not UTF-8: byte {byte} at offset {offset}$"):
+        load(str(path))

@@ -313,6 +313,33 @@ def test_outer_reports_consistent_budgets():
         assert sol.achieved_c2 == pytest.approx(c2, abs=1e-9)
 
 
+def test_achieved_c2_against_a_subnormal_channel_entry():
+    """A channel entry of 5e-324 overflows belief/channel; the row's relative
+    entropy is still finite and matches mpmath."""
+    outcomes = ["low", "high"]
+    problem = TwoStageProblem(
+        ["safe", "risky"],
+        outcomes,
+        dist(["safe", "risky"], [0.5, 0.5]),
+        {"safe": dist(outcomes, [0.5, 0.5]), "risky": dist(outcomes, [5e-324, 1.0])},
+        util(["safe", "risky"], [0.0, 0.0]),
+        {"safe": util(outcomes, [2.0, 2.5]), "risky": util(outcomes, [1000.0, 0.0])},
+    )
+    sol = outer_policy(problem, 1.0, 1.0)
+    mpmath.mp.dps = 50
+    exact = mpmath.fsum(
+        mpmath.mpf(sol.action_policy.prob(a))
+        * mpmath.fsum(
+            mpmath.mpf(b) * mpmath.log(mpmath.mpf(b) / mpmath.mpf(c))
+            for b, c in zip(sol.outcome_beliefs[a].probs, problem.channel[a].probs)
+            if b > 0.0
+        )
+        for a in problem.actions
+    )
+    assert sol.outcome_beliefs["risky"].probs[0] > 0.99
+    assert sol.achieved_c2 == pytest.approx(float(exact), rel=1e-13)
+
+
 def test_outer_log_partition_recursion_identity():
     """The outer log-normalizer recomputes from the inner ones."""
     rng = np.random.default_rng(59)
