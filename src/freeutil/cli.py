@@ -20,6 +20,8 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 from .model import (
     ControlProblem,
     DecisionTree,
@@ -165,23 +167,38 @@ def _solve_two_stage_doc(problem: TwoStageProblem, temps: TemperatureSpec) -> di
     }
 
 
-def _solve_tree_doc(tree: DecisionTree, temps: TemperatureSpec, units: str, fmt_float) -> str:
+def _solve_tree_doc(tree: DecisionTree, temps: TemperatureSpec, units: str,
+                    conversion: str = "%.12g") -> str:
     """The tree solve document without its final newline: the header through
     render_json, node_values and node_policies (keyed by path, in pre-order)
-    from the flat results. No key is a relative entropy; units is a label."""
+    each filled by one % from an object array of the flat results, so no
+    Python loop runs per node. Floats are written by the % conversion, -0.0
+    as 0.0; paths and names are always % arguments, never template text.
+    No key is a relative entropy; units is a label."""
     tv = value_recursion(tree, temps)
-    first, count = tree.first_child.tolist(), tree.n_children.tolist()
-    paths = list(map(encode_basestring_ascii, tree.paths()))
-    values = list(map(fmt_float, tv.flat_values.tolist()))
-    # The policy entry of the edge into node j > 0, at index j.
-    entries = [""] + list(map("\n      {}: {}".format, map(encode_basestring_ascii, tree.names[1:]),
-                              map(fmt_float, tv.flat_policy.tolist())))
-    node_values, node_policies = [], []
-    for i in tree.orders()[0].tolist():
-        node_values.append(f"\n    {paths[i]}: {values[i]}")
-        if count[i]:
-            row = ",".join(entries[first[i] : first[i] + count[i]])
-            node_policies.append(f"\n    {paths[i]}: {{{row}\n    }}")
+    pre = tree.orders()[0]
+    paths = np.array(list(map(encode_basestring_ascii, tree.paths())), dtype=object)
+    names = np.array(list(map(encode_basestring_ascii, tree.names)), dtype=object)
+    # node_values: a path and a value per node.
+    values = np.empty(2 * len(pre), dtype=object)
+    values[0::2], values[1::2] = paths[pre], (tv.flat_values + 0.0)[pre]
+    values_text = "{" + ",".join(["\n    %s: " + conversion] * len(pre)) % tuple(values) + "\n  }"
+    # node_policies: a row per internal node, its path then a name and a
+    # probability per child; the edge into node j > 0 is flat_policy[j - 1].
+    internal = pre[tree.n_children[pre] > 0]
+    counts = tree.n_children[internal]
+    starts = np.cumsum(counts) - counts  # the edges before each row
+    rank = np.arange(len(tree.names) - 1) - np.repeat(starts, counts)
+    children = np.repeat(tree.first_child[internal], counts) + rank
+    row_at = np.arange(len(internal)) + 2 * starts
+    name_at = np.repeat(row_at + 1, counts) + 2 * rank
+    policies = np.empty(len(internal) + 2 * len(children), dtype=object)
+    policies[row_at], policies[name_at] = paths[internal], names[children]
+    policies[name_at + 1] = (tv.flat_policy + 0.0)[children - 1]
+    rows = {k: "\n    %s: {" + ",".join(["\n      %s: " + conversion] * k) + "\n    }"
+            for k in set(counts.tolist())}
+    template = ",".join(map(rows.__getitem__, counts.tolist()))
+    policies_text = "{" + template % tuple(policies) + "\n  }" if template else "{}"
     header = render_json({
         "command": "solve",
         "kind": "tree",
@@ -192,10 +209,8 @@ def _solve_tree_doc(tree: DecisionTree, temps: TemperatureSpec, units: str, fmt_
         "node_values": None,
         "node_policies": None,
         "units": units,
-    }, fmt_float)
+    }, lambda x: conversion % (x + 0.0))
     head, middle, tail = header.split(": null")  # the two placeholders are the only nulls
-    values_text, policies_text = (
-        "{" + ",".join(x) + "\n  }" if x else "{}" for x in (node_values, node_policies))
     return f"{head}: {values_text}{middle}: {policies_text}{tail}"
 
 
@@ -216,7 +231,7 @@ def _cmd_solve(args) -> int:
         elif pf.kind == "two_stage":
             doc = _solve_two_stage_doc(pf.problem, temps)
         else:
-            text = _solve_tree_doc(pf.problem, temps, args.units, _fmt_float)
+            text = _solve_tree_doc(pf.problem, temps, args.units)
     except FreeUtilError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_SOLVER
@@ -419,6 +434,8 @@ def _cmd_verify(args) -> int:
 
     pf = None
     try:
+        if not math.isfinite(args.perturb):
+            raise DomainError(f"perturbation must be a finite number, got {args.perturb!r}")
         if args.suite is not None:
             target["suite"] = args.suite
         else:

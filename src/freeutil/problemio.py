@@ -333,9 +333,11 @@ def _too_deep(text: str) -> DomainError:
 
 @contextmanager
 def _gc_paused():
-    """Pause the cyclic garbage collector: decoding a document and reading a
-    tree out of it make many containers but no reference cycle, so its
-    passes there would free nothing."""
+    """Pause the cyclic garbage collector, restoring its state on the way out.
+    loads holds the pause from the JSON decode until the decoded document is
+    released: decoding and building make many containers but no reference
+    cycle, so a pass there would free nothing, and a pass just after it, while
+    the decoded document lives, would scan every one of its containers."""
     import gc  # here, so that importing the package loads no extra module
 
     enabled = gc.isenabled()
@@ -350,19 +352,26 @@ def _gc_paused():
 def loads(text: str) -> ProblemFile:
     """Parse a problem document from its JSON text, rejecting anything the
     schema does not name."""
-    try:
-        with _gc_paused():
+    with _gc_paused():
+        try:
             raw = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as e:
-        raise DomainError(f"not valid JSON: {e}") from None
-    except ValueError:
-        # int() refuses literals longer than sys.get_int_max_str_digits().
-        raise DomainError("problem file holds an integer too large for a float") from None
-    except RecursionError:
-        raise _too_deep(text) from None
-    # Building needs only the decoded value; when the caller keeps no
-    # reference, this frees the text before the problem is built.
-    del text
+        except json.JSONDecodeError as e:
+            raise DomainError(f"not valid JSON: {e}") from None
+        except ValueError:
+            # int() refuses literals longer than sys.get_int_max_str_digits().
+            raise DomainError("problem file holds an integer too large for a float") from None
+        except RecursionError:
+            raise _too_deep(text) from None
+        # Building needs only the decoded value; when the caller keeps no
+        # reference, this frees the text before the problem is built.
+        del text
+        pf = _problem_file(raw)
+        del raw  # released while the collector is still paused
+    return pf
+
+
+def _problem_file(raw) -> ProblemFile:
+    """The problem file a decoded document describes."""
     _require_keys(
         raw,
         {"schema_version", "kind", "payload", "temperatures"},
@@ -382,8 +391,7 @@ def loads(text: str) -> ProblemFile:
     elif kind == "two_stage":
         problem = _parse_two_stage(raw["payload"])
     else:
-        with _gc_paused():
-            problem = _flat_tree(raw["payload"])
+        problem = _flat_tree(raw["payload"])
         if problem is None:
             problem = DecisionTree(_parse_tree(raw["payload"]))
 

@@ -12,6 +12,11 @@ Every command on it must keep the contract:
 - no warning is raised;
 - stdout is strict JSON (CSV for ``sweep``) holding no nan or inf;
 - a second run prints the same bytes.
+
+Pinned cases hold the same commands to the same rules at extreme flag
+values: temperatures at the ends of the float range, subnormal and
+negative zero, sweep grids holding them or nan, and non-finite
+perturbations.
 """
 import contextlib
 import copy
@@ -25,6 +30,7 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from freeutil import cli
@@ -198,16 +204,65 @@ def test_every_command_keeps_the_contract(case):
         path = os.path.join(tmp, "problem.json")
         Path(path).write_bytes(file_bytes(name, edits, fault))
         for argv in commands(path, kind):
-            code, out, err, caught = run(argv)
-            assert (code, out, err, caught) == run(argv), argv
-            assert caught == [], (argv, caught)
-            assert code in (0, 2, 3, 4), (argv, code, err)
-            if code in (2, 3):
-                assert re.fullmatch(r"[A-Za-z]\w*: [^\n]*\n", err), (argv, err)
-                assert out == ""
-                continue
-            assert err == "", (argv, err)
-            if argv[0] == "sweep":
-                check_csv(out)
-            else:
-                json.loads(out, parse_constant=reject_constant)
+            assert_contract(argv)
+
+
+def assert_contract(argv):
+    code, out, err, caught = run(argv)
+    assert (code, out, err, caught) == run(argv), argv
+    assert caught == [], (argv, caught)
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    if code in (2, 3):
+        assert re.fullmatch(r"[A-Za-z]\w*: [^\n]*\n", err), (argv, err)
+        assert out == ""
+        return
+    assert err == "", (argv, err)
+    if argv[0] == "sweep":
+        check_csv(out)
+    else:
+        json.loads(out, parse_constant=reject_constant)
+
+
+EXTREME_FLAGS = ["=5e-324", "=1e-310", "=1e308", "=-1e308", "=-0.0"]
+EXTREME_GRIDS = ["5e-324", "1e308", "-1e308", "nan", "-1e308,-5e-324,zero,5e-324,1e308"]
+NON_FINITE_PERTURB = [["--perturb", "nan"], ["--perturb", "inf"], ["--perturb=-inf"],
+                      ["--perturb", "1e400"]]
+
+
+def flag_cases():
+    """(golden file, command and flags): extreme temperatures and grids on
+    one file of each solvable kind, and non-finite perturbations."""
+    for name in ("control_basic.json", "two_stage_basic.json", "tree_mixed_tags.json"):
+        kind = GOLDEN_DOCS[name]["kind"]
+        for flag in ("--alpha", "--lambda", "--mu"):
+            for value in EXTREME_FLAGS:
+                yield name, ["solve", flag + value]
+                yield name, ["verify", flag + value]
+                if kind == "two_stage" and flag == "--mu":
+                    yield name, ["regimes", flag + value]
+        for param in ("alpha",) if kind == "control" else ("lambda", "mu"):
+            for grid in EXTREME_GRIDS:
+                yield name, ["sweep", "--param", param, "--grid=" + grid]
+        for perturb in NON_FINITE_PERTURB:
+            yield name, ["verify", *perturb]
+    yield "two_stage_basic.json", ["regimes", "--mu=-5e-324"]
+
+
+@pytest.mark.parametrize("name, argv", list(flag_cases()),
+                         ids=lambda x: x if isinstance(x, str) else " ".join(x))
+def test_flag_values_keep_the_contract(name, argv):
+    command, *flags = argv
+    assert_contract([command, str(GOLDEN / name), *flags])
+
+
+@pytest.mark.parametrize("perturb", NON_FINITE_PERTURB, ids=" ".join)
+def test_verify_rejects_a_non_finite_perturbation(perturb):
+    code, out, err, _ = run(["verify", str(GOLDEN / "two_stage_basic.json"), *perturb])
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"DomainError: perturbation must be a finite number, got [-a-z]+\n", err)
+
+
+def test_verify_keeps_a_large_finite_perturbation():
+    argv = ["verify", str(GOLDEN / "two_stage_basic.json"), "--perturb", "1.7e308"]
+    assert_contract(argv)
+    assert run(argv)[0] == 4

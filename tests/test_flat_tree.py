@@ -183,8 +183,8 @@ def test_loads_meets_mixed_faults_in_the_treenode_order(payload):
 
 
 def tree_doc(tree, temps) -> dict:
-    """The tree solve document, its floats written in full, read back."""
-    return json.loads(cli._solve_tree_doc(tree, temps, "nats", float.__repr__))
+    """The tree solve document, its floats written in full by %r, read back."""
+    return json.loads(cli._solve_tree_doc(tree, temps, "nats", "%r"))
 
 
 def reference_value_recursion(tree, temps):
@@ -213,14 +213,16 @@ def reference_value_recursion(tree, temps):
 
 def reference_tree_doc(tree, temps):
     """The document _solve_tree_doc built from the labelled results, walking
-    the TreeNodes depth first."""
+    the TreeNodes depth first; adding 0.0 writes -0.0 as 0.0, as the
+    document does."""
     values, policies = reference_value_recursion(tree, temps)
     node_values, node_policies = {}, {}
     for path, node in tree.iter_nodes():
-        node_values[path] = values[path]
+        node_values[path] = values[path] + 0.0
         if not node.is_leaf:
-            node_policies[path] = dict(zip(policies[path].outcomes, policies[path].probs))
-    return values[tree.root.name], node_values, node_policies
+            probs = [p + 0.0 for p in policies[path].probs]
+            node_policies[path] = dict(zip(policies[path].outcomes, probs))
+    return values[tree.root.name] + 0.0, node_values, node_policies
 
 
 def bits(mapping):

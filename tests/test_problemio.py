@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import math
 import re
@@ -444,3 +445,72 @@ def test_load_names_the_first_byte_that_is_not_utf8(tmp_path, data, byte, offset
     path.write_bytes(data)
     with pytest.raises(DomainError, match=f"not UTF-8: byte {byte} at offset {offset}$"):
         load(str(path))
+
+
+TREE_TEXT = (GOLDEN / "tree_depth3.json").read_text()
+# A node name that is not a string: _flat_tree refuses the payload and
+# _parse_tree names the fault.
+BAD_TREE = json.loads(TREE_TEXT)
+BAD_TREE["payload"]["children"][0]["node"]["name"] = 7
+GC_CASES = {
+    "tree": (TREE_TEXT.encode(), None),
+    "two-stage": ((GOLDEN / "two_stage_basic.json").read_bytes(), None),
+    "invalid JSON": (b'{"schema_version": ', "not valid JSON"),
+    "not UTF-8": (b'{"schema_version": "1", \xff}', "not UTF-8"),
+    "too deep": (b"[" * 5000 + b"]" * 5000, "nested 5000 levels deep"),
+    "huge integer": (b"1" + b"0" * 5000, "integer too large"),
+    "tree fault": (json.dumps(BAD_TREE).encode(), "node name in .* must be a string"),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc on", "gc off"])
+@pytest.mark.parametrize("reader, case", [
+    (reader, case) for reader in ("load", "loads") for case in sorted(GC_CASES)
+    if reader == "load" or case != "not UTF-8"  # loads takes text
+])
+def test_loading_leaves_the_collector_as_it_found_it(tmp_path, reader, case, enabled):
+    data, error = GC_CASES[case]
+    path = tmp_path / "problem.json"
+    path.write_bytes(data)
+
+    def read():
+        return load(str(path)) if reader == "load" else loads(data.decode("utf-8"))
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            read()
+        else:
+            with pytest.raises(DomainError, match=error):
+                read()
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_loads_starts_no_collector_pass_before_the_document_is_released():
+    """The decoded tree holds far more containers than the collector's first
+    threshold, yet no pass starts from the decode until the decoded document
+    is freed."""
+    passes = []
+
+    def record(phase, info):
+        passes.append(phase)
+
+    text = dumps(ProblemFile("1", "tree", DecisionTree(wide_root(2000))))
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(record)
+    try:
+        loads(text)
+    finally:
+        gc.callbacks.remove(record)
+        (gc.enable if was else gc.disable)()
+    assert passes == []
+
+
+def wide_root(width: int) -> TreeNode:
+    names = [f"c{i}" for i in range(width)]
+    return TreeNode("r", tuple(map(TreeNode, names)), FiniteDistribution(names, [1.0 / width] * width),
+                    UtilityTable(names, [float(i) for i in range(width)]))
