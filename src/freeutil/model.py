@@ -197,6 +197,10 @@ class _FlatStore:
     def __hash__(self) -> int:
         return hash(tuple(f for f in self._fields() if not isinstance(f, np.ndarray)))
 
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._FIELDS)
+        return f"{type(self).__name__}({fields})"
+
 
 @dataclass(frozen=True)
 class FiniteDistribution:
@@ -533,16 +537,17 @@ class TwoStageProblem(_FlatStore):
     sees an outcome drawn from the per-action channel row. Utilities attach
     to the action itself and to each (action, outcome) pair.
 
-    The rows are held as read-only actions × outcomes arrays, channel_matrix
-    and utility_matrix. ``channel`` and ``outcome_utility`` map each action
-    to its row as a FiniteDistribution and a UtilityTable: the mappings the
-    problem was built from, or ones built on first read.
+    The rows are read-only actions × outcomes arrays, channel_matrix and
+    utility_matrix, views of the edge arrays of the problem's depth-2 tree.
+    ``channel`` and ``outcome_utility`` map each action to its row as a
+    FiniteDistribution and a UtilityTable: the mappings the problem was
+    built from, or ones built on first read.
     """
 
     _FIELDS = (
         "actions", "outcomes", "prior_action", "action_utility", "channel_matrix", "utility_matrix"
     )
-    __slots__ = (*_FIELDS, "channel", "outcome_utility")
+    __slots__ = (*_FIELDS, "channel", "outcome_utility", "_edge_prior", "_edge_utility", "_depth2")
 
     def __init__(
         self,
@@ -572,11 +577,11 @@ class TwoStageProblem(_FlatStore):
                 raise LabelMismatch(
                     f"outcome_utility row for {a!r} must cover the outcome list"
                 )
-        self._freeze(
+        self._fill(
             actions, outcomes, prior_action, action_utility,
-            np.array([channel[a].probs for a in actions], dtype=float),
-            np.array([outcome_utility[a].values for a in actions], dtype=float),
-            channel, outcome_utility,
+            np.concatenate([prior_action.probs, *(channel[a].probs for a in actions)]),
+            np.concatenate([action_utility.values, *(outcome_utility[a].values for a in actions)]),
+            (channel, outcome_utility),
         )
 
     @classmethod
@@ -585,23 +590,43 @@ class TwoStageProblem(_FlatStore):
     ) -> "TwoStageProblem":
         """A problem from labels and A×O arrays that already hold every
         invariant, the channel rows normalised."""
-        actions, outcomes = tuple(actions), tuple(outcomes)
-
-        def rows(build, matrix):
-            return LazyMapping(
-                lambda: {a: build(outcomes, row) for a, row in zip(actions, matrix.tolist())}
-            )
-
         problem = cls.__new__(cls)
-        problem._freeze(
-            actions, outcomes, prior_action, action_utility, channel_matrix,
-            utility_matrix, rows(FiniteDistribution._trusted, channel_matrix),
-            rows(UtilityTable, utility_matrix),
+        problem._fill(
+            tuple(actions), tuple(outcomes), prior_action, action_utility,
+            np.concatenate((prior_action.probs, np.ravel(channel_matrix))),
+            np.concatenate((action_utility.values, np.ravel(utility_matrix))),
         )
         return problem
 
-    def __repr__(self) -> str:
-        return f"TwoStageProblem({', '.join(f'{n}={getattr(self, n)!r}' for n in self._FIELDS)})"
+    def _fill(self, actions, outcomes, prior_action, action_utility, prior, utility, rows=None):
+        """Set the fields from the tree's edge arrays: the action stage's
+        entries, then the rows. rows holds the channel and outcome_utility
+        mappings, or is None to build them from the matrices on first read."""
+        n, width = len(actions), len(outcomes)
+        matrices = prior[n:].reshape(n, width), utility[n:].reshape(n, width)
+        if rows is None:
+            rows = [
+                LazyMapping(lambda build=build, m=m: {
+                    a: build(outcomes, row) for a, row in zip(actions, m.tolist())
+                })
+                for build, m in zip((FiniteDistribution._trusted, UtilityTable), matrices)
+            ]
+        self._freeze(
+            actions, outcomes, prior_action, action_utility, *matrices, *rows, prior, utility, None
+        )
+
+    @property
+    def _tree(self) -> "DecisionTree":
+        """The depth-2 tree of sequential.two_stage_to_tree, built on first read."""
+        if self._depth2 is None:
+            n, width = len(self.actions), len(self.outcomes)
+            sizes, tree = [1, n, n * width], DecisionTree.__new__(DecisionTree)
+            names = ("root",) + self.actions + self.outcomes * n
+            is_mu = np.repeat([False, True, False], sizes)
+            n_children = np.repeat([n, width, 0], sizes)
+            tree._fill(names, is_mu, n_children, self._edge_prior, self._edge_utility, None)
+            object.__setattr__(self, "_depth2", tree)
+        return self._depth2
 
     def channel_row(self, action: str) -> FiniteDistribution:
         try:
@@ -644,6 +669,13 @@ class TreeNode:
         return not self.children
 
 
+def _check_node_name(name: str) -> None:
+    if "/" in name:
+        raise DomainError(
+            f"node name {name!r} contains '/', which separates the names in a node path"
+        )
+
+
 def _check_tree(root: TreeNode) -> None:
     """Raise the first violation of the tree invariants in pre-order. An
     explicit stack bounds the depth by memory."""
@@ -656,11 +688,7 @@ def _check_tree(root: TreeNode) -> None:
                 f"node {node.name!r} is reachable twice; the structure is not a tree"
             )
         seen.add(id(node))
-        if "/" in node.name:
-            raise DomainError(
-                f"node name {node.name!r} contains '/', which separates "
-                "the names in a node path"
-            )
+        _check_node_name(node.name)
         if node.is_leaf:
             if node.child_prior is not None or node.child_utility is not None:
                 raise LabelMismatch(
@@ -694,15 +722,17 @@ class DecisionTree(_FlatStore):
 
     The tree is stored as level-ordered (breadth-first) arrays, so the
     children of one level are the next level in order. Node i has the name
-    names[i], the tag tags[i] and n_children[i] children, the nodes from
-    first_child[i] on; the edge into node j > 0 is edge j - 1, with the
-    normalised prior prior[j - 1] and the utility gain utility[j - 1].
+    names[i], the tag tags[i] (held as is_mu[i], true for "mu") and
+    n_children[i] children, the nodes from first_child[i] on; the edge into
+    node j > 0 is edge j - 1, with the normalised prior prior[j - 1] and the
+    utility gain utility[j - 1]. A leaf's tag governs no backup, and any tag
+    but "mu" reads back as "lambda".
     ``root`` is the same tree as TreeNodes: the one it was built from, or
     one built on first read.
     """
 
     _FIELDS = ("names", "tags", "n_children", "prior", "utility")
-    __slots__ = ("names", "tags", "n_children", "first_child", "prior", "utility", "_root")
+    __slots__ = ("names", "is_mu", "n_children", "first_child", "prior", "utility", "_root")
 
     def __init__(self, root: TreeNode):
         _check_tree(root)
@@ -713,7 +743,7 @@ class DecisionTree(_FlatStore):
         n_edges = len(nodes) - 1
         self._fill(
             tuple(node.name for node in nodes),
-            tuple(node.temperature_tag for node in nodes),
+            [node.temperature_tag == MU_TAG for node in nodes],
             [len(node.children) for node in nodes],
             np.fromiter(
                 chain.from_iterable(n.child_prior.probs for n in internal), float, n_edges
@@ -730,16 +760,18 @@ class DecisionTree(_FlatStore):
     def _from_arrays(cls, names, tags, n_children, prior, utility) -> "DecisionTree":
         """A tree from breadth-first arrays that already hold every invariant."""
         tree = cls.__new__(cls)
-        tree._fill(tuple(names), tuple(tags), n_children, prior, utility, None)
+        tree._fill(tuple(names), [tag == MU_TAG for tag in tags], n_children, prior, utility, None)
         return tree
 
-    def _fill(self, names, tags, n_children, prior, utility, root) -> None:
+    def _fill(self, names, is_mu, n_children, prior, utility, root) -> None:
         n_children = np.asarray(n_children, dtype=np.intp)
         first_child = np.cumsum(n_children) - n_children + 1
-        self._freeze(names, tags, n_children, first_child, prior, utility, root)
+        is_mu = np.asarray(is_mu, dtype=bool)
+        self._freeze(names, is_mu, n_children, first_child, prior, utility, root)
 
-    def __repr__(self) -> str:
-        return f"DecisionTree(root={self.root!r})"
+    @property
+    def tags(self) -> tuple[str, ...]:
+        return tuple(map((LAMBDA_TAG, MU_TAG).__getitem__, self.is_mu.tolist()))
 
     @property
     def root(self) -> TreeNode:

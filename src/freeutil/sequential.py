@@ -6,6 +6,8 @@ equivalent per action; the outer stage tilts the action prior by those
 certainty equivalents (plus direct action utilities) at inverse temperature
 lam. The same backup generalizes to finite decision trees of any depth,
 with a per-node tag choosing which of the two temperatures governs it.
+value_recursion is its one implementation; outer_policy runs it on the
+problem's depth-2 tree (two_stage_to_tree) and reads the solution off it.
 
 mu is a risk attitude: mu < 0 is an adversarial/pessimistic environment
 stage, mu -> -inf the worst-case (max-min) limit, mu -> 0 the risk-neutral
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -26,14 +29,12 @@ from .model import (
     DecisionTree,
     DomainError,
     FiniteDistribution,
-    LAMBDA_TAG,
     LazyMapping,
-    MU_TAG,
     TemperatureSpec,
-    TreeNode,
     TwoStageProblem,
     UnsupportedRegime,
     UtilityTable,
+    _check_node_name,
     kl_divergence,
 )
 from .variational import _tilt_segments, exponential_tilt
@@ -137,42 +138,6 @@ def inner_policy(
     return result.policy, result.log_partition
 
 
-# Channel entries per segmented tilt in outer_policy.
-_BLOCK_ENTRIES = 1 << 14
-
-
-def _row_kls(beliefs, channel, starts, kept) -> list[float]:
-    """KL(beliefs row ‖ channel row) in nats for every row of two flat
-    matrices; rows the tilt kept at the prior are 0.0."""
-    if all(kept):
-        return [0.0] * len(kept)
-    terms = np.ones_like(beliefs)
-    with np.errstate(over="ignore"):
-        np.divide(beliefs, channel, out=terms, where=beliefs > 0.0)
-    # Past the float range (a subnormal channel entry), the ratio is taken as logs.
-    big = np.isinf(terms)
-    np.log(terms, out=terms)
-    terms[big] = np.log(beliefs[big]) - np.log(channel[big])
-    terms *= beliefs
-    terms = terms.tolist()
-    bounds = starts.tolist() + [len(terms)]
-    return [
-        0.0 if same else max(math.fsum(terms[lo:hi]), 0.0)
-        for lo, hi, same in zip(bounds, bounds[1:], kept)
-    ]
-
-
-def _beliefs(problem: TwoStageProblem, blocks) -> dict[str, FiniteDistribution]:
-    """The outcome beliefs of tilted blocks of rows: a row the tilt kept is
-    the channel row itself."""
-    outcomes, width = problem.outcomes, len(problem.outcomes)
-    return {
-        a: problem.channel[a] if same else FiniteDistribution(outcomes, flat[lo : lo + width])
-        for block, flat, starts, kept in blocks
-        for a, lo, same in zip(block, starts, kept)
-    }
-
-
 def outer_policy(problem: TwoStageProblem, lam, mu) -> TwoStageSolution:
     """Solve the nested problem at inverse temperatures (lam, mu).
 
@@ -183,9 +148,9 @@ def outer_policy(problem: TwoStageProblem, lam, mu) -> TwoStageSolution:
     lam = zero is rejected — an infinitely expensive chooser never moves,
     which is not a solvable regime here.
 
-    The inner stage is a segmented tilt over the problem's actions × outcomes
-    arrays, one segment per action, in blocks of rows of about
-    _BLOCK_ENTRIES entries so that no temporary grows with the whole matrix.
+    Both stages are value_recursion on the problem's depth-2 tree; this
+    reads the solution off its arrays. An outcome belief row with the bits of
+    its channel row is that row's FiniteDistribution itself.
     """
     temps = TemperatureSpec(lam, mu)
     if temps.lam.is_zero:
@@ -193,45 +158,30 @@ def outer_policy(problem: TwoStageProblem, lam, mu) -> TwoStageSolution:
             "lambda at the zero limit pins the policy to its prior; "
             "use a finite lambda or the inf limit"
         )
-    actions, width = problem.actions, len(problem.outcomes)
-    blocks = []
-    inner_values: list[float] = []
-    inner_log_z: list[float | None] = []
-    row_kls: list[float] = []
-    step = max(1, _BLOCK_ENTRIES // width)
-    for first in range(0, len(actions), step):
-        rows = slice(first, first + step)
-        channel = problem.channel_matrix[rows].reshape(-1)  # views of the rows
-        starts = np.arange(0, channel.size, width)
-        flat, block_values, block_log_z, kept = _tilt_segments(
-            channel, problem.utility_matrix[rows].reshape(-1), starts, temps.mu
-        )
-        inner_values += block_values
-        inner_log_z += block_log_z
-        row_kls += _row_kls(flat, channel, starts, kept)
-        blocks.append((actions[rows], flat, starts.tolist(), kept))
-        # Tilted rows are nonnegative and sum to 1 within rounding unless they
-        # hold a NaN; such a block builds its beliefs now, to raise the error.
-        if not np.isfinite(flat).all():
-            _beliefs(problem, blocks[-1:])
+    tv = value_recursion(problem._tree, temps)
+    actions, n = problem.actions, len(problem.actions)
+    probs = tv.flat_policy[:n].tolist()
+    action_policy = FiniteDistribution._trusted(actions, probs)
+    log_z = [None if math.isnan(z) else z for z in tv.flat_log_z[: n + 1].tolist()]
+    rows = tv.flat_policy[n:].reshape(n, -1)
 
-    values = {
-        a: u + v
-        for a, u, v in zip(actions, problem.action_utility.values, inner_values)
-    }
-    gains = UtilityTable(actions, list(values.values()))
-    outer = exponential_tilt(problem.prior_action, gains, temps.lam)
-    c1 = kl_divergence(outer.policy, problem.prior_action)
-    c2 = math.fsum(p * kl for p, kl in zip(outer.policy.probs, row_kls) if p > 0.0)
+    def beliefs() -> dict[str, FiniteDistribution]:
+        same = (rows.view(np.int64) == problem.channel_matrix.view(np.int64)).all(axis=1)
+        return {
+            a: problem.channel[a] if kept else FiniteDistribution._trusted(problem.outcomes, row)
+            for a, kept, row in zip(actions, same.tolist(), rows.tolist())
+        }
+
+    values = problem.action_utility.array + tv.flat_values[1 : n + 1]
     return TwoStageSolution(
-        action_policy=outer.policy,
-        outcome_beliefs=LazyMapping(lambda: _beliefs(problem, blocks)),
-        log_z1=outer.log_partition,
-        log_z2=dict(zip(actions, inner_log_z)),
-        values=values,
-        value=outer.value,
-        achieved_c1=c1,
-        achieved_c2=c2,
+        action_policy=action_policy,
+        outcome_beliefs=LazyMapping(beliefs),
+        log_z1=log_z[0],
+        log_z2=dict(zip(actions, log_z[1:])),
+        values=dict(zip(actions, values.tolist())),
+        value=tv.root_value,
+        achieved_c1=kl_divergence(action_policy, problem.prior_action),
+        achieved_c2=math.fsum(p * kl for p, kl in zip(probs, tv.flat_kl[1:].tolist()) if p > 0.0),
         regime=regime_label(temps),
     )
 
@@ -283,7 +233,10 @@ class TreeValue:
     Leaves have value 0 and no policy entry. value_recursion also keeps its
     results as arrays in the tree's breadth-first order, flat_values per node
     and flat_policy per edge, and builds the two mappings from them on first
-    read.
+    read. Per internal node, in the same order, flat_log_z holds the
+    log-partition of its tilt (NaN at the infinite limits, where there is
+    none) and flat_kl the relative entropy in nats of its tilted row, before
+    the row's final normalisation, against its prior row.
     """
 
     values: Mapping[str, float]
@@ -291,6 +244,8 @@ class TreeValue:
     root_path: str
     flat_values: np.ndarray | None = field(default=None, compare=False, repr=False)
     flat_policy: np.ndarray | None = field(default=None, compare=False, repr=False)
+    flat_log_z: np.ndarray | None = field(default=None, compare=False, repr=False)
+    flat_kl: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def root_value(self) -> float:
@@ -299,7 +254,7 @@ class TreeValue:
         return self.values[self.root_path]
 
 
-def _tree_value(tree: DecisionTree, value: np.ndarray, policy: np.ndarray) -> TreeValue:
+def _tree_value(tree: DecisionTree, value, policy, log_z, kl) -> TreeValue:
     """A TreeValue over the flat results, its mappings in post-order
     (children before their parent), the order a recursive backup fills."""
     names = tree.names
@@ -320,7 +275,37 @@ def _tree_value(tree: DecisionTree, value: np.ndarray, policy: np.ndarray) -> Tr
             if counts[i]
         }
 
-    return TreeValue(LazyMapping(values), LazyMapping(policies), names[0], value, policy)
+    return TreeValue(LazyMapping(values), LazyMapping(policies), names[0], value, policy, log_z, kl)
+
+
+# Edges per segmented tilt in value_recursion: a level is tilted a block of
+# whole rows at a time, at most this many edges (a longer row alone), so
+# that no temporary grows with the tree.
+_BLOCK_EDGES = 1 << 14
+
+
+def _row_kls(beliefs, prior, starts) -> np.ndarray:
+    """KL(beliefs row ‖ prior row) in nats for every segment of two flat
+    arrays; a row equal to its prior row has every term, and so its KL, 0.0."""
+    terms = np.ones_like(beliefs)
+    with np.errstate(over="ignore"):
+        np.divide(beliefs, prior, out=terms, where=beliefs > 0.0)
+    # Past the float range (a subnormal prior entry), the ratio is taken as logs.
+    big = np.isinf(terms)
+    np.log(terms, out=terms)
+    terms[big] = np.log(beliefs[big]) - np.log(prior[big])
+    terms *= beliefs
+    kls = _row_sums(terms, starts)
+    kls[kls < 0.0] = 0.0  # as max(kl, 0.0): -0.0 and NaN stay
+    return kls
+
+
+def _row_sums(flat, starts) -> np.ndarray:
+    """math.fsum of every segment of a flat float array, read through
+    memoryview slices, which iterate as Python floats."""
+    bounds = starts.tolist() + [len(flat)]
+    rows = map(memoryview(flat).__getitem__, map(slice, bounds, bounds[1:]))
+    return np.fromiter(map(math.fsum, rows), float, len(starts))
 
 
 def value_recursion(tree: DecisionTree, temps: TemperatureSpec) -> TreeValue:
@@ -335,8 +320,12 @@ def value_recursion(tree: DecisionTree, temps: TemperatureSpec) -> TreeValue:
 
     The tree's arrays are breadth-first, so the children of one level are
     the next level in order and edge e leads to node e + 1. The backup runs
-    level by level, deepest first, with one segmented tilt per temperature
-    tag; depth is bounded by memory, not by the recursion limit.
+    level by level, deepest first; a level's rows of each tag are tilted in
+    blocks of whole rows of at most _BLOCK_EDGES edges, and each block is
+    checked and normalised before the next. Depth is bounded by memory, not
+    by the recursion limit. A row that cannot be solved raises the error a
+    recursive backup would meet first: that of the first such node in
+    post-order.
     """
     if not isinstance(temps, TemperatureSpec):
         raise DomainError(f"expected a TemperatureSpec, got {type(temps).__name__}")
@@ -347,68 +336,59 @@ def value_recursion(tree: DecisionTree, temps: TemperatureSpec) -> TreeValue:
         )
     n = len(tree.names)
     first_child, n_children = tree.first_child, tree.n_children
-    prior, utility = tree.prior, tree.utility
     levels = [0]  # index of the first node of each level, then the node count
     while levels[-1] < n:
         levels.append(int(first_child[levels[-1]]))
-    is_mu = np.array([tag == MU_TAG for tag in tree.tags])
+    internal = np.flatnonzero(n_children[: levels[-2]])  # the last level holds only leaves
     value = np.zeros(n)
-    gains = np.empty(n - 1)
     policy = np.empty(n - 1)
-    kept = np.zeros(n, dtype=bool)
+    log_z = np.empty(len(internal))
+    row_kl = np.zeros(len(internal))
     # Nodes whose gains are not all finite (zero gains stand in for the
     # tilt) or whose tilted row FiniteDistribution would reject: the check
     # below raises the error the first of them would have raised.
     faulty = np.zeros(n, dtype=bool)
 
-    for lo, hi, end in reversed(list(zip(levels, levels[1:], levels[2:]))):
-        # The parents among nodes lo .. hi; their edges, hi - 1 .. end - 1,
-        # lead to the nodes of the next level.
-        parents = lo + np.flatnonzero(n_children[lo:hi])
-        offsets = first_child[parents] - hi
-        level_gains = gains[hi - 1 : end - 1]
-        # Gains that overflow are caught by this finiteness check, and the
-        # nodes they break raise their errors below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.add(utility[hi - 1 : end - 1], value[hi:end], out=level_gains)
-            all_finite = math.isfinite(np.add.reduce(level_gains))
-        tilt_gains = level_gains
-        if not all_finite:
-            finite = np.isfinite(level_gains)
-            faulty[parents] = ~np.logical_and.reduceat(finite, offsets)
-            tilt_gains = np.where(finite, level_gains, 0.0)
-        level_mu = is_mu[parents]
-        n_mu = int(np.count_nonzero(level_mu))
+    for lo, hi in reversed(list(zip(levels, levels[1:]))):
+        parents = internal[slice(*np.searchsorted(internal, (lo, hi)))]
         for want_mu, t in ((False, temps.lam), (True, temps.mu)):
-            chosen = n_mu if want_mu else len(parents) - n_mu
-            if not chosen:
-                continue
-            if chosen == len(parents):
-                segments, starts, entries = parents, offsets, slice(hi - 1, end - 1)
-                p, g = prior[entries], tilt_gains
-            else:
-                pick = level_mu == want_mu
-                lengths = n_children[parents]
-                mask = np.repeat(pick, lengths)
-                lengths = lengths[pick]
-                segments, starts = parents[pick], np.cumsum(lengths) - lengths
-                entries = np.flatnonzero(mask) + (hi - 1)
-                p, g = prior[entries], tilt_gains[mask]
-            flat, level_values, _, same = _tilt_segments(p, g, starts, t)
-            policy[entries] = flat
-            value[segments] = level_values
-            kept[segments] = same
+            segments = parents[tree.is_mu[parents] == want_mu]
+            ends = np.cumsum(n_children[segments])
+            i = 0
+            while i < len(segments):
+                done = int(ends[i] - n_children[segments[i]])  # edges of earlier blocks
+                j = max(i + 1, int(np.searchsorted(ends, done + _BLOCK_EDGES, "right")))
+                block, rows = segments[i:j], np.searchsorted(internal, segments[i:j])
+                i = j
+                counts = n_children[block]
+                starts = np.cumsum(counts) - counts
+                # The edges into the children of each node of the block, in turn.
+                edges = np.arange(int(ends[j - 1]) - done)
+                edges += np.repeat(first_child[block] - 1 - starts, counts)
+                p = tree.prior[edges]
+                # Gains that overflow are caught by this finiteness check, and
+                # the nodes they break raise their errors below.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    gains = tree.utility[edges] + value[edges + 1]
+                    all_finite = math.isfinite(np.add.reduce(gains))
+                if not all_finite:
+                    finite = np.isfinite(gains)
+                    faulty[block] = ~np.logical_and.reduceat(finite, starts)
+                    gains[~finite] = 0.0
+                flat, value[block], log_z[rows], kept = _tilt_segments(p, gains, starts, t)
+                if not all(kept):
+                    row_kl[rows] = _row_kls(flat, p, starts)
+                    # A tilted row is normalised as FiniteDistribution
+                    # normalises it: by its math.fsum, checked against
+                    # NORMALIZATION_TOL, which a NaN fails too. A kept row is
+                    # the prior; a faulty one stays as the tilt left it.
+                    totals = _row_sums(flat, starts)
+                    totals[kept] = 1.0
+                    faulty[block] |= ~(np.abs(totals - 1.0) <= NORMALIZATION_TOL)
+                    totals[faulty[block]] = 1.0
+                    flat /= np.repeat(totals, counts)
+                policy[edges] = flat
 
-    # Every tilted row is normalised as FiniteDistribution normalises it: by
-    # its math.fsum, checked against NORMALIZATION_TOL. Its entries are
-    # nonnegative or NaN, and a NaN fails that check as well.
-    internal = np.flatnonzero(n_children)
-    counts = n_children[internal]
-    ends = np.cumsum(counts).tolist()
-    rows = map(policy.tolist().__getitem__, map(slice, [0] + ends, ends))
-    totals = np.fromiter(map(math.fsum, rows), float, len(internal))
-    totals[kept[internal]] = 1.0  # a kept row is the prior, not a tilt
-    faulty[internal] |= ~(np.abs(totals - 1.0) <= NORMALIZATION_TOL)
     if faulty.any():
         # The error of the first faulty node in post-order, the one a
         # recursive backup meets first.
@@ -416,36 +396,27 @@ def value_recursion(tree: DecisionTree, temps: TemperatureSpec) -> TreeValue:
         i = int(post[faulty[post]][0])
         lo, hi = int(first_child[i]), int(first_child[i] + n_children[i])
         names = tree.names[lo:hi]
-        UtilityTable(names, gains[lo - 1 : hi - 1])  # raises for gains not all finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            gains = tree.utility[lo - 1 : hi - 1] + value[lo:hi]
+        UtilityTable(names, gains)  # raises for gains not all finite
         FiniteDistribution(names, policy[lo - 1 : hi - 1])  # else for the tilted row
-    policy /= np.repeat(totals, counts)
-    return _tree_value(tree, value, policy)
+    return _tree_value(tree, value, policy, log_z, row_kl)
 
 
 def two_stage_to_tree(problem: TwoStageProblem, root_name: str = "root") -> DecisionTree:
     """Recast a two-stage problem as the equivalent depth-2 decision tree.
 
     The root is a lambda-tagged node over actions; each action is a
-    mu-tagged node over outcomes; outcomes are leaves. value_recursion on
-    this tree reproduces outer_policy on the original problem.
+    mu-tagged node over outcomes; outcomes are leaves. This is the tree the
+    problem holds, on which outer_policy runs value_recursion; another root
+    name gives a tree over the same arrays. As in any DecisionTree, a node
+    name holding '/' raises DomainError, the first such in pre-order.
     """
-    action_nodes = []
-    for a in problem.actions:
-        leaves = tuple(TreeNode(name=o) for o in problem.outcomes)
-        action_nodes.append(
-            TreeNode(
-                name=a,
-                children=leaves,
-                child_prior=problem.channel[a],
-                child_utility=problem.outcome_utility[a],
-                temperature_tag=MU_TAG,
-            )
-        )
-    root = TreeNode(
-        name=root_name,
-        children=tuple(action_nodes),
-        child_prior=problem.prior_action,
-        child_utility=problem.action_utility,
-        temperature_tag=LAMBDA_TAG,
+    actions, tree = problem.actions, problem._tree
+    for name in chain((root_name, actions[0]), problem.outcomes, actions[1:]):
+        _check_node_name(name)
+    if root_name == tree.names[0]:
+        return tree
+    return DecisionTree._from_arrays(
+        (root_name,) + tree.names[1:], tree.tags, tree.n_children, tree.prior, tree.utility
     )
-    return DecisionTree(root)

@@ -668,12 +668,7 @@ def verify_tree(tree, lam: Temperature, mu: Temperature) -> list[Certificate]:
     """Certificates for one tree instance: path-sum identity (single-
     temperature trees only) plus hard-max consistency."""
     certs = []
-    uniform_lambda = all(
-        node.temperature_tag == "lambda"
-        for _, node in tree.iter_nodes()
-        if not node.is_leaf
-    )
-    if uniform_lambda and lam.is_finite:
+    if not tree.is_mu[tree.n_children > 0].any() and lam.is_finite:
         analytic = value_recursion(tree, TemperatureSpec(lam, mu)).root_value
         reference = path_enumeration(tree, lam.value)
         gap = abs(analytic - reference)

@@ -7,12 +7,14 @@ must match it bit for bit and in order."""
 import json
 import math
 import pickle
+from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freeutil import cli
+from freeutil import cli, sequential
 from freeutil.model import (
     DecisionTree,
     DomainError,
@@ -22,10 +24,13 @@ from freeutil.model import (
     TreeNode,
     TwoStageProblem,
     UtilityTable,
+    kl_divergence,
 )
 from freeutil.problemio import ProblemFile, _parse_tree, dump, dumps, load, loads
-from freeutil.sequential import outer_policy, value_recursion
+from freeutil.sequential import outer_policy, two_stage_to_tree, value_recursion
 from freeutil.variational import exponential_tilt
+
+GOLDEN = Path(__file__).parent / "golden"
 
 TEMPS = [
     TemperatureSpec(lam, mu)
@@ -278,6 +283,41 @@ def test_tree_sweep_rows_match_the_treenode_path(payload):
         assert row == [point.spell()] + list(policy.probs) + [values[root.name], kl]
 
 
+@settings(max_examples=60, deadline=None)
+@given(payloads(), st.integers(1, 5))
+def test_blocked_backup_matches_the_treenode_path(payload, block):
+    """Blocks of `block` edges split every level, tags mixed within it; the
+    backup keeps its bits, and per internal node the log-partition of its
+    tilt and the relative entropy of its row."""
+    text = document(payload)
+    flat, reference = loads(text).problem, reference_tree(text)
+    paths = flat.paths()
+    rows = {paths[i]: r for r, i in enumerate(np.flatnonzero(flat.n_children).tolist())}
+    for temps in TEMPS:
+        with patch.object(sequential, "_BLOCK_EDGES", block):
+            tv = value_recursion(flat, temps)
+        values, policies = reference_value_recursion(reference, temps)
+        assert bits(tv.values) == bits(values)
+        assert bits(tv.policies) == bits(policies)
+        assert len(tv.flat_log_z) == len(tv.flat_kl) == len(rows)
+        for path, node in reference.iter_nodes():
+            if node.is_leaf:
+                continue
+            kids = [c.name for c in node.children]
+            gains = [u + values[f"{path}/{c}"] for u, c in zip(node.child_utility.values, kids)]
+            t = temps.mu if node.temperature_tag == "mu" else temps.lam
+            tilt = exponential_tilt(node.child_prior, UtilityTable(kids, gains), t)
+            log_z = tv.flat_log_z[rows[path]].item()
+            if tilt.log_partition is None:
+                assert math.isnan(log_z)
+            else:
+                assert float.hex(log_z) == float.hex(tilt.log_partition)
+            # The row's relative entropy is taken before its one
+            # normalisation, so it may differ from this one in the last bits.
+            kl = kl_divergence(tilt.policy, node.child_prior)
+            assert abs(tv.flat_kl[rows[path]] - kl) <= 1e-13 * (1.0 + kl)
+
+
 def node(name, children, probs, utils, tag="lambda"):
     names = [c.name for c in children]
     return TreeNode(name, tuple(children), FiniteDistribution(names, probs),
@@ -354,8 +394,9 @@ def huge_utility_node(name):
     return node(name, [TreeNode("hi"), TreeNode("lo")], [0.5, 0.5], [1e308, -1e308])
 
 
+@pytest.mark.parametrize("block", [1, 2, 1 << 14])
 @pytest.mark.parametrize("first", [0, 1])
-def test_unnormalisable_policy_raises_the_first_error_in_post_order(first):
+def test_unnormalisable_policy_raises_the_first_error_in_post_order(first, block):
     kids = [huge_utility_node("p"), node("q", [huge_utility_node("s")], [1.0], [0.0])]
     if first:
         kids.reverse()
@@ -363,7 +404,7 @@ def test_unnormalisable_policy_raises_the_first_error_in_post_order(first):
     temps = TemperatureSpec(10.0, 1.0)
     with pytest.raises(DomainError) as expected:
         reference_value_recursion(tree, temps)
-    with pytest.raises(DomainError) as raised:
+    with pytest.raises(DomainError) as raised, patch.object(sequential, "_BLOCK_EDGES", block):
         value_recursion(tree, temps)
     assert str(raised.value) == str(expected.value)
 
@@ -443,5 +484,90 @@ def test_labelled_objects_are_built_only_when_read(monkeypatch):
     problem = random_two_stage(np.random.default_rng(5), 4, 6)
     built.clear()
     sol = outer_policy(problem, 1.5, 0.5)
-    assert len(built) == 1  # the action policy
-    assert len(sol.outcome_beliefs) == 4 and len(built) == 5
+    # The action policy and the beliefs are rows value_recursion checked
+    # and normalised.
+    assert len(sol.outcome_beliefs) == 4 and built == []
+
+
+def test_repr_of_a_deep_chain_prints_the_arrays():
+    """repr reads the arrays, not the TreeNodes, so a chain far deeper than
+    the recursion limit prints."""
+    leaf_pair = FiniteDistribution(["x", "n"], [0.5, 0.5]), UtilityTable(["x", "n"], [0.0, 1.0])
+    chain = TreeNode("n")
+    for _ in range(2000):
+        chain = TreeNode("n", (TreeNode("x"), chain), *leaf_pair, "mu")
+    text = repr(DecisionTree(chain))
+    assert text.startswith("DecisionTree(names=('n', 'x', 'n', ")
+    assert "tags=('mu', 'lambda', 'mu', " in text and "n_children=array([2, 0, 2," in text
+
+
+def bfs_tags(root: TreeNode) -> tuple:
+    """The tags of TreeNodes in breadth-first order."""
+    nodes = [root]
+    for n in nodes:
+        nodes.extend(n.children)
+    return tuple(n.temperature_tag for n in nodes)
+
+
+TREE_GOLDENS = sorted(p.name for p in GOLDEN.glob("tree_*.json"))
+TWO_STAGE_GOLDENS = sorted(p.name for p in GOLDEN.glob("two_stage_*.json"))
+
+
+@pytest.mark.parametrize("name", TREE_GOLDENS + ["leaf tagged mu"])
+def test_is_mu_agrees_with_tags_on_every_build(name):
+    """TreeNodes, _from_arrays, loads and pickle give the same tags and
+    is_mu, and trees equal and hash as their names and tags."""
+    if name in TREE_GOLDENS:
+        text = (GOLDEN / name).read_text()
+        built, loaded = reference_tree(text), loads(text).problem
+    else:
+        root = node("r", [TreeNode("x", temperature_tag="mu"), TreeNode("y")], [0.5, 0.5], [0, 1])
+        built = loaded = DecisionTree(root)
+    tags = bfs_tags(built.root)
+    again = DecisionTree._from_arrays(
+        loaded.names, loaded.tags, loaded.n_children, loaded.prior, loaded.utility
+    )
+    for tree in (built, loaded, again, pickle.loads(pickle.dumps(built))):
+        assert tree.tags == tags
+        assert tree.is_mu.tolist() == [t == "mu" for t in tags]
+        assert tree == built and hash(tree) == hash((built.names, tags))
+        same_tree(tree, built)
+
+
+def reference_two_stage_tree(problem: TwoStageProblem, root_name: str = "root") -> DecisionTree:
+    """The depth-2 tree built through TreeNodes, one per node."""
+    actions = [
+        TreeNode(a, tuple(TreeNode(o) for o in problem.outcomes), problem.channel[a],
+                 problem.outcome_utility[a], "mu")
+        for a in problem.actions
+    ]
+    return DecisionTree(TreeNode(root_name, tuple(actions), problem.prior_action,
+                                 problem.action_utility, "lambda"))
+
+
+@pytest.mark.parametrize("name", TWO_STAGE_GOLDENS)
+def test_two_stage_to_tree_equals_the_treenode_tree(name):
+    problem = load(str(GOLDEN / name)).problem
+    for root_name in ("root", "top"):
+        tree = two_stage_to_tree(problem, root_name)
+        reference = reference_two_stage_tree(problem, root_name)
+        same_tree(tree, reference)
+        assert hash(tree) == hash(reference)
+        assert tree.is_mu.tolist() == [t == "mu" for t in bfs_tags(reference.root)]
+    assert two_stage_to_tree(problem) is two_stage_to_tree(problem)  # built once
+
+
+@pytest.mark.parametrize("labels", [("r/t", "a", "o"), ("root", "a/b", "o"), ("root", "a", "o/p")])
+def test_two_stage_to_tree_rejects_a_slash_as_the_treenode_tree_does(labels):
+    root_name, action, outcome = labels
+    actions, outcomes = ["b", action], [outcome, "q"]
+    row = FiniteDistribution(outcomes, [0.5, 0.5])
+    problem = TwoStageProblem(
+        actions, outcomes, FiniteDistribution(actions, [0.5, 0.5]), {a: row for a in actions},
+        UtilityTable(actions, [0.0, 1.0]), {a: UtilityTable(outcomes, [1.0, 2.0]) for a in actions},
+    )
+    assert outcome_of(two_stage_to_tree, problem, root_name) == outcome_of(
+        reference_two_stage_tree, problem, root_name
+    )
+    assert outcome_of(two_stage_to_tree, problem, root_name)[0] is DomainError
+    assert outer_policy(problem, 1.0, 1.0).value  # the solve reads no path

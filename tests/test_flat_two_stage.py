@@ -9,19 +9,22 @@ import json
 import math
 import pickle
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freeutil import cli
+from freeutil import cli, sequential
 from freeutil.model import (
     DomainError,
     FiniteDistribution,
     FreeUtilError,
     Temperature,
+    TemperatureSpec,
     TwoStageProblem,
     UtilityTable,
+    kl_divergence,
 )
 from freeutil.problemio import (
     ProblemFile,
@@ -34,7 +37,7 @@ from freeutil.problemio import (
     load,
     loads,
 )
-from freeutil.sequential import outer_policy
+from freeutil.sequential import TwoStageSolution, outer_policy, regime_label
 from freeutil.variational import exponential_tilt
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -357,6 +360,76 @@ def test_outer_policy_on_the_arrays_equals_the_labelled_problem(name):
     loaded = loads(text).problem
     built = reference_two_stage(json.loads(text)["payload"])
     assert_same_solutions(loaded, built)
+
+
+def per_row_solution(problem: TwoStageProblem, lam, mu) -> TwoStageSolution:
+    """The nested solve written out on the labelled rows: one
+    exponential_tilt per channel row, one over the actions, and
+    kl_divergence on the FiniteDistributions they return. An outcome is a
+    leaf of value 0.0, so its gain is its utility plus 0.0, as in every
+    tree backup: a utility of -0.0 gains 0.0."""
+    temps = TemperatureSpec(lam, mu)
+    actions = problem.actions
+    inner = {
+        a: exponential_tilt(problem.channel[a], problem.outcome_utility[a].shifted(0.0), mu)
+        for a in actions
+    }
+    values = {a: u + inner[a].value for a, u in zip(actions, problem.action_utility.values)}
+    gains = UtilityTable(actions, list(values.values()))
+    outer = exponential_tilt(problem.prior_action, gains, temps.lam)
+    kls = [kl_divergence(inner[a].policy, problem.channel[a]) for a in actions]
+    return TwoStageSolution(
+        action_policy=outer.policy,
+        outcome_beliefs={a: tilt.policy for a, tilt in inner.items()},
+        log_z1=outer.log_partition,
+        log_z2={a: tilt.log_partition for a, tilt in inner.items()},
+        values=values,
+        value=outer.value,
+        achieved_c1=kl_divergence(outer.policy, problem.prior_action),
+        achieved_c2=math.fsum(p * kl for p, kl in zip(outer.policy.probs, kls) if p > 0.0),
+        regime=regime_label(temps),
+    )
+
+
+def outcome_of(solve, *args):
+    try:
+        return "ok", solve(*args)
+    except (FreeUtilError, ArithmeticError, ValueError) as e:
+        return type(e), str(e)
+
+
+lams = st.one_of(st.just("inf"), st.floats(0.01, 50.0))
+mus = st.one_of(
+    st.sampled_from(["inf", "-inf", "zero"]), st.floats(1e-3, 50.0), st.floats(-50.0, -1e-3)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payloads(), lams, mus, st.integers(1, 8))
+def test_outer_policy_equals_the_per_row_tilts(payload, lam, mu, block):
+    """Every field has the bits of the per-row solve, and every fault its
+    error, with blocks of `block` edges: several rows to a block, or a row
+    longer than a block alone. achieved_c2 alone is held to a bound: each
+    row's relative entropy is taken from the tilted row before its one
+    normalisation, in numpy's log, so it may differ from kl_divergence of
+    the normalised belief in the last bits (a relative change d of the row
+    moves it by about d·(KL + 1))."""
+    problem = reference_two_stage(payload)
+    expected = outcome_of(per_row_solution, problem, lam, mu)
+    with patch.object(sequential, "_BLOCK_EDGES", block):
+        got = outcome_of(outer_policy, problem, lam, mu)
+    assert got[0] == expected[0]
+    if got[0] != "ok":
+        assert got == expected
+        return
+    sol, ref = got[1], expected[1]
+    *fields, c2, regime = solution_bits(sol)
+    *ref_fields, ref_c2, ref_regime = solution_bits(ref)
+    assert (fields, regime) == (ref_fields, ref_regime)
+    assert abs(sol.achieved_c2 - ref.achieved_c2) <= 1e-13 * (1.0 + ref.achieved_c2)
+    for a in problem.actions:
+        if ref.outcome_beliefs[a] is problem.channel[a]:
+            assert sol.outcome_beliefs[a] is problem.channel[a]
 
 
 def random_problem(rng, n_actions, n_outcomes) -> TwoStageProblem:
