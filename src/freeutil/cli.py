@@ -26,7 +26,6 @@ from .model import (
     ControlProblem,
     DecisionTree,
     DomainError,
-    FiniteDistribution,
     FreeUtilError,
     Temperature,
     TemperatureSpec,
@@ -81,20 +80,13 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _parse_temp_arg(text: str | None, what: str) -> Temperature | None:
-    if text is None:
-        return None
-    try:
-        return Temperature.parse(text)
-    except FreeUtilError:
-        raise
-    except Exception:
-        raise DomainError(f"cannot parse {what} value {text!r}")
+def _parse_temp_arg(text: str | None) -> Temperature | None:
+    return None if text is None else Temperature.parse(text)
 
 
 def _resolve_control_alpha(pf: ProblemFile, args) -> Temperature:
-    flag_alpha = _parse_temp_arg(args.alpha, "alpha")
-    flag_lam = _parse_temp_arg(getattr(args, "lam", None), "lambda")
+    flag_alpha = _parse_temp_arg(args.alpha)
+    flag_lam = _parse_temp_arg(getattr(args, "lam", None))
     if getattr(args, "mu", None) is not None:
         raise DomainError("mu does not apply to a control problem")
     if flag_alpha is not None and flag_lam is not None:
@@ -109,9 +101,9 @@ def _resolve_control_alpha(pf: ProblemFile, args) -> Temperature:
 
 
 def _resolve_staged_temps(pf: ProblemFile, args) -> TemperatureSpec:
-    flag_alpha = _parse_temp_arg(getattr(args, "alpha", None), "alpha")
-    flag_lam = _parse_temp_arg(getattr(args, "lam", None), "lambda")
-    flag_mu = _parse_temp_arg(getattr(args, "mu", None), "mu")
+    flag_alpha = _parse_temp_arg(getattr(args, "alpha", None))
+    flag_lam = _parse_temp_arg(getattr(args, "lam", None))
+    flag_mu = _parse_temp_arg(getattr(args, "mu", None))
     if flag_alpha is not None and flag_lam is not None:
         raise DomainError("give either lambda or alpha, not both")
     lam = flag_lam
@@ -252,45 +244,35 @@ def _sweep_rows_control(problem: ControlProblem, grid: list[Temperature]):
     return header, rows
 
 
-def _sweep_rows_two_stage(
-    problem: TwoStageProblem, param: str, grid: list[Temperature], temps: TemperatureSpec
+def _sweep_rows_staged(
+    problem: TwoStageProblem | DecisionTree, param: str, grid: list[Temperature],
+    temps: TemperatureSpec,
 ):
-    header = (
-        [param]
-        + [f"p[{a}]" for a in problem.actions]
-        + ["value", "achieved_c1", "achieved_c2"]
-    )
+    """Rows of the root's policy and value per grid point, then the relative
+    entropies: a two-stage problem's achieved_c1 and achieved_c2 from
+    solve_regime, a tree's achieved_kl, its root row's, read off
+    value_recursion (0 for a single leaf, which has no row)."""
+    if isinstance(problem, TwoStageProblem):
+        labels, kl_keys = problem.actions, ["achieved_c1", "achieved_c2"]
+
+        def solve(point_temps):
+            sol = solve_regime(problem, point_temps)
+            return list(sol.action_policy.probs), sol.value, [sol.achieved_c1, sol.achieved_c2]
+    else:
+        k = int(problem.n_children[0])
+        labels, kl_keys = problem.names[1 : 1 + k], ["achieved_kl"]
+
+        def solve(point_temps):
+            tv = value_recursion(problem, point_temps)
+            return tv.flat_policy[:k].tolist(), tv.root_value, tv.flat_kl[:1].tolist() or [0.0]
+
+    header = [param] + [f"p[{c}]" for c in labels] + ["value"] + kl_keys
     rows = []
     for point in grid:
         lam = point if param == "lambda" else temps.lam
         mu = point if param == "mu" else temps.mu
-        sol = solve_regime(problem, TemperatureSpec(lam, mu))
-        rows.append(
-            [point.spell()]
-            + list(sol.action_policy.probs)
-            + [sol.value, sol.achieved_c1, sol.achieved_c2]
-        )
-        # Free the solution before the next one is built: it keeps the
-        # tilted channel, from which it builds its outcome beliefs.
-        del sol
-    return header, rows
-
-
-def _sweep_rows_tree(
-    tree: DecisionTree, param: str, grid: list[Temperature], temps: TemperatureSpec
-):
-    k = int(tree.n_children[0])
-    root_children = tree.names[1 : 1 + k]
-    root_prior = FiniteDistribution._trusted(root_children, tree.prior[:k].tolist())
-    header = [param] + [f"p[{c}]" for c in root_children] + ["value", "achieved_kl"]
-    rows = []
-    for point in grid:
-        lam = point if param == "lambda" else temps.lam
-        mu = point if param == "mu" else temps.mu
-        tv = value_recursion(tree, TemperatureSpec(lam, mu))
-        root_policy = FiniteDistribution._trusted(root_children, tv.flat_policy[:k].tolist())
-        kl = kl_divergence(root_policy, root_prior)
-        rows.append([point.spell()] + list(root_policy.probs) + [tv.root_value, kl])
+        probs, value, kls = solve(TemperatureSpec(lam, mu))
+        rows.append([point.spell()] + probs + [value] + kls)
     return header, rows
 
 
@@ -346,10 +328,8 @@ def _cmd_sweep(args) -> int:
     try:
         if pf.kind == "control":
             header, rows = _sweep_rows_control(pf.problem, grid)
-        elif pf.kind == "two_stage":
-            header, rows = _sweep_rows_two_stage(pf.problem, args.param, grid, temps)
         else:
-            header, rows = _sweep_rows_tree(pf.problem, args.param, grid, temps)
+            header, rows = _sweep_rows_staged(pf.problem, args.param, grid, temps)
     except FreeUtilError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_SOLVER

@@ -329,25 +329,64 @@ class UtilityTable:
         return len(self.outcomes)
 
 
+# The offsets of a single segment covering a whole array.
+_WHOLE = np.zeros(1, dtype=np.intp)
+
+
+def _row_sums(flat, starts) -> np.ndarray:
+    """math.fsum of every segment of a flat float array, read through
+    memoryview slices, which iterate as Python floats. A sum past the float
+    range raises OverflowError."""
+    bounds = starts.tolist() + [len(flat)]
+    rows = map(memoryview(flat).__getitem__, map(slice, bounds, bounds[1:]))
+    return np.fromiter(map(math.fsum, rows), float, len(starts))
+
+
+def _normalise_rows(flat, starts, skip=False) -> np.ndarray:
+    """Divide every segment of a flat float array, in place, by its
+    math.fsum, as FiniteDistribution normalises; return which segments pass,
+    their sum within NORMALIZATION_TOL of 1 (a NaN sum fails). A failing
+    segment, or one skip marks (which passes), is left as it is."""
+    totals = _row_sums(flat, starts)
+    passed = (np.abs(totals - 1.0) <= NORMALIZATION_TOL) | skip
+    totals[~passed | skip] = 1.0
+    flat /= np.repeat(totals, np.diff(starts, append=len(flat)))
+    return passed
+
+
+def _row_kls(p, q, starts) -> np.ndarray:
+    """KL(p row ‖ q row) in nats for every segment of two flat arrays, where
+    q is positive wherever p is: the one relative-entropy kernel. A term
+    with p = 0 is 0.0, and a row equal to its q row has every term, and so
+    its KL, 0.0."""
+    terms = np.ones_like(p)
+    with np.errstate(over="ignore"):
+        np.divide(p, q, out=terms, where=p > 0.0)
+    # Past the float range (a subnormal q entry), the ratio is taken as logs.
+    big = np.isinf(terms)
+    np.log(terms, out=terms)
+    terms[big] = np.log(p[big]) - np.log(q[big])
+    terms *= p
+    kls = _row_sums(terms, starts)
+    kls[kls < 0.0] = 0.0  # as max(kl, 0.0): -0.0 and NaN stay
+    return kls
+
+
 def kl_divergence(p: FiniteDistribution, q: FiniteDistribution) -> float:
-    """Relative entropy sum(p log p/q) in nats, with 0 log(0/q) = 0.
+    """Relative entropy sum(p log p/q) in nats, with 0 log(0/q) = 0: the
+    row kernel _row_kls on one row.
 
     q may put mass outside support(p), but q(x) = 0 with p(x) > 0 is a
     support violation.
     """
-    q_probs = _aligned(q.outcomes, q.probs, p.outcomes).tolist()
-    terms = []
-    for label, pi, qi in zip(p.outcomes, p.probs, q_probs):
-        if pi == 0.0:
-            continue
-        if qi == 0.0:
-            raise SupportMismatch(
-                f"p({label!r}) = {pi} > 0 but q({label!r}) = 0"
-            )
-        ratio = pi / qi
-        # Past the float range (a subnormal qi), the ratio is taken as logs.
-        terms.append(pi * (math.log(ratio) if ratio < math.inf else math.log(pi) - math.log(qi)))
-    return max(math.fsum(terms), 0.0) if terms else 0.0
+    p_probs = np.asarray(p.probs, dtype=float)
+    q_probs = _aligned(q.outcomes, q.probs, p.outcomes)
+    unsupported = (p_probs > 0.0) & (q_probs == 0.0)
+    if unsupported.any():
+        i = int(unsupported.argmax())
+        label = p.outcomes[i]
+        raise SupportMismatch(f"p({label!r}) = {p.probs[i]} > 0 but q({label!r}) = 0")
+    return _row_kls(p_probs, q_probs, _WHOLE).item()
 
 
 def entropy(p: FiniteDistribution) -> float:
@@ -689,17 +728,17 @@ def _check_tree(root: TreeNode) -> None:
             )
         seen.add(id(node))
         _check_node_name(node.name)
+        if node.temperature_tag not in _VALID_TAGS:
+            raise UnknownTemperatureTag(
+                f"node {node.name!r} has temperature tag {node.temperature_tag!r}; "
+                f"expected one of {_VALID_TAGS}"
+            )
         if node.is_leaf:
             if node.child_prior is not None or node.child_utility is not None:
                 raise LabelMismatch(
                     f"leaf {node.name!r} must not carry child priors or utilities"
                 )
             continue
-        if node.temperature_tag not in _VALID_TAGS:
-            raise UnknownTemperatureTag(
-                f"node {node.name!r} has temperature tag {node.temperature_tag!r}; "
-                f"expected one of {_VALID_TAGS}"
-            )
         names = tuple(c.name for c in node.children)
         if node.child_prior is None or node.child_prior.outcomes != names:
             raise LabelMismatch(
@@ -725,8 +764,8 @@ class DecisionTree(_FlatStore):
     names[i], the tag tags[i] (held as is_mu[i], true for "mu") and
     n_children[i] children, the nodes from first_child[i] on; the edge into
     node j > 0 is edge j - 1, with the normalised prior prior[j - 1] and the
-    utility gain utility[j - 1]. A leaf's tag governs no backup, and any tag
-    but "mu" reads back as "lambda".
+    utility gain utility[j - 1]. A leaf's tag is checked as any node's is,
+    but governs no backup.
     ``root`` is the same tree as TreeNodes: the one it was built from, or
     one built on first read.
     """
@@ -807,16 +846,22 @@ class DecisionTree(_FlatStore):
             paths.append(f"{paths[parent]}/{name}")
         return paths
 
+    def level_starts(self) -> list[int]:
+        """The index of the first node of each level, then the node count."""
+        n = len(self.names)
+        starts = [0]
+        while starts[-1] < n:
+            starts.append(int(self.first_child[starts[-1]]))
+        return starts
+
     def orders(self) -> tuple[np.ndarray, np.ndarray]:
         """The node indices in pre-order and in post-order, children in
         order, computed level by level."""
         n = len(self.names)
         size = np.ones(n, dtype=np.intp)
         depth = np.zeros(n, dtype=np.intp)
-        levels = [0]
-        while levels[-1] < n:
-            levels.append(int(self.first_child[levels[-1]]))
-        levels = list(zip(levels[:-2], levels[1:-1], levels[2:]))
+        starts = self.level_starts()
+        levels = list(zip(starts[:-2], starts[1:-1], starts[2:]))
         for d, (lo, hi, end) in enumerate(levels, 1):
             depth[hi:end] = d
         # Subtree sizes, deepest level first; then each child's pre-order

@@ -22,7 +22,6 @@ payload, whose depth comes from the input, with an explicit stack.
 from __future__ import annotations
 
 import json
-import math
 import re
 import sys
 from contextlib import contextmanager
@@ -34,8 +33,6 @@ import numpy as np
 
 from .model import (
     LAMBDA_TAG,
-    MU_TAG,
-    NORMALIZATION_TOL,
     ControlProblem,
     DecisionTree,
     DomainError,
@@ -44,6 +41,8 @@ from .model import (
     TreeNode,
     TwoStageProblem,
     UtilityTable,
+    _VALID_TAGS,
+    _normalise_rows,
 )
 
 SCHEMA_VERSION = "1"
@@ -127,9 +126,9 @@ def _parse_control(payload: dict) -> ControlProblem:
 
 def _row_arrays(actions, outcomes, channel: dict, utility: dict):
     """The channel and outcome utility rows as two A×O arrays, checked array
-    by array, the channel rows divided by their math.fsum as
-    FiniteDistribution divides; None if the rows are keyed in another order
-    than the actions or any row fails a check of its labelled constructor."""
+    by array, the channel rows normalised as FiniteDistribution normalises;
+    None if the rows are keyed in another order than the actions or any row
+    fails a check of its labelled constructor."""
     n, width = len(actions), len(outcomes)
     rows = [*channel.values(), *utility.values()]
     if not list(channel) == actions == list(utility) or len(set(outcomes)) != width:
@@ -142,13 +141,10 @@ def _row_arrays(actions, outcomes, channel: dict, utility: dict):
         matrix = np.array(rows, dtype=float)
         if not (np.isfinite(matrix).all() and (matrix[:n] >= 0.0).all()):
             return None
-        totals = np.fromiter(map(math.fsum, rows[:n]), float, n)
+        if not _normalise_rows(matrix[:n].ravel(), np.arange(n) * width).all():
+            return None
     except OverflowError:  # an integer too large for a float, or a sum past the float range
         return None
-    if not (np.abs(totals - 1.0) <= NORMALIZATION_TOL).all():
-        return None
-    # Dividing by exactly 1.0 changes no bit, so every row is divided.
-    matrix[:n] /= totals[:, None]
     return matrix[:n], matrix[n:]
 
 
@@ -197,15 +193,16 @@ def _flat_tree(payload) -> DecisionTree | None:
 
     The checks are those of _parse_tree and DecisionTree together: key sets
     and number types while reading; then names that are strings without
-    '/', known tags, no duplicate name among siblings, finite numbers,
-    nonnegative priors whose math.fsum per node is within
-    NORMALIZATION_TOL of 1, divided by that sum as FiniteDistribution does.
+    '/', known tags (a leaf's too, though it reads back as "lambda"), no
+    duplicate name among siblings, finite numbers, and nonnegative priors
+    that normalise per node as FiniteDistribution normalises.
     """
     names: list = []
     tags: list = []
     n_children: list[int] = []
     priors: list = []
     utilities: list = []
+    leaf_tags: set = set()
     level = [payload]
     try:
         while level:
@@ -215,6 +212,7 @@ def _flat_tree(payload) -> DecisionTree | None:
                     return None
                 names.append(obj["name"])
                 if "children" not in obj:
+                    leaf_tags.add(obj.get("temperature_tag", LAMBDA_TAG))
                     tags.append(LAMBDA_TAG)
                     n_children.append(0)
                     continue
@@ -230,7 +228,7 @@ def _flat_tree(payload) -> DecisionTree | None:
                     utilities.append(entry["utility"])
                     below.append(entry["node"])
             level = below
-        if "/" in "".join(names) or not set(tags) <= {LAMBDA_TAG, MU_TAG}:
+        if "/" in "".join(names) or not set(tags) | leaf_tags <= set(_VALID_TAGS):
             return None
         if not set(map(type, priors)) | set(map(type, utilities)) <= {int, float}:
             return None
@@ -241,18 +239,15 @@ def _flat_tree(payload) -> DecisionTree | None:
             return None
         # The edges of each internal node, which lead to its children.
         counts = [k for k in n_children if k]
-        bounds = np.cumsum([0] + counts).tolist()
-        segments = list(map(slice, bounds, bounds[1:]))
+        bounds = np.cumsum([0] + counts)
         child_names = names[1:]
+        segments = map(slice, bounds.tolist(), bounds[1:].tolist())
         if list(map(len, map(set, map(child_names.__getitem__, segments)))) != counts:
             return None
-        totals = np.fromiter(map(math.fsum, map(priors.__getitem__, segments)), float, len(counts))
+        if not _normalise_rows(prior, bounds[:-1]).all():
+            return None
     except (KeyError, TypeError, OverflowError):
         return None
-    if not (np.abs(totals - 1.0) <= NORMALIZATION_TOL).all():
-        return None
-    # Dividing by exactly 1.0 changes no bit, so every node is divided.
-    prior /= np.repeat(totals, counts)
     return DecisionTree._from_arrays(names, tags, n_children, prior, utility)
 
 
@@ -272,9 +267,11 @@ def _parse_tree(payload) -> TreeNode:
         name = obj["name"]
         if not isinstance(name, str):
             raise DomainError(f"node name in {where} must be a string")
-        tag = obj.get("temperature_tag", "lambda")
+        tag = obj.get("temperature_tag", LAMBDA_TAG)
         if "children" not in obj:
-            return TreeNode(name=name)
+            # A known tag on a leaf reads back as "lambda"; DecisionTree
+            # rejects any other.
+            return TreeNode(name, temperature_tag=LAMBDA_TAG if tag in _VALID_TAGS else tag)
         children_spec = obj["children"]
         if not isinstance(children_spec, list) or not children_spec:
             raise DomainError(f"children of {where} must be a nonempty array")

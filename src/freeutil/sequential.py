@@ -25,7 +25,6 @@ from typing import Mapping
 import numpy as np
 
 from .model import (
-    NORMALIZATION_TOL,
     DecisionTree,
     DomainError,
     FiniteDistribution,
@@ -35,8 +34,11 @@ from .model import (
     UnsupportedRegime,
     UtilityTable,
     _check_node_name,
-    kl_divergence,
+    _normalise_rows,
+    _row_kls,
 )
+# kl_divergence stays bound here: the benchmark's traced run wraps it.
+from .model import kl_divergence  # noqa: F401
 from .variational import _tilt_segments, exponential_tilt
 
 
@@ -180,7 +182,7 @@ def outer_policy(problem: TwoStageProblem, lam, mu) -> TwoStageSolution:
         log_z2=dict(zip(actions, log_z[1:])),
         values=dict(zip(actions, values.tolist())),
         value=tv.root_value,
-        achieved_c1=kl_divergence(action_policy, problem.prior_action),
+        achieved_c1=tv.flat_kl[0].item(),
         achieved_c2=math.fsum(p * kl for p, kl in zip(probs, tv.flat_kl[1:].tolist()) if p > 0.0),
         regime=regime_label(temps),
     )
@@ -235,8 +237,9 @@ class TreeValue:
     and flat_policy per edge, and builds the two mappings from them on first
     read. Per internal node, in the same order, flat_log_z holds the
     log-partition of its tilt (NaN at the infinite limits, where there is
-    none) and flat_kl the relative entropy in nats of its tilted row, before
-    the row's final normalisation, against its prior row.
+    none) and flat_kl the relative entropy in nats of its policy row, after
+    the row's one normalisation, against its prior row: the bits of
+    kl_divergence on the two rows.
     """
 
     values: Mapping[str, float]
@@ -284,30 +287,6 @@ def _tree_value(tree: DecisionTree, value, policy, log_z, kl) -> TreeValue:
 _BLOCK_EDGES = 1 << 14
 
 
-def _row_kls(beliefs, prior, starts) -> np.ndarray:
-    """KL(beliefs row ‖ prior row) in nats for every segment of two flat
-    arrays; a row equal to its prior row has every term, and so its KL, 0.0."""
-    terms = np.ones_like(beliefs)
-    with np.errstate(over="ignore"):
-        np.divide(beliefs, prior, out=terms, where=beliefs > 0.0)
-    # Past the float range (a subnormal prior entry), the ratio is taken as logs.
-    big = np.isinf(terms)
-    np.log(terms, out=terms)
-    terms[big] = np.log(beliefs[big]) - np.log(prior[big])
-    terms *= beliefs
-    kls = _row_sums(terms, starts)
-    kls[kls < 0.0] = 0.0  # as max(kl, 0.0): -0.0 and NaN stay
-    return kls
-
-
-def _row_sums(flat, starts) -> np.ndarray:
-    """math.fsum of every segment of a flat float array, read through
-    memoryview slices, which iterate as Python floats."""
-    bounds = starts.tolist() + [len(flat)]
-    rows = map(memoryview(flat).__getitem__, map(slice, bounds, bounds[1:]))
-    return np.fromiter(map(math.fsum, rows), float, len(starts))
-
-
 def value_recursion(tree: DecisionTree, temps: TemperatureSpec) -> TreeValue:
     """Bottom-up soft backup over a decision tree.
 
@@ -336,9 +315,7 @@ def value_recursion(tree: DecisionTree, temps: TemperatureSpec) -> TreeValue:
         )
     n = len(tree.names)
     first_child, n_children = tree.first_child, tree.n_children
-    levels = [0]  # index of the first node of each level, then the node count
-    while levels[-1] < n:
-        levels.append(int(first_child[levels[-1]]))
+    levels = tree.level_starts()
     internal = np.flatnonzero(n_children[: levels[-2]])  # the last level holds only leaves
     value = np.zeros(n)
     policy = np.empty(n - 1)
@@ -377,16 +354,11 @@ def value_recursion(tree: DecisionTree, temps: TemperatureSpec) -> TreeValue:
                     gains[~finite] = 0.0
                 flat, value[block], log_z[rows], kept = _tilt_segments(p, gains, starts, t)
                 if not all(kept):
-                    row_kl[rows] = _row_kls(flat, p, starts)
                     # A tilted row is normalised as FiniteDistribution
-                    # normalises it: by its math.fsum, checked against
-                    # NORMALIZATION_TOL, which a NaN fails too. A kept row is
-                    # the prior; a faulty one stays as the tilt left it.
-                    totals = _row_sums(flat, starts)
-                    totals[kept] = 1.0
-                    faulty[block] |= ~(np.abs(totals - 1.0) <= NORMALIZATION_TOL)
-                    totals[faulty[block]] = 1.0
-                    flat /= np.repeat(totals, counts)
+                    # normalises it. A kept row is the prior; a faulty one
+                    # stays as the tilt left it.
+                    faulty[block] |= ~_normalise_rows(flat, starts, kept | faulty[block])
+                    row_kl[rows] = _row_kls(flat, p, starts)
                 policy[edges] = flat
 
     if faulty.any():

@@ -28,6 +28,7 @@ from .model import (
     FiniteDistribution,
     Temperature,
     UtilityTable,
+    _WHOLE,
     entropy,
     expectation,
     kl_divergence,
@@ -47,10 +48,6 @@ class TiltResult:
     policy: FiniteDistribution
     value: float
     log_partition: float | None
-
-
-# The offsets of a single segment covering a whole array.
-_WHOLE = np.zeros(1, dtype=np.intp)
 
 
 def _tilt_segments(prior, gains, starts, t: Temperature):

@@ -514,6 +514,25 @@ def test_sweep_single_leaf_tree(tmp_path):
     assert result.stdout == "mu,value,achieved_kl\n1,0,0\ninf,0,0\n"
 
 
+def test_unknown_leaf_tag_exits_2_naming_the_node(tmp_path):
+    """A leaf's tag is checked as an internal node's is: the first bad one in
+    pre-order is named."""
+    kids = [
+        {"prior": 0.5, "utility": 1.0, "node": {"name": "a", "temperature_tag": 5}},
+        {"prior": 0.5, "utility": 0.0, "node": {"name": "b", "temperature_tag": "beta"}},
+    ]
+    doc = {"schema_version": "1", "kind": "tree", "payload": {"name": "r", "children": kids}}
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(doc))
+    for command in (["solve"], ["sweep", "--param", "mu", "--grid", "1"], ["verify"]):
+        result = run_cli(command[0], path, *command[1:])
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == (
+            "UnknownTemperatureTag: node 'a' has temperature tag 5; "
+            "expected one of ('lambda', 'mu')\n"
+        )
+
+
 def test_sweep_parameter_mismatches_exit_2():
     assert run_cli(
         "sweep", GOLDEN / "two_stage_basic.json", "--param", "alpha", "--grid", "1"

@@ -98,10 +98,10 @@ def payloads(draw, faults=(), depth=0, name="r"):
         del node["name"]
     elif fault == "slash in name":
         node["name"] = name + "/x"
-    if depth >= 3 or draw(st.integers(0, 3)) == 0:
-        return node
     if fault == "bad tag":
         node["temperature_tag"] = draw(st.sampled_from(["beta", 5, [1], None]))
+    if depth >= 3 or draw(st.integers(0, 3)) == 0:
+        return node
     k = draw(st.integers(1, 4))
     weight = st.one_of(st.sampled_from([0, 0.0, -0.0, 1, 2, 0.5, 0.1]), st.floats(0.01, 10))
     weights = draw(st.lists(weight, min_size=k, max_size=k))
@@ -273,7 +273,7 @@ def test_tree_sweep_rows_match_the_treenode_path(payload):
     tree = loads(document(payload)).problem
     temps = TemperatureSpec(1.0, 1.0)
     grid = [t.mu for t in TEMPS]
-    header, rows = cli._sweep_rows_tree(tree, "mu", grid, temps)
+    header, rows = cli._sweep_rows_staged(tree, "mu", grid, temps)
     root = tree.root
     assert header == ["mu"] + [f"p[{c.name}]" for c in root.children] + ["value", "achieved_kl"]
     for point, row in zip(grid, rows):
@@ -288,7 +288,7 @@ def test_tree_sweep_rows_match_the_treenode_path(payload):
 def test_blocked_backup_matches_the_treenode_path(payload, block):
     """Blocks of `block` edges split every level, tags mixed within it; the
     backup keeps its bits, and per internal node the log-partition of its
-    tilt and the relative entropy of its row."""
+    tilt and the relative entropy of its row, both bit for bit."""
     text = document(payload)
     flat, reference = loads(text).problem, reference_tree(text)
     paths = flat.paths()
@@ -312,10 +312,28 @@ def test_blocked_backup_matches_the_treenode_path(payload, block):
                 assert math.isnan(log_z)
             else:
                 assert float.hex(log_z) == float.hex(tilt.log_partition)
-            # The row's relative entropy is taken before its one
-            # normalisation, so it may differ from this one in the last bits.
             kl = kl_divergence(tilt.policy, node.child_prior)
-            assert abs(tv.flat_kl[rows[path]] - kl) <= 1e-13 * (1.0 + kl)
+            assert float.hex(tv.flat_kl[rows[path]].item()) == float.hex(kl)
+
+
+@settings(max_examples=60, deadline=None)
+@given(payloads(), st.integers(1, 5))
+def test_flat_kl_is_kl_divergence_of_the_normalised_rows(payload, block):
+    """flat_kl[r] has the bits of kl_divergence of internal node r's
+    normalised policy row against its prior row, at every temperature and
+    with blocks of `block` edges."""
+    tree = loads(document(payload)).problem
+    internal = np.flatnonzero(tree.n_children).tolist()
+    for temps in TEMPS:
+        with patch.object(sequential, "_BLOCK_EDGES", block):
+            tv = value_recursion(tree, temps)
+        assert len(tv.flat_kl) == len(internal)
+        for r, i in enumerate(internal):
+            lo, hi = int(tree.first_child[i]), int(tree.first_child[i] + tree.n_children[i])
+            names = tree.names[lo:hi]
+            policy = FiniteDistribution._trusted(names, tv.flat_policy[lo - 1 : hi - 1].tolist())
+            prior = FiniteDistribution._trusted(names, tree.prior[lo - 1 : hi - 1].tolist())
+            assert float.hex(tv.flat_kl[r].item()) == float.hex(kl_divergence(policy, prior))
 
 
 def node(name, children, probs, utils, tag="lambda"):
@@ -478,7 +496,7 @@ def test_labelled_objects_are_built_only_when_read(monkeypatch):
     temps = TemperatureSpec(2.0, -1.0)
     tv = value_recursion(tree, temps)
     tree_doc(tree, temps)
-    cli._sweep_rows_tree(tree, "mu", [t.mu for t in TEMPS], temps)
+    cli._sweep_rows_staged(tree, "mu", [t.mu for t in TEMPS], temps)
     assert built == []
     assert len(tv.policies) == 3 and tree.root.name == "r"
     problem = random_two_stage(np.random.default_rng(5), 4, 6)

@@ -173,8 +173,8 @@ def test_kl_aligns_permuted_labels():
 @pytest.mark.parametrize("p0", [1.0, 0.25, 1e-200])
 def test_kl_against_a_tiny_reference_probability_is_finite(p0, q0):
     """p/q may overflow for a subnormal q; the value is still log p - log q,
-    checked against mpmath, and is bit for bit the ratio form where p/q does
-    not overflow."""
+    checked against mpmath, and is bit for bit the ratio form, in numpy's
+    log as the row kernel takes it, where p/q does not overflow."""
     p = dist(["a", "b"], [p0, 1.0 - p0])
     q = dist(["a", "b"], [q0, 1.0])
     mpmath.mp.dps = 50
@@ -184,9 +184,59 @@ def test_kl_against_a_tiny_reference_probability_is_finite(p0, q0):
     )
     got = kl_divergence(p, q)
     assert got == pytest.approx(float(exact), rel=1e-14)
-    if all(pi / qi < math.inf for pi, qi in zip(p.probs, q.probs)):
-        ratio_form = math.fsum(pi * math.log(pi / qi) for pi, qi in zip(p.probs, q.probs) if pi)
+    support = np.array(p.probs) > 0.0
+    p_arr, q_arr = np.array(p.probs)[support], np.array(q.probs)[support]
+    with np.errstate(over="ignore"):
+        in_range = (p_arr / q_arr < math.inf).all()
+    if in_range:
+        ratio_form = math.fsum((p_arr * np.log(p_arr / q_arr)).tolist())
         assert got == max(ratio_form, 0.0)
+
+
+# The error bound of kl_divergence, fixed from float64 before any run: with
+# u = 2**-53, the ratio, the log and the product each round once, so a term
+# p·log(p/q) is off by at most about p·u·(1 + 3·|log p/q|) (the log p - log q
+# form past the float range, by less: there |log p/q| > 700 and |log p| < 37),
+# and the math.fsum of the terms rounds once more. 8·u·(1 + Σ p·|log p/q|)
+# bounds the sum with room.
+KL_ERROR_SCALE = 8 * 2.0**-53
+
+SMALL_Q = [5e-324, 1e-320, 1e-310, 2.5e-308]
+
+
+@st.composite
+def kl_pairs(draw):
+    """Distributions p and q over one label set: zeros in p, subnormal and
+    normal entries in q, and q zero only where p is."""
+    n = draw(st.integers(1, 6))
+    weight = st.one_of(st.sampled_from([0.0, 1, 0.5]), st.floats(1e-6, 10.0))
+    p = draw(st.lists(weight, min_size=n, max_size=n))
+    if not any(p):
+        p[0] = 1
+    q_entry = st.one_of(st.sampled_from(SMALL_Q), st.floats(1e-300, 10.0))
+    q = [draw(q_entry if pi or draw(st.booleans()) else st.just(0.0)) for pi in p]
+    labels = [f"o{i}" for i in range(n)]
+    return dist(labels, [w / math.fsum(p) for w in p]), dist(labels, [w / math.fsum(q) for w in q])
+
+
+@given(kl_pairs())
+def test_kl_is_within_its_error_bound_of_mpmath(pair):
+    p, q = pair
+    unsupported = [o for o, pi, qi in zip(p.outcomes, p.probs, q.probs) if pi > 0.0 and qi == 0.0]
+    if unsupported:  # a subnormal q entry that normalising took to 0
+        with pytest.raises(SupportMismatch, match=f"q\\({unsupported[0]!r}\\) = 0"):
+            kl_divergence(p, q)
+        return
+    mpmath.mp.dps = 50
+    terms = [
+        mpmath.mpf(pi) * mpmath.log(mpmath.mpf(pi) / mpmath.mpf(qi))
+        for pi, qi in zip(p.probs, q.probs) if pi > 0.0
+    ]
+    exact = mpmath.fsum(terms)
+    bound = KL_ERROR_SCALE * (1 + float(mpmath.fsum(map(abs, terms))))
+    got = kl_divergence(p, q)
+    assert got >= 0.0
+    assert abs(mpmath.mpf(got) - exact) <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +506,20 @@ def test_tree_rejects_unknown_tag():
         )
 
 
+def test_tree_rejects_a_leaf_with_an_unknown_tag_in_pre_order():
+    """A leaf's tag is checked as an internal node's is, the first bad tag in
+    pre-order named; a leaf's known tag is kept."""
+    bad_leaf = TreeNode("x", temperature_tag=5)
+    bad_node = node("b", [leaf("y")], [1.0], [0.0], tag="beta")
+    for kids, name, tag in [([bad_leaf, bad_node], "x", 5), ([bad_node, bad_leaf], "b", "beta")]:
+        named = f"node {name!r} has temperature tag {tag!r}"
+        with pytest.raises(UnknownTemperatureTag, match=named):
+            DecisionTree(node("r", kids, [0.5, 0.5], [0.0, 0.0]))
+    kids = [TreeNode("x", temperature_tag="mu"), leaf("y")]
+    tree = DecisionTree(node("r", kids, [0.5, 0.5], [0.0, 1.0]))
+    assert tree.tags == ("lambda", "mu", "lambda")
+
+
 def test_tree_rejects_leaf_with_priors():
     bad_leaf = TreeNode("a", (), FiniteDistribution(["x"], [1.0]), None)
     with pytest.raises(LabelMismatch):
@@ -524,17 +588,17 @@ def reference_validate(root):
                 f"node name {n.name!r} contains '/', which separates "
                 "the names in a node path"
             )
+        if n.temperature_tag not in ("lambda", "mu"):
+            raise UnknownTemperatureTag(
+                f"node {n.name!r} has temperature tag {n.temperature_tag!r}; "
+                f"expected one of {('lambda', 'mu')}"
+            )
         if n.is_leaf:
             if n.child_prior is not None or n.child_utility is not None:
                 raise LabelMismatch(
                     f"leaf {n.name!r} must not carry child priors or utilities"
                 )
             return
-        if n.temperature_tag not in ("lambda", "mu"):
-            raise UnknownTemperatureTag(
-                f"node {n.name!r} has temperature tag {n.temperature_tag!r}; "
-                f"expected one of {('lambda', 'mu')}"
-            )
         names = tuple(c.name for c in n.children)
         if n.child_prior is None or n.child_prior.outcomes != names:
             raise LabelMismatch(
@@ -578,9 +642,10 @@ def faulty_trees(draw):
         else:
             children = [build(level + 1) for _ in range(n_children)]
         names = [c.name for c in children]
+        tag = "beta" if fault == "tag" else draw(st.sampled_from(["lambda", "mu"]))
         if not children:
             prior = FiniteDistribution(["z"], [1.0]) if fault == "leaf_prior" else None
-            result = TreeNode(name, (), prior, None)
+            result = TreeNode(name, (), prior, None, tag)
         else:
             names_p = names + ["extra"] if fault == "prior" else names
             names_u = names[:-1] if fault == "utility" else names
@@ -589,7 +654,7 @@ def faulty_trees(draw):
                 tuple(children),
                 FiniteDistribution(names_p, [1.0 / len(names_p)] * len(names_p)),
                 UtilityTable(names_u, [0.0] * len(names_u)),
-                "beta" if fault == "tag" else draw(st.sampled_from(["lambda", "mu"])),
+                tag,
             )
         built.append(result)
         return result

@@ -18,6 +18,7 @@ from freeutil.model import (
     FreeUtilError,
     Temperature,
     TreeNode,
+    UnknownTemperatureTag,
     UtilityTable,
 )
 from freeutil.problemio import (
@@ -327,7 +328,8 @@ def reference_parse_node(obj, where):
         raise DomainError(f"node name in {where} must be a string")
     tag = obj.get("temperature_tag", "lambda")
     if "children" not in obj:
-        return TreeNode(name=name)
+        # A leaf's known tag reads back as "lambda"; DecisionTree rejects any other.
+        return TreeNode(name=name, temperature_tag="lambda" if tag in ("lambda", "mu") else tag)
     children_spec = obj["children"]
     if not isinstance(children_spec, list) or not children_spec:
         raise DomainError(f"children of {where} must be a nonempty array")
@@ -354,7 +356,7 @@ FAULTS = (
     "none", "none", "none", "unknown key", "name not a string", "no name",
     "children not a list", "no children", "entry not an object", "entry without prior",
     "prior a bool", "utility a string", "both numbers bad", "negative prior", "unnormalized",
-    "duplicate names", "infinite utility",
+    "duplicate names", "infinite utility", "bad tag",
 )
 
 
@@ -371,6 +373,8 @@ def tree_payloads(draw, depth=0):
         node["name"] = 3
     if fault == "no name":
         del node["name"]
+    if fault == "bad tag":
+        node["temperature_tag"] = draw(st.sampled_from(["beta", 5, None]))
     if depth >= 3 or draw(st.integers(0, 2)) == 0:
         return node
     n = draw(st.integers(1, 3))
@@ -409,6 +413,27 @@ def tree_payloads(draw, depth=0):
 def test_tree_parser_matches_the_recursive_parser(payload):
     got = outcome_of(_parse_tree, payload)
     assert got == outcome_of(reference_parse_node, payload, "tree payload")
+
+
+def leaf_tag_file(tags) -> str:
+    """A 3-node tree file whose two leaves carry the given tags."""
+    kids = [
+        {"prior": 0.5, "utility": float(i), "node": {"name": name, "temperature_tag": tag}}
+        for i, (name, tag) in enumerate(zip("ab", tags))
+    ]
+    payload = {"name": "r", "temperature_tag": "mu", "children": kids}
+    return json.dumps({"schema_version": "1", "kind": "tree", "payload": payload})
+
+
+def test_leaf_tags_are_checked_and_read_back_as_lambda():
+    for tags in [("lambda", "mu"), ("mu", "mu")]:
+        pf = loads(leaf_tag_file(tags))
+        assert pf.problem.tags == ("mu", "lambda", "lambda")
+        assert loads(dumps(pf)) == pf
+    for tags, named in [((5, "beta"), "node 'a' has temperature tag 5"),
+                        (("mu", None), "node 'b' has temperature tag None")]:
+        with pytest.raises(UnknownTemperatureTag, match=named):
+            loads(leaf_tag_file(tags))
 
 
 def test_tree_parser_handles_a_payload_deeper_than_the_recursion_limit():
