@@ -11,11 +11,19 @@ order is fixed, and nothing nondeterministic (timestamps, paths, machine
 info) is emitted, so two runs on the same input are byte-identical — for
 randomized suites, given the same FREEUTIL_SEED. Exit codes are a stable
 contract: 0 success, 2 input error, 3 solver error, 4 verification failure.
+
+Each command runs in two phases. Its ``_cmd_*`` function only reads and
+checks the inputs (file, flags, grid, seed, perturbation) and returns a
+zero-argument solve that gives the output text and the exit code. ``main``
+alone keeps the contract: a ``FreeUtilError`` while reading, an oracle's
+size cap or an ``OSError`` anywhere exits 2, any other ``FreeUtilError``
+from the solve exits 3, each with one ``Name: message`` line on stderr;
+otherwise the text goes to stdout or ``--output``.
 """
 from __future__ import annotations
 
 import argparse
-import io
+import functools
 import math
 import sys
 from json.encoder import encode_basestring_ascii
@@ -72,6 +80,10 @@ def _convert_units(obj, units: str):
     return obj
 
 
+def _render(doc: dict, units: str) -> str:
+    return render_json(_convert_units(doc, units), _fmt_float)
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -84,49 +96,42 @@ def _parse_temp_arg(text: str | None) -> Temperature | None:
     return None if text is None else Temperature.parse(text)
 
 
-def _resolve_control_alpha(pf: ProblemFile, args) -> Temperature:
-    flag_alpha = _parse_temp_arg(args.alpha)
-    flag_lam = _parse_temp_arg(getattr(args, "lam", None))
-    if getattr(args, "mu", None) is not None:
-        raise DomainError("mu does not apply to a control problem")
-    if flag_alpha is not None and flag_lam is not None:
-        raise DomainError("give either alpha or lambda for a control problem, not both")
-    if flag_alpha is not None:
-        return control_temperature(flag_alpha)
-    if flag_lam is not None:
-        return control_temperature(flag_lam.reciprocal())
-    if pf.alpha is not None:
-        return control_temperature(pf.alpha)
+def _flag_or_file(flag: Temperature | None, from_file: Temperature | None) -> Temperature:
+    """The flag's temperature, else the file's, else 1."""
+    for t in (flag, from_file):
+        if t is not None:
+            return t
     return Temperature.finite(1.0)
 
 
+def _resolve_control_alpha(pf: ProblemFile, args) -> Temperature:
+    flag_alpha, flag_lam = _parse_temp_arg(args.alpha), _parse_temp_arg(args.lam)
+    if args.mu is not None:
+        raise DomainError("mu does not apply to a control problem")
+    if flag_alpha is not None and flag_lam is not None:
+        raise DomainError("give either alpha or lambda for a control problem, not both")
+    if flag_lam is not None:
+        flag_alpha = flag_lam.reciprocal()
+    return control_temperature(_flag_or_file(flag_alpha, pf.alpha))
+
+
 def _resolve_staged_temps(pf: ProblemFile, args) -> TemperatureSpec:
-    flag_alpha = _parse_temp_arg(getattr(args, "alpha", None))
-    flag_lam = _parse_temp_arg(getattr(args, "lam", None))
-    flag_mu = _parse_temp_arg(getattr(args, "mu", None))
+    flag_alpha, flag_lam, flag_mu = map(_parse_temp_arg, (args.alpha, args.lam, args.mu))
     if flag_alpha is not None and flag_lam is not None:
         raise DomainError("give either lambda or alpha, not both")
-    lam = flag_lam
-    if lam is None and flag_alpha is not None:
-        lam = flag_alpha.reciprocal()
-    if lam is None:
-        lam = pf.lam
-    if lam is None:
-        lam = Temperature.finite(1.0)
-    mu = flag_mu if flag_mu is not None else pf.mu
-    if mu is None:
-        mu = Temperature.finite(1.0)
-    return TemperatureSpec(lam, mu)
+    if flag_alpha is not None:
+        flag_lam = flag_alpha.reciprocal()
+    return TemperatureSpec(_flag_or_file(flag_lam, pf.lam), _flag_or_file(flag_mu, pf.mu))
 
 
-def _solve_control_doc(problem: ControlProblem, alpha: Temperature) -> dict:
+def _solve_control_doc(problem: ControlProblem, alpha: Temperature, units: str) -> str:
     # alpha is resolved, so this tilt is the one bounded_control would run.
     tilt = exponential_tilt(problem.prior, problem.utility, alpha.reciprocal())
     policy = tilt.policy
     expected = expectation(policy, problem.utility)
     kl = kl_divergence(policy, problem.prior)
     cost = alpha.value * kl if alpha.is_finite else 0.0
-    return {
+    return _render({
         "command": "solve",
         "kind": "control",
         "alpha": alpha.spell(),
@@ -137,12 +142,13 @@ def _solve_control_doc(problem: ControlProblem, alpha: Temperature) -> dict:
         "information_cost": cost,
         "achieved_kl": kl,
         "total": expected - cost,
-    }
+        "units": units,
+    }, units)
 
 
-def _solve_two_stage_doc(problem: TwoStageProblem, temps: TemperatureSpec) -> dict:
+def _solve_two_stage_doc(problem: TwoStageProblem, temps: TemperatureSpec, units: str) -> str:
     sol = solve_regime(problem, temps)
-    return {
+    return _render({
         "command": "solve",
         "kind": "two_stage",
         "lambda": temps.lam.spell(),
@@ -156,7 +162,8 @@ def _solve_two_stage_doc(problem: TwoStageProblem, temps: TemperatureSpec) -> di
         "log_z2": dict(sol.log_z2),
         "achieved_c1": sol.achieved_c1,
         "achieved_c2": sol.achieved_c2,
-    }
+        "units": units,
+    }, units)
 
 
 def _solve_tree_doc(tree: DecisionTree, temps: TemperatureSpec, units: str,
@@ -206,32 +213,15 @@ def _solve_tree_doc(tree: DecisionTree, temps: TemperatureSpec, units: str,
     return f"{head}: {values_text}{middle}: {policies_text}{tail}"
 
 
-def _cmd_solve(args) -> int:
-    try:
-        pf = load(args.file)
-        if pf.kind == "control":
-            alpha = _resolve_control_alpha(pf, args)
-        else:
-            temps = _resolve_staged_temps(pf, args)
-    except FreeUtilError as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_INPUT
-
-    try:
-        if pf.kind == "control":
-            doc = _solve_control_doc(pf.problem, alpha)
-        elif pf.kind == "two_stage":
-            doc = _solve_two_stage_doc(pf.problem, temps)
-        else:
-            text = _solve_tree_doc(pf.problem, temps, args.units)
-    except FreeUtilError as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_SOLVER
-
-    if pf.kind != "tree":
-        text = render_json(_convert_units({**doc, "units": args.units}, args.units), _fmt_float)
-    _emit(text + "\n", args.output)
-    return EXIT_OK
+def _cmd_solve(args):
+    pf = load(args.file)
+    if pf.kind == "control":
+        temps = _resolve_control_alpha(pf, args)
+    else:
+        temps = _resolve_staged_temps(pf, args)
+    doc = {"control": _solve_control_doc, "two_stage": _solve_two_stage_doc,
+           "tree": _solve_tree_doc}[pf.kind]
+    return lambda: (doc(pf.problem, temps, args.units) + "\n", EXIT_OK)
 
 
 def _sweep_rows_control(problem: ControlProblem, grid: list[Temperature]):
@@ -277,65 +267,53 @@ def _sweep_rows_staged(
 
 
 def _render_csv(header: list[str], rows: list[list], units: str) -> str:
-    kl_cols = {i for i, name in enumerate(header) if name in KL_KEYS}
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        cells = []
-        for i, cell in enumerate(row):
-            if isinstance(cell, float):
-                if i in kl_cols and units == "bits":
-                    cell = cell / LN2
-                cells.append(_fmt_float(cell))
-            else:
-                cells.append(str(cell))
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue()
+    lines = [header]
+    for row in _convert_units([dict(zip(header, row)) for row in rows], units):
+        lines.append([_fmt_float(c) if isinstance(c, float) else str(c) for c in row.values()])
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
-def _cmd_sweep(args) -> int:
-    try:
-        pf = load(args.file)
-        tokens = [t for t in args.grid.split(",") if t.strip()]
-        if not tokens:
-            raise DomainError("grid must list at least one value")
-        grid = [Temperature.parse(t) for t in tokens]
-        if pf.kind == "control":
-            if args.param != "alpha":
+# The temperature flags a sweep reads no value from: the grid sets the swept
+# temperature (alpha = 1/lambda), and a control problem has no other.
+SWEEP_UNREAD = {"alpha": ("alpha", "lam", "mu"), "lambda": ("alpha", "lam"), "mu": ("mu",)}
+
+
+def _reject_flags(args, dests: tuple[str, ...], where: str) -> None:
+    """Refuse the first of these temperature flags that was given, which the
+    command would otherwise ignore."""
+    for dest in dests:
+        if getattr(args, dest) is not None:
+            raise DomainError(f"--{'lambda' if dest == 'lam' else dest} does not apply to {where}")
+
+
+def _cmd_sweep(args):
+    pf = load(args.file)
+    tokens = [t for t in args.grid.split(",") if t.strip()]
+    if not tokens:
+        raise DomainError("grid must list at least one value")
+    grid = [Temperature.parse(t) for t in tokens]
+    if pf.kind == "control":
+        if args.param != "alpha":
+            raise DomainError(f"control problems sweep alpha, not {args.param!r}")
+        for point in grid:
+            try:
+                control_temperature(point)
+            except DomainError:
                 raise DomainError(
-                    f"control problems sweep alpha, not {args.param!r}"
-                )
-            for point in grid:
-                try:
-                    control_temperature(point)
-                except DomainError:
-                    raise DomainError(
-                        f"alpha grid value {point.spell()} is not a valid temperature"
-                    ) from None
-        else:
-            if args.param not in ("lambda", "mu"):
-                raise DomainError(
-                    f"{pf.kind} problems sweep lambda or mu, not {args.param!r}"
-                )
-            if args.param == "lambda":
-                for point in grid:
-                    TemperatureSpec(point, 1.0)  # domain check only
-            temps = _resolve_staged_temps(pf, args)
-    except FreeUtilError as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_INPUT
-
-    try:
-        if pf.kind == "control":
-            header, rows = _sweep_rows_control(pf.problem, grid)
-        else:
-            header, rows = _sweep_rows_staged(pf.problem, args.param, grid, temps)
-    except FreeUtilError as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_SOLVER
-
-    _emit(_render_csv(header, rows, args.units), args.output)
-    return EXIT_OK
+                    f"alpha grid value {point.spell()} is not a valid temperature"
+                ) from None
+    elif args.param == "alpha":
+        raise DomainError(f"{pf.kind} problems sweep lambda or mu, not 'alpha'")
+    elif args.param == "lambda":
+        for point in grid:
+            TemperatureSpec(point, 1.0)  # domain check only
+    _reject_flags(args, SWEEP_UNREAD[args.param], f"a sweep of {args.param}")
+    if pf.kind == "control":
+        rows = functools.partial(_sweep_rows_control, pf.problem, grid)
+    else:
+        temps = _resolve_staged_temps(pf, args)
+        rows = functools.partial(_sweep_rows_staged, pf.problem, args.param, grid, temps)
+    return lambda: (_render_csv(*rows(), args.units), EXIT_OK)
 
 
 REGIME_POINTS = (
@@ -346,21 +324,17 @@ REGIME_POINTS = (
 )
 
 
-def _cmd_regimes(args) -> int:
-    try:
-        pf = load(args.file)
-        if pf.kind != "two_stage":
-            raise DomainError(f"regime comparison needs a two_stage problem, got {pf.kind!r}")
-        mu_risk = Temperature.parse(args.mu)
-        if not (mu_risk.is_finite and mu_risk.value < 0.0):
-            raise DomainError(
-                f"the risk-averse point needs a finite negative mu, got {mu_risk.spell()}"
-            )
-    except FreeUtilError as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_INPUT
+def _cmd_regimes(args):
+    pf = load(args.file)
+    if pf.kind != "two_stage":
+        raise DomainError(f"regime comparison needs a two_stage problem, got {pf.kind!r}")
+    mu_risk = Temperature.parse(args.mu)
+    if not (mu_risk.is_finite and mu_risk.value < 0.0):
+        raise DomainError(
+            f"the risk-averse point needs a finite negative mu, got {mu_risk.spell()}"
+        )
 
-    try:
+    def solve():
         sections = []
         for lam, mu in REGIME_POINTS:
             temps = TemperatureSpec(lam, mu if mu is not None else mu_risk)
@@ -375,20 +349,16 @@ def _cmd_regimes(args) -> int:
                     "value": sol.value,
                 }
             )
-    except FreeUtilError as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_SOLVER
+        doc = {
+            "command": "regimes",
+            "kind": "two_stage",
+            "units": args.units,
+            "mu_risk": mu_risk.spell(),
+            "sections": sections,
+        }
+        return _render(doc, args.units) + "\n", EXIT_OK
 
-    doc = {
-        "command": "regimes",
-        "kind": "two_stage",
-        "units": args.units,
-        "mu_risk": mu_risk.spell(),
-        "sections": sections,
-    }
-    doc = _convert_units(doc, args.units)
-    _emit(render_json(doc, _fmt_float) + "\n", args.output)
-    return EXIT_OK
+    return solve
 
 
 def _cert_doc(cert: verify_mod.Certificate) -> dict:
@@ -403,67 +373,48 @@ def _cert_doc(cert: verify_mod.Certificate) -> dict:
     }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     if (args.file is None) == (args.suite is None):
-        print("DomainError: give exactly one of a problem file or --suite", file=sys.stderr)
-        return EXIT_INPUT
-
+        raise DomainError("give exactly one of a problem file or --suite")
     seed_str = verify_mod.seed_text()
-    seed = verify_mod.resolve_seed(seed_str)
-    target: dict = {"seed": seed_str}
-
-    pf = None
-    try:
-        if not math.isfinite(args.perturb):
-            raise DomainError(f"perturbation must be a finite number, got {args.perturb!r}")
-        if args.suite is not None:
-            target["suite"] = args.suite
+    if not math.isfinite(args.perturb):
+        raise DomainError(f"perturbation must be a finite number, got {args.perturb!r}")
+    if args.suite is not None:
+        _reject_flags(args, ("alpha", "lam", "mu"), "--suite")
+        target, seed = {"suite": args.suite}, verify_mod.resolve_seed(seed_str)
+    else:
+        target = {"file": args.file}
+        pf = load(args.file)
+        if pf.kind == "control":
+            alpha = _resolve_control_alpha(pf, args)
+            if not alpha.is_finite:
+                raise DomainError("file verification needs a finite alpha for the lattice oracle")
         else:
-            target["file"] = args.file
-            pf = load(args.file)
-            if pf.kind == "control":
-                alpha = _resolve_control_alpha(pf, args)
-                if not alpha.is_finite:
-                    raise DomainError(
-                        "file verification needs a finite alpha for the lattice oracle"
-                    )
-            else:
-                temps = _resolve_staged_temps(pf, args)
-    except FreeUtilError as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_INPUT
+            temps = _resolve_staged_temps(pf, args)
 
-    try:
+    def solve():
         if args.suite is not None:
             certs = verify_mod.run_suite(args.suite, seed)
         elif pf.kind == "control":
-            certs = verify_mod.verify_control(
-                pf.problem.prior, pf.problem.utility, alpha.value
-            )
+            certs = verify_mod.verify_control(pf.problem.prior, pf.problem.utility, alpha.value)
         elif pf.kind == "two_stage":
             certs = verify_mod.verify_two_stage(pf.problem, temps.lam, temps.mu)
         else:
             certs = verify_mod.verify_tree(pf.problem, temps.lam, temps.mu)
-    except (TooManyOutcomes, TooLarge, TooManyPaths) as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except FreeUtilError as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_SOLVER
+        certs = verify_mod.apply_perturbation(certs, args.perturb)
+        passed = all(c.passed for c in certs)
+        doc = {
+            "command": "verify",
+            "seed": seed_str,
+            **target,
+            "units": args.units,
+            "perturbation": args.perturb,
+            "certificates": [_cert_doc(c) for c in certs],
+            "passed": passed,
+        }
+        return _render(doc, args.units) + "\n", EXIT_OK if passed else EXIT_VERIFY
 
-    certs = verify_mod.apply_perturbation(certs, args.perturb)
-    passed = all(c.passed for c in certs)
-    doc = {
-        "command": "verify",
-        **target,
-        "units": args.units,
-        "perturbation": args.perturb,
-        "certificates": [_cert_doc(c) for c in certs],
-        "passed": passed,
-    }
-    doc = _convert_units(doc, args.units)
-    _emit(render_json(doc, _fmt_float) + "\n", args.output)
-    return EXIT_OK if passed else EXIT_VERIFY
+    return solve
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -546,14 +497,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    solve = None
     try:
-        return args.fn(args)
-    except OSError as e:
-        # Unreadable input and unwritable --output are both caller mistakes.
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_INPUT
+        solve = args.fn(args)
+        text, code = solve()
+        _emit(text, args.output)
+        return code
+    except (OSError, TooManyOutcomes, TooLarge, TooManyPaths) as e:
+        # Unreadable input, unwritable --output and a problem past an
+        # oracle's cap are all caller mistakes.
+        error, code = e, EXIT_INPUT
+    except FreeUtilError as e:
+        error, code = e, EXIT_INPUT if solve is None else EXIT_SOLVER
+    print(f"{type(error).__name__}: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

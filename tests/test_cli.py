@@ -10,7 +10,7 @@ from unittest import mock
 
 import pytest
 
-from freeutil import cli
+from freeutil import cli, oracle
 from freeutil.model import (
     DecisionTree,
     FiniteDistribution,
@@ -433,11 +433,41 @@ def test_output_flag_writes_stdout_bytes_to_file(tmp_path):
     assert target.read_text() == direct.stdout
 
 
-def test_unwritable_output_exits_2():
-    result = run_cli(
-        "solve", GOLDEN / "control_basic.json", "--output", "/no/such/dir/out.json"
+@pytest.mark.parametrize("command", [
+    ("solve", GOLDEN / "control_basic.json"),
+    ("sweep", GOLDEN / "control_basic.json", "--param", "alpha", "--grid", "1"),
+    ("regimes", GOLDEN / "two_stage_basic.json"),
+    ("verify", GOLDEN / "control_basic.json"),
+], ids=lambda command: command[0])
+def test_unwritable_output_exits_2(tmp_path, command):
+    result = run_cli(*command, "--output", tmp_path / "no_such_dir" / "out")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("FileNotFoundError: ") and result.stderr.count("\n") == 1
+
+
+def test_solver_errors_exit_3_in_every_command(tmp_path):
+    """A regime the solvers reject, or values that overflow, is a solver
+    error wherever a command meets it: exit 3, one line, nothing written."""
+    doc = json.loads((GOLDEN / "two_stage_basic.json").read_text())
+    doc["payload"]["action_utility"] = [1e308, -1e308]
+    doc["payload"]["outcome_utility"]["risky"] = [1e308, -1e308]
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    unsupported = (
+        "UnsupportedRegime: lambda at the zero limit pins the policy to its prior; "
+        "use a finite lambda or the inf limit\n"
     )
-    assert result.returncode == 2
+    overflow = "DomainError: utility of 'risky' is not finite: -inf\n"
+    for command, stderr in [
+        (("solve", GOLDEN / "two_stage_lambda_zero.json"), unsupported),
+        (("sweep", GOLDEN / "two_stage_basic.json", "--param", "mu", "--grid", "1",
+          "--lambda", "zero"), unsupported),
+        (("regimes", huge), overflow),
+        (("verify", huge), overflow),
+    ]:
+        result = run_cli(*command, "--output", tmp_path / "out")
+        assert (result.returncode, result.stdout, result.stderr) == (3, "", stderr)
+        assert not (tmp_path / "out").exists()
 
 
 def test_repeated_runs_are_byte_identical():
@@ -540,6 +570,29 @@ def test_sweep_parameter_mismatches_exit_2():
     assert run_cli(
         "sweep", GOLDEN / "control_basic.json", "--param", "mu", "--grid", "1"
     ).returncode == 2
+
+
+@pytest.mark.parametrize("command, stderr", [
+    (("sweep", GOLDEN / "control_basic.json", "--param", "alpha", "--grid", "1,2", "--mu", "5"),
+     "--mu does not apply to a sweep of alpha"),
+    (("sweep", GOLDEN / "control_basic.json", "--param", "alpha", "--grid", "1,2", "--mu", "5",
+      "--lambda", "3"), "--lambda does not apply to a sweep of alpha"),
+    (("sweep", GOLDEN / "control_basic.json", "--param", "alpha", "--grid", "1,2", "--alpha", "7"),
+     "--alpha does not apply to a sweep of alpha"),
+    (("sweep", GOLDEN / "two_stage_basic.json", "--param", "mu", "--grid", "1,2", "--mu", "5"),
+     "--mu does not apply to a sweep of mu"),
+    (("sweep", GOLDEN / "two_stage_basic.json", "--param", "lambda", "--grid", "1,2",
+      "--lambda", "5"), "--lambda does not apply to a sweep of lambda"),
+    (("sweep", GOLDEN / "tree_binary.json", "--param", "lambda", "--grid", "1,2", "--alpha", "5"),
+     "--alpha does not apply to a sweep of lambda"),
+    (("verify", "--suite", "log-partition", "--alpha", "5", "--mu", "3"),
+     "--alpha does not apply to --suite"),
+])
+def test_temperature_flags_a_command_does_not_read_exit_2(command, stderr):
+    """A flag that would set the swept temperature, or any temperature for a
+    suite, is refused rather than ignored."""
+    result = run_cli(*command)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"DomainError: {stderr}\n")
 
 
 def test_sweep_invalid_grid_values_exit_2():
@@ -755,9 +808,26 @@ def test_verify_against_a_subnormal_prior_passes(tmp_path):
     assert cert["analytic"] == pytest.approx(255.559928078619, abs=1e-9)
 
 
-def test_verify_oversized_problems_exit_2():
-    assert run_cli("verify", GOLDEN / "control_five_outcomes.json").returncode == 2
-    assert run_cli("verify", GOLDEN / "two_stage_3x4.json").returncode == 2
+def test_verify_oversized_problems_exit_2(monkeypatch):
+    """An oracle's size cap is an input error: exit 2 and one line naming it."""
+    monkeypatch.setattr(oracle, "MAX_PATHS", 1)
+    for name, error in [
+        ("control_five_outcomes.json", "TooManyOutcomes"),
+        ("two_stage_3x4.json", "TooLarge"),
+        ("tree_binary.json", "TooManyPaths"),
+    ]:
+        result = run_cli("verify", GOLDEN / name)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith(f"{error}: ") and result.stderr.count("\n") == 1
+
+
+def test_verify_failure_still_writes_its_document(tmp_path):
+    command = ("verify", GOLDEN / "control_basic.json", "--perturb", "1e-3")
+    target = tmp_path / "report.json"
+    result = run_cli(*command, "--output", target)
+    assert (result.returncode, result.stdout, result.stderr) == (4, "", "")
+    assert target.read_text() == run_cli(*command).stdout
+    assert json.loads(target.read_text())["passed"] is False
 
 
 def test_verify_infinite_alpha_file_exit_2():

@@ -493,6 +493,10 @@ def test_views_are_built_only_when_read(monkeypatch, tmp_path, capsys):
     dump(ProblemFile("1", "two_stage", random_problem(np.random.default_rng(3), 5, 7)), str(path))
     grid = "--grid=" + ",".join(map(str, MUS))
     assert cli.main(["sweep", str(path), "--param", "mu", grid]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    labels = ",".join(f"p[a{i}]" for i in range(5))
+    assert lines[0] == f"mu,{labels},value,achieved_c1,achieved_c2"
+    assert len(lines) == 1 + len(MUS)
     problem = kept[0].problem
     assert problem.channel._dict is None and problem.outcome_utility._dict is None
     dumps(kept[0])
