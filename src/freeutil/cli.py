@@ -15,16 +15,17 @@ contract: 0 success, 2 input error, 3 solver error, 4 verification failure.
 Each command runs in two phases. Its ``_cmd_*`` function only reads and
 checks the inputs (file, flags, grid, seed, perturbation) and returns a
 zero-argument solve that gives the output text and the exit code. ``main``
-alone keeps the contract: a ``FreeUtilError`` while reading, an oracle's
-size cap or an ``OSError`` anywhere exits 2, any other ``FreeUtilError``
-from the solve exits 3, each with one ``Name: message`` line on stderr;
-otherwise the text goes to stdout or ``--output``.
+alone keeps the contract: a usage fault, a ``FreeUtilError`` while reading,
+an oracle's size cap or an ``OSError`` anywhere exits 2, any other
+``FreeUtilError`` from the solve exits 3, each with one ``Name: message``
+line on stderr; otherwise the text goes to stdout or ``--output``.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import math
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -66,18 +67,13 @@ def _fmt_float(x: float) -> str:
     return format(x + 0.0, ".12g")  # -0.0 + 0.0 is 0.0; every other float is kept
 
 
-def _convert_units(obj, units: str):
-    """Rescale relative-entropy fields in place-free fashion for bits output."""
+def _convert_units(doc: dict, units: str) -> dict:
+    """A copy of a document or CSV row with its relative-entropy fields in
+    the given units. Only top-level keys are read: that is where every such
+    field sits, and below them keys are labels from the problem file."""
     if units == "nats":
-        return obj
-    if isinstance(obj, dict):
-        return {
-            k: (v / LN2 if k in KL_KEYS and isinstance(v, float) else _convert_units(v, units))
-            for k, v in obj.items()
-        }
-    if isinstance(obj, list):
-        return [_convert_units(v, units) for v in obj]
-    return obj
+        return doc
+    return {k: v / LN2 if k in KL_KEYS and isinstance(v, float) else v for k, v in doc.items()}
 
 
 def _render(doc: dict, units: str) -> str:
@@ -268,7 +264,8 @@ def _sweep_rows_staged(
 
 def _render_csv(header: list[str], rows: list[list], units: str) -> str:
     lines = [header]
-    for row in _convert_units([dict(zip(header, row)) for row in rows], units):
+    for row in rows:
+        row = _convert_units(dict(zip(header, row)), units)
         lines.append([_fmt_float(c) if isinstance(c, float) else str(c) for c in row.values()])
     return "".join(",".join(line) + "\n" for line in lines)
 
@@ -417,8 +414,28 @@ def _cmd_verify(args):
     return solve
 
 
+# A token that float() or Temperature.parse reads as a negative number or
+# limit, or a grid that starts with one.
+_DASH_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with two changes. A flag's value may start with a dash when
+    it spells a number or a limit ('--mu -inf', '--grid -1,zero'); argparse
+    alone reads only plain decimals such as '-2' that way. A usage fault
+    raises ArgumentError, which main reports on one line, in place of the
+    usage text and an exit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _DASH_VALUE
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument(
         "--units",
         choices=("nats", "bits"),
@@ -432,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the document to PATH instead of stdout",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="freeutil",
         description=(
             "Bounded-rational decision policies: soft KL-regularized control, "
@@ -497,16 +514,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     solve = None
     try:
+        args = build_parser().parse_args(argv)
         solve = args.fn(args)
         text, code = solve()
         _emit(text, args.output)
         return code
-    except (OSError, TooManyOutcomes, TooLarge, TooManyPaths) as e:
-        # Unreadable input, unwritable --output and a problem past an
-        # oracle's cap are all caller mistakes.
+    except (argparse.ArgumentError, OSError, TooManyOutcomes, TooLarge, TooManyPaths) as e:
+        # A usage fault, unreadable input, unwritable --output and a problem
+        # past an oracle's cap are all caller mistakes.
         error, code = e, EXIT_INPUT
     except FreeUtilError as e:
         error, code = e, EXIT_INPUT if solve is None else EXIT_SOLVER

@@ -13,7 +13,8 @@ O(n·N²) instead of enumerating the full lattice (which for 4 outcomes at
 N = 1000 would be ~1.7e8 points); the reported evaluation count is the
 lattice cardinality the convolution covers. Each convolution step scores
 its (N+1)×(N+1) matrix a block of rows at a time, about _BLOCK_ENTRIES
-entries, so the working memory is O(block·N), not O(N²).
+entries, so the working memory is O(block·N), not O(N²). The staged
+two-stage search is this simplex search run once per stage.
 """
 from __future__ import annotations
 
@@ -49,9 +50,10 @@ _BLOCK_ENTRIES = 1 << 16
 class OracleResult:
     """Best value and point found by a grid oracle.
 
-    best_point is a FiniteDistribution for single-simplex searches or a
-    tuple of distributions for the staged search; evaluations is the
-    cardinality of the lattice covered.
+    best_point is a FiniteDistribution for single-simplex searches or, for
+    the staged search, a tuple of the action distribution followed by one
+    outcome distribution per action; evaluations is the cardinality of the
+    lattice covered (for the staged search, the product of its stages').
     """
 
     best_value: float
@@ -148,25 +150,6 @@ def simplex_grid_search(
     return OracleResult(best_value, best, 1.0 / N, math.comb(N + n - 1, n - 1))
 
 
-def _pair_grid_objective(
-    x: np.ndarray, q: FiniteDistribution, u: UtilityTable, inv_temp_divisor: float
-) -> np.ndarray:
-    """Vectorized Σ p·u − (1/t)·KL(p‖q) over 2-outcome grid points [x, 1-x].
-
-    Infeasible points (mass where q has none) come out as -inf when the
-    divisor is positive and +inf when negative, so max/min skip them
-    naturally.
-    """
-    q0, q1 = q.probs
-    u0, u1 = u.values
-    # A tiny divisor may overflow the penalty to ±inf, which is its limit.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t0 = np.where(x > 0.0, x * _log_ratio(x, q0) if q0 > 0.0 else np.inf, 0.0)
-        t1 = np.where(x < 1.0, (1 - x) * _log_ratio(1 - x, q1) if q1 > 0.0 else np.inf, 0.0)
-        kl = t0 + t1
-        return x * u0 + (1 - x) * u1 - kl / inv_temp_divisor
-
-
 def two_stage_objective(
     problem: TwoStageProblem,
     lam: float,
@@ -207,53 +190,54 @@ def two_stage_objective(
 def exhaustive_two_stage(
     problem: TwoStageProblem, lam: float, mu: float, resolution: float = 1e-3
 ) -> OracleResult:
-    """Grid optimum of the staged objective on 2-action × 2-outcome problems.
+    """Grid optimum of the staged objective, one simplex lattice per stage.
 
-    The lattice is the product of three 2-outcome simplices at step 1/N.
-    The objective separates: each action's belief row is optimized on its
-    own 1-D grid (maximized for mu > 0; minimized for mu < 0, where the
-    environment stage is adversarial and the problem is a max-min), then the
-    action distribution is optimized on its 1-D grid against those row
-    optima. This covers the full (N+1)³ lattice exactly, which is the
-    reported evaluation count.
+    The objective separates: each action's belief row is searched on its own
+    simplex lattice at alpha = 1/|mu| (maximized for mu > 0; for mu < 0 the
+    environment stage is adversarial, the problem is a max-min, and the row
+    is minimized as the maximum of the negated utilities, negated back),
+    then the action distribution is searched against U1(a) plus those row
+    optima at alpha = 1/lam. This covers the whole product of the lattices,
+    whose cardinality is the reported evaluation count; best_point is the
+    action point followed by the row points in action order. Each stage may
+    have at most MAX_GRID_OUTCOMES entries.
     """
-    if len(problem.actions) != 2 or len(problem.outcomes) != 2:
+    n_actions, n_outcomes = len(problem.actions), len(problem.outcomes)
+    if max(n_actions, n_outcomes) > MAX_GRID_OUTCOMES:
         raise TooLarge(
-            "staged grid search supports exactly 2 actions x 2 outcomes, got "
-            f"{len(problem.actions)}x{len(problem.outcomes)}"
+            f"staged grid search supports at most {MAX_GRID_OUTCOMES} actions and "
+            f"{MAX_GRID_OUTCOMES} outcomes, got {n_actions}x{n_outcomes}"
         )
     lam = float(lam)
     mu = float(mu)
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise DomainError(f"lam must be a positive finite real, got {lam!r}")
-    if not math.isfinite(mu) or mu == 0.0:
-        raise DomainError(f"mu must be a finite nonzero real, got {mu!r}")
-    N = _check_resolution(resolution)
-    x = np.arange(N + 1) / N
-
-    row_best: dict[str, FiniteDistribution] = {}
-    row_value: dict[str, float] = {}
-    for a in problem.actions:
-        scores = _pair_grid_objective(
-            x, problem.channel[a], problem.outcome_utility[a], mu
+    # Each stage's lattice alpha is the reciprocal, which must be finite too.
+    if not (math.isfinite(lam) and lam > 0.0 and math.isfinite(1.0 / lam)):
+        raise DomainError(
+            f"lam must be a positive finite real with a finite reciprocal, got {lam!r}"
         )
-        k = int(np.argmax(scores)) if mu > 0.0 else int(np.argmin(scores))
-        row_best[a] = FiniteDistribution(problem.outcomes, [x[k], 1 - x[k]])
-        row_value[a] = float(scores[k])
+    if not (math.isfinite(mu) and mu != 0.0 and math.isfinite(1.0 / mu)):
+        raise DomainError(
+            f"mu must be a finite nonzero real with a finite reciprocal, got {mu!r}"
+        )
+    sign = 1.0 if mu > 0.0 else -1.0
 
-    a0, a1 = problem.actions
-    g0 = problem.action_utility.value(a0) + row_value[a0]
-    g1 = problem.action_utility.value(a1) + row_value[a1]
-    outer = _pair_grid_objective(
-        x, problem.prior_action, UtilityTable(problem.actions, [g0, g1]), lam
+    rows, gains = [], []
+    for a in problem.actions:
+        u = problem.outcome_utility[a]
+        row = simplex_grid_search(
+            problem.channel[a], UtilityTable(u.outcomes, [sign * v for v in u.values]),
+            1.0 / abs(mu), resolution,
+        )
+        rows.append(row)
+        gains.append(problem.action_utility.value(a) + sign * row.best_value)
+    outer = simplex_grid_search(
+        problem.prior_action, UtilityTable(problem.actions, gains), 1.0 / lam, resolution
     )
-    j = int(np.argmax(outer))
-    p1 = FiniteDistribution(problem.actions, [x[j], 1 - x[j]])
     return OracleResult(
-        float(outer[j]),
-        (p1, row_best[a0], row_best[a1]),
-        1.0 / N,
-        (N + 1) ** 3,
+        outer.best_value,
+        (outer.best_point, *(row.best_point for row in rows)),
+        outer.resolution,
+        math.prod(res.evaluations for res in (outer, *rows)),
     )
 
 

@@ -29,6 +29,7 @@ from .model import (
     Temperature,
     UtilityTable,
     _WHOLE,
+    _row_sums,
     entropy,
     expectation,
     kl_divergence,
@@ -99,15 +100,9 @@ def _tilt_segments(prior, gains, starts, t: Temperature):
     const = [lo == hi for lo, hi in zip(g_min.tolist(), g_max_list)]
 
     if t.is_zero:
-        products = prior * gains
-        if not everywhere:
-            products = products[support]
-            counts = np.add.reduceat(support, starts, dtype=np.intp)
-            bounds = [0] + np.cumsum(counts).tolist()
-        values = [
-            g if c else math.fsum(products[lo:hi].tolist())
-            for g, c, lo, hi in zip(g_max_list, const, bounds, bounds[1:])
-        ]
+        # An unsupported entry adds -0.0, which changes no sum.
+        sums = _row_sums(np.where(support, prior * gains, -0.0), starts).tolist()
+        values = [g if c else v for g, c, v in zip(g_max_list, const, sums)]
         return prior, values, [0.0] * k, [True] * k
 
     # log 0 is -inf; gains near ±1e308 overflow into NaN rows, which fail downstream.

@@ -267,18 +267,11 @@ def suite_control_optimality(rng) -> list[Certificate]:
         prior = _random_dist(rng, outcomes, n_zero=n_zero)
         u = _random_utilities(rng, outcomes)
         alpha = float(rng.choice([0.1, 0.5, 1.0, 2.0, 10.0]))
-        policy = bounded_control(prior, u, alpha)
-        analytic = expectation(policy, u) - alpha * kl_divergence(policy, prior)
-        res = simplex_grid_search(prior, u, alpha, 1e-3)
+        analytic, res, zeros, kept = _control_check(prior, u, alpha)
         worst = _worst(worst, res.best_value - analytic, analytic, res.best_value)
-        if n_zero:
+        if zeros:
             n_zero_cases += 1
-            if all(
-                pp == 0.0
-                for pp, qq in zip(policy.probs, prior.probs)
-                if qq == 0.0
-            ):
-                preserved += 1
+            preserved += kept == zeros
     return [
         _worst_cert(
             "control-optimality/objective-gap",
@@ -393,11 +386,7 @@ def suite_two_stage_optimality(rng) -> list[Certificate]:
     for i in range(20):
         lam, mu = combos[i % len(combos)]
         problem = _random_two_stage(rng, 2, 2, i % 3 == 0)
-        sol = outer_policy(problem, lam, mu)
-        analytic = two_stage_objective(
-            problem, lam, mu, sol.action_policy, sol.outcome_beliefs
-        )
-        res = exhaustive_two_stage(problem, lam, mu, 1e-3)
+        analytic, res = _two_stage_check(problem, lam, mu)
         worst = _worst(worst, res.best_value - analytic, analytic, res.best_value)
     return [
         _worst_cert(
@@ -590,31 +579,43 @@ def apply_perturbation(certs: list[Certificate], eps: float) -> list[Certificate
     return [replace(c, analytic=c.analytic + eps, gap=c.gap + abs(eps)) for c in certs]
 
 
-def verify_control(prior, utility, alpha: float) -> list[Certificate]:
-    """Certificates for one control instance against the lattice oracle."""
+def _control_check(prior, utility, alpha: float):
+    """One control instance against the lattice oracle: the analytic
+    objective, the oracle's result, the prior's zero coordinates and how
+    many of them stayed exactly zero in the policy."""
     policy = bounded_control(prior, utility, alpha)
     analytic = expectation(policy, utility) - alpha * kl_divergence(policy, prior)
     res = simplex_grid_search(prior, utility, alpha, 1e-3)
-    gap = res.best_value - analytic
+    off_support = [pp for pp, qq in zip(policy.probs, prior.probs) if qq == 0.0]
+    return analytic, res, len(off_support), off_support.count(0.0)
+
+
+def _two_stage_check(problem: TwoStageProblem, lam: float, mu: float):
+    """One two-stage instance against the staged lattice oracle: the
+    analytic objective and the oracle's result."""
+    sol = outer_policy(problem, lam, mu)
+    analytic = two_stage_objective(problem, lam, mu, sol.action_policy, sol.outcome_beliefs)
+    return analytic, exhaustive_two_stage(problem, lam, mu, 1e-3)
+
+
+def verify_control(prior, utility, alpha: float) -> list[Certificate]:
+    """Certificates for one control instance against the lattice oracle."""
+    analytic, res, zeros, kept = _control_check(prior, utility, alpha)
     certs = [
         Certificate(
             name="file/control/objective-gap",
             analytic=analytic,
             oracle=res.best_value,
-            gap=gap,
+            gap=res.best_value - analytic,
             tolerance=1e-5,
             note=f"lattice of {res.evaluations} points at step {res.resolution:g}",
         )
     ]
-    zero_coords = sum(1 for q in prior.probs if q == 0.0)
-    if zero_coords:
-        kept = sum(
-            1 for pp, qq in zip(policy.probs, prior.probs) if qq == 0.0 and pp == 0.0
-        )
+    if zeros:
         certs.append(
             _count_cert(
                 "file/control/support-preservation",
-                zero_coords,
+                zeros,
                 kept,
                 "zero prior coordinates stayed exactly zero in the policy",
             )
@@ -626,8 +627,9 @@ def verify_two_stage(problem, lam: Temperature, mu: Temperature) -> list[Certifi
     """Certificates for one two-stage instance.
 
     The worst-case check always runs: the staged solver at (+inf, -inf)
-    against the enumeration oracle. The lattice check needs finite
-    temperatures and the 2x2 shape (larger shapes are over the oracle's cap).
+    against the enumeration oracle. The lattice check runs at finite
+    temperatures, on any shape within the staged oracle's cap of
+    MAX_GRID_OUTCOMES actions and outcomes (a larger shape raises TooLarge).
     """
     own_action, own_value = minimax_solve(problem)
     ref_action, ref_value = enumerate_minimax(problem)
@@ -645,18 +647,13 @@ def verify_two_stage(problem, lam: Temperature, mu: Temperature) -> list[Certifi
         )
     ]
     if lam.is_finite and mu.is_finite:
-        sol = outer_policy(problem, lam, mu)
-        analytic = two_stage_objective(
-            problem, lam.value, mu.value, sol.action_policy, sol.outcome_beliefs
-        )
-        res = exhaustive_two_stage(problem, lam.value, mu.value, 1e-3)
-        gap = res.best_value - analytic
+        analytic, res = _two_stage_check(problem, lam.value, mu.value)
         certs.append(
             Certificate(
                 name="file/two-stage/objective-gap",
                 analytic=analytic,
                 oracle=res.best_value,
-                gap=gap,
+                gap=res.best_value - analytic,
                 tolerance=1e-5,
                 note=f"product lattice of {res.evaluations} points at step {res.resolution:g}",
             )

@@ -53,10 +53,7 @@ def run_cli(*args, seed=None):
         os.environ.pop("FREEUTIL_SEED", None)
         if seed is not None:
             os.environ["FREEUTIL_SEED"] = seed
-        try:
-            code = cli.main([str(a) for a in args])
-        except SystemExit as e:  # argparse usage errors
-            code = e.code
+        code = cli.main([str(a) for a in args])
     return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
@@ -661,6 +658,94 @@ def test_bits_rescale_sweep_kl_column():
     assert bits_row[3] == nats_row[3]
 
 
+def test_bits_rescale_no_label_named_like_a_relative_entropy(tmp_path):
+    """Only a document's top-level relative-entropy fields are rescaled; an
+    outcome or action named like one keeps its probability and values."""
+    control = tmp_path / "control.json"
+    control.write_text(json.dumps({
+        "schema_version": "1", "kind": "control",
+        "payload": {"outcomes": ["achieved_kl", "b"], "prior": [0.5, 0.5], "utility": [0, 1]},
+    }))
+    nats, bits = (solve_doc(control, "--units", units) for units in ("nats", "bits"))
+    assert bits["policy"] == nats["policy"]
+    assert math.fsum(bits["policy"].values()) == pytest.approx(1.0, abs=1e-12)
+    assert bits["achieved_kl"] == pytest.approx(nats["achieved_kl"] / LN2, rel=1e-12)
+
+    actions, outcomes = ["achieved_c1", "b"], ["achieved_kl", "y"]
+    staged = tmp_path / "two_stage.json"
+    staged.write_text(json.dumps({
+        "schema_version": "1", "kind": "two_stage",
+        "payload": {
+            "actions": actions, "outcomes": outcomes, "prior_action": [0.5, 0.5],
+            "channel": {a: [0.5, 0.5] for a in actions},
+            "action_utility": [0.0, 1.0],
+            "outcome_utility": {a: [2.0, 0.5] for a in actions},
+        },
+    }))
+    nats, bits = (solve_doc(staged, "--units", units) for units in ("nats", "bits"))
+    for key in ("action_policy", "outcome_beliefs", "values", "log_z2"):
+        assert bits[key] == nats[key]
+    assert bits["achieved_c1"] == pytest.approx(nats["achieved_c1"] / LN2, rel=1e-12)
+    nats, bits = (
+        json.loads(run_cli("regimes", staged, "--units", units).stdout) for units in ("nats", "bits")
+    )
+    assert bits["sections"] == nats["sections"]
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+
+
+@pytest.mark.parametrize("args", [
+    ("solve", GOLDEN / "two_stage_basic.json", "--mu", "-inf"),
+    ("solve", GOLDEN / "two_stage_basic.json", "--mu", "-1e-3"),
+    ("solve", GOLDEN / "two_stage_basic.json", "--lambda", "-inf"),
+    ("solve", GOLDEN / "control_basic.json", "--alpha", "-1e-3"),
+    ("sweep", GOLDEN / "two_stage_basic.json", "--param", "mu", "--grid", "-inf,-1,zero"),
+    ("sweep", GOLDEN / "two_stage_basic.json", "--param", "lambda", "--grid", "1",
+     "--mu", "-1e-3"),
+    ("regimes", GOLDEN / "two_stage_basic.json", "--mu", "-1e-3"),
+    ("verify", GOLDEN / "two_stage_basic.json", "--mu", "-1e-3"),
+    ("verify", "--suite", "log-partition", "--perturb", "-1e-3"),
+])
+def test_dash_leading_flag_values_parse(args):
+    """'--flag -value' reads the value as '--flag=-value' does."""
+    *head, flag, value = args
+    spaced, joined = run_cli(*args), run_cli(*head, f"{flag}={value}")
+    assert "ArgumentError" not in spaced.stderr
+    assert (spaced.returncode, spaced.stdout, spaced.stderr) == (
+        joined.returncode, joined.stdout, joined.stderr
+    )
+
+
+@pytest.mark.parametrize("args, message", [
+    ((), "the following arguments are required: command"),
+    (("solve",), "the following arguments are required: file"),
+    (("solve", GOLDEN / "two_stage_basic.json", "--mu"), "argument --mu: expected one argument"),
+    (("solve", GOLDEN / "two_stage_basic.json", "--mu", "-x"),
+     "argument --mu: expected one argument"),
+    (("solve", GOLDEN / "two_stage_basic.json", "--bogus"), "unrecognized arguments: --bogus"),
+    (("solve", GOLDEN / "two_stage_basic.json", "--units", "furlongs"),
+     "argument --units: invalid choice: 'furlongs' (choose from 'nats', 'bits')"),
+    (("sweep", GOLDEN / "two_stage_basic.json", "--param", "nu", "--grid", "1"),
+     "argument --param: invalid choice: 'nu' (choose from 'lambda', 'mu', 'alpha')"),
+    (("verify", "--suite", "log-partition", "--perturb", "abc"),
+     "argument --perturb: invalid float value: 'abc'"),
+])
+def test_usage_faults_exit_2_with_one_line(args, message):
+    result = run_cli(*args)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"ArgumentError: {message}\n")
+
+
+def test_usage_fault_and_help_in_a_fresh_process():
+    fault = run_process("solve", GOLDEN / "two_stage_basic.json", "--mu")
+    assert (fault.returncode, fault.stdout) == (2, "")
+    assert fault.stderr == "ArgumentError: argument --mu: expected one argument\n"
+    help_ = run_process("solve", "-h")
+    assert (help_.returncode, help_.stderr) == (0, "")
+    assert help_.stdout.startswith("usage: freeutil solve")
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -811,6 +896,7 @@ def test_verify_against_a_subnormal_prior_passes(tmp_path):
 def test_verify_oversized_problems_exit_2(monkeypatch):
     """An oracle's size cap is an input error: exit 2 and one line naming it."""
     monkeypatch.setattr(oracle, "MAX_PATHS", 1)
+    monkeypatch.setattr(oracle, "MAX_GRID_OUTCOMES", 3)
     for name, error in [
         ("control_five_outcomes.json", "TooManyOutcomes"),
         ("two_stage_3x4.json", "TooLarge"),
@@ -819,6 +905,18 @@ def test_verify_oversized_problems_exit_2(monkeypatch):
         result = run_cli("verify", GOLDEN / name)
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr.startswith(f"{error}: ") and result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [(), ("--mu", "-2")])
+def test_verify_certifies_a_two_stage_file_wider_than_2x2(flags):
+    """3 actions x 4 outcomes is within the staged oracle's cap per stage, so
+    the file gets the lattice certificate at either sign of mu."""
+    result = run_cli("verify", GOLDEN / "two_stage_3x4.json", *flags)
+    assert (result.returncode, result.stderr) == (0, "")
+    certs = json.loads(result.stdout)["certificates"]
+    assert [c["name"] for c in certs if c["passed"]] == [
+        "file/two-stage/minimax-agreement", "file/two-stage/objective-gap"
+    ]
 
 
 def test_verify_failure_still_writes_its_document(tmp_path):

@@ -10,6 +10,9 @@ written, and with FREEUTIL_SEED unset.
 After a deliberate change of output, regenerate the snapshot with
 
     PYTHONPATH=src python tests/test_cli_snapshot.py
+
+which prints the argv of every call whose exit code, stdout or stderr
+differs from the old snapshot (or that it did not hold), for review.
 """
 import contextlib
 import io
@@ -58,6 +61,14 @@ def test_cli_calls_match_the_snapshot(monkeypatch):
 
 if __name__ == "__main__":
     os.chdir(HERE)
-    records = [json.dumps(run(argv)) for argv in snapshot_calls()]
-    SNAPSHOT.write_text("[\n" + ",\n".join(records) + "\n]\n", encoding="utf-8")
-    print(f"wrote {len(records)} calls to {SNAPSHOT.name}")
+    old = {}
+    if SNAPSHOT.exists():
+        old = {tuple(r["argv"]): r for r in json.loads(SNAPSHOT.read_text(encoding="utf-8"))}
+    records = [run(argv) for argv in snapshot_calls()]
+    SNAPSHOT.write_text(
+        "[\n" + ",\n".join(map(json.dumps, records)) + "\n]\n", encoding="utf-8"
+    )
+    changed = [r["argv"] for r in records if old.get(tuple(r["argv"])) != r]
+    for argv in changed:
+        print("changed:", " ".join(argv))
+    print(f"wrote {len(records)} calls to {SNAPSHOT.name}, {len(changed)} changed")

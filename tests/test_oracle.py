@@ -31,7 +31,6 @@ from freeutil.model import (
 )
 from freeutil.oracle import (
     _logsumexp,
-    _pair_grid_objective,
     bellman_backup,
     enumerate_minimax,
     exhaustive_two_stage,
@@ -371,18 +370,82 @@ def test_staged_matches_literal_max_min_negative_mu():
     assert res.best_value == pytest.approx(brute, abs=1e-10)
 
 
+def random_two_stage(rng, n_actions, n_outcomes):
+    actions = [f"a{i}" for i in range(n_actions)]
+    outcomes = [f"o{i}" for i in range(n_outcomes)]
+    return TwoStageProblem(
+        actions,
+        outcomes,
+        dist(actions, rng.dirichlet(np.ones(n_actions))),
+        {a: dist(outcomes, rng.dirichlet(np.ones(n_outcomes))) for a in actions},
+        util(actions, rng.normal(size=n_actions)),
+        {a: util(outcomes, rng.normal(size=n_outcomes)) for a in actions},
+    )
+
+
+def lattice(n, N):
+    """Every point of the simplex lattice {c/N} in n coordinates, one per row."""
+    return np.array(
+        [c for c in itertools.product(range(N + 1), repeat=n) if sum(c) == N]
+    ) / N
+
+
+def lattice_kls(points, q):
+    """KL(point ‖ q) for every row of points, with 0·log 0 = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(points > 0.0, points * np.log(points / q), 0.0)
+    return terms.sum(axis=1)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3)])
+@pytest.mark.parametrize("mu", [1.5, -2.0])
+def test_staged_matches_the_whole_product_lattice(shape, mu):
+    """On 3x2 and 2x3 problems the staged search equals the objective
+    evaluated at every point of the product lattice, then maximized over the
+    action point and maximized (mu > 0) or minimized (mu < 0) over the rows."""
+    rng = np.random.default_rng(107 + shape[0])
+    problem = random_two_stage(rng, *shape)
+    lam, N = 0.8, 10
+    actions = lattice(shape[0], N)
+    rows = lattice(shape[1], N)
+    # One axis per stage: objective[i, j_1, ..., j_A] at action point i and
+    # row point j_a for action a.
+    action_axis = (-1,) + (1,) * shape[0]
+    objective = (-lattice_kls(actions, problem.prior_action.array) / lam).reshape(action_axis)
+    for k, a in enumerate(problem.actions):
+        inner = (
+            rows @ problem.outcome_utility[a].array
+            - lattice_kls(rows, problem.channel[a].array) / mu
+        )
+        gain = problem.action_utility.value(a) + inner
+        row_axis = [1] * (shape[0] + 1)
+        row_axis[k + 1] = -1
+        objective = objective + actions[:, k].reshape(action_axis) * gain.reshape(row_axis)
+    per_action = objective.reshape(len(actions), -1)
+    inner_best = per_action.max(axis=1) if mu > 0.0 else per_action.min(axis=1)
+    res = exhaustive_two_stage(problem, lam, mu, 1 / N)
+    assert res.best_value == pytest.approx(inner_best.max(), abs=1e-10)
+    assert res.evaluations == objective.size == len(actions) * len(rows) ** shape[0]
+    p1, *beliefs = res.best_point
+    assert p1.outcomes == problem.actions
+    assert [b.outcomes for b in beliefs] == [problem.outcomes] * shape[0]
+    assert two_stage_objective(
+        problem, lam, mu, p1, dict(zip(problem.actions, beliefs))
+    ) == pytest.approx(res.best_value, abs=1e-10)
+
+
 def test_staged_rejects_larger_shapes():
-    actions = ["A", "B", "C"]
+    actions = ["A", "B", "C", "D", "E"]
     outcomes = ["x", "y"]
     problem = TwoStageProblem(
         actions,
         outcomes,
         FiniteDistribution.uniform(actions),
         {a: FiniteDistribution.uniform(outcomes) for a in actions},
-        util(actions, [0.0] * 3),
+        util(actions, [0.0] * 5),
         {a: util(outcomes, [0.0, 1.0]) for a in actions},
     )
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match="got 5x2"):
         exhaustive_two_stage(problem, 1.0, 1.0, 1e-2)
 
 
@@ -647,16 +710,17 @@ def test_oracles_handle_a_chain_deeper_than_the_recursion_limit():
     assert list(hard.values)[-1] == "n0"
 
 
-def test_pair_grid_objective_keeps_overflow_to_itself():
-    x = np.linspace(0.0, 1.0, 11)
-    q = dist(["a", "b"], [0.3, 0.7])
-    u = util(["a", "b"], [1.0, -1.0])
+@pytest.mark.parametrize("lam, mu, name", [
+    (1e-310, 1.0, "lam"), (1.0, 1e-310, "mu"), (1.0, -1e-310, "mu"), (1.0, -5e-324, "mu"),
+])
+def test_staged_refuses_a_temperature_whose_reciprocal_overflows(lam, mu, name):
+    """1/t past the float range leaves a stage no lattice alpha: a DomainError
+    naming the temperature, raised before any search and without a warning."""
+    problem = random_two_by_two(np.random.default_rng(5))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scores = _pair_grid_objective(x, q, u, 1e-310)
-        flipped = _pair_grid_objective(x, q, u, -1e-310)
-    assert np.isneginf(scores[0]) and np.isneginf(scores[-1])
-    assert np.isposinf(flipped[0]) and np.isposinf(flipped[-1])
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            exhaustive_two_stage(problem, lam, mu, 1e-2)
 
 
 def mp_objective(x, q, u, alpha):
@@ -668,14 +732,24 @@ def mp_objective(x, q, u, alpha):
 
 
 def test_oracles_score_a_subnormal_prior_coordinate():
-    """A prior coordinate of 5e-324 overflows x/p; the lattice and the pair
-    grid still score that coordinate, against mpmath, without a warning."""
+    """A prior coordinate of 5e-324 overflows x/p; the lattice search and the
+    staged search, through a channel row, still score that coordinate,
+    against mpmath, without a warning."""
     q = dist(["a", "b"], [5e-324, 1.0])
     u = util(["a", "b"], [1000.0, 0.0])
     res = simplex_grid_search(q, u, 1.0)
     assert res.best_point.probs == (1.0, 0.0)
     assert res.best_value == pytest.approx(float(mp_objective(1.0, q.probs, u.values, 1)), abs=1e-9)
-    x = np.linspace(0.0, 1.0, 11)
-    scores = _pair_grid_objective(x, q, u, 1.0)
-    for xi, score in zip(x.tolist(), scores.tolist()):
-        assert score == pytest.approx(float(mp_objective(xi, q.probs, u.values, 1)), rel=1e-13)
+    problem = two_by_two(
+        {"A": q, "B": dist(["a", "b"], [0.5, 0.5])},
+        {"A": u, "B": util(["a", "b"], [0.0, 0.0])},
+    )
+    staged = exhaustive_two_stage(problem, 1.0, 1.0, 1e-2)
+    p1, row_a, row_b = staged.best_point
+    assert row_a.probs == (1.0, 0.0) and row_b.probs == (0.5, 0.5)
+    # Row A scores mp_objective at (1, 0) and row B scores 0, so the staged
+    # objective at the action point (x, 1 - x) is x·gain_a − KL(· ‖ uniform).
+    gain_a = mp_objective(1.0, q.probs, u.values, 1)  # sets mp.dps to 50
+    x = mpmath.mpf(p1.probs[0])
+    reference = x * gain_a - sum(w * mpmath.log(2 * w) for w in (x, 1 - x) if w > 0)
+    assert staged.best_value == pytest.approx(float(reference), abs=1e-9)
