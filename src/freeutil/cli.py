@@ -42,12 +42,13 @@ from .model import (
     TooManyOutcomes,
     TooManyPaths,
     TwoStageProblem,
+    _finite,
     expectation,
-    kl_divergence,
+    kl_divergence,  # noqa: F401
 )
 from .problemio import ProblemFile, load, render_json
 from .sequential import regime_label, solve_regime, value_recursion
-# bounded_control stays bound here: the benchmark's traced run wraps it.
+# bounded_control, exponential_tilt and kl_divergence stay bound for the traced benchmark.
 from .variational import bounded_control, control_temperature, exponential_tilt  # noqa: F401
 from . import verify as verify_mod
 
@@ -67,6 +68,12 @@ def _fmt_float(x: float) -> str:
     return format(x + 0.0, ".12g")  # -0.0 + 0.0 is 0.0; every other float is kept
 
 
+def _fmt_finite(x: float) -> str:
+    """_fmt_float of a float that JSON and CSV readers can hold: a result
+    past the float range, or NaN, raises DomainError (exit 3) instead."""
+    return _fmt_float(_finite(x, "a result"))
+
+
 def _convert_units(doc: dict, units: str) -> dict:
     """A copy of a document or CSV row with its relative-entropy fields in
     the given units. Only top-level keys are read: that is where every such
@@ -77,7 +84,7 @@ def _convert_units(doc: dict, units: str) -> dict:
 
 
 def _render(doc: dict, units: str) -> str:
-    return render_json(_convert_units(doc, units), _fmt_float)
+    return render_json(_convert_units(doc, units), _fmt_finite)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -121,19 +128,18 @@ def _resolve_staged_temps(pf: ProblemFile, args) -> TemperatureSpec:
 
 
 def _solve_control_doc(problem: ControlProblem, alpha: Temperature, units: str) -> str:
-    # alpha is resolved, so this tilt is the one bounded_control would run.
-    tilt = exponential_tilt(problem.prior, problem.utility, alpha.reciprocal())
-    policy = tilt.policy
+    tv = value_recursion(problem._tree, TemperatureSpec(1, alpha.reciprocal()))
+    policy = tv.policies[tv.root_path]
     expected = expectation(policy, problem.utility)
-    kl = kl_divergence(policy, problem.prior)
+    kl, log_z = tv.flat_kl[0].item(), tv.flat_log_z[0].item()
     cost = alpha.value * kl if alpha.is_finite else 0.0
     return _render({
         "command": "solve",
         "kind": "control",
         "alpha": alpha.spell(),
         "policy": policy.as_mapping(),
-        "value": tilt.value,
-        "log_partition": tilt.log_partition,
+        "value": tv.root_value,
+        "log_partition": None if math.isnan(log_z) else log_z,
         "expected_utility": expected,
         "information_cost": cost,
         "achieved_kl": kl,
@@ -220,24 +226,14 @@ def _cmd_solve(args):
     return lambda: (doc(pf.problem, temps, args.units) + "\n", EXIT_OK)
 
 
-def _sweep_rows_control(problem: ControlProblem, grid: list[Temperature]):
-    header = ["alpha"] + [f"p[{o}]" for o in problem.outcomes] + ["value", "achieved_kl"]
-    rows = []
-    for alpha in grid:
-        tilt = exponential_tilt(problem.prior, problem.utility, alpha.reciprocal())
-        kl = kl_divergence(tilt.policy, problem.prior)
-        rows.append([alpha.spell()] + list(tilt.policy.probs) + [tilt.value, kl])
-    return header, rows
-
-
 def _sweep_rows_staged(
     problem: TwoStageProblem | DecisionTree, param: str, grid: list[Temperature],
     temps: TemperatureSpec,
 ):
     """Rows of the root's policy and value per grid point, then the relative
     entropies: a two-stage problem's achieved_c1 and achieved_c2 from
-    solve_regime, a tree's achieved_kl, its root row's, read off
-    value_recursion (0 for a single leaf, which has no row)."""
+    solve_regime; a tree's achieved_kl, its root row's, from value_recursion
+    (0 for a single leaf), a control problem's on its tree at mu = 1/alpha."""
     if isinstance(problem, TwoStageProblem):
         labels, kl_keys = problem.actions, ["achieved_c1", "achieved_c2"]
 
@@ -256,7 +252,7 @@ def _sweep_rows_staged(
     rows = []
     for point in grid:
         lam = point if param == "lambda" else temps.lam
-        mu = point if param == "mu" else temps.mu
+        mu = point if param == "mu" else point.reciprocal() if param == "alpha" else temps.mu
         probs, value, kls = solve(TemperatureSpec(lam, mu))
         rows.append([point.spell()] + probs + [value] + kls)
     return header, rows
@@ -266,7 +262,7 @@ def _render_csv(header: list[str], rows: list[list], units: str) -> str:
     lines = [header]
     for row in rows:
         row = _convert_units(dict(zip(header, row)), units)
-        lines.append([_fmt_float(c) if isinstance(c, float) else str(c) for c in row.values()])
+        lines.append([_fmt_finite(c) if isinstance(c, float) else str(c) for c in row.values()])
     return "".join(",".join(line) + "\n" for line in lines)
 
 
@@ -305,11 +301,10 @@ def _cmd_sweep(args):
         for point in grid:
             TemperatureSpec(point, 1.0)  # domain check only
     _reject_flags(args, SWEEP_UNREAD[args.param], f"a sweep of {args.param}")
-    if pf.kind == "control":
-        rows = functools.partial(_sweep_rows_control, pf.problem, grid)
-    else:
-        temps = _resolve_staged_temps(pf, args)
-        rows = functools.partial(_sweep_rows_staged, pf.problem, args.param, grid, temps)
+    # A control file holds no lambda or mu; the alpha grid sets the tree's mu.
+    problem = pf.problem._tree if pf.kind == "control" else pf.problem
+    temps = _resolve_staged_temps(pf, args)
+    rows = functools.partial(_sweep_rows_staged, problem, args.param, grid, temps)
     return lambda: (_render_csv(*rows(), args.units), EXIT_OK)
 
 

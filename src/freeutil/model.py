@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
@@ -85,6 +86,13 @@ class TooLarge(FreeUtilError):
 
 class TooManyPaths(FreeUtilError):
     pass
+
+
+def _finite(result: float, what: str) -> float:
+    """result, unless it is past the float range (or NaN): then DomainError."""
+    if not math.isfinite(result):
+        raise DomainError(f"{what} is not a finite number: {result!r}")
+    return result
 
 
 def _as_list(values):
@@ -567,6 +575,16 @@ class ControlProblem:
     @property
     def outcomes(self) -> tuple[str, ...]:
         return self.prior.outcomes
+
+    @cached_property
+    def _tree(self) -> "DecisionTree":
+        """The depth-1 tree: a mu-tagged root over the outcomes, solved at mu = 1/alpha."""
+        n = len(self.outcomes)
+        return DecisionTree._from_arrays(("root",) + self.outcomes, (MU_TAG,) + (LAMBDA_TAG,) * n,
+                                         [n] + [0] * n, self.prior.array, self.utility.array)
+
+    def __getstate__(self) -> dict:  # the fields alone: the tree is not pickled
+        return {"prior": self.prior, "utility": self.utility}
 
 
 class TwoStageProblem(_FlatStore):

@@ -34,6 +34,7 @@ from .model import (
     UnsupportedRegime,
     UtilityTable,
     _check_node_name,
+    _finite,
     _normalise_rows,
     _row_kls,
 )
@@ -62,10 +63,12 @@ def taylor_ce_approx(p: FiniteDistribution, u: UtilityTable, mu: float) -> float
     minus sign).
     """
     mu = float(mu)
+    if math.isnan(mu):
+        raise DomainError("mu must be a number, got nan")
     vals = u.aligned_to(p.outcomes)
     mean = math.fsum(pi * vi for pi, vi in zip(p.probs, vals))
     var = math.fsum(pi * (vi - mean) ** 2 for pi, vi in zip(p.probs, vals))
-    return mean + 0.5 * mu * var
+    return _finite(mean + 0.5 * mu * var, "the expansion")
 
 
 def regime_label(temps: TemperatureSpec) -> str:

@@ -29,6 +29,7 @@ from .model import (
     Temperature,
     UtilityTable,
     _WHOLE,
+    _finite,
     _row_sums,
     entropy,
     expectation,
@@ -158,21 +159,26 @@ def exponential_tilt(
     return TiltResult(policy, values[0], log_z[0])
 
 
+def _probability(p) -> float:
+    """p as a float in (0, 1], else DomainError."""
+    p = float(p)
+    if not p > 0.0:
+        raise DomainError(f"probability must be positive, got {p!r}")
+    if p > 1.0:
+        raise DomainError(f"probability must not exceed 1, got {p!r}")
+    return p
+
+
 def utility_gain_from_prob(p: float, alpha: float) -> float:
     """Utility gain equivalent to learning an event of probability p: α·log p.
 
     α is the conversion factor between utility and log-probability; negative
     α models an adversarial assignment (low probability becomes attractive).
     """
-    p = float(p)
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha == 0.0:
         raise DomainError(f"conversion factor must be finite and nonzero, got {alpha!r}")
-    if p <= 0.0:
-        raise DomainError(f"probability must be positive, got {p!r}")
-    if p > 1.0:
-        raise DomainError(f"probability must not exceed 1, got {p!r}")
-    return alpha * math.log(p)
+    return _finite(alpha * math.log(_probability(p)), "the utility gain")
 
 
 def prob_from_utility_gain(gain: float, alpha: float) -> float:
@@ -185,6 +191,8 @@ def prob_from_utility_gain(gain: float, alpha: float) -> float:
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha == 0.0:
         raise DomainError(f"conversion factor must be finite and nonzero, got {alpha!r}")
+    if math.isnan(gain):
+        raise DomainError("gain must be a number, got nan")
     ratio = gain / alpha
     if ratio > 0.0:
         raise DomainError(
@@ -196,15 +204,10 @@ def prob_from_utility_gain(gain: float, alpha: float) -> float:
 
 def information_work(p: float, alpha: float) -> float:
     """Work required to acquire information −log p at conversion factor α > 0."""
-    p = float(p)
     alpha = float(alpha)
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise DomainError(f"conversion factor must be a positive real, got {alpha!r}")
-    if p <= 0.0:
-        raise DomainError(f"probability must be positive, got {p!r}")
-    if p > 1.0:
-        raise DomainError(f"probability must not exceed 1, got {p!r}")
-    return -alpha * math.log(p)
+    return _finite(-alpha * math.log(_probability(p)), "the information work")
 
 
 def gibbs_measure(u: UtilityTable, alpha) -> FiniteDistribution:

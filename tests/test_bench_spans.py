@@ -35,14 +35,14 @@ def test_wrapped_name_resolves(module_name, attr, span_name):
 @pytest.mark.parametrize(
     "name, solver",
     [
-        ("control_basic", "variational.exponential_tilt"),
+        ("control_basic", "sequential.value_recursion"),
         ("two_stage_basic", "sequential.solve_regime"),
         ("tree_binary", "sequential.value_recursion"),
     ],
 )
 def test_traced_solve_records_sized_tilts(name, solver):
-    """A traced call runs, puts every function back, and sizes each
-    exponential_tilt span by len() of its first argument."""
+    """A traced call runs, puts every function back, and records its
+    solver's span and no exponential_tilt span."""
     recorder = spans.Recorder()
     originals = {(m, a): getattr(getattr(freeutil, m), a) for m, a, _ in spans.WRAPPED}
     out = io.StringIO()
@@ -51,9 +51,7 @@ def test_traced_solve_records_sized_tilts(name, solver):
     assert {(m, a): getattr(getattr(freeutil, m), a) for m, a, _ in spans.WRAPPED} == originals
     names = {s[0] for s in recorder.spans}
     assert {"problemio.load", "problemio.loads", solver} <= names
-    tilts = [s for s in recorder.spans if s[0] == "variational.exponential_tilt"]
-    assert all(size > 0 for *_, size in tilts)
-    # The tree backup calls the kernel directly, and the two-stage solve is
-    # that backup on the problem's depth-2 tree.
-    if name == "control_basic":
-        assert tilts
+    # The tree backup calls the kernel directly, and the two-stage and
+    # control solves are that backup on the problem's depth-2 and depth-1
+    # trees.
+    assert "variational.exponential_tilt" not in names

@@ -234,10 +234,11 @@ def test_solve_control_document():
 
 
 def test_control_solve_and_sweep_tilt_once(monkeypatch):
-    """Each alpha costs one exponential tilt; bounded_control is not called."""
+    """Each alpha costs one value_recursion, the one tilt of the problem's
+    depth-1 tree; bounded_control is not called."""
     calls = []
-    tilt = cli.exponential_tilt
-    monkeypatch.setattr(cli, "exponential_tilt", lambda *a: calls.append(a) or tilt(*a))
+    recursion = cli.value_recursion
+    monkeypatch.setattr(cli, "value_recursion", lambda *a: calls.append(a) or recursion(*a))
     monkeypatch.setattr(cli, "bounded_control", None)
     before = solve_doc(GOLDEN / "control_basic.json")
     assert len(calls) == 1

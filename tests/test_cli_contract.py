@@ -195,6 +195,15 @@ def commands(path, kind):
 # Bytes that are not UTF-8.
 @example(("control_basic.json", (), ("byte", 24, 0xFF)))
 @example(("tree_binary.json", (("set", ("payload", "name"), "é"),), ("truncate", 37)))
+# A log-partition past the float range: refused, never written as inf.
+@example(("control_basic.json", (
+    ("set", ("payload", "utility"), [1e308, 1e308]),
+    ("set", ("temperatures",), {"alpha": 0.1}),
+), None))
+@example(("two_stage_basic.json", (
+    ("set", ("payload", "outcome_utility", "risky"), [1e308, 1e308]),
+    ("set", ("temperatures",), {"mu": 10}),
+), None))
 # A tiny finite mu: the lattice check may fail (exit 4), within the contract.
 @example(("two_stage_basic.json", (("set", ("temperatures",), {"mu": 1e-12}),), None))
 def test_every_command_keeps_the_contract(case):

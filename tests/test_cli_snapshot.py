@@ -22,6 +22,7 @@ from pathlib import Path
 from unittest import mock
 
 from freeutil import cli
+from test_cli_contract import check_csv, reject_constant
 
 HERE = Path(__file__).parent
 SNAPSHOT = HERE / "cli_snapshot.json"
@@ -57,6 +58,19 @@ def test_cli_calls_match_the_snapshot(monkeypatch):
     assert [r["argv"] for r in recorded] == snapshot_calls()
     for want in recorded:
         assert run(want["argv"]) == want
+
+
+def test_snapshot_holds_only_finite_numbers():
+    """Every recorded stdout is strict JSON, or for sweep a CSV whose data
+    cells after the first column are finite numbers, so that a re-record
+    cannot bring in inf or nan unnoticed."""
+    for record in json.loads(SNAPSHOT.read_text(encoding="utf-8")):
+        if not record["stdout"]:
+            continue
+        if record["argv"][0] == "sweep":
+            check_csv(record["stdout"])
+        else:
+            json.loads(record["stdout"], parse_constant=reject_constant)
 
 
 if __name__ == "__main__":

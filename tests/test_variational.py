@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from freeutil.model import (
     DomainError,
     EmptySupport,
     FiniteDistribution,
+    FreeUtilError,
     Temperature,
     UtilityTable,
     kl_divergence,
@@ -22,6 +23,7 @@ from freeutil.variational import (
     prob_from_utility_gain,
     utility_gain_from_prob,
 )
+from freeutil.sequential import taylor_ce_approx
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
@@ -96,6 +98,43 @@ def test_information_work_examples():
         information_work(0.5, -1.0)
     with pytest.raises(DomainError):
         information_work(0.0, 1.0)
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-320, 1e308, -1e308]
+numbers = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def conversion_calls(draw):
+    """One call of the conversion law or the small-mu expansion, each
+    numeric argument an edge of the float range or an ordinary float."""
+    fn = draw(st.sampled_from(
+        [utility_gain_from_prob, prob_from_utility_gain, information_work, taylor_ce_approx]
+    ))
+    if fn is taylor_ce_approx:
+        values = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4))
+        labels = [str(i) for i in range(len(values))]
+        return fn, (FiniteDistribution.uniform(labels), util(labels, values), draw(numbers))
+    return fn, (draw(numbers), draw(numbers))
+
+
+@settings(max_examples=300, deadline=None)
+@given(conversion_calls())
+@example((utility_gain_from_prob, (math.nan, 1.0)))
+@example((prob_from_utility_gain, (math.nan, 1.0)))
+@example((information_work, (math.nan, 1.0)))
+@example((taylor_ce_approx, (dist(["a", "b"], [0.5, 0.5]), util(["a", "b"], [0.0, 1.0]), math.nan)))
+@example((utility_gain_from_prob, (5e-324, 1e308)))
+@example((information_work, (5e-324, 1e308)))
+def test_conversion_law_returns_a_finite_float_or_raises(call):
+    fn, args = call
+    try:
+        result = fn(*args)
+    except FreeUtilError:
+        return
+    assert isinstance(result, float) and math.isfinite(result), (fn.__name__, args, result)
 
 
 # ---------------------------------------------------------------------------
