@@ -461,13 +461,20 @@ class Temperature:
         """Canonicalize a float / str / Temperature.
 
         Float 0.0 becomes the zero limit and float infinities become the
-        signed infinite limits, so callers can pass plain numbers.
+        signed infinite limits, so callers can pass plain numbers. Anything
+        float() cannot convert raises DomainError naming its type.
         """
         if isinstance(value, Temperature):
             return value
         if isinstance(value, str):
             return cls.parse(value)
-        v = float(value)
+        try:
+            v = float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(
+                "temperature must be a number in the float range, a string or a "
+                f"Temperature, got {type(value).__name__}"
+            ) from None
         if v == 0.0:
             return cls.zero()
         if math.isinf(v):
@@ -517,8 +524,14 @@ class Temperature:
         return self.value
 
     def reciprocal(self) -> "Temperature":
-        """1/t with the limit pairing zero <-> +inf (valid-side limits)."""
+        """1/t with the limit pairing zero <-> +inf (valid-side limits). A
+        finite t whose reciprocal overflows (|t| < about 5.6e-309) raises
+        DomainError naming t."""
         if self.is_finite:
+            if math.isinf(1.0 / self.value):
+                raise DomainError(
+                    f"temperature {self.value!r} has no finite reciprocal: 1/t overflows"
+                )
             return Temperature.finite(1.0 / self.value)
         if self.is_zero:
             return Temperature.pos_inf()

@@ -3,6 +3,10 @@
 Nothing here calls the analytic code paths: objectives are recomputed from
 the elementary measures (expectation, KL) only, so agreement between an
 oracle and a solver is genuine evidence rather than the same code run twice.
+The oracles read the problems' own arrays. Of the solvers' module they
+import only the result shape, TreeValue, and its builder; the hard-max
+backup normalises its rows and takes their KL with model's row kernels, as
+every TreeValue does.
 Everything is deterministic given the instance and resolution, and
 intentionally size-capped — these are certificates, not production solvers.
 
@@ -34,10 +38,12 @@ from .model import (
     TooManyPaths,
     TwoStageProblem,
     UtilityTable,
+    _normalise_rows,
+    _row_kls,
     expectation,
     kl_divergence,
 )
-from .sequential import TreeValue
+from .sequential import TreeValue, _tree_value
 
 MAX_GRID_OUTCOMES = 4
 MAX_PATHS = 100_000
@@ -247,53 +253,40 @@ def enumerate_minimax(problem: TwoStageProblem) -> tuple[str, float]:
     worst-case solver. Actions without prior mass are skipped, since no
     policy anchored to that prior can choose them. The first-listed action
     within ARGMAX_TIE_TOL of the best value wins ties."""
-    worst = {}
-    for a, w in zip(problem.actions, problem.prior_action.probs):
-        if w == 0.0:
-            continue
-        row = problem.channel[a]
-        util = problem.outcome_utility[a]
-        candidates = [
-            util.value(o) for o, p in zip(row.outcomes, row.probs) if p > 0.0
-        ]
-        worst[a] = problem.action_utility.value(a) + min(candidates)
-    best = max(worst.values())
-    return next(a for a, v in worst.items() if v >= best - ARGMAX_TIE_TOL), best
+    supported = np.flatnonzero(problem.prior_action.array > 0.0)
+    rows = np.where(problem.channel_matrix > 0.0, problem.utility_matrix, np.inf)[supported]
+    # A sum past the float range is inf, as it is for Python floats.
+    with np.errstate(over="ignore"):
+        worst = problem.action_utility.array[supported] + rows.min(axis=1)
+    best = worst.max()
+    return problem.actions[supported[np.argmax(worst >= best - ARGMAX_TIE_TOL)]], best.item()
 
 
 def bellman_backup(tree: DecisionTree) -> TreeValue:
     """Hard-max dynamic program: V = max over supported children of U + V.
 
     The limit of value_recursion as every temperature goes to +inf; policies
-    are uniform over children within 1e-12 of the maximum.
+    are uniform over children within ARGMAX_TIE_TOL of the maximum. The
+    tree's arrays are breadth-first, so visiting the nodes last to first
+    backs up every child before its parent.
     """
-    values: dict[str, float] = {}
-    policies: dict[str, FiniteDistribution] = {}
-    # Post-order (children first, in order) is the reverse of a pre-order
-    # that visits children last to first; an explicit stack bounds the depth
-    # by memory.
-    stack, order = [(tree.root, tree.root.name)], []
-    while stack:
-        node, path = stack.pop()
-        order.append((node, path))
-        stack.extend((child, f"{path}/{child.name}") for child in node.children)
-    for node, path in reversed(order):
-        if node.is_leaf:
-            values[path] = 0.0
+    first, counts = tree.first_child.tolist(), tree.n_children.tolist()
+    prior, utility = tree.prior.tolist(), tree.utility.tolist()
+    value = [0.0] * len(counts)
+    policy = np.zeros(len(prior))
+    for i in reversed(range(len(counts))):
+        if not counts[i]:
             continue
-        totals = {}
-        for child, u in zip(node.children, node.child_utility.values):
-            if node.child_prior.prob(child.name) > 0.0:
-                totals[child.name] = u + values[f"{path}/{child.name}"]
+        edges = range(first[i] - 1, first[i] - 1 + counts[i])  # edge e leads to node e + 1
+        totals = {e: utility[e] + value[e + 1] for e in edges if prior[e] > 0.0}
         best = max(totals.values())
-        winners = [n for n, t in totals.items() if abs(t - best) <= ARGMAX_TIE_TOL]
-        share = 1.0 / len(winners)
-        names = tuple(c.name for c in node.children)
-        policies[path] = FiniteDistribution(
-            names, [share if n in winners else 0.0 for n in names]
-        )
-        values[path] = best
-    return TreeValue(values, policies, tree.root.name)
+        winners = [e for e, t in totals.items() if abs(t - best) <= ARGMAX_TIE_TOL]
+        policy[winners] = 1.0 / len(winners)
+        value[i] = best
+    starts = tree.first_child[tree.n_children > 0] - 1
+    _normalise_rows(policy, starts)
+    log_z = np.full(len(starts), np.nan)
+    return _tree_value(tree, np.array(value), policy, log_z, _row_kls(policy, tree.prior, starts))
 
 
 def path_enumeration(tree: DecisionTree, lam: float) -> float:
@@ -314,23 +307,23 @@ def path_enumeration(tree: DecisionTree, lam: float) -> float:
             f"tree has {n_paths} root-to-leaf paths, limit is {MAX_PATHS}"
         )
 
+    prior, utility = tree.prior.tolist(), tree.utility.tolist()
+    # The node that edge e leaves; edge e leads to node e + 1.
+    parent = np.repeat(np.arange(len(tree.names)), tree.n_children).tolist()
+    pre = tree.orders()[0]
     log_ps: list[float] = []
     utils: list[float] = []
-    # Depth first with an explicit stack, children pushed last to first so
-    # that the leaves come in order.
-    stack = [(tree.root, [], [])]
-    while stack:
-        node, log_p_terms, u_terms = stack.pop()
-        if node.is_leaf:
+    # Each leaf in pre-order, its path walked up to the root.
+    for leaf in pre[tree.n_children[pre] == 0].tolist():
+        log_p_terms, u_terms = [], []
+        e = leaf - 1
+        while e >= 0 and prior[e] > 0.0:
+            log_p_terms.append(math.log(prior[e]))
+            u_terms.append(utility[e])
+            e = parent[e] - 1
+        if e < 0:
             log_ps.append(math.fsum(log_p_terms))
             utils.append(math.fsum(u_terms))
-            continue
-        for child in reversed(node.children):
-            p = node.child_prior.prob(child.name)
-            if p == 0.0:
-                continue
-            u = node.child_utility.value(child.name)
-            stack.append((child, log_p_terms + [math.log(p)], u_terms + [u]))
     scores = np.asarray(log_ps) + lam * np.asarray(utils)
     return _logsumexp(scores) / lam
 

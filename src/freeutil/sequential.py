@@ -65,9 +65,12 @@ def taylor_ce_approx(p: FiniteDistribution, u: UtilityTable, mu: float) -> float
     mu = float(mu)
     if math.isnan(mu):
         raise DomainError("mu must be a number, got nan")
-    vals = u.aligned_to(p.outcomes)
+    vals = u.aligned_to(p.outcomes).tolist()  # Python floats: a square past the range raises
     mean = math.fsum(pi * vi for pi, vi in zip(p.probs, vals))
-    var = math.fsum(pi * (vi - mean) ** 2 for pi, vi in zip(p.probs, vals))
+    try:
+        var = math.fsum(pi * (vi - mean) ** 2 for pi, vi in zip(p.probs, vals))
+    except OverflowError:
+        raise DomainError("the variance of the utilities is past the float range") from None
     return _finite(mean + 0.5 * mu * var, "the expansion")
 
 
@@ -235,29 +238,27 @@ class TreeValue:
     """Per-node values and child policies of a solved decision tree.
 
     Keys are node paths: the root's name, then child names joined by "/".
-    Leaves have value 0 and no policy entry. value_recursion also keeps its
-    results as arrays in the tree's breadth-first order, flat_values per node
-    and flat_policy per edge, and builds the two mappings from them on first
-    read. Per internal node, in the same order, flat_log_z holds the
-    log-partition of its tilt (NaN at the infinite limits, where there is
-    none) and flat_kl the relative entropy in nats of its policy row, after
-    the row's one normalisation, against its prior row: the bits of
-    kl_divergence on the two rows.
+    Leaves have value 0 and no policy entry. The results are kept as arrays
+    in the tree's breadth-first order, flat_values per node and flat_policy
+    per edge, and the two mappings are built from them on first read. Per
+    internal node, in the same order, flat_log_z holds the log-partition of
+    its tilt (NaN at the infinite limits, where there is none) and flat_kl
+    the relative entropy in nats of its policy row, after the row's one
+    normalisation, against its prior row: the bits of kl_divergence on the
+    two rows.
     """
 
     values: Mapping[str, float]
     policies: Mapping[str, FiniteDistribution]
     root_path: str
-    flat_values: np.ndarray | None = field(default=None, compare=False, repr=False)
-    flat_policy: np.ndarray | None = field(default=None, compare=False, repr=False)
-    flat_log_z: np.ndarray | None = field(default=None, compare=False, repr=False)
-    flat_kl: np.ndarray | None = field(default=None, compare=False, repr=False)
+    flat_values: np.ndarray = field(compare=False, repr=False)
+    flat_policy: np.ndarray = field(compare=False, repr=False)
+    flat_log_z: np.ndarray = field(compare=False, repr=False)
+    flat_kl: np.ndarray = field(compare=False, repr=False)
 
     @property
     def root_value(self) -> float:
-        if self.flat_values is not None:
-            return self.flat_values[0].item()
-        return self.values[self.root_path]
+        return self.flat_values[0].item()
 
 
 def _tree_value(tree: DecisionTree, value, policy, log_z, kl) -> TreeValue:

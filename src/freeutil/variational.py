@@ -150,12 +150,16 @@ def exponential_tilt(
     restricted to support(prior), ties resolved within 1e-12.
 
     Constant gains (over the support) short-circuit to the prior exactly, so
-    "utility shifts nothing" holds bitwise, not just numerically.
+    "utility shifts nothing" holds bitwise, not just numerically. A
+    log-partition past the float range (t·gain beyond about 1.8e308) raises
+    DomainError.
     """
     t = Temperature.coerce(inv_temp)
     g = gains.aligned_to(prior.outcomes)
     flat, values, log_z, kept = _tilt_segments(prior.array, g, _WHOLE, t)
     policy = prior if kept[0] else FiniteDistribution(prior.outcomes, flat)
+    if log_z[0] is not None:
+        _finite(log_z[0], "the log-partition")
     return TiltResult(policy, values[0], log_z[0])
 
 

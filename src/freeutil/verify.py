@@ -190,16 +190,9 @@ def _worst_case_margin(problem: TwoStageProblem) -> float:
     """Lead of the best action's worst supported outcome utility over the
     second best; instances with a clear lead have a unique worst-case
     optimum."""
-    worsts = [
-        min(
-            problem.outcome_utility[a].value(o)
-            for o, p in zip(problem.outcomes, problem.channel[a].probs)
-            if p > 0.0
-        )
-        for a in problem.actions
-    ]
-    ranked = sorted(worsts, reverse=True)
-    return ranked[0] - ranked[1]
+    worsts = np.where(problem.channel_matrix > 0.0, problem.utility_matrix, np.inf).min(axis=1)
+    second, first = np.sort(worsts)[-2:].tolist()
+    return first - second
 
 
 def suite_gibbs_optimality(rng) -> list[Certificate]:

@@ -24,6 +24,7 @@ from freeutil.model import (
     TemperatureSpec,
     TwoStageProblem,
     UtilityTable,
+    _WHOLE,
     kl_divergence,
 )
 from freeutil.problemio import (
@@ -38,7 +39,7 @@ from freeutil.problemio import (
     loads,
 )
 from freeutil.sequential import TwoStageSolution, outer_policy, regime_label
-from freeutil.variational import exponential_tilt
+from freeutil.variational import TiltResult, _tilt_segments, exponential_tilt
 
 GOLDEN = Path(__file__).parent / "golden"
 TWO_STAGE_GOLDENS = sorted(p.name for p in GOLDEN.glob("two_stage_*.json"))
@@ -362,21 +363,35 @@ def test_outer_policy_on_the_arrays_equals_the_labelled_problem(name):
     assert_same_solutions(loaded, built)
 
 
+def solver_tilt(prior: FiniteDistribution, gains: UtilityTable, inv_temp) -> TiltResult:
+    """exponential_tilt with its log-partition unchecked, as the solvers
+    carry it: the public function refuses a log-partition past the float
+    range, which the solvers hand on to the CLI's output check. Anywhere
+    else the two are the same."""
+    t = Temperature.coerce(inv_temp)
+    flat, values, log_z, kept = _tilt_segments(prior.array, gains.aligned_to(prior.outcomes), _WHOLE, t)
+    policy = prior if kept[0] else FiniteDistribution(prior.outcomes, flat)
+    tilt = TiltResult(policy, values[0], log_z[0])
+    if tilt.log_partition is None or math.isfinite(tilt.log_partition):
+        assert exponential_tilt(prior, gains, inv_temp) == tilt
+    return tilt
+
+
 def per_row_solution(problem: TwoStageProblem, lam, mu) -> TwoStageSolution:
     """The nested solve written out on the labelled rows: one
-    exponential_tilt per channel row, one over the actions, and
+    solver_tilt per channel row, one over the actions, and
     kl_divergence on the FiniteDistributions they return. An outcome is a
     leaf of value 0.0, so its gain is its utility plus 0.0, as in every
     tree backup: a utility of -0.0 gains 0.0."""
     temps = TemperatureSpec(lam, mu)
     actions = problem.actions
     inner = {
-        a: exponential_tilt(problem.channel[a], problem.outcome_utility[a].shifted(0.0), mu)
+        a: solver_tilt(problem.channel[a], problem.outcome_utility[a].shifted(0.0), mu)
         for a in actions
     }
     values = {a: u + inner[a].value for a, u in zip(actions, problem.action_utility.values)}
     gains = UtilityTable(actions, list(values.values()))
-    outer = exponential_tilt(problem.prior_action, gains, temps.lam)
+    outer = solver_tilt(problem.prior_action, gains, temps.lam)
     kls = [kl_divergence(inner[a].policy, problem.channel[a]) for a in actions]
     return TwoStageSolution(
         action_policy=outer.policy,

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import itertools
 import math
@@ -15,6 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from freeutil import oracle, sequential, verify
 from freeutil.model import (
+    ARGMAX_TIE_TOL,
     DecisionTree,
     DomainError,
     FiniteDistribution,
@@ -708,6 +710,132 @@ def test_oracles_handle_a_chain_deeper_than_the_recursion_limit():
     # post-order: the deepest leaf first, the root last
     assert next(iter(hard.values)) == "/".join(f"n{i}" for i in range(depth + 1))
     assert list(hard.values)[-1] == "n0"
+
+
+GOLDEN_TREES = sorted(p.name for p in GOLDEN.glob("tree_*.json"))
+
+
+def test_bellman_backup_reports_row_kls_and_no_log_partition():
+    """Per internal node, in breadth-first order: flat_kl has the bits of
+    kl_divergence of the policy row against the prior row, and flat_log_z is
+    NaN, as at every infinite limit."""
+    rng = np.random.default_rng(11)
+    trees = [verify._random_tree(rng, with_zero_edge=i % 2 == 0) for i in range(30)]
+    trees += [load(str(GOLDEN / name)).problem for name in GOLDEN_TREES]
+    tie = node("r", [leaf("x"), leaf("y"), leaf("z")], [0.2, 0.3, 0.5], [1.0, 1.0 + 1e-13, 0.5])
+    trees.append(DecisionTree(tie))
+    for tree in trees:
+        hard = bellman_backup(tree)
+        internal = np.flatnonzero(tree.n_children).tolist()
+        paths = tree.paths()
+        kls = []
+        for i in internal:
+            lo, k = int(tree.first_child[i]), int(tree.n_children[i])
+            prior = FiniteDistribution._trusted(tree.names[lo : lo + k], tree.prior[lo - 1 : lo - 1 + k].tolist())
+            kls.append(kl_divergence(hard.policies[paths[i]], prior))
+        assert hard.flat_kl.tolist() == kls
+        assert len(hard.flat_log_z) == len(internal) and np.isnan(hard.flat_log_z).all()
+    assert bellman_backup(DecisionTree(tie)).policies["r"].probs == (0.5, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("name", GOLDEN_TREES)
+def test_verify_tree_builds_no_tree_nodes(name):
+    """The oracles read a loaded tree's arrays: certifying it never builds
+    the TreeNode graph of DecisionTree.root."""
+    tree = load(str(GOLDEN / name)).problem
+    certs = verify.verify_tree(tree, Temperature.finite(1.0), Temperature.finite(2.0))
+    assert all(c.passed for c in certs)
+    assert tree._root is None
+
+
+def per_label_enumerate_minimax(problem):
+    """The per-label walk enumerate_minimax ran before it read the problem's
+    matrices."""
+    worst = {}
+    for a, w in zip(problem.actions, problem.prior_action.probs):
+        if w == 0.0:
+            continue
+        row = problem.channel[a]
+        util = problem.outcome_utility[a]
+        candidates = [util.value(o) for o, p in zip(row.outcomes, row.probs) if p > 0.0]
+        worst[a] = problem.action_utility.value(a) + min(candidates)
+    best = max(worst.values())
+    return next(a for a, v in worst.items() if v >= best - ARGMAX_TIE_TOL), best
+
+
+def per_label_worst_case_margin(problem):
+    """The per-label walk verify._worst_case_margin ran before it read the
+    problem's matrices."""
+    worsts = [
+        min(
+            problem.outcome_utility[a].value(o)
+            for o, p in zip(problem.outcomes, problem.channel[a].probs)
+            if p > 0.0
+        )
+        for a in problem.actions
+    ]
+    ranked = sorted(worsts, reverse=True)
+    return ranked[0] - ranked[1]
+
+
+@st.composite
+def minimax_problems(draw):
+    """Two-stage problems with zero-prior actions, zero channel entries and
+    utilities that tie exactly, within ARGMAX_TIE_TOL, or just outside it."""
+    actions = tuple(f"a{i}" for i in range(draw(st.integers(1, 5))))
+    outcomes = tuple(f"o{j}" for j in range(draw(st.integers(1, 5))))
+    near = st.builds(
+        lambda base, step: base + step,
+        st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+        st.sampled_from([0.0, 0.4 * ARGMAX_TIE_TOL, -0.4 * ARGMAX_TIE_TOL, 3 * ARGMAX_TIE_TOL]),
+    )
+    values = st.one_of(near, st.floats(-10.0, 10.0))
+
+    def dist(labels):
+        w = draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0]), min_size=len(labels),
+                          max_size=len(labels)).filter(any))
+        return FiniteDistribution(labels, np.asarray(w) / sum(w))
+
+    def table(labels):
+        return UtilityTable(labels, draw(st.lists(values, min_size=len(labels), max_size=len(labels))))
+
+    return TwoStageProblem(
+        actions, outcomes, dist(actions), {a: dist(outcomes) for a in actions},
+        table(actions), {a: table(outcomes) for a in actions},
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(minimax_problems())
+def test_enumerate_minimax_equals_the_per_label_walk(problem):
+    action, value = enumerate_minimax(problem)
+    assert type(value) is float
+    assert (action, value) == per_label_enumerate_minimax(problem)
+    if len(problem.actions) > 1:
+        assert verify._worst_case_margin(problem) == per_label_worst_case_margin(problem)
+
+
+def test_oracle_imports_nothing_of_the_solvers():
+    """The oracles stay independent of the solvers they certify: oracle.py
+    imports nothing from variational, and from sequential only the result
+    shape TreeValue and its builder."""
+    source = Path(oracle.__file__).read_text()
+    for stmt in ast.walk(ast.parse(source)):
+        if isinstance(stmt, ast.Import):
+            modules = {(alias.name, None) for alias in stmt.names}
+        elif isinstance(stmt, ast.ImportFrom):
+            base = stmt.module or ""
+            if stmt.level:
+                base = "freeutil" + ("." + base if base else "")
+            modules = {(base, alias.name) for alias in stmt.names}
+            # `from . import sequential` names the module as the imported name.
+            modules |= {(f"{base}.{alias.name}", None) for alias in stmt.names}
+        else:
+            continue
+        for module, name in modules:
+            assert module != "freeutil.variational", ast.unparse(stmt)
+            if module == "freeutil.sequential":
+                assert name in ("TreeValue", "_tree_value"), ast.unparse(stmt)
 
 
 @pytest.mark.parametrize("lam, mu, name", [

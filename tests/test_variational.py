@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from freeutil.model import (
     FiniteDistribution,
     FreeUtilError,
     Temperature,
+    TemperatureSpec,
     UtilityTable,
     kl_divergence,
 )
@@ -23,7 +26,7 @@ from freeutil.variational import (
     prob_from_utility_gain,
     utility_gain_from_prob,
 )
-from freeutil.sequential import taylor_ce_approx
+from freeutil.sequential import certainty_equivalent, taylor_ce_approx
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
@@ -114,7 +117,9 @@ def conversion_calls(draw):
         [utility_gain_from_prob, prob_from_utility_gain, information_work, taylor_ce_approx]
     ))
     if fn is taylor_ce_approx:
-        values = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4))
+        values = draw(st.lists(
+            st.one_of(st.sampled_from([1e308, -1e308]), st.floats(-1e3, 1e3)), min_size=1, max_size=4
+        ))
         labels = [str(i) for i in range(len(values))]
         return fn, (FiniteDistribution.uniform(labels), util(labels, values), draw(numbers))
     return fn, (draw(numbers), draw(numbers))
@@ -128,13 +133,85 @@ def conversion_calls(draw):
 @example((taylor_ce_approx, (dist(["a", "b"], [0.5, 0.5]), util(["a", "b"], [0.0, 1.0]), math.nan)))
 @example((utility_gain_from_prob, (5e-324, 1e308)))
 @example((information_work, (5e-324, 1e308)))
+@example((taylor_ce_approx, (dist(["a", "b"], [0.5, 0.5]), util(["a", "b"], [1e308, -1e308]), 1.0)))
 def test_conversion_law_returns_a_finite_float_or_raises(call):
     fn, args = call
-    try:
-        result = fn(*args)
-    except FreeUtilError:
-        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = fn(*args)
+        except FreeUtilError:
+            return
     assert isinstance(result, float) and math.isfinite(result), (fn.__name__, args, result)
+
+
+TEMPERATURE_EDGES = [
+    None, math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-320, 1e308, -1e308, "zero", "inf", "-inf"
+]
+temperatures = st.one_of(
+    st.sampled_from(TEMPERATURE_EDGES), st.floats(allow_nan=False, allow_infinity=False)
+)
+GAMBLE = (dist(["a", "b", "c"], [0.5, 0.5, 0.0]), util(["a", "b", "c"], [-1.0, 2.0, 7.0]))
+
+
+@st.composite
+def temperature_calls(draw):
+    """One call of a public function taking a temperature, that argument an
+    edge of the float range, a limit spelling, None or an ordinary float."""
+    fn = draw(st.sampled_from(
+        [exponential_tilt, certainty_equivalent, bounded_control, gibbs_measure, TemperatureSpec]
+    ))
+    if fn is TemperatureSpec:
+        return fn, (draw(temperatures), draw(temperatures))
+    values = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4))
+    labels = [str(i) for i in range(len(values))]
+    u = util(labels, values)
+    if fn is gibbs_measure:
+        return fn, (u, draw(temperatures))
+    probs = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=len(labels),
+                          max_size=len(labels)).filter(any))
+    return fn, (dist(labels, np.asarray(probs) / sum(probs)), u, draw(temperatures))
+
+
+def numbers_of(result) -> list[float]:
+    """The numbers a result holds; a log-partition of None (documented at the
+    infinite limits) holds none."""
+    if isinstance(result, TemperatureSpec):
+        return [result.lam.value, result.mu.value]
+    if isinstance(result, FiniteDistribution):
+        return list(result.probs)
+    if isinstance(result, float):
+        return [result]
+    return [*result.policy.probs, result.value] + (
+        [] if result.log_partition is None else [result.log_partition]
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(temperature_calls())
+@example((exponential_tilt, (*GAMBLE, None)))
+@example((certainty_equivalent, (*GAMBLE, None)))
+@example((bounded_control, (*GAMBLE, None)))
+@example((gibbs_measure, (GAMBLE[1], None)))
+@example((TemperatureSpec, (1.0, None)))
+@example((bounded_control, (*GAMBLE, 1e-320)))
+@example((gibbs_measure, (GAMBLE[1], -1e-320)))
+@example((exponential_tilt, (dist(["a", "b"], [1.0, 0.0]), util(["a", "b"], [2.0, 0.0]), 1e308)))
+def test_temperature_arguments_give_finite_numbers_or_raise(call):
+    """Each call returns finite numbers or raises a FreeUtilError, without a
+    warning; an error on finite temperatures names no value the caller did
+    not pass, such as an overflowed reciprocal."""
+    fn, args = call
+    temps = [a for a in args if not isinstance(a, (FiniteDistribution, UtilityTable))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = fn(*args)
+        except FreeUtilError as exc:
+            if all(isinstance(t, float) and math.isfinite(t) for t in temps):
+                assert not re.search(r"got -?(inf|nan)\b", str(exc)), (fn.__name__, args, exc)
+            return
+    assert all(map(math.isfinite, numbers_of(result))), (fn.__name__, args, result)
 
 
 # ---------------------------------------------------------------------------
