@@ -388,7 +388,7 @@ def _cmd_verify(args):
         if args.suite is not None:
             certs = verify_mod.run_suite(args.suite, seed)
         elif pf.kind == "control":
-            certs = verify_mod.verify_control(pf.problem.prior, pf.problem.utility, alpha.value)
+            certs = verify_mod.verify_control(pf.problem, alpha)
         elif pf.kind == "two_stage":
             certs = verify_mod.verify_two_stage(pf.problem, temps.lam, temps.mu)
         else:

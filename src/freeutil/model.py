@@ -95,6 +95,16 @@ def _finite(result: float, what: str) -> float:
     return result
 
 
+def _real(x, what: str) -> float:
+    """x as float() reads it; anything float() cannot convert (None, a
+    non-numeric string, an int past the float range) raises DomainError
+    naming its type."""
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{what} must be a real number, got {type(x).__name__}") from None
+
+
 def _as_list(values):
     """An ndarray as a list of Python numbers; any other sequence as is."""
     return values.tolist() if isinstance(values, np.ndarray) else values

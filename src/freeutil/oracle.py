@@ -39,6 +39,7 @@ from .model import (
     TwoStageProblem,
     UtilityTable,
     _normalise_rows,
+    _real,
     _row_kls,
     expectation,
     kl_divergence,
@@ -69,7 +70,7 @@ class OracleResult:
 
 
 def _check_resolution(resolution: float) -> int:
-    resolution = float(resolution)
+    resolution = _real(resolution, "grid resolution")
     if not (1e-4 <= resolution <= 0.1):
         raise DomainError(
             f"grid resolution must lie in [1e-4, 0.1], got {resolution!r}"
@@ -105,7 +106,7 @@ def simplex_grid_search(
         raise TooManyOutcomes(
             f"grid search supports at most {MAX_GRID_OUTCOMES} outcomes, got {n}"
         )
-    alpha = float(alpha)
+    alpha = _real(alpha, "temperature")
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise DomainError(f"temperature must be a positive real, got {alpha!r}")
     N = _check_resolution(resolution)
@@ -170,8 +171,8 @@ def two_stage_objective(
     contribute. Built from the elementary measures only, so it can score
     analytic solutions without touching their code.
     """
-    lam = float(lam)
-    mu = float(mu)
+    lam = _real(lam, "lam")
+    mu = _real(mu, "mu")
     if not (math.isfinite(lam) and lam > 0.0):
         raise DomainError(f"lam must be a positive finite real, got {lam!r}")
     if not math.isfinite(mu) or mu == 0.0:
@@ -214,8 +215,8 @@ def exhaustive_two_stage(
             f"staged grid search supports at most {MAX_GRID_OUTCOMES} actions and "
             f"{MAX_GRID_OUTCOMES} outcomes, got {n_actions}x{n_outcomes}"
         )
-    lam = float(lam)
-    mu = float(mu)
+    lam = _real(lam, "lam")
+    mu = _real(mu, "mu")
     # Each stage's lattice alpha is the reciprocal, which must be finite too.
     if not (math.isfinite(lam) and lam > 0.0 and math.isfinite(1.0 / lam)):
         raise DomainError(
@@ -298,7 +299,7 @@ def path_enumeration(tree: DecisionTree, lam: float) -> float:
     the root value of the soft recursion when every node runs at lam — the
     per-node log-normalizers telescope into this single path sum.
     """
-    lam = float(lam)
+    lam = _real(lam, "lam")
     if not math.isfinite(lam) or lam == 0.0:
         raise DomainError(f"lam must be a finite nonzero real, got {lam!r}")
     n_paths = tree.n_leaves()

@@ -36,6 +36,7 @@ from .model import (
     _check_node_name,
     _finite,
     _normalise_rows,
+    _real,
     _row_kls,
 )
 # kl_divergence stays bound here: the benchmark's traced run wraps it.
@@ -62,7 +63,7 @@ def taylor_ce_approx(p: FiniteDistribution, u: UtilityTable, mu: float) -> float
     (error falls as mu³ with the plus sign and stays at order mu·VAR with a
     minus sign).
     """
-    mu = float(mu)
+    mu = _real(mu, "mu")
     if math.isnan(mu):
         raise DomainError("mu must be a number, got nan")
     vals = u.aligned_to(p.outcomes).tolist()  # Python floats: a square past the range raises
@@ -226,7 +227,7 @@ def risk_sensitive_argmax(problem: TwoStageProblem, mu: float) -> tuple[str, flo
     Negative mu penalizes outcome variance and converges to minimax_solve as
     mu -> -inf; positive mu is the risk-seeking evaluation.
     """
-    mu = float(mu)
+    mu = _real(mu, "mu")
     if not math.isfinite(mu) or mu == 0.0:
         raise DomainError(f"mu must be a finite nonzero real, got {mu!r}")
     sol = outer_policy(problem, "inf", mu)

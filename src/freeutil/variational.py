@@ -30,6 +30,7 @@ from .model import (
     UtilityTable,
     _WHOLE,
     _finite,
+    _real,
     _row_sums,
     entropy,
     expectation,
@@ -165,7 +166,7 @@ def exponential_tilt(
 
 def _probability(p) -> float:
     """p as a float in (0, 1], else DomainError."""
-    p = float(p)
+    p = _real(p, "probability")
     if not p > 0.0:
         raise DomainError(f"probability must be positive, got {p!r}")
     if p > 1.0:
@@ -179,7 +180,7 @@ def utility_gain_from_prob(p: float, alpha: float) -> float:
     α is the conversion factor between utility and log-probability; negative
     α models an adversarial assignment (low probability becomes attractive).
     """
-    alpha = float(alpha)
+    alpha = _real(alpha, "conversion factor")
     if not math.isfinite(alpha) or alpha == 0.0:
         raise DomainError(f"conversion factor must be finite and nonzero, got {alpha!r}")
     return _finite(alpha * math.log(_probability(p)), "the utility gain")
@@ -191,8 +192,8 @@ def prob_from_utility_gain(gain: float, alpha: float) -> float:
     Rejects gains whose implied probability would exceed 1 (gain and α of
     the same sign).
     """
-    gain = float(gain)
-    alpha = float(alpha)
+    gain = _real(gain, "gain")
+    alpha = _real(alpha, "conversion factor")
     if not math.isfinite(alpha) or alpha == 0.0:
         raise DomainError(f"conversion factor must be finite and nonzero, got {alpha!r}")
     if math.isnan(gain):
@@ -208,7 +209,7 @@ def prob_from_utility_gain(gain: float, alpha: float) -> float:
 
 def information_work(p: float, alpha: float) -> float:
     """Work required to acquire information −log p at conversion factor α > 0."""
-    alpha = float(alpha)
+    alpha = _real(alpha, "conversion factor")
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise DomainError(f"conversion factor must be a positive real, got {alpha!r}")
     return _finite(-alpha * math.log(_probability(p)), "the information work")
@@ -233,7 +234,7 @@ def free_utility(p: FiniteDistribution, u: UtilityTable, alpha: float) -> float:
     """The trade-off functional Σ p·u − α Σ p log p (expected utility plus
     α-weighted entropy). Maximized over p by gibbs_measure(u, alpha), where
     it equals α·log Σ exp(u/α)."""
-    alpha = float(alpha)
+    alpha = _real(alpha, "temperature")
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise DomainError(f"temperature must be a positive real, got {alpha!r}")
     return expectation(p, u) + alpha * entropy(p)
@@ -287,7 +288,7 @@ def free_utility_difference(
     Requires support(posterior) ⊆ support(prior); maximized over posteriors
     by bounded_control(prior, u_star, alpha).
     """
-    alpha = float(alpha)
+    alpha = _real(alpha, "temperature")
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise DomainError(f"temperature must be a positive real, got {alpha!r}")
     kl = kl_divergence(posterior, prior)

@@ -65,7 +65,7 @@ def test_criterion_04_temperature_limit_recovery():
 
 def test_criterion_05_two_stage_objective_optimality():
     _run_suite_criterion(
-        5, "product-lattice oracle never beats the nested solution by more than 1e-5",
+        5, "nested solution passes the lattice check at every node within 1e-5",
         "two-stage-optimality",
     )
 

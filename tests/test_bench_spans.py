@@ -1,5 +1,6 @@
 """The traced benchmark run wraps freeutil functions by (module, name); these
 names must keep resolving, or `bench/run.py --trace 1` breaks."""
+import ast
 import contextlib
 import importlib.util
 import io
@@ -55,3 +56,26 @@ def test_traced_solve_records_sized_tilts(name, solver):
     # control solves are that backup on the problem's depth-2 and depth-1
     # trees.
     assert "variational.exponential_tilt" not in names
+
+
+def test_every_imported_name_is_used_or_wrapped():
+    """Each package module uses every name it imports, except the names the
+    traced run wraps under that module, which stay bound for it alone. When
+    the traced run stops wrapping a name, this points at the import to
+    delete."""
+    wrapped = {(m, a) for m, a, _ in spans.WRAPPED}
+    unused = []
+    for path in sorted((ROOT / "src" / "freeutil").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in ast.walk(tree):
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                for alias in stmt.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used and (path.stem, name) not in wrapped:
+                        unused.append(f"{path.name}: {name}")
+    assert unused == []

@@ -900,7 +900,7 @@ def test_verify_oversized_problems_exit_2(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_GRID_OUTCOMES", 3)
     for name, error in [
         ("control_five_outcomes.json", "TooManyOutcomes"),
-        ("two_stage_3x4.json", "TooLarge"),
+        ("two_stage_3x4.json", "TooManyOutcomes"),
         ("tree_binary.json", "TooManyPaths"),
     ]:
         result = run_cli("verify", GOLDEN / name)

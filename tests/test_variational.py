@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +27,11 @@ from freeutil.variational import (
     prob_from_utility_gain,
     utility_gain_from_prob,
 )
-from freeutil.sequential import certainty_equivalent, taylor_ce_approx
+from freeutil.oracle import simplex_grid_search
+from freeutil.problemio import load
+from freeutil.sequential import certainty_equivalent, risk_sensitive_argmax, taylor_ce_approx
 
+GOLDEN = Path(__file__).parent / "golden"
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
 
@@ -103,7 +107,7 @@ def test_information_work_examples():
         information_work(0.0, 1.0)
 
 
-EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-320, 1e308, -1e308]
+EDGE_FLOATS = [None, math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-320, 1e308, -1e308]
 numbers = st.one_of(
     st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
 )
@@ -134,6 +138,13 @@ def conversion_calls(draw):
 @example((utility_gain_from_prob, (5e-324, 1e308)))
 @example((information_work, (5e-324, 1e308)))
 @example((taylor_ce_approx, (dist(["a", "b"], [0.5, 0.5]), util(["a", "b"], [1e308, -1e308]), 1.0)))
+@example((utility_gain_from_prob, (None, 1.0)))
+@example((utility_gain_from_prob, (0.5, None)))
+@example((prob_from_utility_gain, (None, 1.0)))
+@example((prob_from_utility_gain, (-1.0, None)))
+@example((information_work, (None, 1.0)))
+@example((information_work, (0.5, None)))
+@example((taylor_ce_approx, (dist(["a", "b"], [0.5, 0.5]), util(["a", "b"], [0.0, 1.0]), None)))
 def test_conversion_law_returns_a_finite_float_or_raises(call):
     fn, args = call
     with warnings.catch_warnings():
@@ -143,6 +154,22 @@ def test_conversion_law_returns_a_finite_float_or_raises(call):
         except FreeUtilError:
             return
     assert isinstance(result, float) and math.isfinite(result), (fn.__name__, args, result)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: free_utility(GAMBLE[0], GAMBLE[1], None),
+    lambda: free_utility_difference(GAMBLE[0], GAMBLE[0], GAMBLE[1], None),
+    lambda: risk_sensitive_argmax(load(GOLDEN / "two_stage_basic.json").problem, None),
+    lambda: simplex_grid_search(GAMBLE[0], GAMBLE[1], None),
+    lambda: simplex_grid_search(GAMBLE[0], GAMBLE[1], 1.0, None),
+    lambda: utility_gain_from_prob("half", 1.0),
+], ids=["free_utility", "free_utility_difference", "risk_sensitive_argmax",
+        "simplex_grid_search", "simplex_grid_search-resolution", "utility_gain_from_prob-str"])
+def test_plain_number_arguments_refuse_a_non_number_by_type(call):
+    """A plain-number argument that float() cannot read raises DomainError
+    naming its type, not float()'s bare TypeError or ValueError."""
+    with pytest.raises(DomainError, match=r"must be a real number, got (NoneType|str)$"):
+        call()
 
 
 TEMPERATURE_EDGES = [
