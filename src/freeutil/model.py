@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -704,7 +704,7 @@ class TwoStageProblem(_FlatStore):
             names = ("root",) + self.actions + self.outcomes * n
             is_mu = np.repeat([False, True, False], sizes)
             n_children = np.repeat([n, width, 0], sizes)
-            tree._fill(names, is_mu, n_children, self._edge_prior, self._edge_utility, None)
+            tree._fill(names, is_mu, n_children, self._edge_prior, self._edge_utility)
             object.__setattr__(self, "_depth2", tree)
         return self._depth2
 
@@ -807,12 +807,12 @@ class DecisionTree(_FlatStore):
     node j > 0 is edge j - 1, with the normalised prior prior[j - 1] and the
     utility gain utility[j - 1]. A leaf's tag is checked as any node's is,
     but governs no backup.
-    ``root`` is the same tree as TreeNodes: the one it was built from, or
-    one built on first read.
+    A graph of TreeNodes is an input format only: the constructor checks
+    and reads it, and the tree keeps no reference to it.
     """
 
     _FIELDS = ("names", "tags", "n_children", "prior", "utility")
-    __slots__ = ("names", "is_mu", "n_children", "first_child", "prior", "utility", "_root")
+    __slots__ = ("names", "is_mu", "n_children", "first_child", "prior", "utility")
 
     def __init__(self, root: TreeNode):
         _check_tree(root)
@@ -833,51 +833,24 @@ class DecisionTree(_FlatStore):
                 float,
                 n_edges,
             ),
-            root,
         )
 
     @classmethod
     def _from_arrays(cls, names, tags, n_children, prior, utility) -> "DecisionTree":
         """A tree from breadth-first arrays that already hold every invariant."""
         tree = cls.__new__(cls)
-        tree._fill(tuple(names), [tag == MU_TAG for tag in tags], n_children, prior, utility, None)
+        tree._fill(tuple(names), [tag == MU_TAG for tag in tags], n_children, prior, utility)
         return tree
 
-    def _fill(self, names, is_mu, n_children, prior, utility, root) -> None:
+    def _fill(self, names, is_mu, n_children, prior, utility) -> None:
         n_children = np.asarray(n_children, dtype=np.intp)
         first_child = np.cumsum(n_children) - n_children + 1
         is_mu = np.asarray(is_mu, dtype=bool)
-        self._freeze(names, is_mu, n_children, first_child, prior, utility, root)
+        self._freeze(names, is_mu, n_children, first_child, prior, utility)
 
     @property
     def tags(self) -> tuple[str, ...]:
         return tuple(map((LAMBDA_TAG, MU_TAG).__getitem__, self.is_mu.tolist()))
-
-    @property
-    def root(self) -> TreeNode:
-        if self._root is None:
-            object.__setattr__(self, "_root", self._build_root())
-        return self._root
-
-    def _build_root(self) -> TreeNode:
-        """The TreeNodes of the arrays, deepest level first."""
-        names, tags = self.names, self.tags
-        prior, utility = self.prior.tolist(), self.utility.tolist()
-        built: list = [None] * len(names)
-        spans = zip(self.first_child.tolist(), self.n_children.tolist())
-        for i, (lo, k) in reversed(list(enumerate(spans))):
-            if not k:
-                built[i] = TreeNode(names[i], temperature_tag=tags[i])
-                continue
-            child_names = names[lo : lo + k]
-            built[i] = TreeNode(
-                names[i],
-                tuple(built[lo : lo + k]),
-                FiniteDistribution._trusted(child_names, prior[lo - 1 : lo + k - 1]),
-                UtilityTable(child_names, utility[lo - 1 : lo + k - 1]),
-                tags[i],
-            )
-        return built[0]
 
     def paths(self) -> list[str]:
         """The path of every node, in breadth-first order."""
@@ -924,14 +897,6 @@ class DecisionTree(_FlatStore):
         sequences = np.empty((2, n), dtype=np.intp)
         sequences[0, pre] = sequences[1, post] = np.arange(n)
         return sequences[0], sequences[1]
-
-    def iter_nodes(self) -> Iterable[tuple[str, TreeNode]]:
-        """Yield (path, node) depth-first in child order; path starts at the root name."""
-        stack = [(self.root.name, self.root)]
-        while stack:
-            path, node = stack.pop()
-            yield path, node
-            stack.extend((f"{path}/{c.name}", c) for c in reversed(node.children))
 
     def n_leaves(self) -> int:
         return int(np.count_nonzero(self.n_children == 0))

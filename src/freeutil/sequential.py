@@ -155,7 +155,8 @@ def outer_policy(problem: TwoStageProblem, lam, mu) -> TwoStageSolution:
     prior at lam by direct utility plus that certainty equivalent.
     lam = +inf is the hard arg-max over actions (uniform over exact ties);
     lam = zero is rejected — an infinitely expensive chooser never moves,
-    which is not a solvable regime here.
+    which is not a solvable regime here. A log-partition past the float
+    range raises DomainError, as in exponential_tilt.
 
     Both stages are value_recursion on the problem's depth-2 tree; this
     reads the solution off its arrays. An outcome belief row with the bits of
@@ -171,7 +172,10 @@ def outer_policy(problem: TwoStageProblem, lam, mu) -> TwoStageSolution:
     actions, n = problem.actions, len(problem.actions)
     probs = tv.flat_policy[:n].tolist()
     action_policy = FiniteDistribution._trusted(actions, probs)
-    log_z = [None if math.isnan(z) else z for z in tv.flat_log_z[: n + 1].tolist()]
+    log_z = [
+        None if math.isnan(z) else _finite(z, "the log-partition")
+        for z in tv.flat_log_z[: n + 1].tolist()
+    ]
     rows = tv.flat_policy[n:].reshape(n, -1)
 
     def beliefs() -> dict[str, FiniteDistribution]:

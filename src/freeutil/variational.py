@@ -101,9 +101,12 @@ def _tilt_segments(prior, gains, starts, t: Temperature):
         raise EmptySupport("prior assigns no positive probability anywhere")
     const = [lo == hi for lo, hi in zip(g_min.tolist(), g_max_list)]
 
+    # Rounding can carry a finite or zero-limit value past the supported
+    # gains; it is clamped back into [g_min, g_max].
     if t.is_zero:
         # An unsupported entry adds -0.0, which changes no sum.
-        sums = _row_sums(np.where(support, prior * gains, -0.0), starts).tolist()
+        sums = _row_sums(np.where(support, prior * gains, -0.0), starts)
+        sums = np.clip(sums, g_min, g_max).tolist()
         values = [g if c else v for g, c, v in zip(g_max_list, const, sums)]
         return prior, values, [0.0] * k, [True] * k
 
@@ -121,7 +124,7 @@ def _tilt_segments(prior, gains, starts, t: Temperature):
             s = np.add.reduceat(policy, starts)
             policy /= spread(s)
             log_z = [mi + math.log(si) for mi, si in zip(m.tolist(), s.tolist())]
-            values = [z / tv for z in log_z]
+            values = np.clip(np.array(log_z) / tv, g_min, g_max).tolist()
             for i in [i for i, c in enumerate(const) if c]:
                 values[i] = g_max_list[i]
                 log_z[i] = tv * g_max_list[i]
@@ -286,12 +289,13 @@ def free_utility_difference(
     """Score a move from prior to posterior: utility minus α-weighted KL cost.
 
     Requires support(posterior) ⊆ support(prior); maximized over posteriors
-    by bounded_control(prior, u_star, alpha).
+    by bounded_control(prior, u_star, alpha). A cost or total past the float
+    range raises DomainError.
     """
     alpha = _real(alpha, "temperature")
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise DomainError(f"temperature must be a positive real, got {alpha!r}")
     kl = kl_divergence(posterior, prior)
     expected = expectation(posterior, u_star)
-    cost = alpha * kl
-    return FreeUtilityReport(expected, cost, expected - cost, kl)
+    cost = _finite(alpha * kl, "the information cost")
+    return FreeUtilityReport(expected, cost, _finite(expected - cost, "the total"), kl)

@@ -587,7 +587,9 @@ def _objective_gap(
     a soft minimum). Its gap is max(lattice − scored, |s·V − scored|):
     scored is the solver's policy row on the objective, lattice the
     objective's maximum by simplex_grid_search at step 1e-3. Leaves are
-    exact, so a pass at every node certifies the backup by induction.
+    exact, so a pass at every node certifies the backup by induction. A
+    row with mass where the prior has none is off the objective's domain;
+    its gap is one unit plus that mass.
     analytic and oracle are the root's V and s·lattice; gap is the worst.
 
     The tolerance is 1e-5, or at scale 8·2⁻⁵²·G, G the largest supported
@@ -613,13 +615,18 @@ def _objective_gap(
         names, p = tree.names[lo:hi], tree.prior[lo - 1 : hi - 1]
         g = s * (tree.utility[lo - 1 : hi - 1] + tv.flat_values[lo:hi])
         prior, gains = FiniteDistribution._trusted(names, p), UtilityTable(names, g)
-        row = FiniteDistribution._trusted(names, tv.flat_policy[lo - 1 : hi - 1])
-        scored = expectation(row, gains) - kl_divergence(row, prior) / abs(t)
+        policy = tv.flat_policy[lo - 1 : hi - 1]
         lattice = simplex_grid_search(prior, gains, 1.0 / abs(t), 1e-3).best_value
         if not gaps:
             root_lattice = s * lattice
-        gaps.append([lattice - scored, abs(s * tv.flat_values[i].item() - scored)])
         scale = max(scale, np.abs(g[p > 0.0]).max().item())
+        off_support = policy[p == 0.0].sum().item()
+        if off_support > 0.0:  # the objective cannot score it: a unit of gap plus that mass
+            gaps.append([1.0 + off_support] * 2)
+            continue
+        row = FiniteDistribution._trusted(names, policy)
+        scored = expectation(row, gains) - kl_divergence(row, prior) / abs(t)
+        gaps.append([lattice - scored, abs(s * tv.flat_values[i].item() - scored)])
     node_gaps = np.max(gaps, axis=1)  # a NaN gap, a failure, stays NaN
     worst = int(np.argmax(node_gaps))  # and is the worst
     note = f"worst node {tree.paths()[internal[worst]]!r} of {len(internal)}, lattice step 0.001"

@@ -19,7 +19,7 @@ from freeutil.model import (
     TreeNode,
     UtilityTable,
 )
-from freeutil.problemio import ProblemFile, dump, dumps, load, loads, render_json
+from freeutil.problemio import ProblemFile, _parse_tree, dump, dumps, load, loads, render_json
 from freeutil.sequential import regime_label, value_recursion
 from freeutil.verify import resolve_seed
 
@@ -350,12 +350,17 @@ TREE_GOLDENS = sorted(p.name for p in GOLDEN.glob("tree_*.json"))
 
 def old_tree_document(path, units) -> str:
     """The tree document as a dict in its old layout, built from the
-    labelled results in depth-first order, then rendered as a whole."""
+    labelled results in depth-first order over the file's TreeNodes, then
+    rendered as a whole."""
     pf = load(str(path))
     temps = TemperatureSpec(pf.lam or 1.0, pf.mu or 1.0)
     tv = value_recursion(pf.problem, temps)
     node_values, node_policies = {}, {}
-    for node_path, node in pf.problem.iter_nodes():
+    root = _parse_tree(json.loads(Path(path).read_text())["payload"])
+    stack = [(root.name, root)]
+    while stack:
+        node_path, node = stack.pop()
+        stack.extend((f"{node_path}/{c.name}", c) for c in reversed(node.children))
         node_values[node_path] = tv.values[node_path]
         if node.children:
             policy = tv.policies[node_path]

@@ -4,9 +4,11 @@ A tree read from a file goes straight into DecisionTree's breadth-first
 arrays; the TreeNode path (the file read by _parse_tree into TreeNodes, then
 DecisionTree(root)) is the reference. Values, policies, documents and errors
 must match it bit for bit and in order."""
+import gc
 import json
 import math
 import pickle
+import weakref
 from pathlib import Path
 from unittest.mock import patch
 
@@ -47,9 +49,23 @@ def document(payload) -> str:
     return json.dumps(doc).replace("1e+300", "1e400")
 
 
+def reference_graph(text) -> TreeNode:
+    """The file read into TreeNodes, the way loads read every tree before."""
+    return _parse_tree(json.loads(text)["payload"])
+
+
 def reference_tree(text) -> DecisionTree:
     """The file read through TreeNodes, the way loads read every tree before."""
-    return DecisionTree(_parse_tree(json.loads(text)["payload"]))
+    return DecisionTree(reference_graph(text))
+
+
+def graph_nodes(root: TreeNode):
+    """(path, node) for every TreeNode of a graph, depth first in child order."""
+    stack = [(root.name, root)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        stack.extend((f"{path}/{c.name}", c) for c in reversed(node.children))
 
 
 def outcome_of(build, *args):
@@ -192,9 +208,9 @@ def tree_doc(tree, temps) -> dict:
     return json.loads(cli._solve_tree_doc(tree, temps, "nats", "%r"))
 
 
-def reference_value_recursion(tree, temps):
-    """The recursive backup over TreeNodes, one exponential_tilt per node:
-    (values, policies) in the order it filled them."""
+def reference_value_recursion(root, temps):
+    """The recursive backup over a graph of TreeNodes, one exponential_tilt
+    per node: (values, policies) in the order it filled them."""
     values, policies = {}, {}
 
     def backup(node, path):
@@ -212,22 +228,22 @@ def reference_value_recursion(tree, temps):
         policies[path] = result.policy
         return result.value
 
-    backup(tree.root, tree.root.name)
+    backup(root, root.name)
     return values, policies
 
 
-def reference_tree_doc(tree, temps):
+def reference_tree_doc(root, temps):
     """The document _solve_tree_doc built from the labelled results, walking
     the TreeNodes depth first; adding 0.0 writes -0.0 as 0.0, as the
     document does."""
-    values, policies = reference_value_recursion(tree, temps)
+    values, policies = reference_value_recursion(root, temps)
     node_values, node_policies = {}, {}
-    for path, node in tree.iter_nodes():
+    for path, node in graph_nodes(root):
         node_values[path] = values[path] + 0.0
         if not node.is_leaf:
             probs = [p + 0.0 for p in policies[path].probs]
             node_policies[path] = dict(zip(policies[path].outcomes, probs))
-    return values[tree.root.name] + 0.0, node_values, node_policies
+    return values[root.name] + 0.0, node_values, node_policies
 
 
 def bits(mapping):
@@ -248,18 +264,19 @@ def bits(mapping):
 @given(payloads())
 def test_flat_solve_matches_the_treenode_path(payload):
     text = document(payload)
-    flat, reference = loads(text).problem, reference_tree(text)
+    graph = reference_graph(text)
+    flat, reference = loads(text).problem, DecisionTree(graph)
     same_tree(flat, reference)
-    assert flat.root == reference.root
+    assert DecisionTree(graph) == flat
     assert dumps(ProblemFile("1", "tree", flat)) == dumps(ProblemFile("1", "tree", reference))
     for temps in TEMPS:
         tv = value_recursion(flat, temps)
-        values, policies = reference_value_recursion(reference, temps)
+        values, policies = reference_value_recursion(graph, temps)
         assert bits(tv.values) == bits(values)
         assert bits(tv.policies) == bits(policies)
         assert np.float64(tv.root_value).tobytes() == np.float64(values[flat.names[0]]).tobytes()
         doc = tree_doc(flat, temps)
-        value, node_values, node_policies = reference_tree_doc(reference, temps)
+        value, node_values, node_policies = reference_tree_doc(graph, temps)
         assert np.float64(doc["value"]).tobytes() == np.float64(value).tobytes()
         assert bits(doc["node_values"]) == bits(node_values)
         assert bits(doc["node_policies"]) == bits(node_policies)
@@ -270,14 +287,15 @@ def test_flat_solve_matches_the_treenode_path(payload):
 def test_tree_sweep_rows_match_the_treenode_path(payload):
     if "children" not in payload:
         return
-    tree = loads(document(payload)).problem
+    text = document(payload)
+    tree = loads(text).problem
     temps = TemperatureSpec(1.0, 1.0)
     grid = [t.mu for t in TEMPS]
     header, rows = cli._sweep_rows_staged(tree, "mu", grid, temps)
-    root = tree.root
+    root = reference_graph(text)
     assert header == ["mu"] + [f"p[{c.name}]" for c in root.children] + ["value", "achieved_kl"]
     for point, row in zip(grid, rows):
-        values, policies = reference_value_recursion(tree, TemperatureSpec(1.0, point))
+        values, policies = reference_value_recursion(root, TemperatureSpec(1.0, point))
         policy = policies[root.name]
         kl = cli.kl_divergence(policy, root.child_prior)
         assert row == [point.spell()] + list(policy.probs) + [values[root.name], kl]
@@ -290,17 +308,17 @@ def test_blocked_backup_matches_the_treenode_path(payload, block):
     backup keeps its bits, and per internal node the log-partition of its
     tilt and the relative entropy of its row, both bit for bit."""
     text = document(payload)
-    flat, reference = loads(text).problem, reference_tree(text)
+    flat, graph = loads(text).problem, reference_graph(text)
     paths = flat.paths()
     rows = {paths[i]: r for r, i in enumerate(np.flatnonzero(flat.n_children).tolist())}
     for temps in TEMPS:
         with patch.object(sequential, "_BLOCK_EDGES", block):
             tv = value_recursion(flat, temps)
-        values, policies = reference_value_recursion(reference, temps)
+        values, policies = reference_value_recursion(graph, temps)
         assert bits(tv.values) == bits(values)
         assert bits(tv.policies) == bits(policies)
         assert len(tv.flat_log_z) == len(tv.flat_kl) == len(rows)
-        for path, node in reference.iter_nodes():
+        for path, node in graph_nodes(graph):
             if node.is_leaf:
                 continue
             kids = [c.name for c in node.children]
@@ -353,8 +371,8 @@ def test_loaded_tree_equals_the_tree_it_was_written_from(tmp_path):
     again = load(str(path))
     assert again == pf and hash(again) == hash(pf)
     assert pickle.loads(pickle.dumps(again)) == again
-    assert again.problem.root == root
-    assert DecisionTree(again.problem.root) == again.problem
+    assert DecisionTree(root) == again.problem
+    assert DecisionTree(reference_graph(path.read_text())) == again.problem
     assert dumps(again) == path.read_text()
     changed = node("r", [root.children[0], TreeNode("b")], [0.5, 0.5], [0.0, 3.5])
     assert DecisionTree(changed) != pf.problem
@@ -374,7 +392,7 @@ def test_tree_arrays_are_level_ordered_and_immutable():
     assert tree.utility.tolist() == [0.0, 3.0, 1.0, 1.0, -2.0, 4.0]
     assert tree.paths() == ["r", "r/a", "r/b", "r/c", "r/a/x", "r/a/y", "r/c/z"]
     pre, post = tree.orders()
-    assert [tree.paths()[i] for i in pre] == [p for p, _ in tree.iter_nodes()]
+    assert [tree.paths()[i] for i in pre] == ["r", "r/a", "r/a/x", "r/a/y", "r/b", "r/c", "r/c/z"]
     assert pre.tolist() == [0, 1, 4, 5, 2, 3, 6]
     assert post.tolist() == [4, 5, 1, 2, 6, 3, 0]
     assert tree.n_leaves() == 4
@@ -387,7 +405,7 @@ def test_tree_arrays_are_level_ordered_and_immutable():
 def test_single_leaf_tree():
     tree = loads(document({"name": "only"})).problem
     assert tree.names == ("only",) and tree.n_leaves() == 1
-    assert tree.root == TreeNode("only")
+    assert tree == DecisionTree(TreeNode("only"))
     tv = value_recursion(tree, TemperatureSpec(1.0, 1.0))
     assert tv.root_value == 0.0 and dict(tv.values) == {"only": 0.0} and not tv.policies
     pre, post = tree.orders()
@@ -398,12 +416,13 @@ def test_single_leaf_tree():
 def test_a_kept_row_is_the_prior_bit_for_bit(temps):
     # normalised, these priors sum (math.fsum) to 1 - 2**-53, not to 1.0
     prior = [0.3123419336437785, 0.6876580666562214]
-    tree = DecisionTree(node("r", [TreeNode("a"), TreeNode("b")], prior, [2.0, 2.0]))
-    assert math.fsum(tree.root.child_prior.probs) != 1.0
+    root = node("r", [TreeNode("a"), TreeNode("b")], prior, [2.0, 2.0])
+    tree = DecisionTree(root)
+    assert math.fsum(root.child_prior.probs) != 1.0
     tv = value_recursion(tree, temps)
-    assert tv.policies["r"].probs == tree.root.child_prior.probs
+    assert tv.policies["r"].probs == root.child_prior.probs
     policy = tree_doc(tree, temps)["node_policies"]["r"]
-    assert list(policy.values()) == list(tree.root.child_prior.probs)
+    assert list(policy.values()) == list(root.child_prior.probs)
 
 
 def huge_utility_node(name):
@@ -418,10 +437,11 @@ def test_unnormalisable_policy_raises_the_first_error_in_post_order(first, block
     kids = [huge_utility_node("p"), node("q", [huge_utility_node("s")], [1.0], [0.0])]
     if first:
         kids.reverse()
-    tree = DecisionTree(node("r", kids, [0.5, 0.5], [0.0, 0.0]))
+    root = node("r", kids, [0.5, 0.5], [0.0, 0.0])
+    tree = DecisionTree(root)
     temps = TemperatureSpec(10.0, 1.0)
     with pytest.raises(DomainError) as expected:
-        reference_value_recursion(tree, temps)
+        reference_value_recursion(root, temps)
     with pytest.raises(DomainError) as raised, patch.object(sequential, "_BLOCK_EDGES", block):
         value_recursion(tree, temps)
     assert str(raised.value) == str(expected.value)
@@ -498,7 +518,7 @@ def test_labelled_objects_are_built_only_when_read(monkeypatch):
     tree_doc(tree, temps)
     cli._sweep_rows_staged(tree, "mu", [t.mu for t in TEMPS], temps)
     assert built == []
-    assert len(tv.policies) == 3 and tree.root.name == "r"
+    assert len(tv.policies) == 3 and tree.names[0] == "r"
     problem = random_two_stage(np.random.default_rng(5), 4, 6)
     built.clear()
     sol = outer_policy(problem, 1.5, 0.5)
@@ -519,6 +539,18 @@ def test_repr_of_a_deep_chain_prints_the_arrays():
     assert "tags=('mu', 'lambda', 'mu', " in text and "n_children=array([2, 0, 2," in text
 
 
+def test_a_tree_keeps_no_reference_to_its_graph():
+    """TreeNodes are an input format: once the tree is built, the caller's
+    graph is freed when the caller drops it."""
+    root = node("r", [node("a", [TreeNode("x")], [1.0], [2.0]), TreeNode("b")], [0.5, 0.5], [0, 1])
+    graph, deepest = weakref.ref(root), weakref.ref(root.children[0].children[0])
+    tree = DecisionTree(root)
+    del root
+    gc.collect()
+    assert graph() is None and deepest() is None
+    assert tree.names == ("r", "a", "b", "x") and tree.prior.tolist() == [0.5, 0.5, 1.0]
+
+
 def bfs_tags(root: TreeNode) -> tuple:
     """The tags of TreeNodes in breadth-first order."""
     nodes = [root]
@@ -537,11 +569,12 @@ def test_is_mu_agrees_with_tags_on_every_build(name):
     is_mu, and trees equal and hash as their names and tags."""
     if name in TREE_GOLDENS:
         text = (GOLDEN / name).read_text()
-        built, loaded = reference_tree(text), loads(text).problem
+        root = reference_graph(text)
+        built, loaded = DecisionTree(root), loads(text).problem
     else:
         root = node("r", [TreeNode("x", temperature_tag="mu"), TreeNode("y")], [0.5, 0.5], [0, 1])
         built = loaded = DecisionTree(root)
-    tags = bfs_tags(built.root)
+    tags = bfs_tags(root)
     again = DecisionTree._from_arrays(
         loaded.names, loaded.tags, loaded.n_children, loaded.prior, loaded.utility
     )
@@ -552,15 +585,20 @@ def test_is_mu_agrees_with_tags_on_every_build(name):
         same_tree(tree, built)
 
 
-def reference_two_stage_tree(problem: TwoStageProblem, root_name: str = "root") -> DecisionTree:
-    """The depth-2 tree built through TreeNodes, one per node."""
+def reference_two_stage_graph(problem: TwoStageProblem, root_name: str = "root") -> TreeNode:
+    """The depth-2 tree as TreeNodes, one per node."""
     actions = [
         TreeNode(a, tuple(TreeNode(o) for o in problem.outcomes), problem.channel[a],
                  problem.outcome_utility[a], "mu")
         for a in problem.actions
     ]
-    return DecisionTree(TreeNode(root_name, tuple(actions), problem.prior_action,
-                                 problem.action_utility, "lambda"))
+    return TreeNode(root_name, tuple(actions), problem.prior_action, problem.action_utility,
+                    "lambda")
+
+
+def reference_two_stage_tree(problem: TwoStageProblem, root_name: str = "root") -> DecisionTree:
+    """The depth-2 tree built through TreeNodes."""
+    return DecisionTree(reference_two_stage_graph(problem, root_name))
 
 
 @pytest.mark.parametrize("name", TWO_STAGE_GOLDENS)
@@ -568,10 +606,11 @@ def test_two_stage_to_tree_equals_the_treenode_tree(name):
     problem = load(str(GOLDEN / name)).problem
     for root_name in ("root", "top"):
         tree = two_stage_to_tree(problem, root_name)
-        reference = reference_two_stage_tree(problem, root_name)
+        graph = reference_two_stage_graph(problem, root_name)
+        reference = DecisionTree(graph)
         same_tree(tree, reference)
         assert hash(tree) == hash(reference)
-        assert tree.is_mu.tolist() == [t == "mu" for t in bfs_tags(reference.root)]
+        assert tree.is_mu.tolist() == [t == "mu" for t in bfs_tags(graph)]
     assert two_stage_to_tree(problem) is two_stage_to_tree(problem)  # built once
 
 

@@ -364,9 +364,9 @@ def test_outer_policy_on_the_arrays_equals_the_labelled_problem(name):
 
 
 def solver_tilt(prior: FiniteDistribution, gains: UtilityTable, inv_temp) -> TiltResult:
-    """exponential_tilt with its log-partition unchecked, as the solvers
-    carry it: the public function refuses a log-partition past the float
-    range, which the solvers hand on to the CLI's output check. Anywhere
+    """exponential_tilt with its log-partition unchecked, as the staged
+    backup carries it: the public function refuses a log-partition past the
+    float range at once, outer_policy only after the whole backup. Anywhere
     else the two are the same."""
     t = Temperature.coerce(inv_temp)
     flat, values, log_z, kept = _tilt_segments(prior.array, gains.aligned_to(prior.outcomes), _WHOLE, t)
@@ -382,7 +382,8 @@ def per_row_solution(problem: TwoStageProblem, lam, mu) -> TwoStageSolution:
     solver_tilt per channel row, one over the actions, and
     kl_divergence on the FiniteDistributions they return. An outcome is a
     leaf of value 0.0, so its gain is its utility plus 0.0, as in every
-    tree backup: a utility of -0.0 gains 0.0."""
+    tree backup: a utility of -0.0 gains 0.0. A log-partition past the
+    float range, the outer one first, raises DomainError."""
     temps = TemperatureSpec(lam, mu)
     actions = problem.actions
     inner = {
@@ -393,6 +394,9 @@ def per_row_solution(problem: TwoStageProblem, lam, mu) -> TwoStageSolution:
     gains = UtilityTable(actions, list(values.values()))
     outer = solver_tilt(problem.prior_action, gains, temps.lam)
     kls = [kl_divergence(inner[a].policy, problem.channel[a]) for a in actions]
+    for tilt in [outer, *inner.values()]:
+        if tilt.log_partition is not None and not math.isfinite(tilt.log_partition):
+            raise DomainError(f"the log-partition is not a finite number: {tilt.log_partition!r}")
     return TwoStageSolution(
         action_policy=outer.policy,
         outcome_beliefs={a: tilt.policy for a, tilt in inner.items()},

@@ -473,8 +473,8 @@ def test_tree_paths_and_leaf_count():
             [0.0, 3.0],
         )
     )
-    paths = [p for p, _ in t.iter_nodes()]
-    assert paths == ["root", "root/L", "root/L/a", "root/L/b", "root/R"]
+    paths = t.paths()
+    assert [paths[i] for i in t.orders()[0]] == ["root", "root/L", "root/L/a", "root/L/b", "root/R"]
     assert t.n_leaves() == 3
 
 
@@ -556,7 +556,8 @@ def chain(depth):
 def test_tree_walkers_handle_a_chain_deeper_than_the_recursion_limit():
     depth = 10_000
     tree = DecisionTree(chain(depth))
-    paths = [p for p, _ in tree.iter_nodes()]
+    paths = tree.paths()
+    paths = [paths[i] for i in tree.orders()[0].tolist()]
     assert len(paths) == depth + 1
     assert paths[:3] == ["n0", "n0/n1", "n0/n1/n2"]
     assert paths[-1] == "/".join(f"n{i}" for i in range(depth + 1))
@@ -671,7 +672,9 @@ def test_tree_validation_matches_the_recursive_walk(root):
             DecisionTree(root)
         assert str(raised.value) == str(expected)
         return
-    assert [p for p, _ in DecisionTree(root).iter_nodes()] == reference_paths(root)
+    tree = DecisionTree(root)
+    paths = tree.paths()
+    assert [paths[i] for i in tree.orders()[0].tolist()] == reference_paths(root)
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,22 @@ def test_right_values_with_a_wrong_policy_row_fail(monkeypatch, name, node):
     assert code == 4 and cert["passed"] is False
 
 
+def test_a_row_off_the_prior_support_fails_with_exit_4(monkeypatch):
+    """A policy row with mass where the prior has none gets a finite failing
+    gap, so the report is written with both certificates failed."""
+
+    def off_support(tree, values, policy):
+        policy[:] = [0.5, 0.25, 0.25]
+
+    break_backup(monkeypatch, off_support)
+    code, doc, err = run_verify(GOLDEN / "control_zero_prior.json")
+    assert (code, err) == (4, "")
+    certs = {c["name"]: c for c in doc["certificates"]}
+    gap = certs["file/control/objective-gap"]
+    assert gap["passed"] is False and gap["gap"] == 1.25
+    assert certs["file/control/support-preservation"]["passed"] is False
+
+
 @st.composite
 def two_stage_problems(draw):
     """Two-stage problems up to 4x4, with zero prior and channel entries,

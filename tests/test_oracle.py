@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import dataclasses
+import io
 import itertools
 import math
 import subprocess
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from freeutil import oracle, sequential, verify
+from freeutil import cli, oracle, sequential, verify
 from freeutil.model import (
     ARGMAX_TIE_TOL,
     DecisionTree,
@@ -639,9 +641,10 @@ def test_import_leaves_openssl_out(module):
 # iterative tree oracles
 
 
-def reference_bellman_backup(tree):
+def reference_bellman_backup(root):
     """The recursive hard-max program bellman_backup ran before it became
-    iterative: (values, policies) in the order it filled them."""
+    iterative, over a graph of TreeNodes: (values, policies) in the order it
+    filled them."""
     values, policies = {}, {}
 
     def backup(n, path):
@@ -662,12 +665,13 @@ def reference_bellman_backup(tree):
         values[path] = best
         return best
 
-    backup(tree.root, tree.root.name)
+    backup(root, root.name)
     return values, policies
 
 
-def reference_path_enumeration(tree, lam):
-    """The recursive path sum path_enumeration ran before it became iterative."""
+def reference_path_enumeration(root, lam):
+    """The recursive path sum path_enumeration ran before it became
+    iterative, over a graph of TreeNodes."""
     log_ps, utils = [], []
 
     def walk(n, log_p_terms, u_terms):
@@ -681,20 +685,23 @@ def reference_path_enumeration(tree, lam):
                 u = n.child_utility.value(child.name)
                 walk(child, log_p_terms + [math.log(p)], u_terms + [u])
 
-    walk(tree.root, [], [])
+    walk(root, [], [])
     return _logsumexp(np.asarray(log_ps) + lam * np.asarray(utils)) / lam
 
 
-def test_iterative_oracles_match_the_recursive_walks():
+def test_iterative_oracles_match_the_recursive_walks(monkeypatch):
+    # _random_tree hands back the graph it built, not the tree of it.
+    monkeypatch.setattr(verify, "DecisionTree", lambda root: root)
     rng = np.random.default_rng(2024)
     for i in range(40):
-        tree = verify._random_tree(rng, with_zero_edge=i % 2 == 0)
-        values, policies = reference_bellman_backup(tree)
+        root = verify._random_tree(rng, with_zero_edge=i % 2 == 0)
+        tree = DecisionTree(root)
+        values, policies = reference_bellman_backup(root)
         hard = bellman_backup(tree)
         assert list(hard.values.items()) == list(values.items())
         assert list(hard.policies.items()) == list(policies.items())
         for lam in (0.4, 2.5):
-            assert path_enumeration(tree, lam) == reference_path_enumeration(tree, lam)
+            assert path_enumeration(tree, lam) == reference_path_enumeration(root, lam)
 
 
 def test_oracles_handle_a_chain_deeper_than_the_recursion_limit():
@@ -739,13 +746,22 @@ def test_bellman_backup_reports_row_kls_and_no_log_partition():
 
 
 @pytest.mark.parametrize("name", GOLDEN_TREES)
-def test_verify_tree_builds_no_tree_nodes(name):
-    """The oracles read a loaded tree's arrays: certifying it never builds
-    the TreeNode graph of DecisionTree.root."""
+def test_verify_tree_builds_no_tree_nodes(name, monkeypatch):
+    """A tree is its arrays: loading, certifying and solving a valid tree
+    file construct no TreeNode."""
+    built = []
+    init = TreeNode.__init__
+    monkeypatch.setattr(
+        TreeNode, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k)
+    )
     tree = load(str(GOLDEN / name)).problem
     certs = verify.verify_tree(tree, Temperature.finite(1.0), Temperature.finite(2.0))
     assert all(c.passed for c in certs)
-    assert tree._root is None
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["solve", str(GOLDEN / name)]) == 0
+    assert out.getvalue().startswith("{") and built == []
+    TreeNode("probe")  # the count sees a construction
+    assert built == [("probe",)]
 
 
 def per_label_enumerate_minimax(problem):

@@ -446,7 +446,8 @@ def test_tree_parser_handles_a_payload_deeper_than_the_recursion_limit():
             "children": [{"prior": 1.0, "utility": 1.0, "node": payload}],
         }
     tree = DecisionTree(_parse_tree(payload))
-    assert sum(1 for _ in tree.iter_nodes()) == depth + 1
+    paths = tree.paths()
+    assert len([paths[i] for i in tree.orders()[0].tolist()]) == depth + 1
 
 
 def test_load_reports_decoder_depth_as_before(tmp_path):

@@ -1,14 +1,17 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from freeutil.model import (
     ARGMAX_TIE_TOL,
     DecisionTree,
     DomainError,
     FiniteDistribution,
+    FreeUtilError,
     Temperature,
     TemperatureSpec,
     TreeNode,
@@ -148,6 +151,54 @@ def test_ce_monotone_in_mu_and_bounded():
         assert ces[-1] == max(u.values)
         assert min(ces) >= min(u.values) - 1e-12
         assert max(ces) <= max(u.values) + 1e-12
+
+
+def test_ce_at_a_huge_mu_stays_at_the_extreme():
+    """(m + log s)/mu rounds past the maximum at mu = 1e305; the value is
+    clamped to the supported utilities."""
+    p = dist(["lo", "hi"], [0.5, 0.5])
+    u = util(["lo", "hi"], [-1000.0, 1000.0])
+    assert certainty_equivalent(p, u, 1e305) == 1000.0
+    assert certainty_equivalent(p, u, -1e305) == -1000.0
+
+
+CE_UTILITIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1000.0, -1000.0, 3.0, 3.0000000000000004, 1e308, -1e308, 5e-324]),
+    st.floats(-1e6, 1e6),
+)
+CE_MUS = st.one_of(
+    st.sampled_from(["zero", "inf", "-inf"]),
+    st.builds(math.copysign, st.floats(5e-324, 1e300), st.sampled_from([1.0, -1.0])),
+)
+
+
+@st.composite
+def ce_gambles(draw):
+    """A prior with zeros (one entry at least positive) and utilities from
+    the float range's edges and ordinary floats."""
+    n = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0, 2.0]), min_size=n,
+                            max_size=n).filter(any))
+    labels = [f"o{i}" for i in range(n)]
+    values = draw(st.lists(CE_UTILITIES, min_size=n, max_size=n))
+    return dist(labels, np.asarray(weights) / math.fsum(weights)), util(labels, values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ce_gambles(), CE_MUS)
+@example((dist(["lo", "hi"], [0.5, 0.5]), util(["lo", "hi"], [-1000.0, 1000.0])), 1e305)
+@example((dist(["a", "b"], [0.2810420553770037, 0.7189579446229963]),
+          util(["a", "b"], [3.0, 3.0000000000000004])), "zero")
+def test_ce_lies_within_the_supported_utilities_or_raises(gamble, mu):
+    p, u = gamble
+    supported = [v for v, w in zip(u.values, p.probs) if w > 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ce = certainty_equivalent(p, u, mu)
+        except FreeUtilError:
+            return
+    assert min(supported) <= ce <= max(supported), (p, u, mu, ce)
 
 
 # ---------------------------------------------------------------------------
@@ -771,8 +822,8 @@ def test_two_stage_to_tree_shape():
     }
     outs = {a: util(["x", "y"], [0.0, 1.0]) for a in rows}
     tree = two_stage_to_tree(staged(rows, outs))
-    paths = [p for p, _ in tree.iter_nodes()]
-    assert paths == ["root", "root/A", "root/A/x", "root/A/y",
-                     "root/B", "root/B/x", "root/B/y"]
-    tags = {p: n.temperature_tag for p, n in tree.iter_nodes() if not n.is_leaf}
+    pre, paths = tree.orders()[0].tolist(), tree.paths()
+    assert [paths[i] for i in pre] == ["root", "root/A", "root/A/x", "root/A/y",
+                                       "root/B", "root/B/x", "root/B/y"]
+    tags = {paths[i]: tree.tags[i] for i in pre if tree.n_children[i]}
     assert tags == {"root": "lambda", "root/A": "mu", "root/B": "mu"}

@@ -307,7 +307,7 @@ def test_overflow_is_reported_at_the_first_node_a_recursive_backup_reaches():
         value_recursion(second, temps)
 
 
-def reference_value_recursion(tree, temps):
+def reference_value_recursion(root, temps):
     """The recursive backup value_recursion ran before the level pass, one
     exponential_tilt per node: (values, policies) in the order it filled
     them."""
@@ -328,7 +328,7 @@ def reference_value_recursion(tree, temps):
         policies[path] = result.policy
         return result.value
 
-    backup(tree.root, tree.root.name)
+    backup(root, root.name)
     return values, policies
 
 
@@ -360,9 +360,9 @@ def test_level_pass_matches_the_recursive_backup(lam, mu):
     rng = np.random.default_rng(77)
     temps = TemperatureSpec(lam, mu)
     for _ in range(10):
-        tree = DecisionTree(random_tree(rng))
-        tv = value_recursion(tree, temps)
-        values, policies = reference_value_recursion(tree, temps)
+        root = random_tree(rng)
+        tv = value_recursion(DecisionTree(root), temps)
+        values, policies = reference_value_recursion(root, temps)
         assert list(tv.values.items()) == list(values.items())
         assert list(tv.policies) == list(policies)
         for path, policy in policies.items():

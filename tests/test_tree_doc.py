@@ -19,12 +19,15 @@ from freeutil.problemio import render_json
 from freeutil.sequential import regime_label, value_recursion
 
 
-def old_layout(tree: DecisionTree, temps: TemperatureSpec) -> dict:
+def old_layout(root: TreeNode, temps: TemperatureSpec) -> dict:
     """The document as the dict the writer once built, walking the TreeNodes
     depth first; render_json writes it with 12-digit floats."""
-    tv = value_recursion(tree, temps)
+    tv = value_recursion(DecisionTree(root), temps)
     node_values, node_policies = {}, {}
-    for path, node in tree.iter_nodes():
+    stack = [(root.name, root)]
+    while stack:
+        path, node = stack.pop()
+        stack.extend((f"{path}/{c.name}", c) for c in reversed(node.children))
         node_values[path] = tv.values[path]
         if node.children:
             policy = tv.policies[path]
@@ -77,23 +80,24 @@ def node(draw, name: str, depth: int, budget: list) -> TreeNode:
 
 
 @st.composite
-def trees(draw) -> DecisionTree:
-    return DecisionTree(node(draw, draw(names), 0, [30]))
+def trees(draw) -> TreeNode:
+    return node(draw, draw(names), 0, [30])
 
 
-def chain(depth: int) -> DecisionTree:
+def chain(depth: int) -> TreeNode:
     """A path of depth + 1 nodes, built from its leaf up."""
     below = TreeNode("%s")
     for i in range(depth):
         below = TreeNode("%" if i % 2 else "x", (below,), FiniteDistribution([below.name], [1.0]),
                          UtilityTable([below.name], [(-1.0) ** i * 0.5]),
                          "mu" if i % 3 else "lambda")
-    return DecisionTree(below)
+    return below
 
 
-def assert_writes_the_old_layout(tree, temps):
+def assert_writes_the_old_layout(root, temps):
+    tree = DecisionTree(root)
     try:
-        doc = old_layout(tree, temps)
+        doc = old_layout(root, temps)
     except FreeUtilError as e:  # utilities near the float range can overflow a backup
         with pytest.raises(type(e)) as raised:
             cli._solve_tree_doc(tree, temps, "nats")
@@ -106,9 +110,9 @@ def assert_writes_the_old_layout(tree, temps):
 
 @settings(max_examples=100, deadline=None)
 @given(trees(), lams, mus)
-@example(DecisionTree(TreeNode("%s")), Temperature.finite(1.0), Temperature.finite(1.0))
-def test_tree_document_equals_the_old_layout(tree, lam, mu):
-    assert_writes_the_old_layout(tree, TemperatureSpec(lam, mu))
+@example(TreeNode("%s"), Temperature.finite(1.0), Temperature.finite(1.0))
+def test_tree_document_equals_the_old_layout(root, lam, mu):
+    assert_writes_the_old_layout(root, TemperatureSpec(lam, mu))
 
 
 def test_deep_chain_document_equals_the_old_layout():

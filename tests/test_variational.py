@@ -29,7 +29,14 @@ from freeutil.variational import (
 )
 from freeutil.oracle import simplex_grid_search
 from freeutil.problemio import load
-from freeutil.sequential import certainty_equivalent, risk_sensitive_argmax, taylor_ce_approx
+from freeutil.sequential import (
+    TwoStageSolution,
+    certainty_equivalent,
+    inner_policy,
+    risk_sensitive_argmax,
+    solve_regime,
+    taylor_ce_approx,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 LOG2 = math.log(2.0)
@@ -239,6 +246,76 @@ def test_temperature_arguments_give_finite_numbers_or_raise(call):
                 assert not re.search(r"got -?(inf|nan)\b", str(exc)), (fn.__name__, args, exc)
             return
     assert all(map(math.isfinite, numbers_of(result))), (fn.__name__, args, result)
+
+
+def solve_regime_at(problem, lam, mu):
+    return solve_regime(problem, TemperatureSpec(lam, mu))
+
+
+TWO_STAGE_GOLDENS = sorted(GOLDEN.glob("two_stage_*.json"))
+BASIC = load(GOLDEN / "two_stage_basic.json").problem
+# Each action's channel row supports one outcome.
+DETERMINISTIC = load(GOLDEN / "two_stage_deterministic.json").problem
+
+
+@st.composite
+def two_stage_entry_calls(draw):
+    """One call of a public two-stage entry point, or of
+    free_utility_difference on one of its channel rows, on a golden
+    two-stage problem; each temperature an edge of the float range, a limit
+    spelling, None or an ordinary float."""
+    problem = load(draw(st.sampled_from(TWO_STAGE_GOLDENS))).problem
+    action = draw(st.sampled_from(problem.actions))
+    fn = draw(st.sampled_from(
+        [free_utility_difference, inner_policy, solve_regime_at, risk_sensitive_argmax]
+    ))
+    if fn is free_utility_difference:
+        row, u = problem.channel[action], problem.outcome_utility[action]
+        return fn, (row, exponential_tilt(row, u, 1.0).policy, u, draw(temperatures))
+    if fn is inner_policy:
+        return fn, (problem, action, draw(temperatures))
+    if fn is solve_regime_at:
+        return fn, (problem, draw(temperatures), draw(temperatures))
+    return fn, (problem, draw(temperatures))
+
+
+def two_stage_numbers(result) -> list[float]:
+    """The numbers a two-stage result holds; a log-normalizer of None
+    (documented at the infinite limits) holds none."""
+    if isinstance(result, TwoStageSolution):
+        beliefs = [p for row in result.outcome_beliefs.values() for p in row.probs]
+        log_zs = [z for z in [result.log_z1, *result.log_z2.values()] if z is not None]
+        return [*result.action_policy.probs, *beliefs, *log_zs, *result.values.values(),
+                result.value, result.achieved_c1, result.achieved_c2]
+    if isinstance(result, tuple) and isinstance(result[0], str):  # risk_sensitive_argmax
+        return [result[1]]
+    if isinstance(result, tuple):  # inner_policy
+        return list(result[0].probs) + ([] if result[1] is None else [result[1]])
+    return [result.expected_utility, result.information_cost, result.total, result.achieved_kl]
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_stage_entry_calls())
+@example((solve_regime_at, (BASIC, 1e308, 1e308)))
+@example((solve_regime_at, (BASIC, 5e-324, -1e-320)))
+@example((solve_regime_at, (BASIC, "inf", None)))
+@example((inner_policy, (BASIC, "risky", -1e308)))
+@example((risk_sensitive_argmax, (BASIC, 5e-324)))
+@example((risk_sensitive_argmax, (BASIC, -1e308)))
+@example((solve_regime_at, (DETERMINISTIC, "inf", 1e308)))  # log-partition 3e308
+@example((free_utility_difference, (dist(["a", "b"], [0.99, 0.01]), dist(["a", "b"], [0.0, 1.0]),
+                                    util(["a", "b"], [0.0, 1.0]), 1e308)))  # cost 4.6e308
+def test_two_stage_entry_points_give_finite_numbers_or_raise(call):
+    """Each call returns finite numbers or raises a FreeUtilError, without a
+    warning."""
+    fn, args = call
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = fn(*args)
+        except FreeUtilError:
+            return
+    assert all(map(math.isfinite, two_stage_numbers(result))), (fn.__name__, args, result)
 
 
 # ---------------------------------------------------------------------------
