@@ -736,6 +736,10 @@ class TreeNode:
     transition probabilities), a per-child utility gain for traversing each
     edge, and a temperature tag naming which TemperatureSpec entry governs
     the node. Leaves carry nothing.
+
+    == and repr give what the generated dataclass methods give, and hash
+    agrees with ==; all three walk the nodes with an explicit stack, so
+    depth is bounded by memory.
     """
 
     name: str
@@ -747,6 +751,62 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return not self.children
+
+    def _edges(self) -> tuple:
+        """The fields other than children."""
+        return self.name, self.child_prior, self.child_utility, self.temperature_tag
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if not (type(a) is type(b) and isinstance(a, TreeNode)):
+                if a != b:  # not a pair of TreeNodes: compared by their own ==
+                    return False
+            elif a._edges() != b._edges() or len(a.children) != len(b.children):
+                return False
+            else:
+                pairs.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self) -> int:
+        # Pre-order, so that reversed every child comes before its parent; a
+        # node's hash takes its children's in place of the children.
+        order, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            stack.extend(c for c in node.children if isinstance(c, TreeNode))
+        hashes: dict[int, int] = {}
+        for node in reversed(order):
+            kids = (hashes[id(c)] if isinstance(c, TreeNode) else hash(c) for c in node.children)
+            hashes[id(node)] = hash((tuple(kids), *node._edges()))
+        return hashes[id(self)]
+
+    def __repr__(self) -> str:
+        out, stack = [], [self]  # stack: text, or a node still to write
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                out.append(node)
+                continue
+            kids = node.children
+            head = f"{node.__class__.__qualname__}(name={node.name!r}, children="
+            tail = (
+                f", child_prior={node.child_prior!r}, child_utility={node.child_utility!r}, "
+                f"temperature_tag={node.temperature_tag!r})"
+            )
+            if type(kids) is not tuple or not kids:
+                out.append(f"{head}{kids!r}{tail}")
+                continue
+            parts = [c if isinstance(c, TreeNode) else repr(c) for c in kids]
+            parts = [x for c in parts for x in (", ", c)][1:]
+            stack.extend(reversed([head + "(", *parts, ",)" if len(kids) == 1 else ")", tail]))
+        return "".join(out)
 
 
 def _check_node_name(name: str) -> None:

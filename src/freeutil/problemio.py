@@ -12,6 +12,19 @@ extensions Infinity, -Infinity and NaN are rejected.
 A file that is not UTF-8 fails with a DomainError naming the offset of its
 first bad byte.
 
+load() reads a file in binary blocks and drops every run of 9 or more
+spaces that follows a newline before it decodes the text once. That is a
+tree's depth indentation, most of a deep tree's file (82 % of a tree of
+88k nodes); the fixed-depth layouts of control and two-stage files indent
+at most 8 spaces and keep every byte. Strict JSON rejects a raw newline
+inside a string, so in an accepted text every newline lies between tokens
+and the spaces after it carry nothing; the newline itself stays, so a text
+with a newline inside a string still fails. When the squeezed text is not
+UTF-8 or loads refuses it, load reads the file again as it stands and
+parses that, so every error names the file's own line, column and byte
+offset. A path that is not a regular file, such as a pipe, is read once,
+as it stands.
+
 dump() writes the canonical form (normalized probabilities, full-precision
 floats), so load → dump → load is an identity. Two writers share one layout:
 render_json() recursively writes the documents the package builds (file
@@ -22,10 +35,12 @@ payload, whose depth comes from the input, with an explicit stack.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -37,6 +52,7 @@ from .model import (
     DecisionTree,
     DomainError,
     FiniteDistribution,
+    FreeUtilError,
     Temperature,
     TreeNode,
     TwoStageProblem,
@@ -408,9 +424,34 @@ def _problem_file(raw) -> ProblemFile:
     return ProblemFile(SCHEMA_VERSION, kind, problem, alpha=alpha, lam=lam, mu=mu)
 
 
+# A tree's depth indentation: a newline and more spaces than the fixed-depth
+# layouts of control and two-stage files ever write.
+_DEPTH_INDENT = re.compile(rb"\n {9,}")
+# Bytes read at a time while squeezing: large enough to keep the calls few,
+# small enough that re.sub's list of per-line pieces stays small.
+_BLOCK = 1 << 18
+
+
+def _squeezed(path: str) -> str:
+    """The file's text without its depth indentation. A run cut by a block
+    boundary keeps its tail, which is still whitespace between tokens."""
+    with open(path, "rb") as fh:
+        blocks = iter(partial(fh.read, _BLOCK), b"")
+        data = b"".join([_DEPTH_INDENT.sub(b"\n", block) for block in blocks])
+    return data.decode("utf-8")
+
+
 def load(path: str) -> ProblemFile:
-    """Read and parse a problem file from disk. The text is handed to loads
-    without a second reference, so it is freed once decoded."""
+    """Read and parse a problem file from disk: a regular file's squeezed
+    text (see the module docstring) first, and the file as it stands if that
+    fails or the path is not a regular file, so every error is the one the
+    file's own text raises. Either text is handed to loads without a second
+    reference, so it is freed once decoded."""
+    if os.path.isfile(path):  # a pipe could not be read a second time
+        try:
+            return loads(_squeezed(path))
+        except (FreeUtilError, UnicodeDecodeError):
+            pass  # replayed once the handler has released the squeezed text
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return loads(fh.read())

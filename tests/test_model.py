@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -571,6 +572,85 @@ def test_dumps_handles_a_chain_deeper_than_the_recursion_limit():
     text = dumps(ProblemFile("1", "tree", DecisionTree(chain(depth))))
     assert text.count('"name": ') == depth + 1
     assert "\n" + " " * (4 + 6 * depth) + f'"name": "n{depth}"\n' in text
+
+
+# The dataclass methods TreeNode's explicit-stack ==, hash and repr replace:
+# a plain frozen dataclass with the same fields, under the same name.
+ReferenceNode = dataclasses.make_dataclass(
+    "TreeNode",
+    [(f.name, f.type, dataclasses.field(default=f.default)) for f in dataclasses.fields(TreeNode)],
+    frozen=True,
+)
+
+
+def as_reference(n: TreeNode):
+    """The same small tree as ReferenceNodes (recursive)."""
+    return ReferenceNode(n.name, tuple(map(as_reference, n.children)), n.child_prior,
+                         n.child_utility, n.temperature_tag)
+
+
+@st.composite
+def small_trees(draw, name="r", depth=0):
+    """Trees up to 3 levels deep over few names, utilities and tags, so that
+    two independent draws are often equal."""
+    if depth >= 3 or draw(st.booleans()):
+        return TreeNode(name)
+    names = [f"c{i}" for i in range(draw(st.integers(1, 3)))]
+    kids = [draw(small_trees(c, depth + 1)) for c in names]
+    utils = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=len(names), max_size=len(names)))
+    return node(name, kids, [1.0 / len(names)] * len(names), utils,
+                draw(st.sampled_from(["lambda", "mu"])))
+
+
+def rebuilt(n: TreeNode) -> TreeNode:
+    """An equal tree of distinct node objects (recursive)."""
+    return TreeNode(n.name, tuple(map(rebuilt, n.children)), n.child_prior, n.child_utility,
+                    n.temperature_tag)
+
+
+@given(small_trees(), small_trees())
+def test_tree_node_methods_match_the_dataclass_methods(a, b):
+    assert repr(a) == repr(as_reference(a))
+    assert (a == b) == (as_reference(a) == as_reference(b))
+    assert (a != b) == (as_reference(a) != as_reference(b))
+    copy = rebuilt(a)
+    assert copy is not a and copy == a and hash(copy) == hash(a)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_tree_node_repr_of_a_small_tree_is_the_dataclass_repr():
+    tree = node("r", [leaf("a"), node("b", [leaf("x")], [1.0], [2.0], "mu")], [0.25, 0.75], [0, -1])
+    assert repr(tree) == repr(as_reference(tree))
+    assert repr(tree).startswith("TreeNode(name='r', children=(TreeNode(name='a', children=(), ")
+    assert repr(leaf("x")) == repr(ReferenceNode("x"))
+
+
+DEEP = 2_000  # past the recursion limit
+
+
+def test_tree_node_compares_chains_deeper_than_the_recursion_limit():
+    one, other = chain(DEEP), chain(DEEP)
+    assert one == other and not one != other
+    assert one != chain(DEEP - 1)
+
+
+def test_tree_node_hashes_a_chain_deeper_than_the_recursion_limit():
+    assert hash(chain(DEEP)) == hash(chain(DEEP))
+
+
+def test_tree_node_prints_a_chain_deeper_than_the_recursion_limit():
+    depth = DEEP
+    # The dataclass repr of a chain, built level by level.
+    heads, tails = [], []
+    for i in range(depth):
+        prior, utility = dist([f"n{i + 1}"], [1.0]), util([f"n{i + 1}"], [0.5])
+        heads.append(f"TreeNode(name='n{i}', children=(")
+        tails.append(f",), child_prior={prior!r}, child_utility={utility!r}, "
+                     "temperature_tag='lambda')")
+    tip = (f"TreeNode(name='n{depth}', children=(), child_prior=None, child_utility=None, "
+           "temperature_tag='lambda')")
+    assert repr(chain(depth)) == "".join(heads) + tip + "".join(reversed(tails))
 
 
 def reference_validate(root):

@@ -2,13 +2,15 @@ import dataclasses
 import gc
 import json
 import math
+import os
 import re
+import tracemalloc
 from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from freeutil.cli import _fmt_float
 from freeutil.model import (
@@ -22,6 +24,7 @@ from freeutil.model import (
     UtilityTable,
 )
 from freeutil.problemio import (
+    _BLOCK,
     ProblemFile,
     _as_number,
     _as_number_list,
@@ -465,6 +468,7 @@ def test_load_reports_decoder_depth_as_before(tmp_path):
     (b'{"schema_version": "1", \xff}', "0xff", 24),
     (b"\xef\xbb\xbf{}\x80", "0x80", 5),  # after a byte-order mark
     (b'{"k": "\xe2\x82', "0xe2", 7),  # a character cut short at the end
+    (b"{\n" + b" " * 12 + b'"k": "\xff"}', "0xff", 20),  # after spaces load drops
 ])
 def test_load_names_the_first_byte_that_is_not_utf8(tmp_path, data, byte, offset):
     path = tmp_path / "bytes.json"
@@ -540,3 +544,154 @@ def wide_root(width: int) -> TreeNode:
     names = [f"c{i}" for i in range(width)]
     return TreeNode("r", tuple(map(TreeNode, names)), FiniteDistribution(names, [1.0 / width] * width),
                     UtilityTable(names, [float(i) for i in range(width)]))
+
+
+# ---------------------------------------------------------------------------
+# load drops depth indentation before it decodes; the result or the error is
+# the one loads gives on the file's text.
+
+
+def outcome(read):
+    """What a read gives: the problem file, or the error's type and message."""
+    try:
+        return read()
+    except Exception as e:  # any error: load must raise the same
+        return type(e), str(e)
+
+
+def assert_load_is_loads_of_the_text(path):
+    got = outcome(lambda: load(str(path)))
+    want = outcome(lambda: loads(path.read_text(encoding="utf-8")))
+    assert got == want
+    if isinstance(want, ProblemFile):
+        assert dumps(got) == dumps(want)  # bit for bit, -0.0 included
+    return got
+
+
+# Text inserted into a dumped tree, anywhere or at the start of a name: a
+# newline with depth indentation, which fails inside a string or a number
+# and changes nothing between tokens; spaces, which a name keeps; faults.
+INSERTS = ["\n" + " " * 12, "\n" + " " * 9, "\n" + " " * 8, " " * 12, "x", "\u00e9", "}", "1e999"]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    tree_nodes(),
+    st.sampled_from(["\n", "\r\n"]),
+    st.one_of(
+        st.none(),
+        st.tuples(st.floats(0.0, 1.0), st.sampled_from(INSERTS), st.booleans()),
+    ),
+)
+def test_load_is_loads_of_the_files_text(tmp_path, root, newline, insert):
+    text = dumps(ProblemFile("1", "tree", DecisionTree(root), mu=Temperature.finite(0.5)))
+    if insert is not None:
+        where, piece, in_name = insert
+        if in_name:
+            names = [m.end() for m in re.finditer('"name": "', text)]
+            at = names[int(where * (len(names) - 1))]
+        else:
+            at = int(where * len(text))
+        text = text[:at] + piece + text[at:]
+    path = tmp_path / "tree.json"
+    path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+    assert_load_is_loads_of_the_text(path)
+
+
+def deep_name(text: str, tail: str) -> str:
+    """text with tail appended to the name of a deepest node, A2x."""
+    assert text.count('"name": "A2x"') == 1
+    return text.replace('"name": "A2x"', f'"name": "A2x{tail}"')
+
+
+def straddling(gap: int) -> str:
+    """A valid tree text whose first newline lies gap bytes before the end
+    of the first block read, followed by 40 spaces."""
+    return " " * (_BLOCK - gap) + "\n" + " " * 40 + TREE_TEXT
+
+
+LOAD_CASES = {
+    "newline and 12 spaces in a name": (
+        deep_name(TREE_TEXT, "\n" + " " * 12).encode(), "not valid JSON: Invalid control character"
+    ),
+    "byte-order mark": (b"\xef\xbb\xbf" + TREE_TEXT.encode(), "not valid JSON: Unexpected UTF-8 BOM"),
+    "nested past the decoder": (
+        (("[\n" + " " * 12) * 2_000 + "]" * 2_000).encode(), "problem file is nested 2000 levels deep"
+    ),
+    "400-digit integer": (
+        TREE_TEXT.replace('"utility": 0.5', '"utility": 1' + "0" * 400, 1).encode(),
+        "utility is an integer too large for a float",
+    ),
+    "schema error": (
+        json.dumps(BAD_TREE, indent=2).encode(), "node name in tree payload/children.* must be a string"
+    ),
+    "12 spaces in a name": (deep_name(TREE_TEXT, " " * 12).encode(), None),
+    "unknown field": (
+        deep_name(TREE_TEXT, '", "extra": "1').encode(), "unknown field 'extra' in tree payload/"
+    ),
+    **{f"run across a block boundary, newline {gap} bytes before": (straddling(gap).encode(), None)
+       for gap in (1, 5, 9, 10, 30)},
+    **{f"fault after a run across a block boundary, {gap} bytes before": (
+        straddling(gap).replace(TREE_TEXT, "x" + TREE_TEXT).encode(), "not valid JSON: Expecting value"
+    ) for gap in (1, 10)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOAD_CASES))
+def test_load_matches_loads(tmp_path, case):
+    data, error = LOAD_CASES[case]
+    path = tmp_path / "problem.json"
+    path.write_bytes(data)
+    got = assert_load_is_loads_of_the_text(path)
+    if error is None:
+        assert isinstance(got, ProblemFile)
+    else:
+        assert got[0] is DomainError and re.search(error, got[1]), got
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="names a pipe through /dev/fd")
+@pytest.mark.parametrize("data, error", [
+    (TREE_TEXT.encode(), None),
+    (b'{"schema_version": "1",\n' + b" " * 12 + b"x}", "Expecting property name .*line 2 column 13"),
+])
+def test_load_reads_a_pipe_once(data, error):
+    """A pipe cannot be read twice, so load parses what it reads as it
+    stands, and a failing document still names its own error."""
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, data)  # smaller than the pipe's buffer
+        os.close(write_end)
+        got = outcome(lambda: load(f"/dev/fd/{read_end}"))
+    finally:
+        os.close(read_end)
+    if error is None:
+        assert got == load(str(GOLDEN / "tree_depth3.json"))
+    else:
+        assert got[0] is DomainError and re.search(error, got[1]), got
+
+
+def chain_node(depth: int) -> TreeNode:
+    tip = TreeNode(f"n{depth}")
+    for i in reversed(range(depth)):
+        tip = TreeNode(f"n{i}", (tip,), FiniteDistribution([tip.name], [1.0]),
+                       UtilityTable([tip.name], [0.5]))
+    return tip
+
+
+def test_load_peaks_below_half_the_file_size(tmp_path):
+    """A 300-deep chain's file is mostly depth indentation, which load drops
+    before it decodes: it never holds the file's bytes or text whole."""
+    path = tmp_path / "chain.json"
+    dump(ProblemFile("1", "tree", DecisionTree(chain_node(300))), str(path))
+    size = path.stat().st_size
+    assert size > 2_500_000
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        pf = load(str(path))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(pf.problem.names) == 301
+    assert peak < size / 2, (peak, size)

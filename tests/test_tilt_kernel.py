@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freeutil.model import (
@@ -32,7 +32,8 @@ def reference_tilt(prior, g, t, total=None):
     """The per-row body exponential_tilt ran before the segmented kernel, on
     plain arrays. Returns (policy, value, log_partition, kept, m); kept means
     the policy is the prior itself. total sums the finite branch's weights
-    (default: ndarray.sum, as the per-row body did)."""
+    (default: ndarray.sum, as the per-row body did). A finite or zero-limit
+    value is clamped into [g_min, g_max], as the kernel clamps it."""
     support = [i for i, p in enumerate(prior) if p > 0.0]
     g_sup = g[support]
     g_min = float(g_sup.min())
@@ -46,7 +47,8 @@ def reference_tilt(prior, g, t, total=None):
             log_partition = None
         return prior, g_max, log_partition, True, None
     if t.is_zero:
-        return prior, math.fsum(prior[i] * g[i] for i in support), 0.0, True, None
+        value = math.fsum(prior[i] * g[i] for i in support)
+        return prior, min(max(value, g_min), g_max), 0.0, True, None
     if t.is_pos_inf or t.is_neg_inf:
         target = g_max if t.is_pos_inf else g_min
         winners = {i for i in support if abs(g[i] - target) <= ARGMAX_TIE_TOL}
@@ -66,7 +68,7 @@ def reference_tilt(prior, g, t, total=None):
     log_partition = m + math.log(s)
     probs = np.zeros(len(prior))
     probs[support] = e / s
-    return probs, log_partition / tv, log_partition, False, m
+    return probs, min(max(log_partition / tv, g_min), g_max), log_partition, False, m
 
 
 def kernel_sum(weights):
@@ -148,6 +150,9 @@ def check_against_reference(policy, value, log_z, kept, prior, gains, t):
 
 @settings(max_examples=400, deadline=None)
 @given(st.lists(segments(), min_size=1, max_size=6), temperatures)
+# Near-tied gains at a small temperature: log_partition / t rounds to
+# 2.9999999999974487, below g_min, and both sides clamp it to 2.999999999998.
+@example([(np.array([0.5, 0.5]), np.array([3.0, 2.999999999998]))], Temperature.finite(1e-5))
 def test_kernel_matches_per_row_tilt(segs, t):
     prior = np.concatenate([p for p, _ in segs])
     gains = np.concatenate([g for _, g in segs])
