@@ -38,8 +38,6 @@ from .model import (
     FreeUtilError,
     Temperature,
     TemperatureSpec,
-    TooLarge,
-    TooManyOutcomes,
     TooManyPaths,
     TwoStageProblem,
     _finite,
@@ -380,7 +378,7 @@ def _cmd_verify(args):
         if pf.kind == "control":
             alpha = _resolve_control_alpha(pf, args)
             if not alpha.is_finite:
-                raise DomainError("file verification needs a finite alpha for the lattice oracle")
+                raise DomainError("file verification needs a finite alpha for the node certificate")
         else:
             temps = _resolve_staged_temps(pf, args)
 
@@ -516,7 +514,7 @@ def main(argv=None) -> int:
         text, code = solve()
         _emit(text, args.output)
         return code
-    except (argparse.ArgumentError, OSError, TooManyOutcomes, TooLarge, TooManyPaths) as e:
+    except (argparse.ArgumentError, OSError, TooManyPaths) as e:
         # A usage fault, unreadable input, unwritable --output and a problem
         # past an oracle's cap are all caller mistakes.
         error, code = e, EXIT_INPUT

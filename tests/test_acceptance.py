@@ -51,7 +51,7 @@ def test_criterion_02_log_partition_identity():
 
 def test_criterion_03_prior_anchored_control_optimality():
     _run_suite_criterion(
-        3, "prior-anchored control certified against the lattice, support preserved",
+        3, "prior-anchored control certified by the node bracket, support preserved",
         "control-optimality",
     )
 

@@ -1,5 +1,5 @@
-"""The file certificate of ``verify``: every internal node of the problem's
-tree against the simplex lattice, at either sign of mu.
+"""The file certificate of ``verify``: the optimality bracket at every
+internal node of the problem's tree, at either sign of mu.
 
 Broken copies of the backup are monkeypatched into ``verify`` in place of
 ``value_recursion``; each must fail the certificate that a correct backup
@@ -10,19 +10,23 @@ import io
 import json
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from freeutil import cli, verify
 from freeutil.model import (
+    DecisionTree,
     FiniteDistribution,
     Temperature,
     TemperatureSpec,
     TwoStageProblem,
     UtilityTable,
 )
-from freeutil.sequential import _tree_value, value_recursion
+from freeutil.oracle import simplex_grid_search
+from freeutil.problemio import ProblemFile, dump
+from freeutil.sequential import _BLOCK_EDGES, _tree_value, value_recursion
 
 GOLDEN = Path(__file__).parent / "golden"
 VERIFIABLE = sorted(p.name for p in GOLDEN.glob("*.json") if not p.name.startswith("invalid_"))
@@ -111,7 +115,7 @@ def test_one_wrong_node_of_a_mixed_tag_tree_fails(monkeypatch):
     code, cert = objective_gap(GOLDEN / "tree_mixed_tags.json")
     assert code == 4 and cert["passed"] is False
     assert cert["gap"] == pytest.approx(1e-3, rel=1e-6)
-    assert cert["note"].startswith("worst node 'root/act2' of 3,")
+    assert cert["note"] == "worst node 'root/act2' of 3"
 
 
 @pytest.mark.parametrize("name, node", [
@@ -150,6 +154,18 @@ def test_a_row_off_the_prior_support_fails_with_exit_4(monkeypatch):
     gap = certs["file/control/objective-gap"]
     assert gap["passed"] is False and gap["gap"] == 1.25
     assert certs["file/control/support-preservation"]["passed"] is False
+
+
+def test_a_row_with_no_mass_fails_with_exit_4(monkeypatch):
+    """Its bracket is infinite; the gap is the largest float, so the report
+    is still written."""
+
+    def no_mass(tree, values, policy):
+        policy[:] = 0.0
+
+    break_backup(monkeypatch, no_mass)
+    code, cert = objective_gap(GOLDEN / "control_basic.json")
+    assert code == 4 and cert["passed"] is False and cert["gap"] == 1.79769313486e308
 
 
 @st.composite
@@ -229,8 +245,82 @@ def test_optimality_suites_call_no_staged_or_control_solver(monkeypatch, suite):
         assert {type(getattr(c, f)) for f in ("analytic", "oracle", "gap", "tolerance")} == {float}
 
 
-def test_the_node_cap_raises_too_large(monkeypatch):
-    monkeypatch.setattr(verify, "MAX_CERTIFIED_NODES", 2)
-    code, doc, err = run_verify(GOLDEN / "tree_mixed_tags.json")
-    assert (code, doc) == (2, None)
-    assert err == "TooLarge: node certificate takes at most 2 internal nodes, got 3\n"
+@st.composite
+def nodes(draw):
+    """One node's prior, utilities and t: 2-7 outcomes, a fifth of the prior
+    entries zero, utilities from N(0, 5), |t| from 1e-2 to 1e2, either sign."""
+    n, seed = draw(st.integers(2, 7)), draw(st.integers(0, 2**32 - 1))
+    t = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-2.0, 2.0))
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.05, 1.0, n) * (rng.uniform(size=n) >= 0.2)
+    w[int(rng.integers(n))] += 0.5
+    return w / w.sum(), rng.normal(0.0, 5.0, n), t
+
+
+@settings(max_examples=200, deadline=None)
+@given(nodes())
+# The row's second entry, about 5.7e-324, is rounded to the smallest subnormal.
+@example((np.array([0.5, 0.5]), np.array([0.0, -744.3]), 1.0))
+def test_the_bracket_holds_the_exact_optimum(node):
+    """On a node solved at mu = t: the 80-digit optimum log Σ p·exp(τ·g)/τ,
+    and the lattice maximum up to 4 outcomes, lie no higher than the top
+    f(x) + width of the node's bracket, within 1e-12 and the objective's
+    rounding; and the correct solve's gap is within the certificate's
+    tolerance."""
+    p, u, t = node
+    n = len(p)
+    names = ("r",) + tuple(f"o{i}" for i in range(n))
+    tree = DecisionTree._from_arrays(names, ["mu"] + ["lambda"] * n, [n] + [0] * n, p, u)
+    temps = TemperatureSpec(1.0, t)
+    _, _, g, f, width, gap = verify._node_bracket(tree, value_recursion(tree, temps), temps)
+    top, scale = f[0] + width[0], np.abs(g[p > 0.0]).max()
+    assert gap[0] <= max(1e-5, 8 * 2.0**-52 * scale)
+    with mpmath.workdps(80):
+        # Each prior entry is divided exactly by the float row's sum.
+        total, tau = mpmath.fsum(map(mpmath.mpf, p)), mpmath.mpf(abs(t))
+        z = mpmath.fsum(mpmath.mpf(pi) * mpmath.exp(tau * gi) for pi, gi in zip(p, g))
+        assert mpmath.log(z / total) / tau - top <= 1e-12
+    if n <= 4:
+        prior = FiniteDistribution._trusted(names[1:], p)
+        grid = simplex_grid_search(prior, UtilityTable(names[1:], g), 1.0 / abs(t), 1e-3)
+        # Near a vertex the lattice's best point and x give the same
+        # objective, so the two sides may differ by their rounding.
+        assert grid.best_value <= top + 8 * 2.0**-52 * scale
+
+
+def test_a_five_outcome_control_file_is_certified():
+    code, cert = objective_gap(GOLDEN / "control_five_outcomes.json")
+    assert code == 0 and cert["passed"] is True
+
+
+@pytest.fixture(scope="module")
+def block_tree_file(tmp_path_factory):
+    """A mixed-tag tree file whose last level, 2·128·65 edges under
+    lambda-tagged parents, is longer than one block of value_recursion."""
+    counts = np.array([2] + [128] * 2 + [65] * 256 + [0] * 16640)
+    assert counts[3:].sum() > _BLOCK_EDGES
+    rng = np.random.default_rng(22)
+    w = rng.uniform(0.1, 1.0, len(counts) - 1)
+    w /= np.repeat(np.add.reduceat(w, np.cumsum(counts[:259]) - counts[:259]), counts[:259])
+    names = tuple(f"n{i}" for i in range(len(counts)))
+    tags = ["lambda", "mu", "mu"] + ["lambda"] * (len(counts) - 3)
+    tree = DecisionTree._from_arrays(names, tags, counts, w, rng.uniform(-3.0, 3.0, len(w)))
+    path = tmp_path_factory.mktemp("block") / "tree.json"
+    dump(ProblemFile("1", "tree", tree), str(path))
+    return path
+
+
+def test_a_tree_with_a_level_past_one_block_is_certified(block_tree_file):
+    code, cert = objective_gap(block_tree_file)
+    assert code == 0 and cert["passed"] is True and cert["note"].endswith(" of 259")
+
+
+def test_one_wrong_deep_node_of_a_block_tree_fails(monkeypatch, block_tree_file):
+    def shift(tree, values, policy):
+        values[258] += 1e-3
+
+    break_backup(monkeypatch, shift)
+    code, cert = objective_gap(block_tree_file)
+    assert code == 4 and cert["passed"] is False
+    assert cert["gap"] == pytest.approx(1e-3, rel=1e-6)
+    assert cert["note"] == "worst node 'n0/n2/n258' of 259"
