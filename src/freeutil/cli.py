@@ -256,12 +256,20 @@ def _sweep_rows_staged(
     return header, rows
 
 
+def _csv_cell(cell: str) -> str:
+    """cell as RFC 4180 writes it: quoted, with its quotes doubled, when it
+    holds a comma, a quote, CR or LF; else as it is."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def _render_csv(header: list[str], rows: list[list], units: str) -> str:
     lines = [header]
     for row in rows:
         row = _convert_units(dict(zip(header, row)), units)
         lines.append([_fmt_finite(c) if isinstance(c, float) else str(c) for c in row.values()])
-    return "".join(",".join(line) + "\n" for line in lines)
+    return "".join(",".join(map(_csv_cell, line)) + "\n" for line in lines)
 
 
 # The temperature flags a sweep reads no value from: the grid sets the swept

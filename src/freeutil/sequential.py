@@ -362,7 +362,7 @@ def value_recursion(tree: DecisionTree, temps: TemperatureSpec) -> TreeValue:
                     faulty[block] = ~np.logical_and.reduceat(finite, starts)
                     gains[~finite] = 0.0
                 flat, value[block], log_z[rows], kept = _tilt_segments(p, gains, starts, t)
-                if not all(kept):
+                if not kept.all():
                     # A tilted row is normalised as FiniteDistribution
                     # normalises it. A kept row is the prior; a faulty one
                     # stays as the tilt left it.

@@ -57,58 +57,43 @@ def _tilt_segments(prior, gains, starts, t: Temperature):
     """Tilt every segment of a flat prior by the same segment of flat gains.
 
     prior and gains are float arrays of one length; starts holds the
-    increasing offsets of the segments (the first is 0, none is empty). Each
-    segment takes the branch exponential_tilt documents, restricted to the
-    entries its prior supports:
+    increasing offsets of the segments (the first is 0, none is empty). One
+    array path serves every segment: its gains are masked to the entries
+    its prior supports, and each takes the branch exponential_tilt
+    documents:
 
     - constant gains: the prior unchanged, value g_max, log-partition
-      t·g_max (0.0 at the zero limit, None at ±inf);
+      t·g_max (0.0 at the zero limit, NaN at ±inf);
     - zero limit: the prior, value math.fsum(prior·gain);
     - ±inf: uniform over the entries within ARGMAX_TIE_TOL of the extreme;
     - finite t: log-weights, a max shift, exp, a sum, log_partition =
       m + log(s).
 
     A segment is always summed by np.add.reduceat, so it gets the same bits
-    whichever call or neighbours it comes with. Returns (policy, values,
-    log_partitions, kept): the flat policy and, per segment, the value, the
-    log-partition and whether the policy is the prior itself, entry for
-    entry. At the zero limit the returned policy is the prior array.
+    whichever call or neighbours it comes with. Returns four arrays
+    (policy, values, log_partitions, kept): the flat policy and, per
+    segment, the value, the log-partition (0.0 at the zero limit, NaN at
+    ±inf) and whether the policy is the prior itself, entry for entry. At
+    the zero limit the returned policy is the prior array.
     """
-    n = len(prior)
-    bounds = starts.tolist()
-    bounds.append(n)
-    k = len(bounds) - 1
-    lengths = None if k == 1 else np.array([hi - lo for lo, hi in zip(bounds, bounds[1:])])
-
-    def spread(per_segment):
-        """A per-segment quantity repeated over its segment's entries (a
-        scalar for a single segment)."""
-        return per_segment[0] if lengths is None else np.repeat(per_segment, lengths)
-
-    support = prior > 0.0
-    everywhere = np.count_nonzero(support) == n
-    if everywhere:
-        g_max = np.maximum.reduceat(gains, starts)
-        g_min = np.minimum.reduceat(gains, starts)
-    else:
-        masked = np.where(support, gains, -np.inf)
-        g_max = np.maximum.reduceat(masked, starts)
-        masked[~support] = np.inf
-        g_min = np.minimum.reduceat(masked, starts)
-        del masked
-    g_max_list = g_max.tolist()
-    if not everywhere and -math.inf in g_max_list:
+    lengths = np.diff(starts, append=len(prior))
+    unsupported = ~(prior > 0.0)
+    masked = np.where(unsupported, -np.inf, gains)
+    g_max = np.maximum.reduceat(masked, starts)
+    if (g_max == -np.inf).any():
         raise EmptySupport("prior assigns no positive probability anywhere")
-    const = [lo == hi for lo, hi in zip(g_min.tolist(), g_max_list)]
+    masked[unsupported] = np.inf
+    g_min = np.minimum.reduceat(masked, starts)
+    del masked
+    const = g_min == g_max
 
     # Rounding can carry a finite or zero-limit value past the supported
     # gains; it is clamped back into [g_min, g_max].
     if t.is_zero:
         # An unsupported entry adds -0.0, which changes no sum.
-        sums = _row_sums(np.where(support, prior * gains, -0.0), starts)
-        sums = np.clip(sums, g_min, g_max).tolist()
-        values = [g if c else v for g, c, v in zip(g_max_list, const, sums)]
-        return prior, values, [0.0] * k, [True] * k
+        sums = np.clip(_row_sums(np.where(unsupported, -0.0, prior * gains), starts), g_min, g_max)
+        k = len(starts)
+        return prior, np.where(const, g_max, sums), np.zeros(k), np.ones(k, dtype=bool)
 
     # log 0 is -inf; gains near ±1e308 overflow into NaN rows, which fail downstream.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -116,30 +101,25 @@ def _tilt_segments(prior, gains, starts, t: Temperature):
             tv = t.value
             policy = np.log(prior)
             policy += gains * tv
-            if not everywhere:
-                policy[~support] = -np.inf
+            policy[unsupported] = -np.inf
             m = np.maximum.reduceat(policy, starts)
-            policy -= spread(m)
+            policy -= np.repeat(m, lengths)
             np.exp(policy, out=policy)
             s = np.add.reduceat(policy, starts)
-            policy /= spread(s)
-            log_z = [mi + math.log(si) for mi, si in zip(m.tolist(), s.tolist())]
-            values = np.clip(np.array(log_z) / tv, g_min, g_max).tolist()
-            for i in [i for i, c in enumerate(const) if c]:
-                values[i] = g_max_list[i]
-                log_z[i] = tv * g_max_list[i]
+            policy /= np.repeat(s, lengths)
+            # math.log, not np.log: the two round some sums differently.
+            log_z = m + np.fromiter(map(math.log, s.tolist()), float, len(s))
+            values = np.where(const, g_max, np.clip(log_z / tv, g_min, g_max))
+            log_z = np.where(const, tv * g_max, log_z)
         else:
-            target = g_max if t.is_pos_inf else g_min
-            winners = np.abs(gains - spread(target)) <= ARGMAX_TIE_TOL
-            if not everywhere:
-                winners &= support
+            values = g_max if t.is_pos_inf else g_min
+            winners = np.abs(gains - np.repeat(values, lengths)) <= ARGMAX_TIE_TOL
+            winners[unsupported] = False
             # 1.0 per winner, divided by the number of winners in its segment.
             policy = winners.astype(float)
-            policy /= spread(np.add.reduceat(policy, starts))
-            values = target.tolist()
-            log_z = [None] * k
-    if True in const:
-        np.copyto(policy, prior, where=spread(np.array(const)))
+            policy /= np.repeat(np.add.reduceat(policy, starts), lengths)
+            log_z = np.full(len(starts), np.nan)
+    np.copyto(policy, prior, where=np.repeat(const, lengths))
     return policy, values, log_z, const
 
 
@@ -160,11 +140,11 @@ def exponential_tilt(
     """
     t = Temperature.coerce(inv_temp)
     g = gains.aligned_to(prior.outcomes)
-    flat, values, log_z, kept = _tilt_segments(prior.array, g, _WHOLE, t)
-    policy = prior if kept[0] else FiniteDistribution(prior.outcomes, flat)
-    if log_z[0] is not None:
-        _finite(log_z[0], "the log-partition")
-    return TiltResult(policy, values[0], log_z[0])
+    flat, value, log_z, kept = _tilt_segments(prior.array, g, _WHOLE, t)
+    policy = prior if kept.item() else FiniteDistribution(prior.outcomes, flat)
+    if t.is_pos_inf or t.is_neg_inf:
+        return TiltResult(policy, value.item(), None)
+    return TiltResult(policy, value.item(), _finite(log_z.item(), "the log-partition"))
 
 
 def _probability(p) -> float:

@@ -158,8 +158,14 @@ def _random_tree(rng, with_zero_edge: bool = False) -> DecisionTree:
     return DecisionTree(root)
 
 
+def _max_gap(*gaps: float) -> float:
+    """The largest of the gaps, or the first NaN among them: a NaN gap is
+    the worst, as _objective_gap takes it."""
+    return next((g for g in gaps if math.isnan(g)), max(gaps))
+
+
 def _worst(worst, gap: float, analytic: float, oracle: float):
-    if worst is None or gap > worst[0]:
+    if worst is None or not (math.isnan(worst[0]) or gap <= worst[0]):
         return (gap, analytic, oracle)
     return worst
 
@@ -447,10 +453,10 @@ def suite_ce_monotonicity(rng) -> list[Certificate]:
         u = _random_utilities(rng, outcomes)
         ces = [certainty_equivalent(p, u, m) for m in CE_LADDER]
         for lo, hi in zip(ces, ces[1:]):
-            worst_mono = max(worst_mono, lo - hi)
+            worst_mono = _max_gap(worst_mono, lo - hi)
         supported = [v for v, pr in zip(u.aligned_to(p.outcomes), p.probs) if pr > 0.0]
         u_min, u_max = min(supported), max(supported)
-        worst_bounds = max(worst_bounds, max(ces) - u_max, u_min - min(ces))
+        worst_bounds = _max_gap(worst_bounds, *(c - u_max for c in ces), *(u_min - c for c in ces))
     return [
         Certificate(
             name="ce-monotonicity/non-decreasing",
@@ -486,10 +492,10 @@ def suite_cumulant_expansion(rng) -> list[Certificate]:
                 certainty_equivalent(p, u, mu) - taylor_ce_approx(p, u, mu)
             )
 
-        c_fit = max(err(0.04), err(-0.04)) / 0.04**2
-        c_eff = max(c_fit, 1e-10)
+        c_fit = _max_gap(err(0.04), err(-0.04)) / 0.04**2
+        c_eff = _max_gap(c_fit, 1e-10)
         for mu in (0.01, -0.01, 0.02, -0.02):
-            worst_excess = max(worst_excess, err(mu) - 4.0 * c_eff * mu * mu)
+            worst_excess = _max_gap(worst_excess, err(mu) - 4.0 * c_eff * mu * mu)
     return [
         Certificate(
             name="cumulant-expansion/ratio-test",

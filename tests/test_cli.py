@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -545,6 +546,24 @@ def test_sweep_single_leaf_tree(tmp_path):
     result = run_cli("sweep", path, "--param", "mu", "--grid", "1,inf")
     assert result.returncode == 0 and result.stderr == ""
     assert result.stdout == "mu,value,achieved_kl\n1,0,0\ninf,0,0\n"
+
+
+@pytest.mark.parametrize("label", ["x,y", 'say "hi"', "two\nlines", "cr\r"])
+def test_sweep_quotes_a_label_as_rfc_4180(tmp_path, label):
+    """A header cell holding a comma, a quote, CR or LF is quoted, so that a
+    CSV reader sees one cell per column; the rows are as for plain labels."""
+    doc = json.loads((GOLDEN / "control_basic.json").read_text())
+    doc["payload"]["outcomes"][0] = label
+    path = tmp_path / "control.json"
+    path.write_text(json.dumps(doc))
+    flags = ("--param", "alpha", "--grid", "0.5,1,inf")
+    result = run_cli("sweep", path, *flags)
+    assert result.returncode == 0 and result.stderr == ""
+    header, *rows = csv.reader(io.StringIO(result.stdout, newline=""))
+    assert header == ["alpha", f"p[{label}]", "p[b]", "value", "achieved_kl"]
+    assert [len(row) for row in rows] == [5, 5, 5]
+    plain = run_cli("sweep", GOLDEN / "control_basic.json", *flags).stdout
+    assert result.stdout.split("\n")[-4:] == plain.split("\n")[-4:]
 
 
 def test_unknown_leaf_tag_exits_2_naming_the_node(tmp_path):

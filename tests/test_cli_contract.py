@@ -20,6 +20,7 @@ perturbations.
 """
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -160,12 +161,11 @@ def reject_constant(name):
 
 
 def check_csv(text):
-    header, *rows = text.splitlines()
-    for row in rows:
-        cells = row.split(",")
-        assert len(cells) == len(header.split(","))
+    header, *rows = csv.reader(io.StringIO(text, newline=""))
+    for cells in rows:
+        assert len(cells) == len(header)
         assert cells[0] in ("inf", "-inf", "zero") or math.isfinite(float(cells[0]))
-        assert all(math.isfinite(float(cell)) for cell in cells[1:]), row
+        assert all(math.isfinite(float(cell)) for cell in cells[1:]), cells
 
 
 def commands(path, kind):
@@ -206,6 +206,9 @@ def commands(path, kind):
 ), None))
 # A tiny finite mu: the lattice check may fail (exit 4), within the contract.
 @example(("two_stage_basic.json", (("set", ("temperatures",), {"mu": 1e-12}),), None))
+# Child names that a CSV header must quote, or that str.splitlines breaks.
+@example(("tree_binary.json", (("set", ("payload", "children", 0, "node", "name"), "x,y"),), None))
+@example(("tree_binary.json", (("set", ("payload", "children", 0, "node", "name"), "\x1e"),), None))
 def test_every_command_keeps_the_contract(case):
     name, edits, fault = case
     kind = GOLDEN_DOCS[name].get("kind")

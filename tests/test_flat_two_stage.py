@@ -369,9 +369,11 @@ def solver_tilt(prior: FiniteDistribution, gains: UtilityTable, inv_temp) -> Til
     float range at once, outer_policy only after the whole backup. Anywhere
     else the two are the same."""
     t = Temperature.coerce(inv_temp)
-    flat, values, log_z, kept = _tilt_segments(prior.array, gains.aligned_to(prior.outcomes), _WHOLE, t)
-    policy = prior if kept[0] else FiniteDistribution(prior.outcomes, flat)
-    tilt = TiltResult(policy, values[0], log_z[0])
+    flat, value, log_z, kept = _tilt_segments(prior.array, gains.aligned_to(prior.outcomes), _WHOLE, t)
+    policy = prior if kept.item() else FiniteDistribution(prior.outcomes, flat)
+    # The kernel's NaN at ±inf is no log-partition; a NaN at finite t stays.
+    log_z = None if t.is_pos_inf or t.is_neg_inf else log_z.item()
+    tilt = TiltResult(policy, value.item(), log_z)
     if tilt.log_partition is None or math.isfinite(tilt.log_partition):
         assert exponential_tilt(prior, gains, inv_temp) == tilt
     return tilt

@@ -6,6 +6,7 @@ Broken copies of the backup are monkeypatched into ``verify`` in place of
 passes.
 """
 import contextlib
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -243,6 +244,42 @@ def test_optimality_suites_call_no_staged_or_control_solver(monkeypatch, suite):
     assert all(c.passed for c in certs)
     for c in certs:
         assert {type(getattr(c, f)) for f in ("analytic", "oracle", "gap", "tolerance")} == {float}
+
+
+@pytest.mark.parametrize("suite", ["ce-monotonicity", "cumulant-expansion"])
+def test_a_nan_certainty_equivalent_fails_its_suite(monkeypatch, suite):
+    """One NaN among the suite's certainty equivalents, on the 50th call,
+    is the worst gap of every certificate, not dropped by a running max."""
+    calls = []
+    solve = verify.certainty_equivalent
+
+    def nan_on_the_50th(*args):
+        calls.append(None)
+        return float("nan") if len(calls) == 50 else solve(*args)
+
+    monkeypatch.setattr(verify, "certainty_equivalent", nan_on_the_50th)
+    certs = verify.run_suite(suite, 0)
+    assert len(calls) > 50
+    for c in certs:
+        assert np.isnan(c.gap) and not c.passed, c.name
+
+
+def test_a_nan_objective_gap_fails_control_optimality(monkeypatch):
+    """The third control instance's NaN gap is the suite's worst."""
+    calls = []
+    certify = verify.verify_control
+
+    def nan_on_the_third(*args):
+        objective, *rest = certify(*args)
+        calls.append(None)
+        if len(calls) == 3:
+            objective = dataclasses.replace(objective, gap=float("nan"))
+        return [objective, *rest]
+
+    monkeypatch.setattr(verify, "verify_control", nan_on_the_third)
+    gap = next(c for c in verify.run_suite("control-optimality", 0)
+               if c.name == "control-optimality/objective-gap")
+    assert np.isnan(gap.gap) and not gap.passed
 
 
 @st.composite

@@ -11,12 +11,14 @@ from freeutil.model import (
     ARGMAX_TIE_TOL,
     DecisionTree,
     DomainError,
+    EmptySupport,
     FiniteDistribution,
     Temperature,
     TemperatureSpec,
     TreeNode,
     TwoStageProblem,
     UtilityTable,
+    _row_sums,
 )
 from freeutil.sequential import (
     certainty_equivalent,
@@ -69,6 +71,12 @@ def reference_tilt(prior, g, t, total=None):
     probs = np.zeros(len(prior))
     probs[support] = e / s
     return probs, min(max(log_partition / tv, g_min), g_max), log_partition, False, m
+
+
+def log_partition(z):
+    """A log-partition of the kernel as a float, NaN read as None: no
+    log-partition, as at the infinite limits."""
+    return None if math.isnan(z) else z.item()
 
 
 def kernel_sum(weights):
@@ -162,11 +170,14 @@ def test_kernel_matches_per_row_tilt(segs, t):
     for i, (p, g) in enumerate(segs):
         lo = starts[i]
         part = policy[lo : lo + len(p)]
-        check_against_reference(part, values[i], log_z[i], kept[i], p, g, t)
+        check_against_reference(
+            part, values[i].item(), log_partition(log_z[i]), kept[i].item(), p, g, t
+        )
         # A segment gets the same bits alone as with its neighbours.
         alone = _tilt_segments(p, g, np.zeros(1, dtype=np.intp), t)
         assert np.array_equal(alone[0], part)
-        assert (alone[1][0], alone[2][0], alone[3][0]) == (values[i], log_z[i], kept[i])
+        for whole, one in zip((values, log_z, kept), alone[1:]):
+            assert one.tobytes() == whole[i : i + 1].tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -179,11 +190,156 @@ def test_exponential_tilt_is_the_one_segment_kernel(seg, t):
     policy, values, log_z, kept = _tilt_segments(
         dist.array, gains, np.zeros(1, dtype=np.intp), t
     )
-    if kept[0]:
+    if kept.item():
         assert result.policy is dist
     else:
         assert result.policy == FiniteDistribution(labels, policy)
-    assert (result.value, result.log_partition) == (values[0], log_z[0])
+    assert (result.value, result.log_partition) == (values.item(), log_partition(log_z[0]))
+
+
+def list_tilt_segments(prior, gains, starts, t):
+    """The segmented kernel as it was before it became one array path: a
+    full-support fork, a scalar path for one segment, and per-segment lists
+    for its outputs (None for the log-partition at ±inf). The reference the
+    array kernel must match bit for bit."""
+    n = len(prior)
+    bounds = starts.tolist()
+    bounds.append(n)
+    k = len(bounds) - 1
+    lengths = None if k == 1 else np.array([hi - lo for lo, hi in zip(bounds, bounds[1:])])
+
+    def spread(per_segment):
+        """A per-segment quantity repeated over its segment's entries (a
+        scalar for a single segment)."""
+        return per_segment[0] if lengths is None else np.repeat(per_segment, lengths)
+
+    support = prior > 0.0
+    everywhere = np.count_nonzero(support) == n
+    if everywhere:
+        g_max = np.maximum.reduceat(gains, starts)
+        g_min = np.minimum.reduceat(gains, starts)
+    else:
+        masked = np.where(support, gains, -np.inf)
+        g_max = np.maximum.reduceat(masked, starts)
+        masked[~support] = np.inf
+        g_min = np.minimum.reduceat(masked, starts)
+        del masked
+    g_max_list = g_max.tolist()
+    if not everywhere and -math.inf in g_max_list:
+        raise EmptySupport("prior assigns no positive probability anywhere")
+    const = [lo == hi for lo, hi in zip(g_min.tolist(), g_max_list)]
+
+    # Rounding can carry a finite or zero-limit value past the supported
+    # gains; it is clamped back into [g_min, g_max].
+    if t.is_zero:
+        # An unsupported entry adds -0.0, which changes no sum.
+        sums = _row_sums(np.where(support, prior * gains, -0.0), starts)
+        sums = np.clip(sums, g_min, g_max).tolist()
+        values = [g if c else v for g, c, v in zip(g_max_list, const, sums)]
+        return prior, values, [0.0] * k, [True] * k
+
+    # log 0 is -inf; gains near ±1e308 overflow into NaN rows, which fail downstream.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if t.is_finite:
+            tv = t.value
+            policy = np.log(prior)
+            policy += gains * tv
+            if not everywhere:
+                policy[~support] = -np.inf
+            m = np.maximum.reduceat(policy, starts)
+            policy -= spread(m)
+            np.exp(policy, out=policy)
+            s = np.add.reduceat(policy, starts)
+            policy /= spread(s)
+            log_z = [mi + math.log(si) for mi, si in zip(m.tolist(), s.tolist())]
+            values = np.clip(np.array(log_z) / tv, g_min, g_max).tolist()
+            for i in [i for i, c in enumerate(const) if c]:
+                values[i] = g_max_list[i]
+                log_z[i] = tv * g_max_list[i]
+        else:
+            target = g_max if t.is_pos_inf else g_min
+            winners = np.abs(gains - spread(target)) <= ARGMAX_TIE_TOL
+            if not everywhere:
+                winners &= support
+            # 1.0 per winner, divided by the number of winners in its segment.
+            policy = winners.astype(float)
+            policy /= spread(np.add.reduceat(policy, starts))
+            values = target.tolist()
+            log_z = [None] * k
+    if True in const:
+        np.copyto(policy, prior, where=spread(np.array(const)))
+    return policy, values, log_z, const
+
+
+# Gains at the edges of the float range and of zero, and small ties.
+AWKWARD_GAINS = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 2.0, 1e308, -1e308, 1.7976931348623157e308)
+
+awkward_temperatures = st.one_of(
+    st.just(Temperature.zero()),
+    st.just(Temperature.pos_inf()),
+    st.just(Temperature.neg_inf()),
+    st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-300.0, 305.0)).map(
+        lambda se: Temperature.finite(se[0] * 10.0**se[1])
+    ),
+)
+
+
+@st.composite
+def awkward_segments(draw):
+    """One segment: a prior with zero and subnormal entries, and gains that
+    mix the awkward values with random reals, tie as integers, or are
+    constant over the support."""
+    n = draw(st.integers(1, 8))
+    weights = np.array(
+        draw(st.lists(st.sampled_from([0.0, 0.0, 5e-324, 0.3, 1.0, 2.5]), min_size=n, max_size=n))
+    )
+    if not weights.sum() > 0.0:
+        weights[draw(st.integers(0, n - 1))] = 1.0
+    prior = weights / weights.sum()
+    gain = st.one_of(
+        st.sampled_from(AWKWARD_GAINS), st.floats(-1e3, 1e3), st.integers(-2, 2).map(float)
+    )
+    gains = np.array(draw(st.lists(gain, min_size=n, max_size=n)))
+    style = draw(st.sampled_from(["mixed", "integers", "constant"]))
+    if style == "integers":
+        gains = np.round(gains % 5.0) - 2.0
+    elif style == "constant":
+        gains[prior > 0.0] = draw(gain)
+    return prior, gains
+
+
+def float_bits(values):
+    """The bytes of float values, None read as NaN."""
+    return np.array([np.nan if v is None else v for v in values], dtype=float).tobytes()
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(awkward_segments(), min_size=1, max_size=6), awkward_temperatures)
+@example([(np.array([0.5, 0.5]), np.array([1e308, -1e308]))], Temperature.finite(10.0))
+# A sum s = 1.569782824730923 whose log np.log rounds one unit below math.log.
+@example([(np.array([0.5, 0.5]), np.array([0.0, -0.5625]))], Temperature.finite(1.0))
+@example([(np.array([1.0]), np.array([-0.0])), (np.array([0.0, 1.0]), np.array([1e308, 0.0]))],
+         Temperature.zero())
+def test_array_kernel_has_the_bits_of_the_list_kernel(segs, t):
+    prior = np.concatenate([p for p, _ in segs])
+    gains = np.concatenate([g for _, g in segs])
+    starts = np.cumsum([0] + [len(p) for p, _ in segs[:-1]])
+    outcomes = []
+    for kernel in (list_tilt_segments, _tilt_segments):
+        try:
+            outcomes.append(kernel(prior, gains, starts, t))
+        except (EmptySupport, ArithmeticError) as e:
+            outcomes.append(type(e))
+    old, new = outcomes
+    if not isinstance(old, tuple):
+        assert new is old
+        return
+    assert all(isinstance(a, np.ndarray) for a in new)
+    assert new[0].tobytes() == old[0].tobytes()
+    assert new[1].tobytes() == float_bits(old[1])
+    assert new[2].tobytes() == float_bits(old[2])
+    assert new[3].dtype == bool and new[3].tolist() == list(old[3])
+    assert (new[0] is prior) == (old[0] is prior)
 
 
 def random_problem(rng, n_a=12, n_o=12):
