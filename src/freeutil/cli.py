@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii
@@ -83,6 +84,19 @@ def _convert_units(doc: dict, units: str) -> dict:
 
 def _render(doc: dict, units: str) -> str:
     return render_json(_convert_units(doc, units), _fmt_finite)
+
+
+def _refuse_overwriting_input(args) -> None:
+    """Refuse an --output that is the input file, under its name or another
+    link to it, which writing the document would silently replace."""
+    if args.file is None or args.output is None:
+        return
+    try:
+        same = os.path.samefile(args.file, args.output)
+    except OSError:  # a path that does not exist (yet)
+        return
+    if same:
+        raise DomainError(f"--output {args.output} is the input file; it would be overwritten")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -518,6 +532,7 @@ def main(argv=None) -> int:
     solve = None
     try:
         args = build_parser().parse_args(argv)
+        _refuse_overwriting_input(args)
         solve = args.fn(args)
         text, code = solve()
         _emit(text, args.output)

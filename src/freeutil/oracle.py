@@ -38,6 +38,7 @@ from .model import (
     TooManyPaths,
     TwoStageProblem,
     UtilityTable,
+    _finite,
     _normalise_rows,
     _real,
     _row_kls,
@@ -187,10 +188,10 @@ def two_stage_objective(
             expectation(row, problem.outcome_utility[a])
             - kl_divergence(row, problem.channel[a]) / mu
         )
-        total.append(w * (problem.action_utility.value(a) + inner))
-    return (
-        math.fsum(total)
-        - kl_divergence(action_policy, problem.prior_action) / lam
+        total.append(_finite(w * (problem.action_utility.value(a) + inner), "the staged objective"))
+    return _finite(
+        math.fsum(total) - kl_divergence(action_policy, problem.prior_action) / lam,
+        "the staged objective",
     )
 
 
@@ -253,14 +254,15 @@ def enumerate_minimax(problem: TwoStageProblem) -> tuple[str, float]:
     channel's support (plus direct action utility); ground truth for the
     worst-case solver. Actions without prior mass are skipped, since no
     policy anchored to that prior can choose them. The first-listed action
-    within ARGMAX_TIE_TOL of the best value wins ties."""
+    within ARGMAX_TIE_TOL of the best value wins ties. A best value past the
+    float range raises DomainError."""
     supported = np.flatnonzero(problem.prior_action.array > 0.0)
     rows = np.where(problem.channel_matrix > 0.0, problem.utility_matrix, np.inf)[supported]
     # A sum past the float range is inf, as it is for Python floats.
     with np.errstate(over="ignore"):
         worst = problem.action_utility.array[supported] + rows.min(axis=1)
-    best = worst.max()
-    return problem.actions[supported[np.argmax(worst >= best - ARGMAX_TIE_TOL)]], best.item()
+    best = _finite(worst.max().item(), "the worst-case value")
+    return problem.actions[supported[np.argmax(worst >= best - ARGMAX_TIE_TOL)]], best
 
 
 def bellman_backup(tree: DecisionTree) -> TreeValue:
@@ -269,7 +271,8 @@ def bellman_backup(tree: DecisionTree) -> TreeValue:
     The limit of value_recursion as every temperature goes to +inf; policies
     are uniform over children within ARGMAX_TIE_TOL of the maximum. The
     tree's arrays are breadth-first, so visiting the nodes last to first
-    backs up every child before its parent.
+    backs up every child before its parent. A value past the float range
+    raises DomainError.
     """
     first, counts = tree.first_child.tolist(), tree.n_children.tolist()
     prior, utility = tree.prior.tolist(), tree.utility.tolist()
@@ -281,6 +284,8 @@ def bellman_backup(tree: DecisionTree) -> TreeValue:
         edges = range(first[i] - 1, first[i] - 1 + counts[i])  # edge e leads to node e + 1
         totals = {e: utility[e] + value[e + 1] for e in edges if prior[e] > 0.0}
         best = max(totals.values())
+        if not math.isfinite(best):
+            raise DomainError(f"value of {tree.names[i]!r} is not finite: {best!r}")
         winners = [e for e, t in totals.items() if abs(t - best) <= ARGMAX_TIE_TOL]
         policy[winners] = 1.0 / len(winners)
         value[i] = best
@@ -297,7 +302,8 @@ def path_enumeration(tree: DecisionTree, lam: float) -> float:
     P0(path) is the product of edge priors, U(path) the sum of edge
     utilities; zero-prior edges contribute nothing and are skipped. Equals
     the root value of the soft recursion when every node runs at lam — the
-    per-node log-normalizers telescope into this single path sum.
+    per-node log-normalizers telescope into this single path sum. A path
+    utility or a result past the float range raises DomainError.
     """
     lam = _real(lam, "lam")
     if not math.isfinite(lam) or lam == 0.0:
@@ -324,9 +330,17 @@ def path_enumeration(tree: DecisionTree, lam: float) -> float:
             e = parent[e] - 1
         if e < 0:
             log_ps.append(math.fsum(log_p_terms))
-            utils.append(math.fsum(u_terms))
-    scores = np.asarray(log_ps) + lam * np.asarray(utils)
-    return _logsumexp(scores) / lam
+            try:
+                utils.append(math.fsum(u_terms))
+            except OverflowError:
+                raise DomainError(
+                    f"utility of the path to {tree.names[leaf]!r} is not finite"
+                ) from None
+    # A score past the float range leaves the result past it too, unless it
+    # is -inf beside finite scores: that path then weighs 0, its limit.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = np.asarray(log_ps) + lam * np.asarray(utils)
+        return _finite(_logsumexp(scores) / lam, "the path sum")
 
 
 def _logsumexp(a: np.ndarray) -> float:

@@ -158,36 +158,19 @@ def _random_tree(rng, with_zero_edge: bool = False) -> DecisionTree:
     return DecisionTree(root)
 
 
-def _max_gap(*gaps: float) -> float:
-    """The largest of the gaps, or the first NaN among them: a NaN gap is
-    the worst, as _objective_gap takes it."""
-    return next((g for g in gaps if math.isnan(g)), max(gaps))
-
-
-def _worst(worst, gap: float, analytic: float, oracle: float):
-    if worst is None or not (math.isnan(worst[0]) or gap <= worst[0]):
-        return (gap, analytic, oracle)
-    return worst
-
-
-def _worst_cert(name: str, worst, tolerance: float, note: str) -> Certificate:
-    """A numeric certificate from the (gap, analytic, oracle) triple of the
-    worst instance."""
-    gap, analytic, oracle = worst
+def _worst_cert(name: str, rows, tolerance: float, note: str) -> Certificate:
+    """A numeric certificate from the worst of its (gap, analytic, oracle)
+    rows, as np.argmax picks it: the largest gap, the first of equal gaps,
+    and the first NaN gap ahead of everything else."""
+    gap, analytic, oracle = rows[int(np.argmax([row[0] for row in rows]))]
     return Certificate(name, analytic, oracle, gap, tolerance, note)
 
 
 def _count_cert(name: str, required: int, satisfied: int, note: str) -> Certificate:
     """A counting certificate: analytic = instances required, oracle =
     instances satisfied, gap = shortfall. Passes only at zero shortfall."""
-    return Certificate(
-        name=name,
-        analytic=float(required),
-        oracle=float(satisfied),
-        gap=float(required - satisfied),
-        tolerance=0.0,
-        note=f"{satisfied}/{required} {note}",
-    )
+    return Certificate(name, float(required), float(satisfied), float(required - satisfied), 0.0,
+                       f"{satisfied}/{required} {note}")
 
 
 def _worst_case_margin(problem: TwoStageProblem) -> float:
@@ -202,7 +185,7 @@ def _worst_case_margin(problem: TwoStageProblem) -> float:
 def suite_gibbs_optimality(rng) -> list[Certificate]:
     """Tilted-measure optimality: no lattice point beats the closed form."""
     alphas = (0.1, 1.0, 10.0)
-    worst = {a: None for a in alphas}
+    rows = {a: [] for a in alphas}
     for _ in range(50):
         n = int(rng.integers(2, 5))
         outcomes = _labels("o", n)
@@ -214,11 +197,11 @@ def suite_gibbs_optimality(rng) -> list[Certificate]:
             # The lattice objective is measured against the uniform prior,
             # which differs from the entropy form by exactly alpha*log(n).
             adjusted = res.best_value + alpha * math.log(n)
-            worst[alpha] = _worst(worst[alpha], adjusted - analytic, analytic, adjusted)
+            rows[alpha].append((adjusted - analytic, analytic, adjusted))
     return [
         _worst_cert(
             f"gibbs-optimality/alpha-{alpha:g}",
-            worst[alpha],
+            rows[alpha],
             1e-5,
             "worst of 50 random tables, lattice step 0.001",
         )
@@ -229,7 +212,7 @@ def suite_gibbs_optimality(rng) -> list[Certificate]:
 def suite_log_partition(rng) -> list[Certificate]:
     """Optimal free utility equals alpha*log of the plain exponential sum."""
     alphas = (0.1, 1.0, 10.0)
-    worst = {a: None for a in alphas}
+    rows = {a: [] for a in alphas}
     for _ in range(50):
         n = int(rng.integers(2, 5))
         outcomes = _labels("o", n)
@@ -239,12 +222,11 @@ def suite_log_partition(rng) -> list[Certificate]:
             reference = alpha * math.log(
                 math.fsum(math.exp(v / alpha) for v in u.values)
             )
-            gap = abs(analytic - reference)
-            worst[alpha] = _worst(worst[alpha], gap, analytic, reference)
+            rows[alpha].append((abs(analytic - reference), analytic, reference))
     return [
         _worst_cert(
             f"log-partition/alpha-{alpha:g}",
-            worst[alpha],
+            rows[alpha],
             1e-9,
             "worst of 50 random tables, direct summation reference",
         )
@@ -254,7 +236,7 @@ def suite_log_partition(rng) -> list[Certificate]:
 
 def suite_control_optimality(rng) -> list[Certificate]:
     """KL-regularized control passes the node bracket and preserves support."""
-    worst = None
+    rows = []
     preserved = 0
     n_zero_cases = 0
     for i in range(50):
@@ -265,14 +247,14 @@ def suite_control_optimality(rng) -> list[Certificate]:
         u = _random_utilities(rng, outcomes)
         alpha = float(rng.choice([0.1, 0.5, 1.0, 2.0, 10.0]))
         objective, *support = verify_control(ControlProblem(prior, u), alpha)
-        worst = _worst(worst, objective.gap, objective.analytic, objective.oracle)
+        rows.append((objective.gap, objective.analytic, objective.oracle))
         if support:
             n_zero_cases += 1
             preserved += support[0].passed
     return [
         _worst_cert(
             "control-optimality/objective-gap",
-            worst,
+            rows,
             1e-5,
             "worst of 50 random (prior, utility, temperature) triples",
         ),
@@ -380,23 +362,22 @@ def suite_two_stage_optimality(rng) -> list[Certificate]:
     """The nested solution passes the node bracket at both stages, and no
     node's lattice maximum (step 1e-3) rises above the bracket's top."""
     combos = [(l, m) for l in (0.5, 1.0, 2.0) for m in (0.5, 1.0, 2.0)]
-    worst = excess = None
+    rows, excess = [], []
     for i in range(20):
         lam, mu = combos[i % len(combos)]
         tree, temps = _random_two_stage(rng, 2, 2, i % 3 == 0)._tree, TemperatureSpec(lam, mu)
-        cert, tv = _objective_gap("two-stage-optimality", tree, temps)
-        worst = _worst(worst, cert.gap, cert.analytic, cert.oracle)
-        internal, t, g, f, width, _ = _node_bracket(tree, tv, temps)
+        cert, _, (internal, t, g, f, width, _) = _objective_gap("two-stage-optimality", tree, temps)
+        rows.append((cert.gap, cert.analytic, cert.oracle))
         for k, node in enumerate(internal):
             lo, hi = tree.first_child[node], tree.first_child[node] + tree.n_children[node]
             prior = FiniteDistribution._trusted(tree.names[lo:hi], tree.prior[lo - 1 : hi - 1])
             gains = UtilityTable(tree.names[lo:hi], g[lo - 1 : hi - 1])
             lattice = simplex_grid_search(prior, gains, 1.0 / abs(t[k]), 1e-3).best_value
             top = (f[k] + width[k]).item()
-            excess = _worst(excess, lattice - top, top, lattice)
+            excess.append((lattice - top, top, lattice))
     note = "worst of 20 random 2x2 instances, lambda/mu in {0.5,1,2}"
     return [
-        _worst_cert("two-stage-optimality/objective-gap", worst, 1e-5, note),
+        _worst_cert("two-stage-optimality/objective-gap", rows, 1e-5, note),
         _worst_cert("two-stage-optimality/lattice-bracket", excess, 1e-5,
                     f"{note}, every node, lattice step 0.001"),
     ]
@@ -404,27 +385,26 @@ def suite_two_stage_optimality(rng) -> list[Certificate]:
 
 def suite_value_recursion(rng) -> list[Certificate]:
     """Tree backup telescopes into the path sum and converges to hard max."""
-    worst_path = None
-    worst_limit = None
+    paths, limits = [], []
     for i in range(50):
         tree = _random_tree(rng, with_zero_edge=(i % 5 == 0))
         for lam in (0.5, 1.0, 5.0):
             analytic = value_recursion(tree, TemperatureSpec(lam, 1.0)).root_value
             reference = path_enumeration(tree, lam)
-            worst_path = _worst(worst_path, abs(analytic - reference), analytic, reference)
+            paths.append((abs(analytic - reference), analytic, reference))
         soft = value_recursion(tree, TemperatureSpec(1e4, 1.0)).root_value
         hard = bellman_backup(tree).root_value
-        worst_limit = _worst(worst_limit, abs(soft - hard), soft, hard)
+        limits.append((abs(soft - hard), soft, hard))
     return [
         _worst_cert(
             "value-recursion/path-identity",
-            worst_path,
+            paths,
             1e-9,
             "worst over 50 random trees at inverse temperature 0.5, 1, 5",
         ),
         _worst_cert(
             "value-recursion/hard-max-limit",
-            worst_limit,
+            limits,
             1e-2,
             "soft backup at 1e4 against the exact hard-max backup",
         ),
@@ -444,43 +424,28 @@ CE_LADDER = (
 
 def suite_ce_monotonicity(rng) -> list[Certificate]:
     """Certainty equivalents rise with the risk parameter and stay in range."""
-    worst_mono = 0.0
-    worst_bounds = 0.0
+    mono, bounds = [0.0], [0.0]  # violations g, each the row (g, 0.0, g); 0.0 for none
     for i in range(200):
         n = int(rng.integers(2, 6))
         outcomes = _labels("o", n)
         p = _random_dist(rng, outcomes, n_zero=1 if (i % 7 == 0 and n >= 3) else 0)
         u = _random_utilities(rng, outcomes)
         ces = [certainty_equivalent(p, u, m) for m in CE_LADDER]
-        for lo, hi in zip(ces, ces[1:]):
-            worst_mono = _max_gap(worst_mono, lo - hi)
+        mono += [lo - hi for lo, hi in zip(ces, ces[1:])]
         supported = [v for v, pr in zip(u.aligned_to(p.outcomes), p.probs) if pr > 0.0]
         u_min, u_max = min(supported), max(supported)
-        worst_bounds = _max_gap(worst_bounds, *(c - u_max for c in ces), *(u_min - c for c in ces))
+        bounds += [c - u_max for c in ces] + [u_min - c for c in ces]
     return [
-        Certificate(
-            name="ce-monotonicity/non-decreasing",
-            analytic=0.0,
-            oracle=worst_mono,
-            gap=worst_mono,
-            tolerance=1e-12,
-            note="worst ordering violation over 200 random gambles "
-            "across the full risk ladder",
-        ),
-        Certificate(
-            name="ce-monotonicity/bounds",
-            analytic=0.0,
-            oracle=worst_bounds,
-            gap=worst_bounds,
-            tolerance=1e-12,
-            note="worst excursion outside [min, max] of supported utilities",
-        ),
+        _worst_cert("ce-monotonicity/non-decreasing", [(g, 0.0, g) for g in mono], 1e-12,
+                    "worst ordering violation over 200 random gambles across the full risk ladder"),
+        _worst_cert("ce-monotonicity/bounds", [(g, 0.0, g) for g in bounds], 1e-12,
+                    "worst excursion outside [min, max] of supported utilities"),
     ]
 
 
 def suite_cumulant_expansion(rng) -> list[Certificate]:
     """Second-order expansion residual shrinks quadratically in mu."""
-    worst_excess = -math.inf
+    excess = []
     for _ in range(100):
         n = int(rng.integers(2, 5))
         outcomes = _labels("o", n)
@@ -492,20 +457,13 @@ def suite_cumulant_expansion(rng) -> list[Certificate]:
                 certainty_equivalent(p, u, mu) - taylor_ce_approx(p, u, mu)
             )
 
-        c_fit = _max_gap(err(0.04), err(-0.04)) / 0.04**2
-        c_eff = _max_gap(c_fit, 1e-10)
-        for mu in (0.01, -0.01, 0.02, -0.02):
-            worst_excess = _max_gap(worst_excess, err(mu) - 4.0 * c_eff * mu * mu)
+        # The fitted curvature, floored; a NaN fit stays NaN.
+        c_eff = np.max([err(0.04) / 0.04**2, err(-0.04) / 0.04**2, 1e-10]).item()
+        excess += [err(mu) - 4.0 * c_eff * mu * mu for mu in (0.01, -0.01, 0.02, -0.02)]
     return [
-        Certificate(
-            name="cumulant-expansion/ratio-test",
-            analytic=0.0,
-            oracle=worst_excess,
-            gap=worst_excess,
-            tolerance=0.0,
-            note="residual/mu^2 fitted at |mu|=0.04, factor-4 bound at smaller mu, "
-            "curvature floor 1e-10",
-        )
+        _worst_cert("cumulant-expansion/ratio-test", [(g, 0.0, g) for g in excess], 0.0,
+                    "residual/mu^2 fitted at |mu|=0.04, factor-4 bound at smaller mu, "
+                    "curvature floor 1e-10")
     ]
 
 
@@ -572,11 +530,13 @@ def run_suite(name: str, seed: int) -> list[Certificate]:
 
 
 def apply_perturbation(certs: list[Certificate], eps: float) -> list[Certificate]:
-    """Bias every numeric certificate by |eps| toward failure (self-test).
+    """Bias every certificate by |eps| toward failure (self-test): eps is
+    added to its analytic value and |eps| to its gap.
 
-    A corrupted build must surface as nonzero gaps; injecting the bias
-    post-hoc exercises exactly the reporting and exit-code path that a real
-    regression would take.
+    A certificate then fails once |eps| exceeds its slack, tolerance − gap;
+    a counting certificate (tolerance 0, gap 0 when it holds) fails at any
+    nonzero eps. Injecting the bias post-hoc exercises exactly the
+    reporting and exit-code path that a real regression would take.
     """
     if eps == 0.0:
         return certs
@@ -625,12 +585,12 @@ def _node_bracket(tree: DecisionTree, tv: TreeValue, temps: TemperatureSpec):
     return internal, t, g, f, width, gap
 
 
-def _objective_gap(name: str, tree: DecisionTree,
-                   temps: TemperatureSpec) -> tuple[Certificate, TreeValue]:
+def _objective_gap(name: str, tree: DecisionTree, temps: TemperatureSpec):
     """One value_recursion on a tree at finite temperatures, certified by
     _node_bracket at every internal node (leaves are exact, so by induction
-    the whole backup), and the TreeValue it checked. analytic and oracle are
-    the root's V and s·f(x); gap is the worst node's, a NaN gap the worst.
+    the whole backup); with the TreeValue it checked and _node_bracket's
+    result. analytic and oracle are the root's V and s·f(x); gap is the
+    worst node's, a NaN gap the worst.
 
     The tolerance is 1e-5, or at scale 8·2⁻⁵²·G, G the largest supported
     |g|. With u = 2⁻⁵³, near the optimum h ≈ s·V is in [−G, G] and
@@ -639,12 +599,12 @@ def _objective_gap(name: str, tree: DecisionTree,
     11u·G in all; the ratio adds u/τ, inside the floor for τ above 1e-11.
     """
     tv = value_recursion(tree, temps)
-    internal, t, g, f, _, gap = _node_bracket(tree, tv, temps)
+    bracket = internal, t, g, f, _, gap = _node_bracket(tree, tv, temps)
     worst = int(np.argmax(gap))  # the first NaN, if any
     note = f"worst node {tree.paths()[internal[worst]]!r} of {len(internal)}"
     tolerance = max(1e-5, 8 * 2.0**-52 * np.abs(g[tree.prior > 0.0]).max().item())
-    oracle = (np.sign(t[0]) * f[0]).item()
-    return Certificate(name, tv.root_value, oracle, gap[worst].item(), tolerance, note), tv
+    row = (gap[worst].item(), tv.root_value, (np.sign(t[0]) * f[0]).item())
+    return _worst_cert(name, [row], tolerance, note), tv, bracket
 
 
 def verify_control(problem: ControlProblem, alpha) -> list[Certificate]:
@@ -652,7 +612,7 @@ def verify_control(problem: ControlProblem, alpha) -> list[Certificate]:
     depth-1 tree at mu = 1/alpha, of any number of outcomes, and, when the
     prior has zeros, whether the policy kept them exactly zero."""
     temps = TemperatureSpec(1, control_temperature(alpha).reciprocal())
-    cert, tv = _objective_gap("file/control/objective-gap", problem._tree, temps)
+    cert, tv, _ = _objective_gap("file/control/objective-gap", problem._tree, temps)
     off_support = tv.flat_policy[problem.prior.array == 0.0].tolist()
     if not off_support:
         return [cert]
@@ -670,16 +630,8 @@ def verify_two_stage(problem, lam: Temperature, mu: Temperature) -> list[Certifi
     # An action mismatch is a full failure even when the values tie, so it
     # contributes a unit of gap on its own.
     gap = abs(own_value - ref_value) + (0.0 if own_action == ref_action else 1.0)
-    certs = [
-        Certificate(
-            name="file/two-stage/minimax-agreement",
-            analytic=own_value,
-            oracle=ref_value,
-            gap=gap,
-            tolerance=1e-12,
-            note=f"worst-case action {own_action!r} vs enumeration {ref_action!r}",
-        )
-    ]
+    certs = [_worst_cert("file/two-stage/minimax-agreement", [(gap, own_value, ref_value)], 1e-12,
+                         f"worst-case action {own_action!r} vs enumeration {ref_action!r}")]
     if lam.is_finite and mu.is_finite:
         temps = TemperatureSpec(lam, mu)
         certs.append(_objective_gap("file/two-stage/objective-gap", problem._tree, temps)[0])
@@ -698,29 +650,13 @@ def verify_tree(tree, lam: Temperature, mu: Temperature) -> list[Certificate]:
     elif lam.is_finite:
         analytic = value_recursion(tree, TemperatureSpec(lam, mu)).root_value
         reference = path_enumeration(tree, lam.value)
-        gap = abs(analytic - reference)
-        certs.append(
-            Certificate(
-                name="file/tree/path-identity",
-                analytic=analytic,
-                oracle=reference,
-                gap=gap,
-                tolerance=1e-9,
-                note=f"brute force over {tree.n_leaves()} root-to-leaf paths",
-            )
-        )
+        certs.append(_worst_cert(
+            "file/tree/path-identity", [(abs(analytic - reference), analytic, reference)], 1e-9,
+            f"brute force over {tree.n_leaves()} root-to-leaf paths"))
     hard_temps = TemperatureSpec(Temperature.pos_inf(), Temperature.pos_inf())
     soft = value_recursion(tree, hard_temps).root_value
     hard = bellman_backup(tree).root_value
-    gap = abs(soft - hard)
-    certs.append(
-        Certificate(
-            name="file/tree/hard-max-consistency",
-            analytic=soft,
-            oracle=hard,
-            gap=gap,
-            tolerance=1e-12,
-            note="infinite-temperature backup against the direct hard-max program",
-        )
-    )
+    certs.append(_worst_cert(
+        "file/tree/hard-max-consistency", [(abs(soft - hard), soft, hard)], 1e-12,
+        "infinite-temperature backup against the direct hard-max program"))
     return certs

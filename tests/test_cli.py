@@ -449,6 +449,32 @@ def test_unwritable_output_exits_2(tmp_path, command):
     assert result.stderr.startswith("FileNotFoundError: ") and result.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [
+    ("solve", "control_basic.json"),
+    ("sweep", "control_basic.json", "--param", "alpha", "--grid", "1"),
+    ("regimes", "two_stage_basic.json"),
+    ("verify", "control_basic.json"),
+], ids=lambda command: command[0])
+@pytest.mark.parametrize("via_link", [False, True], ids=["same-name", "link"])
+def test_output_naming_the_input_file_is_refused(tmp_path, command, via_link):
+    """--output that is the input file, by its own name or through a link to
+    it, exits 2 with one DomainError line before solving, and leaves the
+    file as it was."""
+    verb, name, *flags = command
+    source = tmp_path / name
+    source.write_bytes((GOLDEN / name).read_bytes())
+    target = source
+    if via_link:
+        target = tmp_path / "link.json"
+        target.symlink_to(source)
+    result = run_cli(verb, source, *flags, "--output", target)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        f"DomainError: --output {target} is the input file; it would be overwritten\n"
+    )
+    assert source.read_bytes() == (GOLDEN / name).read_bytes()
+
+
 def test_solver_errors_exit_3_in_every_command(tmp_path):
     """A regime the solvers reject, or values that overflow, is a solver
     error wherever a command meets it: exit 3, one line, nothing written."""
@@ -848,6 +874,16 @@ def test_verify_perturbation_trips_every_certificate():
     assert doc["passed"] is False
     assert doc["perturbation"] == 0.001
     assert all(not c["passed"] for c in doc["certificates"])
+
+
+@pytest.mark.parametrize("eps, code", [("1e-6", 0), ("1e-3", 4)])
+def test_verify_perturbation_fails_a_certificate_past_its_slack(eps, code):
+    """--perturb adds |EPS| to every gap: control_basic.json's node
+    certificate (tolerance 1e-5) still passes at 1e-6 and fails at 1e-3."""
+    result = run_cli("verify", GOLDEN / "control_basic.json", "--perturb", eps)
+    assert (result.returncode, result.stderr) == (code, "")
+    (cert,) = json.loads(result.stdout)["certificates"]
+    assert cert["tolerance"] == 1e-5 and cert["gap"] == float(eps)
 
 
 def test_verify_file_control():

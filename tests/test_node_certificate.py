@@ -5,10 +5,12 @@ Broken copies of the backup are monkeypatched into ``verify`` in place of
 ``value_recursion``; each must fail the certificate that a correct backup
 passes.
 """
+import ast
 import contextlib
 import dataclasses
 import io
 import json
+import math
 from pathlib import Path
 
 import mpmath
@@ -280,6 +282,50 @@ def test_a_nan_objective_gap_fails_control_optimality(monkeypatch):
     gap = next(c for c in verify.run_suite("control-optimality", 0)
                if c.name == "control-optimality/objective-gap")
     assert np.isnan(gap.gap) and not gap.passed
+
+
+def certificate_calls(node) -> int:
+    return sum(isinstance(call, ast.Call) and getattr(call.func, "id", None) == "Certificate"
+               for call in ast.walk(node))
+
+
+def test_certificates_are_built_only_by_the_two_builders():
+    """Every certificate of verify.py is the worst row of its checks or a
+    count: Certificate( is called only inside _worst_cert and _count_cert."""
+    module = ast.parse(Path(verify.__file__).read_text())
+    callers = {fn.name for fn in module.body
+               if isinstance(fn, ast.FunctionDef) and certificate_calls(fn)}
+    assert callers == {"_worst_cert", "_count_cert"} and certificate_calls(module) == 2
+
+
+@pytest.mark.parametrize("gaps, worst", [
+    ([1.0, 1.0, 0.5], 0),
+    ([2.0, 3.0, math.nan, 4.0, math.nan], 2),
+    ([-0.0, 0.0], 0),
+    ([0.0, -0.0], 0),
+], ids=["equal-gaps", "nan-after-larger", "minus-zero-first", "zero-first"])
+def test_a_certificate_is_its_worst_row(gaps, worst):
+    """The largest gap, the first of equal gaps, and the first NaN ahead of
+    everything else, as np.argmax picks them."""
+    rows = [(gap, float(i), -float(i)) for i, gap in enumerate(gaps)]
+    cert = verify._worst_cert("c", rows, 1.0, "note")
+    assert (cert.analytic, cert.oracle, cert.tolerance, cert.note) == (worst, -worst, 1.0, "note")
+    assert repr(cert.gap) == repr(gaps[worst])  # a NaN, and the sign of a zero
+
+
+def test_two_stage_optimality_brackets_each_instance_once(monkeypatch):
+    """The suite reads the bracket _objective_gap computed: one _node_bracket
+    per instance."""
+    calls = []
+    bracket = verify._node_bracket
+
+    def counted(*args):
+        calls.append(None)
+        return bracket(*args)
+
+    monkeypatch.setattr(verify, "_node_bracket", counted)
+    verify.run_suite("two-stage-optimality", 0)
+    assert len(calls) == 20
 
 
 @st.composite

@@ -13,7 +13,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from freeutil import cli, oracle, sequential, verify
@@ -22,6 +22,7 @@ from freeutil.model import (
     DecisionTree,
     DomainError,
     FiniteDistribution,
+    FreeUtilError,
     Temperature,
     TemperatureSpec,
     TooLarge,
@@ -897,3 +898,125 @@ def test_oracles_score_a_subnormal_prior_coordinate():
     x = mpmath.mpf(p1.probs[0])
     reference = x * gain_a - sum(w * mpmath.log(2 * w) for w in (x, 1 - x) if w > 0)
     assert staged.best_value == pytest.approx(float(reference), abs=1e-9)
+
+
+# The argument pool of the API contract tests in test_variational.py: the
+# edges of the float range and ordinary floats. Utilities take its finite
+# members; temperatures take all of it.
+FINITE_EDGES = [0.0, -0.0, 5e-324, 1e-320, 1e308, -1e308]
+pool_utilities = st.one_of(
+    st.sampled_from(FINITE_EDGES), st.floats(allow_nan=False, allow_infinity=False)
+)
+pool_temperatures = st.one_of(
+    st.sampled_from([None, math.nan, math.inf, -math.inf, *FINITE_EDGES]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def pool_dist(draw, labels):
+    """A prior whose weights may be zero or subnormal, normalised by its fsum."""
+    w = draw(st.lists(st.sampled_from([0.0, 5e-324, 1e-320, 0.25, 1.0]), min_size=len(labels),
+                      max_size=len(labels)).filter(lambda w: max(w) >= 0.25))
+    return FiniteDistribution(labels, [x / math.fsum(w) for x in w])
+
+
+@st.composite
+def pool_trees(draw):
+    """A tree of depth up to 3 and fan-out up to 3, utilities from the pool."""
+    counter = itertools.count()
+
+    def node(depth):
+        name = f"n{next(counter)}"
+        if depth == 0 or not draw(st.booleans()):
+            return TreeNode(name)
+        children = tuple(node(depth - 1) for _ in range(draw(st.integers(1, 3))))
+        names = [c.name for c in children]
+        u = draw(st.lists(pool_utilities, min_size=len(names), max_size=len(names)))
+        tag = draw(st.sampled_from(["lambda", "mu"]))
+        return TreeNode(name, children, pool_dist(draw, names), util(names, u), tag)
+
+    return DecisionTree(node(3))
+
+
+@st.composite
+def pool_two_stage(draw):
+    """A problem of up to 3 actions and 3 outcomes, utilities from the pool."""
+    actions = tuple(f"a{i}" for i in range(draw(st.integers(1, 3))))
+    outcomes = tuple(f"o{j}" for j in range(draw(st.integers(1, 3))))
+
+    def table(labels):
+        return util(labels, draw(st.lists(pool_utilities, min_size=len(labels),
+                                          max_size=len(labels))))
+
+    return TwoStageProblem(
+        actions, outcomes, pool_dist(draw, actions),
+        {a: pool_dist(draw, outcomes) for a in actions},
+        table(actions), {a: table(outcomes) for a in actions},
+    )
+
+
+@st.composite
+def oracle_calls(draw):
+    """One oracle call on a drawn tree or two-stage problem, each temperature
+    from the pool."""
+    fn = draw(st.sampled_from([bellman_backup, path_enumeration, enumerate_minimax,
+                               two_stage_objective, exhaustive_two_stage]))
+    if fn is bellman_backup:
+        return fn, (draw(pool_trees()),)
+    if fn is path_enumeration:
+        return fn, (draw(pool_trees()), draw(pool_temperatures))
+    problem = draw(pool_two_stage())
+    if fn is enumerate_minimax:
+        return fn, (problem,)
+    temps = (draw(pool_temperatures), draw(pool_temperatures))
+    if fn is two_stage_objective:
+        return fn, (problem, *temps, problem.prior_action, problem.channel)
+    return fn, (problem, *temps, 0.1)
+
+
+def oracle_numbers(result) -> list[float]:
+    """The numbers an oracle result holds; bellman_backup's log-partitions
+    are NaN by design, there being none at the hard-max limit."""
+    if isinstance(result, sequential.TreeValue):
+        return [*result.flat_values, *result.flat_policy, *result.flat_kl]
+    if isinstance(result, oracle.OracleResult):
+        return [result.best_value]
+    if isinstance(result, tuple):  # enumerate_minimax
+        return [result[1]]
+    return [result]
+
+
+OVERFLOW_TREE = DecisionTree(TreeNode(
+    "r",
+    (TreeNode("m", (TreeNode("x"), TreeNode("y")), dist(["x", "y"], [0.5, 0.5]),
+              util(["x", "y"], [1e308, 1e308])), TreeNode("z")),
+    dist(["m", "z"], [0.5, 0.5]), util(["m", "z"], [1e308, 0.0]),
+))
+OVERFLOW_TWO_STAGE = two_by_two(
+    {a: dist(["a", "b"], [0.5, 0.5]) for a in ("A", "B")},
+    {a: util(["a", "b"], [1e308, 1e308]) for a in ("A", "B")},
+    util(["A", "B"], [1e308, 1e308]),
+)
+TREE_BINARY = load(GOLDEN / "tree_binary.json").problem
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_calls())
+@example((bellman_backup, (OVERFLOW_TREE,)))  # a hard-max value past the float range
+@example((path_enumeration, (OVERFLOW_TREE, 1.0)))  # a path utility past fsum's range
+@example((path_enumeration, (TREE_BINARY, 1e308)))  # scores past the float range
+@example((path_enumeration, (TREE_BINARY, -1e308)))
+@example((enumerate_minimax, (OVERFLOW_TWO_STAGE,)))  # a worst-case value of inf
+@example((two_stage_objective, (OVERFLOW_TWO_STAGE, 1, 1, OVERFLOW_TWO_STAGE.prior_action,
+                                OVERFLOW_TWO_STAGE.channel)))  # an objective of inf
+def test_oracles_give_finite_numbers_or_raise(call):
+    """Each oracle returns finite numbers or raises a FreeUtilError, without
+    a warning, as value_recursion and minimax_solve do."""
+    fn, args = call
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = fn(*args)
+        except FreeUtilError:
+            return
+    assert all(map(math.isfinite, oracle_numbers(result))), (fn.__name__, args, result)
