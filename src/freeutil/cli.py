@@ -14,11 +14,12 @@ contract: 0 success, 2 input error, 3 solver error, 4 verification failure.
 
 Each command runs in two phases. Its ``_cmd_*`` function only reads and
 checks the inputs (file, flags, grid, seed, perturbation) and returns a
-zero-argument solve that gives the output text and the exit code. ``main``
-alone keeps the contract: a usage fault, a ``FreeUtilError`` while reading,
-an oracle's size cap or an ``OSError`` anywhere exits 2, any other
-``FreeUtilError`` from the solve exits 3, each with one ``Name: message``
-line on stderr; otherwise the text goes to stdout or ``--output``.
+zero-argument solve that gives the output, as a list of str pieces, and the
+exit code. ``main`` alone keeps the contract: a usage fault, a
+``FreeUtilError`` while reading, an oracle's size cap or an ``OSError``
+anywhere exits 2, any other ``FreeUtilError`` from the solve exits 3, each
+with one ``Name: message`` line on stderr; otherwise the pieces go to stdout
+or ``--output``.
 """
 from __future__ import annotations
 
@@ -99,12 +100,14 @@ def _refuse_overwriting_input(args) -> None:
         raise DomainError(f"--output {args.output} is the input file; it would be overwritten")
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(pieces: list[str], output: str | None) -> None:
+    """Write the output's pieces in turn, to stdout or to the --output file,
+    so no copy of the whole text is made."""
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _parse_temp_arg(text: str | None) -> Temperature | None:
@@ -139,13 +142,13 @@ def _resolve_staged_temps(pf: ProblemFile, args) -> TemperatureSpec:
     return TemperatureSpec(_flag_or_file(flag_lam, pf.lam), _flag_or_file(flag_mu, pf.mu))
 
 
-def _solve_control_doc(problem: ControlProblem, alpha: Temperature, units: str) -> str:
+def _solve_control_doc(problem: ControlProblem, alpha: Temperature, units: str) -> list[str]:
     tv = value_recursion(problem._tree, TemperatureSpec(1, alpha.reciprocal()))
     policy = tv.policies[tv.root_path]
     expected = expectation(policy, problem.utility)
     kl, log_z = tv.flat_kl[0].item(), tv.flat_log_z[0].item()
     cost = alpha.value * kl if alpha.is_finite else 0.0
-    return _render({
+    return [_render({
         "command": "solve",
         "kind": "control",
         "alpha": alpha.spell(),
@@ -157,12 +160,13 @@ def _solve_control_doc(problem: ControlProblem, alpha: Temperature, units: str) 
         "achieved_kl": kl,
         "total": expected - cost,
         "units": units,
-    }, units)
+    }, units)]
 
 
-def _solve_two_stage_doc(problem: TwoStageProblem, temps: TemperatureSpec, units: str) -> str:
+def _solve_two_stage_doc(problem: TwoStageProblem, temps: TemperatureSpec,
+                         units: str) -> list[str]:
     sol = solve_regime(problem, temps)
-    return _render({
+    return [_render({
         "command": "solve",
         "kind": "two_stage",
         "lambda": temps.lam.spell(),
@@ -177,25 +181,29 @@ def _solve_two_stage_doc(problem: TwoStageProblem, temps: TemperatureSpec, units
         "achieved_c1": sol.achieved_c1,
         "achieved_c2": sol.achieved_c2,
         "units": units,
-    }, units)
+    }, units)]
 
 
 def _solve_tree_doc(tree: DecisionTree, temps: TemperatureSpec, units: str,
-                    conversion: str = "%.12g") -> str:
-    """The tree solve document without its final newline: the header through
-    render_json, node_values and node_policies (keyed by path, in pre-order)
-    each filled by one % from an object array of the flat results, so no
-    Python loop runs per node. Floats are written by the % conversion, -0.0
-    as 0.0; paths and names are always % arguments, never template text.
-    No key is a relative entropy; units is a label."""
+                    conversion: str = "%.12g") -> list[str]:
+    """The tree solve document without its final newline, in pieces: the
+    header through render_json, node_values and node_policies (keyed by
+    path, in pre-order) each one piece filled by one % from an object array
+    of the flat results, so no Python loop runs per node and no piece is
+    copied into a larger one. Floats are written by the % conversion, -0.0
+    as 0.0; paths and names are always % arguments, never template text, and
+    each distinct name is escaped once. No key is a relative entropy; units
+    is a label."""
     tv = value_recursion(tree, temps)
     pre = tree.orders()[0]
     paths = np.array(list(map(encode_basestring_ascii, tree.paths())), dtype=object)
-    names = np.array(list(map(encode_basestring_ascii, tree.names)), dtype=object)
+    escaped = {name: encode_basestring_ascii(name) for name in set(tree.names)}
+    names = np.array(list(map(escaped.__getitem__, tree.names)), dtype=object)
     # node_values: a path and a value per node.
     values = np.empty(2 * len(pre), dtype=object)
     values[0::2], values[1::2] = paths[pre], (tv.flat_values + 0.0)[pre]
-    values_text = "{" + ",".join(["\n    %s: " + conversion] * len(pre)) % tuple(values) + "\n  }"
+    values_text = (": {" + ",".join(["\n    %s: " + conversion] * len(pre)) + "\n  }") % tuple(values)
+    del values
     # node_policies: a row per internal node, its path then a name and a
     # probability per child; the edge into node j > 0 is flat_policy[j - 1].
     internal = pre[tree.n_children[pre] > 0]
@@ -208,10 +216,12 @@ def _solve_tree_doc(tree: DecisionTree, temps: TemperatureSpec, units: str,
     policies = np.empty(len(internal) + 2 * len(children), dtype=object)
     policies[row_at], policies[name_at] = paths[internal], names[children]
     policies[name_at + 1] = (tv.flat_policy + 0.0)[children - 1]
+    del paths, names
     rows = {k: "\n    %s: {" + ",".join(["\n      %s: " + conversion] * k) + "\n    }"
             for k in set(counts.tolist())}
     template = ",".join(map(rows.__getitem__, counts.tolist()))
-    policies_text = "{" + template % tuple(policies) + "\n  }" if template else "{}"
+    policies_text = (": {" + template + "\n  }") % tuple(policies) if template else ": {}"
+    del policies
     header = render_json({
         "command": "solve",
         "kind": "tree",
@@ -224,7 +234,7 @@ def _solve_tree_doc(tree: DecisionTree, temps: TemperatureSpec, units: str,
         "units": units,
     }, lambda x: conversion % (x + 0.0))
     head, middle, tail = header.split(": null")  # the two placeholders are the only nulls
-    return f"{head}: {values_text}{middle}: {policies_text}{tail}"
+    return [head, values_text, middle, policies_text, tail]
 
 
 def _cmd_solve(args):
@@ -235,7 +245,7 @@ def _cmd_solve(args):
         temps = _resolve_staged_temps(pf, args)
     doc = {"control": _solve_control_doc, "two_stage": _solve_two_stage_doc,
            "tree": _solve_tree_doc}[pf.kind]
-    return lambda: (doc(pf.problem, temps, args.units) + "\n", EXIT_OK)
+    return lambda: (doc(pf.problem, temps, args.units) + ["\n"], EXIT_OK)
 
 
 def _sweep_rows_staged(
@@ -325,7 +335,7 @@ def _cmd_sweep(args):
     problem = pf.problem._tree if pf.kind == "control" else pf.problem
     temps = _resolve_staged_temps(pf, args)
     rows = functools.partial(_sweep_rows_staged, problem, args.param, grid, temps)
-    return lambda: (_render_csv(*rows(), args.units), EXIT_OK)
+    return lambda: ([_render_csv(*rows(), args.units)], EXIT_OK)
 
 
 REGIME_POINTS = (
@@ -368,7 +378,7 @@ def _cmd_regimes(args):
             "mu_risk": mu_risk.spell(),
             "sections": sections,
         }
-        return _render(doc, args.units) + "\n", EXIT_OK
+        return [_render(doc, args.units), "\n"], EXIT_OK
 
     return solve
 
@@ -424,7 +434,7 @@ def _cmd_verify(args):
             "certificates": [_cert_doc(c) for c in certs],
             "passed": passed,
         }
-        return _render(doc, args.units) + "\n", EXIT_OK if passed else EXIT_VERIFY
+        return [_render(doc, args.units), "\n"], EXIT_OK if passed else EXIT_VERIFY
 
     return solve
 
@@ -534,8 +544,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         _refuse_overwriting_input(args)
         solve = args.fn(args)
-        text, code = solve()
-        _emit(text, args.output)
+        pieces, code = solve()
+        _emit(pieces, args.output)
         return code
     except (argparse.ArgumentError, OSError, TooManyPaths) as e:
         # A usage fault, unreadable input, unwritable --output and a problem

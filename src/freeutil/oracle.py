@@ -121,7 +121,10 @@ def simplex_grid_search(
         t[0] = 0.0
         if p_i > 0.0:
             xs = x[1:]
-            t[1:] = xs * u[i] - alpha * xs * _log_ratio(xs, p_i)
+            # Near the float maximum, alpha·x·log(x/p) overflows to +inf only
+            # where the log is positive: that term is -inf, never the maximum.
+            with np.errstate(over="ignore"):
+                t[1:] = xs * u[i] - alpha * xs * _log_ratio(xs, p_i)
         terms.append(t)
 
     # Max-plus convolution: f[s] = best objective using the first k

@@ -12,6 +12,18 @@ extensions Infinity, -Infinity and NaN are rejected.
 A file that is not UTF-8 fails with a DomainError naming the offset of its
 first bad byte.
 
+loads() decodes with an object_hook, _fold, that turns each tree node and
+edge into a tuple as soon as the decoder finishes it, so a tree's nodes never
+exist as dicts; _flat_tree reads the tuples into the tree's arrays. Only
+objects in the writer's key order fold, and a fold keeps everything else
+about them, so when the folded document fails any check, _unfold gives back
+the plain decoded document, with an explicit stack, and the readers of plain
+documents (_parse_tree for a tree, the control and two-stage parsers) raise
+the error the text meets first. A tree whose keys are in another order is
+read by _parse_tree. The hook's calls cost the decoder nesting depth, so on a
+RecursionError the text is decoded once more without the hook, and only then
+refused as too deep.
+
 load() reads a file in binary blocks and drops every run of 9 or more
 spaces that follows a newline before it decodes the text once. That is a
 tree's depth indentation, most of a deep tree's file (82 % of a tree of
@@ -43,6 +55,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -199,53 +212,126 @@ def _parse_two_stage(payload: dict) -> TwoStageProblem:
     )
 
 
-_NODE_KEYS = frozenset(("name", "temperature_tag", "children"))
+class _Folded(tuple):
+    """A folded node or edge. CPython keeps freed plain tuples of a small
+    size for reuse without counting them as freed, so a document of plain
+    tuples would leave the cyclic collector's young-generation count
+    thousands high, and a pass would start at the next allocation; a
+    subclass is freed and counted like any other container."""
+
+    __slots__ = ()
+
+
+def _fold(obj: dict):
+    """The object_hook loads decodes with: a tree's edge or node as a
+    _Folded tuple as soon as the decoder finishes it, any other object as it
+    is.
+
+    An edge, keys prior, utility and node in that order, whose node is
+    already folded, becomes (prior, utility, node). A node, keys name, then
+    temperature_tag, then children, each but the name optional, with a str
+    name, a str tag and a list of children, becomes (name, tag) for a leaf
+    and (name, tag, children) otherwise; an absent tag is None. Nothing else
+    folds, so _unfold can give back exactly the objects the decoder made.
+    """
+    if len(obj) == 3:
+        k0, k1, k2 = obj
+        if k0 == "prior" and k1 == "utility" and k2 == "node":
+            if type(obj["node"]) is _Folded:
+                return _Folded(obj.values())
+        elif k0 == "name" and k1 == "temperature_tag" and k2 == "children":
+            name, tag, children = obj.values()
+            if type(name) is str and type(tag) is str and type(children) is list:
+                return _Folded((name, tag, children))
+    elif len(obj) == 1:
+        name = obj.get("name")
+        if type(name) is str:
+            return _Folded((name, None))
+    elif len(obj) == 2:
+        (k0, name), (k1, value) = obj.items()
+        if k0 == "name" and type(name) is str:
+            if k1 == "temperature_tag" and type(value) is str:
+                return _Folded((name, value))
+            if k1 == "children" and type(value) is list:
+                return _Folded((name, None, value))
+    return obj
+
+
+def _unfolded(folded: _Folded) -> dict:
+    """The object a folded edge or node was made from. An edge's node is a
+    tuple, where an internal node holds a list."""
+    if len(folded) == 3 and type(folded[2]) is _Folded:
+        return dict(zip(("prior", "utility", "node"), folded))
+    obj = {"name": folded[0]}
+    if folded[1] is not None:
+        obj["temperature_tag"] = folded[1]
+    if len(folded) == 3:
+        obj["children"] = folded[2]
+    return obj
+
+
+def _unfold(doc):
+    """The document as json.loads decodes it without _fold. Lists and
+    objects are visited from an explicit stack, so depth is bounded by
+    memory, and each folded value is replaced where it sits."""
+    top = [doc]
+    stack: list = [top]
+    while stack:
+        container = stack.pop()
+        slots = container.items() if type(container) is dict else enumerate(container)
+        for key, value in list(slots):
+            if type(value) is _Folded:
+                value = container[key] = _unfolded(value)
+            if type(value) is dict or type(value) is list:
+                stack.append(value)
+    return top[0]
 
 
 def _flat_tree(payload) -> DecisionTree | None:
-    """The tree payload as a DecisionTree, read level by level into its
-    arrays and checked array by array; None if any check fails, and then
-    _parse_tree finds the error.
+    """The folded tree payload as a DecisionTree, read level by level into
+    its arrays and checked array by array; None if any check fails, and then
+    loads unfolds the document and _parse_tree finds the error.
 
-    The checks are those of _parse_tree and DecisionTree together: key sets
-    and number types while reading; then names that are strings without
-    '/', known tags (a leaf's too, though it reads back as "lambda"), no
-    duplicate name among siblings, finite numbers, and nonnegative priors
-    that normalise per node as FiniteDistribution normalises.
+    The checks are those of _parse_tree and DecisionTree together: folded
+    nodes and edges in their places and nonempty children while reading;
+    then names without '/', known tags (a leaf's too, though it reads back as
+    "lambda"), no duplicate name among siblings, numbers that are finite, and
+    nonnegative priors that normalise per node as FiniteDistribution
+    normalises. _fold has already checked the key sets and that names and
+    tags are strings.
     """
     names: list = []
     tags: list = []
     n_children: list[int] = []
-    priors: list = []
-    utilities: list = []
+    edges: list = []  # every edge, in the breadth-first order of the nodes it leads to
     leaf_tags: set = set()
     level = [payload]
     try:
         while level:
-            below = []
-            for obj in level:
-                if type(obj) is not dict or not obj.keys() <= _NODE_KEYS:
+            below = len(edges)
+            for node in level:
+                if type(node) is not _Folded:
                     return None
-                names.append(obj["name"])
-                if "children" not in obj:
-                    leaf_tags.add(obj.get("temperature_tag", LAMBDA_TAG))
+                names.append(node[0])
+                if len(node) == 2:
+                    leaf_tags.add(node[1])
                     tags.append(LAMBDA_TAG)
                     n_children.append(0)
                     continue
-                entries = obj["children"]
+                _, tag, entries = node
+                # An edge in a node's place holds a tuple where a node holds a list.
                 if type(entries) is not list or not entries:
                     return None
-                tags.append(obj.get("temperature_tag", LAMBDA_TAG))
+                tags.append(LAMBDA_TAG if tag is None else tag)
                 n_children.append(len(entries))
-                for entry in entries:
-                    if type(entry) is not dict or len(entry) != 3:
-                        return None
-                    priors.append(entry["prior"])
-                    utilities.append(entry["utility"])
-                    below.append(entry["node"])
-            level = below
+                edges.extend(entries)
+            level = [edge[2] for edge in edges[below:]]
+        if set(map(type, edges)) - {_Folded}:
+            return None
+        leaf_tags.discard(None)  # a leaf without a tag
         if "/" in "".join(names) or not set(tags) | leaf_tags <= set(_VALID_TAGS):
             return None
+        priors, utilities = (list(map(itemgetter(i), edges)) for i in (0, 1))
         if not set(map(type, priors)) | set(map(type, utilities)) <= {int, float}:
             return None
         prior = np.fromiter(map(float, priors), float, len(priors))
@@ -262,7 +348,7 @@ def _flat_tree(payload) -> DecisionTree | None:
             return None
         if not _normalise_rows(prior, bounds[:-1]).all():
             return None
-    except (KeyError, TypeError, OverflowError):
+    except (IndexError, KeyError, TypeError, OverflowError):
         return None
     return DecisionTree._from_arrays(names, tags, n_children, prior, utility)
 
@@ -273,7 +359,9 @@ def _parse_tree(payload) -> TreeNode:
     entry's keys and numbers followed by its whole subtree, then the node's
     child distribution. The open nodes are kept on an explicit stack, so
     depth is bounded by memory. loads reads a payload this way only after
-    _flat_tree has found a fault, to raise the error this order meets first.
+    _flat_tree has refused the folded one: to raise the error this order
+    meets first, or to read a tree whose keys are in another order than the
+    writer's, which does not fold.
     """
 
     def open_node(obj, where):
@@ -364,10 +452,22 @@ def _gc_paused():
 
 def loads(text: str) -> ProblemFile:
     """Parse a problem document from its JSON text, rejecting anything the
-    schema does not name."""
+    schema does not name.
+
+    The decoder folds each tree node and edge into a tuple as it finishes it
+    (see _fold), so a tree's nodes never exist as dicts, and _flat_tree reads
+    the folded tree. If the folded document fails any check, it is unfolded
+    and read again by the readers of the plain document, which raise the
+    error its text meets first. The hook's calls cost the decoder nesting
+    depth, so a document too deep for it is decoded once more without the
+    hook before it is refused as too deep.
+    """
     with _gc_paused():
         try:
-            raw = json.loads(text, parse_constant=_reject_constant)
+            try:
+                raw = json.loads(text, object_hook=_fold, parse_constant=_reject_constant)
+            except RecursionError:
+                raw = json.loads(text, parse_constant=_reject_constant)
         except json.JSONDecodeError as e:
             raise DomainError(f"not valid JSON: {e}") from None
         except ValueError:
@@ -378,7 +478,15 @@ def loads(text: str) -> ProblemFile:
         # Building needs only the decoded value; when the caller keeps no
         # reference, this frees the text before the problem is built.
         del text
-        pf = _problem_file(raw)
+        try:
+            pf = _problem_file(raw)
+        except FreeUtilError:
+            pf = None
+        if pf is None:  # outside the handler, so no error chains to the folded one
+            # An error must show the objects as the text holds them, and a
+            # tree with keys in another order than the writer's folds only in
+            # part: _parse_tree reads either from the unfolded document.
+            pf = _problem_file(_unfold(raw))
         del raw  # released while the collector is still paused
     return pf
 

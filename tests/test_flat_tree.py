@@ -205,7 +205,7 @@ def test_loads_meets_mixed_faults_in_the_treenode_order(payload):
 
 def tree_doc(tree, temps) -> dict:
     """The tree solve document, its floats written in full by %r, read back."""
-    return json.loads(cli._solve_tree_doc(tree, temps, "nats", "%r"))
+    return json.loads("".join(cli._solve_tree_doc(tree, temps, "nats", "%r")))
 
 
 def reference_value_recursion(root, temps):

@@ -122,6 +122,14 @@ def test_grid_respects_prior_support():
     assert res.best_point.probs[2] == 0.0
 
 
+def test_grid_near_the_float_maximum_stays_at_the_prior_without_a_warning():
+    # alpha·x·log(x/p) overflows off the prior point; RuntimeWarning is an error here.
+    prior = dist(["a", "b"], [0.3, 0.7])
+    res = simplex_grid_search(prior, util(["a", "b"], [1.0, 3.0]), 1.7e308, 0.1)
+    assert res.best_point.probs == (0.3, 0.7)
+    assert res.best_value == pytest.approx(2.4, abs=1e-12)
+
+
 def test_grid_rejects_five_outcomes():
     labels = [f"o{i}" for i in range(5)]
     with pytest.raises(TooManyOutcomes):

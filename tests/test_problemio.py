@@ -7,21 +7,26 @@ import re
 import tracemalloc
 from enum import IntEnum
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from freeutil.cli import _fmt_float
+from freeutil import problemio
+from freeutil.cli import _fmt_float, _solve_tree_doc
 from freeutil.model import (
     DecisionTree,
     DomainError,
     FiniteDistribution,
     FreeUtilError,
     Temperature,
+    TemperatureSpec,
     TreeNode,
     UnknownTemperatureTag,
     UtilityTable,
+    _VALID_TAGS,
+    _normalise_rows,
 )
 from freeutil.problemio import (
     _BLOCK,
@@ -30,6 +35,7 @@ from freeutil.problemio import (
     _as_number_list,
     _parse_tree,
     _require_keys,
+    _squeezed,
     dump,
     dumps,
     load,
@@ -695,3 +701,306 @@ def test_load_peaks_below_half_the_file_size(tmp_path):
         tracemalloc.stop()
     assert len(pf.problem.names) == 301
     assert peak < size / 2, (peak, size)
+
+
+def ternary_tree(depth: int) -> DecisionTree:
+    """A complete ternary tree with children a, b and c, tags alternating by
+    level, and seeded priors and utilities."""
+    internal, n = (3**depth - 1) // 2, (3 ** (depth + 1) - 1) // 2
+    rng = np.random.default_rng(8)
+    prior = rng.uniform(0.1, 1.0, (internal, 3))
+    prior /= prior.sum(axis=1, keepdims=True)
+    levels = np.repeat(np.arange(depth), 3 ** np.arange(depth))  # each internal node's depth
+    tags = ["mu" if d % 2 else "lambda" for d in levels.tolist()]
+    return DecisionTree._from_arrays(["r"] + list("abc") * (n // 3), tags + ["lambda"] * (n - internal),
+                                     [3] * internal + [0] * (n - internal), prior.ravel(),
+                                     rng.uniform(-1.0, 1.0, n - 1))
+
+
+def traced_peak(call):
+    """call()'s result and the peak of its traced allocations, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_of_a_9841_node_tree_peaks_below_four_times_its_squeezed_text(tmp_path):
+    """The decoder folds each node and edge as it finishes it, so no node is
+    ever a dict; the squeezed text, the folded nodes and the arrays stay
+    within 4 times the text."""
+    path = tmp_path / "tree.json"
+    tree = ternary_tree(8)
+    dump(ProblemFile("1", "tree", tree), str(path))
+    size = len(_squeezed(str(path)))
+    pf, peak = traced_peak(lambda: load(str(path)))
+    assert pf.problem.names == tree.names
+    assert peak < 4 * size, (peak / size, size)
+
+
+def test_tree_document_of_a_9841_node_tree_peaks_below_5_5_times_its_length():
+    """The solve and the document's pieces, with no copy of a whole table or
+    of the whole document, stay within 5.5 times the document's length."""
+    tree = ternary_tree(8)
+    pieces, peak = traced_peak(lambda: _solve_tree_doc(tree, TemperatureSpec(0.7, -1.2), "nats"))
+    size = sum(map(len, pieces))
+    assert len(json.loads("".join(pieces))["node_values"]) == 9841
+    assert peak < 5.5 * size, (peak / size, size)
+
+
+# ---------------------------------------------------------------------------
+# loads folds each tree node and edge into a tuple as the decoder finishes
+# it. The reader it replaced, kept here as the reference, walked the plain
+# decoded document.
+
+
+def dict_flat_tree(payload) -> DecisionTree | None:
+    """The tree payload, decoded as dicts, read level by level into a
+    DecisionTree's arrays; None if any check fails."""
+    names, tags, n_children, priors, utilities = [], [], [], [], []
+    leaf_tags = set()
+    level = [payload]
+    try:
+        while level:
+            below = []
+            for obj in level:
+                if type(obj) is not dict or not obj.keys() <= {"name", "temperature_tag", "children"}:
+                    return None
+                names.append(obj["name"])
+                if "children" not in obj:
+                    leaf_tags.add(obj.get("temperature_tag", "lambda"))
+                    tags.append("lambda")
+                    n_children.append(0)
+                    continue
+                entries = obj["children"]
+                if type(entries) is not list or not entries:
+                    return None
+                tags.append(obj.get("temperature_tag", "lambda"))
+                n_children.append(len(entries))
+                for entry in entries:
+                    if type(entry) is not dict or len(entry) != 3:
+                        return None
+                    priors.append(entry["prior"])
+                    utilities.append(entry["utility"])
+                    below.append(entry["node"])
+            level = below
+        if "/" in "".join(names) or not set(tags) | leaf_tags <= set(_VALID_TAGS):
+            return None
+        if not set(map(type, priors)) | set(map(type, utilities)) <= {int, float}:
+            return None
+        prior = np.fromiter(map(float, priors), float, len(priors))
+        utility = np.fromiter(map(float, utilities), float, len(utilities))
+        if not (np.isfinite(utility).all() and (prior >= 0.0).all()):
+            return None
+        counts = [k for k in n_children if k]
+        bounds = np.cumsum([0] + counts)
+        child_names = names[1:]
+        segments = map(slice, bounds.tolist(), bounds[1:].tolist())
+        if list(map(len, map(set, map(child_names.__getitem__, segments)))) != counts:
+            return None
+        if not _normalise_rows(prior, bounds[:-1]).all():
+            return None
+    except (KeyError, TypeError, OverflowError):
+        return None
+    return DecisionTree._from_arrays(names, tags, n_children, prior, utility)
+
+
+def reference_loads(text: str) -> ProblemFile:
+    """loads before the fold: the plain decoded document read by the dict
+    walk, by _parse_tree where that fails, and by the control and two-stage
+    parsers."""
+    raw = json.loads(text, parse_constant=problemio._reject_constant)
+    with patch.object(problemio, "_flat_tree", dict_flat_tree):
+        return problemio._problem_file(raw)
+
+
+def assert_loads_like_the_reference(doc):
+    text = json.dumps(doc)
+    got, want = outcome(lambda: loads(text)), outcome(lambda: reference_loads(text))
+    assert got == want
+    if isinstance(want, ProblemFile):
+        assert dumps(got) == dumps(want)  # bit for bit, -0.0 included
+
+
+# Labels that are the keys of a node or an edge.
+FIELD_LABELS = ["prior", "utility", "node", "name", "children", "temperature_tag"]
+# Values shaped like a node or an edge, or nearly: in the writer's key order
+# or another, with a tag or a name that is not a string, or children that
+# are not a list.
+NODE_SHAPED = [
+    {"name": "x"},
+    {"name": "x", "temperature_tag": "mu"},
+    {"temperature_tag": "lambda", "name": "x"},
+    {"name": "x", "temperature_tag": None},
+    {"name": "x", "children": []},
+    {"name": "x", "children": {"name": "y"}},
+    {"name": "x", "temperature_tag": "mu", "children": [{"prior": 1, "utility": 2, "node": {"name": "y"}}]},
+    {"prior": 1, "utility": 2, "node": {"name": "y"}},
+    {"node": {"name": "y"}, "prior": 1, "utility": 2},
+    {"prior": 1, "utility": 2, "node": {"prior": 1, "utility": 2, "node": {"name": "y"}}},
+    {"name": 3},
+    {"name": "x", "temperature_tag": "beta"},
+]
+
+
+def document(kind: str, payload, temperatures) -> dict:
+    return {"schema_version": "1", "kind": kind, "payload": payload, "temperatures": temperatures}
+
+
+@st.composite
+def control_documents(draw):
+    outcomes = draw(st.lists(st.sampled_from(FIELD_LABELS), min_size=1, max_size=3, unique=True))
+    k = len(outcomes)
+    utility = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+    return document("control", {"outcomes": outcomes, "prior": [1 / k] * k, "utility": utility},
+                    {"alpha": 0.5})
+
+
+@st.composite
+def two_stage_documents(draw):
+    labels = st.lists(st.sampled_from(FIELD_LABELS), min_size=1, max_size=3, unique=True)
+    actions, outcomes = draw(labels), draw(labels)
+    rows = st.lists(st.integers(-2, 2), min_size=len(outcomes), max_size=len(outcomes))
+    payload = {
+        "actions": actions,
+        "outcomes": outcomes,
+        "prior_action": [1 / len(actions)] * len(actions),
+        "channel": {a: [1 / len(outcomes)] * len(outcomes) for a in actions},
+        "action_utility": draw(st.lists(st.integers(-2, 2), min_size=len(actions),
+                                        max_size=len(actions))),
+        "outcome_utility": {a: draw(rows) for a in actions},
+    }
+    return document("two_stage", payload, {"lambda": 1.0, "mu": -1.0})
+
+
+tree_documents = st.one_of(tree_nodes().map(reference_payload), tree_payloads()).map(
+    lambda payload: document("tree", payload, {"lambda": 2.0, "mu": "-inf"})
+)
+
+
+def slots(top: list) -> list:
+    """Every (container, key) of the lists and objects under top, a list."""
+    found, stack = [], [top]
+    while stack:
+        container = stack.pop()
+        for key, value in list(container.items() if type(container) is dict else enumerate(container)):
+            found.append((container, key))
+            if type(value) in (dict, list):
+                stack.append(value)
+    return found
+
+
+@st.composite
+def mixed_documents(draw):
+    """A control, two-stage or tree document, some of its values replaced by
+    node-shaped ones and some of its objects' keys reversed."""
+    top = [draw(st.one_of(control_documents(), two_stage_documents(), tree_documents))]
+    for _ in range(draw(st.integers(0, 2))):
+        container, key = draw(st.sampled_from(slots(top)))
+        if draw(st.booleans()):
+            container[key] = json.loads(json.dumps(draw(st.sampled_from(NODE_SHAPED))))
+        elif type(container[key]) is dict:
+            container[key] = dict(reversed(container[key].items()))
+    return top[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_documents())
+def test_loads_reads_every_document_as_the_plain_reader_does(doc):
+    assert_loads_like_the_reference(doc)
+
+
+VALID_TREE = json.loads(TREE_TEXT)
+
+
+def with_value(doc: dict, path: tuple, value) -> dict:
+    doc = json.loads(json.dumps(doc))
+    container = doc
+    for key in path[:-1]:
+        container = container[key]
+    container[path[-1]] = value
+    return doc
+
+
+EDGE_SHAPED = {"prior": [0.5, 0.5], "utility": [1, 2], "node": {"name": "x"}}
+FOLD_CASES = {
+    "labels named like fields": lambda: document("two_stage", {
+        "actions": ["prior", "utility", "node"],
+        "outcomes": ["name", "temperature_tag"],
+        "prior_action": [0.25, 0.25, 0.5],
+        "channel": {"prior": [0.5, 0.5], "utility": [1, 0], "node": {"name": "x"}},
+        "action_utility": [1, 2, 3],
+        "outcome_utility": {"prior": [1, 2], "utility": [3, 4], "node": [5, 6]},
+    }, {"lambda": 1.0, "mu": -1.0}),
+    "channel a node": lambda: with_value(
+        json.loads((GOLDEN / "two_stage_basic.json").read_text()), ("payload", "channel"), {"name": "x"}),
+    "temperatures a node": lambda: with_value(VALID_TREE, ("temperatures",), {"name": "x"}),
+    "control payload an edge": lambda: with_value(
+        json.loads((GOLDEN / "control_basic.json").read_text()), ("payload",), EDGE_SHAPED),
+    "name not a string under folded parents": lambda: with_value(
+        VALID_TREE, ("payload", "children", 0, "node", "children", 0, "node", "name"), 5),
+    "tag not a string under folded parents": lambda: with_value(
+        VALID_TREE, ("payload", "children", 0, "node", "temperature_tag"), ["mu"]),
+    "keys in another order": lambda: with_value(
+        VALID_TREE, ("payload", "children", 0), dict(reversed(VALID_TREE["payload"]["children"][0].items()))),
+    "document a node": lambda: {"name": "x", "temperature_tag": "mu"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+def test_loads_reads_node_shaped_values_as_the_plain_reader_does(case):
+    assert_loads_like_the_reference(FOLD_CASES[case]())
+
+
+def test_only_the_writers_key_orders_fold():
+    assert problemio._fold({"name": "x"}) == ("x", None)
+    assert problemio._fold({"name": "x", "children": []}) == ("x", None, [])
+    for obj in NODE_SHAPED[2:4] + [{"utility": 2, "prior": 1, "node": ("y", None)}]:
+        assert problemio._fold(obj) is obj
+
+
+def chain_document(depth: int) -> str:
+    """A tree file, without indentation, whose payload is a chain of depth
+    edges."""
+    text = '{"name": "n"}'
+    for _ in range(depth):
+        text = ('{"name": "n", "temperature_tag": "mu", "children": '
+                '[{"prior": 1, "utility": 1, "node": ' + text + "}]}")
+    return '{"schema_version": "1", "kind": "tree", "payload": ' + text + "}"
+
+
+def plain_decodes(text: str) -> bool:
+    """Whether plain json.loads decodes text, called one frame below the
+    caller as loads calls it."""
+    try:
+        json.loads(text)
+    except RecursionError:
+        return False
+    return True
+
+
+def frames_below(extra: int, call):
+    return call() if extra == 0 else frames_below(extra - 1, call)
+
+
+@pytest.mark.parametrize("extra", range(3))
+def test_loads_takes_the_deepest_chain_plain_json_takes(extra):
+    """The hook's calls cost the decoder nesting depth, so the deepest chain
+    plain json.loads takes loads only because loads decodes it once more
+    without the hook. The depth to spare varies with the stack's depth, so
+    three are tried."""
+
+    def check():
+        lo, hi = 1, 2_000  # plain json.loads takes a chain lo edges deep, not hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if plain_decodes(chain_document(mid)) else (lo, mid)
+        assert len(loads(chain_document(lo)).problem.names) == lo + 1
+        with pytest.raises(DomainError, match="past the parser's limit"):
+            loads(chain_document(lo + 1))
+
+    frames_below(extra, check)

@@ -100,12 +100,12 @@ def assert_writes_the_old_layout(root, temps):
         doc = old_layout(root, temps)
     except FreeUtilError as e:  # utilities near the float range can overflow a backup
         with pytest.raises(type(e)) as raised:
-            cli._solve_tree_doc(tree, temps, "nats")
+            "".join(cli._solve_tree_doc(tree, temps, "nats"))
         assert str(raised.value) == str(e)
         return
     for units in ("nats", "bits"):  # no key is a relative entropy; units is a label
         expected = render_json({**doc, "units": units}, cli._fmt_float)
-        assert cli._solve_tree_doc(tree, temps, units) == expected
+        assert "".join(cli._solve_tree_doc(tree, temps, units)) == expected
 
 
 @settings(max_examples=100, deadline=None)
