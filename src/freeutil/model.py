@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -103,6 +104,13 @@ def _real(x, what: str) -> float:
         return float(x)
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{what} must be a real number, got {type(x).__name__}") from None
+
+
+def _require(value, cls: type, what: str):
+    """value, unless it is not a cls: then DomainError naming what."""
+    if not isinstance(value, cls):
+        raise DomainError(f"{what} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _as_list(values):
@@ -589,6 +597,8 @@ class ControlProblem:
     utility: UtilityTable
 
     def __post_init__(self):
+        _require(self.prior, FiniteDistribution, "prior")
+        _require(self.utility, UtilityTable, "utility")
         if self.utility.outcomes != self.prior.outcomes:
             # Permutations are resolved at ingestion, not here.
             if set(self.utility.outcomes) != set(self.prior.outcomes):
@@ -619,9 +629,9 @@ class TwoStageProblem(_FlatStore):
 
     The rows are read-only actions × outcomes arrays, channel_matrix and
     utility_matrix, views of the edge arrays of the problem's depth-2 tree.
-    ``channel`` and ``outcome_utility`` map each action to its row as a
-    FiniteDistribution and a UtilityTable: the mappings the problem was
-    built from, or ones built on first read.
+    The constructor keeps no mapping it is given. ``channel`` and
+    ``outcome_utility`` map each action to its row as a FiniteDistribution
+    and a UtilityTable, built from the arrays on first read.
     """
 
     _FIELDS = (
@@ -640,28 +650,22 @@ class TwoStageProblem(_FlatStore):
     ):
         actions = tuple(actions)
         outcomes = tuple(outcomes)
-        if prior_action.outcomes != actions:
+        if _require(prior_action, FiniteDistribution, "prior_action").outcomes != actions:
             raise LabelMismatch("prior_action labels must equal the action list")
-        if action_utility.outcomes != actions:
+        if _require(action_utility, UtilityTable, "action_utility").outcomes != actions:
             raise LabelMismatch("action_utility labels must equal the action list")
-        channel = dict(channel)
-        outcome_utility = dict(outcome_utility)
         if set(channel) != set(actions):
             raise LabelMismatch("channel must have exactly one row per action")
         if set(outcome_utility) != set(actions):
             raise LabelMismatch("outcome_utility must have exactly one row per action")
         for a in actions:
-            if channel[a].outcomes != outcomes:
-                raise LabelMismatch(f"channel row for {a!r} must cover the outcome list")
-            if outcome_utility[a].outcomes != outcomes:
-                raise LabelMismatch(
-                    f"outcome_utility row for {a!r} must cover the outcome list"
-                )
+            for what, rows, cls in (("channel", channel, FiniteDistribution),
+                                    ("outcome_utility", outcome_utility, UtilityTable)):
+                if _require(rows[a], cls, f"{what} row for {a!r}").outcomes != outcomes:
+                    raise LabelMismatch(f"{what} row for {a!r} must cover the outcome list")
         self._fill(
             actions, outcomes, prior_action, action_utility,
-            np.concatenate([prior_action.probs, *(channel[a].probs for a in actions)]),
-            np.concatenate([action_utility.values, *(outcome_utility[a].values for a in actions)]),
-            (channel, outcome_utility),
+            [channel[a].probs for a in actions], [outcome_utility[a].values for a in actions],
         )
 
     @classmethod
@@ -671,26 +675,24 @@ class TwoStageProblem(_FlatStore):
         """A problem from labels and A×O arrays that already hold every
         invariant, the channel rows normalised."""
         problem = cls.__new__(cls)
-        problem._fill(
-            tuple(actions), tuple(outcomes), prior_action, action_utility,
-            np.concatenate((prior_action.probs, np.ravel(channel_matrix))),
-            np.concatenate((action_utility.values, np.ravel(utility_matrix))),
-        )
+        problem._fill(tuple(actions), tuple(outcomes), prior_action, action_utility,
+                      channel_matrix, utility_matrix)
         return problem
 
-    def _fill(self, actions, outcomes, prior_action, action_utility, prior, utility, rows=None):
-        """Set the fields from the tree's edge arrays: the action stage's
-        entries, then the rows. rows holds the channel and outcome_utility
-        mappings, or is None to build them from the matrices on first read."""
+    def _fill(self, actions, outcomes, prior_action, action_utility, channel, outcome_utility):
+        """Set the fields from the action stage and the A×O rows (arrays or
+        lists of rows) stacked after it into the tree's edge arrays, which the
+        channel and outcome_utility views read on first use."""
         n, width = len(actions), len(outcomes)
+        prior = np.concatenate((prior_action.probs, np.ravel(channel)))
+        utility = np.concatenate((action_utility.values, np.ravel(outcome_utility)))
         matrices = prior[n:].reshape(n, width), utility[n:].reshape(n, width)
-        if rows is None:
-            rows = [
-                LazyMapping(lambda build=build, m=m: {
-                    a: build(outcomes, row) for a, row in zip(actions, m.tolist())
-                })
-                for build, m in zip((FiniteDistribution._trusted, UtilityTable), matrices)
-            ]
+        rows = [
+            LazyMapping(lambda build=build, m=m: {
+                a: build(outcomes, row) for a, row in zip(actions, m.tolist())
+            })
+            for build, m in zip((FiniteDistribution._trusted, UtilityTable), matrices)
+        ]
         self._freeze(
             actions, outcomes, prior_action, action_utility, *matrices, *rows, prior, utility, None
         )
@@ -738,8 +740,8 @@ class TreeNode:
     the node. Leaves carry nothing.
 
     == and repr give what the generated dataclass methods give, and hash
-    agrees with ==; all three walk the nodes with an explicit stack, so
-    depth is bounded by memory.
+    agrees with ==. == and hash read one pre-order walk, _pre_order, and
+    repr its own stack, so depth is bounded by memory.
     """
 
     name: str
@@ -752,40 +754,25 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def _edges(self) -> tuple:
-        """The fields other than children."""
-        return self.name, self.child_prior, self.child_utility, self.temperature_tag
+    def _records(self):
+        """Per entry of the walk, what the dataclass == compares: a node's
+        class, fields and children container's type and length, or a child
+        that is not a TreeNode as itself, in a 1-tuple no node's record equals."""
+        for node in _pre_order(self):
+            if not isinstance(node, TreeNode):
+                yield (node,)
+                continue
+            kids = node.children
+            yield (node.__class__, node.name, node.child_prior, node.child_utility,
+                   node.temperature_tag, type(kids), len(kids))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            if not (type(a) is type(b) and isinstance(a, TreeNode)):
-                if a != b:  # not a pair of TreeNodes: compared by their own ==
-                    return False
-            elif a._edges() != b._edges() or len(a.children) != len(b.children):
-                return False
-            else:
-                pairs.extend(zip(a.children, b.children))
-        return True
+        return all(map(tuple.__eq__, self._records(), other._records()))
 
     def __hash__(self) -> int:
-        # Pre-order, so that reversed every child comes before its parent; a
-        # node's hash takes its children's in place of the children.
-        order, stack = [], [self]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            stack.extend(c for c in node.children if isinstance(c, TreeNode))
-        hashes: dict[int, int] = {}
-        for node in reversed(order):
-            kids = (hashes[id(c)] if isinstance(c, TreeNode) else hash(c) for c in node.children)
-            hashes[id(node)] = hash((tuple(kids), *node._edges()))
-        return hashes[id(self)]
+        return hash(tuple(self._records()))
 
     def __repr__(self) -> str:
         out, stack = [], [self]  # stack: text, or a node still to write
@@ -816,13 +803,23 @@ def _check_node_name(name: str) -> None:
         )
 
 
-def _check_tree(root: TreeNode) -> None:
-    """Raise the first violation of the tree invariants in pre-order. An
-    explicit stack bounds the depth by memory."""
-    seen: set[int] = set()
+def _pre_order(root):
+    """root and every node below it in pre-order, children in order, from an
+    explicit stack, so depth is bounded by memory. A child that is not a
+    TreeNode comes as itself, with nothing below it."""
     stack = [root]
     while stack:
         node = stack.pop()
+        yield node
+        if isinstance(node, TreeNode):
+            stack.extend(reversed(node.children))
+
+
+def _check_tree(root: TreeNode) -> None:
+    """Raise the first violation of the tree invariants in pre-order."""
+    _require(root, TreeNode, "the root of a decision tree")
+    seen: set[int] = set()
+    for node in _pre_order(root):
         if id(node) in seen:
             raise CyclicTree(
                 f"node {node.name!r} is reachable twice; the structure is not a tree"
@@ -840,16 +837,18 @@ def _check_tree(root: TreeNode) -> None:
                     f"leaf {node.name!r} must not carry child priors or utilities"
                 )
             continue
-        names = tuple(c.name for c in node.children)
-        if node.child_prior is None or node.child_prior.outcomes != names:
-            raise LabelMismatch(
-                f"child priors of {node.name!r} must cover the child names {names}"
-            )
-        if node.child_utility is None or node.child_utility.outcomes != names:
-            raise LabelMismatch(
-                f"child utilities of {node.name!r} must cover the child names {names}"
-            )
-        stack.extend(reversed(node.children))
+        for child in node.children:
+            if not isinstance(child, TreeNode):  # the message is built only for a fault
+                _require(child, TreeNode, f"a child of {node.name!r}")
+        names = tuple(map(attrgetter("name"), node.children))
+        for what, table, cls in (("priors", node.child_prior, FiniteDistribution),
+                                 ("utilities", node.child_utility, UtilityTable)):
+            if not isinstance(table, cls) or table.outcomes != names:
+                if table is not None:
+                    _require(table, cls, f"the child {what} of {node.name!r}")
+                raise LabelMismatch(
+                    f"child {what} of {node.name!r} must cover the child names {names}"
+                )
 
 
 class DecisionTree(_FlatStore):

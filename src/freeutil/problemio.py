@@ -154,14 +154,14 @@ def _parse_control(payload: dict) -> ControlProblem:
 
 
 def _row_arrays(actions, outcomes, channel: dict, utility: dict):
-    """The channel and outcome utility rows as two A×O arrays, checked array
-    by array, the channel rows normalised as FiniteDistribution normalises;
-    None if the rows are keyed in another order than the actions or any row
-    fails a check of its labelled constructor."""
+    """The channel and outcome utility rows as two A×O arrays, read by
+    action in any key order, checked array by array, the channel rows
+    normalised as FiniteDistribution normalises; None if a table's keys are
+    not the actions or any row fails a check of its labelled constructor."""
     n, width = len(actions), len(outcomes)
-    rows = [*channel.values(), *utility.values()]
-    if not list(channel) == actions == list(utility) or len(set(outcomes)) != width:
+    if not channel.keys() == utility.keys() == set(actions) or len(set(outcomes)) != width:
         return None
+    rows = [*map(channel.__getitem__, actions), *map(utility.__getitem__, actions)]
     if not all(type(row) is list and len(row) == width for row in rows):
         return None
     if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
@@ -178,9 +178,9 @@ def _row_arrays(actions, outcomes, channel: dict, utility: dict):
 
 
 def _parse_two_stage(payload: dict) -> TwoStageProblem:
-    """The two-stage payload, its rows read straight into arrays; if
-    _row_arrays refuses them, as labelled rows, to raise the error met first
-    or to keep rows keyed in another order than the actions."""
+    """The two-stage payload, its rows read straight into arrays; only rows
+    with a fault are read as labelled rows, in the file's key order, to raise
+    the error the file meets first."""
     keys = {"actions", "outcomes", "prior_action", "channel", "action_utility", "outcome_utility"}
     _require_keys(payload, keys, keys, "two_stage payload")
     actions = _as_label_list(payload["actions"], "actions")
@@ -207,9 +207,7 @@ def _parse_two_stage(payload: dict) -> TwoStageProblem:
         a: UtilityTable(outcomes, _as_number_list(row, f"outcome_utility[{a!r}]"))
         for a, row in payload["outcome_utility"].items()
     }
-    return TwoStageProblem(
-        actions, outcomes, prior, channel, action_utility, outcome_utility
-    )
+    return TwoStageProblem(actions, outcomes, prior, channel, action_utility, outcome_utility)
 
 
 class _Folded(tuple):

@@ -8,6 +8,7 @@ files must match it bit for bit."""
 import json
 import math
 import pickle
+import random
 from pathlib import Path
 from unittest.mock import patch
 
@@ -40,6 +41,7 @@ from freeutil.problemio import (
 )
 from freeutil.sequential import TwoStageSolution, outer_policy, regime_label
 from freeutil.variational import TiltResult, _tilt_segments, exponential_tilt
+from test_cli_snapshot import SNAPSHOT, run as run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
 TWO_STAGE_GOLDENS = sorted(p.name for p in GOLDEN.glob("two_stage_*.json"))
@@ -306,18 +308,37 @@ def test_named_errors_of_faulty_rows():
         assert str(raised.value) == message, fault
 
 
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
 @pytest.mark.parametrize("name", TWO_STAGE_GOLDENS)
-def test_rows_keyed_in_another_order_load_through_the_labelled_path(name):
+def test_rows_keyed_in_any_order_load_into_the_arrays(tmp_path, monkeypatch, name, order):
+    """A copy of a golden file with its rows keyed in another order is read
+    by action into the arrays, is the same problem, and every recorded CLI
+    call on the file prints the same bytes on the copy."""
     raw = json.loads((GOLDEN / name).read_text())
     payload = raw["payload"]
     for table in TABLES:
-        payload[table] = dict(reversed(payload[table].items()))
-    assert rows_of(payload) is None
-    problem = loads(json.dumps(raw)).problem
-    assert isinstance(problem.channel, dict)  # built row by row
-    same_problem(problem, reference_two_stage(payload))
-    assert list(problem.channel) == list(reversed(problem.actions))
-    assert problem == load(str(GOLDEN / name)).problem
+        keys = list(payload[table])
+        rng = random.Random(name + table)
+        while keys == list(payload[table]):  # every golden file has two or more actions
+            if order == "reversed":
+                keys.reverse()
+            else:
+                rng.shuffle(keys)
+        payload[table] = {a: payload[table][a] for a in keys}
+    assert rows_of(payload) is not None
+    copy_path = tmp_path / "golden" / name
+    copy_path.parent.mkdir()
+    copy_path.write_text(json.dumps(raw, indent=2))
+    original, copy = load(str(GOLDEN / name)), load(str(copy_path))
+    assert copy.problem.channel._dict is None  # read through the arrays
+    assert copy == original and hash(copy) == hash(original)
+    assert dumps(copy) == dumps(original)
+    monkeypatch.chdir(tmp_path)
+    recorded = json.loads(SNAPSHOT.read_text(encoding="utf-8"))
+    calls = [r for r in recorded if r["argv"][1:2] == [f"golden/{name}"]]
+    assert len(calls) == 6  # solve and sweep, each in nats and bits, verify, regimes
+    for want in calls:
+        assert run_cli(want["argv"]) == want
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +562,40 @@ def test_the_arrays_are_read_only_and_the_problem_immutable():
         problem.actions, problem.outcomes, problem.prior_action, problem.channel,
         problem.action_utility, problem.outcome_utility,
     )
-    assert rebuilt.channel[problem.actions[0]] is problem.channel[problem.actions[0]]
+    assert rebuilt == problem
     with pytest.raises(ValueError):
         rebuilt.utility_matrix[0, 0] = 1.0
+
+
+def test_a_built_problem_is_the_problem_its_file_loads(tmp_path):
+    """The constructor keeps no mapping it is given: a built problem and the
+    same problem loaded from its file agree on ==, hash, repr, pickling and
+    dumps without building a row view, and a view, once read, carries the
+    caller's bits in new objects. The channel rows are in the canonical form
+    (dyadic, summing to exactly 1), which loads keeps bit for bit."""
+    rng = np.random.default_rng(11)
+    actions, outcomes = ["a0", "a1", "a2"], ["o0", "o1", "o2", "o3"]
+    weights = rng.integers(0, 2**20, (3, 4)) / 2**22
+    weights[:, 0] = 1.0 - weights[:, 1:].sum(axis=1)
+    channel = {a: FiniteDistribution(outcomes, row) for a, row in zip(actions, weights)}
+    utility = {a: UtilityTable(outcomes, [-0.0, 5e-324, *rng.normal(size=2)]) for a in actions}
+    built = TwoStageProblem(actions, outcomes, FiniteDistribution.uniform(actions), channel,
+                            UtilityTable(actions, rng.normal(size=3)), utility)
+    path = tmp_path / "problem.json"
+    dump(ProblemFile("1", "two_stage", built), str(path))
+    loaded = load(str(path)).problem
+    for problem in (built, loaded):
+        copy = pickle.loads(pickle.dumps(problem))
+        assert problem == loaded == built == copy
+        assert hash(problem) == hash(loaded) == hash(copy)
+        assert repr(problem) == repr(loaded) == repr(copy)
+        assert dumps(ProblemFile("1", "two_stage", problem)) == path.read_text()
+        assert problem.channel._dict is None and problem.outcome_utility._dict is None
+    for a in actions:
+        assert built.channel[a] == channel[a] and built.channel[a] is not channel[a]
+        assert bits(built.channel[a].probs) == bits(channel[a].probs)
+        assert bits(built.outcome_utility[a].values) == bits(utility[a].values)
+    same_problem(built, loaded)
 
 
 @pytest.mark.parametrize("name", VALID_GOLDENS)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from freeutil.model import (
+    ControlProblem,
     CyclicTree,
     DecisionTree,
     DomainError,
@@ -446,6 +447,38 @@ def test_two_stage_rejects_misordered_utility():
         )
 
 
+def test_control_problem_names_a_prior_that_is_not_a_distribution():
+    with pytest.raises(DomainError, match="^prior must be a FiniteDistribution, got list$"):
+        ControlProblem([0.5, 0.5], util(["a", "b"], [0.0, 1.0]))
+
+
+def test_two_stage_problem_names_a_prior_action_that_is_not_a_distribution():
+    actions, outcomes = ["A", "B"], ["x", "y"]
+    with pytest.raises(DomainError, match="^prior_action must be a FiniteDistribution, got list$"):
+        TwoStageProblem(
+            actions,
+            outcomes,
+            [0.5, 0.5],
+            {a: FiniteDistribution.uniform(outcomes) for a in actions},
+            util(actions, [0.0, 0.0]),
+            {a: util(outcomes, [0.0, 1.0]) for a in actions},
+        )
+
+
+def test_two_stage_problem_names_the_action_of_a_channel_row_that_is_not_a_distribution():
+    actions, outcomes = ["A", "B"], ["x", "y"]
+    message = "^channel row for 'B' must be a FiniteDistribution, got list$"
+    with pytest.raises(DomainError, match=message):
+        TwoStageProblem(
+            actions,
+            outcomes,
+            FiniteDistribution.uniform(actions),
+            {"A": FiniteDistribution.uniform(outcomes), "B": [0.5, 0.5]},
+            util(actions, [0.0, 0.0]),
+            {a: util(outcomes, [0.0, 1.0]) for a in actions},
+        )
+
+
 # ---------------------------------------------------------------------------
 # decision trees
 
@@ -534,6 +567,20 @@ def test_tree_rejects_leaf_with_priors():
         )
 
 
+def test_tree_names_the_node_whose_child_priors_are_not_a_distribution():
+    tree = node("r", [node("a", [leaf("x")], [1.0], [0.0]), leaf("b")], [0.5, 0.5], [0.0, 0.0])
+    bad = dataclasses.replace(tree.children[0], child_prior=[1.0])
+    message = "^the child priors of 'a' must be a FiniteDistribution, got list$"
+    with pytest.raises(DomainError, match=message):
+        DecisionTree(dataclasses.replace(tree, children=(bad, leaf("b"))))
+
+
+def test_tree_names_the_node_with_a_child_that_is_not_a_tree_node():
+    kids = (leaf("a"), "b")
+    with pytest.raises(DomainError, match="^a child of 'r' must be a TreeNode, got str$"):
+        DecisionTree(TreeNode("r", kids, dist(["a", "b"], [0.5, 0.5]), util(["a", "b"], [0, 0])))
+
+
 def test_tree_rejects_prior_child_name_mismatch():
     kids = (leaf("a"), leaf("b"))
     with pytest.raises(LabelMismatch):
@@ -583,40 +630,61 @@ ReferenceNode = dataclasses.make_dataclass(
 )
 
 
+def copied(n, node_class=TreeNode, container=None):
+    """The same small tree of new node_class objects (recursive). Each
+    children container keeps its type, or takes the type container(children)
+    gives; a child that is not a TreeNode is kept as it is."""
+    if not isinstance(n, TreeNode):
+        return n
+    kids = [copied(c, node_class, container) for c in n.children]
+    kind = container(n.children) if container else type(n.children)
+    return node_class(n.name, kind(kids), n.child_prior, n.child_utility, n.temperature_tag)
+
+
 def as_reference(n: TreeNode):
-    """The same small tree as ReferenceNodes (recursive)."""
-    return ReferenceNode(n.name, tuple(map(as_reference, n.children)), n.child_prior,
-                         n.child_utility, n.temperature_tag)
+    """The same small tree as ReferenceNodes."""
+    return copied(n, ReferenceNode)
+
+
+def flipped(n: TreeNode) -> TreeNode:
+    """The same tree with every children tuple a list and every list a tuple."""
+    return copied(n, container=lambda kids: tuple if type(kids) is list else list)
 
 
 @st.composite
 def small_trees(draw, name="r", depth=0):
     """Trees up to 3 levels deep over few names, utilities and tags, so that
-    two independent draws are often equal."""
+    two independent draws are often equal. Children come in a tuple or a
+    list; a child may be its elder sibling's subtree again, or a value that
+    is not a TreeNode (0 and 0.0 are equal)."""
     if depth >= 3 or draw(st.booleans()):
         return TreeNode(name)
     names = [f"c{i}" for i in range(draw(st.integers(1, 3)))]
-    kids = [draw(small_trees(c, depth + 1)) for c in names]
+    kids = []
+    for c in names:
+        kind = draw(st.sampled_from(["node", "node", "shared", "other"]))
+        if kind == "shared" and kids:
+            kids.append(kids[-1])
+        elif kind == "other":
+            kids.append(draw(st.sampled_from(["x", 0, 0.0, None])))
+        else:
+            kids.append(draw(small_trees(c, depth + 1)))
     utils = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=len(names), max_size=len(names)))
-    return node(name, kids, [1.0 / len(names)] * len(names), utils,
-                draw(st.sampled_from(["lambda", "mu"])))
-
-
-def rebuilt(n: TreeNode) -> TreeNode:
-    """An equal tree of distinct node objects (recursive)."""
-    return TreeNode(n.name, tuple(map(rebuilt, n.children)), n.child_prior, n.child_utility,
-                    n.temperature_tag)
+    return TreeNode(name, draw(st.sampled_from([tuple, list]))(kids),
+                    dist(names, [1.0 / len(names)] * len(names)), util(names, utils),
+                    draw(st.sampled_from(["lambda", "mu"])))
 
 
 @given(small_trees(), small_trees())
 def test_tree_node_methods_match_the_dataclass_methods(a, b):
     assert repr(a) == repr(as_reference(a))
-    assert (a == b) == (as_reference(a) == as_reference(b))
-    assert (a != b) == (as_reference(a) != as_reference(b))
-    copy = rebuilt(a)
+    for other in (b, flipped(a)):
+        assert (a == other) == (as_reference(a) == as_reference(other))
+        assert (a != other) == (as_reference(a) != as_reference(other))
+        if a == other:
+            assert hash(a) == hash(other)
+    copy = copied(a)
     assert copy is not a and copy == a and hash(copy) == hash(a)
-    if a == b:
-        assert hash(a) == hash(b)
 
 
 def test_tree_node_repr_of_a_small_tree_is_the_dataclass_repr():
