@@ -740,8 +740,9 @@ class TreeNode:
     the node. Leaves carry nothing.
 
     == and repr give what the generated dataclass methods give, and hash
-    agrees with ==. == and hash read one pre-order walk, _pre_order, and
-    repr its own stack, so depth is bounded by memory.
+    agrees with ==, but on a cycle, where those recurse, == and hash raise
+    CyclicTree. == and hash read one pre-order walk, _pre_order, and repr its
+    own stack, so depth is bounded by memory.
     """
 
     name: str
@@ -806,13 +807,19 @@ def _check_node_name(name: str) -> None:
 def _pre_order(root):
     """root and every node below it in pre-order, children in order, from an
     explicit stack, so depth is bounded by memory. A child that is not a
-    TreeNode comes as itself, with nothing below it."""
-    stack = [root]
+    TreeNode comes as itself, with nothing below it; a node met below itself
+    comes once more, and CyclicTree is raised in place of its children."""
+    stack, path = [(root, 0)], {}  # path: the ids of the nodes above the next one, in order
     while stack:
-        node = stack.pop()
+        node, depth = stack.pop()
+        while len(path) > depth:
+            path.popitem()
         yield node
         if isinstance(node, TreeNode):
-            stack.extend(reversed(node.children))
+            if id(node) in path:
+                raise CyclicTree(f"node {node.name!r} is its own ancestor; the structure is not a tree")
+            path[id(node)] = None
+            stack.extend((child, depth + 1) for child in reversed(node.children))
 
 
 def _check_tree(root: TreeNode) -> None:

@@ -13,16 +13,16 @@ A file that is not UTF-8 fails with a DomainError naming the offset of its
 first bad byte.
 
 loads() decodes with an object_hook, _fold, that turns each tree node and
-edge into a tuple as soon as the decoder finishes it, so a tree's nodes never
-exist as dicts; _flat_tree reads the tuples into the tree's arrays. Only
-objects in the writer's key order fold, and a fold keeps everything else
-about them, so when the folded document fails any check, _unfold gives back
-the plain decoded document, with an explicit stack, and the readers of plain
-documents (_parse_tree for a tree, the control and two-stage parsers) raise
-the error the text meets first. A tree whose keys are in another order is
-read by _parse_tree. The hook's calls cost the decoder nesting depth, so on a
-RecursionError the text is decoded once more without the hook, and only then
-refused as too deep.
+edge into a tuple as soon as the decoder finishes it, whatever order its keys
+are in, so a tree's nodes never exist as dicts; _flat_tree reads the tuples
+into the tree's arrays. A fold keeps everything about the object, its key
+order in the tuple's class, so when the folded document fails any check,
+_unfold gives back the plain decoded document, with an explicit stack, and
+the readers of plain documents (_parse_tree for a tree, the control and
+two-stage parsers) raise the error the text meets first. The hook's calls
+cost the decoder nesting depth, so on a RecursionError the text is decoded
+once more without the hook, and only then refused as too deep; such a tree
+is read by _parse_tree.
 
 load() reads a file in binary blocks and drops every run of 9 or more
 spaces that follows a newline before it decodes the text once. That is a
@@ -53,7 +53,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, permutations
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -211,61 +211,57 @@ def _parse_two_stage(payload: dict) -> TwoStageProblem:
 
 
 class _Folded(tuple):
-    """A folded node or edge. CPython keeps freed plain tuples of a small
-    size for reuse without counting them as freed, so a document of plain
-    tuples would leave the cyclic collector's young-generation count
+    """A folded node or edge: the values of its fields, from an object with
+    keys in the order keys, one subclass per order. CPython keeps freed plain
+    tuples of a small size for reuse without counting them as freed, so a
+    document of plain tuples would leave the cyclic collector's young count
     thousands high, and a pass would start at the next allocation; a
     subclass is freed and counted like any other container."""
 
     __slots__ = ()
 
 
+_EDGE_FIELDS = ("prior", "utility", "node")
+_NODE_FIELDS = ("name", "temperature_tag", "children")
+# The _Folded class of each key order an edge or a node may come in; a node
+# class's types are those of a name, a tag and children, NoneType if absent.
+_FOLDS = {
+    keys: type("_Folded", (_Folded,), {"__slots__": (), "keys": keys, "fields": fields, "types": tuple(
+        (list if f == "children" else str) if f in keys else type(None) for f in _NODE_FIELDS)})
+    for fields, key_set in [(_EDGE_FIELDS, _EDGE_FIELDS), (_NODE_FIELDS, ["name"]),
+                            (_NODE_FIELDS, ["name", "temperature_tag"]),
+                            (_NODE_FIELDS, ["name", "children"]), (_NODE_FIELDS, _NODE_FIELDS)]
+    for keys in permutations(key_set)
+}
+_NODES = frozenset(cls for cls in _FOLDS.values() if cls.fields is _NODE_FIELDS)
+_EDGES = frozenset(_FOLDS.values()) - _NODES
+
+
 def _fold(obj: dict):
     """The object_hook loads decodes with: a tree's edge or node as a
     _Folded tuple as soon as the decoder finishes it, any other object as it
-    is.
-
-    An edge, keys prior, utility and node in that order, whose node is
-    already folded, becomes (prior, utility, node). A node, keys name, then
-    temperature_tag, then children, each but the name optional, with a str
-    name, a str tag and a list of children, becomes (name, tag) for a leaf
-    and (name, tag, children) otherwise; an absent tag is None. Nothing else
-    folds, so _unfold can give back exactly the objects the decoder made.
-    """
-    if len(obj) == 3:
-        k0, k1, k2 = obj
-        if k0 == "prior" and k1 == "utility" and k2 == "node":
-            if type(obj["node"]) is _Folded:
-                return _Folded(obj.values())
-        elif k0 == "name" and k1 == "temperature_tag" and k2 == "children":
-            name, tag, children = obj.values()
-            if type(name) is str and type(tag) is str and type(children) is list:
-                return _Folded((name, tag, children))
-    elif len(obj) == 1:
-        name = obj.get("name")
-        if type(name) is str:
-            return _Folded((name, None))
-    elif len(obj) == 2:
-        (k0, name), (k1, value) = obj.items()
-        if k0 == "name" and type(name) is str:
-            if k1 == "temperature_tag" and type(value) is str:
-                return _Folded((name, value))
-            if k1 == "children" and type(value) is list:
-                return _Folded((name, None, value))
-    return obj
+    is. An edge, keys prior, utility and node in any order, whose node is
+    folded, becomes (prior, utility, node). A node, key name and optional
+    keys temperature_tag and children in any order, with a str name and tag
+    and a list of children, becomes (name, tag) for a leaf and (name, tag,
+    children) otherwise, an absent tag None. Nothing else folds, and the
+    class keeps the key order, so _unfold can give back exactly the objects
+    the decoder made."""
+    cls = _FOLDS.get(tuple(obj))
+    if cls is None:
+        return obj
+    if cls.fields is _EDGE_FIELDS:
+        node = obj["node"]
+        return cls((obj["prior"], obj["utility"], node)) if type(node) in _NODES else obj
+    name, tag, children = obj.get("name"), obj.get("temperature_tag"), obj.get("children")
+    if (type(name), type(tag), type(children)) != cls.types:
+        return obj
+    return cls((name, tag) if children is None else (name, tag, children))
 
 
 def _unfolded(folded: _Folded) -> dict:
-    """The object a folded edge or node was made from. An edge's node is a
-    tuple, where an internal node holds a list."""
-    if len(folded) == 3 and type(folded[2]) is _Folded:
-        return dict(zip(("prior", "utility", "node"), folded))
-    obj = {"name": folded[0]}
-    if folded[1] is not None:
-        obj["temperature_tag"] = folded[1]
-    if len(folded) == 3:
-        obj["children"] = folded[2]
-    return obj
+    """The object a folded edge or node was made from, its keys in order."""
+    return {key: folded[folded.fields.index(key)] for key in folded.keys}
 
 
 def _unfold(doc):
@@ -278,7 +274,7 @@ def _unfold(doc):
         container = stack.pop()
         slots = container.items() if type(container) is dict else enumerate(container)
         for key, value in list(slots):
-            if type(value) is _Folded:
+            if isinstance(value, _Folded):
                 value = container[key] = _unfolded(value)
             if type(value) is dict or type(value) is list:
                 stack.append(value)
@@ -308,7 +304,7 @@ def _flat_tree(payload) -> DecisionTree | None:
         while level:
             below = len(edges)
             for node in level:
-                if type(node) is not _Folded:
+                if type(node) not in _NODES:
                     return None
                 names.append(node[0])
                 if len(node) == 2:
@@ -317,14 +313,13 @@ def _flat_tree(payload) -> DecisionTree | None:
                     n_children.append(0)
                     continue
                 _, tag, entries = node
-                # An edge in a node's place holds a tuple where a node holds a list.
-                if type(entries) is not list or not entries:
+                if not entries:
                     return None
                 tags.append(LAMBDA_TAG if tag is None else tag)
                 n_children.append(len(entries))
                 edges.extend(entries)
             level = [edge[2] for edge in edges[below:]]
-        if set(map(type, edges)) - {_Folded}:
+        if not set(map(type, edges)) <= _EDGES:
             return None
         leaf_tags.discard(None)  # a leaf without a tag
         if "/" in "".join(names) or not set(tags) | leaf_tags <= set(_VALID_TAGS):
@@ -357,9 +352,8 @@ def _parse_tree(payload) -> TreeNode:
     entry's keys and numbers followed by its whole subtree, then the node's
     child distribution. The open nodes are kept on an explicit stack, so
     depth is bounded by memory. loads reads a payload this way only after
-    _flat_tree has refused the folded one: to raise the error this order
-    meets first, or to read a tree whose keys are in another order than the
-    writer's, which does not fold.
+    _flat_tree has refused it: to raise the error this order meets first, or
+    to read a tree too deep to decode with the hook.
     """
 
     def open_node(obj, where):
@@ -452,13 +446,13 @@ def loads(text: str) -> ProblemFile:
     """Parse a problem document from its JSON text, rejecting anything the
     schema does not name.
 
-    The decoder folds each tree node and edge into a tuple as it finishes it
-    (see _fold), so a tree's nodes never exist as dicts, and _flat_tree reads
-    the folded tree. If the folded document fails any check, it is unfolded
-    and read again by the readers of the plain document, which raise the
-    error its text meets first. The hook's calls cost the decoder nesting
-    depth, so a document too deep for it is decoded once more without the
-    hook before it is refused as too deep.
+    The decoder folds each tree node and edge into a tuple as it finishes it,
+    in any key order (see _fold), so a tree's nodes never exist as dicts, and
+    _flat_tree reads the folded tree. If the folded document fails any check,
+    it is unfolded and read again by the readers of the plain document, which
+    raise the error its text meets first. The hook's calls cost the decoder
+    nesting depth, so a document too deep for it is decoded once more without
+    the hook, and read by those readers, before it is refused as too deep.
     """
     with _gc_paused():
         try:
@@ -481,9 +475,7 @@ def loads(text: str) -> ProblemFile:
         except FreeUtilError:
             pf = None
         if pf is None:  # outside the handler, so no error chains to the folded one
-            # An error must show the objects as the text holds them, and a
-            # tree with keys in another order than the writer's folds only in
-            # part: _parse_tree reads either from the unfolded document.
+            # An error must show the objects as the text holds them.
             pf = _problem_file(_unfold(raw))
         del raw  # released while the collector is still paused
     return pf

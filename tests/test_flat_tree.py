@@ -8,6 +8,7 @@ import gc
 import json
 import math
 import pickle
+import random
 import weakref
 from pathlib import Path
 from unittest.mock import patch
@@ -16,12 +17,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freeutil import cli, sequential
+from freeutil import cli, problemio, sequential, verify
 from freeutil.model import (
     DecisionTree,
     DomainError,
     FiniteDistribution,
     FreeUtilError,
+    Temperature,
     TemperatureSpec,
     TreeNode,
     TwoStageProblem,
@@ -31,6 +33,7 @@ from freeutil.model import (
 from freeutil.problemio import ProblemFile, _parse_tree, dump, dumps, load, loads
 from freeutil.sequential import outer_policy, two_stage_to_tree, value_recursion
 from freeutil.variational import exponential_tilt
+from test_cli_snapshot import SNAPSHOT, run as run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -376,6 +379,60 @@ def test_loaded_tree_equals_the_tree_it_was_written_from(tmp_path):
     assert dumps(again) == path.read_text()
     changed = node("r", [root.children[0], TreeNode("b")], [0.5, 0.5], [0.0, 3.5])
     assert DecisionTree(changed) != pf.problem
+
+
+TREE_GOLDENS = sorted(p.name for p in GOLDEN.glob("tree_*.json"))
+RECORDED = json.loads(SNAPSHOT.read_text(encoding="utf-8"))
+
+
+def reordered(text: str, order: str) -> str:
+    """The document with every object's keys sorted, or shuffled by a
+    generator seeded with the text."""
+    if order == "sorted":
+        return json.dumps(json.loads(text), indent=2, sort_keys=True)
+    rng = random.Random(text)
+    return json.dumps(json.loads(text, object_pairs_hook=lambda pairs: dict(
+        rng.sample(pairs, len(pairs)))), indent=2)
+
+
+def refuse(payload):
+    raise AssertionError("a valid tree was read by _parse_tree")
+
+
+@pytest.mark.parametrize("order", ["sorted", "shuffled"])
+@pytest.mark.parametrize("name", [*TREE_GOLDENS, "tree_random.json"])
+def test_a_tree_keyed_in_any_order_is_read_without_the_node_reader(tmp_path, monkeypatch, name,
+                                                                   order):
+    """A copy of a tree file with every object's keys sorted or shuffled
+    folds and is read into the arrays, never by _parse_tree; it is the same
+    problem, and every CLI call recorded on the golden files prints the same
+    bytes on it. The random tree's calls are run on the file itself."""
+    monkeypatch.setattr(problemio, "_parse_tree", refuse)
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "golden" / name
+    path.parent.mkdir()
+    argvs = [[r["argv"][0], f"golden/{name}", *r["argv"][2:]]
+             for r in RECORDED if r["argv"][1] == "golden/tree_binary.json"]
+    if name in TREE_GOLDENS:
+        original = load(str(GOLDEN / name))
+        text = (GOLDEN / name).read_text()
+        wants = [r for r in RECORDED if r["argv"][1:2] == [f"golden/{name}"]]
+    else:
+        tree = verify._random_tree(np.random.default_rng(27))
+        original = ProblemFile("1", "tree", tree, lam=Temperature.finite(0.7),
+                               mu=Temperature.finite(-1.5))
+        text = dumps(original)
+        path.write_text(text)
+        wants = list(map(run_cli, argvs))
+    assert [want["argv"] for want in wants] == argvs
+    copy_text = reordered(text, order)
+    assert copy_text != json.dumps(json.loads(text), indent=2)
+    path.write_text(copy_text)
+    copy = load(str(path))
+    assert copy == original and hash(copy) == hash(original)
+    assert dumps(copy) == dumps(original)
+    for want in wants:
+        assert run_cli(want["argv"]) == want
 
 
 def test_tree_arrays_are_level_ordered_and_immutable():

@@ -707,6 +707,46 @@ def test_tree_node_hashes_a_chain_deeper_than_the_recursion_limit():
     assert hash(chain(DEEP)) == hash(chain(DEEP))
 
 
+def cycle(length: int) -> TreeNode:
+    """A chain of length nodes, each with list children, whose last node
+    lists the first as its child."""
+    first = tip = TreeNode("n0", [])
+    for i in range(1, length):
+        tip.children.append(TreeNode(f"n{i}", []))
+        tip = tip.children[0]
+    tip.children.append(first)
+    return first
+
+
+@pytest.mark.parametrize("length", [1, 3])
+def test_tree_node_refuses_to_compare_or_hash_a_cycle(length):
+    """==, != and hash on a node that is its own ancestor raise CyclicTree,
+    even below a root that is not on the cycle; a node reached twice but
+    never below itself compares and hashes as before."""
+    named = "^node 'n0' is its own ancestor; the structure is not a tree$"
+    for make in (lambda: cycle(length), lambda: TreeNode("r", (cycle(length),))):
+        for call in (hash, lambda n: n == make(), lambda n: n != make()):
+            with pytest.raises(CyclicTree, match=named):
+                call(make())
+    shared = leaf("s")
+    twice = TreeNode("r", (shared, shared))
+    assert twice == TreeNode("r", (leaf("s"), leaf("s")))
+    assert hash(twice) == hash(TreeNode("r", (leaf("s"), leaf("s"))))
+
+
+def test_tree_names_a_cycle_as_a_node_reached_twice():
+    """DecisionTree's check meets a cycle's node a second time before the
+    walk would go below it, so it keeps its message, the recursive walk's."""
+    kids0, kids1 = [], []
+    n0 = TreeNode("n0", kids0, dist(["n1"], [1.0]), util(["n1"], [0.0]))
+    n1 = TreeNode("n1", kids1, dist(["n0"], [1.0]), util(["n0"], [0.0]))
+    kids0.append(n1)
+    kids1.append(n0)
+    for check in (DecisionTree, reference_validate):
+        with pytest.raises(CyclicTree, match="^node 'n0' is reachable twice; the structure is not a tree$"):
+            check(n0)
+
+
 def test_tree_node_prints_a_chain_deeper_than_the_recursion_limit():
     depth = DEEP
     # The dataclass repr of a chain, built level by level.

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import json
 import math
 import os
@@ -897,14 +898,15 @@ def slots(top: list) -> list:
 @st.composite
 def mixed_documents(draw):
     """A control, two-stage or tree document, some of its values replaced by
-    node-shaped ones and some of its objects' keys reversed."""
+    node-shaped ones and some of its objects' keys reordered."""
     top = [draw(st.one_of(control_documents(), two_stage_documents(), tree_documents))]
     for _ in range(draw(st.integers(0, 2))):
         container, key = draw(st.sampled_from(slots(top)))
         if draw(st.booleans()):
             container[key] = json.loads(json.dumps(draw(st.sampled_from(NODE_SHAPED))))
         elif type(container[key]) is dict:
-            container[key] = dict(reversed(container[key].items()))
+            obj = container[key]
+            container[key] = {k: obj[k] for k in draw(st.permutations(list(obj)))}
     return top[0]
 
 
@@ -956,11 +958,68 @@ def test_loads_reads_node_shaped_values_as_the_plain_reader_does(case):
     assert_loads_like_the_reference(FOLD_CASES[case]())
 
 
-def test_only_the_writers_key_orders_fold():
-    assert problemio._fold({"name": "x"}) == ("x", None)
-    assert problemio._fold({"name": "x", "children": []}) == ("x", None, [])
-    for obj in NODE_SHAPED[2:4] + [{"utility": 2, "prior": 1, "node": ("y", None)}]:
-        assert problemio._fold(obj) is obj
+# The key sets of an edge and of a node, and each set's folded tuple.
+FOLDED_KEY_SETS = [
+    ({"prior": 0.5, "utility": -1, "node": "leaf"}, (0.5, -1, "leaf")),
+    ({"name": "x"}, ("x", None)),
+    ({"name": "x", "temperature_tag": "mu"}, ("x", "mu")),
+    ({"name": "x", "children": "edges"}, ("x", None, "edges")),
+    ({"name": "x", "temperature_tag": "mu", "children": "edges"}, ("x", "mu", "edges")),
+]
+# Objects shaped like a node or an edge that must stay as the decoder made them.
+UNFOLDED = [
+    {"name": "x", "temperature_tag": None},
+    {"name": "x", "temperature_tag": None, "children": "edges"},
+    {"name": 3},
+    {"name": 3, "children": "edges"},
+    {"name": "x", "temperature_tag": ["mu"]},
+    {"name": "x", "children": {"name": "y"}},
+    {"name": "x", "children": None},
+    {"prior": 1, "utility": 2, "node": {"name": "y"}},
+    {"prior": 1, "utility": 2, "node": ("y", None)},
+    {"prior": 1, "utility": 2, "node": "edges"},
+]
+
+
+def in_every_key_order(obj: dict) -> list[dict]:
+    return [{k: obj[k] for k in keys} for keys in itertools.permutations(obj)]
+
+
+FOLDED_LEAF = problemio._fold({"name": "y"})
+PARTS = {"leaf": FOLDED_LEAF, "edges": [problemio._fold({"prior": 1, "utility": 0, "node": FOLDED_LEAF})]}
+
+
+def part(value):
+    """value, or the folded leaf for "leaf" and a list of one folded edge for "edges"."""
+    return PARTS.get(value, value) if type(value) is str else value
+
+
+def with_parts(obj: dict) -> dict:
+    return {k: part(v) for k, v in obj.items()}
+
+
+def test_every_key_order_folds_and_unfolds_to_the_object_it_was_made_from():
+    """All 17 key orders of an edge (6) and a node (11) fold, each into a
+    class of its own, to values in one order, and unfold to an object equal
+    in keys, key order and values."""
+    classes = set()
+    for obj, values in FOLDED_KEY_SETS:
+        for ordered in in_every_key_order(with_parts(obj)):
+            folded = problemio._fold(ordered)
+            assert isinstance(folded, problemio._Folded)
+            assert folded == tuple(map(part, values))
+            unfolded = problemio._unfolded(folded)
+            assert list(unfolded.items()) == list(ordered.items())
+            classes.add(type(folded))
+    assert len(classes) == 17
+
+
+@pytest.mark.parametrize("obj", UNFOLDED, ids=repr)
+def test_an_object_that_is_not_a_node_or_an_edge_stays_unfolded(obj):
+    """A null tag, a name that is not a string, a tag that is not a string,
+    children that are not a list, or an edge whose node is not folded."""
+    for ordered in in_every_key_order(with_parts(obj)):
+        assert problemio._fold(ordered) is ordered
 
 
 def chain_document(depth: int) -> str:
