@@ -29,6 +29,7 @@ import math
 import os
 import re
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -187,41 +188,51 @@ def _solve_two_stage_doc(problem: TwoStageProblem, temps: TemperatureSpec,
 def _solve_tree_doc(tree: DecisionTree, temps: TemperatureSpec, units: str,
                     conversion: str = "%.12g") -> list[str]:
     """The tree solve document without its final newline, in pieces: the
-    header through render_json, node_values and node_policies (keyed by
-    path, in pre-order) each one piece filled by one % from an object array
-    of the flat results, so no Python loop runs per node and no piece is
-    copied into a larger one. Floats are written by the % conversion, -0.0
-    as 0.0; paths and names are always % arguments, never template text, and
-    each distinct name is escaped once. No key is a relative entropy; units
-    is a label."""
+    header through render_json, and node_values and node_policies (keyed by
+    path, in pre-order) a chunk of 1,024 nodes at a time, each piece filled
+    by one %. Paths come from a stack of ancestor paths, each distinct name
+    escaped once, and only internal nodes' paths are kept for the policies,
+    so no list or array spans the whole tree. Floats are written by the %
+    conversion, -0.0 as 0.0; paths and names are always % arguments, never
+    template text. No key is a relative entropy; units is a label."""
     tv = value_recursion(tree, temps)
     pre = tree.orders()[0]
-    paths = np.array(list(map(encode_basestring_ascii, tree.paths())), dtype=object)
-    escaped = {name: encode_basestring_ascii(name) for name in set(tree.names)}
-    names = np.array(list(map(escaped.__getitem__, tree.names)), dtype=object)
-    # node_values: a path and a value per node.
-    values = np.empty(2 * len(pre), dtype=object)
-    values[0::2], values[1::2] = paths[pre], (tv.flat_values + 0.0)[pre]
-    values_text = (": {" + ",".join(["\n    %s: " + conversion] * len(pre)) + "\n  }") % tuple(values)
-    del values
-    # node_policies: a row per internal node, its path then a name and a
-    # probability per child; the edge into node j > 0 is flat_policy[j - 1].
-    internal = pre[tree.n_children[pre] > 0]
-    counts = tree.n_children[internal]
-    starts = np.cumsum(counts) - counts  # the edges before each row
-    rank = np.arange(len(tree.names) - 1) - np.repeat(starts, counts)
-    children = np.repeat(tree.first_child[internal], counts) + rank
-    row_at = np.arange(len(internal)) + 2 * starts
-    name_at = np.repeat(row_at + 1, counts) + 2 * rank
-    policies = np.empty(len(internal) + 2 * len(children), dtype=object)
-    policies[row_at], policies[name_at] = paths[internal], names[children]
-    policies[name_at + 1] = (tv.flat_policy + 0.0)[children - 1]
-    del paths, names
-    rows = {k: "\n    %s: {" + ",".join(["\n      %s: " + conversion] * k) + "\n    }"
-            for k in set(counts.tolist())}
-    template = ",".join(map(rows.__getitem__, counts.tolist()))
-    policies_text = (": {" + template + "\n  }") % tuple(policies) if template else ": {}"
-    del policies
+    starts = tree.level_starts()
+    depth = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    escaped = {name: encode_basestring_ascii(name)[1:-1] for name in set(tree.names)}
+    prefixes = [""] * len(starts)  # per depth, the path of the last node met one level up, and a '/'
+    value_row, child_row = (f'\n{pad}"%s": {conversion}' for pad in ("    ", "      "))
+    rows = {k: '\n    "%s": {' + ",".join([child_row] * k) + "\n    }"  # per child count
+            for k in np.flatnonzero(np.bincount(tree.n_children)).tolist()}
+    values, policies = [], []
+    for lo in range(0, len(pre), 1024):
+        nodes = pre[lo:lo + 1024]
+        counts = tree.n_children[nodes]
+        paths, parents = [], []
+        for name, d, k in zip(map(tree.names.__getitem__, nodes.tolist()), depth[nodes].tolist(),
+                              counts.tolist()):
+            paths.append(prefixes[d] + escaped[name])
+            if k:
+                prefixes[d + 1] = paths[-1] + "/"
+                parents.append(paths[-1])
+        # node_values: a path and a value per node.
+        fill = tuple(chain.from_iterable(zip(paths, (tv.flat_values[nodes] + 0.0).tolist())))
+        values.append(("," if lo else "") + ",".join([value_row] * len(paths)) % fill)
+        if not parents:
+            continue
+        # node_policies: a row per internal node, its path then a name and a
+        # probability per child; the edge into node j > 0 is flat_policy[j - 1].
+        nodes, counts = nodes[counts > 0], counts[counts > 0]
+        first = np.cumsum(counts) - counts  # the children before each row
+        edge = np.arange(first[-1] + counts[-1])
+        children = np.repeat(tree.first_child[nodes] - first, counts) + edge
+        name_at = np.repeat(np.arange(1, len(counts) + 1), counts) + 2 * edge
+        fill = np.empty(len(counts) + 2 * len(children), dtype=object)
+        fill[np.arange(len(counts)) + 2 * first] = parents
+        fill[name_at] = [escaped[tree.names[c]] for c in children.tolist()]
+        fill[name_at + 1] = (tv.flat_policy[children - 1] + 0.0).tolist()
+        template = ",".join(map(rows.__getitem__, counts.tolist()))
+        policies.append(("," if policies else "") + template % tuple(fill))
     header = render_json({
         "command": "solve",
         "kind": "tree",
@@ -234,7 +245,8 @@ def _solve_tree_doc(tree: DecisionTree, temps: TemperatureSpec, units: str,
         "units": units,
     }, lambda x: conversion % (x + 0.0))
     head, middle, tail = header.split(": null")  # the two placeholders are the only nulls
-    return [head, values_text, middle, policies_text, tail]
+    policies = [": {", *policies, "\n  }"] if policies else [": {}"]
+    return [head, ": {", *values, "\n  }", middle, *policies, tail]
 
 
 def _cmd_solve(args):

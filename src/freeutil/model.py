@@ -113,9 +113,13 @@ def _require(value, cls: type, what: str):
     return value
 
 
-def _as_list(values):
-    """An ndarray as a list of Python numbers; any other sequence as is."""
-    return values.tolist() if isinstance(values, np.ndarray) else values
+def _reals(values, what: str) -> list[float]:
+    """A sequence or an ndarray as a list of floats, each as float() reads
+    it; anything else raises DomainError."""
+    try:
+        return list(map(float, values.tolist() if isinstance(values, np.ndarray) else values))
+    except (TypeError, ValueError, OverflowError) as e:
+        raise DomainError(f"{what} must be a sequence of real numbers: {e}") from None
 
 
 def _check_distribution(outcomes: Sequence[str], probs: Sequence[float]) -> float:
@@ -243,7 +247,7 @@ class FiniteDistribution:
 
     def __init__(self, outcomes: Sequence[str], probs: Sequence[float]):
         outcomes = tuple(outcomes)
-        probs_list = list(map(float, _as_list(probs)))
+        probs_list = _reals(probs, "probabilities")
         total = _check_distribution(outcomes, probs_list)
         object.__setattr__(self, "outcomes", outcomes)
         # Dividing by exactly 1.0 changes no bit, so it is skipped.
@@ -318,7 +322,7 @@ class UtilityTable:
 
     def __init__(self, outcomes: Sequence[str], values: Sequence[float]):
         outcomes = tuple(outcomes)
-        vals = tuple(map(float, _as_list(values)))
+        vals = tuple(_reals(values, "utilities"))
         if len(outcomes) != len(vals):
             raise LabelMismatch(f"{len(outcomes)} labels but {len(vals)} values")
         if len(set(outcomes)) != len(outcomes):
@@ -504,6 +508,8 @@ class Temperature:
     @classmethod
     def parse(cls, text: str) -> "Temperature":
         """Parse the file spelling: a number, or 'inf' / '-inf' / 'zero'."""
+        if not isinstance(text, str):
+            raise DomainError(f"a temperature spelling must be a str, got {type(text).__name__}")
         token = text.strip()
         if token in _LIMIT_SPELLINGS:
             return cls(_LIMIT_SPELLINGS[token])
@@ -798,6 +804,7 @@ class TreeNode:
 
 
 def _check_node_name(name: str) -> None:
+    _require(name, str, "node name")
     if "/" in name:
         raise DomainError(
             f"node name {name!r} contains '/', which separates the names in a node path"

@@ -12,27 +12,24 @@ extensions Infinity, -Infinity and NaN are rejected.
 A file that is not UTF-8 fails with a DomainError naming the offset of its
 first bad byte.
 
-loads() decodes with an object_hook, _fold, that turns each tree node and
-edge into a tuple as soon as the decoder finishes it, whatever order its keys
-are in, so a tree's nodes never exist as dicts; _flat_tree reads the tuples
-into the tree's arrays. A fold keeps everything about the object, its key
-order in the tuple's class, so when the folded document fails any check,
-_unfold gives back the plain decoded document, with an explicit stack, and
-the readers of plain documents (_parse_tree for a tree, the control and
-two-stage parsers) raise the error the text meets first. The hook's calls
-cost the decoder nesting depth, so on a RecursionError the text is decoded
-once more without the hook, and only then refused as too deep; such a tree
-is read by _parse_tree.
+loads() decodes with an object_hook, _TreeArrays.hook, that records each
+tree node and edge into flat arrays as the decoder finishes it, in any key
+order, and leaves one shared marker in its place; the tree's arrays are
+checked and built from the records. On any fault the text is decoded again
+without the hook, and the plain readers (_parse_tree for a tree, the control
+and two-stage parsers) raise the error the text meets first; so is a text
+too deep for the decoder with the hook, before it is refused as too deep.
 
-load() reads a file in binary blocks and drops every run of 9 or more
-spaces that follows a newline before it decodes the text once. That is a
+load() reads a file's text in blocks and drops from each every run of 9 or
+more spaces that follows a newline, so only the squeezed text is held whole,
+and decodes that once. That is a
 tree's depth indentation, most of a deep tree's file (82 % of a tree of
 88k nodes); the fixed-depth layouts of control and two-stage files indent
 at most 8 spaces and keep every byte. Strict JSON rejects a raw newline
 inside a string, so in an accepted text every newline lies between tokens
 and the spaces after it carry nothing; the newline itself stays, so a text
-with a newline inside a string still fails. When the squeezed text is not
-UTF-8 or loads refuses it, load reads the file again as it stands and
+with a newline inside a string still fails. When the file is not UTF-8 or
+loads refuses its squeezed text, load reads the file again as it stands and
 parses that, so every error names the file's own line, column and byte
 offset. A path that is not a regular file, such as a pipe, is read once,
 as it stands.
@@ -50,17 +47,18 @@ import json
 import os
 import re
 import sys
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, permutations
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 import numpy as np
 
 from .model import (
     LAMBDA_TAG,
+    MU_TAG,
     ControlProblem,
     DecisionTree,
     DomainError,
@@ -210,140 +208,115 @@ def _parse_two_stage(payload: dict) -> TwoStageProblem:
     return TwoStageProblem(actions, outcomes, prior, channel, action_utility, outcome_utility)
 
 
-class _Folded(tuple):
-    """A folded node or edge: the values of its fields, from an object with
-    keys in the order keys, one subclass per order. CPython keeps freed plain
-    tuples of a small size for reuse without counting them as freed, so a
-    document of plain tuples would leave the cyclic collector's young count
-    thousands high, and a pass would start at the next allocation; a
-    subclass is freed and counted like any other container."""
-
-    __slots__ = ()
+# What the array reader puts in place of each tree node and edge it records.
+_READ = object()
+_NUMBERS = frozenset((int, float))
+_EDGE_KEYS = frozenset(("prior", "utility", "node"))
+_NODE_KEYS = frozenset(("name", "temperature_tag", "children"))
 
 
-_EDGE_FIELDS = ("prior", "utility", "node")
-_NODE_FIELDS = ("name", "temperature_tag", "children")
-# The _Folded class of each key order an edge or a node may come in; a node
-# class's types are those of a name, a tag and children, NoneType if absent.
-_FOLDS = {
-    keys: type("_Folded", (_Folded,), {"__slots__": (), "keys": keys, "fields": fields, "types": tuple(
-        (list if f == "children" else str) if f in keys else type(None) for f in _NODE_FIELDS)})
-    for fields, key_set in [(_EDGE_FIELDS, _EDGE_FIELDS), (_NODE_FIELDS, ["name"]),
-                            (_NODE_FIELDS, ["name", "temperature_tag"]),
-                            (_NODE_FIELDS, ["name", "children"]), (_NODE_FIELDS, _NODE_FIELDS)]
-    for keys in permutations(key_set)
-}
-_NODES = frozenset(cls for cls in _FOLDS.values() if cls.fields is _NODE_FIELDS)
-_EDGES = frozenset(_FOLDS.values()) - _NODES
+class _TreeArrays:
+    """A tree read into flat arrays while it is decoded by hook.
 
+    hook records a node, key name and optional keys temperature_tag and
+    children in any order, as its name, tag ("lambda" on a leaf) and child
+    count, if the name is a str without '/', the tag is known and the
+    children are a nonempty list of _READ; and an edge, keys prior, utility
+    and node in any order, as its numbers (not booleans; one past the float
+    range raises OverflowError), if its node is _READ and it follows a
+    recorded node. A recorded object becomes _READ; any other stays as it is.
 
-def _fold(obj: dict):
-    """The object_hook loads decodes with: a tree's edge or node as a
-    _Folded tuple as soon as the decoder finishes it, any other object as it
-    is. An edge, keys prior, utility and node in any order, whose node is
-    folded, becomes (prior, utility, node). A node, key name and optional
-    keys temperature_tag and children in any order, with a str name and tag
-    and a list of children, becomes (name, tag) for a leaf and (name, tag,
-    children) otherwise, an absent tag None. Nothing else folds, and the
-    class keeps the key order, so _unfold can give back exactly the objects
-    the decoder made."""
-    cls = _FOLDS.get(tuple(obj))
-    if cls is None:
-        return obj
-    if cls.fields is _EDGE_FIELDS:
-        node = obj["node"]
-        return cls((obj["prior"], obj["utility"], node)) if type(node) in _NODES else obj
-    name, tag, children = obj.get("name"), obj.get("temperature_tag"), obj.get("children")
-    if (type(name), type(tag), type(children)) != cls.types:
-        return obj
-    return cls((name, tag) if children is None else (name, tag, children))
-
-
-def _unfolded(folded: _Folded) -> dict:
-    """The object a folded edge or node was made from, its keys in order."""
-    return {key: folded[folded.fields.index(key)] for key in folded.keys}
-
-
-def _unfold(doc):
-    """The document as json.loads decodes it without _fold. Lists and
-    objects are visited from an explicit stack, so depth is bounded by
-    memory, and each folded value is replaced where it sits."""
-    top = [doc]
-    stack: list = [top]
-    while stack:
-        container = stack.pop()
-        slots = container.items() if type(container) is dict else enumerate(container)
-        for key, value in list(slots):
-            if isinstance(value, _Folded):
-                value = container[key] = _unfolded(value)
-            if type(value) is dict or type(value) is list:
-                stack.append(value)
-    return top[0]
-
-
-def _flat_tree(payload) -> DecisionTree | None:
-    """The folded tree payload as a DecisionTree, read level by level into
-    its arrays and checked array by array; None if any check fails, and then
-    loads unfolds the document and _parse_tree finds the error.
-
-    The checks are those of _parse_tree and DecisionTree together: folded
-    nodes and edges in their places and nonempty children while reading;
-    then names without '/', known tags (a leaf's too, though it reads back as
-    "lambda"), no duplicate name among siblings, numbers that are finite, and
-    nonnegative priors that normalise per node as FiniteDistribution
-    normalises. _fold has already checked the key sets and that names and
-    tags are strings.
+    The decoder finishes a tree's objects in post-order, each node just
+    before the edge that leads to it, so edge j leads to node j. A recorded
+    object holds one _READ per child or node it leads to; when the counts
+    close into one root, these are every _READ but one, so if that one is
+    the payload, the records are exactly the payload's tree.
     """
-    names: list = []
-    tags: list = []
-    n_children: list[int] = []
-    edges: list = []  # every edge, in the breadth-first order of the nodes it leads to
-    leaf_tags: set = set()
-    level = [payload]
-    try:
-        while level:
-            below = len(edges)
-            for node in level:
-                if type(node) not in _NODES:
-                    return None
-                names.append(node[0])
-                if len(node) == 2:
-                    leaf_tags.add(node[1])
-                    tags.append(LAMBDA_TAG)
-                    n_children.append(0)
-                    continue
-                _, tag, entries = node
-                if not entries:
-                    return None
-                tags.append(LAMBDA_TAG if tag is None else tag)
-                n_children.append(len(entries))
-                edges.extend(entries)
-            level = [edge[2] for edge in edges[below:]]
-        if not set(map(type, edges)) <= _EDGES:
-            return None
-        leaf_tags.discard(None)  # a leaf without a tag
-        if "/" in "".join(names) or not set(tags) | leaf_tags <= set(_VALID_TAGS):
-            return None
-        priors, utilities = (list(map(itemgetter(i), edges)) for i in (0, 1))
-        if not set(map(type, priors)) | set(map(type, utilities)) <= {int, float}:
-            return None
-        prior = np.fromiter(map(float, priors), float, len(priors))
-        utility = np.fromiter(map(float, utilities), float, len(utilities))
+
+    def __init__(self):
+        names, tags, counts = self.names, self.tags, self.counts = [], [], []
+        priors, utilities = self.priors, self.utilities = array("d"), array("d")
+
+        def hook(obj: dict):
+            keys = obj.keys()
+            if keys == _EDGE_KEYS:
+                prior, utility = obj["prior"], obj["utility"]
+                if (obj["node"] is not _READ or len(names) != len(priors) + 1
+                        or type(prior) not in _NUMBERS or type(utility) not in _NUMBERS):
+                    return obj
+                priors.append(prior)
+                utilities.append(utility)
+                return _READ
+            name, tag = obj.get("name"), obj.get("temperature_tag", LAMBDA_TAG)
+            children = obj.get("children", ())
+            if (not keys <= _NODE_KEYS or type(name) is not str or "/" in name
+                    or tag not in _VALID_TAGS or children != () and (
+                        type(children) is not list or not 0 < children.count(_READ) == len(children))):
+                return obj
+            names.append(name)
+            tags.append(MU_TAG if children and tag == MU_TAG else LAMBDA_TAG)
+            counts.append(len(children))
+            return _READ
+
+        self.hook = hook
+
+    def accept(self, raw) -> bool:
+        """Whether raw, the decoded document, is a tree file whose payload
+        is the recorded tree and passes every check of _parse_tree and
+        DecisionTree: the counts close into one root, no name repeats among
+        siblings, every number is finite, and the priors are nonnegative
+        and normalise per node as FiniteDistribution normalises them."""
+        try:
+            if _file_kind(raw) != "tree" or raw["payload"] is not _READ:
+                return False
+            self.temperatures = _temperatures(raw, "tree")
+        except FreeUtilError:
+            return False
+        # A node closes over the last count subtrees before it, its
+        # children; grouped lists every node but the root by parent.
+        grouped, stack = array("q"), []
+        for j, k in enumerate(self.counts):
+            if k:
+                if k > len(stack):
+                    return False
+                grouped.extend(stack[-k:])
+                del stack[-k:]
+            stack.append(j)
+        if len(stack) != 1 or len(self.priors) != len(grouped):
+            return False
+        # Edge j leads to node j; the priors are read grouped by parent.
+        self.grouped = np.frombuffer(grouped, dtype=np.int64)
+        self.prior = np.frombuffer(self.priors)[self.grouped]
         # An infinite prior fails the sum check below.
-        if not (np.isfinite(utility).all() and (prior >= 0.0).all()):
-            return None
-        # The edges of each internal node, which lead to its children.
-        counts = [k for k in n_children if k]
-        bounds = np.cumsum([0] + counts)
-        child_names = names[1:]
-        segments = map(slice, bounds.tolist(), bounds[1:].tolist())
-        if list(map(len, map(set, map(child_names.__getitem__, segments)))) != counts:
-            return None
-        if not _normalise_rows(prior, bounds[:-1]).all():
-            return None
-    except (IndexError, KeyError, TypeError, OverflowError):
-        return None
-    return DecisionTree._from_arrays(names, tags, n_children, prior, utility)
+        if not (np.isfinite(self.utilities).all() and (self.prior >= 0.0).all()):
+            return False
+        sizes = np.array([k for k in self.counts if k], dtype=np.intp)
+        bounds = np.cumsum(sizes) - sizes  # where each node's children start in grouped
+        siblings = np.array(self.names, dtype=object)[self.grouped].tolist()
+        segments = map(slice, bounds.tolist(), (bounds + sizes).tolist())
+        if list(map(len, map(set, map(siblings.__getitem__, segments)))) != sizes.tolist():
+            return False
+        try:
+            return bool(_normalise_rows(self.prior, bounds).all())
+        except OverflowError:  # a sum past the float range
+            return False
+
+    def problem_file(self) -> ProblemFile:
+        """The accepted tree file, its tree in DecisionTree's breadth-first
+        arrays, built level by level from the root."""
+        count = np.array(self.counts, dtype=np.intp)
+        first = np.cumsum(count) - count  # where a node's children start in grouped
+        levels, at = [np.array([len(count) - 1])], []  # at: where each level sits in grouped
+        while len(levels[-1]):
+            k = count[levels[-1]]
+            at.append(np.repeat(first[levels[-1]] - (np.cumsum(k) - k), k) + np.arange(k.sum()))
+            levels.append(self.grouped[at[-1]])
+        order, at = np.concatenate(levels), np.concatenate(at)
+        tree = DecisionTree._from_arrays(
+            tuple(np.array(self.names, dtype=object)[order]), np.array(self.tags, dtype=object)[order],
+            count[order], self.prior[at], np.frombuffer(self.utilities)[order[1:]],
+        )
+        return ProblemFile(SCHEMA_VERSION, "tree", tree, **self.temperatures)
 
 
 def _parse_tree(payload) -> TreeNode:
@@ -351,9 +324,9 @@ def _parse_tree(payload) -> TreeNode:
     recursive descent in the same order: a node's keys, then each child
     entry's keys and numbers followed by its whole subtree, then the node's
     child distribution. The open nodes are kept on an explicit stack, so
-    depth is bounded by memory. loads reads a payload this way only after
-    _flat_tree has refused it: to raise the error this order meets first, or
-    to read a tree too deep to decode with the hook.
+    depth is bounded by memory. loads reads a payload this way only when the
+    array reader has not accepted it: to raise the error this order meets
+    first, or to read a tree too deep to decode with the hook.
     """
 
     def open_node(obj, where):
@@ -446,20 +419,23 @@ def loads(text: str) -> ProblemFile:
     """Parse a problem document from its JSON text, rejecting anything the
     schema does not name.
 
-    The decoder folds each tree node and edge into a tuple as it finishes it,
-    in any key order (see _fold), so a tree's nodes never exist as dicts, and
-    _flat_tree reads the folded tree. If the folded document fails any check,
-    it is unfolded and read again by the readers of the plain document, which
-    raise the error its text meets first. The hook's calls cost the decoder
-    nesting depth, so a document too deep for it is decoded once more without
-    the hook, and read by those readers, before it is refused as too deep.
+    The decoder records a tree into flat arrays (see _TreeArrays), and the
+    text is kept only until the recorded tree passes every check; a document
+    with nothing recorded, every control and two-stage file, is the plain
+    decoded document, and its text is freed before the build. On any fault,
+    or when the text is too deep for the decoder with the hook, the plain
+    document is read by the plain readers, which raise the error the text
+    meets first.
     """
+    if not isinstance(text, str):
+        raise DomainError(f"a problem document must be JSON text, a str, got {type(text).__name__}")
     with _gc_paused():
+        arrays = _TreeArrays()
         try:
             try:
-                raw = json.loads(text, object_hook=_fold, parse_constant=_reject_constant)
-            except RecursionError:
-                raw = json.loads(text, parse_constant=_reject_constant)
+                raw = json.loads(text, object_hook=arrays.hook, parse_constant=_reject_constant)
+            except (RecursionError, OverflowError):  # see _TreeArrays
+                arrays, raw = None, json.loads(text, parse_constant=_reject_constant)
         except json.JSONDecodeError as e:
             raise DomainError(f"not valid JSON: {e}") from None
         except ValueError:
@@ -467,28 +443,27 @@ def loads(text: str) -> ProblemFile:
             raise DomainError("problem file holds an integer too large for a float") from None
         except RecursionError:
             raise _too_deep(text) from None
-        # Building needs only the decoded value; when the caller keeps no
-        # reference, this frees the text before the problem is built.
-        del text
-        try:
+        if arrays is None or not arrays.names:  # nothing was recorded
+            # When the caller keeps no reference, this frees the text
+            # before the problem is built.
+            del text
             pf = _problem_file(raw)
-        except FreeUtilError:
-            pf = None
-        if pf is None:  # outside the handler, so no error chains to the folded one
-            # An error must show the objects as the text holds them.
-            pf = _problem_file(_unfold(raw))
-        del raw  # released while the collector is still paused
+            del raw  # released while the collector is still paused
+        elif arrays.accept(raw):
+            del raw, text
+            pf = arrays.problem_file()
+        else:
+            del raw, arrays
+            # The text decoded with the hook, so it decodes without it.
+            pf = _problem_file(json.loads(text, parse_constant=_reject_constant))
     return pf
 
 
-def _problem_file(raw) -> ProblemFile:
-    """The problem file a decoded document describes."""
-    _require_keys(
-        raw,
-        {"schema_version", "kind", "payload", "temperatures"},
-        {"schema_version", "kind", "payload"},
-        "problem file",
-    )
+def _file_kind(raw) -> str:
+    """The kind of a decoded document, once its top-level keys and schema
+    version are checked."""
+    _require_keys(raw, {"schema_version", "kind", "payload", "temperatures"},
+                  {"schema_version", "kind", "payload"}, "problem file")
     if raw["schema_version"] != SCHEMA_VERSION:
         raise DomainError(
             f"unsupported schema_version {raw['schema_version']!r}; expected {SCHEMA_VERSION!r}"
@@ -496,47 +471,45 @@ def _problem_file(raw) -> ProblemFile:
     kind = raw["kind"]
     if kind not in KINDS:
         raise DomainError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    return kind
 
+
+def _temperatures(raw: dict, kind: str) -> dict:
+    """The temperatures a document declares, as ProblemFile's keywords."""
+    if "temperatures" not in raw:
+        return {}
+    temps = raw["temperatures"]
+    spelled = {"alpha": "alpha"} if kind == "control" else {"lambda": "lam", "mu": "mu"}
+    _require_keys(temps, set(spelled), set(), "temperatures")
+    return {arg: _as_temperature(temps[key], key) for key, arg in spelled.items() if key in temps}
+
+
+def _problem_file(raw) -> ProblemFile:
+    """The problem file a plainly decoded document describes, read by the
+    readers that raise the error its text meets first."""
+    kind = _file_kind(raw)
     if kind == "control":
         problem = _parse_control(raw["payload"])
     elif kind == "two_stage":
         problem = _parse_two_stage(raw["payload"])
     else:
-        problem = _flat_tree(raw["payload"])
-        if problem is None:
-            problem = DecisionTree(_parse_tree(raw["payload"]))
-
-    alpha = lam = mu = None
-    if "temperatures" in raw:
-        temps = raw["temperatures"]
-        if kind == "control":
-            _require_keys(temps, {"alpha"}, set(), "temperatures")
-            if "alpha" in temps:
-                alpha = _as_temperature(temps["alpha"], "alpha")
-        else:
-            _require_keys(temps, {"lambda", "mu"}, set(), "temperatures")
-            if "lambda" in temps:
-                lam = _as_temperature(temps["lambda"], "lambda")
-            if "mu" in temps:
-                mu = _as_temperature(temps["mu"], "mu")
-    return ProblemFile(SCHEMA_VERSION, kind, problem, alpha=alpha, lam=lam, mu=mu)
+        problem = DecisionTree(_parse_tree(raw["payload"]))
+    return ProblemFile(SCHEMA_VERSION, kind, problem, **_temperatures(raw, kind))
 
 
 # A tree's depth indentation: a newline and more spaces than the fixed-depth
 # layouts of control and two-stage files ever write.
-_DEPTH_INDENT = re.compile(rb"\n {9,}")
-# Bytes read at a time while squeezing: large enough to keep the calls few,
-# small enough that re.sub's list of per-line pieces stays small.
+_DEPTH_INDENT = re.compile(r"\n {9,}")
+# Characters read at a time while squeezing: large enough to keep the calls
+# few, small enough that re.sub's list of per-line pieces stays small.
 _BLOCK = 1 << 18
 
 
 def _squeezed(path: str) -> str:
     """The file's text without its depth indentation. A run cut by a block
     boundary keeps its tail, which is still whitespace between tokens."""
-    with open(path, "rb") as fh:
-        blocks = iter(partial(fh.read, _BLOCK), b"")
-        data = b"".join([_DEPTH_INDENT.sub(b"\n", block) for block in blocks])
-    return data.decode("utf-8")
+    with open(path, encoding="utf-8", newline="") as fh:
+        return "".join([_DEPTH_INDENT.sub("\n", block) for block in iter(partial(fh.read, _BLOCK), "")])
 
 
 def load(path: str) -> ProblemFile:
@@ -544,7 +517,9 @@ def load(path: str) -> ProblemFile:
     text (see the module docstring) first, and the file as it stands if that
     fails or the path is not a regular file, so every error is the one the
     file's own text raises. Either text is handed to loads without a second
-    reference, so it is freed once decoded."""
+    reference, so loads can free it before the problem is built."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise DomainError(f"a problem file path must be a str or os.PathLike, got {type(path).__name__}")
     if os.path.isfile(path):  # a pipe could not be read a second time
         try:
             return loads(_squeezed(path))
@@ -636,6 +611,8 @@ def render_json(obj, fmt_float=float.__repr__) -> str:
 def dumps(pf: ProblemFile) -> str:
     """Serialize to canonical JSON text: normalized probabilities,
     full-precision floats, limits as their string spellings."""
+    if not isinstance(pf, ProblemFile):
+        raise DomainError(f"dumps writes a ProblemFile, got {type(pf).__name__}")
     types = {"control": ControlProblem, "two_stage": TwoStageProblem, "tree": DecisionTree}
     if not isinstance(pf.problem, types.get(pf.kind, ())):
         raise DomainError(f"a {pf.kind!r} file cannot hold a {type(pf.problem).__name__}")

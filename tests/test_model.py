@@ -32,7 +32,7 @@ from freeutil.model import (
     kl_divergence,
     validate,
 )
-from freeutil.problemio import ProblemFile, dumps
+from freeutil.problemio import ProblemFile, dumps, load, loads
 
 
 def dist(labels, probs):
@@ -960,3 +960,29 @@ def test_distribution_skips_the_division_only_when_it_changes_nothing():
     off = [0.1, 0.2, 0.7 + 1e-12]
     total = math.fsum(off)
     assert FiniteDistribution("abc", off).probs == tuple(p / total for p in off)
+
+
+# Calls of the Python API with an argument of the wrong type, each of which
+# once raised a raw TypeError or AttributeError, or named the wrong fault.
+WRONG_TYPES = {
+    "loads(123)": lambda: loads(123),
+    "loads of bytes that are not UTF-8": lambda: loads(b'{"a": "\xff"}'),
+    "load(None)": lambda: load(None),
+    "dumps('x')": lambda: dumps("x"),
+    "Temperature.parse(None)": lambda: Temperature.parse(None),
+    "UtilityTable(['a'], [None])": lambda: UtilityTable(["a"], [None]),
+    "FiniteDistribution over a column": lambda: FiniteDistribution(["a", "b"], np.array([[0.5], [0.5]])),
+    "DecisionTree(TreeNode(3))": lambda: DecisionTree(TreeNode(3)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(WRONG_TYPES))
+def test_an_argument_of_the_wrong_type_raises_a_named_domain_error(call):
+    with pytest.raises(DomainError, match="must be|writes a ProblemFile"):
+        WRONG_TYPES[call]()
+
+
+def test_numeric_strings_still_read_as_numbers():
+    assert UtilityTable(["a"], ["0.5"]).values == (0.5,)
+    assert FiniteDistribution(["a", "b"], ["0.5", 0.5]).probs == (0.5, 0.5)
+    assert Temperature.parse(" 0.5 ") == Temperature.finite(0.5)

@@ -730,33 +730,36 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-def test_load_of_a_9841_node_tree_peaks_below_four_times_its_squeezed_text(tmp_path):
-    """The decoder folds each node and edge as it finishes it, so no node is
-    ever a dict; the squeezed text, the folded nodes and the arrays stay
-    within 4 times the text."""
+def test_load_of_a_9841_node_tree_peaks_below_2_5_times_its_squeezed_text(tmp_path):
+    """The decoder records each node and edge into flat arrays as it
+    finishes it, so no node is ever an object, and the text is freed before
+    the tree is built: the squeezed text, the records and the tree stay
+    within 2.5 times the text."""
     path = tmp_path / "tree.json"
     tree = ternary_tree(8)
     dump(ProblemFile("1", "tree", tree), str(path))
     size = len(_squeezed(str(path)))
     pf, peak = traced_peak(lambda: load(str(path)))
     assert pf.problem.names == tree.names
-    assert peak < 4 * size, (peak / size, size)
+    assert peak < 2.5 * size, (peak / size, size)
 
 
-def test_tree_document_of_a_9841_node_tree_peaks_below_5_5_times_its_length():
-    """The solve and the document's pieces, with no copy of a whole table or
-    of the whole document, stay within 5.5 times the document's length."""
+def test_tree_document_of_a_9841_node_tree_peaks_below_3_times_its_length():
+    """The solve and the document's pieces, built a chunk of nodes at a time
+    with no list or array over the whole tree and no copy of the whole
+    document, stay within 3 times the document's length."""
     tree = ternary_tree(8)
     pieces, peak = traced_peak(lambda: _solve_tree_doc(tree, TemperatureSpec(0.7, -1.2), "nats"))
     size = sum(map(len, pieces))
     assert len(json.loads("".join(pieces))["node_values"]) == 9841
-    assert peak < 5.5 * size, (peak / size, size)
+    assert peak < 3 * size, (peak / size, size)
 
 
 # ---------------------------------------------------------------------------
-# loads folds each tree node and edge into a tuple as the decoder finishes
-# it. The reader it replaced, kept here as the reference, walked the plain
-# decoded document.
+# loads records each tree node and edge into flat arrays as the decoder
+# finishes it. The reference reads the plain decoded document: the plain
+# readers raise its first error, and the dict walk that an earlier reader
+# used reads a valid tree payload.
 
 
 def dict_flat_tree(payload) -> DecisionTree | None:
@@ -811,12 +814,12 @@ def dict_flat_tree(payload) -> DecisionTree | None:
 
 
 def reference_loads(text: str) -> ProblemFile:
-    """loads before the fold: the plain decoded document read by the dict
-    walk, by _parse_tree where that fails, and by the control and two-stage
-    parsers."""
+    """loads without the array reader: the plain decoded document read by
+    _parse_tree and the control and two-stage parsers, a tree payload they
+    accept read by the dict walk."""
     raw = json.loads(text, parse_constant=problemio._reject_constant)
-    with patch.object(problemio, "_flat_tree", dict_flat_tree):
-        return problemio._problem_file(raw)
+    pf = problemio._problem_file(raw)
+    return dataclasses.replace(pf, problem=dict_flat_tree(raw["payload"])) if pf.kind == "tree" else pf
 
 
 def assert_loads_like_the_reference(doc):
@@ -929,7 +932,7 @@ def with_value(doc: dict, path: tuple, value) -> dict:
 
 
 EDGE_SHAPED = {"prior": [0.5, 0.5], "utility": [1, 2], "node": {"name": "x"}}
-FOLD_CASES = {
+NODE_SHAPED_CASES = {
     "labels named like fields": lambda: document("two_stage", {
         "actions": ["prior", "utility", "node"],
         "outcomes": ["name", "temperature_tag"],
@@ -943,83 +946,87 @@ FOLD_CASES = {
     "temperatures a node": lambda: with_value(VALID_TREE, ("temperatures",), {"name": "x"}),
     "control payload an edge": lambda: with_value(
         json.loads((GOLDEN / "control_basic.json").read_text()), ("payload",), EDGE_SHAPED),
-    "name not a string under folded parents": lambda: with_value(
+    "name not a string under recorded parents": lambda: with_value(
         VALID_TREE, ("payload", "children", 0, "node", "children", 0, "node", "name"), 5),
-    "tag not a string under folded parents": lambda: with_value(
+    "tag not a string under recorded parents": lambda: with_value(
         VALID_TREE, ("payload", "children", 0, "node", "temperature_tag"), ["mu"]),
     "keys in another order": lambda: with_value(
         VALID_TREE, ("payload", "children", 0), dict(reversed(VALID_TREE["payload"]["children"][0].items()))),
     "document a node": lambda: {"name": "x", "temperature_tag": "mu"},
+    # Counted without the order of the records, these would read as r over
+    # y and w, priors 1 and 0.
+    "an edge in a node's place and a node in an edge's place": lambda: document("tree", {
+        "name": "r",
+        "children": [{"prior": 0, "utility": 0, "node": {"prior": 1, "utility": 0, "node": {"name": "y"}}},
+                     {"name": "w"}],
+    }, {"lambda": 1.0}),
 }
 
 
-@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+@pytest.mark.parametrize("case", sorted(NODE_SHAPED_CASES))
 def test_loads_reads_node_shaped_values_as_the_plain_reader_does(case):
-    assert_loads_like_the_reference(FOLD_CASES[case]())
+    assert_loads_like_the_reference(NODE_SHAPED_CASES[case]())
 
 
-# The key sets of an edge and of a node, and each set's folded tuple.
-FOLDED_KEY_SETS = [
-    ({"prior": 0.5, "utility": -1, "node": "leaf"}, (0.5, -1, "leaf")),
-    ({"name": "x"}, ("x", None)),
-    ({"name": "x", "temperature_tag": "mu"}, ("x", "mu")),
-    ({"name": "x", "children": "edges"}, ("x", None, "edges")),
-    ({"name": "x", "temperature_tag": "mu", "children": "edges"}, ("x", "mu", "edges")),
-]
-# Objects shaped like a node or an edge that must stay as the decoder made them.
-UNFOLDED = [
-    {"name": "x", "temperature_tag": None},
-    {"name": "x", "temperature_tag": None, "children": "edges"},
-    {"name": 3},
-    {"name": 3, "children": "edges"},
-    {"name": "x", "temperature_tag": ["mu"]},
-    {"name": "x", "children": {"name": "y"}},
-    {"name": "x", "children": None},
-    {"prior": 1, "utility": 2, "node": {"name": "y"}},
-    {"prior": 1, "utility": 2, "node": ("y", None)},
-    {"prior": 1, "utility": 2, "node": "edges"},
-]
+# A tree with every key set a node may have: a tagged and an untagged
+# internal node and leaf.
+KEYED_TREE = document("tree", {"name": "r", "temperature_tag": "mu", "children": [
+    {"prior": 0.25, "utility": 1, "node": {"name": "a", "children": [
+        {"prior": 1, "utility": -0.5, "node": {"name": "x", "temperature_tag": "lambda"}}]}},
+    {"prior": 0.75, "utility": 2.5, "node": {"name": "b"}},
+]}, {"mu": -1.0})
+EDGE_KEY_ORDERS = list(itertools.permutations(["prior", "utility", "node"]))
+NODE_KEY_ORDERS = [keys for fields in (["name"], ["name", "temperature_tag"], ["name", "children"],
+                                       ["name", "temperature_tag", "children"])
+                   for keys in itertools.permutations(fields)]
 
 
-def in_every_key_order(obj: dict) -> list[dict]:
-    return [{k: obj[k] for k in keys} for keys in itertools.permutations(obj)]
+def reordered(value, keys: tuple):
+    """A copy of a decoded value whose objects with the key set of keys have
+    their keys in that order."""
+    if type(value) is list:
+        return [reordered(v, keys) for v in value]
+    if type(value) is not dict:
+        return value
+    order = keys if value.keys() == set(keys) else value
+    return {k: reordered(value[k], keys) for k in order}
 
 
-FOLDED_LEAF = problemio._fold({"name": "y"})
-PARTS = {"leaf": FOLDED_LEAF, "edges": [problemio._fold({"prior": 1, "utility": 0, "node": FOLDED_LEAF})]}
+@pytest.mark.parametrize("keys", EDGE_KEY_ORDERS + NODE_KEY_ORDERS, ids=",".join)
+def test_every_key_order_of_an_edge_and_a_node_is_read_into_the_arrays(keys):
+    """All 17 key orders of an edge (6) and a node (11) are recorded by the
+    decoder's hook: the tree loads with _parse_tree refused, as the writer's
+    order loads."""
+    assert len(EDGE_KEY_ORDERS) + len(NODE_KEY_ORDERS) == 17
+    text = json.dumps(reordered(KEYED_TREE, keys))
+    with patch.object(problemio, "_parse_tree", side_effect=AssertionError("the plain reader ran")):
+        got = loads(text)
+    want = loads(json.dumps(KEYED_TREE))
+    assert got == want and dumps(got) == dumps(want)
 
 
-def part(value):
-    """value, or the folded leaf for "leaf" and a list of one folded edge for "edges"."""
-    return PARTS.get(value, value) if type(value) is str else value
+# Documents with room for a node- or edge-shaped value outside any tree: a
+# tree file's temperatures and a top-level key it does not name, and control
+# and two-stage payloads.
+TEMPERED_TREE = {**VALID_TREE, "temperatures": {"lambda": 1.0, "mu": -1.0}}
+SHAPED_PLACES = {
+    "tree temperatures": (TEMPERED_TREE, ("temperatures",)),
+    "tree temperature": (TEMPERED_TREE, ("temperatures", "mu")),
+    "tree unknown key": (TEMPERED_TREE, ("notes",)),
+    "control payload": (json.loads((GOLDEN / "control_basic.json").read_text()), ("payload",)),
+    "control prior": (json.loads((GOLDEN / "control_basic.json").read_text()), ("payload", "prior")),
+    "two-stage channel": (json.loads((GOLDEN / "two_stage_basic.json").read_text()), ("payload", "channel")),
+    "two-stage row": (json.loads((GOLDEN / "two_stage_basic.json").read_text()),
+                      ("payload", "outcome_utility", "safe")),
+    "two-stage temperatures": (json.loads((GOLDEN / "two_stage_basic.json").read_text()), ("temperatures",)),
+}
 
 
-def with_parts(obj: dict) -> dict:
-    return {k: part(v) for k, v in obj.items()}
-
-
-def test_every_key_order_folds_and_unfolds_to_the_object_it_was_made_from():
-    """All 17 key orders of an edge (6) and a node (11) fold, each into a
-    class of its own, to values in one order, and unfold to an object equal
-    in keys, key order and values."""
-    classes = set()
-    for obj, values in FOLDED_KEY_SETS:
-        for ordered in in_every_key_order(with_parts(obj)):
-            folded = problemio._fold(ordered)
-            assert isinstance(folded, problemio._Folded)
-            assert folded == tuple(map(part, values))
-            unfolded = problemio._unfolded(folded)
-            assert list(unfolded.items()) == list(ordered.items())
-            classes.add(type(folded))
-    assert len(classes) == 17
-
-
-@pytest.mark.parametrize("obj", UNFOLDED, ids=repr)
-def test_an_object_that_is_not_a_node_or_an_edge_stays_unfolded(obj):
-    """A null tag, a name that is not a string, a tag that is not a string,
-    children that are not a list, or an edge whose node is not folded."""
-    for ordered in in_every_key_order(with_parts(obj)):
-        assert problemio._fold(ordered) is ordered
+@pytest.mark.parametrize("place", sorted(SHAPED_PLACES))
+@pytest.mark.parametrize("shaped", NODE_SHAPED, ids=repr)
+def test_a_node_or_an_edge_outside_a_tree_is_read_as_the_plain_reader_reads_it(place, shaped):
+    doc, path = SHAPED_PLACES[place]
+    assert_loads_like_the_reference(with_value(doc, path, shaped))
 
 
 def chain_document(depth: int) -> str:
