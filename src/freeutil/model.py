@@ -384,6 +384,17 @@ def _normalise_rows(flat, starts, skip=False) -> np.ndarray:
     return passed
 
 
+def _valid_rows(prior, utility, starts) -> bool:
+    """Whether rows in flat arrays pass the checks of UtilityTable and
+    FiniteDistribution: finite utilities, and nonnegative priors whose every
+    segment normalises, in place, as FiniteDistribution normalises it."""
+    try:
+        return bool(np.isfinite(utility).all() and (prior >= 0.0).all()
+                    and _normalise_rows(prior, starts).all())
+    except OverflowError:  # a sum past the float range
+        return False
+
+
 def _row_kls(p, q, starts) -> np.ndarray:
     """KL(p row ‖ q row) in nats for every segment of two flat arrays, where
     q is positive wherever p is: the one relative-entropy kernel. A term
@@ -747,8 +758,8 @@ class TreeNode:
 
     == and repr give what the generated dataclass methods give, and hash
     agrees with ==, but on a cycle, where those recurse, == and hash raise
-    CyclicTree. == and hash read one pre-order walk, _pre_order, and repr its
-    own stack, so depth is bounded by memory.
+    CyclicTree. == and hash read one pre-order walk, _pre_order, and repr is
+    a recursive writer run by _trampoline, so depth is bounded by memory.
     """
 
     name: str
@@ -782,25 +793,36 @@ class TreeNode:
         return hash(tuple(self._records()))
 
     def __repr__(self) -> str:
-        out, stack = [], [self]  # stack: text, or a node still to write
-        while stack:
-            node = stack.pop()
-            if isinstance(node, str):
-                out.append(node)
-                continue
-            kids = node.children
-            head = f"{node.__class__.__qualname__}(name={node.name!r}, children="
-            tail = (
-                f", child_prior={node.child_prior!r}, child_utility={node.child_utility!r}, "
-                f"temperature_tag={node.temperature_tag!r})"
-            )
-            if type(kids) is not tuple or not kids:
-                out.append(f"{head}{kids!r}{tail}")
-                continue
-            parts = [c if isinstance(c, TreeNode) else repr(c) for c in kids]
-            parts = [x for c in parts for x in (", ", c)][1:]
-            stack.extend(reversed([head + "(", *parts, ",)" if len(kids) == 1 else ")", tail]))
-        return "".join(out)
+        return _trampoline(_node_repr(self))
+
+
+def _trampoline(call):
+    """The value of call, the generator of a recursive function that yields
+    each call it makes to itself and is sent back its value. The suspended
+    calls are kept on a list, so depth is bounded by memory."""
+    calls, value = [call], None
+    while calls:
+        try:
+            calls.append(calls[-1].send(value))
+            value = None
+        except StopIteration as done:
+            calls.pop()
+            value = done.value
+    return value
+
+
+def _node_repr(node: TreeNode):
+    """The dataclass repr of node, run by _trampoline."""
+    kids = node.children
+    head = f"{node.__class__.__qualname__}(name={node.name!r}, children="
+    tail = (f", child_prior={node.child_prior!r}, child_utility={node.child_utility!r}, "
+            f"temperature_tag={node.temperature_tag!r})")
+    if type(kids) is not tuple or not kids:
+        return f"{head}{kids!r}{tail}"
+    parts = []
+    for c in kids:
+        parts.append((yield _node_repr(c)) if isinstance(c, TreeNode) else repr(c))
+    return f"{head}({', '.join(parts)}{',' if len(kids) == 1 else ''}){tail}"
 
 
 def _check_node_name(name: str) -> None:
@@ -879,7 +901,7 @@ class DecisionTree(_FlatStore):
     n_children[i] children, the nodes from first_child[i] on; the edge into
     node j > 0 is edge j - 1, with the normalised prior prior[j - 1] and the
     utility gain utility[j - 1]. A leaf's tag is checked as any node's is,
-    but governs no backup.
+    but governs no backup, and reads back as "lambda".
     A graph of TreeNodes is an input format only: the constructor checks
     and reads it, and the tree keeps no reference to it.
     """
@@ -918,7 +940,7 @@ class DecisionTree(_FlatStore):
     def _fill(self, names, is_mu, n_children, prior, utility) -> None:
         n_children = np.asarray(n_children, dtype=np.intp)
         first_child = np.cumsum(n_children) - n_children + 1
-        is_mu = np.asarray(is_mu, dtype=bool)
+        is_mu = np.asarray(is_mu, dtype=bool) & (n_children > 0)
         self._freeze(names, is_mu, n_children, first_child, prior, utility)
 
     @property

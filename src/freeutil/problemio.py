@@ -15,10 +15,10 @@ first bad byte.
 loads() decodes with an object_hook, _TreeArrays.hook, that records each
 tree node and edge into flat arrays as the decoder finishes it, in any key
 order, and leaves one shared marker in its place; the tree's arrays are
-checked and built from the records. On any fault the text is decoded again
-without the hook, and the plain readers (_parse_tree for a tree, the control
-and two-stage parsers) raise the error the text meets first; so is a text
-too deep for the decoder with the hook, before it is refused as too deep.
+checked and built from the records. On any fault, and for a text too deep
+for the decoder with the hook, the text is decoded again without the hook,
+and the plain readers (_parse_tree for a tree, the control and two-stage
+parsers) raise the error the text meets first, or read the deep tree.
 
 load() reads a file's text in blocks and drops from each every run of 9 or
 more spaces that follows a newline, so only the squeezed text is held whole,
@@ -58,7 +58,6 @@ import numpy as np
 
 from .model import (
     LAMBDA_TAG,
-    MU_TAG,
     ControlProblem,
     DecisionTree,
     DomainError,
@@ -69,7 +68,8 @@ from .model import (
     TwoStageProblem,
     UtilityTable,
     _VALID_TAGS,
-    _normalise_rows,
+    _trampoline,
+    _valid_rows,
 )
 
 SCHEMA_VERSION = "1"
@@ -166,13 +166,11 @@ def _row_arrays(actions, outcomes, channel: dict, utility: dict):
         return None
     try:
         matrix = np.array(rows, dtype=float)
-        if not (np.isfinite(matrix).all() and (matrix[:n] >= 0.0).all()):
-            return None
-        if not _normalise_rows(matrix[:n].ravel(), np.arange(n) * width).all():
-            return None
-    except OverflowError:  # an integer too large for a float, or a sum past the float range
+    except OverflowError:  # an integer too large for a float
         return None
-    return matrix[:n], matrix[n:]
+    if _valid_rows(matrix[:n].ravel(), matrix[n:], np.arange(n) * width):
+        return matrix[:n], matrix[n:]
+    return None
 
 
 def _parse_two_stage(payload: dict) -> TwoStageProblem:
@@ -219,12 +217,12 @@ class _TreeArrays:
     """A tree read into flat arrays while it is decoded by hook.
 
     hook records a node, key name and optional keys temperature_tag and
-    children in any order, as its name, tag ("lambda" on a leaf) and child
-    count, if the name is a str without '/', the tag is known and the
-    children are a nonempty list of _READ; and an edge, keys prior, utility
-    and node in any order, as its numbers (not booleans; one past the float
-    range raises OverflowError), if its node is _READ and it follows a
-    recorded node. A recorded object becomes _READ; any other stays as it is.
+    children in any order, as its name, tag and child count, if the name is
+    a str without '/', the tag is known and the children are a nonempty
+    list of _READ; and an edge, keys prior, utility and node in any order,
+    as its numbers (not booleans; one past the float range raises
+    OverflowError), if its node is _READ and it follows a recorded node. A
+    recorded object becomes _READ; any other stays as it is.
 
     The decoder finishes a tree's objects in post-order, each node just
     before the edge that leads to it, so edge j leads to node j. A recorded
@@ -254,7 +252,7 @@ class _TreeArrays:
                         type(children) is not list or not 0 < children.count(_READ) == len(children))):
                 return obj
             names.append(name)
-            tags.append(MU_TAG if children and tag == MU_TAG else LAMBDA_TAG)
+            tags.append(sys.intern(tag))  # one string per tag, not one per node
             counts.append(len(children))
             return _READ
 
@@ -287,19 +285,13 @@ class _TreeArrays:
         # Edge j leads to node j; the priors are read grouped by parent.
         self.grouped = np.frombuffer(grouped, dtype=np.int64)
         self.prior = np.frombuffer(self.priors)[self.grouped]
-        # An infinite prior fails the sum check below.
-        if not (np.isfinite(self.utilities).all() and (self.prior >= 0.0).all()):
-            return False
         sizes = np.array([k for k in self.counts if k], dtype=np.intp)
         bounds = np.cumsum(sizes) - sizes  # where each node's children start in grouped
         siblings = np.array(self.names, dtype=object)[self.grouped].tolist()
         segments = map(slice, bounds.tolist(), (bounds + sizes).tolist())
         if list(map(len, map(set, map(siblings.__getitem__, segments)))) != sizes.tolist():
             return False
-        try:
-            return bool(_normalise_rows(self.prior, bounds).all())
-        except OverflowError:  # a sum past the float range
-            return False
+        return _valid_rows(self.prior, np.frombuffer(self.utilities), bounds)
 
     def problem_file(self) -> ProblemFile:
         """The accepted tree file, its tree in DecisionTree's breadth-first
@@ -320,61 +312,46 @@ class _TreeArrays:
 
 
 def _parse_tree(payload) -> TreeNode:
-    """The tree payload as TreeNodes, with the checks and messages of a
-    recursive descent in the same order: a node's keys, then each child
-    entry's keys and numbers followed by its whole subtree, then the node's
-    child distribution. The open nodes are kept on an explicit stack, so
-    depth is bounded by memory. loads reads a payload this way only when the
-    array reader has not accepted it: to raise the error this order meets
-    first, or to read a tree too deep to decode with the hook.
-    """
+    """The tree payload as TreeNodes, read by a recursive descent run on
+    _trampoline, so depth is bounded by memory. loads reads a payload this
+    way only when the array reader has not accepted it: to raise the error
+    the descent meets first, or to read a tree too deep to decode with the
+    hook."""
+    return _trampoline(_parse_node(payload, "tree payload"))
 
-    def open_node(obj, where):
-        """A leaf as a TreeNode; an internal node as the frame
-        [name, tag, where, child entries, children, priors, utilities]."""
-        _require_keys(obj, {"name", "temperature_tag", "children"}, {"name"}, where)
-        name = obj["name"]
-        if not isinstance(name, str):
-            raise DomainError(f"node name in {where} must be a string")
-        tag = obj.get("temperature_tag", LAMBDA_TAG)
-        if "children" not in obj:
-            # A known tag on a leaf reads back as "lambda"; DecisionTree
-            # rejects any other.
-            return TreeNode(name, temperature_tag=LAMBDA_TAG if tag in _VALID_TAGS else tag)
-        children_spec = obj["children"]
-        if not isinstance(children_spec, list) or not children_spec:
-            raise DomainError(f"children of {where} must be a nonempty array")
-        return [name, tag, where, enumerate(children_spec), [], [], []]
 
-    node = open_node(payload, "tree payload")
-    stack: list = []
-    while True:
-        if not isinstance(node, TreeNode):
-            stack.append(node)
-        elif stack:
-            stack[-1][4].append(node)  # a finished child of the open node
-        else:
-            return node
-        name, tag, where, entries, children, priors, utilities = stack[-1]
-        for i, entry in entries:
-            child_where = f"{where}/children[{i}]"
-            _require_keys(
-                entry, {"prior", "utility", "node"}, {"prior", "utility", "node"}, child_where
-            )
-            priors.append(_as_number(entry["prior"], f"{child_where}.prior"))
-            utilities.append(_as_number(entry["utility"], f"{child_where}.utility"))
-            node = open_node(entry["node"], f"{child_where}.node")
-            break
-        else:
-            stack.pop()
-            names = [c.name for c in children]
-            node = TreeNode(
-                name=name,
-                children=tuple(children),
-                child_prior=FiniteDistribution(names, priors),
-                child_utility=UtilityTable(names, utilities),
-                temperature_tag=tag,
-            )
+def _parse_node(obj, where):
+    """One node of _parse_tree: its keys, then each child entry's keys and
+    numbers followed by the child's subtree, then the child distribution."""
+    _require_keys(obj, {"name", "temperature_tag", "children"}, {"name"}, where)
+    name = obj["name"]
+    if not isinstance(name, str):
+        raise DomainError(f"node name in {where} must be a string")
+    tag = obj.get("temperature_tag", LAMBDA_TAG)
+    if "children" not in obj:
+        # A known tag on a leaf reads back as "lambda"; DecisionTree rejects
+        # any other.
+        return TreeNode(name=name, temperature_tag=LAMBDA_TAG if tag in _VALID_TAGS else tag)
+    children_spec = obj["children"]
+    if not isinstance(children_spec, list) or not children_spec:
+        raise DomainError(f"children of {where} must be a nonempty array")
+    children, priors, utilities = [], [], []
+    for i, entry in enumerate(children_spec):
+        child_where = f"{where}/children[{i}]"
+        _require_keys(
+            entry, {"prior", "utility", "node"}, {"prior", "utility", "node"}, child_where
+        )
+        priors.append(_as_number(entry["prior"], f"{child_where}.prior"))
+        utilities.append(_as_number(entry["utility"], f"{child_where}.utility"))
+        children.append((yield _parse_node(entry["node"], f"{child_where}.node")))
+    names = [c.name for c in children]
+    return TreeNode(
+        name=name,
+        children=tuple(children),
+        child_prior=FiniteDistribution(names, priors),
+        child_utility=UtilityTable(names, utilities),
+        temperature_tag=tag,
+    )
 
 
 def _reject_constant(name: str):
@@ -400,10 +377,9 @@ def _too_deep(text: str) -> DomainError:
 @contextmanager
 def _gc_paused():
     """Pause the cyclic garbage collector, restoring its state on the way out.
-    loads holds the pause from the JSON decode until the decoded document is
-    released: decoding and building make many containers but no reference
-    cycle, so a pass there would free nothing, and a pass just after it, while
-    the decoded document lives, would scan every one of its containers."""
+    loads pauses it over its fallback: the plain decode and readers make many
+    containers but no reference cycle, so a pass there would free nothing and
+    would scan every container of the decoded document."""
     import gc  # here, so that importing the package loads no extra module
 
     enabled = gc.isenabled()
@@ -422,20 +398,31 @@ def loads(text: str) -> ProblemFile:
     The decoder records a tree into flat arrays (see _TreeArrays), and the
     text is kept only until the recorded tree passes every check; a document
     with nothing recorded, every control and two-stage file, is the plain
-    decoded document, and its text is freed before the build. On any fault,
-    or when the text is too deep for the decoder with the hook, the plain
-    document is read by the plain readers, which raise the error the text
-    meets first.
+    decoded document, and its text is freed before the build. Every other
+    outcome of that decode, a decoding fault, a text too deep for the decoder
+    with the hook or a refused tree, takes one fallback: the text is decoded
+    once more without the hook, and the plain readers raise the error it
+    meets first, or read a tree too deep to decode with the hook.
     """
     if not isinstance(text, str):
         raise DomainError(f"a problem document must be JSON text, a str, got {type(text).__name__}")
+    arrays = _TreeArrays()
+    try:
+        raw = json.loads(text, object_hook=arrays.hook, parse_constant=_reject_constant)
+    except (ValueError, RecursionError, OverflowError):  # named or read by the fallback
+        pass
+    else:
+        if not arrays.names:  # nothing was recorded
+            del text  # with no reference left to it, freed before the build
+            return _problem_file(raw)
+        if arrays.accept(raw):
+            del raw, text
+            return arrays.problem_file()
+        del raw
+    del arrays
     with _gc_paused():
-        arrays = _TreeArrays()
         try:
-            try:
-                raw = json.loads(text, object_hook=arrays.hook, parse_constant=_reject_constant)
-            except (RecursionError, OverflowError):  # see _TreeArrays
-                arrays, raw = None, json.loads(text, parse_constant=_reject_constant)
+            raw = json.loads(text, parse_constant=_reject_constant)
         except json.JSONDecodeError as e:
             raise DomainError(f"not valid JSON: {e}") from None
         except ValueError:
@@ -443,20 +430,7 @@ def loads(text: str) -> ProblemFile:
             raise DomainError("problem file holds an integer too large for a float") from None
         except RecursionError:
             raise _too_deep(text) from None
-        if arrays is None or not arrays.names:  # nothing was recorded
-            # When the caller keeps no reference, this frees the text
-            # before the problem is built.
-            del text
-            pf = _problem_file(raw)
-            del raw  # released while the collector is still paused
-        elif arrays.accept(raw):
-            del raw, text
-            pf = arrays.problem_file()
-        else:
-            del raw, arrays
-            # The text decoded with the hook, so it decodes without it.
-            pf = _problem_file(json.loads(text, parse_constant=_reject_constant))
-    return pf
+        return _problem_file(raw)
 
 
 def _file_kind(raw) -> str:

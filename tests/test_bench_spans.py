@@ -5,6 +5,7 @@ import contextlib
 import importlib.util
 import io
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -78,4 +79,33 @@ def test_every_imported_name_is_used_or_wrapped():
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in used and (path.stem, name) not in wrapped:
                         unused.append(f"{path.name}: {name}")
+    assert unused == []
+
+
+def test_every_private_definition_is_named_elsewhere():
+    """Each private function, method and class defined in the package is
+    named somewhere in the package outside its own body: a call, an
+    attribute or an import. When a change leaves one unused, this points at
+    the definition to delete."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "freeutil").glob("*.py"))]
+
+    def names(root):
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.asname or node.name
+
+    everywhere = Counter(name for tree in trees for name in names(tree))
+    unused = [
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+        and everywhere[node.name] == sum(name == node.name for name in names(node))
+    ]
     assert unused == []

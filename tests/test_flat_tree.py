@@ -609,11 +609,11 @@ def test_a_tree_keeps_no_reference_to_its_graph():
 
 
 def bfs_tags(root: TreeNode) -> tuple:
-    """The tags of TreeNodes in breadth-first order."""
+    """The tags of TreeNodes in breadth-first order, a leaf's as "lambda"."""
     nodes = [root]
     for n in nodes:
         nodes.extend(n.children)
-    return tuple(n.temperature_tag for n in nodes)
+    return tuple(n.temperature_tag if n.children else "lambda" for n in nodes)
 
 
 TREE_GOLDENS = sorted(p.name for p in GOLDEN.glob("tree_*.json"))

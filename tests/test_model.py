@@ -542,7 +542,7 @@ def test_tree_rejects_unknown_tag():
 
 def test_tree_rejects_a_leaf_with_an_unknown_tag_in_pre_order():
     """A leaf's tag is checked as an internal node's is, the first bad tag in
-    pre-order named; a leaf's known tag is kept."""
+    pre-order named; a leaf's known tag reads back as "lambda"."""
     bad_leaf = TreeNode("x", temperature_tag=5)
     bad_node = node("b", [leaf("y")], [1.0], [0.0], tag="beta")
     for kids, name, tag in [([bad_leaf, bad_node], "x", 5), ([bad_node, bad_leaf], "b", "beta")]:
@@ -551,7 +551,7 @@ def test_tree_rejects_a_leaf_with_an_unknown_tag_in_pre_order():
             DecisionTree(node("r", kids, [0.5, 0.5], [0.0, 0.0]))
     kids = [TreeNode("x", temperature_tag="mu"), leaf("y")]
     tree = DecisionTree(node("r", kids, [0.5, 0.5], [0.0, 1.0]))
-    assert tree.tags == ("lambda", "mu", "lambda")
+    assert tree.tags == ("lambda", "lambda", "lambda")
 
 
 def test_tree_rejects_leaf_with_priors():

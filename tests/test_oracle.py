@@ -646,6 +646,25 @@ def test_import_leaves_openssl_out(module):
     assert result.stdout.strip() == "[]"
 
 
+def test_tree_solve_sweep_and_dumps_leave_numpy_ma_out():
+    """A tree solve, a tree sweep and dumps import no numpy.ma, a module of
+    about 1 MB that np.unique would load."""
+    tree = str(GOLDEN / "tree_mixed_tags.json")
+    code = (
+        "import contextlib, io, sys\n"
+        "from freeutil import cli, problemio\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['solve', {tree!r}]) == 0\n"
+        f"    assert cli.main(['sweep', {tree!r}, '--param', 'mu', '--grid=-inf,-1,0,1,inf']) == 0\n"
+        f"problemio.dumps(problemio.load({tree!r}))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # iterative tree oracles
 

@@ -21,6 +21,7 @@ from freeutil.model import (
     DomainError,
     FiniteDistribution,
     FreeUtilError,
+    NegativeProbability,
     Temperature,
     TemperatureSpec,
     TreeNode,
@@ -446,6 +447,38 @@ def test_leaf_tags_are_checked_and_read_back_as_lambda():
             loads(leaf_tag_file(tags))
 
 
+def test_a_built_tree_with_a_leaf_tagged_mu_loads_back_equal():
+    """DecisionTree reads a leaf's known tag back as "lambda", as the file
+    reader and writer do, so a built tree equals and hashes as its reload."""
+    kids = (TreeNode("a", temperature_tag="mu"), TreeNode("b"))
+    root = TreeNode("r", kids, FiniteDistribution("ab", [0.5, 0.5]), UtilityTable("ab", [0.0, 1.0]))
+    pf = ProblemFile("1", "tree", DecisionTree(root))
+    again = loads(dumps(pf))
+    assert again == pf and hash(again) == hash(pf)
+
+
+@pytest.mark.parametrize("fault, error, message", [
+    ("negative prior", NegativeProbability, "probability of 'leaf' is -0.5"),
+    ("name not a string", DomainError,
+     "node name in tree payload" + "/children[0].node" * 5_000 + " must be a string"),
+])
+def test_tree_parser_raises_a_fault_deeper_than_the_recursion_limit(fault, error, message):
+    """A fault at the bottom of a payload 5,000 deep raises its named error,
+    passed out through every suspended call."""
+    payload = {"name": 7 if fault == "name not a string" else "leaf"}
+    prior = -0.5 if fault == "negative prior" else 1.0
+    for _ in range(5_000):
+        payload = {
+            "name": "n",
+            "temperature_tag": "mu",
+            "children": [{"prior": prior, "utility": 1.0, "node": payload}],
+        }
+        prior = 1.0
+    with pytest.raises(error) as raised:
+        _parse_tree(payload)
+    assert str(raised.value) == message
+
+
 def test_tree_parser_handles_a_payload_deeper_than_the_recursion_limit():
     depth = 5_000
     payload = {"name": "leaf"}
@@ -526,18 +559,39 @@ def test_loading_leaves_the_collector_as_it_found_it(tmp_path, reader, case, ena
         (gc.enable if was else gc.disable)()
 
 
-def test_loads_starts_no_collector_pass_before_the_document_is_released():
-    """The decoded tree holds far more containers than the collector's first
-    threshold, yet no pass starts from the decode until the decoded document
-    is freed."""
+def square_two_stage_text(n: int) -> str:
+    """A two-stage file with n actions and n outcomes, random rows."""
+    rng = np.random.default_rng(3)
+    actions, outcomes = [f"a{i}" for i in range(n)], [f"o{i}" for i in range(n)]
+    channel = rng.random((n, n))
+    channel /= channel.sum(axis=1, keepdims=True)
+    payload = {
+        "actions": actions, "outcomes": outcomes, "prior_action": [1.0 / n] * n,
+        "channel": dict(zip(actions, channel.tolist())), "action_utility": [0.0] * n,
+        "outcome_utility": dict(zip(actions, rng.normal(size=(n, n)).tolist())),
+    }
+    return json.dumps({"schema_version": "1", "kind": "two_stage", "payload": payload})
+
+
+@pytest.mark.parametrize("case", ["tree", "two-stage"])
+def test_loads_starts_no_collector_pass_before_the_document_is_released(case):
+    """Decoding a 2,000-child tree makes far more containers than the
+    collector's first threshold, and a 300×300 two-stage file holds about
+    600 lists, yet from an empty young generation no pass starts: the tree
+    reader frees each object as the decoder finishes it, and a two-stage
+    file stays below the threshold."""
     passes = []
 
     def record(phase, info):
         passes.append(phase)
 
-    text = dumps(ProblemFile("1", "tree", DecisionTree(wide_root(2000))))
+    if case == "tree":
+        text = dumps(ProblemFile("1", "tree", DecisionTree(wide_root(2000))))
+    else:
+        text = square_two_stage_text(300)
     was = gc.isenabled()
     gc.enable()
+    gc.collect()  # only the containers loads makes count toward the threshold
     gc.callbacks.append(record)
     try:
         loads(text)
