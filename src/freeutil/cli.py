@@ -14,8 +14,9 @@ contract: 0 success, 2 input error, 3 solver error, 4 verification failure.
 
 Each command runs in two phases. Its ``_cmd_*`` function only reads and
 checks the inputs (file, flags, grid, seed, perturbation) and returns a
-zero-argument solve that gives the output, as a list of str pieces, and the
-exit code. ``main`` alone keeps the contract: a usage fault, a
+zero-argument solve that gives the output, as str pieces (a list, or for a
+tree's solve an iterator that makes each as it is written), and the exit
+code. ``main`` alone keeps the contract: a usage fault, a
 ``FreeUtilError`` while reading, an oracle's size cap or an ``OSError``
 anywhere exits 2, any other ``FreeUtilError`` from the solve exits 3, each
 with one ``Name: message`` line on stderr; otherwise the pieces go to stdout
@@ -101,9 +102,10 @@ def _refuse_overwriting_input(args) -> None:
         raise DomainError(f"--output {args.output} is the input file; it would be overwritten")
 
 
-def _emit(pieces: list[str], output: str | None) -> None:
-    """Write the output's pieces in turn, to stdout or to the --output file,
-    so no copy of the whole text is made."""
+def _emit(pieces, output: str | None) -> None:
+    """Write the output's pieces, a list or an iterator, to stdout or to the
+    --output file, each as it is made, so no copy of the whole text is made
+    and a piece is dropped once written."""
     if output is None:
         sys.stdout.writelines(pieces)
     else:
@@ -186,53 +188,18 @@ def _solve_two_stage_doc(problem: TwoStageProblem, temps: TemperatureSpec,
 
 
 def _solve_tree_doc(tree: DecisionTree, temps: TemperatureSpec, units: str,
-                    conversion: str = "%.12g") -> list[str]:
-    """The tree solve document without its final newline, in pieces: the
-    header through render_json, and node_values and node_policies (keyed by
-    path, in pre-order) a chunk of 1,024 nodes at a time, each piece filled
-    by one %. Paths come from a stack of ancestor paths, each distinct name
-    escaped once, and only internal nodes' paths are kept for the policies,
-    so no list or array spans the whole tree. Floats are written by the %
-    conversion, -0.0 as 0.0; paths and names are always % arguments, never
-    template text. No key is a relative entropy; units is a label."""
+                    conversion: str = "%.12g"):
+    """The tree solve document without its final newline, as an iterator of
+    its chunks. The backup and the header through render_json run first, so
+    every FreeUtilError is raised before the iterator is returned. Reading
+    it makes node_values and node_policies (keyed by path, in pre-order) a
+    chunk of 1,024 nodes at a time, each filled by one %, in two walks of
+    the pre-order, the second for the internal nodes' paths alone; no chunk
+    is held once it is read, and no list or array of text spans the tree.
+    Floats are written by the % conversion, -0.0 as 0.0; paths and names
+    are always % arguments, never template text. No key is a relative
+    entropy; units is a label."""
     tv = value_recursion(tree, temps)
-    pre = tree.orders()[0]
-    starts = tree.level_starts()
-    depth = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
-    escaped = {name: encode_basestring_ascii(name)[1:-1] for name in set(tree.names)}
-    prefixes = [""] * len(starts)  # per depth, the path of the last node met one level up, and a '/'
-    value_row, child_row = (f'\n{pad}"%s": {conversion}' for pad in ("    ", "      "))
-    rows = {k: '\n    "%s": {' + ",".join([child_row] * k) + "\n    }"  # per child count
-            for k in np.flatnonzero(np.bincount(tree.n_children)).tolist()}
-    values, policies = [], []
-    for lo in range(0, len(pre), 1024):
-        nodes = pre[lo:lo + 1024]
-        counts = tree.n_children[nodes]
-        paths, parents = [], []
-        for name, d, k in zip(map(tree.names.__getitem__, nodes.tolist()), depth[nodes].tolist(),
-                              counts.tolist()):
-            paths.append(prefixes[d] + escaped[name])
-            if k:
-                prefixes[d + 1] = paths[-1] + "/"
-                parents.append(paths[-1])
-        # node_values: a path and a value per node.
-        fill = tuple(chain.from_iterable(zip(paths, (tv.flat_values[nodes] + 0.0).tolist())))
-        values.append(("," if lo else "") + ",".join([value_row] * len(paths)) % fill)
-        if not parents:
-            continue
-        # node_policies: a row per internal node, its path then a name and a
-        # probability per child; the edge into node j > 0 is flat_policy[j - 1].
-        nodes, counts = nodes[counts > 0], counts[counts > 0]
-        first = np.cumsum(counts) - counts  # the children before each row
-        edge = np.arange(first[-1] + counts[-1])
-        children = np.repeat(tree.first_child[nodes] - first, counts) + edge
-        name_at = np.repeat(np.arange(1, len(counts) + 1), counts) + 2 * edge
-        fill = np.empty(len(counts) + 2 * len(children), dtype=object)
-        fill[np.arange(len(counts)) + 2 * first] = parents
-        fill[name_at] = [escaped[tree.names[c]] for c in children.tolist()]
-        fill[name_at + 1] = (tv.flat_policy[children - 1] + 0.0).tolist()
-        template = ",".join(map(rows.__getitem__, counts.tolist()))
-        policies.append(("," if policies else "") + template % tuple(fill))
     header = render_json({
         "command": "solve",
         "kind": "tree",
@@ -245,8 +212,67 @@ def _solve_tree_doc(tree: DecisionTree, temps: TemperatureSpec, units: str,
         "units": units,
     }, lambda x: conversion % (x + 0.0))
     head, middle, tail = header.split(": null")  # the two placeholders are the only nulls
-    policies = [": {", *policies, "\n  }"] if policies else [": {}"]
-    return [head, ": {", *values, "\n  }", middle, *policies, tail]
+
+    def chunks():
+        pre = tree.pre_order()
+        starts = tree.level_starts()
+        depth = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+        escaped = {name: encode_basestring_ascii(name)[1:-1] for name in set(tree.names)}
+        value_row, child_row = (f'\n{pad}"%s": {conversion}' for pad in ("    ", "      "))
+        rows = {k: '\n    "%s": {' + ",".join([child_row] * k) + "\n    }"  # per child count
+                for k in np.flatnonzero(np.bincount(tree.n_children)).tolist()}
+        yield head + ": {"
+        # node_values: a path and a value per node.
+        sep = ""
+        for nodes, _, paths in _path_chunks(tree, pre, depth, escaped, False):
+            fill = tuple(chain.from_iterable(zip(paths, (tv.flat_values[nodes] + 0.0).tolist())))
+            yield sep + ",".join([value_row] * len(paths)) % fill
+            sep = ","
+        yield "\n  }" + middle
+        if not tree.n_children[0]:
+            yield ": {}" + tail
+            return
+        yield ": {"
+        # node_policies: a row per internal node, its path then a name and a
+        # probability per child; the edge into node j > 0 is flat_policy[j - 1].
+        sep = ""
+        for nodes, counts, paths in _path_chunks(tree, pre, depth, escaped, True):
+            if not paths:
+                continue
+            first = np.cumsum(counts) - counts  # the children before each row
+            edge = np.arange(first[-1] + counts[-1])
+            children = np.repeat(tree.first_child[nodes] - first, counts) + edge
+            name_at = np.repeat(np.arange(1, len(counts) + 1), counts) + 2 * edge
+            fill = np.empty(len(counts) + 2 * len(children), dtype=object)
+            fill[np.arange(len(counts)) + 2 * first] = paths
+            fill[name_at] = [escaped[tree.names[c]] for c in children.tolist()]
+            fill[name_at + 1] = (tv.flat_policy[children - 1] + 0.0).tolist()
+            template = ",".join(map(rows.__getitem__, counts.tolist()))
+            yield sep + template % tuple(fill)
+            sep = ","
+        yield "\n  }" + tail
+
+    return chunks()
+
+
+def _path_chunks(tree: DecisionTree, pre, depth, escaped: dict, internal: bool):
+    """The pre-order in chunks of 1,024 nodes, each as its nodes (with
+    internal true, its internal nodes alone), their child counts and their
+    paths. A path is the path last met one level up, a '/' and the node's
+    escaped name."""
+    prefixes = [""] * (int(depth[-1]) + 2)  # per depth, the path one level up and a '/'
+    for lo in range(0, len(pre), 1024):
+        nodes = pre[lo:lo + 1024]
+        counts = tree.n_children[nodes]
+        if internal:
+            nodes, counts = nodes[counts > 0], counts[counts > 0]
+        paths = []
+        for name, d, k in zip(map(tree.names.__getitem__, nodes.tolist()), depth[nodes].tolist(),
+                              counts.tolist()):
+            paths.append(prefixes[d] + escaped[name])
+            if k:
+                prefixes[d + 1] = paths[-1] + "/"
+        yield nodes, counts, paths
 
 
 def _cmd_solve(args):
@@ -257,7 +283,7 @@ def _cmd_solve(args):
         temps = _resolve_staged_temps(pf, args)
     doc = {"control": _solve_control_doc, "two_stage": _solve_two_stage_doc,
            "tree": _solve_tree_doc}[pf.kind]
-    return lambda: (doc(pf.problem, temps, args.units) + ["\n"], EXIT_OK)
+    return lambda: (chain(doc(pf.problem, temps, args.units), ["\n"]), EXIT_OK)
 
 
 def _sweep_rows_staged(

@@ -887,6 +887,14 @@ def _check_tree(root: TreeNode) -> None:
                 )
 
 
+def _sequence(positions: np.ndarray) -> np.ndarray:
+    """The index at each position of a permutation given as each index's
+    position."""
+    sequence = np.empty_like(positions)
+    sequence[positions] = np.arange(len(positions))
+    return sequence
+
+
 class DecisionTree(_FlatStore):
     """Finite rooted tree alternating chooser-tagged stages.
 
@@ -963,16 +971,13 @@ class DecisionTree(_FlatStore):
             starts.append(int(self.first_child[starts[-1]]))
         return starts
 
-    def orders(self) -> tuple[np.ndarray, np.ndarray]:
-        """The node indices in pre-order and in post-order, children in
-        order, computed level by level."""
+    def _pre_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each node's position in pre-order, children in order, and the
+        size of its subtree, computed level by level."""
         n = len(self.names)
         size = np.ones(n, dtype=np.intp)
-        depth = np.zeros(n, dtype=np.intp)
         starts = self.level_starts()
         levels = list(zip(starts[:-2], starts[1:-1], starts[2:]))
-        for d, (lo, hi, end) in enumerate(levels, 1):
-            depth[hi:end] = d
         # Subtree sizes, deepest level first; then each child's pre-order
         # position: its parent's, plus one, plus its elder siblings' subtrees.
         for lo, hi, end in reversed(levels):
@@ -986,12 +991,21 @@ class DecisionTree(_FlatStore):
             elder = np.cumsum(size[hi:end]) - size[hi:end]
             elder -= np.repeat(elder[self.first_child[parents] - hi], counts)
             pre[hi:end] = np.repeat(pre[parents] + 1, counts) + elder
+        return pre, size
+
+    def pre_order(self) -> np.ndarray:
+        """The node indices in pre-order, children in order."""
+        return _sequence(self._pre_positions()[0])
+
+    def orders(self) -> tuple[np.ndarray, np.ndarray]:
+        """The node indices in pre-order and in post-order, children in
+        order, computed level by level, each in an array of its own."""
+        pre, size = self._pre_positions()
+        starts = self.level_starts()
+        depth = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
         # A node follows its subtree in post-order, and its ancestors no longer
         # precede it.
-        post = pre - depth + size - 1
-        sequences = np.empty((2, n), dtype=np.intp)
-        sequences[0, pre] = sequences[1, post] = np.arange(n)
-        return sequences[0], sequences[1]
+        return _sequence(pre), _sequence(pre - depth + size - 1)
 
     def n_leaves(self) -> int:
         return int(np.count_nonzero(self.n_children == 0))

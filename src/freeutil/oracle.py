@@ -320,7 +320,7 @@ def path_enumeration(tree: DecisionTree, lam: float) -> float:
     prior, utility = tree.prior.tolist(), tree.utility.tolist()
     # The node that edge e leaves; edge e leads to node e + 1.
     parent = np.repeat(np.arange(len(tree.names)), tree.n_children).tolist()
-    pre = tree.orders()[0]
+    pre = tree.pre_order()
     log_ps: list[float] = []
     utils: list[float] = []
     # Each leaf in pre-order, its path walked up to the root.

@@ -14,15 +14,18 @@ first bad byte.
 
 loads() decodes with an object_hook, _TreeArrays.hook, that records each
 tree node and edge into flat arrays as the decoder finishes it, in any key
-order, and leaves one shared marker in its place; the tree's arrays are
-checked and built from the records. On any fault, and for a text too deep
-for the decoder with the hook, the text is decoded again without the hook,
-and the plain readers (_parse_tree for a tree, the control and two-stage
-parsers) raise the error the text meets first, or read the deep tree.
+order, and leaves one shared marker in its place. The hook closes each node
+over its children as it records it and checks their names and, a block of
+rows at a time, their priors and utilities, so every check a tree's records
+fail is met while the text decodes; the text is freed before the tree is
+built from the records. On any fault, and for a text too deep for the
+decoder with the hook, the text is decoded again without the hook, and the
+plain readers (_parse_tree for a tree, the control and two-stage parsers)
+raise the error the text meets first, or read the deep tree.
 
 load() reads a file's text in blocks and drops from each every run of 9 or
-more spaces that follows a newline, so only the squeezed text is held whole,
-and decodes that once. That is a
+more spaces that follows a newline, growing one string, so only the
+squeezed text is held, and decodes that once. That is a
 tree's depth indentation, most of a deep tree's file (82 % of a tree of
 88k nodes); the fixed-depth layouts of control and two-stage files indent
 at most 8 spaces and keep every byte. Strict JSON rejects a raw newline
@@ -58,6 +61,7 @@ import numpy as np
 
 from .model import (
     LAMBDA_TAG,
+    MU_TAG,
     ControlProblem,
     DecisionTree,
     DomainError,
@@ -68,9 +72,11 @@ from .model import (
     TwoStageProblem,
     UtilityTable,
     _VALID_TAGS,
+    _normalise_rows,
     _trampoline,
     _valid_rows,
 )
+from .sequential import _BLOCK_EDGES
 
 SCHEMA_VERSION = "1"
 
@@ -213,12 +219,16 @@ _EDGE_KEYS = frozenset(("prior", "utility", "node"))
 _NODE_KEYS = frozenset(("name", "temperature_tag", "children"))
 
 
+class _Refused(Exception):
+    """Raised by _TreeArrays.hook for records that no valid tree makes."""
+
+
 class _TreeArrays:
     """A tree read into flat arrays while it is decoded by hook.
 
     hook records a node, key name and optional keys temperature_tag and
-    children in any order, as its name, tag and child count, if the name is
-    a str without '/', the tag is known and the children are a nonempty
+    children in any order, as its name, mu flag and child count, if the name
+    is a str without '/', the tag is known and the children are a nonempty
     list of _READ; and an edge, keys prior, utility and node in any order,
     as its numbers (not booleans; one past the float range raises
     OverflowError), if its node is _READ and it follows a recorded node. A
@@ -229,11 +239,23 @@ class _TreeArrays:
     object holds one _READ per child or node it leads to; when the counts
     close into one root, these are every _READ but one, so if that one is
     the payload, the records are exactly the payload's tree.
+
+    hook closes each node as it records it: its children are the last count
+    open subtrees, and grouped lists them by parent. It raises _Refused for
+    records no valid tree makes: a node recorded while an earlier node lacks
+    its edge, or with more children than open subtrees, a name repeated among
+    siblings, or a block of whole rows, at least _BLOCK_EDGES closed edges,
+    that fails _valid_rows on a copy. So the text decodes into records that
+    passed every check but the last block's, and accept has only that block
+    and O(1) checks left.
     """
 
     def __init__(self):
-        names, tags, counts = self.names, self.tags, self.counts = [], [], []
+        names, mu, counts = self.names, self.mu, self.counts = [], bytearray(), array("q")
         priors, utilities = self.priors, self.utilities = array("d"), array("d")
+        # stack: the root of each open subtree; rows: where each row closed
+        # since the last block check starts in grouped.
+        grouped, stack, rows = self.grouped, self.stack, self.rows = array("q"), [], []
 
         def hook(obj: dict):
             keys = obj.keys()
@@ -251,62 +273,78 @@ class _TreeArrays:
                     or tag not in _VALID_TAGS or children != () and (
                         type(children) is not list or not 0 < children.count(_READ) == len(children))):
                 return obj
+            k = len(children)
+            if len(priors) != len(names) or k > len(stack):
+                raise _Refused
+            if k:
+                kids = stack[-k:]
+                del stack[-k:]
+                if k > 1 and len(set(map(names.__getitem__, kids))) < k:
+                    raise _Refused
+                rows.append(len(grouped))
+                grouped.extend(kids)
+                if len(grouped) - rows[0] >= _BLOCK_EDGES and not block_passes():
+                    raise _Refused
+            stack.append(len(names))
             names.append(name)
-            tags.append(sys.intern(tag))  # one string per tag, not one per node
-            counts.append(len(children))
+            mu.append(tag == MU_TAG)
+            counts.append(k)
             return _READ
 
-        self.hook = hook
+        def block_passes() -> bool:
+            """Whether the rows closed since the last call pass _valid_rows,
+            read into copies that are then dropped."""
+            starts = np.array(rows)
+            rows.clear()
+            edges = np.frombuffer(grouped, dtype=np.int64)[starts[0]:]  # edge j leads to node j
+            return _valid_rows(np.frombuffer(priors)[edges], np.frombuffer(utilities)[edges],
+                               starts - starts[0])
+
+        self.hook, self.block_passes = hook, block_passes
 
     def accept(self, raw) -> bool:
         """Whether raw, the decoded document, is a tree file whose payload
         is the recorded tree and passes every check of _parse_tree and
-        DecisionTree: the counts close into one root, no name repeats among
-        siblings, every number is finite, and the priors are nonnegative
-        and normalise per node as FiniteDistribution normalises them."""
+        DecisionTree: the header, one root, an edge per node but the root,
+        and the rows of the last block (hook checked the rest)."""
         try:
             if _file_kind(raw) != "tree" or raw["payload"] is not _READ:
                 return False
             self.temperatures = _temperatures(raw, "tree")
         except FreeUtilError:
             return False
-        # A node closes over the last count subtrees before it, its
-        # children; grouped lists every node but the root by parent.
-        grouped, stack = array("q"), []
-        for j, k in enumerate(self.counts):
-            if k:
-                if k > len(stack):
-                    return False
-                grouped.extend(stack[-k:])
-                del stack[-k:]
-            stack.append(j)
-        if len(stack) != 1 or len(self.priors) != len(grouped):
-            return False
-        # Edge j leads to node j; the priors are read grouped by parent.
-        self.grouped = np.frombuffer(grouped, dtype=np.int64)
-        self.prior = np.frombuffer(self.priors)[self.grouped]
-        sizes = np.array([k for k in self.counts if k], dtype=np.intp)
-        bounds = np.cumsum(sizes) - sizes  # where each node's children start in grouped
-        siblings = np.array(self.names, dtype=object)[self.grouped].tolist()
-        segments = map(slice, bounds.tolist(), (bounds + sizes).tolist())
-        if list(map(len, map(set, map(siblings.__getitem__, segments)))) != sizes.tolist():
-            return False
-        return _valid_rows(self.prior, np.frombuffer(self.utilities), bounds)
+        return (len(self.stack) == 1 and len(self.priors) == len(self.grouped)
+                and (not self.rows or self.block_passes()))
 
     def problem_file(self) -> ProblemFile:
         """The accepted tree file, its tree in DecisionTree's breadth-first
-        arrays, built level by level from the root."""
-        count = np.array(self.counts, dtype=np.intp)
+        arrays, built level by level from the root. Each record is dropped
+        once it has been read."""
+        del self.hook, self.block_passes  # their closures hold the records too
+        count, grouped = np.array(self.counts, dtype=np.intp), np.array(self.grouped, dtype=np.intp)
+        del self.counts, self.grouped
         first = np.cumsum(count) - count  # where a node's children start in grouped
+        # The priors grouped by parent, each row normalised as hook's checks
+        # normalised their copies.
+        prior = np.frombuffer(self.priors)[grouped]
+        del self.priors
+        _normalise_rows(prior, first[count > 0])
         levels, at = [np.array([len(count) - 1])], []  # at: where each level sits in grouped
         while len(levels[-1]):
             k = count[levels[-1]]
             at.append(np.repeat(first[levels[-1]] - (np.cumsum(k) - k), k) + np.arange(k.sum()))
-            levels.append(self.grouped[at[-1]])
+            levels.append(grouped[at[-1]])
         order, at = np.concatenate(levels), np.concatenate(at)
+        del levels, grouped, first
+        names = np.array(self.names, dtype=object)
+        del self.names
+        utility = np.frombuffer(self.utilities)[order[1:]]
+        del self.utilities
+        is_mu = np.frombuffer(self.mu, dtype=np.uint8)[order].tolist()
+        del self.mu
         tree = DecisionTree._from_arrays(
-            tuple(np.array(self.names, dtype=object)[order]), np.array(self.tags, dtype=object)[order],
-            count[order], self.prior[at], np.frombuffer(self.utilities)[order[1:]],
+            tuple(names[order]), map((LAMBDA_TAG, MU_TAG).__getitem__, is_mu),
+            count[order], prior[at], utility,
         )
         return ProblemFile(SCHEMA_VERSION, "tree", tree, **self.temperatures)
 
@@ -317,12 +355,35 @@ def _parse_tree(payload) -> TreeNode:
     way only when the array reader has not accepted it: to raise the error
     the descent meets first, or to read a tree too deep to decode with the
     hook."""
-    return _trampoline(_parse_node(payload, "tree payload"))
+    return _trampoline(_parse_node(payload, None))
 
 
-def _parse_node(obj, where):
+class _Where:
+    """A place in a tree payload as _parse_node's errors name it, rendered
+    only when one is raised, so an open level holds no text that grows with
+    its depth. at is the node's path of child entry indices, as nested pairs
+    (above, index) from None, the payload; index and field name a child
+    entry of the node, or the entry's prior or utility."""
+
+    __slots__ = ("at", "index", "field")
+
+    def __init__(self, at, index=None, field=""):
+        self.at, self.index, self.field = at, index, field
+
+    def __str__(self) -> str:
+        indices, at = [], self.at
+        while at is not None:
+            at, i = at
+            indices.append(i)
+        node = "tree payload" + "".join([f"/children[{i}].node" for i in reversed(indices)])
+        return node if self.index is None else f"{node}/children[{self.index}]{self.field}"
+
+
+def _parse_node(obj, at):
     """One node of _parse_tree: its keys, then each child entry's keys and
-    numbers followed by the child's subtree, then the child distribution."""
+    numbers followed by the child's subtree, then the child distribution.
+    at is the node's path of child entry indices (see _Where)."""
+    where = _Where(at)
     _require_keys(obj, {"name", "temperature_tag", "children"}, {"name"}, where)
     name = obj["name"]
     if not isinstance(name, str):
@@ -337,13 +398,12 @@ def _parse_node(obj, where):
         raise DomainError(f"children of {where} must be a nonempty array")
     children, priors, utilities = [], [], []
     for i, entry in enumerate(children_spec):
-        child_where = f"{where}/children[{i}]"
         _require_keys(
-            entry, {"prior", "utility", "node"}, {"prior", "utility", "node"}, child_where
+            entry, {"prior", "utility", "node"}, {"prior", "utility", "node"}, _Where(at, i)
         )
-        priors.append(_as_number(entry["prior"], f"{child_where}.prior"))
-        utilities.append(_as_number(entry["utility"], f"{child_where}.utility"))
-        children.append((yield _parse_node(entry["node"], f"{child_where}.node")))
+        priors.append(_as_number(entry["prior"], _Where(at, i, ".prior")))
+        utilities.append(_as_number(entry["utility"], _Where(at, i, ".utility")))
+        children.append((yield _parse_node(entry["node"], (at, i))))
     names = [c.name for c in children]
     return TreeNode(
         name=name,
@@ -395,21 +455,23 @@ def loads(text: str) -> ProblemFile:
     """Parse a problem document from its JSON text, rejecting anything the
     schema does not name.
 
-    The decoder records a tree into flat arrays (see _TreeArrays), and the
-    text is kept only until the recorded tree passes every check; a document
-    with nothing recorded, every control and two-stage file, is the plain
-    decoded document, and its text is freed before the build. Every other
-    outcome of that decode, a decoding fault, a text too deep for the decoder
-    with the hook or a refused tree, takes one fallback: the text is decoded
-    once more without the hook, and the plain readers raise the error it
-    meets first, or read a tree too deep to decode with the hook.
+    The decoder records a tree into flat arrays and checks the records as
+    it goes (see _TreeArrays), so once it ends only O(1) checks are left and
+    the text is freed before any array the size of the tree is built; a
+    document with nothing recorded, every control and two-stage file, is
+    the plain decoded document, and its text is freed before the build.
+    Every other outcome of that decode, a decoding fault, a text too deep
+    for the decoder with the hook or a refused tree, takes one fallback: the
+    text is decoded once more without the hook, and the plain readers raise
+    the error it meets first, or read a tree too deep to decode with the
+    hook.
     """
     if not isinstance(text, str):
         raise DomainError(f"a problem document must be JSON text, a str, got {type(text).__name__}")
     arrays = _TreeArrays()
     try:
         raw = json.loads(text, object_hook=arrays.hook, parse_constant=_reject_constant)
-    except (ValueError, RecursionError, OverflowError):  # named or read by the fallback
+    except (ValueError, RecursionError, OverflowError, _Refused):  # named or read by the fallback
         pass
     else:
         if not arrays.names:  # nothing was recorded
@@ -480,10 +542,16 @@ _BLOCK = 1 << 18
 
 
 def _squeezed(path: str) -> str:
-    """The file's text without its depth indentation. A run cut by a block
-    boundary keeps its tail, which is still whitespace between tokens."""
+    """The file's text without its depth indentation, grown block by block
+    in one string, which += resizes in place while it has no other
+    reference, so no list of blocks and no second copy is held. A run cut
+    by a block boundary keeps its tail, which is still whitespace between
+    tokens."""
+    text = ""
     with open(path, encoding="utf-8", newline="") as fh:
-        return "".join([_DEPTH_INDENT.sub("\n", block) for block in iter(partial(fh.read, _BLOCK), "")])
+        for block in iter(partial(fh.read, _BLOCK), ""):
+            text += _DEPTH_INDENT.sub("\n", block)
+    return text
 
 
 def load(path: str) -> ProblemFile:

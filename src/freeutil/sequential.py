@@ -292,7 +292,8 @@ def _tree_value(tree: DecisionTree, value, policy, log_z, kl) -> TreeValue:
 
 # Edges per segmented tilt in value_recursion: a level is tilted a block of
 # whole rows at a time, at most this many edges (a longer row alone), so
-# that no temporary grows with the tree.
+# that no temporary grows with the tree. problemio's decode hook checks the
+# rows it reads in blocks of at least this many edges.
 _BLOCK_EDGES = 1 << 14
 
 

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import gc
+import io
 import itertools
 import json
 import math
@@ -14,14 +16,16 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from freeutil import problemio
+from freeutil import cli, problemio
 from freeutil.cli import _fmt_float, _solve_tree_doc
 from freeutil.model import (
     DecisionTree,
     DomainError,
+    DuplicateLabel,
     FiniteDistribution,
     FreeUtilError,
     NegativeProbability,
+    NotNormalized,
     Temperature,
     TemperatureSpec,
     TreeNode,
@@ -44,6 +48,7 @@ from freeutil.problemio import (
     loads,
     render_json,
 )
+from freeutil.sequential import _BLOCK_EDGES
 
 GOLDEN = Path(__file__).parent / "golden"
 VALID_GOLDENS = sorted(p.name for p in GOLDEN.glob("*.json") if not p.name.startswith("invalid_"))
@@ -798,15 +803,101 @@ def test_load_of_a_9841_node_tree_peaks_below_2_5_times_its_squeezed_text(tmp_pa
     assert peak < 2.5 * size, (peak / size, size)
 
 
-def test_tree_document_of_a_9841_node_tree_peaks_below_3_times_its_length():
-    """The solve and the document's pieces, built a chunk of nodes at a time
-    with no list or array over the whole tree and no copy of the whole
-    document, stay within 3 times the document's length."""
+def test_tree_document_of_a_9841_node_tree_peaks_below_1_25_times_its_length():
+    """The solve, then the document's chunks, each made as it is read, a
+    chunk of nodes at a time with no list or array of text over the whole
+    tree, and dropped once counted, stay within 1.25 times the document's
+    length (the backup's own peak sets it, 1.09 times)."""
     tree = ternary_tree(8)
-    pieces, peak = traced_peak(lambda: _solve_tree_doc(tree, TemperatureSpec(0.7, -1.2), "nats"))
-    size = sum(map(len, pieces))
-    assert len(json.loads("".join(pieces))["node_values"]) == 9841
-    assert peak < 3 * size, (peak / size, size)
+    temps = TemperatureSpec(0.7, -1.2)
+    size, peak = traced_peak(lambda: sum(map(len, _solve_tree_doc(tree, temps, "nats"))))
+    assert len(json.loads("".join(_solve_tree_doc(tree, temps, "nats")))["node_values"]) == 9841
+    assert peak < 1.25 * size, (peak / size, size)
+
+
+def test_solve_of_a_29524_node_tree_peaks_below_1_8_times_its_squeezed_text(tmp_path):
+    """A whole solve in process: the squeezed text, decoded into records
+    that the hook checks as it goes, is freed before the tree is built, and
+    the document is written a chunk at a time, so the traced peak stays
+    within 1.8 times the squeezed text (1.59 times; 2.02 times when the
+    check ran after the decode and the document was held whole)."""
+    path = tmp_path / "tree.json"
+    dump(ProblemFile("1", "tree", ternary_tree(9)), str(path))
+    size = len(_squeezed(str(path)))
+    with open(os.devnull, "w") as out, contextlib.redirect_stdout(out):
+        code, peak = traced_peak(lambda: cli.main(["solve", str(path)]))
+    assert code == 0
+    assert peak < 1.8 * size, (peak / size, size)
+
+
+def test_a_failing_tree_backup_writes_nothing(tmp_path):
+    """The backup runs before the document's iterator is returned, so a
+    solve whose backup fails exits 3 with nothing on stdout and leaves an
+    existing --output file as it was."""
+    tree = ternary_tree(7)
+    huge = DecisionTree._from_arrays(tree.names, tree.tags, tree.n_children, tree.prior,
+                                     np.full(len(tree.utility), 1e308))  # gains overflow one level up
+    path, target = tmp_path / "huge.json", tmp_path / "out.json"
+    dump(ProblemFile("1", "tree", huge), str(path))
+    target.write_bytes(b"kept\n")
+    error = "DomainError: utility of 'a' is not finite: inf\n"
+    for argv in (["solve", str(path)], ["solve", str(path), "--output", str(target)]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert (code, out.getvalue(), err.getvalue()) == (3, "", error)
+    assert target.read_bytes() == b"kept\n"
+    with pytest.raises(DomainError, match="not finite: inf"):
+        _solve_tree_doc(huge, TemperatureSpec(1.0, 1.0), "nats")
+
+
+# A root over ROWS rows of WIDTH leaves: more than two blocks of the hook's
+# row check, with row _BLOCK_EDGES // WIDTH across the first block's edge.
+ROWS, WIDTH = 300, 120
+
+
+def block_tree_text(fault: str) -> str:
+    """The tree file, indented, with one fault."""
+    rows = []
+    for i in range(ROWS):
+        priors = [1.0 / WIDTH] * WIDTH
+        if fault == "negative prior in the first block" and i == 0:
+            priors[0] = -0.5
+        if fault == "unnormalised row across a block edge" and i == _BLOCK_EDGES // WIDTH:
+            priors[-1] = 0.5
+        rows.append({"name": f"m{i}", "children": [
+            {"prior": p, "utility": 0.25, "node": {"name": f"l{j}"}} for j, p in enumerate(priors)
+        ]})
+    entries = [{"prior": 1.0 / ROWS, "utility": 0.5, "node": row} for row in rows]
+    if fault == "repeated name among the root's children":
+        entries[1]["node"]["name"] = "m0"
+    if fault == "infinite utility on the last edge":
+        entries[-1]["utility"] = 12345.5  # written as 1e999, which decodes to inf
+    doc = {"schema_version": "1", "kind": "tree", "payload": {"name": "r", "children": entries}}
+    return json.dumps(doc, indent=2).replace("12345.5", "1e999")
+
+
+@pytest.mark.parametrize("fault, error, message", [
+    ("negative prior in the first block", NegativeProbability, "probability of 'l0' is -0.5"),
+    ("infinite utility on the last edge", DomainError, "utility of 'm299' is not finite: inf"),
+    ("unnormalised row across a block edge", NotNormalized,
+     "probabilities sum to 1.4916666666666667, expected 1"),
+    ("repeated name among the root's children", DuplicateLabel, "duplicate outcome label 'm0'"),
+], ids=["first block", "last edge", "across a block edge", "root's children"])
+def test_faults_at_the_block_edges_of_the_hooks_checks(tmp_path, fault, error, message):
+    """The hook checks each block of closed rows as the decoder finishes
+    it, and accept the last block; a fault in the first block, on the last
+    edge, in a row across a block edge or among the root's children, the
+    last node closed, raises the plain reader's error from loads and load."""
+    assert ROWS * (WIDTH + 1) > 2 * _BLOCK_EDGES and _BLOCK_EDGES % WIDTH
+    text = block_tree_text(fault)
+    path = tmp_path / "tree.json"
+    path.write_text(text)
+    for read, source in ((loads, text), (load, str(path))):
+        with pytest.raises(error) as raised:
+            read(source)
+        assert type(raised.value) is error and str(raised.value) == message
+    assert len(loads(block_tree_text("none")).problem.names) == 1 + ROWS * (WIDTH + 1)
 
 
 # ---------------------------------------------------------------------------
