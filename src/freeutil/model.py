@@ -12,8 +12,7 @@ display-only bits conversion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
 from typing import Mapping, Sequence
@@ -267,7 +266,7 @@ class FiniteDistribution:
     @classmethod
     def uniform(cls, outcomes: Sequence[str]) -> "FiniteDistribution":
         n = len(outcomes)
-        return cls(outcomes, [1.0 / n] * n)
+        return cls(outcomes, [1.0 / n] * n if n else [])  # no outcome: EmptySupport
 
     @classmethod
     def point_mass(cls, outcomes: Sequence[str], label: str) -> "FiniteDistribution":
@@ -353,6 +352,7 @@ class UtilityTable:
         return _aligned(self.outcomes, self.values, outcomes)
 
     def shifted(self, constant: float) -> "UtilityTable":
+        constant = _real(constant, "the shift")
         return UtilityTable(self.outcomes, [v + constant for v in self.values])
 
     def __len__(self) -> int:
@@ -393,6 +393,13 @@ def _valid_rows(prior, utility, starts) -> bool:
                     and _normalise_rows(prior, starts).all())
     except OverflowError:  # a sum past the float range
         return False
+
+
+# Edges per block of whole rows, in the backup's block tilts and the decode
+# hook's block checks. value_recursion tilts a level a block at a time, at
+# most this many edges (a longer row alone), so no temporary grows with the
+# tree; problemio's hook checks rows in blocks of at least this many edges.
+_BLOCK_EDGES = 1 << 14
 
 
 def _row_kls(p, q, starts) -> np.ndarray:
@@ -475,7 +482,7 @@ class Temperature:
 
     @classmethod
     def finite(cls, value: float) -> "Temperature":
-        return cls(_FINITE, float(value))
+        return cls(_FINITE, _real(value, "a finite temperature"))
 
     @classmethod
     def zero(cls) -> "Temperature":
@@ -626,15 +633,13 @@ class ControlProblem:
     def outcomes(self) -> tuple[str, ...]:
         return self.prior.outcomes
 
-    @cached_property
+    @property
     def _tree(self) -> "DecisionTree":
-        """The depth-1 tree: a mu-tagged root over the outcomes, solved at mu = 1/alpha."""
+        """The depth-1 tree: a mu-tagged root over the outcomes, solved at
+        mu = 1/alpha, built on each read."""
         n = len(self.outcomes)
         return DecisionTree._from_arrays(("root",) + self.outcomes, (MU_TAG,) + (LAMBDA_TAG,) * n,
                                          [n] + [0] * n, self.prior.array, self.utility.array)
-
-    def __getstate__(self) -> dict:  # the fields alone: the tree is not pickled
-        return {"prior": self.prior, "utility": self.utility}
 
 
 class TwoStageProblem(_FlatStore):
@@ -1009,3 +1014,55 @@ class DecisionTree(_FlatStore):
 
     def n_leaves(self) -> int:
         return int(np.count_nonzero(self.n_children == 0))
+
+
+@dataclass(frozen=True)
+class TreeValue:
+    """Per-node values and child policies of a solved decision tree.
+
+    Keys are node paths: the root's name, then child names joined by "/".
+    Leaves have value 0 and no policy entry. The results are kept as arrays
+    in the tree's breadth-first order, flat_values per node and flat_policy
+    per edge, and the two mappings are built from them on first read. Per
+    internal node, in the same order, flat_log_z holds the log-partition of
+    its tilt (NaN at the infinite limits, where there is none) and flat_kl
+    the relative entropy in nats of its policy row, after the row's one
+    normalisation, against its prior row: the bits of kl_divergence on the
+    two rows.
+    """
+
+    values: Mapping[str, float]
+    policies: Mapping[str, FiniteDistribution]
+    root_path: str
+    flat_values: np.ndarray = field(compare=False, repr=False)
+    flat_policy: np.ndarray = field(compare=False, repr=False)
+    flat_log_z: np.ndarray = field(compare=False, repr=False)
+    flat_kl: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def root_value(self) -> float:
+        return self.flat_values[0].item()
+
+
+def _tree_value(tree: DecisionTree, value, policy, log_z, kl) -> TreeValue:
+    """A TreeValue over the flat results, its mappings in post-order
+    (children before their parent), the order a recursive backup fills."""
+    names = tree.names
+
+    def values() -> dict[str, float]:
+        paths, value_list = tree.paths(), value.tolist()
+        return {paths[i]: value_list[i] for i in tree.orders()[1].tolist()}
+
+    def policies() -> dict[str, FiniteDistribution]:
+        paths, probs = tree.paths(), policy.tolist()
+        first, counts = tree.first_child.tolist(), tree.n_children.tolist()
+        return {
+            paths[i]: FiniteDistribution._trusted(
+                names[first[i] : first[i] + counts[i]],
+                probs[first[i] - 1 : first[i] + counts[i] - 1],
+            )
+            for i in tree.orders()[1].tolist()
+            if counts[i]
+        }
+
+    return TreeValue(LazyMapping(values), LazyMapping(policies), names[0], value, policy, log_z, kl)

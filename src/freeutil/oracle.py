@@ -3,10 +3,9 @@
 Nothing here calls the analytic code paths: objectives are recomputed from
 the elementary measures (expectation, KL) only, so agreement between an
 oracle and a solver is genuine evidence rather than the same code run twice.
-The oracles read the problems' own arrays. Of the solvers' module they
-import only the result shape, TreeValue, and its builder; the hard-max
-backup normalises its rows and takes their KL with model's row kernels, as
-every TreeValue does.
+The oracles read the problems' own arrays and import nothing but model;
+the hard-max backup normalises its rows and takes their KL with model's row
+kernels, as every TreeValue does.
 Everything is deterministic given the instance and resolution, and
 intentionally size-capped — these are certificates, not production solvers.
 
@@ -36,16 +35,17 @@ from .model import (
     TooLarge,
     TooManyOutcomes,
     TooManyPaths,
+    TreeValue,
     TwoStageProblem,
     UtilityTable,
     _finite,
     _normalise_rows,
     _real,
     _row_kls,
+    _tree_value,
     expectation,
     kl_divergence,
 )
-from .sequential import TreeValue, _tree_value
 
 MAX_GRID_OUTCOMES = 4
 MAX_PATHS = 100_000

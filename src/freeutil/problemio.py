@@ -32,10 +32,11 @@ at most 8 spaces and keep every byte. Strict JSON rejects a raw newline
 inside a string, so in an accepted text every newline lies between tokens
 and the spaces after it carry nothing; the newline itself stays, so a text
 with a newline inside a string still fails. When the file is not UTF-8 or
-loads refuses its squeezed text, load reads the file again as it stands and
-parses that, so every error names the file's own line, column and byte
-offset. A path that is not a regular file, such as a pipe, is read once,
-as it stands.
+its squeezed text is not valid JSON, load reads the file again as it stands
+and parses that, so the error names the file's own line, column and byte
+offset. Every other error names no offset and reads the same from either
+text, so it is raised from the squeezed text. A path that is not a regular
+file, such as a pipe, is read once, as it stands.
 
 dump() writes the canonical form (normalized probabilities, full-precision
 floats), so load → dump → load is an identity. Two writers share one layout:
@@ -71,12 +72,12 @@ from .model import (
     TreeNode,
     TwoStageProblem,
     UtilityTable,
+    _BLOCK_EDGES,
     _VALID_TAGS,
     _normalise_rows,
     _trampoline,
     _valid_rows,
 )
-from .sequential import _BLOCK_EDGES
 
 SCHEMA_VERSION = "1"
 
@@ -486,7 +487,7 @@ def loads(text: str) -> ProblemFile:
         try:
             raw = json.loads(text, parse_constant=_reject_constant)
         except json.JSONDecodeError as e:
-            raise DomainError(f"not valid JSON: {e}") from None
+            raise DomainError(f"not valid JSON: {e}") from e
         except ValueError:
             # int() refuses literals longer than sys.get_int_max_str_digits().
             raise DomainError("problem file holds an integer too large for a float") from None
@@ -557,16 +558,20 @@ def _squeezed(path: str) -> str:
 def load(path: str) -> ProblemFile:
     """Read and parse a problem file from disk: a regular file's squeezed
     text (see the module docstring) first, and the file as it stands if that
-    fails or the path is not a regular file, so every error is the one the
-    file's own text raises. Either text is handed to loads without a second
-    reference, so loads can free it before the problem is built."""
+    is not UTF-8 or not valid JSON, whose errors name an offset, or if the
+    path is not a regular file, so every error is the one the file's own
+    text raises. Either text is handed to loads without a second reference,
+    so loads can free it before the problem is built."""
     if not isinstance(path, (str, bytes, os.PathLike)):
         raise DomainError(f"a problem file path must be a str or os.PathLike, got {type(path).__name__}")
     if os.path.isfile(path):  # a pipe could not be read a second time
         try:
             return loads(_squeezed(path))
-        except (FreeUtilError, UnicodeDecodeError):
+        except UnicodeDecodeError:
             pass  # replayed once the handler has released the squeezed text
+        except DomainError as e:
+            if not isinstance(e.__cause__, json.JSONDecodeError):
+                raise  # names no offset: the same from the file as it stands
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return loads(fh.read())

@@ -18,7 +18,7 @@ hard arg-max.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping
 
@@ -30,14 +30,17 @@ from .model import (
     FiniteDistribution,
     LazyMapping,
     TemperatureSpec,
+    TreeValue,
     TwoStageProblem,
     UnsupportedRegime,
     UtilityTable,
+    _BLOCK_EDGES,
     _check_node_name,
     _finite,
     _normalise_rows,
     _real,
     _row_kls,
+    _tree_value,
 )
 # kl_divergence stays bound here: the benchmark's traced run wraps it.
 from .model import kl_divergence  # noqa: F401
@@ -236,65 +239,6 @@ def risk_sensitive_argmax(problem: TwoStageProblem, mu: float) -> tuple[str, flo
         raise DomainError(f"mu must be a finite nonzero real, got {mu!r}")
     sol = outer_policy(problem, "inf", mu)
     return sol.action_policy.support()[0], sol.value
-
-
-@dataclass(frozen=True)
-class TreeValue:
-    """Per-node values and child policies of a solved decision tree.
-
-    Keys are node paths: the root's name, then child names joined by "/".
-    Leaves have value 0 and no policy entry. The results are kept as arrays
-    in the tree's breadth-first order, flat_values per node and flat_policy
-    per edge, and the two mappings are built from them on first read. Per
-    internal node, in the same order, flat_log_z holds the log-partition of
-    its tilt (NaN at the infinite limits, where there is none) and flat_kl
-    the relative entropy in nats of its policy row, after the row's one
-    normalisation, against its prior row: the bits of kl_divergence on the
-    two rows.
-    """
-
-    values: Mapping[str, float]
-    policies: Mapping[str, FiniteDistribution]
-    root_path: str
-    flat_values: np.ndarray = field(compare=False, repr=False)
-    flat_policy: np.ndarray = field(compare=False, repr=False)
-    flat_log_z: np.ndarray = field(compare=False, repr=False)
-    flat_kl: np.ndarray = field(compare=False, repr=False)
-
-    @property
-    def root_value(self) -> float:
-        return self.flat_values[0].item()
-
-
-def _tree_value(tree: DecisionTree, value, policy, log_z, kl) -> TreeValue:
-    """A TreeValue over the flat results, its mappings in post-order
-    (children before their parent), the order a recursive backup fills."""
-    names = tree.names
-
-    def values() -> dict[str, float]:
-        paths, value_list = tree.paths(), value.tolist()
-        return {paths[i]: value_list[i] for i in tree.orders()[1].tolist()}
-
-    def policies() -> dict[str, FiniteDistribution]:
-        paths, probs = tree.paths(), policy.tolist()
-        first, counts = tree.first_child.tolist(), tree.n_children.tolist()
-        return {
-            paths[i]: FiniteDistribution._trusted(
-                names[first[i] : first[i] + counts[i]],
-                probs[first[i] - 1 : first[i] + counts[i] - 1],
-            )
-            for i in tree.orders()[1].tolist()
-            if counts[i]
-        }
-
-    return TreeValue(LazyMapping(values), LazyMapping(policies), names[0], value, policy, log_z, kl)
-
-
-# Edges per segmented tilt in value_recursion: a level is tilted a block of
-# whole rows at a time, at most this many edges (a longer row alone), so
-# that no temporary grows with the tree. problemio's decode hook checks the
-# rows it reads in blocks of at least this many edges.
-_BLOCK_EDGES = 1 << 14
 
 
 def value_recursion(tree: DecisionTree, temps: TemperatureSpec) -> TreeValue:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .model import (
     ControlProblem,
+    DomainError,
     FiniteDistribution,
     Temperature,
     TemperatureSpec,
@@ -525,6 +526,8 @@ def run_suite(name: str, seed: int) -> list[Certificate]:
         return certs
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {suite_names()}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     ordinal, fn = SUITES[name]
     return fn(_rng(seed, ordinal))
 

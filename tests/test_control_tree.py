@@ -129,7 +129,7 @@ def test_the_tree_leaves_the_problem_value_unchanged():
     """Reading the depth-1 tree changes no field, ==, hash, repr or pickle."""
     fresh, solved = (load(str(GOLDEN / "control_basic.json")).problem for _ in range(2))
     tree = solved._tree
-    assert tree is solved._tree and tree.tags == ("mu", "lambda", "lambda")
+    assert tree == solved._tree and tree.tags == ("mu", "lambda", "lambda")
     assert math.isclose(value_recursion(tree, TemperatureSpec(1, 1)).root_value, math.log(1.5))
     assert solved == fresh and hash(solved) == hash(fresh) and repr(solved) == repr(fresh)
     assert pickle.dumps(solved) == pickle.dumps(fresh)

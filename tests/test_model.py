@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from freeutil import verify
 from freeutil.model import (
     ControlProblem,
     CyclicTree,
@@ -71,6 +72,8 @@ def test_duplicate_labels_rejected():
 def test_empty_distribution_rejected():
     with pytest.raises(EmptySupport):
         dist([], [])
+    with pytest.raises(EmptySupport):
+        FiniteDistribution.uniform([])
 
 
 def test_length_mismatch_rejected():
@@ -962,8 +965,9 @@ def test_distribution_skips_the_division_only_when_it_changes_nothing():
     assert FiniteDistribution("abc", off).probs == tuple(p / total for p in off)
 
 
-# Calls of the Python API with an argument of the wrong type, each of which
-# once raised a raw TypeError or AttributeError, or named the wrong fault.
+# Calls of the Python API with an argument of the wrong type or out of its
+# range, each of which once raised a raw TypeError, ValueError,
+# OverflowError or AttributeError, or named the wrong fault.
 WRONG_TYPES = {
     "loads(123)": lambda: loads(123),
     "loads of bytes that are not UTF-8": lambda: loads(b'{"a": "\xff"}'),
@@ -973,6 +977,11 @@ WRONG_TYPES = {
     "UtilityTable(['a'], [None])": lambda: UtilityTable(["a"], [None]),
     "FiniteDistribution over a column": lambda: FiniteDistribution(["a", "b"], np.array([[0.5], [0.5]])),
     "DecisionTree(TreeNode(3))": lambda: DecisionTree(TreeNode(3)),
+    "Temperature.finite('x')": lambda: Temperature.finite("x"),
+    "Temperature.finite(10**400)": lambda: Temperature.finite(10**400),
+    "Temperature.finite(None)": lambda: Temperature.finite(None),
+    "UtilityTable.shifted('x')": lambda: util(["a"], [1.0]).shifted("x"),
+    "run_suite with seed -1": lambda: verify.run_suite("gibbs-optimality", -1),
 }
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from freeutil import cli, oracle, sequential, verify
+from freeutil import cli, oracle, problemio, sequential, verify
 from freeutil.model import (
     ARGMAX_TIE_TOL,
     DecisionTree,
@@ -859,27 +859,33 @@ def test_enumerate_minimax_equals_the_per_label_walk(problem):
         assert verify._worst_case_margin(problem) == per_label_worst_case_margin(problem)
 
 
-def test_oracle_imports_nothing_of_the_solvers():
-    """The oracles stay independent of the solvers they certify: oracle.py
-    imports nothing from variational, and from sequential only the result
-    shape TreeValue and its builder."""
-    source = Path(oracle.__file__).read_text()
-    for stmt in ast.walk(ast.parse(source)):
+def package_imports(module) -> set[str]:
+    """The package modules a module's source imports, at any level."""
+    imported = set()
+    for stmt in ast.walk(ast.parse(Path(module.__file__).read_text())):
         if isinstance(stmt, ast.Import):
-            modules = {(alias.name, None) for alias in stmt.names}
+            imported |= {alias.name for alias in stmt.names}
         elif isinstance(stmt, ast.ImportFrom):
-            base = stmt.module or ""
+            base = stmt.module
             if stmt.level:
                 base = "freeutil" + ("." + base if base else "")
-            modules = {(base, alias.name) for alias in stmt.names}
             # `from . import sequential` names the module as the imported name.
-            modules |= {(f"{base}.{alias.name}", None) for alias in stmt.names}
-        else:
-            continue
-        for module, name in modules:
-            assert module != "freeutil.variational", ast.unparse(stmt)
-            if module == "freeutil.sequential":
-                assert name in ("TreeValue", "_tree_value"), ast.unparse(stmt)
+            if base == "freeutil":
+                imported |= {f"{base}.{alias.name}" for alias in stmt.names}
+            else:
+                imported.add(base)
+    return {name for name in imported if name.split(".")[0] == "freeutil"}
+
+
+def test_oracle_imports_nothing_of_the_solvers():
+    """The oracles stay independent of the solvers they certify; the result
+    shape they share with the solvers is model's."""
+    assert package_imports(oracle).isdisjoint({"freeutil.sequential", "freeutil.variational"})
+    assert oracle.TreeValue is sequential.TreeValue
+
+
+def test_problemio_imports_no_package_module_but_model():
+    assert package_imports(problemio) <= {"freeutil.model"}
 
 
 @pytest.mark.parametrize("lam, mu, name", [

@@ -715,6 +715,39 @@ def test_load_matches_loads(tmp_path, case):
         assert got[0] is DomainError and re.search(error, got[1]), got
 
 
+# Every fault of LOAD_CASES, a value fault and bad UTF-8: load opens the
+# file again for those whose errors name an offset, and once for the rest.
+READ_ONCE_CASES = {
+    **{case: data for case, (data, error) in LOAD_CASES.items() if error},
+    "negative prior": TREE_TEXT.replace('"prior": 0.5', '"prior": -0.5', 1).encode(),
+    "not UTF-8": b'{"schema_version": "1", \xff}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(READ_ONCE_CASES))
+def test_load_reads_a_regular_file_again_only_for_an_error_naming_an_offset(
+        tmp_path, monkeypatch, case):
+    """Only bad UTF-8 and a JSON decoding fault name an offset that the
+    squeeze moves, so only they open the file a second time, as it stands;
+    a decoding fault is told apart by its cause, not by its message. Every
+    other fault, a schema or a value fault among them, opens it once."""
+    path = tmp_path / "problem.json"
+    path.write_bytes(READ_ONCE_CASES[case])
+    opened = []
+
+    def counted_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(problemio, "open", counted_open, raising=False)
+    with pytest.raises(FreeUtilError) as raised:
+        load(str(path))
+    decoding = isinstance(raised.value.__cause__, json.JSONDecodeError)
+    assert decoding == str(raised.value).startswith("not valid JSON")
+    offset = decoding or case == "not UTF-8"
+    assert opened == [str(path)] * (2 if offset else 1)
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="names a pipe through /dev/fd")
 @pytest.mark.parametrize("data, error", [
     (TREE_TEXT.encode(), None),
