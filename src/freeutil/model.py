@@ -395,10 +395,11 @@ def _valid_rows(prior, utility, starts) -> bool:
         return False
 
 
-# Edges per block of whole rows, in the backup's block tilts and the decode
-# hook's block checks. value_recursion tilts a level a block at a time, at
+# Edges per block of whole rows, in the backup's block tilts and the file
+# reader's block checks. value_recursion tilts a level a block at a time, at
 # most this many edges (a longer row alone), so no temporary grows with the
-# tree; problemio's hook checks rows in blocks of at least this many edges.
+# tree; problemio's hook checks a tree's rows in blocks of at least this many
+# edges, and its two-stage reader a table's in blocks of at most this many.
 _BLOCK_EDGES = 1 << 14
 
 

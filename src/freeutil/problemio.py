@@ -18,10 +18,16 @@ order, and leaves one shared marker in its place. The hook closes each node
 over its children as it records it and checks their names and, a block of
 rows at a time, their priors and utilities, so every check a tree's records
 fail is met while the text decodes; the text is freed before the tree is
-built from the records. On any fault, and for a text too deep for the
-decoder with the hook, the text is decoded again without the hook, and the
-plain readers (_parse_tree for a tree, the control and two-stage parsers)
-raise the error the text meets first, or read the deep tree.
+built from the records. Any other object whose values are lists of numbers
+of one nonzero length, a table, the hook reads into one matrix as the
+decoder finishes it. The schema admits a table only as a two-stage file's
+channel or outcome_utility, so only one table's rows are ever Python
+floats, and the two-stage reader reads the two matrices by action. On any
+fault, a table the two-stage reader does not use included, and for a text
+too deep for the decoder with the hook, the text is decoded again without
+the hook, and the plain readers (_parse_tree for a tree, the control and
+two-stage parsers) raise the error the text meets first, or read the deep
+tree.
 
 load() reads a file's text in blocks and drops from each every run of 9 or
 more spaces that follows a newline, growing one string, so only the
@@ -158,32 +164,41 @@ def _parse_control(payload: dict) -> ControlProblem:
     return ControlProblem(prior, utility)
 
 
-def _row_arrays(actions, outcomes, channel: dict, utility: dict):
-    """The channel and outcome utility rows as two A×O arrays, read by
-    action in any key order, checked array by array, the channel rows
-    normalised as FiniteDistribution normalises; None if a table's keys are
-    not the actions or any row fails a check of its labelled constructor."""
-    n, width = len(actions), len(outcomes)
-    if not channel.keys() == utility.keys() == set(actions) or len(set(outcomes)) != width:
-        return None
-    rows = [*map(channel.__getitem__, actions), *map(utility.__getitem__, actions)]
-    if not all(type(row) is list and len(row) == width for row in rows):
-        return None
-    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
-        return None
-    try:
-        matrix = np.array(rows, dtype=float)
-    except OverflowError:  # an integer too large for a float
-        return None
-    if _valid_rows(matrix[:n].ravel(), matrix[n:], np.arange(n) * width):
-        return matrix[:n], matrix[n:]
-    return None
+def _row_arrays(actions, outcomes, channel, utility):
+    """The channel and outcome utility tables as two A×O arrays, read by
+    action in any key order, the channel rows normalised, in place, as
+    FiniteDistribution normalises. Raises _Refused unless both are tables
+    whose keys are the actions, whose rows are as wide as the outcomes are
+    many and distinct, and whose every row passes the checks of its
+    labelled constructor."""
+    n, width, rows = len(actions), len(outcomes), []
+    for table in (channel, utility):
+        if (type(table) is not _Table or set(table.keys) != set(actions)
+                or table.matrix.shape[1] != width):
+            raise _Refused
+        at = dict(zip(table.keys, range(n)))
+        rows.append(table.matrix if table.keys == actions else table.matrix[[at[a] for a in actions]])
+    if len(set(outcomes)) != width:
+        raise _Refused
+    # Whole rows of about _BLOCK_EDGES entries at a time, so that no
+    # temporary of the checks spans the table.
+    step = max(1, _BLOCK_EDGES // width)
+    starts = np.arange(min(step, n)) * width
+    for lo in range(0, n, step):
+        prior = rows[0][lo:lo + step]
+        if not _valid_rows(prior.reshape(-1), rows[1][lo:lo + step], starts[:len(prior)]):
+            raise _Refused
+    return rows
 
 
-def _parse_two_stage(payload: dict) -> TwoStageProblem:
-    """The two-stage payload, its rows read straight into arrays; only rows
-    with a fault are read as labelled rows, in the file's key order, to raise
-    the error the file meets first."""
+def _parse_two_stage(payload: dict) -> partial:
+    """The two-stage payload, read, as a call that builds its problem.
+    Channel and outcome utility tables, as _TreeArrays.hook records them,
+    are read straight into arrays and checked, or raise _Refused (see
+    _row_arrays), so only the build is left, and loads frees the text before
+    it. Plainly decoded rows are read as labelled rows, in the file's key
+    order, and the call is the constructor, to raise the error the file
+    meets first."""
     keys = {"actions", "outcomes", "prior_action", "channel", "action_utility", "outcome_utility"}
     _require_keys(payload, keys, keys, "two_stage payload")
     actions = _as_label_list(payload["actions"], "actions")
@@ -191,26 +206,28 @@ def _parse_two_stage(payload: dict) -> TwoStageProblem:
     prior = FiniteDistribution(
         actions, _as_number_list(payload["prior_action"], "prior_action")
     )
+    if _Table in (type(payload["channel"]), type(payload["outcome_utility"])):
+        arrays = _row_arrays(actions, outcomes, payload["channel"], payload["outcome_utility"])
+        action_utility = UtilityTable(
+            actions, _as_number_list(payload["action_utility"], "action_utility")
+        )
+        return partial(TwoStageProblem._from_arrays, actions, outcomes, prior, action_utility, *arrays)
     if not isinstance(payload["channel"], dict):
         raise DomainError("channel must be an object keyed by action")
     if not isinstance(payload["outcome_utility"], dict):
         raise DomainError("outcome_utility must be an object keyed by action")
-    arrays = _row_arrays(actions, outcomes, payload["channel"], payload["outcome_utility"])
-    if arrays is None:
-        channel = {
-            a: FiniteDistribution(outcomes, _as_number_list(row, f"channel[{a!r}]"))
-            for a, row in payload["channel"].items()
-        }
+    channel = {
+        a: FiniteDistribution(outcomes, _as_number_list(row, f"channel[{a!r}]"))
+        for a, row in payload["channel"].items()
+    }
     action_utility = UtilityTable(
         actions, _as_number_list(payload["action_utility"], "action_utility")
     )
-    if arrays is not None:
-        return TwoStageProblem._from_arrays(actions, outcomes, prior, action_utility, *arrays)
     outcome_utility = {
         a: UtilityTable(outcomes, _as_number_list(row, f"outcome_utility[{a!r}]"))
         for a, row in payload["outcome_utility"].items()
     }
-    return TwoStageProblem(actions, outcomes, prior, channel, action_utility, outcome_utility)
+    return partial(TwoStageProblem, actions, outcomes, prior, channel, action_utility, outcome_utility)
 
 
 # What the array reader puts in place of each tree node and edge it records.
@@ -221,7 +238,19 @@ _NODE_KEYS = frozenset(("name", "temperature_tag", "children"))
 
 
 class _Refused(Exception):
-    """Raised by _TreeArrays.hook for records that no valid tree makes."""
+    """Raised by _TreeArrays.hook for records that no valid tree makes, and
+    by _row_arrays for tables that no valid two-stage payload holds."""
+
+
+class _Table:
+    """An object whose values are lists of numbers of one nonzero length, as
+    _TreeArrays.hook records it: its keys, in the file's order, and its
+    lists as the rows of one float64 matrix."""
+
+    __slots__ = ("keys", "matrix")
+
+    def __init__(self, keys: list, matrix: np.ndarray):
+        self.keys, self.matrix = keys, matrix
 
 
 class _TreeArrays:
@@ -233,7 +262,10 @@ class _TreeArrays:
     list of _READ; and an edge, keys prior, utility and node in any order,
     as its numbers (not booleans; one past the float range raises
     OverflowError), if its node is _READ and it follows a recorded node. A
-    recorded object becomes _READ; any other stays as it is.
+    recorded object becomes _READ. Any other object whose values are lists
+    of numbers (not booleans) of one nonzero length, a table, becomes a
+    _Table (a number past the float range raises OverflowError); any other
+    stays as it is.
 
     The decoder finishes a tree's objects in post-order, each node just
     before the edge that leads to it, so edge j leads to node j. A recorded
@@ -264,7 +296,7 @@ class _TreeArrays:
                 prior, utility = obj["prior"], obj["utility"]
                 if (obj["node"] is not _READ or len(names) != len(priors) + 1
                         or type(prior) not in _NUMBERS or type(utility) not in _NUMBERS):
-                    return obj
+                    return table(obj)
                 priors.append(prior)
                 utilities.append(utility)
                 return _READ
@@ -273,7 +305,7 @@ class _TreeArrays:
             if (not keys <= _NODE_KEYS or type(name) is not str or "/" in name
                     or tag not in _VALID_TAGS or children != () and (
                         type(children) is not list or not 0 < children.count(_READ) == len(children))):
-                return obj
+                return table(obj)
             k = len(children)
             if len(priors) != len(names) or k > len(stack):
                 raise _Refused
@@ -301,6 +333,16 @@ class _TreeArrays:
             return _valid_rows(np.frombuffer(priors)[edges], np.frombuffer(utilities)[edges],
                                starts - starts[0])
 
+        def table(obj: dict):
+            rows = list(obj.values())
+            width = type(rows[0]) is list and len(rows[0]) if rows else 0
+            if (not width or not all(type(row) is list and len(row) == width for row in rows)
+                    or not set(map(type, chain.from_iterable(rows))) <= _NUMBERS):
+                return obj
+            tables.append(_Table(list(obj), np.array(rows, dtype=float)))
+            return tables[-1]
+
+        tables = self.tables = []
         self.hook, self.block_passes = hook, block_passes
 
     def accept(self, raw) -> bool:
@@ -458,14 +500,19 @@ def loads(text: str) -> ProblemFile:
 
     The decoder records a tree into flat arrays and checks the records as
     it goes (see _TreeArrays), so once it ends only O(1) checks are left and
-    the text is freed before any array the size of the tree is built; a
-    document with nothing recorded, every control and two-stage file, is
-    the plain decoded document, and its text is freed before the build.
-    Every other outcome of that decode, a decoding fault, a text too deep
-    for the decoder with the hook or a refused tree, takes one fallback: the
-    text is decoded once more without the hook, and the plain readers raise
-    the error it meets first, or read a tree too deep to decode with the
-    hook.
+    the text is freed before any array the size of the tree is built. It
+    reads a table, such as a two-stage file's channel, into a matrix, which
+    the two-stage reader reads by action and checks; the text is freed
+    before the problem is built from the matrices. A document with nothing
+    recorded, every control file, is the plain decoded document, and its
+    text is freed before the build. Every other outcome of that decode
+    takes one fallback: a decoding fault, a text too deep for the decoder
+    with the hook, a refused tree, and any fault in a document that holds a
+    table. The schema admits a table only as a two-stage file's channel or
+    outcome_utility, so that covers every table the two-stage reader cannot
+    use or does not read. The text is decoded once more without the hook,
+    and the plain readers raise the error it meets first, or read a tree
+    too deep to decode with the hook.
     """
     if not isinstance(text, str):
         raise DomainError(f"a problem document must be JSON text, a str, got {type(text).__name__}")
@@ -475,12 +522,23 @@ def loads(text: str) -> ProblemFile:
     except (ValueError, RecursionError, OverflowError, _Refused):  # named or read by the fallback
         pass
     else:
-        if not arrays.names:  # nothing was recorded
+        if arrays.names:
+            if arrays.accept(raw):
+                del raw, text
+                return arrays.problem_file()
+        elif not arrays.tables:  # nothing was recorded
             del text  # with no reference left to it, freed before the build
             return _problem_file(raw)
-        if arrays.accept(raw):
-            del raw, text
-            return arrays.problem_file()
+        else:  # tables, which only a two-stage file holds
+            try:
+                if _file_kind(raw) != "two_stage":
+                    raise _Refused
+                build, temperatures = _parse_two_stage(raw["payload"]), _temperatures(raw, "two_stage")
+            except (FreeUtilError, _Refused):
+                pass
+            else:
+                del raw, text, arrays  # freed before the build
+                return ProblemFile(SCHEMA_VERSION, "two_stage", build(), **temperatures)
         del raw
     del arrays
     with _gc_paused():
@@ -528,7 +586,7 @@ def _problem_file(raw) -> ProblemFile:
     if kind == "control":
         problem = _parse_control(raw["payload"])
     elif kind == "two_stage":
-        problem = _parse_two_stage(raw["payload"])
+        problem = _parse_two_stage(raw["payload"])()
     else:
         problem = DecisionTree(_parse_tree(raw["payload"]))
     return ProblemFile(SCHEMA_VERSION, kind, problem, **_temperatures(raw, kind))

@@ -39,6 +39,7 @@ from .model import (
     _finite,
     _normalise_rows,
     _real,
+    _require,
     _row_kls,
     _tree_value,
 )
@@ -144,7 +145,7 @@ def inner_policy(
     returns the channel row unchanged; mu < 0 shifts mass toward low-utility
     outcomes (the adversarial reading of the environment stage).
     """
-    row = problem.channel_row(action)
+    row = _require(problem, TwoStageProblem, "problem").channel_row(action)
     util = problem.outcome_utility_row(action)
     result = exponential_tilt(row, util, mu)
     return result.policy, result.log_partition
@@ -165,6 +166,7 @@ def outer_policy(problem: TwoStageProblem, lam, mu) -> TwoStageSolution:
     reads the solution off its arrays. An outcome belief row with the bits of
     its channel row is that row's FiniteDistribution itself.
     """
+    _require(problem, TwoStageProblem, "problem")
     temps = TemperatureSpec(lam, mu)
     if temps.lam.is_zero:
         raise UnsupportedRegime(
@@ -260,6 +262,7 @@ def value_recursion(tree: DecisionTree, temps: TemperatureSpec) -> TreeValue:
     recursive backup would meet first: that of the first such node in
     post-order.
     """
+    _require(tree, DecisionTree, "tree")
     if not isinstance(temps, TemperatureSpec):
         raise DomainError(f"expected a TemperatureSpec, got {type(temps).__name__}")
     if temps.lam.is_zero:
@@ -338,7 +341,7 @@ def two_stage_to_tree(problem: TwoStageProblem, root_name: str = "root") -> Deci
     name gives a tree over the same arrays. As in any DecisionTree, a node
     name holding '/' raises DomainError, the first such in pre-order.
     """
-    actions, tree = problem.actions, problem._tree
+    actions, tree = _require(problem, TwoStageProblem, "problem").actions, problem._tree
     for name in chain((root_name, actions[0]), problem.outcomes, actions[1:]):
         _check_node_name(name)
     if root_name == tree.names[0]:

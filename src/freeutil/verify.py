@@ -525,7 +525,7 @@ def run_suite(name: str, seed: int) -> list[Certificate]:
             certs.extend(run_suite(suite, seed))
         return certs
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {suite_names()}")
+        raise DomainError(f"unknown suite {name!r}; choose from {suite_names()}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     ordinal, fn = SUITES[name]

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freeutil import cli, sequential
+from freeutil import cli, problemio, sequential
 from freeutil.model import (
     DomainError,
     FiniteDistribution,
@@ -32,6 +32,9 @@ from freeutil.problemio import (
     ProblemFile,
     _as_label_list,
     _as_number_list,
+    _problem_file,
+    _Refused,
+    _TreeArrays,
     _require_keys,
     _row_arrays,
     dump,
@@ -75,10 +78,15 @@ def reference_two_stage(payload) -> TwoStageProblem:
 
 
 def rows_of(payload):
-    """_row_arrays on a payload's rows: their arrays, or None."""
-    return _row_arrays(
-        payload["actions"], payload["outcomes"], payload["channel"], payload["outcome_utility"]
-    )
+    """The payload's rows as loads reads them, decoded by the hook into
+    tables that _row_arrays reads: their arrays, or None if refused."""
+    decoded = json.loads(json.dumps(payload), object_hook=_TreeArrays().hook)
+    try:
+        return _row_arrays(
+            decoded["actions"], decoded["outcomes"], decoded["channel"], decoded["outcome_utility"]
+        )
+    except _Refused:
+        return None
 
 
 def bits(values) -> list[str]:
@@ -111,8 +119,12 @@ def document(payload, temperatures=None) -> str:
 # ---------------------------------------------------------------------------
 # Reading: the array reader against the labelled path.
 
-# Labels need escaping: quotes, backslashes, control and non-ASCII characters.
-labels = st.text(alphabet=st.sampled_from('ab"\\\n é€😀'), max_size=3)
+# Labels need escaping: quotes, backslashes, control and non-ASCII characters;
+# or they are the keys of a tree node or edge, which the decode hook tests first.
+labels = st.one_of(
+    st.text(alphabet=st.sampled_from('ab"\\\n é€😀'), max_size=3),
+    st.sampled_from(["name", "children", "prior", "utility", "node", "temperature_tag"]),
+)
 utilities = st.one_of(
     st.sampled_from([-0.0, 0.0, 5e-324, 1e308, -1e308, 2**53 + 1, -(2**60) - 3, 10**20, 7]),
     st.floats(-1e3, 1e3),
@@ -157,10 +169,13 @@ def payloads(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(payloads())
-def test_array_reader_equals_the_labelled_path(payload):
+@given(payloads(), st.integers(1, 8))
+def test_array_reader_equals_the_labelled_path(payload, block):
+    """With the rows checked `block` entries at a time: several rows to a
+    block, or a row longer than a block alone."""
     assert rows_of(payload) is not None
-    problem = loads(document(payload)).problem
+    with patch.object(problemio, "_BLOCK_EDGES", block):
+        problem = loads(document(payload)).problem
     assert problem.channel._dict is None  # read through the arrays
     same_problem(problem, reference_two_stage(payload))
 
@@ -235,9 +250,33 @@ def test_dumps_is_the_stdlib_layout_of_the_rows(payload, lam, mu):
 TABLES = ("channel", "outcome_utility")
 
 
-def mutate(payload: dict, fault: str) -> None:
-    first = payload["actions"][0]
-    if fault == "row one entry short":
+def mutate(raw: dict, fault: str) -> None:
+    """Put fault into raw, a two-stage document: most faults into its rows,
+    some into its labels, and two replace the document with one of another
+    kind whose payload holds a table of number lists."""
+    payload = raw["payload"]
+    actions = payload["actions"]
+    first = actions[0]
+    if fault == "last row summing to 1.1":
+        payload["channel"][actions[-1]][0] += 0.1
+    elif fault == "actions named name, children, prior; a row summing to 1.1":
+        names = dict(zip(actions, ["name", "children", "prior"]))
+        payload["actions"] = [names.get(a, a) for a in actions]
+        for table in TABLES:
+            payload[table] = {names.get(a, a): row for a, row in payload[table].items()}
+        payload["channel"]["name"][-1] += 0.1
+    elif fault == "row keyed by another label":
+        payload["outcome_utility"]["other"] = payload["outcome_utility"].pop(first)
+    elif fault == "control payload of number lists":
+        raw["kind"] = "control"
+        raw["payload"] = {"outcomes": [1, 2], "prior": [0.5, 0.5], "utility": [3, 4]}
+    elif fault == "number-list table under an unknown key of a tree node":
+        raw["kind"] = "tree"
+        edges = zip(actions, payload["prior_action"], payload["action_utility"])
+        raw["payload"] = {"name": "root", "children": [
+            {"prior": p, "utility": u, "node": {"name": a}} for a, p, u in edges]}
+        raw["payload"]["children"][0]["node"]["rows"] = payload["channel"]
+    elif fault == "row one entry short":
         payload["channel"][first] = payload["channel"][first][:-1]
     elif fault == "utility row one entry short":
         payload["outcome_utility"][first] = payload["outcome_utility"][first][:-1]
@@ -264,17 +303,28 @@ FAULTS = (
     "row one entry short", "utility row one entry short", "negative entry",
     "row summing to 1.1", "integer of 400 digits", "missing action row",
     "extra action row", "channel given as a list",
+    "last row summing to 1.1", "actions named name, children, prior; a row summing to 1.1",
+    "row keyed by another label",
+    "control payload of number lists", "number-list table under an unknown key of a tree node",
 ) + tuple(f"entry {t} {v}" for t in TABLES for v in ("true", '"x"', "null"))
 
 
+@pytest.mark.parametrize("block", [1, problemio._BLOCK_EDGES], ids=["row blocks", "whole table"])
 @pytest.mark.parametrize("fault", FAULTS)
 @pytest.mark.parametrize("name", TWO_STAGE_GOLDENS)
-def test_a_faulty_file_fails_as_the_labelled_path_fails(tmp_path, capsys, name, fault):
+def test_a_faulty_file_fails_as_the_labelled_path_fails(tmp_path, capsys, monkeypatch, name, fault, block):
+    """A two-stage document fails as the labelled reader fails; one that
+    the fault made of another kind, as loads' plain reader fails. The rows
+    are checked a row at a time, or the table at once."""
+    monkeypatch.setattr(problemio, "_BLOCK_EDGES", block)
     raw = json.loads((GOLDEN / name).read_text())
-    mutate(raw["payload"], fault)
+    mutate(raw, fault)
     text = json.dumps(raw)
     with pytest.raises(FreeUtilError) as expected:
-        reference_two_stage(json.loads(text)["payload"])
+        if raw["kind"] == "two_stage":
+            reference_two_stage(json.loads(text)["payload"])
+        else:
+            _problem_file(json.loads(text))
     with pytest.raises(FreeUtilError) as raised:
         loads(text)
     assert type(raised.value) is type(expected.value)
@@ -299,12 +349,18 @@ def test_named_errors_of_faulty_rows():
         "missing action row": "channel must have exactly one row per action",
         "extra action row": "outcome_utility must have exactly one row per action",
         "channel given as a list": "channel must be an object keyed by action",
+        "actions named name, children, prior; a row summing to 1.1":
+            "probabilities sum to 1.1, expected 1",
+        "row keyed by another label": "outcome_utility must have exactly one row per action",
+        "control payload of number lists": "outcomes must be an array of strings",
+        "number-list table under an unknown key of a tree node":
+            "unknown field 'rows' in tree payload/children[0].node",
     }
     for fault, message in cases.items():
-        payload = json.loads(json.dumps(raw["payload"]))
-        mutate(payload, fault)
+        doc = json.loads(json.dumps(raw))
+        mutate(doc, fault)
         with pytest.raises(FreeUtilError) as raised:
-            loads(document(payload))
+            loads(json.dumps(doc))
         assert str(raised.value) == message, fault
 
 

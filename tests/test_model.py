@@ -991,6 +991,11 @@ def test_an_argument_of_the_wrong_type_raises_a_named_domain_error(call):
         WRONG_TYPES[call]()
 
 
+def test_an_unknown_suite_raises_a_named_domain_error():
+    with pytest.raises(DomainError, match=r"^unknown suite 'nope'; choose from \["):
+        verify.run_suite("nope", 0)
+
+
 def test_numeric_strings_still_read_as_numbers():
     assert UtilityTable(["a"], ["0.5"]).values == (0.5,)
     assert FiniteDistribution(["a", "b"], ["0.5", 0.5]).probs == (0.5, 0.5)

@@ -471,6 +471,29 @@ def test_solve_regime_requires_spec_instance():
         solve_regime(staged(rows, outs), (1.0, 1.0))
 
 
+# Entry points given something other than the problem or tree they solve,
+# each of which once raised AttributeError.
+ONE_EDGE = TreeNode("r", (TreeNode("x"),), FiniteDistribution(["x"], [1.0]), UtilityTable(["x"], [0.0]))
+NOT_A_PROBLEM = {
+    "value_recursion(None)": lambda: value_recursion(None, TemperatureSpec(1.0, 1.0)),
+    "value_recursion on a TreeNode": lambda: value_recursion(ONE_EDGE, TemperatureSpec(1.0, 1.0)),
+    "outer_policy(None)": lambda: outer_policy(None, 1.0, 1.0),
+    "outer_policy on a DecisionTree": lambda: outer_policy(DecisionTree(ONE_EDGE), 1.0, 1.0),
+    "solve_regime(None)": lambda: solve_regime(None, TemperatureSpec(1.0, 1.0)),
+    "inner_policy(None)": lambda: inner_policy(None, "x", 1.0),
+    "minimax_solve(None)": lambda: minimax_solve(None),
+    "risk_sensitive_argmax(None)": lambda: risk_sensitive_argmax(None, -1.0),
+    "two_stage_to_tree(None)": lambda: two_stage_to_tree(None),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NOT_A_PROBLEM))
+def test_a_non_problem_argument_raises_a_named_domain_error(call):
+    with pytest.raises(DomainError, match=r"^(problem must be a TwoStageProblem|tree must be a "
+                                          r"DecisionTree), got (NoneType|TreeNode|DecisionTree)$"):
+        NOT_A_PROBLEM[call]()
+
+
 def test_solve_regime_matches_tree_recursion():
     """The depth-2 tree recast reproduces the nested solution exactly."""
     rng = np.random.default_rng(61)
