@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
 from typing import Mapping, Sequence
 
@@ -304,6 +304,7 @@ def validate(dist: FiniteDistribution) -> None:
     Construction already enforces them; this re-checks an instance that may
     have been produced by deserialization or test plumbing.
     """
+    _require(dist, FiniteDistribution, "dist")
     _check_distribution(dist.outcomes, dist.probs)
 
 
@@ -428,6 +429,8 @@ def kl_divergence(p: FiniteDistribution, q: FiniteDistribution) -> float:
     q may put mass outside support(p), but q(x) = 0 with p(x) > 0 is a
     support violation.
     """
+    _require(p, FiniteDistribution, "p")
+    _require(q, FiniteDistribution, "q")
     p_probs = np.asarray(p.probs, dtype=float)
     q_probs = _aligned(q.outcomes, q.probs, p.outcomes)
     unsupported = (p_probs > 0.0) & (q_probs == 0.0)
@@ -440,12 +443,15 @@ def kl_divergence(p: FiniteDistribution, q: FiniteDistribution) -> float:
 
 def entropy(p: FiniteDistribution) -> float:
     """Shannon entropy -sum(p log p) in nats, with 0 log 0 = 0."""
+    _require(p, FiniteDistribution, "p")
     total = math.fsum(-pi * math.log(pi) for pi in p.probs if pi > 0.0)
     return max(total, 0.0)
 
 
 def expectation(p: FiniteDistribution, u: UtilityTable) -> float:
     """Expected utility sum(p * u) under matching labels."""
+    _require(p, FiniteDistribution, "p")
+    _require(u, UtilityTable, "u")
     vals = u.aligned_to(p.outcomes)
     return float(math.fsum(pi * vi for pi, vi in zip(p.probs, vals)))
 
@@ -764,8 +770,9 @@ class TreeNode:
 
     == and repr give what the generated dataclass methods give, and hash
     agrees with ==, but on a cycle, where those recurse, == and hash raise
-    CyclicTree. == and hash read one pre-order walk, _pre_order, and repr is
-    a recursive writer run by _trampoline, so depth is bounded by memory.
+    CyclicTree. == and hash read one explicit-stack pre-order walk,
+    _records, and repr is a recursive writer run by _trampoline, so depth
+    is bounded by memory.
     """
 
     name: str
@@ -779,16 +786,34 @@ class TreeNode:
         return not self.children
 
     def _records(self):
-        """Per entry of the walk, what the dataclass == compares: a node's
-        class, fields and children container's type and length, or a child
-        that is not a TreeNode as itself, in a 1-tuple no node's record equals."""
-        for node in _pre_order(self):
+        """Per entry of a pre-order walk, children in order, from an
+        explicit stack, what the dataclass == compares: a node's class and
+        fields and its children container's type and length, or, for
+        children that are no sequence, the container itself; a child that is
+        not a TreeNode as itself, in a 1-tuple no node's record equals. A
+        node met below itself yields its record once more, and CyclicTree is
+        raised in place of its children."""
+        stack, path = [(self, 0)], {}  # path: the ids of the nodes above the next one, in order
+        while stack:
+            node, depth = stack.pop()
+            while len(path) > depth:
+                path.popitem()
             if not isinstance(node, TreeNode):
                 yield (node,)
                 continue
             kids = node.children
-            yield (node.__class__, node.name, node.child_prior, node.child_utility,
-                   node.temperature_tag, type(kids), len(kids))
+            fields = (node.__class__, node.name, node.child_prior, node.child_utility,
+                      node.temperature_tag)
+            try:
+                below = reversed(kids)
+            except TypeError:  # compared as the dataclass == compares it
+                yield fields + (kids,)
+                continue
+            yield fields + (type(kids), len(kids))
+            if id(node) in path:
+                raise CyclicTree(f"node {node.name!r} is its own ancestor; the structure is not a tree")
+            path[id(node)] = None
+            stack.extend(zip(below, repeat(depth + 1)))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -839,60 +864,6 @@ def _check_node_name(name: str) -> None:
         )
 
 
-def _pre_order(root):
-    """root and every node below it in pre-order, children in order, from an
-    explicit stack, so depth is bounded by memory. A child that is not a
-    TreeNode comes as itself, with nothing below it; a node met below itself
-    comes once more, and CyclicTree is raised in place of its children."""
-    stack, path = [(root, 0)], {}  # path: the ids of the nodes above the next one, in order
-    while stack:
-        node, depth = stack.pop()
-        while len(path) > depth:
-            path.popitem()
-        yield node
-        if isinstance(node, TreeNode):
-            if id(node) in path:
-                raise CyclicTree(f"node {node.name!r} is its own ancestor; the structure is not a tree")
-            path[id(node)] = None
-            stack.extend((child, depth + 1) for child in reversed(node.children))
-
-
-def _check_tree(root: TreeNode) -> None:
-    """Raise the first violation of the tree invariants in pre-order."""
-    _require(root, TreeNode, "the root of a decision tree")
-    seen: set[int] = set()
-    for node in _pre_order(root):
-        if id(node) in seen:
-            raise CyclicTree(
-                f"node {node.name!r} is reachable twice; the structure is not a tree"
-            )
-        seen.add(id(node))
-        _check_node_name(node.name)
-        if node.temperature_tag not in _VALID_TAGS:
-            raise UnknownTemperatureTag(
-                f"node {node.name!r} has temperature tag {node.temperature_tag!r}; "
-                f"expected one of {_VALID_TAGS}"
-            )
-        if node.is_leaf:
-            if node.child_prior is not None or node.child_utility is not None:
-                raise LabelMismatch(
-                    f"leaf {node.name!r} must not carry child priors or utilities"
-                )
-            continue
-        for child in node.children:
-            if not isinstance(child, TreeNode):  # the message is built only for a fault
-                _require(child, TreeNode, f"a child of {node.name!r}")
-        names = tuple(map(attrgetter("name"), node.children))
-        for what, table, cls in (("priors", node.child_prior, FiniteDistribution),
-                                 ("utilities", node.child_utility, UtilityTable)):
-            if not isinstance(table, cls) or table.outcomes != names:
-                if table is not None:
-                    _require(table, cls, f"the child {what} of {node.name!r}")
-                raise LabelMismatch(
-                    f"child {what} of {node.name!r} must cover the child names {names}"
-                )
-
-
 def _sequence(positions: np.ndarray) -> np.ndarray:
     """The index at each position of a permutation given as each index's
     position."""
@@ -924,10 +895,51 @@ class DecisionTree(_FlatStore):
     __slots__ = ("names", "is_mu", "n_children", "first_child", "prior", "utility")
 
     def __init__(self, root: TreeNode):
-        _check_tree(root)
-        nodes = [root]
-        for node in nodes:  # the list grows level by level while it is read
-            nodes.extend(node.children)
+        _require(root, TreeNode, "the root of a decision tree")
+        # One walk in pre-order, children in order, from an explicit stack,
+        # raises the first violation of the tree invariants and files each
+        # node under its depth. Nodes of one depth keep their pre-order, so
+        # the levels in turn are the breadth-first order.
+        levels, seen, stack = [], set(), [(root, 0)]
+        while stack:
+            node, depth = stack.pop()
+            if id(node) in seen:
+                raise CyclicTree(f"node {node.name!r} is reachable twice; the structure is not a tree")
+            seen.add(id(node))
+            _check_node_name(node.name)
+            if node.temperature_tag not in _VALID_TAGS:
+                raise UnknownTemperatureTag(
+                    f"node {node.name!r} has temperature tag {node.temperature_tag!r}; "
+                    f"expected one of {_VALID_TAGS}"
+                )
+            kids = node.children
+            if type(kids) is not tuple:
+                try:
+                    iter(kids)
+                except TypeError:
+                    raise DomainError(f"the children of {node.name!r} must be iterable, "
+                                      f"got {type(kids).__name__}") from None
+            if depth == len(levels):
+                levels.append([])
+            levels[depth].append(node)
+            if not kids:
+                if node.child_prior is not None or node.child_utility is not None:
+                    raise LabelMismatch(f"leaf {node.name!r} must not carry child priors or utilities")
+                continue
+            for child in kids:
+                if not isinstance(child, TreeNode):  # the message is built only for a fault
+                    _require(child, TreeNode, f"a child of {node.name!r}")
+            names = tuple(map(attrgetter("name"), kids))
+            for what, table, cls in (("priors", node.child_prior, FiniteDistribution),
+                                     ("utilities", node.child_utility, UtilityTable)):
+                if not isinstance(table, cls) or table.outcomes != names:
+                    if table is not None:
+                        _require(table, cls, f"the child {what} of {node.name!r}")
+                    raise LabelMismatch(
+                        f"child {what} of {node.name!r} must cover the child names {names}"
+                    )
+            stack.extend(zip(reversed(kids), repeat(depth + 1)))
+        nodes = list(chain.from_iterable(levels))
         internal = [node for node in nodes if node.children]
         n_edges = len(nodes) - 1
         self._fill(

@@ -41,6 +41,7 @@ from .model import (
     _finite,
     _normalise_rows,
     _real,
+    _require,
     _row_kls,
     _tree_value,
     expectation,
@@ -102,6 +103,8 @@ def simplex_grid_search(
     backpointers; points putting mass where the prior has none are
     infeasible and never selected.
     """
+    _require(prior, FiniteDistribution, "prior")
+    _require(u_star, UtilityTable, "u_star")
     n = len(prior)
     if n > MAX_GRID_OUTCOMES:
         raise TooManyOutcomes(
@@ -175,6 +178,8 @@ def two_stage_objective(
     contribute. Built from the elementary measures only, so it can score
     analytic solutions without touching their code.
     """
+    _require(problem, TwoStageProblem, "problem")
+    _require(action_policy, FiniteDistribution, "action_policy")
     lam = _real(lam, "lam")
     mu = _real(mu, "mu")
     if not (math.isfinite(lam) and lam > 0.0):
@@ -213,6 +218,7 @@ def exhaustive_two_stage(
     action point followed by the row points in action order. Each stage may
     have at most MAX_GRID_OUTCOMES entries.
     """
+    _require(problem, TwoStageProblem, "problem")
     n_actions, n_outcomes = len(problem.actions), len(problem.outcomes)
     if max(n_actions, n_outcomes) > MAX_GRID_OUTCOMES:
         raise TooLarge(
@@ -259,6 +265,7 @@ def enumerate_minimax(problem: TwoStageProblem) -> tuple[str, float]:
     policy anchored to that prior can choose them. The first-listed action
     within ARGMAX_TIE_TOL of the best value wins ties. A best value past the
     float range raises DomainError."""
+    _require(problem, TwoStageProblem, "problem")
     supported = np.flatnonzero(problem.prior_action.array > 0.0)
     rows = np.where(problem.channel_matrix > 0.0, problem.utility_matrix, np.inf)[supported]
     # A sum past the float range is inf, as it is for Python floats.
@@ -277,6 +284,7 @@ def bellman_backup(tree: DecisionTree) -> TreeValue:
     backs up every child before its parent. A value past the float range
     raises DomainError.
     """
+    _require(tree, DecisionTree, "tree")
     first, counts = tree.first_child.tolist(), tree.n_children.tolist()
     prior, utility = tree.prior.tolist(), tree.utility.tolist()
     value = [0.0] * len(counts)
@@ -308,6 +316,7 @@ def path_enumeration(tree: DecisionTree, lam: float) -> float:
     per-node log-normalizers telescope into this single path sum. A path
     utility or a result past the float range raises DomainError.
     """
+    _require(tree, DecisionTree, "tree")
     lam = _real(lam, "lam")
     if not math.isfinite(lam) or lam == 0.0:
         raise DomainError(f"lam must be a finite nonzero real, got {lam!r}")

@@ -173,11 +173,11 @@ def _row_arrays(actions, outcomes, channel, utility):
     labelled constructor."""
     n, width, rows = len(actions), len(outcomes), []
     for table in (channel, utility):
-        if (type(table) is not _Table or set(table.keys) != set(actions)
-                or table.matrix.shape[1] != width):
+        if type(table) is not tuple or set(table[0]) != set(actions) or table[1].shape[1] != width:
             raise _Refused
-        at = dict(zip(table.keys, range(n)))
-        rows.append(table.matrix if table.keys == actions else table.matrix[[at[a] for a in actions]])
+        keys, matrix = table
+        at = dict(zip(keys, range(n)))
+        rows.append(matrix if keys == actions else matrix[[at[a] for a in actions]])
     if len(set(outcomes)) != width:
         raise _Refused
     # Whole rows of about _BLOCK_EDGES entries at a time, so that no
@@ -206,7 +206,7 @@ def _parse_two_stage(payload: dict) -> partial:
     prior = FiniteDistribution(
         actions, _as_number_list(payload["prior_action"], "prior_action")
     )
-    if _Table in (type(payload["channel"]), type(payload["outcome_utility"])):
+    if tuple in (type(payload["channel"]), type(payload["outcome_utility"])):
         arrays = _row_arrays(actions, outcomes, payload["channel"], payload["outcome_utility"])
         action_utility = UtilityTable(
             actions, _as_number_list(payload["action_utility"], "action_utility")
@@ -242,17 +242,6 @@ class _Refused(Exception):
     by _row_arrays for tables that no valid two-stage payload holds."""
 
 
-class _Table:
-    """An object whose values are lists of numbers of one nonzero length, as
-    _TreeArrays.hook records it: its keys, in the file's order, and its
-    lists as the rows of one float64 matrix."""
-
-    __slots__ = ("keys", "matrix")
-
-    def __init__(self, keys: list, matrix: np.ndarray):
-        self.keys, self.matrix = keys, matrix
-
-
 class _TreeArrays:
     """A tree read into flat arrays while it is decoded by hook.
 
@@ -263,9 +252,11 @@ class _TreeArrays:
     as its numbers (not booleans; one past the float range raises
     OverflowError), if its node is _READ and it follows a recorded node. A
     recorded object becomes _READ. Any other object whose values are lists
-    of numbers (not booleans) of one nonzero length, a table, becomes a
-    _Table (a number past the float range raises OverflowError); any other
-    stays as it is.
+    of numbers (not booleans) of one nonzero length, a table, becomes the
+    tuple (keys, matrix): its keys in the file's order and its lists as the
+    rows of one float64 matrix (a number past the float range raises
+    OverflowError). The decoder makes no tuple, so a tuple in the document
+    is a table. Any other object stays as it is.
 
     The decoder finishes a tree's objects in post-order, each node just
     before the edge that leads to it, so edge j leads to node j. A recorded
@@ -339,7 +330,7 @@ class _TreeArrays:
             if (not width or not all(type(row) is list and len(row) == width for row in rows)
                     or not set(map(type, chain.from_iterable(rows))) <= _NUMBERS):
                 return obj
-            tables.append(_Table(list(obj), np.array(rows, dtype=float)))
+            tables.append((list(obj), np.array(rows, dtype=float)))
             return tables[-1]
 
         tables = self.tables = []

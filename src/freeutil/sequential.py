@@ -67,6 +67,8 @@ def taylor_ce_approx(p: FiniteDistribution, u: UtilityTable, mu: float) -> float
     (error falls as mu³ with the plus sign and stays at order mu·VAR with a
     minus sign).
     """
+    _require(p, FiniteDistribution, "p")
+    _require(u, UtilityTable, "u")
     mu = _real(mu, "mu")
     if math.isnan(mu):
         raise DomainError("mu must be a number, got nan")
@@ -88,7 +90,7 @@ def regime_label(temps: TemperatureSpec) -> str:
     adds the "-bounded" suffix: the chooser itself stays soft, anchored to
     its prior policy.
     """
-    mu = temps.mu
+    mu = _require(temps, TemperatureSpec, "temps").mu
     if mu.is_zero:
         base = "risk-neutral"
     elif mu.is_neg_inf:
@@ -177,10 +179,7 @@ def outer_policy(problem: TwoStageProblem, lam, mu) -> TwoStageSolution:
     actions, n = problem.actions, len(problem.actions)
     probs = tv.flat_policy[:n].tolist()
     action_policy = FiniteDistribution._trusted(actions, probs)
-    log_z = [
-        None if math.isnan(z) else _finite(z, "the log-partition")
-        for z in tv.flat_log_z[: n + 1].tolist()
-    ]
+    log_z = [None if math.isnan(z) else z for z in tv.flat_log_z[: n + 1].tolist()]
     rows = tv.flat_policy[n:].reshape(n, -1)
 
     def beliefs() -> dict[str, FiniteDistribution]:
@@ -258,9 +257,9 @@ def value_recursion(tree: DecisionTree, temps: TemperatureSpec) -> TreeValue:
     level by level, deepest first; a level's rows of each tag are tilted in
     blocks of whole rows of at most _BLOCK_EDGES edges, and each block is
     checked and normalised before the next. Depth is bounded by memory, not
-    by the recursion limit. A row that cannot be solved raises the error a
-    recursive backup would meet first: that of the first such node in
-    post-order.
+    by the recursion limit. A row that cannot be solved, or whose
+    log-partition is past the float range, raises the error a recursive
+    backup would meet first: that of the first such node in post-order.
     """
     _require(tree, DecisionTree, "tree")
     if not isinstance(temps, TemperatureSpec):
@@ -279,8 +278,9 @@ def value_recursion(tree: DecisionTree, temps: TemperatureSpec) -> TreeValue:
     log_z = np.empty(len(internal))
     row_kl = np.zeros(len(internal))
     # Nodes whose gains are not all finite (zero gains stand in for the
-    # tilt) or whose tilted row FiniteDistribution would reject: the check
-    # below raises the error the first of them would have raised.
+    # tilt), whose tilted row FiniteDistribution would reject, or whose
+    # log-partition is infinite: the check below raises the error the first
+    # of them would have raised.
     faulty = np.zeros(n, dtype=bool)
 
     for lo, hi in reversed(list(zip(levels, levels[1:]))):
@@ -310,6 +310,7 @@ def value_recursion(tree: DecisionTree, temps: TemperatureSpec) -> TreeValue:
                     faulty[block] = ~np.logical_and.reduceat(finite, starts)
                     gains[~finite] = 0.0
                 flat, value[block], log_z[rows], kept = _tilt_segments(p, gains, starts, t)
+                faulty[block] |= np.isinf(log_z[rows])  # t·gain past the float range
                 if not kept.all():
                     # A tilted row is normalised as FiniteDistribution
                     # normalises it. A kept row is the prior; a faulty one
@@ -329,6 +330,7 @@ def value_recursion(tree: DecisionTree, temps: TemperatureSpec) -> TreeValue:
             gains = tree.utility[lo - 1 : hi - 1] + value[lo:hi]
         UtilityTable(names, gains)  # raises for gains not all finite
         FiniteDistribution(names, policy[lo - 1 : hi - 1])  # else for the tilted row
+        _finite(log_z[np.searchsorted(internal, i)].item(), "the log-partition")  # else for this
     return _tree_value(tree, value, policy, log_z, row_kl)
 
 

@@ -31,6 +31,7 @@ from .model import (
     _WHOLE,
     _finite,
     _real,
+    _require,
     _row_sums,
     entropy,
     expectation,
@@ -138,6 +139,8 @@ def exponential_tilt(
     log-partition past the float range (t·gain beyond about 1.8e308) raises
     DomainError.
     """
+    _require(prior, FiniteDistribution, "prior")
+    _require(gains, UtilityTable, "gains")
     t = Temperature.coerce(inv_temp)
     g = gains.aligned_to(prior.outcomes)
     flat, value, log_z, kept = _tilt_segments(prior.array, g, _WHOLE, t)
@@ -206,6 +209,7 @@ def gibbs_measure(u: UtilityTable, alpha) -> FiniteDistribution:
     meaning within 1e-12 of the maximum), or the +inf limit (uniform over
     all outcomes). Computed in log-space; finite utilities cannot overflow.
     """
+    _require(u, UtilityTable, "u")
     t = Temperature.coerce(alpha)
     if t.is_neg_inf:
         raise DomainError("temperature cannot be the -inf limit")
@@ -272,6 +276,9 @@ def free_utility_difference(
     by bounded_control(prior, u_star, alpha). A cost or total past the float
     range raises DomainError.
     """
+    _require(prior, FiniteDistribution, "prior")
+    _require(posterior, FiniteDistribution, "posterior")
+    _require(u_star, UtilityTable, "u_star")
     alpha = _real(alpha, "temperature")
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise DomainError(f"temperature must be a positive real, got {alpha!r}")

@@ -1,8 +1,7 @@
 """A control problem is solved and swept as its depth-1 tree by
 value_recursion. The reference below is the solve it replaced: one
-exponential_tilt per alpha (its log-partition unchecked, as solver_tilt runs
-it), kl_divergence of its policy against the prior and expectation of the
-utility under it. The CLI's solve document and sweep CSV
+exponential_tilt per alpha, kl_divergence of its policy against the prior
+and expectation of the utility under it. The CLI's solve document and sweep CSV
 must match the reference byte for byte, in nats and in bits, and on a
 failing solve give the same error line, with no warning.
 """
@@ -24,16 +23,15 @@ from freeutil.model import (
 )
 from freeutil.problemio import load
 from freeutil.sequential import value_recursion
-from freeutil.variational import control_temperature
+from freeutil.variational import control_temperature, exponential_tilt
 from test_cli_contract import run
-from test_flat_two_stage import solver_tilt
 
 GOLDEN = Path(__file__).parent / "golden"
 ALPHAS = ["zero", "inf", "0.001", "0.1", "1", "7.5", "1e6"]
 
 
 def reference_solve_doc(problem, alpha, units):
-    tilt = solver_tilt(problem.prior, problem.utility, alpha.reciprocal())
+    tilt = exponential_tilt(problem.prior, problem.utility, alpha.reciprocal())
     policy = tilt.policy
     expected = expectation(policy, problem.utility)
     kl = kl_divergence(policy, problem.prior)
@@ -57,7 +55,7 @@ def reference_sweep_rows(problem, grid):
     header = ["alpha"] + [f"p[{o}]" for o in problem.outcomes] + ["value", "achieved_kl"]
     rows = []
     for alpha in grid:
-        tilt = solver_tilt(problem.prior, problem.utility, alpha.reciprocal())
+        tilt = exponential_tilt(problem.prior, problem.utility, alpha.reciprocal())
         kl = kl_divergence(tilt.policy, problem.prior)
         rows.append([alpha.spell()] + list(tilt.policy.probs) + [tilt.value, kl])
     return header, rows

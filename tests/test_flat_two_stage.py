@@ -25,7 +25,6 @@ from freeutil.model import (
     TemperatureSpec,
     TwoStageProblem,
     UtilityTable,
-    _WHOLE,
     kl_divergence,
 )
 from freeutil.problemio import (
@@ -43,7 +42,7 @@ from freeutil.problemio import (
     loads,
 )
 from freeutil.sequential import TwoStageSolution, outer_policy, regime_label
-from freeutil.variational import TiltResult, _tilt_segments, exponential_tilt
+from freeutil.variational import exponential_tilt
 from test_cli_snapshot import SNAPSHOT, run as run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -440,42 +439,25 @@ def test_outer_policy_on_the_arrays_equals_the_labelled_problem(name):
     assert_same_solutions(loaded, built)
 
 
-def solver_tilt(prior: FiniteDistribution, gains: UtilityTable, inv_temp) -> TiltResult:
-    """exponential_tilt with its log-partition unchecked, as the staged
-    backup carries it: the public function refuses a log-partition past the
-    float range at once, outer_policy only after the whole backup. Anywhere
-    else the two are the same."""
-    t = Temperature.coerce(inv_temp)
-    flat, value, log_z, kept = _tilt_segments(prior.array, gains.aligned_to(prior.outcomes), _WHOLE, t)
-    policy = prior if kept.item() else FiniteDistribution(prior.outcomes, flat)
-    # The kernel's NaN at ±inf is no log-partition; a NaN at finite t stays.
-    log_z = None if t.is_pos_inf or t.is_neg_inf else log_z.item()
-    tilt = TiltResult(policy, value.item(), log_z)
-    if tilt.log_partition is None or math.isfinite(tilt.log_partition):
-        assert exponential_tilt(prior, gains, inv_temp) == tilt
-    return tilt
-
-
 def per_row_solution(problem: TwoStageProblem, lam, mu) -> TwoStageSolution:
     """The nested solve written out on the labelled rows: one
-    solver_tilt per channel row, one over the actions, and
+    exponential_tilt per channel row, one over the actions, and
     kl_divergence on the FiniteDistributions they return. An outcome is a
     leaf of value 0.0, so its gain is its utility plus 0.0, as in every
-    tree backup: a utility of -0.0 gains 0.0. A log-partition past the
-    float range, the outer one first, raises DomainError."""
+    tree backup: a utility of -0.0 gains 0.0. Each row raises its fault,
+    a log-partition past the float range included, as it is solved, so
+    the first fault is met in post-order: the channel rows, then the
+    action row."""
     temps = TemperatureSpec(lam, mu)
     actions = problem.actions
     inner = {
-        a: solver_tilt(problem.channel[a], problem.outcome_utility[a].shifted(0.0), mu)
+        a: exponential_tilt(problem.channel[a], problem.outcome_utility[a].shifted(0.0), mu)
         for a in actions
     }
     values = {a: u + inner[a].value for a, u in zip(actions, problem.action_utility.values)}
     gains = UtilityTable(actions, list(values.values()))
-    outer = solver_tilt(problem.prior_action, gains, temps.lam)
+    outer = exponential_tilt(problem.prior_action, gains, temps.lam)
     kls = [kl_divergence(inner[a].policy, problem.channel[a]) for a in actions]
-    for tilt in [outer, *inner.values()]:
-        if tilt.log_partition is not None and not math.isfinite(tilt.log_partition):
-            raise DomainError(f"the log-partition is not a finite number: {tilt.log_partition!r}")
     return TwoStageSolution(
         action_policy=outer.policy,
         outcome_beliefs={a: tilt.policy for a, tilt in inner.items()},

@@ -1,11 +1,12 @@
 import dataclasses
 import itertools
 import math
+from operator import attrgetter
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from freeutil import verify
 from freeutil.model import (
@@ -28,6 +29,9 @@ from freeutil.model import (
     UnknownAction,
     UnknownTemperatureTag,
     UtilityTable,
+    _VALID_TAGS,
+    _check_node_name,
+    _require,
     entropy,
     expectation,
     kl_divergence,
@@ -866,6 +870,226 @@ def test_tree_validation_matches_the_recursive_walk(root):
     tree = DecisionTree(root)
     paths = tree.paths()
     assert [paths[i] for i in tree.orders()[0].tolist()] == reference_paths(root)
+
+
+# ---------------------------------------------------------------------------
+# DecisionTree(root) checks and reads a TreeNode graph in one walk. The two
+# walks it replaced are kept here as references, as they were: the
+# pre-order check and the breadth-first read.
+
+
+def reference_pre_order(root):
+    """root and every node below it in pre-order, children in order, from an
+    explicit stack, so depth is bounded by memory. A child that is not a
+    TreeNode comes as itself, with nothing below it; a node met below itself
+    comes once more, and CyclicTree is raised in place of its children."""
+    stack, path = [(root, 0)], {}  # path: the ids of the nodes above the next one, in order
+    while stack:
+        node, depth = stack.pop()
+        while len(path) > depth:
+            path.popitem()
+        yield node
+        if isinstance(node, TreeNode):
+            if id(node) in path:
+                raise CyclicTree(f"node {node.name!r} is its own ancestor; the structure is not a tree")
+            path[id(node)] = None
+            stack.extend((child, depth + 1) for child in reversed(node.children))
+
+
+def reference_check_tree(root: TreeNode) -> None:
+    """Raise the first violation of the tree invariants in pre-order."""
+    _require(root, TreeNode, "the root of a decision tree")
+    seen: set[int] = set()
+    for node in reference_pre_order(root):
+        if id(node) in seen:
+            raise CyclicTree(
+                f"node {node.name!r} is reachable twice; the structure is not a tree"
+            )
+        seen.add(id(node))
+        _check_node_name(node.name)
+        if node.temperature_tag not in _VALID_TAGS:
+            raise UnknownTemperatureTag(
+                f"node {node.name!r} has temperature tag {node.temperature_tag!r}; "
+                f"expected one of {_VALID_TAGS}"
+            )
+        if node.is_leaf:
+            if node.child_prior is not None or node.child_utility is not None:
+                raise LabelMismatch(
+                    f"leaf {node.name!r} must not carry child priors or utilities"
+                )
+            continue
+        for child in node.children:
+            if not isinstance(child, TreeNode):  # the message is built only for a fault
+                _require(child, TreeNode, f"a child of {node.name!r}")
+        names = tuple(map(attrgetter("name"), node.children))
+        for what, table, cls in (("priors", node.child_prior, FiniteDistribution),
+                                 ("utilities", node.child_utility, UtilityTable)):
+            if not isinstance(table, cls) or table.outcomes != names:
+                if table is not None:
+                    _require(table, cls, f"the child {what} of {node.name!r}")
+                raise LabelMismatch(
+                    f"child {what} of {node.name!r} must cover the child names {names}"
+                )
+
+
+def reference_read(root) -> tuple:
+    """The arguments the breadth-first read of a checked graph gave _fill."""
+    nodes = [root]
+    for node in nodes:  # the list grows level by level while it is read
+        nodes.extend(node.children)
+    internal = [node for node in nodes if node.children]
+    n_edges = len(nodes) - 1
+    return (
+        tuple(node.name for node in nodes),
+        [node.temperature_tag == "mu" for node in nodes],
+        [len(node.children) for node in nodes],
+        np.fromiter(itertools.chain.from_iterable(n.child_prior.probs for n in internal),
+                    float, n_edges),
+        np.fromiter(itertools.chain.from_iterable(n.child_utility.values for n in internal),
+                    float, n_edges),
+    )
+
+
+class Unwalkable:
+    """Children that cannot be iterated, as the reference check meets them:
+    its first read of them, where it asks whether the node is a leaf, raises
+    the error DecisionTree raises at that node's place in pre-order."""
+
+    def __init__(self, name, value):
+        self.message = f"the children of {name!r} must be iterable, got {type(value).__name__}"
+
+    def __bool__(self):
+        raise DomainError(self.message)
+
+
+GRAPH_FAULTS = ("twice", "other", "slash", "tag", "leaf_table", "labels", "table_type",
+                "iterator", "unwalkable")
+
+
+@st.composite
+def tree_graphs(draw):
+    """The plan of a random TreeNode graph of up to 9 nodes n0 (the root),
+    n1, ..., each below an earlier one, with up to three faults: another
+    reference to any node (a node reached twice, or a cycle when it is an
+    ancestor), a child that is not a TreeNode, a '/' in a name, an unknown
+    tag, child priors or utilities on a leaf, with labels that are not the
+    child names, or of the wrong class, children in an iterator (read
+    once), and children that cannot be iterated. Other children come in a
+    tuple or a list."""
+    n = draw(st.integers(1, 9))
+    parents = [None] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    kids = [[("node", j) for j in range(n) if parents[j] == i] for i in range(n)]
+    names = [f"n{i}" for i in range(n)]
+    tags = [draw(st.sampled_from(["lambda", "mu"])) for _ in range(n)]
+    containers = [draw(st.sampled_from([tuple, list])) for _ in range(n)]
+    table_faults, unwalkable = {}, {}
+    for fault, i, j in draw(st.lists(st.tuples(st.sampled_from(GRAPH_FAULTS),
+                                               st.integers(0, n - 1), st.integers(0, n - 1)),
+                                     max_size=3)):
+        if fault == "twice" and ("node", j) not in kids[i]:
+            kids[i].insert(draw(st.integers(0, len(kids[i]))), ("node", j))
+        elif fault == "other":
+            value = draw(st.sampled_from(["x", 0, None, 2.5]))
+            kids[i].insert(draw(st.integers(0, len(kids[i]))), ("other", value))
+        elif fault == "slash":
+            names[i] += "/x"
+        elif fault == "tag":
+            tags[i] = "beta"
+        elif fault == "iterator":
+            containers[i] = iter
+        elif fault == "unwalkable":
+            unwalkable[i] = draw(st.sampled_from([5, None, 2.5, False]))
+        else:
+            table_faults[i] = fault
+    tables = []
+    for i in range(n):
+        labels = [names[j] if kind == "node" else f"o{k}" for k, (kind, j) in enumerate(kids[i])]
+        prior = utility = None
+        if labels:
+            weights = draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]),
+                                    min_size=len(labels), max_size=len(labels)))
+            prior = FiniteDistribution(labels, [w / sum(weights) for w in weights])
+            utility = UtilityTable(labels, draw(st.lists(
+                st.sampled_from([-1.0, -0.0, 0.0, 0.5]), min_size=len(labels), max_size=len(labels))))
+        fault, which = table_faults.get(i), draw(st.sampled_from(["prior", "utility"]))
+        if fault == "leaf_table" and not labels:
+            prior, utility = ((FiniteDistribution(["z"], [1.0]), None) if which == "prior"
+                              else (None, UtilityTable(["z"], [0.0])))
+        elif fault == "labels" and labels:
+            wrong = draw(st.sampled_from([labels + ["extra"], labels[::-1], labels[:-1], ["z"]]))
+            if wrong and wrong != labels:
+                if which == "prior":
+                    prior = FiniteDistribution(wrong, [1.0 / len(wrong)] * len(wrong))
+                else:
+                    utility = UtilityTable(wrong, [0.0] * len(wrong))
+        elif fault == "table_type":
+            wrong = draw(st.sampled_from([utility if which == "prior" else prior, {"z": 1.0}]))
+            prior, utility = (wrong, utility) if which == "prior" else (prior, wrong)
+        tables.append((prior, utility))
+    return names, tags, kids, tables, containers, unwalkable
+
+
+def built(plan, stand_in):
+    """The root of the graph a tree_graphs plan draws, each of its children
+    that cannot be iterated given as stand_in(name, value)."""
+    names, tags, kids, tables, containers, unwalkable = plan
+    nodes = [TreeNode(name, temperature_tag=tag) for name, tag in zip(names, tags)]
+    for i, node in enumerate(nodes):
+        children = containers[i]([nodes[j] if kind == "node" else j for kind, j in kids[i]])
+        if i in unwalkable:
+            children = stand_in(names[i], unwalkable[i])
+        # The nodes are frozen; a cycle can only be closed once they exist.
+        object.__setattr__(node, "children", children)
+        object.__setattr__(node, "child_prior", tables[i][0])
+        object.__setattr__(node, "child_utility", tables[i][1])
+    return nodes[0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree_graphs())
+def test_tree_reads_a_graph_as_the_check_and_the_breadth_first_read_did(plan):
+    """Every fault raises the reference check's error, children that cannot
+    be iterated the new DomainError at their node's place in pre-order; a
+    valid graph fills the reference read's arrays, bit for bit."""
+    try:
+        reference_check_tree(built(plan, Unwalkable))
+    except FreeUtilError as expected:
+        with pytest.raises(type(expected)) as raised:
+            DecisionTree(built(plan, lambda name, value: value))
+        assert str(raised.value) == str(expected)
+        return
+    root = built(plan, lambda name, value: value)
+    tree, names, is_mu, n_children, prior, utility = DecisionTree(root), *reference_read(root)
+    assert tree.names == names and tree.n_children.tolist() == n_children
+    assert tree.is_mu.tolist() == [mu and count > 0 for mu, count in zip(is_mu, n_children)]
+    assert tree.prior.tobytes() == prior.tobytes() and tree.utility.tobytes() == utility.tobytes()
+
+
+@pytest.mark.parametrize("value", [5, None, 2.5, False])
+def test_tree_names_the_node_whose_children_cannot_be_iterated(value):
+    """DomainError, not TypeError, at that node's place in pre-order: after
+    the faults of earlier nodes, before those of later ones."""
+    expected = f"^the children of 'r' must be iterable, got {type(value).__name__}$"
+    one = FiniteDistribution(["a"], [1.0]), UtilityTable(["a"], [0.0])
+    with pytest.raises(DomainError, match=expected):
+        DecisionTree(TreeNode("r", value, *one))
+    with pytest.raises(DomainError, match=expected.replace("'r'", "'a'")):
+        DecisionTree(node("r", [TreeNode("a", value), leaf("b/")], [0.5, 0.5], [0.0, 0.0]))
+    with pytest.raises(DomainError, match="^node name 'a/' contains '/'"):
+        DecisionTree(node("r", [leaf("a/"), TreeNode("b", value)], [0.5, 0.5], [0.0, 0.0]))
+
+
+def test_tree_node_compares_and_hashes_children_that_cannot_be_iterated():
+    """As the dataclass == compares them, with a hash that agrees."""
+    for kids, other in ((5, 5), (5, 6), (None, None), (5, ()), (5, (leaf("a"),)), (2.0, 2)):
+        one, two = TreeNode("r", kids), TreeNode("r", other)
+        assert (one == two) == (ReferenceNode("r", kids) == ReferenceNode("r", other))
+        assert (one != two) == (ReferenceNode("r", kids) != ReferenceNode("r", other))
+        if one == two:
+            assert hash(one) == hash(two)
+    below = TreeNode("r", (TreeNode("a", 5),))
+    assert below == TreeNode("r", (TreeNode("a", 5),)) and below != TreeNode("r", (TreeNode("a", 6),))
+    assert hash(below) == hash(TreeNode("r", (TreeNode("a", 5),)))
 
 
 # ---------------------------------------------------------------------------

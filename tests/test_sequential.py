@@ -19,10 +19,19 @@ from freeutil.model import (
     UnknownAction,
     UnsupportedRegime,
     UtilityTable,
+    entropy,
     expectation,
     kl_divergence,
+    validate,
 )
-from freeutil.oracle import bellman_backup, enumerate_minimax
+from freeutil.oracle import (
+    bellman_backup,
+    enumerate_minimax,
+    exhaustive_two_stage,
+    path_enumeration,
+    simplex_grid_search,
+    two_stage_objective,
+)
 from freeutil.sequential import (
     certainty_equivalent,
     inner_policy,
@@ -34,6 +43,13 @@ from freeutil.sequential import (
     taylor_ce_approx,
     two_stage_to_tree,
     value_recursion,
+)
+from freeutil.variational import (
+    bounded_control,
+    exponential_tilt,
+    free_utility,
+    free_utility_difference,
+    gibbs_measure,
 )
 
 LOG2 = math.log(2.0)
@@ -492,6 +508,61 @@ def test_a_non_problem_argument_raises_a_named_domain_error(call):
     with pytest.raises(DomainError, match=r"^(problem must be a TwoStageProblem|tree must be a "
                                           r"DecisionTree), got (NoneType|TreeNode|DecisionTree)$"):
         NOT_A_PROBLEM[call]()
+
+
+# Public entry points given None where a distribution, a utility table, a
+# temperature pair, a problem or a tree is due, each of which once raised
+# AttributeError or TypeError.
+P, U = FiniteDistribution(["x", "y"], [0.5, 0.5]), UtilityTable(["x", "y"], [0.0, 1.0])
+NONE_FIRST = {
+    "certainty_equivalent": lambda: certainty_equivalent(None, U, 1.0),
+    "taylor_ce_approx": lambda: taylor_ce_approx(None, U, 0.1),
+    "regime_label": lambda: regime_label(None),
+    "entropy": lambda: entropy(None),
+    "expectation": lambda: expectation(None, U),
+    "kl_divergence": lambda: kl_divergence(None, P),
+    "validate": lambda: validate(None),
+    "exponential_tilt": lambda: exponential_tilt(None, U, 1.0),
+    "gibbs_measure": lambda: gibbs_measure(None, 1.0),
+    "free_utility": lambda: free_utility(None, U, 1.0),
+    "free_utility_difference": lambda: free_utility_difference(None, P, U, 1.0),
+    "bounded_control": lambda: bounded_control(None, U, 1.0),
+    "bellman_backup": lambda: bellman_backup(None),
+    "enumerate_minimax": lambda: enumerate_minimax(None),
+    "exhaustive_two_stage": lambda: exhaustive_two_stage(None, 1.0, 1.0),
+    "path_enumeration": lambda: path_enumeration(None, 1.0),
+    "two_stage_objective": lambda: two_stage_objective(None, 1.0, 1.0, P, {}),
+    "simplex_grid_search": lambda: simplex_grid_search(None, U, 1.0),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NONE_FIRST))
+def test_none_for_the_first_argument_raises_a_named_domain_error(call):
+    with pytest.raises(DomainError, match=r"^\w+ must be a (FiniteDistribution|UtilityTable|"
+                                          r"TemperatureSpec|TwoStageProblem|DecisionTree), "
+                                          r"got NoneType$"):
+        NONE_FIRST[call]()
+
+
+def test_value_recursion_refuses_a_log_partition_past_the_float_range():
+    """Constant gains of 1e308 at mu = 2 put t·g_max past the float range:
+    DomainError, as outer_policy and exponential_tilt raise, and of two
+    such nodes, the first in post-order."""
+    def row(name, u, kids=("a", "b")):
+        return TreeNode(name, tuple(map(TreeNode, kids)), dist(kids, [0.5, 0.5]),
+                        util(kids, [u, u]), "mu")
+
+    temps = TemperatureSpec(1, 2)
+    with pytest.raises(DomainError, match=r"^the log-partition is not a finite number: inf$"):
+        value_recursion(DecisionTree(row("r", 1e308)), temps)
+    with pytest.raises(DomainError, match=r"^the log-partition is not a finite number: inf$"):
+        exponential_tilt(dist(["a", "b"], [0.5, 0.5]), util(["a", "b"], [1e308, 1e308]), 2)
+    for order, sign in ((("y", "x"), "-inf"), (("x", "y"), "inf")):
+        below = {"x": row("x", 1e308), "y": row("y", -1e308)}
+        root = TreeNode("r", tuple(below[k] for k in order), dist(order, [0.5, 0.5]),
+                        util(order, [0.0, 0.0]))
+        with pytest.raises(DomainError, match=rf"^the log-partition is not a finite number: {sign}$"):
+            value_recursion(DecisionTree(root), temps)
 
 
 def test_solve_regime_matches_tree_recursion():
