@@ -938,7 +938,12 @@ class DecisionTree(_FlatStore):
                     raise LabelMismatch(
                         f"child {what} of {node.name!r} must cover the child names {names}"
                     )
-            stack.extend(zip(reversed(kids), repeat(depth + 1)))
+            try:
+                below = reversed(kids)
+            except TypeError:  # a set, whose order of str names changes with PYTHONHASHSEED
+                raise DomainError(f"the children of {node.name!r} must be in a sequence, "
+                                  f"got {type(kids).__name__}") from None
+            stack.extend(zip(below, repeat(depth + 1)))
         nodes = list(chain.from_iterable(levels))
         internal = [node for node in nodes if node.children]
         n_edges = len(nodes) - 1

@@ -22,6 +22,7 @@ two-stage search is this simplex search run once per stage.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ from .model import (
     TooManyPaths,
     TreeValue,
     TwoStageProblem,
+    UnknownAction,
     UtilityTable,
     _finite,
     _normalise_rows,
@@ -176,10 +178,13 @@ def two_stage_objective(
     Σ_a p(a)·[U1(a) + Σ_o p(o|a)·U2(a,o) − (1/mu)·KL(p(·|a)‖p0(·|a))]
     − (1/lam)·KL(p‖p0). Beliefs of zero-probability actions do not
     contribute. Built from the elementary measures only, so it can score
-    analytic solutions without touching their code.
+    analytic solutions without touching their code. Beliefs that are no
+    mapping raise DomainError, and one missing for an action the policy
+    plays raises UnknownAction.
     """
     _require(problem, TwoStageProblem, "problem")
     _require(action_policy, FiniteDistribution, "action_policy")
+    _require(outcome_beliefs, Mapping, "outcome_beliefs")
     lam = _real(lam, "lam")
     mu = _real(mu, "mu")
     if not (math.isfinite(lam) and lam > 0.0):
@@ -191,6 +196,8 @@ def two_stage_objective(
         w = action_policy.prob(a)
         if w == 0.0:
             continue
+        if a not in outcome_beliefs:
+            raise UnknownAction(f"outcome_beliefs has no belief for action {a!r}")
         row = outcome_beliefs[a]
         inner = (
             expectation(row, problem.outcome_utility[a])

@@ -1,5 +1,8 @@
+import ast
 import contextlib
 import csv
+import gc
+import importlib
 import io
 import json
 import math
@@ -24,7 +27,8 @@ from freeutil.problemio import ProblemFile, _parse_tree, dump, dumps, load, load
 from freeutil.sequential import regime_label, value_recursion
 from freeutil.verify import resolve_seed
 
-GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 LN2 = math.log(2.0)
 
 VALID_GOLDENS = sorted(p.name for p in GOLDEN.glob("*.json") if not p.name.startswith("invalid_"))
@@ -1022,3 +1026,71 @@ def test_verify_needs_exactly_one_target():
     assert run_cli(
         "verify", GOLDEN / "control_basic.json", "--suite", "control-optimality"
     ).returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# the process entry
+
+# Runs a module as ``python -m`` does, after registering an atexit hook that
+# writes, as the process ends, whether the collector is frozen by then.
+ENTRY_PROBE = """\
+import atexit, gc, pathlib, runpy, sys
+report, module = sys.argv.pop(1), sys.argv.pop(1)
+atexit.register(lambda: pathlib.Path(report).write_text(str(gc.get_freeze_count() > 0)))
+runpy.run_module(module, run_name="__main__", alter_sys=True)
+"""
+ENTRY_CALLS = {
+    "solve": (0, ["solve", str(GOLDEN / "control_basic.json")]),
+    "bad-file": (2, ["solve", str(GOLDEN / "invalid_negative_prob.json")]),
+    "usage-fault": (2, ["solve", str(GOLDEN / "control_basic.json"), "--units", "furlongs"]),
+    "solver-fault": (3, ["solve", str(GOLDEN / "two_stage_lambda_zero.json")]),
+    "help": (0, ["--help"]),
+}
+
+
+def main_in_process(argv) -> tuple:
+    """The exit code, stdout and stderr of cli.main(argv), run here."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit:  # argparse's, for --help
+            code = exit.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("module", ["freeutil", "freeutil.cli"])
+@pytest.mark.parametrize("call", sorted(ENTRY_CALLS))
+def test_a_process_ends_with_the_collector_frozen(tmp_path, module, call):
+    """However main ends, the entry freezes the collector before the process
+    exits, and the process prints and exits as main does in process."""
+    code, argv = ENTRY_CALLS[call]
+    report = tmp_path / "frozen"
+    env = dict(os.environ)
+    env.pop("FREEUTIL_SEED", None)
+    result = subprocess.run([sys.executable, "-c", ENTRY_PROBE, str(report), module, *argv],
+                            capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stdout, result.stderr) == main_in_process(argv)
+    assert result.returncode == code and report.read_text() == "True"
+
+
+def test_main_leaves_the_collector_as_it_found_it():
+    """Tests and the traced benchmark call main many times in one process."""
+    before = gc.isenabled(), gc.get_freeze_count()
+    for _, argv in ENTRY_CALLS.values():
+        main_in_process(argv)
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_the_installed_script_runs_the_entry_python_m_runs():
+    """pyproject.toml's freeutil script names the function __main__.py calls."""
+    import freeutil.__main__
+
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    target = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]["freeutil"]
+    module, _, name = target.partition(":")
+    source = Path(freeutil.__main__.__file__).read_text()
+    called = {node.func.id for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert name in called
+    assert getattr(freeutil.__main__, name) is getattr(importlib.import_module(module), name)

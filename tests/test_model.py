@@ -962,8 +962,24 @@ class Unwalkable:
         raise DomainError(self.message)
 
 
+def unordered(name, kind, items):
+    """Children in a set or frozenset (kind), as the reference walk meets
+    them: they iterate as kind(items) does, and reversing them to put them
+    on its stack raises the error DecisionTree raises at that point of its
+    walk, unless there are none."""
+
+    class Unordered(kind):
+        def __reversed__(self):
+            if self:
+                raise DomainError(f"the children of {name!r} must be in a sequence, "
+                                  f"got {kind.__name__}")
+            return iter(())
+
+    return Unordered(items)
+
+
 GRAPH_FAULTS = ("twice", "other", "slash", "tag", "leaf_table", "labels", "table_type",
-                "iterator", "unwalkable")
+                "iterator", "unwalkable", "set")
 
 
 @st.composite
@@ -974,8 +990,8 @@ def tree_graphs(draw):
     ancestor), a child that is not a TreeNode, a '/' in a name, an unknown
     tag, child priors or utilities on a leaf, with labels that are not the
     child names, or of the wrong class, children in an iterator (read
-    once), and children that cannot be iterated. Other children come in a
-    tuple or a list."""
+    once), children that cannot be iterated, and children in a set or a
+    frozenset. Other children come in a tuple or a list."""
     n = draw(st.integers(1, 9))
     parents = [None] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
     kids = [[("node", j) for j in range(n) if parents[j] == i] for i in range(n)]
@@ -999,8 +1015,17 @@ def tree_graphs(draw):
             containers[i] = iter
         elif fault == "unwalkable":
             unwalkable[i] = draw(st.sampled_from([5, None, 2.5, False]))
+        elif fault == "set":
+            containers[i] = draw(st.sampled_from([set, frozenset]))
         else:
             table_faults[i] = fault
+    for i in range(n):
+        # Both graphs' sets iterate in one order only if each member hashes
+        # alike in both. A later node is still bare when a set is made; an
+        # earlier one is finished, and its hash may read an iterator's id or
+        # fail on a set.
+        if containers[i] in (set, frozenset) and any(("node", j) in kids[i] for j in range(i)):
+            containers[i] = tuple
     tables = []
     for i in range(n):
         labels = [names[j] if kind == "node" else f"o{k}" for k, (kind, j) in enumerate(kids[i])]
@@ -1029,15 +1054,20 @@ def tree_graphs(draw):
     return names, tags, kids, tables, containers, unwalkable
 
 
-def built(plan, stand_in):
-    """The root of the graph a tree_graphs plan draws, each of its children
-    that cannot be iterated given as stand_in(name, value)."""
+def built(plan, reference=False):
+    """The root of the graph a tree_graphs plan draws; for the reference
+    check, with children that cannot be iterated or come in a set given as
+    their stand-ins."""
     names, tags, kids, tables, containers, unwalkable = plan
     nodes = [TreeNode(name, temperature_tag=tag) for name, tag in zip(names, tags)]
     for i, node in enumerate(nodes):
-        children = containers[i]([nodes[j] if kind == "node" else j for kind, j in kids[i]])
+        items = [nodes[j] if kind == "node" else j for kind, j in kids[i]]
         if i in unwalkable:
-            children = stand_in(names[i], unwalkable[i])
+            children = Unwalkable(names[i], unwalkable[i]) if reference else unwalkable[i]
+        elif reference and containers[i] in (set, frozenset):
+            children = unordered(names[i], containers[i], items)
+        else:
+            children = containers[i](items)
         # The nodes are frozen; a cycle can only be closed once they exist.
         object.__setattr__(node, "children", children)
         object.__setattr__(node, "child_prior", tables[i][0])
@@ -1049,16 +1079,17 @@ def built(plan, stand_in):
 @given(tree_graphs())
 def test_tree_reads_a_graph_as_the_check_and_the_breadth_first_read_did(plan):
     """Every fault raises the reference check's error, children that cannot
-    be iterated the new DomainError at their node's place in pre-order; a
-    valid graph fills the reference read's arrays, bit for bit."""
+    be iterated the new DomainError at their node's place in pre-order, and
+    children in a set DomainError where the walk reverses them; a valid
+    graph fills the reference read's arrays, bit for bit."""
     try:
-        reference_check_tree(built(plan, Unwalkable))
+        reference_check_tree(built(plan, reference=True))
     except FreeUtilError as expected:
         with pytest.raises(type(expected)) as raised:
-            DecisionTree(built(plan, lambda name, value: value))
+            DecisionTree(built(plan))
         assert str(raised.value) == str(expected)
         return
-    root = built(plan, lambda name, value: value)
+    root = built(plan)
     tree, names, is_mu, n_children, prior, utility = DecisionTree(root), *reference_read(root)
     assert tree.names == names and tree.n_children.tolist() == n_children
     assert tree.is_mu.tolist() == [mu and count > 0 for mu, count in zip(is_mu, n_children)]
@@ -1077,6 +1108,30 @@ def test_tree_names_the_node_whose_children_cannot_be_iterated(value):
         DecisionTree(node("r", [TreeNode("a", value), leaf("b/")], [0.5, 0.5], [0.0, 0.0]))
     with pytest.raises(DomainError, match="^node name 'a/' contains '/'"):
         DecisionTree(node("r", [leaf("a/"), TreeNode("b", value)], [0.5, 0.5], [0.0, 0.0]))
+
+
+@pytest.mark.parametrize("kind", [set, frozenset])
+def test_tree_refuses_children_in_a_set(kind):
+    """The order of a set of str names changes with PYTHONHASHSEED, so a
+    set is refused, with DomainError naming the node where the walk
+    reverses its children: after that node's table checks, before the
+    faults of later nodes. An empty set is a leaf."""
+    def parent(name, kids, order):
+        return TreeNode(name, kids, dist(order, [1 / len(order)] * len(order)),
+                        util(order, [0.0] * len(order)))
+
+    kids = kind((leaf("a"), leaf("b")))
+    order = [c.name for c in kids]
+    expected = f"^the children of 'r' must be in a sequence, got {kind.__name__}$"
+    with pytest.raises(DomainError, match=expected):
+        DecisionTree(parent("r", kids, order))
+    with pytest.raises(LabelMismatch, match=r"^child priors of 'r' must cover the child names"):
+        DecisionTree(parent("r", kids, order[::-1]))
+    with pytest.raises(DomainError, match=expected.replace("'r'", "'m'")):
+        DecisionTree(parent("r", (parent("m", kids, order), leaf("z/")), ["m", "z/"]))
+    with pytest.raises(DomainError, match="^node name 'z/' contains '/'"):
+        DecisionTree(parent("r", (leaf("z/"), parent("m", kids, order)), ["z/", "m"]))
+    assert DecisionTree(TreeNode("r", kind())).names == ("r",)
 
 
 def test_tree_node_compares_and_hashes_children_that_cannot_be_iterated():

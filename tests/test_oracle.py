@@ -1053,3 +1053,25 @@ def test_oracles_give_finite_numbers_or_raise(call):
         except FreeUtilError:
             return
     assert all(map(math.isfinite, oracle_numbers(result))), (fn.__name__, args, result)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool_trees(), pool_temperatures, pool_temperatures)
+@example(OVERFLOW_TREE, 1.0, 1.0)
+@example(TREE_BINARY, 1e308, -1e308)
+@example(TREE_BINARY, 5e-324, -1e-320)
+def test_value_recursion_gives_finite_numbers_or_raises(tree, lam, mu):
+    """value_recursion on a mixed-tag tree returns finite values, policies,
+    KLs and log-partitions (NaN only at the infinite limits, where there is
+    none), or raises a FreeUtilError, without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            temps = TemperatureSpec(lam, mu)
+            result = value_recursion(tree, temps)
+        except FreeUtilError:
+            return
+    node_temps = [temps.mu if mu else temps.lam for mu in tree.is_mu[tree.n_children > 0]]
+    log_z = [z for z, t in zip(result.flat_log_z.tolist(), node_temps)
+             if not (t.is_pos_inf or t.is_neg_inf)]
+    assert all(map(math.isfinite, [*oracle_numbers(result), *log_z])), (tree, temps, result)

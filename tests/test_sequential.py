@@ -544,6 +544,53 @@ def test_none_for_the_first_argument_raises_a_named_domain_error(call):
         NONE_FIRST[call]()
 
 
+# Valid calls, each argument past the first of which is given None in turn.
+STAGED = staged({"A": P, "B": dist(["x", "y"], [0.9, 0.1])}, {"A": U, "B": util(["x", "y"], [2.0, -1.0])})
+NONE_LATER = {
+    "exponential_tilt": (exponential_tilt, (P, U, 1.0)),
+    "kl_divergence": (kl_divergence, (P, P)),
+    "expectation": (expectation, (P, U)),
+    "gibbs_measure": (gibbs_measure, (U, 1.0)),
+    "free_utility": (free_utility, (P, U, 1.0)),
+    "bounded_control": (bounded_control, (P, U, 1.0)),
+    "certainty_equivalent": (certainty_equivalent, (P, U, 1.0)),
+    "simplex_grid_search": (simplex_grid_search, (P, U, 1.0, 0.01)),
+    "path_enumeration": (path_enumeration, (DecisionTree(ONE_EDGE), 1.0)),
+    "exhaustive_two_stage": (exhaustive_two_stage, (STAGED, 1.0, 1.0, 0.01)),
+    "two_stage_objective": (two_stage_objective,
+                            (STAGED, 1.0, 1.0, STAGED.prior_action, STAGED.channel)),
+    "free_utility_difference": (free_utility_difference, (P, P, U, 1.0)),
+    "taylor_ce_approx": (taylor_ce_approx, (P, U, 0.1)),
+    "inner_policy": (inner_policy, (STAGED, "A", 1.0)),
+    "outer_policy": (outer_policy, (STAGED, 1.0, 1.0)),
+    "solve_regime": (solve_regime, (STAGED, TemperatureSpec(1.0, 1.0))),
+    "risk_sensitive_argmax": (risk_sensitive_argmax, (STAGED, -1.0)),
+    "value_recursion": (value_recursion, (DecisionTree(ONE_EDGE), TemperatureSpec(1.0, 1.0))),
+    "two_stage_to_tree": (two_stage_to_tree, (STAGED, "root")),
+}
+
+
+@pytest.mark.parametrize("name, position", [
+    (name, position) for name, (_, args) in NONE_LATER.items() for position in range(1, len(args))
+])
+def test_none_for_any_later_argument_raises_a_named_error(name, position):
+    """The call solves as given, and with None in that one place raises a
+    FreeUtilError, not Python's TypeError or KeyError."""
+    fn, args = NONE_LATER[name]
+    fn(*args)
+    with pytest.raises(FreeUtilError):
+        fn(*args[:position], None, *args[position + 1:])
+
+
+def test_two_stage_objective_names_an_action_without_beliefs():
+    """Beliefs are read only for the actions the policy plays."""
+    with pytest.raises(UnknownAction, match=r"^outcome_beliefs has no belief for action 'B'$"):
+        two_stage_objective(STAGED, 1.0, 1.0, STAGED.prior_action, {"A": P})
+    assert two_stage_objective(STAGED, 1.0, 1.0, dist(["A", "B"], [1.0, 0.0]), {"A": P}) == (
+        two_stage_objective(STAGED, 1.0, 1.0, dist(["A", "B"], [1.0, 0.0]), STAGED.channel)
+    )
+
+
 def test_value_recursion_refuses_a_log_partition_past_the_float_range():
     """Constant gains of 1e308 at mu = 2 put t·g_max past the float range:
     DomainError, as outer_policy and exponential_tilt raise, and of two
