@@ -769,10 +769,10 @@ class TreeNode:
     the node. Leaves carry nothing.
 
     == and repr give what the generated dataclass methods give, and hash
-    agrees with ==, but on a cycle, where those recurse, == and hash raise
-    CyclicTree. == and hash read one explicit-stack pre-order walk,
-    _records, and repr is a recursive writer run by _trampoline, so depth
-    is bounded by memory.
+    agrees with ==, children in a set included, but on a cycle, where those
+    recurse, == and hash raise CyclicTree. == and hash read one
+    explicit-stack pre-order walk, _records, and repr is a recursive writer
+    run by _trampoline, so depth is bounded by memory.
     """
 
     name: str
@@ -821,7 +821,10 @@ class TreeNode:
         return all(map(tuple.__eq__, self._records(), other._records()))
 
     def __hash__(self) -> int:
-        return hash(tuple(self._records()))
+        # Children in a set or a frozenset, which compare equal to each
+        # other by their members, count by their number.
+        return hash(tuple(r[:-1] + (len(r[-1]),) if isinstance(r[-1], (set, frozenset)) else r
+                          for r in self._records()))
 
     def __repr__(self) -> str:
         return _trampoline(_node_repr(self))

@@ -17,17 +17,17 @@ tree node and edge into flat arrays as the decoder finishes it, in any key
 order, and leaves one shared marker in its place. The hook closes each node
 over its children as it records it and checks their names and, a block of
 rows at a time, their priors and utilities, so every check a tree's records
-fail is met while the text decodes; the text is freed before the tree is
-built from the records. Any other object whose values are lists of numbers
-of one nonzero length, a table, the hook reads into one matrix as the
-decoder finishes it. The schema admits a table only as a two-stage file's
-channel or outcome_utility, so only one table's rows are ever Python
-floats, and the two-stage reader reads the two matrices by action. On any
-fault, a table the two-stage reader does not use included, and for a text
-too deep for the decoder with the hook, the text is decoded again without
-the hook, and the plain readers (_parse_tree for a tree, the control and
-two-stage parsers) raise the error the text meets first, or read the deep
-tree.
+fail is met while the text decodes. Any other object whose values are lists
+of numbers of one nonzero length, a table, the hook reads into one matrix as
+the decoder finishes it; the schema admits a table only as a two-stage
+file's channel or outcome_utility, so only one table's rows are ever Python
+floats. One reader, _problem_file, reads every decoded document: its
+header, then its payload, then its temperatures. It leaves a build that
+cannot fail, run once the text and the document are freed. On any fault of
+the decode or the read, the text is decoded again without the hook, and the
+same reader, with the plain tree reader in place of the records, raises the
+error the text meets first, or reads a tree too deep to decode with the
+hook.
 
 load() reads a file's text in blocks and drops from each every run of 9 or
 more spaces that follows a newline, growing one string, so only the
@@ -191,14 +191,14 @@ def _row_arrays(actions, outcomes, channel, utility):
     return rows
 
 
-def _parse_two_stage(payload: dict) -> partial:
-    """The two-stage payload, read, as a call that builds its problem.
-    Channel and outcome utility tables, as _TreeArrays.hook records them,
-    are read straight into arrays and checked, or raise _Refused (see
-    _row_arrays), so only the build is left, and loads frees the text before
-    it. Plainly decoded rows are read as labelled rows, in the file's key
-    order, and the call is the constructor, to raise the error the file
-    meets first."""
+def _parse_two_stage(payload: dict):
+    """The two-stage payload, read, as a call that builds its problem and
+    cannot fail. Channel and outcome utility tables, as _TreeArrays.hook
+    records them, are read straight into arrays and checked, or raise
+    _Refused (see _row_arrays), so only the build is left, and loads frees
+    the text before it. Plainly decoded rows are read as labelled rows, in
+    the file's key order, and the problem is built here, so that the
+    constructor raises the error the file meets first."""
     keys = {"actions", "outcomes", "prior_action", "channel", "action_utility", "outcome_utility"}
     _require_keys(payload, keys, keys, "two_stage payload")
     actions = _as_label_list(payload["actions"], "actions")
@@ -227,7 +227,8 @@ def _parse_two_stage(payload: dict) -> partial:
         a: UtilityTable(outcomes, _as_number_list(row, f"outcome_utility[{a!r}]"))
         for a, row in payload["outcome_utility"].items()
     }
-    return partial(TwoStageProblem, actions, outcomes, prior, channel, action_utility, outcome_utility)
+    problem = TwoStageProblem(actions, outcomes, prior, channel, action_utility, outcome_utility)
+    return lambda: problem
 
 
 # What the array reader puts in place of each tree node and edge it records.
@@ -238,8 +239,9 @@ _NODE_KEYS = frozenset(("name", "temperature_tag", "children"))
 
 
 class _Refused(Exception):
-    """Raised by _TreeArrays.hook for records that no valid tree makes, and
-    by _row_arrays for tables that no valid two-stage payload holds."""
+    """Raised by _TreeArrays.hook and _problem_file for records that no
+    valid tree makes, and by _row_arrays for tables that no valid two-stage
+    payload holds."""
 
 
 class _TreeArrays:
@@ -270,7 +272,7 @@ class _TreeArrays:
     its edge, or with more children than open subtrees, a name repeated among
     siblings, or a block of whole rows, at least _BLOCK_EDGES closed edges,
     that fails _valid_rows on a copy. So the text decodes into records that
-    passed every check but the last block's, and accept has only that block
+    passed every check but the last block's, and closed has only that block
     and O(1) checks left.
     """
 
@@ -330,30 +332,21 @@ class _TreeArrays:
             if (not width or not all(type(row) is list and len(row) == width for row in rows)
                     or not set(map(type, chain.from_iterable(rows))) <= _NUMBERS):
                 return obj
-            tables.append((list(obj), np.array(rows, dtype=float)))
-            return tables[-1]
+            return list(obj), np.array(rows, dtype=float)
 
-        tables = self.tables = []
         self.hook, self.block_passes = hook, block_passes
 
-    def accept(self, raw) -> bool:
-        """Whether raw, the decoded document, is a tree file whose payload
-        is the recorded tree and passes every check of _parse_tree and
-        DecisionTree: the header, one root, an edge per node but the root,
-        and the rows of the last block (hook checked the rest)."""
-        try:
-            if _file_kind(raw) != "tree" or raw["payload"] is not _READ:
-                return False
-            self.temperatures = _temperatures(raw, "tree")
-        except FreeUtilError:
-            return False
+    def closed(self) -> bool:
+        """Whether the records are one tree that passes every check of
+        _parse_tree and DecisionTree: one root, an edge per node but the
+        root, and the rows of the last block (hook checked the rest)."""
         return (len(self.stack) == 1 and len(self.priors) == len(self.grouped)
                 and (not self.rows or self.block_passes()))
 
-    def problem_file(self) -> ProblemFile:
-        """The accepted tree file, its tree in DecisionTree's breadth-first
-        arrays, built level by level from the root. Each record is dropped
-        once it has been read."""
+    def tree(self) -> DecisionTree:
+        """The closed records' tree in DecisionTree's breadth-first arrays,
+        built level by level from the root. Each record is dropped once it
+        has been read."""
         del self.hook, self.block_passes  # their closures hold the records too
         count, grouped = np.array(self.counts, dtype=np.intp), np.array(self.grouped, dtype=np.intp)
         del self.counts, self.grouped
@@ -376,19 +369,18 @@ class _TreeArrays:
         del self.utilities
         is_mu = np.frombuffer(self.mu, dtype=np.uint8)[order].tolist()
         del self.mu
-        tree = DecisionTree._from_arrays(
+        return DecisionTree._from_arrays(
             tuple(names[order]), map((LAMBDA_TAG, MU_TAG).__getitem__, is_mu),
             count[order], prior[at], utility,
         )
-        return ProblemFile(SCHEMA_VERSION, "tree", tree, **self.temperatures)
 
 
 def _parse_tree(payload) -> TreeNode:
     """The tree payload as TreeNodes, read by a recursive descent run on
     _trampoline, so depth is bounded by memory. loads reads a payload this
-    way only when the array reader has not accepted it: to raise the error
-    the descent meets first, or to read a tree too deep to decode with the
-    hook."""
+    way only in its fallback, when the array reader's records are refused:
+    to raise the error the descent meets first, or to read a tree too deep
+    to decode with the hook."""
     return _trampoline(_parse_node(payload, None))
 
 
@@ -489,20 +481,12 @@ def loads(text: str) -> ProblemFile:
     """Parse a problem document from its JSON text, rejecting anything the
     schema does not name.
 
-    The decoder records a tree into flat arrays and checks the records as
-    it goes (see _TreeArrays), so once it ends only O(1) checks are left and
-    the text is freed before any array the size of the tree is built. It
-    reads a table, such as a two-stage file's channel, into a matrix, which
-    the two-stage reader reads by action and checks; the text is freed
-    before the problem is built from the matrices. A document with nothing
-    recorded, every control file, is the plain decoded document, and its
-    text is freed before the build. Every other outcome of that decode
-    takes one fallback: a decoding fault, a text too deep for the decoder
-    with the hook, a refused tree, and any fault in a document that holds a
-    table. The schema admits a table only as a two-stage file's channel or
-    outcome_utility, so that covers every table the two-stage reader cannot
-    use or does not read. The text is decoded once more without the hook,
-    and the plain readers raise the error it meets first, or read a tree
+    One success path: the text is decoded with _TreeArrays.hook, the
+    document is read by _problem_file, and the text and the document are
+    freed before the build, so no array the size of a tree or a table is
+    built beside them. Any fault of the decode or the read takes one
+    fallback: the text is decoded without the hook and read by the same
+    reader, which raises the error the text meets first, or reads a tree
     too deep to decode with the hook.
     """
     if not isinstance(text, str):
@@ -510,28 +494,12 @@ def loads(text: str) -> ProblemFile:
     arrays = _TreeArrays()
     try:
         raw = json.loads(text, object_hook=arrays.hook, parse_constant=_reject_constant)
-    except (ValueError, RecursionError, OverflowError, _Refused):  # named or read by the fallback
-        pass
+        build = _problem_file(raw, arrays)
+    except (ValueError, RecursionError, OverflowError, _Refused, FreeUtilError):  # read again below
+        raw = arrays = None  # the hooked document and its records, freed before the plain decode
     else:
-        if arrays.names:
-            if arrays.accept(raw):
-                del raw, text
-                return arrays.problem_file()
-        elif not arrays.tables:  # nothing was recorded
-            del text  # with no reference left to it, freed before the build
-            return _problem_file(raw)
-        else:  # tables, which only a two-stage file holds
-            try:
-                if _file_kind(raw) != "two_stage":
-                    raise _Refused
-                build, temperatures = _parse_two_stage(raw["payload"]), _temperatures(raw, "two_stage")
-            except (FreeUtilError, _Refused):
-                pass
-            else:
-                del raw, text, arrays  # freed before the build
-                return ProblemFile(SCHEMA_VERSION, "two_stage", build(), **temperatures)
-        del raw
-    del arrays
+        del raw, text, arrays  # freed before the build
+        return build()
     with _gc_paused():
         try:
             raw = json.loads(text, parse_constant=_reject_constant)
@@ -542,7 +510,7 @@ def loads(text: str) -> ProblemFile:
             raise DomainError("problem file holds an integer too large for a float") from None
         except RecursionError:
             raise _too_deep(text) from None
-        return _problem_file(raw)
+        return _problem_file(raw)()
 
 
 def _file_kind(raw) -> str:
@@ -570,17 +538,28 @@ def _temperatures(raw: dict, kind: str) -> dict:
     return {arg: _as_temperature(temps[key], key) for key, arg in spelled.items() if key in temps}
 
 
-def _problem_file(raw) -> ProblemFile:
-    """The problem file a plainly decoded document describes, read by the
-    readers that raise the error its text meets first."""
+def _problem_file(raw, arrays=None):
+    """The problem file a decoded document describes, as a call that builds
+    it and cannot fail, holding no reference to raw. The header is read
+    first, then the payload, then the temperatures, so the error raised is
+    the first the text meets. With arrays, raw was decoded with arrays.hook,
+    and a tree payload must be the marker of closed records, or _Refused is
+    raised; without, a tree payload is read by _parse_tree. A payload whose
+    build could fail (a control payload, a plainly read tree, labelled
+    two-stage rows) is built here, before the temperatures are read."""
     kind = _file_kind(raw)
-    if kind == "control":
-        problem = _parse_control(raw["payload"])
-    elif kind == "two_stage":
-        problem = _parse_two_stage(raw["payload"])()
+    payload = raw["payload"]
+    if kind == "two_stage":
+        build = _parse_two_stage(payload)
+    elif kind == "tree" and arrays is not None:
+        if payload is not _READ or not arrays.closed():
+            raise _Refused
+        build = arrays.tree
     else:
-        problem = DecisionTree(_parse_tree(raw["payload"]))
-    return ProblemFile(SCHEMA_VERSION, kind, problem, **_temperatures(raw, kind))
+        problem = _parse_control(payload) if kind == "control" else DecisionTree(_parse_tree(payload))
+        build = lambda: problem  # noqa: E731
+    temperatures = _temperatures(raw, kind)
+    return lambda: ProblemFile(SCHEMA_VERSION, kind, build(), **temperatures)
 
 
 # A tree's depth indentation: a newline and more spaces than the fixed-depth

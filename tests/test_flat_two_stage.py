@@ -323,7 +323,7 @@ def test_a_faulty_file_fails_as_the_labelled_path_fails(tmp_path, capsys, monkey
         if raw["kind"] == "two_stage":
             reference_two_stage(json.loads(text)["payload"])
         else:
-            _problem_file(json.loads(text))
+            _problem_file(json.loads(text))()
     with pytest.raises(FreeUtilError) as raised:
         loads(text)
     assert type(raised.value) is type(expected.value)

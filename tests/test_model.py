@@ -1147,6 +1147,32 @@ def test_tree_node_compares_and_hashes_children_that_cannot_be_iterated():
     assert hash(below) == hash(TreeNode("r", (TreeNode("a", 5),)))
 
 
+@pytest.mark.parametrize("kind", [set, frozenset])
+def test_tree_node_hashes_children_in_a_set_as_it_compares_them(kind):
+    """A set and a frozenset of children compare as the dataclass ==
+    compares them, by their members in any order, and nodes that compare
+    equal hash alike, a node below and a set that is itself a child too."""
+    one = TreeNode("r", kind({leaf("a"), leaf("b")}))
+    for other in (set, frozenset):
+        two = TreeNode("r", other({leaf("b"), leaf("a")}))
+        assert one == two and hash(one) == hash(two)
+        assert (one == two) == (as_reference(one) == as_reference(two))
+        assert TreeNode("q", (one,)) == TreeNode("q", (two,))
+        assert hash(TreeNode("q", (one,))) == hash(TreeNode("q", (two,)))
+        child, twin = TreeNode("r", (kind({1, 2}),)), TreeNode("r", (other({2, 1}),))
+        assert child == twin and hash(child) == hash(twin)
+    for other in (TreeNode("r", kind({leaf("a"), leaf("c")})), TreeNode("r", (leaf("a"), leaf("b")))):
+        assert one != other and as_reference(one) != as_reference(other)
+
+
+def test_tree_node_hash_of_sequence_and_iterator_children_is_the_hash_of_its_records():
+    """Only a set's record is hashed another way."""
+    kids = (leaf("a"), node("b", [leaf("x")], [1.0], [2.0], "mu"))
+    for children in (kids, list(kids), iter(kids), (iter(kids),), 5):
+        n = TreeNode("r", children)
+        assert hash(n) == hash(tuple(n._records()))
+
+
 # ---------------------------------------------------------------------------
 # Validation runs on builtins over the whole list and walks entry by entry
 # only after a failure; the entry-by-entry walks are the reference.

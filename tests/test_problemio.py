@@ -24,6 +24,7 @@ from freeutil.model import (
     DuplicateLabel,
     FiniteDistribution,
     FreeUtilError,
+    LabelMismatch,
     NegativeProbability,
     NotNormalized,
     Temperature,
@@ -1011,7 +1012,7 @@ def reference_loads(text: str) -> ProblemFile:
     _parse_tree and the control and two-stage parsers, a tree payload they
     accept read by the dict walk."""
     raw = json.loads(text, parse_constant=problemio._reject_constant)
-    pf = problemio._problem_file(raw)
+    pf = problemio._problem_file(raw)()
     return dataclasses.replace(pf, problem=dict_flat_tree(raw["payload"])) if pf.kind == "tree" else pf
 
 
@@ -1263,3 +1264,140 @@ def test_loads_takes_the_deepest_chain_plain_json_takes(extra):
             loads(chain_document(lo + 1))
 
     frames_below(extra, check)
+
+
+# ---------------------------------------------------------------------------
+# One reader reads a document decoded with the hook and one decoded without
+# it. Of several faults, the header's is raised first, then the payload's,
+# then the temperatures'.
+
+
+def golden_document(name: str, *faults) -> dict:
+    """A golden file's document with each fault, a call that edits it in
+    place, applied."""
+    doc = json.loads((GOLDEN / name).read_text())
+    for fault in faults:
+        fault(doc)
+    return doc
+
+
+def header_fault(doc):
+    doc["schema_version"] = "2"
+
+
+def temperature_fault(key):
+    return lambda doc: doc.update(temperatures={key: "hot"})
+
+
+def payload_fault(path, value=None):
+    """Sets the payload's value at path, or deletes it for value None."""
+    def fault(doc):
+        container = doc["payload"]
+        for key in path[:-1]:
+            container = container[key]
+        if value is None:
+            del container[path[-1]]
+        else:
+            container[path[-1]] = value
+    return fault
+
+
+NODE_A = ("children", 0, "node")
+# Per case: the golden file, its payload fault or None, its temperature, and
+# the error the payload fault raises. The hook reads the control and the
+# action_utility documents and the tree without a payload fault; the reader
+# refuses the records of the missing row and the named tree; the hook itself
+# refuses the siblings named alike while the text decodes.
+PRECEDENCE_CASES = {
+    "control, negative prior": ("control_basic.json", payload_fault(("prior", 0), -0.5),
+                                "alpha", NegativeProbability),
+    "two-stage, missing channel row": ("two_stage_basic.json", payload_fault(("channel", "safe")),
+                                       "mu", LabelMismatch),
+    "two-stage, action_utility not a number": (
+        "two_stage_basic.json", payload_fault(("action_utility", 0), "x"), "mu", DomainError),
+    "tree, a node named r/": ("tree_depth3.json", payload_fault(("name",), "r/"), "lambda", DomainError),
+    "tree, siblings named alike": ("tree_depth3.json", payload_fault(("children", 1, "node", "name"), "A"),
+                                   "lambda", DuplicateLabel),
+    "tree, accepted by the hook": ("tree_depth3.json", None, "lambda", None),
+}
+
+
+def raised(tmp_path, doc) -> tuple:
+    """The error's type and message, the same from loads of the document's
+    indented text and from load of a file holding it."""
+    text = json.dumps(doc, indent=2)
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    errors = []
+    for read in (lambda: loads(text), lambda: load(str(path))):
+        with pytest.raises(FreeUtilError) as e:
+            read()
+        errors.append((type(e.value), str(e.value)))
+    assert errors[0] == errors[1]
+    return errors[0]
+
+
+@pytest.mark.parametrize("case", sorted(PRECEDENCE_CASES))
+def test_a_header_fault_is_raised_before_payload_and_temperature_faults(tmp_path, case):
+    name, fault, key, _ = PRECEDENCE_CASES[case]
+    faults = [f for f in (fault, temperature_fault(key)) if f]
+    want = (DomainError, "unsupported schema_version '2'; expected '1'")
+    assert raised(tmp_path, golden_document(name, header_fault)) == want
+    assert raised(tmp_path, golden_document(name, header_fault, *faults)) == want
+
+
+@pytest.mark.parametrize("case", sorted(PRECEDENCE_CASES))
+def test_a_payload_fault_is_raised_before_a_temperature_fault(tmp_path, case):
+    name, fault, key, error = PRECEDENCE_CASES[case]
+    bad_temperature = raised(tmp_path, golden_document(name, temperature_fault(key)))
+    assert bad_temperature[0] is DomainError
+    if fault is None:
+        return
+    want = raised(tmp_path, golden_document(name, fault))
+    assert want[0] is error and want != bad_temperature
+    assert raised(tmp_path, golden_document(name, fault, temperature_fault(key))) == want
+
+
+def count_decodes(monkeypatch) -> list:
+    """A list that grows by one entry per json.loads call from now on."""
+    calls, decode = [], json.loads
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return decode(*args, **kwargs)
+
+    monkeypatch.setattr(problemio.json, "loads", counted)
+    return calls
+
+
+def test_a_file_that_loads_is_decoded_once(tmp_path, monkeypatch):
+    """Every golden file that loads, and a seeded ternary tree of depth 6
+    shaped as the harness's tree-88k, through loads and through load."""
+    tree = tmp_path / "ternary.json"
+    dump(ProblemFile("1", "tree", ternary_tree(6), lam=Temperature.coerce(2.0), mu=Temperature.coerce(-1.0)), str(tree))
+    paths = [GOLDEN / name for name in VALID_GOLDENS] + [tree]
+    texts = [path.read_text() for path in paths]
+    calls = count_decodes(monkeypatch)
+    for path, text in zip(paths, texts):
+        for read in (lambda: loads(text), lambda: load(str(path))):
+            calls.clear()
+            read()
+            assert len(calls) == 1, path.name
+
+
+@pytest.mark.parametrize("name, fault", [
+    ("tree_depth3.json", payload_fault(("name",), "r/")),
+    ("two_stage_basic.json", payload_fault(("channel", "safe"))),
+], ids=["tree", "two-stage file"])
+def test_a_refused_file_is_decoded_twice(tmp_path, monkeypatch, name, fault):
+    """Once with the hook, and once more without it for the error the plain
+    readers raise; a regular file's text is read once."""
+    text = json.dumps(golden_document(name, fault), indent=2)
+    path = tmp_path / name
+    path.write_text(text)
+    calls = count_decodes(monkeypatch)
+    for read in (lambda: loads(text), lambda: load(str(path))):
+        calls.clear()
+        with pytest.raises(FreeUtilError):
+            read()
+        assert len(calls) == 2
