@@ -188,8 +188,11 @@ def _solve_two_stage_doc(problem: TwoStageProblem, temps: TemperatureSpec,
     }, units)]
 
 
-def _solve_tree_doc(tree: DecisionTree, temps: TemperatureSpec, units: str,
-                    conversion: str = "%.12g"):
+# The % conversion of every float in a tree solve document.
+_TREE_FLOAT = "%.12g"
+
+
+def _solve_tree_doc(tree: DecisionTree, temps: TemperatureSpec, units: str):
     """The tree solve document without its final newline, as an iterator of
     its chunks. The backup and the header through render_json run first, so
     every FreeUtilError is raised before the iterator is returned. Reading
@@ -197,7 +200,7 @@ def _solve_tree_doc(tree: DecisionTree, temps: TemperatureSpec, units: str,
     chunk of 1,024 nodes at a time, each filled by one %, in two walks of
     the pre-order, the second for the internal nodes' paths alone; no chunk
     is held once it is read, and no list or array of text spans the tree.
-    Floats are written by the % conversion, -0.0 as 0.0; paths and names
+    Floats are written by _TREE_FLOAT, -0.0 as 0.0; paths and names
     are always % arguments, never template text. No key is a relative
     entropy; units is a label."""
     tv = value_recursion(tree, temps)
@@ -211,7 +214,7 @@ def _solve_tree_doc(tree: DecisionTree, temps: TemperatureSpec, units: str,
         "node_values": None,
         "node_policies": None,
         "units": units,
-    }, lambda x: conversion % (x + 0.0))
+    }, lambda x: _TREE_FLOAT % (x + 0.0))
     head, middle, tail = header.split(": null")  # the two placeholders are the only nulls
 
     def chunks():
@@ -219,7 +222,7 @@ def _solve_tree_doc(tree: DecisionTree, temps: TemperatureSpec, units: str,
         starts = tree.level_starts()
         depth = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
         escaped = {name: encode_basestring_ascii(name)[1:-1] for name in set(tree.names)}
-        value_row, child_row = (f'\n{pad}"%s": {conversion}' for pad in ("    ", "      "))
+        value_row, child_row = (f'\n{pad}"%s": {_TREE_FLOAT}' for pad in ("    ", "      "))
         rows = {k: '\n    "%s": {' + ",".join([child_row] * k) + "\n    }"  # per child count
                 for k in np.flatnonzero(np.bincount(tree.n_children)).tolist()}
         yield head + ": {"

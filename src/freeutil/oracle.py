@@ -10,14 +10,16 @@ Everything is deterministic given the instance and resolution, and
 intentionally size-capped — these are certificates, not production solvers.
 
 The simplex searches are exact maximizations over the lattice {c/N} of the
-probability simplex. Because both objectives are per-coordinate separable,
-the lattice maximum is found by max-plus convolution across coordinates in
-O(n·N²) instead of enumerating the full lattice (which for 4 outcomes at
-N = 1000 would be ~1.7e8 points); the reported evaluation count is the
-lattice cardinality the convolution covers. Each convolution step scores
-its (N+1)×(N+1) matrix a block of rows at a time, about _BLOCK_ENTRIES
-entries, so the working memory is O(block·N), not O(N²). The staged
-two-stage search is this simplex search run once per stage.
+probability simplex. The objective is a sum of per-coordinate terms, each
+concave in its coordinate's count, so a coordinate's unit gains (what its
+c-th unit of mass 1/N adds) fall as c grows, and the lattice maximum is the
+N largest unit gains taken together: the greedy for separable concave
+resource allocation (Ibaraki & Katoh, Resource Allocation Problems, 1988).
+One stable sort of the n×N gains finds them in O(n·N) memory, instead of
+enumerating the full lattice (which for 4 outcomes at N = 1000 would be
+~1.7e8 points); the reported evaluation count is the lattice cardinality
+the search covers. The staged two-stage search is this simplex search run
+once per stage.
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import (
     ARGMAX_TIE_TOL,
@@ -53,9 +54,6 @@ from .model import (
 MAX_GRID_OUTCOMES = 4
 MAX_PATHS = 100_000
 
-# Score-matrix entries per block of a max-plus convolution step.
-_BLOCK_ENTRIES = 1 << 16
-
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -64,7 +62,8 @@ class OracleResult:
     best_point is a FiniteDistribution for single-simplex searches or, for
     the staged search, a tuple of the action distribution followed by one
     outcome distribution per action; evaluations is the cardinality of the
-    lattice covered (for the staged search, the product of its stages').
+    lattice the search is exact over (for the staged search, the product of
+    its stages'), not a count of points scored.
     """
 
     best_value: float
@@ -100,10 +99,15 @@ def simplex_grid_search(
     """Exact maximum of Σ P·u_star − α·KL(P‖prior) over the simplex lattice.
 
     The objective is a sum of per-coordinate terms
-    x·u_i − α·x·log(x/prior_i), so the lattice maximum over all count
-    vectors summing to N is computed by max-plus convolution with
-    backpointers; points putting mass where the prior has none are
-    infeasible and never selected.
+    x·u_i − α·x·log(x/prior_i), each concave in x, so the unit gains of a
+    coordinate fall with its count, every allocation of N units takes a
+    prefix of each coordinate's gains, and by an exchange argument the N
+    largest gains make the best one. They are found by one stable sort, so
+    of equal gains the earlier coordinate wins, then its earlier unit.
+    Only the entropy term is differenced, and every utility is shifted by
+    the largest on the support, so at large utilities the gains keep the
+    entropy term. Points putting mass where the prior has none are
+    infeasible: those coordinates get no gains and no units.
     """
     _require(prior, FiniteDistribution, "prior")
     _require(u_star, UtilityTable, "u_star")
@@ -118,50 +122,27 @@ def simplex_grid_search(
     N = _check_resolution(resolution)
     u = u_star.aligned_to(prior.outcomes)
 
-    x = np.arange(N + 1) / N
-    terms = []
-    for i in range(n):
-        p_i = prior.probs[i]
-        t = np.full(N + 1, -np.inf)
-        t[0] = 0.0
-        if p_i > 0.0:
-            xs = x[1:]
-            # Near the float maximum, alpha·x·log(x/p) overflows to +inf only
-            # where the log is positive: that term is -inf, never the maximum.
-            with np.errstate(over="ignore"):
-                t[1:] = xs * u[i] - alpha * xs * _log_ratio(xs, p_i)
-        terms.append(t)
+    support = np.flatnonzero(prior.array > 0.0)
+    xs = np.arange(1, N + 1) / N
+    with np.errstate(over="ignore"):
+        # Each supported utility less the largest, per unit of mass; where
+        # that difference passes the float range, both are divided first,
+        # so this part of every gain is finite.
+        top = u[support].max()
+        shifted = (u[support] - top) / N
+        shifted = np.where(np.isinf(shifted), u[support] / N - top / N, shifted)
+        # Row k holds the unit gains of the k-th supported coordinate: its
+        # c-th unit adds shifted[k] − α·Δ[x·log(x/p)] at x = c/N. Only the
+        # entropy part can pass the float range, to a gain of ±inf.
+        gains = np.array([
+            s - alpha * np.diff(xs * _log_ratio(xs, p), prepend=0.0)
+            for s, p in zip(shifted, prior.array[support])
+        ])
+    best_units = np.argsort(-gains, axis=None, kind="stable")[:N]
+    counts = np.zeros(n, dtype=np.intp)
+    counts[support] = np.bincount(best_units // N, minlength=len(support))
 
-    # Max-plus convolution: f[s] = best objective using the first k
-    # coordinates with total count s; choices[k][s] records coordinate k's
-    # count at that optimum. Each step scores [s, c] = f[s-c] + terms[k][c]
-    # into one reused buffer, a block of rows s at a time.
-    f = terms[0]
-    choices = []
-    step = max(1, _BLOCK_ENTRIES // (N + 1))
-    block = np.empty((min(step, N + 1), N + 1))
-    rows = np.arange(len(block))
-    for k in range(1, n):
-        padded = np.concatenate([np.full(N, -np.inf), f])
-        windows = sliding_window_view(padded, N + 1)[:, ::-1]  # [s, c] = f[s-c]
-        f = np.empty(N + 1)
-        best_c = np.empty(N + 1, dtype=np.intp)
-        for lo in range(0, N + 1, step):
-            hi = min(lo + step, N + 1)
-            scores = np.add(windows[lo:hi], terms[k], out=block[: hi - lo])
-            np.argmax(scores, axis=1, out=best_c[lo:hi])
-            f[lo:hi] = scores[rows[: hi - lo], best_c[lo:hi]]
-        choices.append(best_c)
-
-    counts = [0] * n
-    s = N
-    for k in range(n - 1, 0, -1):
-        c = int(choices[k - 1][s])
-        counts[k] = c
-        s -= c
-    counts[0] = s
-
-    best = FiniteDistribution(prior.outcomes, [c / N for c in counts])
+    best = FiniteDistribution(prior.outcomes, [c / N for c in counts.tolist()])
     best_value = expectation(best, u_star) - alpha * kl_divergence(best, prior)
     return OracleResult(best_value, best, 1.0 / N, math.comb(N + n - 1, n - 1))
 

@@ -394,7 +394,7 @@ def test_solve_tree_prints_the_old_document_byte_for_byte(name, units):
 
 def test_solve_tree_single_leaf_document():
     tree, temps = DecisionTree(TreeNode("ré\"x")), TemperatureSpec(1.0, 1.0)
-    doc = json.loads("".join(cli._solve_tree_doc(tree, temps, "bits", "%r")))
+    doc = json.loads("".join(cli._solve_tree_doc(tree, temps, "bits")))
     assert doc["node_values"] == {"ré\"x": 0.0} and doc["node_policies"] == {}
     assert doc["units"] == "bits"
 

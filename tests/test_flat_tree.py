@@ -208,7 +208,8 @@ def test_loads_meets_mixed_faults_in_the_treenode_order(payload):
 
 def tree_doc(tree, temps) -> dict:
     """The tree solve document, its floats written in full by %r, read back."""
-    return json.loads("".join(cli._solve_tree_doc(tree, temps, "nats", "%r")))
+    with patch.object(cli, "_TREE_FLOAT", "%r"):
+        return json.loads("".join(cli._solve_tree_doc(tree, temps, "nats")))
 
 
 def reference_value_recursion(root, temps):

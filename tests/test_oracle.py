@@ -99,7 +99,7 @@ def test_grid_never_beats_analytic_solution():
 
 
 def test_grid_matches_brute_force_enumeration():
-    """The max-plus convolution equals a literal walk of the whole lattice."""
+    """The lattice search equals a literal walk of the whole lattice."""
     prior = dist(["a", "b", "c"], [0.5, 0.25, 0.25])
     u = util(["a", "b", "c"], [1.0, -0.5, 0.3])
     alpha = 0.7
@@ -130,6 +130,30 @@ def test_grid_near_the_float_maximum_stays_at_the_prior_without_a_warning():
     assert res.best_value == pytest.approx(2.4, abs=1e-12)
 
 
+EDGE_UTILITIES = [1.7e308, -1.7e308, 1e308, -1e308, 1.0, -1.0, 0.0]
+EDGE_ALPHAS = [5e-324, 1e-300, 0.05, 1.0, 1e300, 1.7e308]
+
+
+@pytest.mark.parametrize("probs", [
+    (0.5, 0.5, 0.0), (0.0, 0.5, 0.5), (5e-324, 1.0, 0.0), (1.0, 0.0, 0.0),
+])
+def test_grid_at_the_float_edges_warns_nothing_and_stays_on_the_support(probs):
+    """Every utility triple and temperature at the edges of the float range:
+    no warning, no mass where the prior has none, and a finite value or a
+    FreeUtilError."""
+    prior = dist(["a", "b", "c"], probs)
+    for values in itertools.product(EDGE_UTILITIES, repeat=3):
+        for alpha in EDGE_ALPHAS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    res = simplex_grid_search(prior, util(["a", "b", "c"], values), alpha, 0.1)
+                except FreeUtilError:
+                    continue
+            assert all(x == 0.0 for x, p in zip(res.best_point.probs, probs) if p == 0.0)
+            assert math.isfinite(res.best_value), (values, alpha, res)
+
+
 def test_grid_rejects_five_outcomes():
     labels = [f"o{i}" for i in range(5)]
     with pytest.raises(TooManyOutcomes):
@@ -157,8 +181,9 @@ def test_grid_deterministic():
 
 
 def reference_simplex_grid_search(prior, u_star, alpha, resolution):
-    """The grid search as it was before it scored in blocks: each max-plus
-    step builds the whole (N+1)×(N+1) score matrix at once."""
+    """The lattice search as a max-plus convolution over the coordinates,
+    each step building the whole (N+1)×(N+1) score matrix at once, with
+    backpointers and a backtrack."""
     n = len(prior)
     N = int(round(1.0 / resolution))
     u = u_star.aligned_to(prior.outcomes)
@@ -170,7 +195,7 @@ def reference_simplex_grid_search(prior, u_star, alpha, resolution):
         t[0] = 0.0
         if p_i > 0.0:
             xs = x[1:]
-            t[1:] = xs * u[i] - alpha * xs * np.log(xs / p_i)
+            t[1:] = xs * u[i] - alpha * xs * oracle._log_ratio(xs, p_i)
         terms.append(t)
     f = terms[0]
     choices = []
@@ -193,27 +218,17 @@ def reference_simplex_grid_search(prior, u_star, alpha, resolution):
     return best_value, best.probs, math.comb(N + n - 1, n - 1)
 
 
-# Lattices whose N + 1 score rows fit one block of the convolution with one
-# row to spare, exactly, and with one row too many.
-_ONE_BLOCK = math.isqrt(oracle._BLOCK_ENTRIES) - 1
-BLOCK_EDGES = [_ONE_BLOCK - 1, _ONE_BLOCK, _ONE_BLOCK + 1]
-
-
-def test_block_edges_straddle_one_block():
-    rows_per_block = [oracle._BLOCK_ENTRIES // (N + 1) for N in BLOCK_EDGES]
-    assert [math.ceil((N + 1) / r) for N, r in zip(BLOCK_EDGES, rows_per_block)] == [1, 1, 2]
-    assert rows_per_block[1] == BLOCK_EDGES[1] + 1
-
-
 @st.composite
 def grid_instances(draw):
-    """A prior with zero coordinates among them, utilities with ties and
-    large magnitudes, a temperature and a lattice at or near a block edge."""
+    """A prior with zero and subnormal coordinates among them, utilities with
+    ties and large magnitudes, a temperature and a lattice."""
     n = draw(st.integers(1, 4))
     labels = [f"o{i}" for i in range(n)]
-    # A coordinate below about 1e-308 overflows x/p in the lattice terms, a
-    # fault of its own (CHANGES.md), so positive weights start at 1e-12.
-    weight = st.one_of(st.just(0.0), st.floats(1e-12, 1.0), st.sampled_from([0.25, 1e-6]))
+    weight = st.one_of(
+        st.just(0.0),
+        st.floats(1e-12, 1.0),
+        st.sampled_from([0.25, 1e-6, 5e-324, 1e-310, 2.2250738585072014e-308]),
+    )
     w = draw(st.lists(weight, min_size=n, max_size=n))
     if not any(w):
         w[draw(st.integers(0, n - 1))] = 1.0
@@ -225,23 +240,94 @@ def grid_instances(draw):
     )
     u = UtilityTable(labels, draw(st.lists(utility, min_size=n, max_size=n)))
     alpha = draw(st.floats(0.05, 20.0))
-    N = draw(st.sampled_from(BLOCK_EDGES + [1000]))
+    N = draw(st.sampled_from([254, 255, 256, 1000]))
     return prior, u, alpha, 1.0 / N
+
+
+def lattice_counts(point, N):
+    """The counts c of a lattice point c/N."""
+    return [round(p * N) for p in point.probs]
+
+
+def exact_term(u_i, alpha, p_i, c, N):
+    """x·u_i − α·x·log(x/p_i) at the rational x = c/N, in mpmath."""
+    if c == 0:
+        return mpmath.mpf(0)
+    x = mpmath.mpf(c) / N
+    return x * mpmath.mpf(u_i) - mpmath.mpf(alpha) * x * mpmath.log(x / mpmath.mpf(p_i))
+
+
+def exact_objective(prior, u, alpha, counts, N):
+    """The lattice objective at c/N, exact to 80 digits."""
+    with mpmath.workdps(80):
+        return mpmath.fsum(
+            exact_term(u_i, alpha, p_i, c, N)
+            for u_i, p_i, c in zip(u.aligned_to(prior.outcomes), prior.probs, counts) if c
+        )
+
+
+def gain_rounding(prior, u, alpha, N):
+    """What rounding may move a float unit gain by, stated before any run:
+    16 units of roundoff times α·max|x·log(x/p)| + (max u − min u)/N over the
+    prior's support, the two parts each gain sums."""
+    support = np.flatnonzero(prior.array > 0.0)
+    xs = np.arange(1, N + 1) / N
+    entropy = max(float(np.abs(xs * oracle._log_ratio(xs, prior.array[i])).max()) for i in support)
+    values = u.aligned_to(prior.outcomes)[support]
+    return 16 * 2.0**-53 * (alpha * entropy + float(values.max() - values.min()) / N)
 
 
 @settings(max_examples=80, deadline=None)
 @given(grid_instances())
-def test_blocked_convolution_equals_the_whole_matrix(instance):
+# Equal utilities of 1e15: float sums of whole terms lose the entropy term.
+@example((dist(["o0", "o1"], [0.5, 0.5]), util(["o0", "o1"], [1e15, 1e15]), 0.05, 1 / 255))
+def test_no_unit_transfer_raises_the_exact_objective(instance):
+    """Lattice optimality of the search's point: moving one unit of mass 1/N
+    between two supported coordinates raises the exact objective by no more
+    than the gains' rounding. The objective is separable and concave in each
+    count, so no improving transfer means no better lattice point."""
     prior, u, alpha, resolution = instance
     res = simplex_grid_search(prior, u, alpha, resolution)
-    value, probs, evaluations = reference_simplex_grid_search(prior, u, alpha, resolution)
-    assert res.best_value == value
-    assert res.best_point.probs == probs
+    N = round(1.0 / resolution)
+    counts = lattice_counts(res.best_point, N)
+    assert sum(counts) == N
+    assert all(c == 0 for c, p in zip(counts, prior.probs) if p == 0.0)
+    values = u.aligned_to(prior.outcomes)
+    support = [i for i, p in enumerate(prior.probs) if p > 0.0]
+    with mpmath.workdps(80):
+        def unit(i, c):  # what the c-th unit of coordinate i adds
+            term = [exact_term(values[i], alpha, prior.probs[i], k, N) for k in (c - 1, c)]
+            return term[1] - term[0]
+
+        rise = max(
+            (unit(j, counts[j] + 1) - unit(i, counts[i])
+             for i in support for j in support if i != j and counts[i] > 0),
+            default=mpmath.mpf(0),
+        )
+    assert rise <= gain_rounding(prior, u, alpha, N), (rise, instance)
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_instances())
+def test_grid_is_at_least_the_convolution(instance):
+    """The search's point scores, exactly, at least the max-plus
+    convolution's point, less the gains' rounding."""
+    prior, u, alpha, resolution = instance
+    res = simplex_grid_search(prior, u, alpha, resolution)
+    _, probs, evaluations = reference_simplex_grid_search(prior, u, alpha, resolution)
+    N = round(1.0 / resolution)
+    with mpmath.workdps(80):
+        shortfall = (
+            exact_objective(prior, u, alpha, lattice_counts(dist(prior.outcomes, probs), N), N)
+            - exact_objective(prior, u, alpha, lattice_counts(res.best_point, N), N)
+        )
+    assert shortfall <= gain_rounding(prior, u, alpha, N), (shortfall, instance)
     assert res.evaluations == evaluations
 
 
 def test_grid_search_memory_stays_within_a_few_blocks():
-    """The whole 1001×1001 score matrix is 8 MB; the blocks need well under 2 MB."""
+    """A search at n = 4, N = 1000 holds its 4×1000 unit gains and their
+    sort order, well under 2 MB; a whole 1001×1001 score matrix is 8 MB."""
     labels = ["a", "b", "c", "d"]
     prior = dist(labels, [0.1, 0.2, 0.3, 0.4])
     u = util(labels, [0.3, -1.0, 2.0, 0.5])
