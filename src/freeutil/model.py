@@ -364,18 +364,116 @@ class UtilityTable:
 _WHOLE = np.zeros(1, dtype=np.intp)
 
 
+# Edges per block of whole rows, in the backup's block tilts and the file
+# reader's block checks. value_recursion tilts a level a block at a time, at
+# most this many edges (a longer row alone), so no temporary grows with the
+# tree; problemio's hook checks a tree's rows in blocks of at least this many
+# edges, and its two-stage reader a table's in blocks of at most this many;
+# _extracted_sums sums whole rows of at most this many entries at a time.
+_BLOCK_EDGES = 1 << 14
+
+# Calls whose rows share one width of at least this many entries (and at
+# most _BLOCK_EDGES) sum them by array extraction, _extracted_sums; other
+# rows take a math.fsum each. The array path has a fixed cost per call and a
+# small one per entry, math.fsum a cost per row and a larger one per entry:
+# on rows of normalised weights, a call of 64 rows costs the same either way
+# at this width. Narrower rows, such as a ternary tree's, keep math.fsum.
+_ARRAY_ROW_WIDTH = 16
+
+
 def _row_sums(flat, starts) -> np.ndarray:
-    """math.fsum of every segment of a flat float array, read through
-    memoryview slices, which iterate as Python floats. A sum past the float
-    range raises OverflowError."""
-    bounds = starts.tolist() + [len(flat)]
-    rows = map(memoryview(flat).__getitem__, map(slice, bounds, bounds[1:]))
-    return np.fromiter(map(math.fsum, rows), float, len(starts))
+    """math.fsum of every segment of a flat float array, bit for bit: the
+    exact sum rounded half-even. Segments of one width of at least
+    _ARRAY_ROW_WIDTH are summed by _extracted_sums; every other segment,
+    and every one it leaves unsure, takes math.fsum, read through a
+    memoryview slice, which iterates as Python floats, in segment order.
+    No segment whose math.fsum raises is sure, so the first such segment
+    raises its error: a sum past the float range OverflowError, inf + -inf
+    ValueError."""
+    n, k = len(flat), len(starts)
+    w = n // max(k, 1)
+    if (_ARRAY_ROW_WIDTH <= w <= _BLOCK_EDGES and n == k * w
+            and (k == 1 or (np.diff(starts) == w).all())):
+        sums, sure = _extracted_sums(flat.reshape(k, w))
+        unsure = np.flatnonzero(~sure).tolist()
+    else:
+        sums, unsure = np.empty(k), range(k)
+    if unsure:
+        bounds, rows = starts.tolist() + [n], memoryview(flat)
+        for i in unsure:
+            sums[i] = math.fsum(rows[bounds[i]:bounds[i + 1]])
+    return sums
+
+
+def _extracted_sums(table):
+    """The sum of every row of a float matrix, and whether it is sure to be
+    the row's math.fsum, by two error-free extractions (Rump, Ogita and
+    Oishi, "Accurate floating-point summation part I", SIAM J. Sci. Comput.
+    31(1), 2008), a chunk of at most _BLOCK_EDGES entries at a time in two
+    reused scratch matrices.
+
+    For a row of width w, 2**m >= w + 2, and sigma a power of two with
+    sigma >= 2**m * max|x|, q = (sigma + x) - sigma is x rounded to a
+    multiple of 2**-53 * sigma, and r = x - q its exact rest, |r| <=
+    2**-53 * sigma; the q of a row sum exactly to tau1 in any order, as
+    every partial sum is such a multiple below sigma. The same with
+    sigma * 2**(m - 53) on r gives tau2 and rests r2, so the row's sum is
+    exactly tau1 + tau2 + sum(r2). Where every r2 is 0, one IEEE addition
+    rounds tau1 + tau2 half-even, as math.fsum rounds. Elsewhere s =
+    fl(tau1 + tau2) with exact error err (TwoSum) is the rounded sum if
+    err +- bound lies strictly inside the half-gaps to s's neighbours, bound
+    >= sum|r2| (the float sum of |r2|, whose relative error is below
+    w * 2**-53, widened by 2**-20; a sum of subnormals is exact).
+
+    Unsure rows: a zero sum, whose sign math.fsum decides; max|x| not
+    finite, or so large that sigma passes the float range; and a row with
+    r2 whose s is below 2**-1000, where the half-gaps underflow, or whose
+    err +- bound reaches a half-gap. A sigma in the subnormals, or one that
+    underflows to 0, extracts exactly too: every partial sum below 2**-1021
+    is exact. A sure row's math.fsum cannot raise: its entries are finite,
+    and with (w + 2) * max|x| <= 2**1023 no partial sum of math.fsum
+    passes the float range.
+    """
+    k, w = table.shape
+    m = (w + 1).bit_length()  # 2**m >= w + 2
+    step = _BLOCK_EDGES // w
+    scratch = np.empty((2, min(k, step), w))
+    top, tau1, tau2, bound = np.empty((4, k))
+    # inf and NaN arise in unsure rows only.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, k, step):
+            rows, part = table[lo : lo + step], slice(lo, lo + step)
+            q, r = scratch[:, : len(rows)]
+            np.abs(rows, out=q).max(axis=1, out=top[part])
+            exponent = np.frexp(top[part])[1]  # max|x| < 2**exponent
+            sigma = np.ldexp(2.0**m, exponent)[:, None]
+            np.add(rows, sigma, out=q)
+            q -= sigma
+            q.sum(axis=1, out=tau1[part])
+            np.subtract(rows, q, out=r)
+            sigma = np.ldexp(2.0 ** (2 * m - 53), exponent)[:, None]
+            np.add(r, sigma, out=q)
+            q -= sigma
+            q.sum(axis=1, out=tau2[part])
+            r -= q
+            np.abs(r, out=r).sum(axis=1, out=bound[part])
+        s = tau1 + tau2
+        sure = (top < 2.0 ** (1023 - m)) & (s != 0.0)  # max|x| < 2**(1023 - m): sigma is finite
+        rest = np.flatnonzero(bound != 0.0)
+        if len(rest):
+            t1, t2, sr, b = tau1[rest], tau2[rest], s[rest], bound[rest] * (1.0 + 2.0**-20)
+            after = sr - t1
+            err = (t1 - (sr - after)) + (t2 - after)
+            sure[rest] &= ((np.abs(sr) >= 2.0**-1000)
+                           & (err + b < (np.nextafter(sr, np.inf) - sr) * 0.5)
+                           & (err - b > (np.nextafter(sr, -np.inf) - sr) * 0.5))
+    return s, sure
 
 
 def _normalise_rows(flat, starts, skip=False) -> np.ndarray:
-    """Divide every segment of a flat float array, in place, by its
-    math.fsum, as FiniteDistribution normalises; return which segments pass,
+    """Divide every segment of a flat float array, in place, by its sum
+    from _row_sums, which has the bits of the math.fsum FiniteDistribution
+    divides by, as FiniteDistribution normalises; return which segments pass,
     their sum within NORMALIZATION_TOL of 1 (a NaN sum fails). A failing
     segment, or one skip marks (which passes), is left as it is."""
     totals = _row_sums(flat, starts)
@@ -394,14 +492,6 @@ def _valid_rows(prior, utility, starts) -> bool:
                     and _normalise_rows(prior, starts).all())
     except OverflowError:  # a sum past the float range
         return False
-
-
-# Edges per block of whole rows, in the backup's block tilts and the file
-# reader's block checks. value_recursion tilts a level a block at a time, at
-# most this many edges (a longer row alone), so no temporary grows with the
-# tree; problemio's hook checks a tree's rows in blocks of at least this many
-# edges, and its two-stage reader a table's in blocks of at most this many.
-_BLOCK_EDGES = 1 << 14
 
 
 def _row_kls(p, q, starts) -> np.ndarray:

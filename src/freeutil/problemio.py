@@ -27,7 +27,8 @@ cannot fail, run once the text and the document are freed. On any fault of
 the decode or the read, the text is decoded again without the hook, and the
 same reader, with the plain tree reader in place of the records, raises the
 error the text meets first, or reads a tree too deep to decode with the
-hook.
+hook; a fault of a temperatures block of JSON scalars alone, after a header
+and a payload that passed, is raised from the hooked document.
 
 load() reads a file's text in blocks and drops from each every run of 9 or
 more spaces that follows a newline, growing one string, so only the
@@ -234,6 +235,8 @@ def _parse_two_stage(payload: dict):
 # What the array reader puts in place of each tree node and edge it records.
 _READ = object()
 _NUMBERS = frozenset((int, float))
+# The values of a JSON object that the hook never replaces.
+_SCALARS = _NUMBERS | {str, bool, type(None)}
 _EDGE_KEYS = frozenset(("prior", "utility", "node"))
 _NODE_KEYS = frozenset(("name", "temperature_tag", "children"))
 
@@ -242,6 +245,12 @@ class _Refused(Exception):
     """Raised by _TreeArrays.hook and _problem_file for records that no
     valid tree makes, and by _row_arrays for tables that no valid two-stage
     payload holds."""
+
+
+class _Settled(Exception):
+    """Raised by _problem_file, from the error of a hooked document's
+    temperatures block that the plain decode reads alike: loads raises that
+    error without decoding the text again."""
 
 
 class _TreeArrays:
@@ -487,7 +496,9 @@ def loads(text: str) -> ProblemFile:
     built beside them. Any fault of the decode or the read takes one
     fallback: the text is decoded without the hook and read by the same
     reader, which raises the error the text meets first, or reads a tree
-    too deep to decode with the hook.
+    too deep to decode with the hook. The one exception is a fault of a
+    temperatures block of JSON scalars (see _problem_file), whose error is
+    raised at once.
     """
     if not isinstance(text, str):
         raise DomainError(f"a problem document must be JSON text, a str, got {type(text).__name__}")
@@ -495,6 +506,8 @@ def loads(text: str) -> ProblemFile:
     try:
         raw = json.loads(text, object_hook=arrays.hook, parse_constant=_reject_constant)
         build = _problem_file(raw, arrays)
+    except _Settled as settled:
+        raise settled.__cause__ from None
     except (ValueError, RecursionError, OverflowError, _Refused, FreeUtilError):  # read again below
         raw = arrays = None  # the hooked document and its records, freed before the plain decode
     else:
@@ -546,7 +559,11 @@ def _problem_file(raw, arrays=None):
     and a tree payload must be the marker of closed records, or _Refused is
     raised; without, a tree payload is read by _parse_tree. A payload whose
     build could fail (a control payload, a plainly read tree, labelled
-    two-stage rows) is built here, before the temperatures are read."""
+    two-stage rows) is built here, before the temperatures are read. With
+    arrays, a fault of a temperatures block whose values are all JSON
+    scalars raises _Settled from its error: the hook left the block as the
+    plain decode reads it, and the header and payload passed, so a plain
+    read would raise the same error."""
     kind = _file_kind(raw)
     payload = raw["payload"]
     if kind == "two_stage":
@@ -558,7 +575,13 @@ def _problem_file(raw, arrays=None):
     else:
         problem = _parse_control(payload) if kind == "control" else DecisionTree(_parse_tree(payload))
         build = lambda: problem  # noqa: E731
-    temperatures = _temperatures(raw, kind)
+    try:
+        temperatures = _temperatures(raw, kind)
+    except FreeUtilError as e:
+        temps = raw["temperatures"]
+        if arrays is not None and type(temps) is dict and set(map(type, temps.values())) <= _SCALARS:
+            raise _Settled from e
+        raise
     return lambda: ProblemFile(SCHEMA_VERSION, kind, build(), **temperatures)
 
 

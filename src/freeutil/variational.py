@@ -65,7 +65,8 @@ def _tilt_segments(prior, gains, starts, t: Temperature):
 
     - constant gains: the prior unchanged, value g_max, log-partition
       t·g_max (0.0 at the zero limit, NaN at ±inf);
-    - zero limit: the prior, value math.fsum(prior·gain);
+    - zero limit: the prior, value the _row_sums of prior·gain, which has
+      the bits of math.fsum(prior·gain);
     - ±inf: uniform over the entries within ARGMAX_TIE_TOL of the extreme;
     - finite t: log-weights, a max shift, exp, a sum, log_partition =
       m + log(s).

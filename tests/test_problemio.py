@@ -1401,3 +1401,40 @@ def test_a_refused_file_is_decoded_twice(tmp_path, monkeypatch, name, fault):
         with pytest.raises(FreeUtilError):
             read()
         assert len(calls) == 2
+
+
+# Per case: a golden file, a temperatures block that fails, and whether the
+# hook leaves every value of the block as the plain decode reads it.
+TEMPERATURE_FAULTS = {
+    "tree, a mu spelled warm": ("tree_depth3.json", {"mu": "warm"}, True),
+    "tree, a 400-digit lambda": ("tree_depth3.json", {"lambda": 10**400}, True),
+    "control, a boolean alpha": ("control_basic.json", {"alpha": True}, True),
+    "two-stage, a null lambda": ("two_stage_basic.json", {"lambda": None}, True),
+    "two-stage, an unknown field": ("two_stage_basic.json", {"beta": 1.5}, True),
+    "tree, a list value": ("tree_depth3.json", {"mu": ["warm"]}, False),
+    "tree, a node as a value": ("tree_depth3.json", {"mu": {"name": "x"}}, False),
+    "two-stage, a table": ("two_stage_basic.json", {"lambda": [1], "mu": [2]}, False),
+    "control, a list block": ("control_basic.json", [1], False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TEMPERATURE_FAULTS))
+def test_a_temperature_fault_of_plain_values_is_decoded_once(tmp_path, monkeypatch, case):
+    """A file whose only fault is its temperatures block raises the plain
+    decode's exact error. A block whose values are all JSON scalars is read
+    the same from the hooked document, so its error is raised without a
+    second decode; any other block takes the fallback."""
+    name, temps, plain = TEMPERATURE_FAULTS[case]
+    text = json.dumps(golden_document(name, lambda doc: doc.update(temperatures=temps)), indent=2)
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(FreeUtilError) as e:
+        problemio._problem_file(json.loads(text))
+    want = (type(e.value), str(e.value))
+    calls = count_decodes(monkeypatch)
+    for read in (lambda: loads(text), lambda: load(str(path))):
+        calls.clear()
+        with pytest.raises(FreeUtilError) as e:
+            read()
+        assert (type(e.value), str(e.value)) == want
+        assert len(calls) == (1 if plain else 2)

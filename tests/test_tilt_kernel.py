@@ -1,6 +1,7 @@
 """The segmented tilt kernel against the per-row tilt it replaced, and the
 identities that hold because every solver sums a segment the same way."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,11 @@ from freeutil.model import (
     TreeNode,
     TwoStageProblem,
     UtilityTable,
+    _ARRAY_ROW_WIDTH,
+    _normalise_rows,
+    _row_kls,
     _row_sums,
+    kl_divergence,
 )
 from freeutil.sequential import (
     certainty_equivalent,
@@ -97,11 +102,12 @@ GAIN_STYLES = ("random", "integers", "constant", "near-ties")
 
 
 @st.composite
-def segments(draw):
-    """One segment: a normalised prior with zero entries and gains that are
-    random, tied integers, constant over the support, or within
-    ARGMAX_TIE_TOL of each other."""
-    n = draw(st.integers(1, 40))
+def segments(draw, n=None):
+    """One segment, of n entries (default: 1 to 40): a normalised prior with
+    zero entries and gains that are random, tied integers, constant over the
+    support, or within ARGMAX_TIE_TOL of each other."""
+    if n is None:
+        n = draw(st.integers(1, 40))
     weights = np.array(
         draw(st.lists(st.sampled_from([0.0, 0.0, 0.3, 1.0, 2.5]), min_size=n, max_size=n))
     )
@@ -162,6 +168,20 @@ def check_against_reference(policy, value, log_z, kept, prior, gains, t):
 # 2.9999999999974487, below g_min, and both sides clamp it to 2.999999999998.
 @example([(np.array([0.5, 0.5]), np.array([3.0, 2.999999999998]))], Temperature.finite(1e-5))
 def test_kernel_matches_per_row_tilt(segs, t):
+    check_segments(segs, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.sampled_from([_ARRAY_ROW_WIDTH, 300]), st.data(), temperatures)
+def test_kernel_matches_per_row_tilt_on_rows_of_one_width(k, width, data, t):
+    """Rows of one width, at and above _ARRAY_ROW_WIDTH, whose zero-limit
+    values _row_sums sums by array extraction: still math.fsum(prior·gain)."""
+    check_segments([data.draw(segments(width)) for _ in range(k)], t)
+
+
+def check_segments(segs, t):
+    """The kernel on the segments together, against reference_tilt on each
+    row, and against the kernel on each row alone."""
     prior = np.concatenate([p for p, _ in segs])
     gains = np.concatenate([g for _, g in segs])
     starts = np.cumsum([0] + [len(p) for p, _ in segs[:-1]])
@@ -367,16 +387,34 @@ def random_problem(rng, n_a=12, n_o=12):
 @pytest.mark.parametrize("mu", [-2.5, "-inf", "zero", 0.4, "inf"])
 def test_tree_recursion_matches_two_stage_bitwise(lam, mu):
     rng = np.random.default_rng(12)
-    temps = TemperatureSpec(lam, mu)
     for _ in range(5):
-        problem = random_problem(rng)
-        sol = solve_regime(problem, temps)
-        tv = value_recursion(two_stage_to_tree(problem), temps)
-        assert tv.root_value == sol.value
-        assert tv.policies["root"].probs == sol.action_policy.probs
-        for a in problem.actions:
-            assert problem.action_utility.value(a) + tv.values[f"root/{a}"] == sol.values[a]
-            assert tv.policies[f"root/{a}"].probs == sol.outcome_beliefs[a].probs
+        check_tree_recursion(random_problem(rng), TemperatureSpec(lam, mu))
+
+
+@pytest.mark.parametrize("lam", [0.7, 3.0, "inf"])
+@pytest.mark.parametrize("mu", [-2.5, "-inf", "zero", 0.4, "inf"])
+def test_tree_recursion_matches_two_stage_bitwise_on_300_wide_rows(lam, mu):
+    """Rows above _ARRAY_ROW_WIDTH, whose sums _row_sums takes by array
+    extraction."""
+    check_tree_recursion(random_problem(np.random.default_rng(12), 300, 300), TemperatureSpec(lam, mu))
+
+
+def check_tree_recursion(problem, temps):
+    """solve_regime against value_recursion on two_stage_to_tree, bit for
+    bit; achieved_c1 and achieved_c2 against kl_divergence of the tree's
+    policies."""
+    sol = solve_regime(problem, temps)
+    tv = value_recursion(two_stage_to_tree(problem), temps)
+    assert tv.root_value == sol.value
+    assert tv.policies["root"].probs == sol.action_policy.probs
+    kls = []
+    for a in problem.actions:
+        assert problem.action_utility.value(a) + tv.values[f"root/{a}"] == sol.values[a]
+        assert tv.policies[f"root/{a}"].probs == sol.outcome_beliefs[a].probs
+        kls.append(kl_divergence(tv.policies[f"root/{a}"], problem.channel[a]))
+    assert sol.achieved_c1 == kl_divergence(tv.policies["root"], problem.prior_action)
+    probs = tv.policies["root"].probs
+    assert sol.achieved_c2 == math.fsum(p * kl for p, kl in zip(probs, kls) if p > 0.0)
 
 
 def test_outer_policy_blocks_rows_without_changing_bits():
@@ -390,6 +428,26 @@ def test_outer_policy_blocks_rows_without_changing_bits():
         assert sol.outcome_beliefs[a].probs == one.policy.probs
         assert sol.values[a] == problem.action_utility.value(a) + one.value
         assert sol.log_z2[a] == one.log_partition
+
+
+def test_a_300_by_300_solve_peaks_below_1_8_times_its_edge_arrays():
+    """The backup tilts, normalises and sums a block of whole rows at a
+    time, and _row_sums extracts a block in two reused scratch matrices of
+    at most _BLOCK_EDGES entries, so the traced peak of a solve stays within
+    1.8 times the tree's prior and utility arrays (1.70 times when every
+    row took a math.fsum; 1.76 times with the scratch)."""
+    problem = random_problem(np.random.default_rng(3), 300, 300)
+    edges = problem._tree.prior.nbytes + problem._tree.utility.nbytes
+    for lam, mu in [(2.0, -1.0), ("inf", "zero"), (0.5, "inf")]:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            solve_regime(problem, TemperatureSpec(lam, mu))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * edges, (peak / edges, edges)
 
 
 def test_risk_sensitive_row_values_equal_certainty_equivalents():
@@ -528,3 +586,113 @@ def test_level_pass_matches_the_recursive_backup(lam, mu):
         assert list(tv.policies) == list(policies)
         for path, policy in policies.items():
             assert tv.policies[path].probs == policy.probs
+
+
+def fsum_rows(rows):
+    """The float bits of math.fsum of every row, or the type of the first
+    error math.fsum raises."""
+    try:
+        return np.array([math.fsum(row) for row in rows]).view(np.int64).tolist()
+    except (OverflowError, ValueError) as e:
+        return type(e)
+
+
+ROW_STYLES = ("whole range", "one window", "weights", "small mantissas")
+
+
+@st.composite
+def float_rows(draw):
+    """1 to 60 rows, mostly of one width on either side of _ARRAY_ROW_WIDTH
+    (sometimes ragged), of values ±m·2**e: exponents over the whole range or
+    a window of it (cancellation and rounding boundaries), normalised
+    weights, or small mantissas (exact ties); with zeros of both signs and
+    subnormals, rows that end in the negated sum of the others, and a few
+    infinities and NaNs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 60))
+    width = draw(st.one_of(st.integers(1, _ARRAY_ROW_WIDTH - 1),
+                           st.integers(_ARRAY_ROW_WIDTH, 40), st.sampled_from([300, 600])))
+    widths = rng.integers(1, 2 * width, k) if draw(st.booleans()) and k > 1 else [width] * k
+    specials = draw(st.sampled_from([0.0, 0.0, 0.01]))
+    rows = []
+    for w in widths:
+        style = ROW_STYLES[rng.integers(len(ROW_STYLES))]
+        if style == "weights":
+            row = rng.uniform(0.1, 1.0, w)
+            row /= row.sum()
+        else:
+            lo = int(rng.integers(-1074, 971))
+            exponents = (rng.integers(-1074, 972, w) if style == "whole range"
+                         else np.minimum(lo + rng.integers(0, 120, w), 971))
+            bits = 53 if style != "small mantissas" else 3
+            row = np.ldexp(rng.integers(1, 2**bits, w).astype(float), exponents - (bits - 1))
+            row *= rng.choice([-1.0, 1.0], w)
+        row[rng.uniform(size=w) < 0.1] = rng.choice([0.0, -0.0])
+        if rng.uniform() < 0.3 and w > 1:
+            with np.errstate(over="ignore"):
+                rest = math.fsum(row[:-1]) if np.isfinite(row[:-1].sum()) else 0.0
+            row[-1] = -rest
+        row[rng.uniform(size=w) < specials] = rng.choice([math.inf, -math.inf, math.nan])
+        rows.append(row)
+    return rows
+
+
+def padded(*values):
+    """One row of the values, padded with zeros to _ARRAY_ROW_WIDTH."""
+    return [np.array(values + (0.0,) * (_ARRAY_ROW_WIDTH - len(values)))]
+
+
+@settings(max_examples=250, deadline=None)
+@given(float_rows())
+# A sum whose r2 are subnormal: 1.01·w·2**-53·Σ|r2| underflows to 0 here,
+# so only Σ|r2| itself tells that r2 is not all zero.
+@example(padded(1.5159490296178484e-294, -1.8503426789745422e115, 1.8503426789745422e115))
+@example(padded(1.0, 2.0**-53))  # an exact half-ulp tie, rounded to even
+@example(padded(1.0, 2.0**-53, 5e-324))  # the tie broken by a subnormal r2
+@example(padded(0.5, 0.25, 0.25 - 2.0**-54))  # weights summing to 1 - 2**-54
+@example(padded(-0.0))
+@example(padded(math.inf, 1.0))
+@example(padded(-math.inf, 1.0))
+@example(padded(math.inf, -math.inf))
+@example(padded(1e308, 1e308))  # a finite row whose sum overflows
+def test_row_sums_are_the_bits_of_math_fsum(rows):
+    flat = np.concatenate(rows)
+    starts = np.cumsum([0] + [len(row) for row in rows[:-1]])
+    want = fsum_rows(rows)
+    if isinstance(want, type):
+        with pytest.raises(want):
+            _row_sums(flat, starts)
+    else:
+        assert _row_sums(flat, starts).view(np.int64).tolist() == want
+
+
+def test_wide_rows_normalise_and_diverge_as_the_labelled_constructors():
+    """On 300-wide rows, whose sums _row_sums takes by array extraction,
+    _normalise_rows gives the probs of FiniteDistribution (a row off 1 by
+    more than NORMALIZATION_TOL fails and is left as it is), and _row_kls
+    gives kl_divergence row by row, bit for bit."""
+    rng = np.random.default_rng(21)
+    k, w = 40, 300
+    labels = [f"o{j}" for j in range(w)]
+
+    def rows():
+        weights = rng.uniform(0.1, 1.0, (k, w)) * (rng.uniform(size=(k, w)) > 0.25)
+        weights[:, 0] += 0.1
+        weights /= weights.sum(axis=1, keepdims=True)
+        return weights * (1.0 + rng.uniform(-1e-10, 1e-10, (k, 1)))
+
+    weights = rows()
+    weights[3] *= 1.01
+    flat, starts = weights.ravel().copy(), np.arange(0, k * w, w)
+    passed = _normalise_rows(flat, starts)
+    assert passed.tolist() == [i != 3 for i in range(k)]
+    for i, row in enumerate(weights):
+        got = flat[starts[i] : starts[i] + w]
+        if i == 3:
+            assert got.tobytes() == row.tobytes()
+        else:
+            assert got.tolist() == list(FiniteDistribution(labels, row).probs)
+    p = [FiniteDistribution(labels, row) for row in weights[np.arange(k) != 3]]
+    q = [FiniteDistribution(labels, (row + 1e-3) / (row + 1e-3).sum()) for row in rows()[: k - 1]]
+    kls = _row_kls(np.concatenate([d.array for d in p]), np.concatenate([d.array for d in q]), starts[:-1])
+    assert kls.tolist() == [kl_divergence(a, b) for a, b in zip(p, q)]
