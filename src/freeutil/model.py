@@ -95,6 +95,16 @@ def _finite(result: float, what: str) -> float:
     return result
 
 
+def _fsum(terms: list[float]) -> float:
+    """math.fsum of finite terms. Where a partial sum passes the float
+    range, which raises in math.fsum, twice the math.fsum of the halved
+    terms, exact at that scale: the sum, or ±inf for a sum past the range."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return 2.0 * math.fsum([x * 0.5 for x in terms])
+
+
 def _real(x, what: str) -> float:
     """x as float() reads it; anything float() cannot convert (None, a
     non-numeric string, an int past the float range) raises DomainError
@@ -539,11 +549,12 @@ def entropy(p: FiniteDistribution) -> float:
 
 
 def expectation(p: FiniteDistribution, u: UtilityTable) -> float:
-    """Expected utility sum(p * u) under matching labels."""
+    """Expected utility sum(p * u) under matching labels; a sum past the
+    float range raises DomainError."""
     _require(p, FiniteDistribution, "p")
     _require(u, UtilityTable, "u")
     vals = u.aligned_to(p.outcomes)
-    return float(math.fsum(pi * vi for pi, vi in zip(p.probs, vals)))
+    return _finite(_fsum([pi * vi for pi, vi in zip(p.probs, vals)]), "the expected utility")
 
 
 _FINITE = "finite"

@@ -37,6 +37,7 @@ from .model import (
     _BLOCK_EDGES,
     _check_node_name,
     _finite,
+    _fsum,
     _normalise_rows,
     _real,
     _require,
@@ -73,7 +74,7 @@ def taylor_ce_approx(p: FiniteDistribution, u: UtilityTable, mu: float) -> float
     if math.isnan(mu):
         raise DomainError("mu must be a number, got nan")
     vals = u.aligned_to(p.outcomes).tolist()  # Python floats: a square past the range raises
-    mean = math.fsum(pi * vi for pi, vi in zip(p.probs, vals))
+    mean = _finite(_fsum([pi * vi for pi, vi in zip(p.probs, vals)]), "the mean of the utilities")
     try:
         var = math.fsum(pi * (vi - mean) ** 2 for pi, vi in zip(p.probs, vals))
     except OverflowError:

@@ -30,6 +30,7 @@ from .model import (
     UtilityTable,
     _WHOLE,
     _finite,
+    _fsum,
     _real,
     _require,
     _row_sums,
@@ -66,7 +67,8 @@ def _tilt_segments(prior, gains, starts, t: Temperature):
     - constant gains: the prior unchanged, value g_max, log-partition
       t·g_max (0.0 at the zero limit, NaN at ±inf);
     - zero limit: the prior, value the _row_sums of prior·gain, which has
-      the bits of math.fsum(prior·gain);
+      the bits of math.fsum(prior·gain), or, for a row whose math.fsum
+      overflows, its _fsum (twice the sum of the halved products);
     - ±inf: uniform over the entries within ARGMAX_TIE_TOL of the extreme;
     - finite t: log-weights, a max shift, exp, a sum, log_partition =
       m + log(s).
@@ -93,7 +95,12 @@ def _tilt_segments(prior, gains, starts, t: Temperature):
     # gains; it is clamped back into [g_min, g_max].
     if t.is_zero:
         # An unsupported entry adds -0.0, which changes no sum.
-        sums = np.clip(_row_sums(np.where(unsupported, -0.0, prior * gains), starts), g_min, g_max)
+        terms = np.where(unsupported, -0.0, prior * gains)
+        try:
+            sums = _row_sums(terms, starts)
+        except OverflowError:  # a row's partial sums pass the float range
+            sums = np.array([_fsum(row.tolist()) for row in np.split(terms, starts[1:])])
+        sums = np.clip(sums, g_min, g_max)
         k = len(starts)
         return prior, np.where(const, g_max, sums), np.zeros(k), np.ones(k, dtype=bool)
 
@@ -221,11 +228,12 @@ def gibbs_measure(u: UtilityTable, alpha) -> FiniteDistribution:
 def free_utility(p: FiniteDistribution, u: UtilityTable, alpha: float) -> float:
     """The trade-off functional Σ p·u − α Σ p log p (expected utility plus
     α-weighted entropy). Maximized over p by gibbs_measure(u, alpha), where
-    it equals α·log Σ exp(u/α)."""
+    it equals α·log Σ exp(u/α). A value past the float range raises
+    DomainError."""
     alpha = _real(alpha, "temperature")
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise DomainError(f"temperature must be a positive real, got {alpha!r}")
-    return expectation(p, u) + alpha * entropy(p)
+    return _finite(expectation(p, u) + alpha * entropy(p), "the free utility")
 
 
 def control_temperature(alpha) -> Temperature:

@@ -429,6 +429,27 @@ def test_overflowing_tilt_prints_one_error_line_and_no_warning(tmp_path):
     assert result.stderr == "DomainError: probability of 'a' is not finite: nan\n"
 
 
+def test_utilities_at_the_float_edge_exit_3_or_give_finite_numbers(tmp_path):
+    """Five utilities of the largest float, whose expected utility under
+    this prior rounds past the float range: solve refuses it with one error
+    line; the zero-limit sweep sums the products from halved terms and
+    clamps the value into the equal gains; verify certifies the file."""
+    doc = json.loads((GOLDEN / "control_basic.json").read_text())
+    prior = [0.17301578503569864, 0.18208246417692872, 0.2550019478149193, 0.1494838617420918,
+             0.24041594123036164]
+    utility = [sys.float_info.max] * 5
+    doc["payload"] = {"outcomes": list("abcde"), "prior": prior, "utility": utility}
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("solve", path)
+    message = "DomainError: the expected utility is not a finite number: inf\n"
+    assert (result.returncode, result.stdout, result.stderr) == (3, "", message)
+    result = run_cli("sweep", path, "--param", "alpha", "--grid", "inf")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines()[1].split(",")[-2] == "1.79769313486e+308"
+    assert run_cli("verify", path).returncode == 0
+
+
 # ---------------------------------------------------------------------------
 # output handling
 
@@ -639,10 +660,13 @@ def test_sweep_parameter_mismatches_exit_2():
      "--alpha does not apply to a sweep of lambda"),
     (("verify", "--suite", "log-partition", "--alpha", "5", "--mu", "3"),
      "--alpha does not apply to --suite"),
+    (("solve", GOLDEN / "two_stage_basic.json", "--lambda", "2", "--alpha", "0.5"),
+     "give either lambda or alpha, not both"),
 ])
 def test_temperature_flags_a_command_does_not_read_exit_2(command, stderr):
-    """A flag that would set the swept temperature, or any temperature for a
-    suite, is refused rather than ignored."""
+    """A flag that would set the swept temperature, any temperature for a
+    suite, or the temperature another flag sets, is refused rather than
+    ignored."""
     result = run_cli(*command)
     assert (result.returncode, result.stdout, result.stderr) == (2, "", f"DomainError: {stderr}\n")
 

@@ -3,9 +3,10 @@ gives the same exit code, stdout and stderr today.
 
 The calls: for every golden file, ``solve`` and one ``sweep`` across the
 limits, each in nats and in bits, then ``verify`` and ``regimes``; last
-``verify --suite all``. They run in process through ``cli.main`` from this
-directory, so each path is recorded relative to it and no machine path is
-written, and with FREEUTIL_SEED unset.
+``verify --suite all`` with FREEUTIL_SEED unset, then at seeds 1 and 7. They
+run in process through ``cli.main`` from this directory, so each path is
+recorded relative to it and no machine path is written. A record holds the
+seed it ran at under "seed", and no such key when FREEUTIL_SEED was unset.
 
 After a deliberate change of output, regenerate the snapshot with
 
@@ -28,7 +29,11 @@ HERE = Path(__file__).parent
 SNAPSHOT = HERE / "cli_snapshot.json"
 
 
-def snapshot_calls() -> list[list[str]]:
+SUITE_SEEDS = (None, "1", "7")
+
+
+def snapshot_calls() -> list[tuple[list[str], str | None]]:
+    """Each call as (argv, FREEUTIL_SEED or None for unset)."""
     calls = []
     for path in sorted(HERE.glob("golden/*.json")):
         name = path.relative_to(HERE).as_posix()
@@ -39,25 +44,30 @@ def snapshot_calls() -> list[list[str]]:
         for call in (["solve", name], sweep):
             calls += [call, call + ["--units", "bits"]]
         calls += [["verify", name], ["regimes", name]]
-    return calls + [["verify", "--suite", "all"]]
+    calls = [(argv, None) for argv in calls]
+    return calls + [(["verify", "--suite", "all"], seed) for seed in SUITE_SEEDS]
 
 
-def run(argv: list[str]) -> dict:
-    """One call through cli.main, its output captured."""
+def run(argv: list[str], seed: str | None = None) -> dict:
+    """One call through cli.main at the given FREEUTIL_SEED (None: unset),
+    its output captured."""
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         os.environ.pop("FREEUTIL_SEED", None)
+        if seed is not None:
+            os.environ["FREEUTIL_SEED"] = seed
         code = cli.main(argv)
-    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    record = {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    return record if seed is None else {**record, "seed": seed}
 
 
 def test_cli_calls_match_the_snapshot(monkeypatch):
     monkeypatch.chdir(HERE)
     recorded = json.loads(SNAPSHOT.read_text(encoding="utf-8"))
-    assert [r["argv"] for r in recorded] == snapshot_calls()
+    assert [(r["argv"], r.get("seed")) for r in recorded] == snapshot_calls()
     for want in recorded:
-        assert run(want["argv"]) == want
+        assert run(want["argv"], want.get("seed")) == want
 
 
 def test_snapshot_holds_only_finite_numbers():
@@ -77,12 +87,14 @@ if __name__ == "__main__":
     os.chdir(HERE)
     old = {}
     if SNAPSHOT.exists():
-        old = {tuple(r["argv"]): r for r in json.loads(SNAPSHOT.read_text(encoding="utf-8"))}
-    records = [run(argv) for argv in snapshot_calls()]
+        old = {(tuple(r["argv"]), r.get("seed")): r
+               for r in json.loads(SNAPSHOT.read_text(encoding="utf-8"))}
+    records = [run(argv, seed) for argv, seed in snapshot_calls()]
     SNAPSHOT.write_text(
         "[\n" + ",\n".join(map(json.dumps, records)) + "\n]\n", encoding="utf-8"
     )
-    changed = [r["argv"] for r in records if old.get(tuple(r["argv"])) != r]
-    for argv in changed:
-        print("changed:", " ".join(argv))
+    changed = [r for r in records if old.get((tuple(r["argv"]), r.get("seed"))) != r]
+    for r in changed:
+        at = f" at seed {r['seed']}" if "seed" in r else ""
+        print(f"changed: {' '.join(r['argv'])}{at}")
     print(f"wrote {len(records)} calls to {SNAPSHOT.name}, {len(changed)} changed")

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 from operator import attrgetter
 
 import mpmath
@@ -38,6 +39,8 @@ from freeutil.model import (
     validate,
 )
 from freeutil.problemio import ProblemFile, dumps, load, loads
+from freeutil.sequential import certainty_equivalent, taylor_ce_approx
+from freeutil.variational import free_utility, free_utility_difference, gibbs_measure
 
 
 def dist(labels, probs):
@@ -1294,6 +1297,78 @@ WRONG_TYPES = {
 def test_an_argument_of_the_wrong_type_raises_a_named_domain_error(call):
     with pytest.raises(DomainError, match="must be|writes a ProblemFile"):
         WRONG_TYPES[call]()
+
+
+def two_stage_over(prior_labels, first_row_labels):
+    """A two-stage problem over actions AB and outcomes xy whose action
+    prior and first channel row are over the given labels."""
+    rows = {"A": dist(first_row_labels, [0.5, 0.5]), "B": dist("xy", [0.5, 0.5])}
+    return TwoStageProblem("AB", "xy", dist(prior_labels, [0.5, 0.5]), rows,
+                           util("AB", [0.0, 0.0]), {a: util("xy", [0.0, 1.0]) for a in "AB"})
+
+
+# Refusals of the model's constructors and lookups, each with its exact
+# type and message.
+REFUSALS = {
+    "ControlProblem, utility labels in another order": (
+        lambda: ControlProblem(dist("ab", [0.5, 0.5]), util("ba", [0.0, 1.0])),
+        LabelMismatch, "utility label order must match prior label order"),
+    "ControlProblem, utility over other labels": (
+        lambda: ControlProblem(dist("ab", [0.5, 0.5]), util("ax", [0.0, 1.0])),
+        LabelMismatch, "utility labels do not match prior labels"),
+    "TwoStageProblem, prior_action over other labels": (
+        lambda: two_stage_over("AC", "xy"),
+        LabelMismatch, "prior_action labels must equal the action list"),
+    "TwoStageProblem, a channel row over other outcomes": (
+        lambda: two_stage_over("AB", "xz"),
+        LabelMismatch, "channel row for 'A' must cover the outcome list"),
+    "Temperature('warm')": (lambda: Temperature("warm"), DomainError,
+                            "unknown temperature kind 'warm'"),
+    "Temperature.finite(0.0)": (lambda: Temperature.finite(0.0), DomainError,
+                                "finite temperature must be a nonzero finite real, got 0.0"),
+    "UtilityTable.value of an unknown label": (
+        lambda: util("ab", [0.0, 1.0]).value("q"), LabelMismatch, "unknown outcome label 'q'"),
+    "gibbs_measure at the -inf limit": (
+        lambda: gibbs_measure(util("ab", [0.0, 1.0]), "-inf"), DomainError,
+        "temperature cannot be the -inf limit"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_a_refusal_raises_its_type_and_message(case):
+    call, error, message = REFUSALS[case]
+    assert outcome_of(call) == (error, message)
+
+
+# Calls at the top of the float range, each of which once raised a bare
+# OverflowError from math.fsum or returned inf: five utilities of the
+# largest float, whose expected utility under EDGE_PRIOR rounds past it.
+EDGE_PRIOR = dist("abcde", [0.17301578503569864, 0.18208246417692872, 0.2550019478149193,
+                            0.1494838617420918, 0.24041594123036164])
+EDGE_UTILITY = util("abcde", [sys.float_info.max] * 5)
+PAST_THE_RANGE = "is not a finite number: inf"
+FLOAT_EDGE = {
+    "certainty_equivalent at the zero limit": (
+        lambda: certainty_equivalent(EDGE_PRIOR, EDGE_UTILITY, "zero"), ("ok", sys.float_info.max)),
+    "expectation": (lambda: expectation(EDGE_PRIOR, EDGE_UTILITY),
+                    (DomainError, f"the expected utility {PAST_THE_RANGE}")),
+    "taylor_ce_approx": (lambda: taylor_ce_approx(EDGE_PRIOR, EDGE_UTILITY, 0.1),
+                         (DomainError, f"the mean of the utilities {PAST_THE_RANGE}")),
+    "free_utility": (lambda: free_utility(EDGE_PRIOR, EDGE_UTILITY, 1.0),
+                     (DomainError, f"the expected utility {PAST_THE_RANGE}")),
+    "free_utility_difference": (
+        lambda: free_utility_difference(EDGE_PRIOR, EDGE_PRIOR, EDGE_UTILITY, 1.0),
+        (DomainError, f"the expected utility {PAST_THE_RANGE}")),
+    "free_utility at alpha 1.7e308": (
+        lambda: free_utility(FiniteDistribution.uniform("abcd"), util("abcd", [0.0] * 4), 1.7e308),
+        (DomainError, f"the free utility {PAST_THE_RANGE}")),
+}
+
+
+@pytest.mark.parametrize("call", sorted(FLOAT_EDGE))
+def test_a_call_at_the_float_edge_returns_a_finite_float_or_a_domain_error(call):
+    fn, outcome = FLOAT_EDGE[call]
+    assert outcome_of(fn) == outcome
 
 
 def test_an_unknown_suite_raises_a_named_domain_error():

@@ -328,6 +328,22 @@ def test_two_stage_optimality_brackets_each_instance_once(monkeypatch):
     assert len(calls) == 20
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_minimax_convergence_solves_each_instance_once(monkeypatch, seed):
+    """The verdict reads one risk-averse choice per instance, at mu = -3000:
+    100 calls of risk_sensitive_argmax per run."""
+    mus = []
+    argmax = verify.risk_sensitive_argmax
+
+    def counted(problem, mu):
+        mus.append(mu)
+        return argmax(problem, mu)
+
+    monkeypatch.setattr(verify, "risk_sensitive_argmax", counted)
+    verify.run_suite("minimax-convergence", seed)
+    assert mus == [-3000.0] * 100
+
+
 @st.composite
 def nodes(draw):
     """One node's prior, utilities and t: 2-7 outcomes, a fifth of the prior

@@ -1385,11 +1385,15 @@ def test_a_file_that_loads_is_decoded_once(tmp_path, monkeypatch):
             assert len(calls) == 1, path.name
 
 
-@pytest.mark.parametrize("name, fault", [
-    ("tree_depth3.json", payload_fault(("name",), "r/")),
-    ("two_stage_basic.json", payload_fault(("channel", "safe"))),
-], ids=["tree", "two-stage file"])
-def test_a_refused_file_is_decoded_twice(tmp_path, monkeypatch, name, fault):
+@pytest.mark.parametrize("name, fault, error, message", [
+    ("tree_depth3.json", payload_fault(("name",), "r/"), DomainError,
+     "node name 'r/' contains '/', which separates the names in a node path"),
+    ("two_stage_basic.json", payload_fault(("channel", "safe")), LabelMismatch,
+     "channel must have exactly one row per action"),
+    ("two_stage_basic.json", payload_fault(("outcomes", 1), "low"), DuplicateLabel,
+     "duplicate outcome label 'low'"),
+], ids=["tree", "two-stage file", "two-stage outcomes repeating a label"])
+def test_a_refused_file_is_decoded_twice(tmp_path, monkeypatch, name, fault, error, message):
     """Once with the hook, and once more without it for the error the plain
     readers raise; a regular file's text is read once."""
     text = json.dumps(golden_document(name, fault), indent=2)
@@ -1398,9 +1402,9 @@ def test_a_refused_file_is_decoded_twice(tmp_path, monkeypatch, name, fault):
     calls = count_decodes(monkeypatch)
     for read in (lambda: loads(text), lambda: load(str(path))):
         calls.clear()
-        with pytest.raises(FreeUtilError):
+        with pytest.raises(FreeUtilError) as e:
             read()
-        assert len(calls) == 2
+        assert (type(e.value), str(e.value), len(calls)) == (error, message, 2)
 
 
 # Per case: a golden file, a temperatures block that fails, and whether the

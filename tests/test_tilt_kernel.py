@@ -20,6 +20,7 @@ from freeutil.model import (
     TwoStageProblem,
     UtilityTable,
     _ARRAY_ROW_WIDTH,
+    _fsum,
     _normalise_rows,
     _row_kls,
     _row_sums,
@@ -252,8 +253,10 @@ def list_tilt_segments(prior, gains, starts, t):
     # Rounding can carry a finite or zero-limit value past the supported
     # gains; it is clamped back into [g_min, g_max].
     if t.is_zero:
-        # An unsupported entry adds -0.0, which changes no sum.
-        sums = _row_sums(np.where(support, prior * gains, -0.0), starts)
+        # An unsupported entry adds -0.0, which changes no sum. A row whose
+        # partial sums pass the float range is summed from its halved terms.
+        terms = np.where(support, prior * gains, -0.0)
+        sums = [_fsum(terms[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])]
         sums = np.clip(sums, g_min, g_max).tolist()
         values = [g if c else v for g, c, v in zip(g_max_list, const, sums)]
         return prior, values, [0.0] * k, [True] * k
@@ -340,6 +343,10 @@ def float_bits(values):
 @example([(np.array([0.5, 0.5]), np.array([0.0, -0.5625]))], Temperature.finite(1.0))
 @example([(np.array([1.0]), np.array([-0.0])), (np.array([0.0, 1.0]), np.array([1e308, 0.0]))],
          Temperature.zero())
+# The first row's products sum past the float range, which math.fsum refuses.
+@example([(np.full(3, 0.33333333333333337),
+           np.array([1.7976931348623157e308, 1.7976931348623155e308, 1.7976931348623157e308])),
+          (np.array([0.5, 0.5]), np.array([1.0, 2.0]))], Temperature.zero())
 def test_array_kernel_has_the_bits_of_the_list_kernel(segs, t):
     prior = np.concatenate([p for p, _ in segs])
     gains = np.concatenate([g for _, g in segs])

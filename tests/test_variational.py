@@ -192,9 +192,8 @@ GAMBLE = (dist(["a", "b", "c"], [0.5, 0.5, 0.0]), util(["a", "b", "c"], [-1.0, 2
 def temperature_calls(draw):
     """One call of a public function taking a temperature, that argument an
     edge of the float range, a limit spelling, None or an ordinary float."""
-    fn = draw(st.sampled_from(
-        [exponential_tilt, certainty_equivalent, bounded_control, gibbs_measure, TemperatureSpec]
-    ))
+    fn = draw(st.sampled_from([exponential_tilt, certainty_equivalent, bounded_control,
+                               free_utility, gibbs_measure, TemperatureSpec]))
     if fn is TemperatureSpec:
         return fn, (draw(temperatures), draw(temperatures))
     values = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4))
@@ -231,6 +230,7 @@ def numbers_of(result) -> list[float]:
 @example((bounded_control, (*GAMBLE, 1e-320)))
 @example((gibbs_measure, (GAMBLE[1], -1e-320)))
 @example((exponential_tilt, (dist(["a", "b"], [1.0, 0.0]), util(["a", "b"], [2.0, 0.0]), 1e308)))
+@example((free_utility, (dist("abcd", [0.25] * 4), util("abcd", [0.0] * 4), 1.7e308)))  # inf
 def test_temperature_arguments_give_finite_numbers_or_raise(call):
     """Each call returns finite numbers or raises a FreeUtilError, without a
     warning; an error on finite temperatures names no value the caller did
