@@ -40,6 +40,7 @@ from .model import (
     ControlProblem,
     DecisionTree,
     DomainError,
+    FiniteDistribution,
     FreeUtilError,
     Temperature,
     TemperatureSpec,
@@ -148,7 +149,7 @@ def _resolve_staged_temps(pf: ProblemFile, args) -> TemperatureSpec:
 
 def _solve_control_doc(problem: ControlProblem, alpha: Temperature, units: str) -> list[str]:
     tv = value_recursion(problem._tree, TemperatureSpec(1, alpha.reciprocal()))
-    policy = tv.policies[tv.root_path]
+    policy = FiniteDistribution._trusted(problem.outcomes, tv.flat_policy.tolist())
     expected = expectation(policy, problem.utility)
     kl, log_z = tv.flat_kl[0].item(), tv.flat_log_z[0].item()
     cost = alpha.value * kl if alpha.is_finite else 0.0

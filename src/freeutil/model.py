@@ -213,7 +213,7 @@ class _FlatStore:
 
     def _freeze(self, *values) -> None:
         """Set the slots, in order, to values; arrays among them become read-only."""
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self.__slots__, values, strict=True):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -758,16 +758,17 @@ class TwoStageProblem(_FlatStore):
     to the action itself and to each (action, outcome) pair.
 
     The rows are read-only actions × outcomes arrays, channel_matrix and
-    utility_matrix, views of the edge arrays of the problem's depth-2 tree.
-    The constructor keeps no mapping it is given. ``channel`` and
-    ``outcome_utility`` map each action to its row as a FiniteDistribution
-    and a UtilityTable, built from the arrays on first read.
+    utility_matrix, views of the edge arrays of the problem's depth-2 tree,
+    which is built with the problem. The constructor keeps no mapping it is
+    given. ``channel`` and ``outcome_utility`` map each action to its row as
+    a FiniteDistribution and a UtilityTable, built from the arrays on first
+    read.
     """
 
     _FIELDS = (
         "actions", "outcomes", "prior_action", "action_utility", "channel_matrix", "utility_matrix"
     )
-    __slots__ = (*_FIELDS, "channel", "outcome_utility", "_edge_prior", "_edge_utility", "_depth2")
+    __slots__ = (*_FIELDS, "channel", "outcome_utility", "_tree")
 
     def __init__(
         self,
@@ -811,8 +812,9 @@ class TwoStageProblem(_FlatStore):
 
     def _fill(self, actions, outcomes, prior_action, action_utility, channel, outcome_utility):
         """Set the fields from the action stage and the A×O rows (arrays or
-        lists of rows) stacked after it into the tree's edge arrays, which the
-        channel and outcome_utility views read on first use."""
+        lists of rows) stacked after it into the edge arrays of the depth-2
+        tree of sequential.two_stage_to_tree, _tree, which the matrices view
+        and the channel and outcome_utility mappings read on first use."""
         n, width = len(actions), len(outcomes)
         prior = np.concatenate((prior_action.probs, np.ravel(channel)))
         utility = np.concatenate((action_utility.values, np.ravel(outcome_utility)))
@@ -823,22 +825,10 @@ class TwoStageProblem(_FlatStore):
             })
             for build, m in zip((FiniteDistribution._trusted, UtilityTable), matrices)
         ]
-        self._freeze(
-            actions, outcomes, prior_action, action_utility, *matrices, *rows, prior, utility, None
-        )
-
-    @property
-    def _tree(self) -> "DecisionTree":
-        """The depth-2 tree of sequential.two_stage_to_tree, built on first read."""
-        if self._depth2 is None:
-            n, width = len(self.actions), len(self.outcomes)
-            sizes, tree = [1, n, n * width], DecisionTree.__new__(DecisionTree)
-            names = ("root",) + self.actions + self.outcomes * n
-            is_mu = np.repeat([False, True, False], sizes)
-            n_children = np.repeat([n, width, 0], sizes)
-            tree._fill(names, is_mu, n_children, self._edge_prior, self._edge_utility)
-            object.__setattr__(self, "_depth2", tree)
-        return self._depth2
+        sizes, tree = [1, n, n * width], DecisionTree.__new__(DecisionTree)
+        tree._fill(("root",) + actions + outcomes * n, np.repeat([False, True, False], sizes),
+                   np.repeat([n, width, 0], sizes), prior, utility)
+        self._freeze(actions, outcomes, prior_action, action_utility, *matrices, *rows, tree)
 
     def channel_row(self, action: str) -> FiniteDistribution:
         try:

@@ -16,19 +16,20 @@ loads() decodes with an object_hook, _TreeArrays.hook, that records each
 tree node and edge into flat arrays as the decoder finishes it, in any key
 order, and leaves one shared marker in its place. The hook closes each node
 over its children as it records it and checks their names and, a block of
-rows at a time, their priors and utilities, so every check a tree's records
-fail is met while the text decodes. Any other object whose values are lists
-of numbers of one nonzero length, a table, the hook reads into one matrix as
-the decoder finishes it; the schema admits a table only as a two-stage
-file's channel or outcome_utility, so only one table's rows are ever Python
-floats. One reader, _problem_file, reads every decoded document: its
-header, then its payload, then its temperatures. It leaves a build that
-cannot fail, run once the text and the document are freed. On any fault of
-the decode or the read, the text is decoded again without the hook, and the
-same reader, with the plain tree reader in place of the records, raises the
-error the text meets first, or reads a tree too deep to decode with the
-hook; a fault of a temperatures block of JSON scalars alone, after a header
-and a payload that passed, is raised from the hooked document.
+rows at a time, their priors, which it keeps normalised, and utilities, so
+every check a tree's records fail is met while the text decodes. Any other
+object whose values are lists of numbers of one nonzero length, a table,
+the hook reads into one matrix as the decoder finishes it; the schema
+admits a table only as a two-stage file's channel or outcome_utility, so
+only one table's rows are ever Python floats. One reader, _problem_file,
+reads every decoded document: its header, then its payload, then its
+temperatures. It leaves a build that cannot fail, run once the text and
+the document are freed. On any fault of the decode or the read, the text
+is decoded again without the hook, and the same reader, with the plain
+tree reader in place of the records, raises the error the text meets
+first, or reads a tree too deep to decode with the hook; a fault of a
+temperatures block of JSON scalars alone, after a header and a payload
+that passed, is raised from the hooked document.
 
 load() reads a file's text in blocks and drops from each every run of 9 or
 more spaces that follows a newline, growing one string, so only the
@@ -81,7 +82,6 @@ from .model import (
     UtilityTable,
     _BLOCK_EDGES,
     _VALID_TAGS,
-    _normalise_rows,
     _trampoline,
     _valid_rows,
 )
@@ -280,9 +280,9 @@ class _TreeArrays:
     records no valid tree makes: a node recorded while an earlier node lacks
     its edge, or with more children than open subtrees, a name repeated among
     siblings, or a block of whole rows, at least _BLOCK_EDGES closed edges,
-    that fails _valid_rows on a copy. So the text decodes into records that
-    passed every check but the last block's, and closed has only that block
-    and O(1) checks left.
+    that fails _valid_rows on a copy, whose normalised priors are written
+    back. So the text decodes into records that passed every check but the
+    last block's, and closed has only that block and O(1) checks left.
     """
 
     def __init__(self):
@@ -327,13 +327,17 @@ class _TreeArrays:
             return _READ
 
         def block_passes() -> bool:
-            """Whether the rows closed since the last call pass _valid_rows,
-            read into copies that are then dropped."""
+            """Whether the rows closed since the last call pass _valid_rows
+            on copies, whose priors, normalised if they pass, are written
+            back. The views of the records go on return, so they can grow."""
             starts = np.array(rows)
             rows.clear()
             edges = np.frombuffer(grouped, dtype=np.int64)[starts[0]:]  # edge j leads to node j
-            return _valid_rows(np.frombuffer(priors)[edges], np.frombuffer(utilities)[edges],
-                               starts - starts[0])
+            records = np.frombuffer(priors)
+            prior = records[edges]
+            passed = _valid_rows(prior, np.frombuffer(utilities)[edges], starts - starts[0])
+            records[edges] = prior
+            return passed
 
         def table(obj: dict):
             rows = list(obj.values())
@@ -354,34 +358,33 @@ class _TreeArrays:
 
     def tree(self) -> DecisionTree:
         """The closed records' tree in DecisionTree's breadth-first arrays,
-        built level by level from the root. Each record is dropped once it
-        has been read."""
+        each record gathered once by the order built level by level from the
+        root, the priors as hook's checks normalised them, and dropped once
+        read."""
         del self.hook, self.block_passes  # their closures hold the records too
         count, grouped = np.array(self.counts, dtype=np.intp), np.array(self.grouped, dtype=np.intp)
         del self.counts, self.grouped
         first = np.cumsum(count) - count  # where a node's children start in grouped
-        # The priors grouped by parent, each row normalised as hook's checks
-        # normalised their copies.
-        prior = np.frombuffer(self.priors)[grouped]
-        del self.priors
-        _normalise_rows(prior, first[count > 0])
-        levels, at = [np.array([len(count) - 1])], []  # at: where each level sits in grouped
+        levels = [np.array([len(count) - 1])]
         while len(levels[-1]):
             k = count[levels[-1]]
-            at.append(np.repeat(first[levels[-1]] - (np.cumsum(k) - k), k) + np.arange(k.sum()))
-            levels.append(grouped[at[-1]])
-        order, at = np.concatenate(levels), np.concatenate(at)
+            at = np.repeat(first[levels[-1]] - (np.cumsum(k) - k), k) + np.arange(k.sum())
+            levels.append(grouped[at])  # at: where the level sits in grouped
+        order = np.concatenate(levels)
         del levels, grouped, first
         names = np.array(self.names, dtype=object)
         del self.names
+        is_mu = np.frombuffer(self.mu, dtype=bool)[order]
+        del self.mu
+        # Edge j leads to node j.
+        prior = np.frombuffer(self.priors)[order[1:]]
+        del self.priors
         utility = np.frombuffer(self.utilities)[order[1:]]
         del self.utilities
-        is_mu = np.frombuffer(self.mu, dtype=np.uint8)[order].tolist()
-        del self.mu
-        return DecisionTree._from_arrays(
-            tuple(names[order]), map((LAMBDA_TAG, MU_TAG).__getitem__, is_mu),
-            count[order], prior[at], utility,
-        )
+        names = tuple(names[order])
+        tree = DecisionTree.__new__(DecisionTree)
+        tree._fill(names, is_mu, count[order], prior, utility)
+        return tree
 
 
 def _parse_tree(payload) -> TreeNode:

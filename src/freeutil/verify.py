@@ -589,7 +589,11 @@ def _objective_gap(name: str, tree: DecisionTree, temps: TemperatureSpec):
     tv = value_recursion(tree, temps)
     bracket = internal, t, g, f, _, gap = _node_bracket(tree, tv, temps)
     worst = int(np.argmax(gap))  # the first NaN, if any
-    note = f"worst node {tree.paths()[internal[worst]]!r} of {len(internal)}"
+    # Its path, walked up to the root: the edge into node j > 0 leaves parent[j - 1].
+    parent, up = np.repeat(np.arange(len(tree.names)), tree.n_children), [int(internal[worst])]
+    while up[-1]:
+        up.append(int(parent[up[-1] - 1]))
+    note = f"worst node {'/'.join(tree.names[j] for j in reversed(up))!r} of {len(internal)}"
     tolerance = max(1e-5, 8 * 2.0**-52 * np.abs(g[tree.prior > 0.0]).max().item())
     row = (gap[worst].item(), tv.root_value, (np.sign(t[0]) * f[0]).item())
     return _worst_cert(name, [row], tolerance, note), tv, bracket

@@ -109,3 +109,24 @@ def test_every_private_definition_is_named_elsewhere():
         and everywhere[node.name] == sum(name == node.name for name in names(node))
     ]
     assert unused == []
+
+
+def test_every_slot_is_read_as_an_attribute():
+    """Each name a package class lists in its __slots__ is read as an
+    attribute somewhere in the package. When a change drops the last reader
+    of a slot, this points at the slot to delete."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "freeutil").glob("*.py"))]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    slots = [
+        (cls.name, const.value)
+        for tree in trees for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)
+        for const in ast.walk(stmt.value)
+        if isinstance(const, ast.Constant) and isinstance(const.value, str)
+    ]
+    assert ("TwoStageProblem", "_tree") in slots
+    assert [slot for slot in slots if slot[1] not in read] == []

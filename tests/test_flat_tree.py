@@ -436,6 +436,34 @@ def test_a_tree_keyed_in_any_order_is_read_without_the_node_reader(tmp_path, mon
         assert run_cli(want["argv"]) == want
 
 
+def refuse_every_node(self):
+    raise AssertionError("a path or an order was built for every node")
+
+
+def test_file_calls_build_the_paths_and_orders_of_no_node(monkeypatch):
+    """Every recorded call on a golden file prints the same bytes when no
+    path or order of every node can be built: a control solve takes its
+    root row from the flat policy, and verify names its worst node by
+    walking up from it."""
+    monkeypatch.setattr(DecisionTree, "paths", refuse_every_node)
+    monkeypatch.setattr(DecisionTree, "orders", refuse_every_node)
+    monkeypatch.chdir(GOLDEN.parent)
+    wants = [want for want in RECORDED if want["argv"][1] != "--suite"]
+    assert len(wants) == 144
+    for want in wants:
+        assert run_cli(want["argv"]) == want
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["one too few", "one too many"])
+def test_freeze_refuses_values_that_do_not_fit_the_slots(extra):
+    """A value list one short would leave the last slot unset, to fail
+    later far from the cause; one too long would drop a value."""
+    tree = DecisionTree(TreeNode("only"))
+    values = [getattr(tree, name) for name in tree.__slots__] + [None]
+    with pytest.raises(ValueError):
+        DecisionTree.__new__(DecisionTree)._freeze(*values[:len(tree.__slots__) + extra])
+
+
 def test_tree_arrays_are_level_ordered_and_immutable():
     tree = DecisionTree(node("r", [
         node("a", [TreeNode("x"), TreeNode("y")], [0.25, 0.75], [1.0, -2.0], "mu"),

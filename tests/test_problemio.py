@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import sys
 import tracemalloc
 from enum import IntEnum
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from freeutil import cli, problemio
+from freeutil import cli, model, problemio
 from freeutil.cli import _fmt_float, _solve_tree_doc
 from freeutil.model import (
     DecisionTree,
@@ -947,6 +948,34 @@ def test_faults_at_the_block_edges_of_the_hooks_checks(tmp_path, fault, error, m
             read(source)
         assert type(raised.value) is error and str(raised.value) == message
     assert len(loads(block_tree_text("none")).problem.names) == 1 + ROWS * (WIDTH + 1)
+
+
+@pytest.mark.parametrize("layout, blocks", [("wide rows", 3), ("ternary depth 10", 6)])
+def test_each_tree_file_row_is_checked_and_normalised_once(monkeypatch, layout, blocks):
+    """The hook's block checks keep the priors they normalise, so loads
+    normalises each row once, one call per block, the last block's in
+    closed; on 300 rows of 120 leaves under a root, and on the 88,573-node
+    ternary tree, whose rows math.fsum sums. Every array is the one
+    DecisionTree reads from the same graph, bit for bit, the rows across a
+    block edge and in the last block included."""
+    text = block_tree_text("none") if layout == "wide rows" else dumps(
+        ProblemFile("1", "tree", ternary_tree(10)))
+    calls, normalise = [], model._normalise_rows
+
+    def counted(flat, starts, *args):
+        calls.append(len(starts))
+        return normalise(flat, starts, *args)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "_normalise_rows", None) is normalise:
+            monkeypatch.setattr(module, "_normalise_rows", counted)
+    tree = loads(text).problem
+    reference = DecisionTree(_parse_tree(json.loads(text)["payload"]))
+    assert len(calls) == blocks and sum(calls) == np.count_nonzero(tree.n_children)
+    assert tree.names == reference.names
+    for name in ("is_mu", "n_children", "prior", "utility"):
+        got, want = getattr(tree, name), getattr(reference, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
