@@ -68,8 +68,12 @@ EXIT_SOLVER = 3
 EXIT_VERIFY = 4
 
 
+# The % conversion of every float the CLI writes, by _fmt_float or a template.
+_TREE_FLOAT = "%.12g"
+
+
 def _fmt_float(x: float) -> str:
-    return format(x + 0.0, ".12g")  # -0.0 + 0.0 is 0.0; every other float is kept
+    return _TREE_FLOAT % (x + 0.0)  # -0.0 + 0.0 is 0.0; every other float is kept
 
 
 def _fmt_finite(x: float) -> str:
@@ -189,23 +193,19 @@ def _solve_two_stage_doc(problem: TwoStageProblem, temps: TemperatureSpec,
     }, units)]
 
 
-# The % conversion of every float in a tree solve document.
-_TREE_FLOAT = "%.12g"
-
-
 def _solve_tree_doc(tree: DecisionTree, temps: TemperatureSpec, units: str):
     """The tree solve document without its final newline, as an iterator of
-    its chunks. The backup and the header through render_json run first, so
+    its chunks. The backup and the header through _render run first, so
     every FreeUtilError is raised before the iterator is returned. Reading
     it makes node_values and node_policies (keyed by path, in pre-order) a
     chunk of 1,024 nodes at a time, each filled by one %, in two walks of
     the pre-order, the second for the internal nodes' paths alone; no chunk
     is held once it is read, and no list or array of text spans the tree.
-    Floats are written by _TREE_FLOAT, -0.0 as 0.0; paths and names
-    are always % arguments, never template text. No key is a relative
-    entropy; units is a label."""
+    Floats are written by _TREE_FLOAT, -0.0 as 0.0, the header's through
+    _fmt_finite; paths and names are always % arguments, never template
+    text. No key is a relative entropy; units is a label."""
     tv = value_recursion(tree, temps)
-    header = render_json({
+    header = _render({
         "command": "solve",
         "kind": "tree",
         "lambda": temps.lam.spell(),
@@ -215,7 +215,7 @@ def _solve_tree_doc(tree: DecisionTree, temps: TemperatureSpec, units: str):
         "node_values": None,
         "node_policies": None,
         "units": units,
-    }, lambda x: _TREE_FLOAT % (x + 0.0))
+    }, units)
     head, middle, tail = header.split(": null")  # the two placeholders are the only nulls
 
     def chunks():

@@ -203,13 +203,20 @@ class LazyMapping(Mapping):
 
 
 class _FlatStore:
-    """An immutable problem held in arrays. _FIELDS name the arguments of
-    the class's _from_arrays, which hold its whole value: equality compares
-    them (arrays entry by entry), hashing uses those that are not arrays,
-    and pickling rebuilds from them."""
+    """An immutable problem held in arrays. _FIELDS name the parameters of
+    the class's _fill, which hold its whole value: _from_arrays rebuilds a
+    problem from them, equality compares them (arrays entry by entry),
+    hashing uses those that are not arrays, and pickling rebuilds from them."""
 
     __slots__ = ()
     _FIELDS: tuple[str, ...] = ()
+
+    @classmethod
+    def _from_arrays(cls, *fields):
+        """A problem from its fields, which already hold every invariant."""
+        store = cls.__new__(cls)
+        store._fill(*fields)
+        return store
 
     def _freeze(self, *values) -> None:
         """Set the slots, in order, to values; arrays among them become read-only."""
@@ -721,33 +728,34 @@ class TemperatureSpec:
         object.__setattr__(self, "mu", mu)
 
 
-@dataclass(frozen=True)
-class ControlProblem:
-    """Single-stage control instance: a default policy plus gain utilities."""
+class ControlProblem(_FlatStore):
+    """Single-stage control instance: a default policy plus gain utilities,
+    a store of the two (==, hash and repr read them) that holds the depth-1
+    tree _fill builds once, _tree: a mu-tagged root over the outcomes,
+    solved at mu = 1/alpha."""
 
-    prior: FiniteDistribution
-    utility: UtilityTable
+    _FIELDS = ("prior", "utility")
+    __slots__ = (*_FIELDS, "_tree")
 
-    def __post_init__(self):
-        _require(self.prior, FiniteDistribution, "prior")
-        _require(self.utility, UtilityTable, "utility")
-        if self.utility.outcomes != self.prior.outcomes:
+    def __init__(self, prior: FiniteDistribution, utility: UtilityTable):
+        _require(prior, FiniteDistribution, "prior")
+        _require(utility, UtilityTable, "utility")
+        if utility.outcomes != prior.outcomes:
             # Permutations are resolved at ingestion, not here.
-            if set(self.utility.outcomes) != set(self.prior.outcomes):
+            if set(utility.outcomes) != set(prior.outcomes):
                 raise LabelMismatch("utility labels do not match prior labels")
             raise LabelMismatch("utility label order must match prior label order")
+        self._fill(prior, utility)
+
+    def _fill(self, prior, utility) -> None:
+        n = len(prior.outcomes)
+        tree = DecisionTree._from_arrays(("root",) + prior.outcomes, [True] + [False] * n,
+                                         [n] + [0] * n, prior.array, utility.array)
+        self._freeze(prior, utility, tree)
 
     @property
     def outcomes(self) -> tuple[str, ...]:
         return self.prior.outcomes
-
-    @property
-    def _tree(self) -> "DecisionTree":
-        """The depth-1 tree: a mu-tagged root over the outcomes, solved at
-        mu = 1/alpha, built on each read."""
-        n = len(self.outcomes)
-        return DecisionTree._from_arrays(("root",) + self.outcomes, (MU_TAG,) + (LAMBDA_TAG,) * n,
-                                         [n] + [0] * n, self.prior.array, self.utility.array)
 
 
 class TwoStageProblem(_FlatStore):
@@ -762,7 +770,7 @@ class TwoStageProblem(_FlatStore):
     which is built with the problem. The constructor keeps no mapping it is
     given. ``channel`` and ``outcome_utility`` map each action to its row as
     a FiniteDistribution and a UtilityTable, built from the arrays on first
-    read.
+    read. _from_arrays rebuilds a problem from its _FIELDS, those of _fill.
     """
 
     _FIELDS = (
@@ -799,25 +807,15 @@ class TwoStageProblem(_FlatStore):
             [channel[a].probs for a in actions], [outcome_utility[a].values for a in actions],
         )
 
-    @classmethod
-    def _from_arrays(
-        cls, actions, outcomes, prior_action, action_utility, channel_matrix, utility_matrix
-    ) -> "TwoStageProblem":
-        """A problem from labels and A×O arrays that already hold every
-        invariant, the channel rows normalised."""
-        problem = cls.__new__(cls)
-        problem._fill(tuple(actions), tuple(outcomes), prior_action, action_utility,
-                      channel_matrix, utility_matrix)
-        return problem
-
-    def _fill(self, actions, outcomes, prior_action, action_utility, channel, outcome_utility):
-        """Set the fields from the action stage and the A×O rows (arrays or
-        lists of rows) stacked after it into the edge arrays of the depth-2
-        tree of sequential.two_stage_to_tree, _tree, which the matrices view
-        and the channel and outcome_utility mappings read on first use."""
+    def _fill(self, actions, outcomes, prior_action, action_utility, channel_matrix, utility_matrix):
+        """Set the fields from the labels (held as tuples), the action stage
+        and the A×O rows (arrays or lists of rows) stacked after it into the
+        edge arrays of the depth-2 tree of sequential.two_stage_to_tree,
+        _tree, which the matrices view and the mappings read on first use."""
+        actions, outcomes = tuple(actions), tuple(outcomes)
         n, width = len(actions), len(outcomes)
-        prior = np.concatenate((prior_action.probs, np.ravel(channel)))
-        utility = np.concatenate((action_utility.values, np.ravel(outcome_utility)))
+        prior = np.concatenate((prior_action.probs, np.ravel(channel_matrix)))
+        utility = np.concatenate((action_utility.values, np.ravel(utility_matrix)))
         matrices = prior[n:].reshape(n, width), utility[n:].reshape(n, width)
         rows = [
             LazyMapping(lambda build=build, m=m: {
@@ -825,9 +823,10 @@ class TwoStageProblem(_FlatStore):
             })
             for build, m in zip((FiniteDistribution._trusted, UtilityTable), matrices)
         ]
-        sizes, tree = [1, n, n * width], DecisionTree.__new__(DecisionTree)
-        tree._fill(("root",) + actions + outcomes * n, np.repeat([False, True, False], sizes),
-                   np.repeat([n, width, 0], sizes), prior, utility)
+        sizes = [1, n, n * width]
+        tree = DecisionTree._from_arrays(("root",) + actions + outcomes * n,
+                                         np.repeat([False, True, False], sizes),
+                                         np.repeat([n, width, 0], sizes), prior, utility)
         self._freeze(actions, outcomes, prior_action, action_utility, *matrices, *rows, tree)
 
     def channel_row(self, action: str) -> FiniteDistribution:
@@ -976,16 +975,17 @@ class DecisionTree(_FlatStore):
 
     The tree is stored as level-ordered (breadth-first) arrays, so the
     children of one level are the next level in order. Node i has the name
-    names[i], the tag tags[i] (held as is_mu[i], true for "mu") and
+    names[i], the mu flag is_mu[i] (read back as a tag by tags) and
     n_children[i] children, the nodes from first_child[i] on; the edge into
     node j > 0 is edge j - 1, with the normalised prior prior[j - 1] and the
     utility gain utility[j - 1]. A leaf's tag is checked as any node's is,
-    but governs no backup, and reads back as "lambda".
+    but governs no backup, and its flag is false. _from_arrays, ==, hash,
+    repr and pickling read the flags; tags is a view for callers.
     A graph of TreeNodes is an input format only: the constructor checks
     and reads it, and the tree keeps no reference to it.
     """
 
-    _FIELDS = ("names", "tags", "n_children", "prior", "utility")
+    _FIELDS = ("names", "is_mu", "n_children", "prior", "utility")
     __slots__ = ("names", "is_mu", "n_children", "first_child", "prior", "utility")
 
     def __init__(self, root: TreeNode):
@@ -1055,18 +1055,12 @@ class DecisionTree(_FlatStore):
             ),
         )
 
-    @classmethod
-    def _from_arrays(cls, names, tags, n_children, prior, utility) -> "DecisionTree":
-        """A tree from breadth-first arrays that already hold every invariant."""
-        tree = cls.__new__(cls)
-        tree._fill(tuple(names), [tag == MU_TAG for tag in tags], n_children, prior, utility)
-        return tree
-
     def _fill(self, names, is_mu, n_children, prior, utility) -> None:
         n_children = np.asarray(n_children, dtype=np.intp)
         first_child = np.cumsum(n_children) - n_children + 1
-        is_mu = np.asarray(is_mu, dtype=bool) & (n_children > 0)
-        self._freeze(names, is_mu, n_children, first_child, prior, utility)
+        # Not dtype=bool, which reads any nonempty string as true: tags raise TypeError.
+        is_mu = np.asarray(is_mu) & (n_children > 0)
+        self._freeze(tuple(names), is_mu, n_children, first_child, prior, utility)
 
     @property
     def tags(self) -> tuple[str, ...]:

@@ -357,10 +357,10 @@ class _TreeArrays:
                 and (not self.rows or self.block_passes()))
 
     def tree(self) -> DecisionTree:
-        """The closed records' tree in DecisionTree's breadth-first arrays,
-        each record gathered once by the order built level by level from the
-        root, the priors as hook's checks normalised them, and dropped once
-        read."""
+        """The closed records' tree, built by DecisionTree._from_arrays from
+        breadth-first arrays: each record gathered once by the order built
+        level by level from the root, the priors as hook's checks normalised
+        them, the mu flags as recorded, and dropped once read."""
         del self.hook, self.block_passes  # their closures hold the records too
         count, grouped = np.array(self.counts, dtype=np.intp), np.array(self.grouped, dtype=np.intp)
         del self.counts, self.grouped
@@ -382,9 +382,7 @@ class _TreeArrays:
         utility = np.frombuffer(self.utilities)[order[1:]]
         del self.utilities
         names = tuple(names[order])
-        tree = DecisionTree.__new__(DecisionTree)
-        tree._fill(names, is_mu, count[order], prior, utility)
-        return tree
+        return DecisionTree._from_arrays(names, is_mu, count[order], prior, utility)
 
 
 def _parse_tree(payload) -> TreeNode:
@@ -638,8 +636,9 @@ def load(path: str) -> ProblemFile:
 def _tree_parts(tree: DecisionTree) -> list[str]:
     """The tree payload's text in pieces, laid out as render_json lays out
     the value of a top-level key, in one pre-order pass over the arrays with
-    an explicit stack, so depth is bounded by memory."""
-    names, tags = (list(map(encode_basestring_ascii, x)) for x in (tree.names, tree.tags))
+    an explicit stack, so depth is bounded by memory; tags from the mu flags."""
+    names, is_mu = list(map(encode_basestring_ascii, tree.names)), tree.is_mu.tolist()
+    tags = tuple(map(encode_basestring_ascii, (LAMBDA_TAG, MU_TAG)))  # by flag
     # The edge into node j > 0 is written from prior[j] and utility[j].
     prior, utility = ([""] + list(map(repr, a.tolist())) for a in (tree.prior, tree.utility))
     first, count = tree.first_child.tolist(), tree.n_children.tolist()
@@ -663,7 +662,7 @@ def _tree_parts(tree: DecisionTree) -> list[str]:
         lead, mid, name, tag, kids, end, closer = levels[d]
         out.append(f"{text}{lead}{prior[j]}{mid}{utility[j]}{name}{names[j]}")
         if count[j]:
-            out.append(f"{tag}{tags[j]}{kids}")
+            out.append(f"{tag}{tags[is_mu[j]]}{kids}")
             stack.append((None, 0, closer))
             stack.extend([(c, d + 1, ",") for c in range(first[j] + count[j] - 1, first[j], -1)])
             stack.append((first[j], d + 1, ""))

@@ -350,5 +350,5 @@ def two_stage_to_tree(problem: TwoStageProblem, root_name: str = "root") -> Deci
     if root_name == tree.names[0]:
         return tree
     return DecisionTree._from_arrays(
-        (root_name,) + tree.names[1:], tree.tags, tree.n_children, tree.prior, tree.utility
+        (root_name,) + tree.names[1:], tree.is_mu, tree.n_children, tree.prior, tree.utility
     )

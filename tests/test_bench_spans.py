@@ -4,6 +4,7 @@ import ast
 import contextlib
 import importlib.util
 import io
+import pickle
 import sys
 from collections import Counter
 from pathlib import Path
@@ -12,6 +13,8 @@ import pytest
 
 import freeutil
 import freeutil.cli
+from freeutil import model
+from freeutil.problemio import load
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -130,3 +133,31 @@ def test_every_slot_is_read_as_an_attribute():
     ]
     assert ("TwoStageProblem", "_tree") in slots
     assert [slot for slot in slots if slot[1] not in read] == []
+
+
+def test_every_flat_store_is_built_from_the_parameters_of_its_fill():
+    """Each store of freeutil.model names in _FIELDS exactly the parameters
+    of its _fill, in order, and is built by _FlatStore._from_arrays alone,
+    so a store's fields rebuild it."""
+    stores = {name: cls for name, cls in vars(model).items()
+              if isinstance(cls, type) and issubclass(cls, model._FlatStore)
+              and cls is not model._FlatStore}
+    faults = [f"{name} is no store" for name in ("ControlProblem", "TwoStageProblem", "DecisionTree")
+              if name not in stores]
+    for name, cls in stores.items():
+        code = cls._fill.__code__
+        if cls._FIELDS != code.co_varnames[1:code.co_argcount]:
+            faults.append(f"{name}._FIELDS are not the parameters of its _fill")
+        if "_from_arrays" in vars(cls):
+            faults.append(f"{name} defines its own _from_arrays")
+    assert faults == []
+    # numpy reads every nonempty string as True, so tags given for the flags must raise.
+    with pytest.raises(TypeError):
+        model.DecisionTree._from_arrays(("r", "a"), ["mu", "lambda"], [1, 0], [1.0], [0.0])
+
+
+@pytest.mark.parametrize("name", ["control_basic", "two_stage_basic", "tree_mixed_tags"])
+def test_a_loaded_problem_is_rebuilt_from_its_fields(name):
+    problem = load(str(GOLDEN / f"{name}.json")).problem
+    assert type(problem)._from_arrays(*problem._fields()) == problem
+    assert pickle.loads(pickle.dumps(problem)) == problem

@@ -294,6 +294,8 @@ def mutate(raw: dict, fault: str) -> None:
         payload["outcome_utility"]["extra"] = payload["outcome_utility"][first]
     elif fault == "channel given as a list":
         payload["channel"] = list(payload["channel"].values())
+    elif fault == "outcome_utility given as a list":
+        payload["outcome_utility"] = list(payload["outcome_utility"].values())
     else:
         raise AssertionError(fault)
 
@@ -301,7 +303,7 @@ def mutate(raw: dict, fault: str) -> None:
 FAULTS = (
     "row one entry short", "utility row one entry short", "negative entry",
     "row summing to 1.1", "integer of 400 digits", "missing action row",
-    "extra action row", "channel given as a list",
+    "extra action row", "channel given as a list", "outcome_utility given as a list",
     "last row summing to 1.1", "actions named name, children, prior; a row summing to 1.1",
     "row keyed by another label",
     "control payload of number lists", "number-list table under an unknown key of a tree node",
@@ -348,6 +350,7 @@ def test_named_errors_of_faulty_rows():
         "missing action row": "channel must have exactly one row per action",
         "extra action row": "outcome_utility must have exactly one row per action",
         "channel given as a list": "channel must be an object keyed by action",
+        "outcome_utility given as a list": "outcome_utility must be an object keyed by action",
         "actions named name, children, prior; a row summing to 1.1":
             "probabilities sum to 1.1, expected 1",
         "row keyed by another label": "outcome_utility must have exactly one row per action",

@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 from operator import attrgetter
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -41,6 +42,9 @@ from freeutil.model import (
 from freeutil.problemio import ProblemFile, dumps, load, loads
 from freeutil.sequential import certainty_equivalent, taylor_ce_approx
 from freeutil.variational import free_utility, free_utility_difference, gibbs_measure
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def dist(labels, probs):
@@ -124,6 +128,19 @@ def test_mapping_round_trip():
 def test_utility_requires_finite_values():
     with pytest.raises(DomainError):
         util(["a"], [float("inf")])
+
+
+def test_utility_rejects_duplicate_labels():
+    with pytest.raises(DuplicateLabel, match=r"^duplicate outcome label in utility table$"):
+        util(["a", "b", "a"], [0.0, 1.0, 2.0])
+
+
+def test_utility_from_mapping_is_the_constructor_on_its_items():
+    mapping = {"b": 2.0, "a": -1.0, "c": 0.5}
+    u = UtilityTable.from_mapping(mapping)
+    assert u == util(["b", "a", "c"], [2.0, -1.0, 0.5]) and u.outcomes == ("b", "a", "c")
+    with pytest.raises(DomainError, match=r"^utility of 'a' is not finite: nan$"):
+        UtilityTable.from_mapping({"b": 2.0, "a": math.nan})
 
 
 def test_utility_alignment_permutes_values():
@@ -1380,3 +1397,17 @@ def test_numeric_strings_still_read_as_numbers():
     assert UtilityTable(["a"], ["0.5"]).values == (0.5,)
     assert FiniteDistribution(["a", "b"], ["0.5", 0.5]).probs == (0.5, 0.5)
     assert Temperature.parse(" 0.5 ") == Temperature.finite(0.5)
+
+
+def test_a_problem_or_a_node_never_equals_an_object_of_another_type():
+    """== between a problem or a TreeNode and an object of another type,
+    another problem kind included, is False both ways."""
+    control = load(str(GOLDEN / "control_basic.json")).problem
+    two_stage = load(str(GOLDEN / "two_stage_basic.json")).problem
+    tree = load(str(GOLDEN / "tree_mixed_tags.json")).problem
+    node = TreeNode("r")
+    kinds = [control, two_stage, tree, node]
+    for a in kinds:
+        for b in kinds + [None, 1, "r", (a,), control.prior, tree.names]:
+            if b is not a:
+                assert a != b and not (a == b) and not (b == a), (a, b)

@@ -369,7 +369,7 @@ def test_the_bracket_holds_the_exact_optimum(node):
     p, u, t = node
     n = len(p)
     names = ("r",) + tuple(f"o{i}" for i in range(n))
-    tree = DecisionTree._from_arrays(names, ["mu"] + ["lambda"] * n, [n] + [0] * n, p, u)
+    tree = DecisionTree._from_arrays(names, [True] + [False] * n, [n] + [0] * n, p, u)
     temps = TemperatureSpec(1.0, t)
     _, _, g, f, width, gap = verify._node_bracket(tree, value_recursion(tree, temps), temps)
     top, scale = f[0] + width[0], np.abs(g[p > 0.0]).max()
@@ -402,8 +402,8 @@ def block_tree_file(tmp_path_factory):
     w = rng.uniform(0.1, 1.0, len(counts) - 1)
     w /= np.repeat(np.add.reduceat(w, np.cumsum(counts[:259]) - counts[:259]), counts[:259])
     names = tuple(f"n{i}" for i in range(len(counts)))
-    tags = ["lambda", "mu", "mu"] + ["lambda"] * (len(counts) - 3)
-    tree = DecisionTree._from_arrays(names, tags, counts, w, rng.uniform(-3.0, 3.0, len(w)))
+    is_mu = [False, True, True] + [False] * (len(counts) - 3)
+    tree = DecisionTree._from_arrays(names, is_mu, counts, w, rng.uniform(-3.0, 3.0, len(w)))
     path = tmp_path_factory.mktemp("block") / "tree.json"
     dump(ProblemFile("1", "tree", tree), str(path))
     return path

@@ -162,6 +162,13 @@ def test_grid_rejects_five_outcomes():
         )
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan])
+def test_grid_rejects_a_temperature_that_is_not_a_positive_real(alpha):
+    prior = FiniteDistribution.uniform(["a", "b", "c", "d"])
+    with pytest.raises(DomainError, match=r"^temperature must be a positive real, got "):
+        simplex_grid_search(prior, util(["a", "b", "c", "d"], [0.0, 1.0, 2.0, 3.0]), alpha, 0.1)
+
+
 def test_grid_rejects_out_of_range_resolution():
     prior = FiniteDistribution.uniform(["a", "b"])
     u = util(["a", "b"], [0.0, 1.0])
@@ -555,6 +562,13 @@ def test_staged_rejects_degenerate_temperatures():
         exhaustive_two_stage(problem, -1.0, 1.0, 1e-2)
     with pytest.raises(DomainError):
         exhaustive_two_stage(problem, 1.0, 0.0, 1e-2)
+
+
+@pytest.mark.parametrize("mu", [0.0, math.inf, -math.inf, math.nan])
+def test_objective_rejects_a_mu_that_is_not_finite_and_nonzero(mu):
+    problem = random_two_by_two(np.random.default_rng(5))
+    with pytest.raises(DomainError, match=r"^mu must be a finite nonzero real, got "):
+        two_stage_objective(problem, 1.0, mu, problem.prior_action, problem.channel)
 
 
 # ---------------------------------------------------------------------------

@@ -807,8 +807,8 @@ def ternary_tree(depth: int) -> DecisionTree:
     prior = rng.uniform(0.1, 1.0, (internal, 3))
     prior /= prior.sum(axis=1, keepdims=True)
     levels = np.repeat(np.arange(depth), 3 ** np.arange(depth))  # each internal node's depth
-    tags = ["mu" if d % 2 else "lambda" for d in levels.tolist()]
-    return DecisionTree._from_arrays(["r"] + list("abc") * (n // 3), tags + ["lambda"] * (n - internal),
+    is_mu = [d % 2 == 1 for d in levels.tolist()]
+    return DecisionTree._from_arrays(["r"] + list("abc") * (n // 3), is_mu + [False] * (n - internal),
                                      [3] * internal + [0] * (n - internal), prior.ravel(),
                                      rng.uniform(-1.0, 1.0, n - 1))
 
@@ -885,7 +885,7 @@ def test_a_failing_tree_backup_writes_nothing(tmp_path):
     solve whose backup fails exits 3 with nothing on stdout and leaves an
     existing --output file as it was."""
     tree = ternary_tree(7)
-    huge = DecisionTree._from_arrays(tree.names, tree.tags, tree.n_children, tree.prior,
+    huge = DecisionTree._from_arrays(tree.names, tree.is_mu, tree.n_children, tree.prior,
                                      np.full(len(tree.utility), 1e308))  # gains overflow one level up
     path, target = tmp_path / "huge.json", tmp_path / "out.json"
     dump(ProblemFile("1", "tree", huge), str(path))
@@ -1033,7 +1033,7 @@ def dict_flat_tree(payload) -> DecisionTree | None:
             return None
     except (KeyError, TypeError, OverflowError):
         return None
-    return DecisionTree._from_arrays(names, tags, n_children, prior, utility)
+    return DecisionTree._from_arrays(names, [t == "mu" for t in tags], n_children, prior, utility)
 
 
 def reference_loads(text: str) -> ProblemFile:

@@ -94,6 +94,13 @@ def chain(depth: int) -> TreeNode:
     return below
 
 
+def wide(k: int) -> TreeNode:
+    """A mu-tagged root over k leaves."""
+    names = [f"c{i}" for i in range(k)]
+    return TreeNode("r", tuple(map(TreeNode, names)), FiniteDistribution.uniform(names),
+                    UtilityTable(names, [i % 7 - 3.0 for i in range(k)]), "mu")
+
+
 def assert_writes_the_old_layout(root, temps):
     tree = DecisionTree(root)
     try:
@@ -111,6 +118,8 @@ def assert_writes_the_old_layout(root, temps):
 @settings(max_examples=100, deadline=None)
 @given(trees(), lams, mus)
 @example(TreeNode("%s"), Temperature.finite(1.0), Temperature.finite(1.0))
+# The second 1,024-node chunk of the pre-order holds no internal node.
+@example(wide(1500), Temperature.finite(1.0), Temperature.finite(2.0))
 def test_tree_document_equals_the_old_layout(root, lam, mu):
     assert_writes_the_old_layout(root, TemperatureSpec(lam, mu))
 
