@@ -95,10 +95,11 @@ def _finite(result: float, what: str) -> float:
     return result
 
 
-def _fsum(terms: list[float]) -> float:
-    """math.fsum of finite terms. Where a partial sum passes the float
-    range, which raises in math.fsum, twice the math.fsum of the halved
-    terms, exact at that scale: the sum, or ±inf for a sum past the range."""
+def _fsum(terms: Sequence[float]) -> float:
+    """math.fsum of terms, or, where a partial sum passes the float range
+    (math.fsum raises), twice the math.fsum of the halved terms, exact at
+    that scale. So finite terms give their sum, or ±inf past the range; only
+    inf and -inf together raise ValueError, as in math.fsum."""
     try:
         return math.fsum(terms)
     except OverflowError:
@@ -132,7 +133,7 @@ def _reals(values, what: str) -> list[float]:
 
 
 def _check_distribution(outcomes: Sequence[str], probs: Sequence[float]) -> float:
-    """Raise the first violated distribution invariant; return math.fsum(probs)."""
+    """Raise the first violated distribution invariant; return _fsum(probs)."""
     if len(outcomes) != len(probs):
         raise LabelMismatch(
             f"{len(outcomes)} labels but {len(probs)} probabilities"
@@ -151,10 +152,7 @@ def _check_distribution(outcomes: Sequence[str], probs: Sequence[float]) -> floa
                 raise DomainError(f"probability of {label!r} is not finite: {p!r}")
             if p < 0.0:
                 raise NegativeProbability(f"probability of {label!r} is {p}")
-    try:
-        total = math.fsum(probs)
-    except OverflowError:  # finite terms whose sum leaves the float range
-        total = math.inf
+    total = _fsum(probs)
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise NotNormalized(f"probabilities sum to {total!r}, expected 1")
     return total
@@ -391,22 +389,20 @@ _BLOCK_EDGES = 1 << 14
 
 # Calls whose rows share one width of at least this many entries (and at
 # most _BLOCK_EDGES) sum them by array extraction, _extracted_sums; other
-# rows take a math.fsum each. The array path has a fixed cost per call and a
-# small one per entry, math.fsum a cost per row and a larger one per entry:
-# on rows of normalised weights, a call of 64 rows costs the same either way
-# at this width. Narrower rows, such as a ternary tree's, keep math.fsum.
+# rows take an _fsum each. The array path has a fixed cost per call and a
+# small one per entry, _fsum a cost per row and a larger one per entry: on
+# rows of normalised weights, a call of 64 rows costs the same either way at
+# this width. Narrower rows, such as a ternary tree's, keep _fsum.
 _ARRAY_ROW_WIDTH = 16
 
 
 def _row_sums(flat, starts) -> np.ndarray:
-    """math.fsum of every segment of a flat float array, bit for bit: the
-    exact sum rounded half-even. Segments of one width of at least
-    _ARRAY_ROW_WIDTH are summed by _extracted_sums; every other segment,
-    and every one it leaves unsure, takes math.fsum, read through a
-    memoryview slice, which iterates as Python floats, in segment order.
-    No segment whose math.fsum raises is sure, so the first such segment
-    raises its error: a sum past the float range OverflowError, inf + -inf
-    ValueError."""
+    """_fsum of every segment of a flat float array, bit for bit. Segments of
+    one width of at least _ARRAY_ROW_WIDTH are summed by _extracted_sums;
+    every other segment, and every one it leaves unsure, takes _fsum, read
+    through a memoryview slice, which iterates as Python floats, in segment
+    order. So a finite segment never raises; no segment holding inf and -inf
+    is sure, and the first one raises ValueError."""
     n, k = len(flat), len(starts)
     w = n // max(k, 1)
     if (_ARRAY_ROW_WIDTH <= w <= _BLOCK_EDGES and n == k * w
@@ -418,7 +414,7 @@ def _row_sums(flat, starts) -> np.ndarray:
     if unsure:
         bounds, rows = starts.tolist() + [n], memoryview(flat)
         for i in unsure:
-            sums[i] = math.fsum(rows[bounds[i]:bounds[i + 1]])
+            sums[i] = _fsum(rows[bounds[i]:bounds[i + 1]])
     return sums
 
 
@@ -489,7 +485,7 @@ def _extracted_sums(table):
 
 def _normalise_rows(flat, starts, skip=False) -> np.ndarray:
     """Divide every segment of a flat float array, in place, by its sum
-    from _row_sums, which has the bits of the math.fsum FiniteDistribution
+    from _row_sums, which has the bits of the _fsum FiniteDistribution
     divides by, as FiniteDistribution normalises; return which segments pass,
     their sum within NORMALIZATION_TOL of 1 (a NaN sum fails). A failing
     segment, or one skip marks (which passes), is left as it is."""
@@ -504,11 +500,8 @@ def _valid_rows(prior, utility, starts) -> bool:
     """Whether rows in flat arrays pass the checks of UtilityTable and
     FiniteDistribution: finite utilities, and nonnegative priors whose every
     segment normalises, in place, as FiniteDistribution normalises it."""
-    try:
-        return bool(np.isfinite(utility).all() and (prior >= 0.0).all()
-                    and _normalise_rows(prior, starts).all())
-    except OverflowError:  # a sum past the float range
-        return False
+    return bool(np.isfinite(utility).all() and (prior >= 0.0).all()
+                and _normalise_rows(prior, starts).all())
 
 
 def _row_kls(p, q, starts) -> np.ndarray:

@@ -24,13 +24,11 @@ import numpy as np
 from .model import (
     ARGMAX_TIE_TOL,
     DomainError,
-    EmptySupport,
     FiniteDistribution,
     Temperature,
     UtilityTable,
     _WHOLE,
     _finite,
-    _fsum,
     _real,
     _require,
     _row_sums,
@@ -59,16 +57,17 @@ def _tilt_segments(prior, gains, starts, t: Temperature):
     """Tilt every segment of a flat prior by the same segment of flat gains.
 
     prior and gains are float arrays of one length; starts holds the
-    increasing offsets of the segments (the first is 0, none is empty). One
+    increasing offsets of the segments (the first is 0, none is empty).
+    Each prior segment must be normalised (unchecked), so it has an entry
+    above 0. One
     array path serves every segment: its gains are masked to the entries
     its prior supports, and each takes the branch exponential_tilt
     documents:
 
     - constant gains: the prior unchanged, value g_max, log-partition
       t·g_max (0.0 at the zero limit, NaN at ±inf);
-    - zero limit: the prior, value the _row_sums of prior·gain, which has
-      the bits of math.fsum(prior·gain), or, for a row whose math.fsum
-      overflows, its _fsum (twice the sum of the halved products);
+    - zero limit: the prior, value the _row_sums of prior·gain, the _fsum
+      of the row (±inf for a sum past the float range);
     - ±inf: uniform over the entries within ARGMAX_TIE_TOL of the extreme;
     - finite t: log-weights, a max shift, exp, a sum, log_partition =
       m + log(s).
@@ -84,8 +83,6 @@ def _tilt_segments(prior, gains, starts, t: Temperature):
     unsupported = ~(prior > 0.0)
     masked = np.where(unsupported, -np.inf, gains)
     g_max = np.maximum.reduceat(masked, starts)
-    if (g_max == -np.inf).any():
-        raise EmptySupport("prior assigns no positive probability anywhere")
     masked[unsupported] = np.inf
     g_min = np.minimum.reduceat(masked, starts)
     del masked
@@ -95,11 +92,7 @@ def _tilt_segments(prior, gains, starts, t: Temperature):
     # gains; it is clamped back into [g_min, g_max].
     if t.is_zero:
         # An unsupported entry adds -0.0, which changes no sum.
-        terms = np.where(unsupported, -0.0, prior * gains)
-        try:
-            sums = _row_sums(terms, starts)
-        except OverflowError:  # a row's partial sums pass the float range
-            sums = np.array([_fsum(row.tolist()) for row in np.split(terms, starts[1:])])
+        sums = _row_sums(np.where(unsupported, -0.0, prior * gains), starts)
         sums = np.clip(sums, g_min, g_max)
         k = len(starts)
         return prior, np.where(const, g_max, sums), np.zeros(k), np.ones(k, dtype=bool)

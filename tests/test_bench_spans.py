@@ -156,6 +156,41 @@ def test_every_flat_store_is_built_from_the_parameters_of_its_fill():
         model.DecisionTree._from_arrays(("r", "a"), ["mu", "lambda"], [1, 0], [1.0], [0.0])
 
 
+# The package functions with a handler that catches OverflowError: model._fsum,
+# the one rule for an exact sum whose partial sums pass the float range; the
+# conversions, which name a number past the range; loads, which reads a
+# refused document again; and a square or a path sum past the range.
+OVERFLOW_HANDLERS = {
+    "model._fsum", "model._real", "model._reals", "model.Temperature.coerce",
+    "problemio._as_number", "problemio._as_number_list", "problemio.loads",
+    "sequential.taylor_ce_approx", "oracle.path_enumeration",
+}
+
+
+def test_only_the_float_range_rule_and_the_conversions_catch_overflow():
+    """No other package function catches OverflowError, by name, as an
+    ArithmeticError, an Exception or a bare except: a sum goes through
+    _fsum or _row_sums, which never raise it. When a change adds or drops
+    such a handler, this points at it."""
+    broad = {"OverflowError", "ArithmeticError", "Exception", "BaseException"}
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.ExceptHandler) and (
+                    child.type is None
+                    or broad & {n.id for n in ast.walk(child.type) if isinstance(n, ast.Name)}):
+                found.add(scope)
+            visit(child, scope)
+
+    for path in sorted((ROOT / "src" / "freeutil").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == OVERFLOW_HANDLERS
+
+
 @pytest.mark.parametrize("name", ["control_basic", "two_stage_basic", "tree_mixed_tags"])
 def test_a_loaded_problem_is_rebuilt_from_its_fields(name):
     problem = load(str(GOLDEN / f"{name}.json")).problem

@@ -428,6 +428,9 @@ def tree_payloads(draw, depth=0):
 
 
 @given(tree_payloads())
+@example({"temperature_tag": "mu"})  # a missing field
+@example({"name": "a", "children": []})
+@example({"name": "a", "children": {"x": 1}})
 def test_tree_parser_matches_the_recursive_parser(payload):
     got = outcome_of(_parse_tree, payload)
     assert got == outcome_of(reference_parse_node, payload, "tree payload")

@@ -591,6 +591,12 @@ def test_two_stage_objective_names_an_action_without_beliefs():
     )
 
 
+def test_two_stage_objective_refuses_a_lam_not_positive_and_finite():
+    for lam in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="^lam must be a positive finite real"):
+            two_stage_objective(STAGED, lam, 1.0, STAGED.prior_action, STAGED.channel)
+
+
 def test_value_recursion_refuses_a_log_partition_past_the_float_range():
     """Constant gains of 1e308 at mu = 2 put t·g_max past the float range:
     DomainError, as outer_policy and exponential_tilt raise, and of two

@@ -24,6 +24,7 @@ from freeutil.model import (
     _normalise_rows,
     _row_kls,
     _row_sums,
+    _valid_rows,
     kl_divergence,
 )
 from freeutil.sequential import (
@@ -596,11 +597,12 @@ def test_level_pass_matches_the_recursive_backup(lam, mu):
 
 
 def fsum_rows(rows):
-    """The float bits of math.fsum of every row, or the type of the first
-    error math.fsum raises."""
+    """The float bits of _fsum of every row (math.fsum, or twice the
+    math.fsum of the halved entries where a partial sum passes the float
+    range), or ValueError where a row holds inf and -inf."""
     try:
-        return np.array([math.fsum(row) for row in rows]).view(np.int64).tolist()
-    except (OverflowError, ValueError) as e:
+        return np.array([_fsum(row.tolist()) for row in rows]).view(np.int64).tolist()
+    except ValueError as e:
         return type(e)
 
 
@@ -661,7 +663,12 @@ def padded(*values):
 @example(padded(math.inf, 1.0))
 @example(padded(-math.inf, 1.0))
 @example(padded(math.inf, -math.inf))
-@example(padded(1e308, 1e308))  # a finite row whose sum overflows
+@example(padded(1e308, 1e308))  # a finite row whose sum overflows: inf
+# Finite rows whose partial sums pass the float range, where math.fsum
+# raises: 2 and 3 wide, and 17 wide, which extraction leaves unsure.
+@example([np.array([1e308, 1e308])])
+@example([np.array([1e308, 1e308, -1e308])])
+@example([np.array((1e308, 1e308, -1e308) + (0.0,) * 14)])
 def test_row_sums_are_the_bits_of_math_fsum(rows):
     flat = np.concatenate(rows)
     starts = np.cumsum([0] + [len(row) for row in rows[:-1]])
@@ -671,6 +678,12 @@ def test_row_sums_are_the_bits_of_math_fsum(rows):
             _row_sums(flat, starts)
     else:
         assert _row_sums(flat, starts).view(np.int64).tolist() == want
+
+
+def test_a_prior_row_whose_sum_passes_the_float_range_is_not_valid():
+    prior = np.array([1e308, 1e308])
+    assert not _valid_rows(prior, np.zeros(2), np.zeros(1, dtype=np.intp))
+    assert prior.tolist() == [1e308, 1e308]  # a failing row is left as it is
 
 
 def test_wide_rows_normalise_and_diverge_as_the_labelled_constructors():

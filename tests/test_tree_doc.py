@@ -1,7 +1,5 @@
 """The tree solve document, written by one % template per table, against
 the old layout: a dict of the labelled results rendered as a whole."""
-import math
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -126,17 +124,6 @@ def test_tree_document_equals_the_old_layout(root, lam, mu):
 
 def test_deep_chain_document_equals_the_old_layout():
     assert_writes_the_old_layout(chain(2000), TemperatureSpec(1.0, -2.0))
-
-
-@given(st.floats().filter(lambda x: not (x == 0.0 and math.copysign(1.0, x) < 0.0)))
-@example(float("nan"))
-@example(float("inf"))
-@example(-float("inf"))
-@example(5e-324)
-@example(1e16)
-@example(123456789012.5)
-def test_percent_conversion_writes_what_fmt_float_writes(x):
-    assert "%.12g" % x == cli._fmt_float(x)
 
 
 def test_negative_zero_is_written_as_zero():

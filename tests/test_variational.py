@@ -97,6 +97,12 @@ def test_prob_from_gain_rejects_overflow():
         prob_from_utility_gain(-1.0, -1.0)
 
 
+def test_prob_from_gain_rejects_bad_conversion_factor():
+    for alpha in (0.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="^conversion factor must be finite and nonzero"):
+            prob_from_utility_gain(-1.0, alpha)
+
+
 def test_conversion_round_trip():
     for p in (1e-6, 1e-4, 0.01, 0.1, 0.37, 0.5, 0.99, 1.0):
         for alpha in (0.1, 1.0, 2.0, -1.0, -0.3):
@@ -177,6 +183,12 @@ def test_plain_number_arguments_refuse_a_non_number_by_type(call):
     naming its type, not float()'s bare TypeError or ValueError."""
     with pytest.raises(DomainError, match=r"must be a real number, got (NoneType|str)$"):
         call()
+
+
+def test_free_utility_difference_refuses_a_temperature_not_positive_and_finite():
+    for alpha in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="^temperature must be a positive real"):
+            free_utility_difference(GAMBLE[0], GAMBLE[0], GAMBLE[1], alpha)
 
 
 TEMPERATURE_EDGES = [
