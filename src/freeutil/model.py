@@ -96,14 +96,22 @@ def _finite(result: float, what: str) -> float:
 
 
 def _fsum(terms: Sequence[float]) -> float:
-    """math.fsum of terms, or, where a partial sum passes the float range
-    (math.fsum raises), twice the math.fsum of the halved terms, exact at
-    that scale. So finite terms give their sum, or ±inf past the range; only
-    inf and -inf together raise ValueError, as in math.fsum."""
+    """math.fsum of terms: their exact sum, rounded half-even. Where a
+    partial sum passes the float range and math.fsum raises, an inf or NaN
+    term decides as in math.fsum, and finite terms are summed exactly in
+    integers, ±inf past the range. Only inf and -inf together raise ValueError."""
     try:
         return math.fsum(terms)
     except OverflowError:
-        return 2.0 * math.fsum([x * 0.5 for x in terms])
+        special = math.fsum(x for x in terms if not math.isfinite(x))
+        if special:  # an inf or a NaN
+            return special
+        units = 1 << 1074  # every finite float is a whole number of 1/units
+        exact = sum(n * units // d for n, d in map(float.as_integer_ratio, terms))
+        try:
+            return exact / units  # int true division rounds half-even
+        except OverflowError:
+            return math.inf if exact > 0 else -math.inf
 
 
 def _real(x, what: str) -> float:

@@ -59,10 +59,9 @@ def _tilt_segments(prior, gains, starts, t: Temperature):
     prior and gains are float arrays of one length; starts holds the
     increasing offsets of the segments (the first is 0, none is empty).
     Each prior segment must be normalised (unchecked), so it has an entry
-    above 0. One
-    array path serves every segment: its gains are masked to the entries
-    its prior supports, and each takes the branch exponential_tilt
-    documents:
+    above 0. One array path serves every segment: its gains are masked to
+    the entries its prior supports, and each takes the branch
+    exponential_tilt documents:
 
     - constant gains: the prior unchanged, value g_max, log-partition
       t·g_max (0.0 at the zero limit, NaN at ±inf);

@@ -130,6 +130,18 @@ def test_priors_summing_past_the_float_range_exit_2(tmp_path):
     assert result.stderr == "NotNormalized: probabilities sum to inf, expected 1\n"
 
 
+def test_four_largest_priors_exit_2(tmp_path):
+    """Four priors of 1e308, whose halved terms still sum past the float
+    range, fail normalisation as two do."""
+    doc = json.loads((GOLDEN / "control_basic.json").read_text())
+    doc["payload"] = {"outcomes": list("abcd"), "prior": [1e308] * 4, "utility": [0.0] * 4}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("solve", path)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == "NotNormalized: probabilities sum to inf, expected 1\n"
+
+
 def test_integer_past_the_digit_limit_exits_2(tmp_path):
     text = (GOLDEN / "control_basic.json").read_text()
     path = tmp_path / "digits.json"
@@ -432,7 +444,7 @@ def test_overflowing_tilt_prints_one_error_line_and_no_warning(tmp_path):
 def test_utilities_at_the_float_edge_exit_3_or_give_finite_numbers(tmp_path):
     """Five utilities of the largest float, whose expected utility under
     this prior rounds past the float range: solve refuses it with one error
-    line; the zero-limit sweep sums the products from halved terms and
+    line; the zero-limit sweep sums the products exactly and
     clamps the value into the equal gains; verify certifies the file."""
     doc = json.loads((GOLDEN / "control_basic.json").read_text())
     prior = [0.17301578503569864, 0.18208246417692872, 0.2550019478149193, 0.1494838617420918,

@@ -2,6 +2,7 @@
 identities that hold because every solver sums a segment the same way."""
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from freeutil.model import (
     TwoStageProblem,
     UtilityTable,
     _ARRAY_ROW_WIDTH,
-    _fsum,
     _normalise_rows,
     _row_kls,
     _row_sums,
@@ -255,9 +255,9 @@ def list_tilt_segments(prior, gains, starts, t):
     # gains; it is clamped back into [g_min, g_max].
     if t.is_zero:
         # An unsupported entry adds -0.0, which changes no sum. A row whose
-        # partial sums pass the float range is summed from its halved terms.
+        # partial sums pass the float range gets its exact sum.
         terms = np.where(support, prior * gains, -0.0)
-        sums = [_fsum(terms[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])]
+        sums = [reference_sum(terms[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])]
         sums = np.clip(sums, g_min, g_max).tolist()
         values = [g if c else v for g, c, v in zip(g_max_list, const, sums)]
         return prior, values, [0.0] * k, [True] * k
@@ -596,12 +596,38 @@ def test_level_pass_matches_the_recursive_backup(lam, mu):
             assert tv.policies[path].probs == policy.probs
 
 
-def fsum_rows(rows):
-    """The float bits of _fsum of every row (math.fsum, or twice the
-    math.fsum of the halved entries where a partial sum passes the float
-    range), or ValueError where a row holds inf and -inf."""
+# The least magnitude that rounds, half-even, past the largest float.
+FLOAT_OVERFLOW = Fraction(2**1024 - 2**970)
+
+
+def reference_sum(row):
+    """math.fsum of a list of floats; where math.fsum raises OverflowError
+    (a partial sum passes the float range): NaN for a row holding a NaN, the
+    infinity of a row holding infinities of one sign, ValueError for both
+    signs, else the exact Fraction sum rounded half-even, ±inf from
+    FLOAT_OVERFLOW on."""
     try:
-        return np.array([_fsum(row.tolist()) for row in rows]).view(np.int64).tolist()
+        return math.fsum(row)
+    except OverflowError:
+        pass
+    if any(map(math.isnan, row)):
+        return math.nan
+    infinities = {x for x in row if math.isinf(x)}
+    if len(infinities) == 2:
+        raise ValueError("a row holds inf and -inf")
+    if infinities:
+        return infinities.pop()
+    exact = sum(map(Fraction, row))
+    if abs(exact) >= FLOAT_OVERFLOW:
+        return math.inf if exact > 0 else -math.inf
+    return float(exact)
+
+
+def fsum_rows(rows):
+    """The float bits of the reference_sum of every row, or ValueError where
+    a row holds inf and -inf."""
+    try:
+        return np.array([reference_sum(row.tolist()) for row in rows]).view(np.int64).tolist()
     except ValueError as e:
         return type(e)
 
@@ -669,6 +695,15 @@ def padded(*values):
 @example([np.array([1e308, 1e308])])
 @example([np.array([1e308, 1e308, -1e308])])
 @example([np.array((1e308, 1e308, -1e308) + (0.0,) * 14)])
+# Sums past the range, whose halved partial sums pass it too, of both signs.
+@example([np.array([1e308] * 4)])
+@example([np.array([-1e308] * 4), np.array([1e308, 1e308, 1e308, -1e308])])
+# Overflowing partial sums whose exact sum is subnormal.
+@example([np.array([1e308, 1e308, -1e308, -1e308, 5e-324])])
+@example([np.array([1e308, 1e308, -1e308, -1e308, 1e-310, 3e-320])])
+# Overflowing partial sums beside an infinity, a NaN, or both infinities.
+@example([np.array([1e308, 1e308, math.inf]), np.array([1e308, 1e308, math.nan])])
+@example([np.array([1e308, 1e308, math.inf, -math.inf])])
 def test_row_sums_are_the_bits_of_math_fsum(rows):
     flat = np.concatenate(rows)
     starts = np.cumsum([0] + [len(row) for row in rows[:-1]])
@@ -681,9 +716,10 @@ def test_row_sums_are_the_bits_of_math_fsum(rows):
 
 
 def test_a_prior_row_whose_sum_passes_the_float_range_is_not_valid():
-    prior = np.array([1e308, 1e308])
-    assert not _valid_rows(prior, np.zeros(2), np.zeros(1, dtype=np.intp))
-    assert prior.tolist() == [1e308, 1e308]  # a failing row is left as it is
+    for width in (2, 4):
+        prior = np.full(width, 1e308)
+        assert not _valid_rows(prior, np.zeros(width), np.zeros(1, dtype=np.intp))
+        assert prior.tolist() == [1e308] * width  # a failing row is left as it is
 
 
 def test_wide_rows_normalise_and_diverge_as_the_labelled_constructors():
