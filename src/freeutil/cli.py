@@ -51,7 +51,7 @@ from .model import (
     kl_divergence,  # noqa: F401
 )
 from .problemio import ProblemFile, load, render_json
-from .sequential import regime_label, solve_regime, value_recursion
+from .sequential import _achieved_c2, regime_label, solve_regime, value_recursion
 # bounded_control, exponential_tilt and kl_divergence stay bound for the traced benchmark.
 from .variational import bounded_control, control_temperature, exponential_tilt  # noqa: F401
 from . import verify as verify_mod
@@ -296,31 +296,27 @@ def _sweep_rows_staged(
     temps: TemperatureSpec,
 ):
     """Rows of the root's policy and value per grid point, then the relative
-    entropies: a two-stage problem's achieved_c1 and achieved_c2 from
-    solve_regime; a tree's achieved_kl, its root row's, from value_recursion
-    (0 for a single leaf), a control problem's on its tree at mu = 1/alpha."""
-    if isinstance(problem, TwoStageProblem):
-        labels, kl_keys = problem.actions, ["achieved_c1", "achieved_c2"]
+    entropies, each point one value_recursion on the problem's tree: a
+    two-stage problem's achieved_c1 and achieved_c2 as outer_policy reads
+    them off its depth-2 tree; a tree's achieved_kl, its root row's (0 for a
+    single leaf), a control problem's on its tree at mu = 1/alpha."""
+    two_stage = isinstance(problem, TwoStageProblem)
+    tree = problem._tree if two_stage else problem
+    k = int(tree.n_children[0])
+    kl_keys = ["achieved_c1", "achieved_c2"] if two_stage else ["achieved_kl"]
+    header = [param] + [f"p[{c}]" for c in tree.names[1 : 1 + k]] + ["value"] + kl_keys
 
-        def solve(point_temps):
-            sol = solve_regime(problem, point_temps)
-            return list(sol.action_policy.probs), sol.value, [sol.achieved_c1, sol.achieved_c2]
-    else:
-        k = int(problem.n_children[0])
-        labels, kl_keys = problem.names[1 : 1 + k], ["achieved_kl"]
-
-        def solve(point_temps):
-            tv = value_recursion(problem, point_temps)
-            return tv.flat_policy[:k].tolist(), tv.root_value, tv.flat_kl[:1].tolist() or [0.0]
-
-    header = [param] + [f"p[{c}]" for c in labels] + ["value"] + kl_keys
-    rows = []
-    for point in grid:
+    def row(point):  # a backup's arrays are freed as its row is made, before the next
         lam = point if param == "lambda" else temps.lam
         mu = point if param == "mu" else point.reciprocal() if param == "alpha" else temps.mu
-        probs, value, kls = solve(TemperatureSpec(lam, mu))
-        rows.append([point.spell()] + probs + [value] + kls)
-    return header, rows
+        tv = value_recursion(tree, TemperatureSpec(lam, mu))
+        probs = tv.flat_policy[:k].tolist()
+        kls = tv.flat_kl[:1].tolist() or [0.0]
+        if two_stage:
+            kls.append(_achieved_c2(probs, tv))
+        return [point.spell()] + probs + [tv.root_value] + kls
+
+    return header, [row(point) for point in grid]
 
 
 def _csv_cell(cell: str) -> str:
@@ -526,31 +522,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    temperatures = _Parser(add_help=False)
+    temperatures.add_argument("--lambda", dest="lam", default=None, metavar="V",
+                              help="chooser inverse temperature (number, 'inf', or 'zero')")
+    temperatures.add_argument("--mu", default=None, metavar="V",
+                              help="environment inverse temperature "
+                                   "(number, 'inf', '-inf', or 'zero')")
+    temperatures.add_argument("--alpha", default=None, metavar="V",
+                              help="temperature (reciprocal of lambda; number, 'inf', or 'zero')")
+
     p_solve = sub.add_parser(
-        "solve", parents=[common], help="solve one problem file"
+        "solve", parents=[common, temperatures], help="solve one problem file"
     )
     p_solve.add_argument("file", help="problem file (JSON)")
-    p_solve.add_argument("--lambda", dest="lam", default=None, metavar="V",
-                         help="chooser inverse temperature (number, 'inf', or 'zero')")
-    p_solve.add_argument("--mu", default=None, metavar="V",
-                         help="environment inverse temperature (number, 'inf', '-inf', or 'zero')")
-    p_solve.add_argument("--alpha", default=None, metavar="V",
-                         help="temperature (reciprocal of lambda; number, 'inf', or 'zero')")
     p_solve.set_defaults(fn=_cmd_solve)
 
     p_sweep = sub.add_parser(
-        "sweep", parents=[common], help="solve across a grid of temperatures (CSV)"
+        "sweep", parents=[common, temperatures],
+        help="solve across a grid of temperatures (CSV)",
     )
     p_sweep.add_argument("file", help="problem file (JSON)")
     p_sweep.add_argument("--param", required=True, choices=("lambda", "mu", "alpha"),
                          help="which temperature the grid varies")
     p_sweep.add_argument("--grid", required=True, metavar="V1,V2,...",
                          help="comma-separated grid values (numbers and limit spellings)")
-    p_sweep.add_argument("--lambda", dest="lam", default=None, metavar="V",
-                         help="fixed lambda while sweeping mu")
-    p_sweep.add_argument("--mu", default=None, metavar="V",
-                         help="fixed mu while sweeping lambda")
-    p_sweep.add_argument("--alpha", default=None, metavar="V", help=argparse.SUPPRESS)
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_regimes = sub.add_parser(
@@ -563,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_regimes.set_defaults(fn=_cmd_regimes)
 
     p_verify = sub.add_parser(
-        "verify", parents=[common], help="run oracle certificates"
+        "verify", parents=[common, temperatures], help="run oracle certificates"
     )
     p_verify.add_argument("file", nargs="?", default=None,
                           help="problem file to certify (omit when using --suite)")
@@ -571,12 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="built-in certificate suite to run")
     p_verify.add_argument("--perturb", type=float, default=0.0, metavar="EPS",
                           help="bias analytic values by EPS (harness self-test)")
-    p_verify.add_argument("--lambda", dest="lam", default=None, metavar="V",
-                          help="lambda for file certificates")
-    p_verify.add_argument("--mu", default=None, metavar="V",
-                          help="mu for file certificates")
-    p_verify.add_argument("--alpha", default=None, metavar="V",
-                          help="alpha for control-file certificates")
     p_verify.set_defaults(fn=_cmd_verify)
     return parser
 

@@ -160,22 +160,16 @@ def outer_policy(problem: TwoStageProblem, lam, mu) -> TwoStageSolution:
     Inner stage first: each action's channel is tilted at mu, yielding a
     per-action certainty equivalent; the outer stage then tilts the action
     prior at lam by direct utility plus that certainty equivalent.
-    lam = +inf is the hard arg-max over actions (uniform over exact ties);
-    lam = zero is rejected — an infinitely expensive chooser never moves,
-    which is not a solvable regime here. A log-partition past the float
-    range raises DomainError, as in exponential_tilt.
-
-    Both stages are value_recursion on the problem's depth-2 tree; this
-    reads the solution off its arrays. An outcome belief row with the bits of
-    its channel row is that row's FiniteDistribution itself.
+    lam = +inf is the hard arg-max over actions (uniform over exact ties).
+    Both stages are value_recursion on the problem's depth-2 tree, which
+    raises its errors: UnsupportedRegime for lam at the zero limit, and
+    DomainError for a log-partition past the float range, as in
+    exponential_tilt. This reads the solution off the tree's arrays. An
+    outcome belief row with the bits of its channel row is that row's
+    FiniteDistribution itself.
     """
     _require(problem, TwoStageProblem, "problem")
     temps = TemperatureSpec(lam, mu)
-    if temps.lam.is_zero:
-        raise UnsupportedRegime(
-            "lambda at the zero limit pins the policy to its prior; "
-            "use a finite lambda or the inf limit"
-        )
     tv = value_recursion(problem._tree, temps)
     actions, n = problem.actions, len(problem.actions)
     probs = tv.flat_policy[:n].tolist()
@@ -199,9 +193,16 @@ def outer_policy(problem: TwoStageProblem, lam, mu) -> TwoStageSolution:
         values=dict(zip(actions, values.tolist())),
         value=tv.root_value,
         achieved_c1=tv.flat_kl[0].item(),
-        achieved_c2=math.fsum(p * kl for p, kl in zip(probs, tv.flat_kl[1:].tolist()) if p > 0.0),
+        achieved_c2=_achieved_c2(probs, tv),
         regime=regime_label(temps),
     )
+
+
+def _achieved_c2(probs: list[float], tv: TreeValue) -> float:
+    """The KL budget a two-stage problem's outcome stage spends: each
+    action's outcome row KL, flat_kl[1:] of its tree's value_recursion,
+    weighted by the action's probability in probs."""
+    return math.fsum(p * kl for p, kl in zip(probs, tv.flat_kl[1:].tolist()) if p > 0.0)
 
 
 def solve_regime(problem: TwoStageProblem, temps: TemperatureSpec) -> TwoStageSolution:
@@ -250,8 +251,9 @@ def value_recursion(tree: DecisionTree, temps: TemperatureSpec) -> TreeValue:
     V = (1/t)·log Σ p0(child)·exp(t·(U(child) + V(child))) at the inverse
     temperature its tag selects from temps (tag "lambda" or "mu"), with the
     node policy being the corresponding tilt. Infinite temperatures become
-    hard max (t = +inf) or hard min (t = -inf) with uniform tie-breaking;
-    lam at the zero limit is rejected as in outer_policy.
+    hard max (t = +inf) or hard min (t = -inf) with uniform tie-breaking.
+    lam at the zero limit raises UnsupportedRegime: an infinitely expensive
+    chooser never moves from its prior, which is not a solvable regime here.
 
     The tree's arrays are breadth-first, so the children of one level are
     the next level in order and edge e leads to node e + 1. The backup runs
@@ -267,7 +269,7 @@ def value_recursion(tree: DecisionTree, temps: TemperatureSpec) -> TreeValue:
         raise DomainError(f"expected a TemperatureSpec, got {type(temps).__name__}")
     if temps.lam.is_zero:
         raise UnsupportedRegime(
-            "lambda at the zero limit pins every policy to its prior; "
+            "lambda at the zero limit pins the policy to its prior; "
             "use a finite lambda or the inf limit"
         )
     n = len(tree.names)

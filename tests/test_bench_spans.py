@@ -62,6 +62,21 @@ def test_traced_solve_records_sized_tilts(name, solver):
     assert "variational.exponential_tilt" not in names
 
 
+def test_traced_sweep_of_a_two_stage_file_runs_one_backup_per_point():
+    """A two-stage sweep solves each grid point by one value_recursion on
+    the problem's tree, as the other kinds sweep, and never builds a
+    two-stage solution."""
+    grid = ["-inf", "-1", "zero", "0.5", "1", "inf"]
+    recorder = spans.Recorder()
+    argv = ["sweep", str(GOLDEN / "two_stage_basic.json"), "--param", "mu",
+            "--grid=" + ",".join(grid)]
+    with spans.instrument(recorder, freeutil), contextlib.redirect_stdout(io.StringIO()):
+        assert freeutil.cli.main(argv) == 0
+    calls = Counter(s[0] for s in recorder.spans)
+    assert calls["sequential.value_recursion"] == len(grid)
+    assert calls["sequential.solve_regime"] == calls["sequential.outer_policy"] == 0
+
+
 def test_every_imported_name_is_used_or_wrapped():
     """Each package module uses every name it imports, except the names the
     traced run wraps under that module, which stay bound for it alone. When
@@ -167,28 +182,55 @@ OVERFLOW_HANDLERS = {
 }
 
 
+def package_nodes():
+    """Every AST node of the package, with the dotted name of the function
+    or class it sits in: the module, then each enclosing def or class."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from walk(child, f"{scope}.{child.name}")
+                continue
+            yield scope, child
+            yield from walk(child, scope)
+
+    for path in sorted((ROOT / "src" / "freeutil").glob("*.py")):
+        yield from walk(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+
+
 def test_only_the_float_range_rule_and_the_conversions_catch_overflow():
     """No other package function catches OverflowError, by name, as an
     ArithmeticError, an Exception or a bare except: a sum goes through
     _fsum or _row_sums, which never raise it. When a change adds or drops
     such a handler, this points at it."""
     broad = {"OverflowError", "ArithmeticError", "Exception", "BaseException"}
-    found = set()
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}")
-                continue
-            if isinstance(child, ast.ExceptHandler) and (
-                    child.type is None
-                    or broad & {n.id for n in ast.walk(child.type) if isinstance(n, ast.Name)}):
-                found.add(scope)
-            visit(child, scope)
-
-    for path in sorted((ROOT / "src" / "freeutil").glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    found = {
+        scope for scope, node in package_nodes()
+        if isinstance(node, ast.ExceptHandler) and (
+            node.type is None
+            or broad & {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)})
+    }
     assert found == OVERFLOW_HANDLERS
+
+
+def test_each_temperature_rule_is_written_once():
+    """UnsupportedRegime is raised in sequential.value_recursion alone,
+    which every kind's solve and sweep runs, and cli.build_parser declares
+    --lambda and --alpha once and --mu twice: the flags solve, sweep and
+    verify share, and the risk-averse --mu of regimes. When a change writes
+    one of these rules again, this points at it."""
+    raised = [
+        scope for scope, node in package_nodes()
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and "UnsupportedRegime" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
+    ]
+    assert raised == ["sequential.value_recursion"]
+    flags = Counter(
+        node.args[0].value for scope, node in package_nodes()
+        if scope == "cli.build_parser" and isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute) and node.func.attr == "add_argument"
+        and node.args and isinstance(node.args[0], ast.Constant)
+    )
+    assert (flags["--lambda"], flags["--mu"], flags["--alpha"]) == (1, 2, 1)
 
 
 @pytest.mark.parametrize("name", ["control_basic", "two_stage_basic", "tree_mixed_tags"])

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -520,6 +521,11 @@ def test_solver_errors_exit_3_in_every_command(tmp_path):
     doc["payload"]["outcome_utility"]["risky"] = [1e308, -1e308]
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps(doc))
+    tree = json.loads((GOLDEN / "tree_binary.json").read_text())
+    tree["temperatures"] = {"lambda": "zero", "mu": 1.0}
+    tree_zero = tmp_path / "tree_zero.json"
+    tree_zero.write_text(json.dumps(tree))
+    # Every kind meets lambda at the zero limit in value_recursion, in one wording.
     unsupported = (
         "UnsupportedRegime: lambda at the zero limit pins the policy to its prior; "
         "use a finite lambda or the inf limit\n"
@@ -529,6 +535,8 @@ def test_solver_errors_exit_3_in_every_command(tmp_path):
         (("solve", GOLDEN / "two_stage_lambda_zero.json"), unsupported),
         (("sweep", GOLDEN / "two_stage_basic.json", "--param", "mu", "--grid", "1",
           "--lambda", "zero"), unsupported),
+        (("solve", tree_zero), unsupported),
+        (("sweep", tree_zero, "--param", "mu", "--grid", "1"), unsupported),
         (("regimes", huge), overflow),
         (("verify", huge), overflow),
     ]:
@@ -681,6 +689,20 @@ def test_temperature_flags_a_command_does_not_read_exit_2(command, stderr):
     ignored."""
     result = run_cli(*command)
     assert (result.returncode, result.stdout, result.stderr) == (2, "", f"DomainError: {stderr}\n")
+
+
+def test_sweep_reads_alpha_as_its_reciprocal_lambda():
+    """solve, sweep and verify share --lambda, --mu and --alpha: a sweep of
+    mu at --alpha 2 prints the rows of --lambda 0.5, and each command's
+    help lists the three flags."""
+    sweep = ("sweep", GOLDEN / "two_stage_basic.json", "--param", "mu", "--grid=-inf,-1,zero,1,inf")
+    by_alpha, by_lambda = run_cli(*sweep, "--alpha", "2"), run_cli(*sweep, "--lambda", "0.5")
+    assert (by_alpha.returncode, by_alpha.stderr) == (0, "")
+    assert by_alpha.stdout == by_lambda.stdout
+    for command in ("solve", "sweep", "verify"):
+        code, out, _ = main_in_process([command, "--help"])
+        listed = re.findall(r"^ +(--\w+) V\b", out, re.MULTILINE)
+        assert code == 0 and {"--lambda", "--mu", "--alpha"} <= set(listed)
 
 
 def test_sweep_invalid_grid_values_exit_2():

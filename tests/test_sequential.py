@@ -957,9 +957,14 @@ def test_tree_mixed_tags_use_their_temperatures():
 
 
 def test_tree_rejects_zero_lambda():
+    """value_recursion is the one refusal of lambda at the zero limit, in
+    the wording every command prints."""
     tree = DecisionTree(node("root", [leaf("a"), leaf("b")], [0.5, 0.5], [0.0, 1.0]))
-    with pytest.raises(UnsupportedRegime):
+    with pytest.raises(UnsupportedRegime) as raised:
         value_recursion(tree, TemperatureSpec("zero", 1.0))
+    assert str(raised.value) == (
+        "lambda at the zero limit pins the policy to its prior; use a finite lambda or the inf limit"
+    )
 
 
 def test_two_stage_to_tree_shape():
